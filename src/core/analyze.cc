@@ -44,20 +44,14 @@ void Engine::AssembleAnalyze(
     auto it = values.find({entity, name});
     return it == values.end() ? 0 : it->second;
   };
-  // Node index -> owning worker process (relevant while un-adopted).
-  std::map<size_t, size_t> owner;
-  for (size_t w = 0; w < process_groups_.size(); ++w) {
-    for (size_t idx : process_groups_[w]) owner[idx] = w;
-  }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const rts::QueryNode* node = nodes_[i].get();
     const std::string& name = node->name();
     plan::AnalyzeNodeStats s;
     s.proc = telemetry_.EntityProc(name);
-    auto it = owner.find(i);
-    if (it != owner.end() && supervisor_ != nullptr &&
-        i < node_adopted_.size() && !node_adopted_[i]) {
-      s.restarts = supervisor_->restarts_used(it->second);
+    if (pool_ != nullptr && i < node_worker_.size() &&
+        node_worker_[i] != kInjectThread) {
+      s.restarts = pool_->restarts(static_cast<size_t>(node_worker_[i]));
     }
     s.tuples_in = value_of(name, metric::kTuplesIn);
     s.tuples_out = value_of(name, metric::kTuplesOut);

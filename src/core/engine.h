@@ -5,12 +5,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/packet_source.h"
 #include "core/shedding.h"
 #include "core/supervisor.h"
+#include "core/worker.h"
 #include "gsql/catalog.h"
 #include "jit/engine.h"
 #include "net/packet.h"
@@ -135,35 +136,6 @@ struct EngineOptions {
   FaultConfig fault;
 };
 
-/// Precompiled packet-interpretation plan for one schema: which built-in
-/// extractor feeds each field, resolved by name once at source creation
-/// instead of by string comparison per packet, plus a materialization gate
-/// per field. The variable-length fields (payload, ipPayload) copy packet
-/// bytes on every interpretation; the engine leaves them unmaterialized
-/// until a consumer that reads them registers — the same
-/// haul-only-what-queries-need idea as the NIC snap length (§4), applied
-/// at the interpretation layer.
-struct InterpretPlan {
-  enum class Extract : uint8_t {
-    kTime, kTimestamp, kLen,
-    kSrcIp, kDestIp, kSrcPort, kDestPort,
-    kProtocol, kIpVersion, kTcpFlags, kTcpSeq,
-    kIpId, kFragOffset, kMoreFrags,
-    kPayload, kIpPayload,
-    kDefault,
-  };
-  std::vector<Extract> fields;
-  std::vector<gsql::DataType> types;
-  /// Unwanted fields interpret as their type default. Only kPayload and
-  /// kIpPayload are ever gated off; fixed-width fields are always cheap
-  /// enough to materialize.
-  std::vector<bool> wanted;
-};
-
-/// Resolves `schema`'s field names against the built-in interpretation
-/// library (§2.2). All fields start wanted.
-InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema);
-
 /// Metadata about a compiled, running query.
 struct QueryInfo {
   std::string name;
@@ -194,17 +166,22 @@ struct QueryInfo {
 /// The engine is single-threaded by default: InjectPacket enqueues work and
 /// Pump drives every operator, which makes runs deterministic.
 ///
-/// StartThreads switches to the ThreadedEngine pump mode, mirroring the
-/// paper's §4 process split: source interpretation and LFTA nodes stay on
-/// the caller's inject thread (the paper links LFTAs into the RTS next to
-/// the capture loop) while HFTA nodes (join, merge, final aggregation) run
-/// on a worker pool connected through the lock-free SPSC ring channels.
-/// Each node is owned by exactly one worker, so every channel keeps a
-/// single producer thread and a single consumer thread. FlushAll is the
-/// drain barrier: it stops the workers, drains every channel
-/// deterministically on the calling thread, and seals the engine — after
-/// FlushAll, injection calls return FailedPrecondition and further
-/// FlushAll calls are no-ops.
+/// One ownership model covers every execution mode, mirroring the paper's
+/// §4 split: every node is polled by exactly one owner. Source
+/// interpretation and LFTA-stage nodes are always owned by the caller's
+/// inject thread (the paper links LFTAs into the RTS next to the capture
+/// loop). HFTA-stage nodes (join, merge, final aggregation, user nodes) are
+/// owned by the inject thread too in single-threaded mode — zero workers —
+/// or, once StartThreads/StartProcesses runs, partitioned round-robin over
+/// a pool of workers (threads or supervised processes) connected through
+/// the SPSC ring channels, so every channel keeps a single producer and a
+/// single consumer. Both backends run the same worker loop and answer the
+/// same mailbox commands; a worker that stops or fails hands its nodes back
+/// to the inject thread (adoption). FlushAll is the drain barrier: it
+/// drains and flushes every node inside its owner, upstream first (thread
+/// workers hand their nodes back first; process workers seal in place),
+/// stops the pool, and seals the engine — after FlushAll, injection calls
+/// return FailedPrecondition and further FlushAll calls are no-ops.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -281,56 +258,55 @@ class Engine {
 
   // -- Execution ---------------------------------------------------------------
 
-  /// Runs one round over the operator nodes; returns messages processed.
-  /// In threaded mode only LFTA/source-stage nodes are pumped — HFTA
-  /// nodes belong to their workers (single-consumer rule).
+  /// Runs one round over the nodes the calling (inject) thread owns;
+  /// returns messages processed. While a worker pool runs, that is the LFTA
+  /// stage plus any nodes adopted from failed workers.
   size_t Pump(size_t budget_per_node = 1024);
 
-  /// Pumps until no node makes progress (threaded mode: LFTA stage only).
+  /// Pumps until no inject-thread node makes progress.
   void PumpUntilIdle();
 
-  /// End-of-stream barrier: stops workers if threaded, drains every
-  /// channel, flushes buffered operator state (open groups, merge buffers)
-  /// downstream, and seals the engine. Idempotent; after it returns,
-  /// injection calls fail with FailedPrecondition.
+  /// End-of-stream barrier: drains every channel, flushes buffered operator
+  /// state (open groups, merge buffers) downstream inside each node's
+  /// owner, stops any worker pool, and seals the engine. Thread workers
+  /// are stopped first, so a threaded seal runs on this thread alone.
+  /// Idempotent; after it returns, injection calls fail with
+  /// FailedPrecondition.
   void FlushAll();
 
-  // -- Threaded pump mode ------------------------------------------------------
+  // -- Worker pools ------------------------------------------------------------
 
-  /// Starts the worker pool (ThreadedEngine pump mode). Call after all
-  /// queries, custom nodes, and subscriptions are set up: while workers
-  /// run, AddQuery/AddNode/Subscribe/DeclareStream/ExecuteDdl/SetParam
-  /// return FailedPrecondition (they would mutate structures the workers
-  /// read lock-free). HFTA nodes are partitioned round-robin over
+  /// Starts a pool of worker threads. Call after all queries, custom
+  /// nodes, and subscriptions are set up: while workers run,
+  /// AddQuery/AddNode/Subscribe/DeclareStream/ExecuteDdl/SetParam return
+  /// FailedPrecondition (they would mutate structures the workers read
+  /// lock-free). HFTA nodes are partitioned round-robin over
   /// min(workers, hfta-node-count) threads; idle workers park and are
   /// woken by pushes into their nodes' input channels.
   Status StartThreads(size_t workers);
 
-  /// Stops and joins the worker pool. Undrained channel contents remain
-  /// and can be pumped single-threaded afterwards (FlushAll does this).
+  /// Stops the worker threads. Their nodes return to the inject thread
+  /// with state intact: undrained channel contents remain and can be
+  /// pumped single-threaded afterwards (FlushAll does this).
   void StopThreads();
 
-  bool threads_running() const { return threads_running_; }
-
-  // -- Multi-process pump mode -------------------------------------------------
+  bool threads_running() const { return mode_ == PumpMode::kThreads; }
 
   /// Starts supervised HFTA worker processes (requires
   /// EngineOptions::process.enabled at construction, so inter-node rings
-  /// are shm-backed). Like StartThreads, HFTA nodes are partitioned
-  /// round-robin over min(workers, hfta-node-count) forked processes;
-  /// LFTA-stage nodes stay on the inject thread. Each worker heartbeats
+  /// are shm-backed), partitioned like StartThreads. Each worker heartbeats
   /// through shared memory; the supervisor restarts crashed or hung
   /// workers under exponential backoff, and a worker that exhausts its
-  /// restart budget degrades — the parent adopts its nodes in-process,
+  /// restart budget degrades — the inject thread adopts its nodes,
   /// resynchronizing their inputs at the next punctuation boundary.
   Status StartProcesses(size_t workers);
 
   /// Kills the worker processes without draining (FlushAll does both, in
   /// order). Their in-flight operator state is lost; every group is
-  /// adopted in-process with a resync so later pumping stays consistent.
+  /// adopted with a resync so later pumping stays consistent.
   void StopProcesses();
 
-  bool processes_running() const { return processes_running_; }
+  bool processes_running() const { return mode_ == PumpMode::kProcesses; }
 
   /// The process supervisor, or null unless StartProcesses ran.
   const Supervisor* supervisor() const { return supervisor_.get(); }
@@ -376,45 +352,14 @@ class Engine {
   std::string AnalyzeJson(bool mask_volatile = false) const;
 
  private:
-  /// Which pump stage a node belongs to in threaded mode: LFTA-stage nodes
-  /// run on the inject thread, HFTA-stage nodes on the worker pool.
+  /// Which pump stage a node belongs to: LFTA-stage nodes are always
+  /// owned by the inject thread; HFTA-stage nodes go to the workers while
+  /// a pool runs.
   enum class NodeStage : uint8_t { kLfta, kHfta };
-
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<rts::ConsumerWaker> waker;
-    std::vector<rts::QueryNode*> nodes;
-    /// Points into worker_park_ns_ (engine-owned): StopThreads clears
-    /// workers_, but registered histogram readers must stay valid.
-    telemetry::Histogram* park_ns = nullptr;
-  };
-
-  struct ProtocolSource {
-    std::string stream_name;
-    gsql::StreamSchema schema;
-    /// Field extraction resolved once; payload fields start unwanted and
-    /// are switched on as consumers that read them appear.
-    InterpretPlan interpret;
-    std::unique_ptr<rts::TupleCodec> codec;
-    telemetry::Counter packets;
-    /// Seconds bound of the last punctuation published on this source;
-    /// `gs_stats` consumers can compute punctuation lag against it.
-    telemetry::Counter last_punct_sec;
-    /// Sim-time distance from each packet to the source's previous
-    /// punctuation — the distribution behind the e4 heartbeat story.
-    telemetry::Histogram punct_lag;
-    /// Packets whose bytes failed to decode even at the Ethernet layer.
-    telemetry::Counter parse_errors;
-    /// Packets whose timestamp regressed behind the last punctuation:
-    /// clamped to the bound (never violating emitted ordering promises).
-    telemetry::Counter time_regressions;
-    SimTime last_punct_time = 0;
-    rts::Row last_row;
-    /// Inject-side batch under construction: packets append here and the
-    /// batch publishes on size/age/punctuation, or at the next Pump.
-    rts::StreamBatch open_batch;
-    SimTime batch_open_time = 0;
-  };
+  /// Which worker backend is running, if any (kSingle: zero workers).
+  enum class PumpMode : uint8_t { kSingle, kThreads, kProcesses };
+  /// node_worker_ value of a node the inject thread polls.
+  static constexpr int kInjectThread = -1;
 
   /// Ensures a packet stream for (interface, protocol) exists.
   Status EnsureProtocolSource(const std::string& interface_name,
@@ -423,53 +368,59 @@ class Engine {
   /// Registers sources required by every Source leaf of `plan`.
   Status EnsureSources(const plan::PlanPtr& plan);
 
-  /// Walks `plan` and marks every protocol-source field some operator
-  /// expression references as wanted, so InterpretPacket materializes it.
-  /// Consumers the engine cannot introspect (AddNode user nodes, raw
-  /// registry subscriptions routed through Subscribe) mark all fields.
+  /// Marks every protocol-source field some operator expression of `plan`
+  /// references as wanted, so interpretation materializes it. Consumers
+  /// the engine cannot introspect (AddNode user nodes, raw subscriptions
+  /// routed through Subscribe) mark all fields.
   void MarkProtocolFieldUses(const plan::PlanPtr& plan);
-  static void MarkAllProtocolFields(ProtocolSource& source);
 
-  /// Rejects mutations while the worker pool runs (structures the workers
+  /// Rejects mutations while a worker pool runs (structures the workers
   /// read are not guarded by locks) and input after FlushAll sealed the
   /// engine.
   Status CheckMutable(const char* operation) const;
   Status CheckAcceptingInput(const char* operation) const;
 
-  /// One poll round over nodes of `stage`; returns messages processed.
-  size_t PumpStage(NodeStage stage, size_t budget_per_node);
-  void WorkerLoop(Worker* worker);
+  // -- Node ownership ------------------------------------------------------
 
-  // -- Multi-process internals ----------------------------------------------
+  /// StartThreads/StartProcesses: partitions the HFTA stage over
+  /// min(workers, hfta nodes) workers of `mode`'s backend and starts them.
+  Status StartWorkers(PumpMode mode, size_t workers);
+  /// Process backend set-up before the fork: detaches tracing from worker
+  /// nodes, binds their metrics into the shm arena, arms a torn-slot
+  /// fault, and registers the supervisor's counters.
+  void PrepareProcessWorkers();
+  /// A forked worker's main: resync after a restart, then the worker loop.
+  void RunProcessWorker(const WorkerGroup& group, size_t worker,
+                        uint32_t generation);
+  /// Stops the pool and adopts every worker's nodes; with `resync`, a
+  /// backend that loses node state resynchronizes their inputs.
+  void StopWorkers(bool resync);
+  /// Hands worker `worker`'s nodes to the inject thread; with `resync`
+  /// their inputs discard until the next punctuation boundary (a dead
+  /// process's partial state is unrecoverable).
+  void AdoptWorker(size_t worker, bool resync);
+  /// One poll round over the inject thread's nodes, after adopting any
+  /// worker that is gone.
+  size_t PumpInjectNodes(size_t budget_per_node);
+  /// The injection calls' tail: while workers run, the inject thread keeps
+  /// the LFTA stage moving so its output feeds them (§4: LFTAs run next to
+  /// the capture loop). Single-threaded callers pump explicitly.
+  void PumpAfterInput();
+  /// Retries punctuations parked on once-full rings the inject thread
+  /// produces into (parked state belongs to the producer; workers retry
+  /// their own). Returns how many were delivered.
+  size_t RetryParkedPunctuations();
+  /// Runs one kDrain in every live worker, adopting any that fail; returns
+  /// the messages the workers processed since the previous drain.
+  size_t DrainWorkers();
+  /// Pumps the inject thread and drains every worker until a round in
+  /// which no worker made progress.
+  void DrainUntilIdle();
 
-  /// The child process's pump loop: heartbeat, command mailbox, node
-  /// polling, parked-punctuation retries. Never returns (the child _exits
-  /// on kExit or dies by fault/crash).
-  void WorkerProcessLoop(size_t worker, uint32_t generation);
-  /// Child-side: pumps the worker's own nodes until idle (used for the
-  /// kFlushNode/kDrain commands); keeps heartbeating while it runs.
-  size_t DrainWorkerNodes(size_t worker, WorkerControl* control,
-                          uint64_t* processed_total);
-  /// Parent-side failover: marks worker `w`'s nodes parent-owned; with
-  /// `resync` their inputs discard until the next punctuation boundary
-  /// (the dead process's partial state is unrecoverable).
-  void AdoptWorkerNodes(size_t worker, bool resync);
-  /// Adopts every worker the supervisor has declared degraded.
-  void AdoptDegradedWorkers();
-  /// One parent-side pump round in process mode: LFTA stage plus any
-  /// adopted nodes.
-  size_t PumpProcessRound(size_t budget_per_node);
-  /// FlushAll's process-mode body: seal, drain, per-node flush commands in
-  /// global upstream order (failing over to adoption), stop, final drain.
-  void FlushAllProcesses();
-  /// Drives parent pumping and per-worker kDrain commands until no process
-  /// makes progress.
-  void DrainProcessesUntilIdle();
-
-  /// Publishes every source's open batch (Pump and FlushAll call this so
-  /// no injected tuple waits on the batch-size threshold once the engine
-  /// is asked to make progress). Returns whether anything was published.
-  bool FlushSourceBatches();
+  /// Publishes every source's open batch (Pump calls this so no injected
+  /// tuple waits on the batch-size threshold once the engine is asked to
+  /// make progress).
+  void FlushSourceBatches();
 
   /// EXPLAIN ANALYZE assembly (core/analyze.cc): one registry snapshot
   /// folded into per-node stats plus the engine-level summary header.
@@ -497,8 +448,8 @@ class Engine {
   std::unique_ptr<telemetry::Tracer> tracer_;
   /// Trace-viewer track ids: 0 is the inject thread, nodes take 1..N.
   uint32_t next_track_id_ = 1;
-  /// Park-time histograms per worker slot, engine-owned so the registered
-  /// readers survive StopThreads (which clears workers_). Grows lazily in
+  /// Park-time histograms per worker thread slot, engine-owned so the
+  /// registered readers outlive any one pool. Grows lazily in
   /// StartThreads; slot w is reused across start/stop cycles.
   std::vector<std::unique_ptr<telemetry::Histogram>> worker_park_ns_;
   /// Declared before nodes_: operators read published kernel pointers
@@ -534,7 +485,9 @@ class Engine {
     std::vector<std::string> names;
   };
   std::map<std::string, QueryParams> query_params_;
-  std::map<std::string, ProtocolSource> protocol_sources_;
+  /// Packet sources by stream name, and per interface.
+  std::map<std::string, std::unique_ptr<PacketSource>> sources_;
+  std::map<std::string, std::vector<PacketSource*>> interface_sources_;
   /// Compiled plans retained per query (parallel to query_infos_) so
   /// EXPLAIN ANALYZE can re-render them against live runtime counters.
   struct AnalyzePlan {
@@ -547,12 +500,32 @@ class Engine {
   const char* pump_mode_ = "single";
   /// Parallel to nodes_: each node's pump stage.
   std::vector<NodeStage> node_stages_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<bool> stop_workers_{false};
-  bool threads_running_ = false;
-  // -- Multi-process mode state ---------------------------------------------
+
+  // -- Node ownership (DESIGN.md §9) ---------------------------------------
+  PumpMode mode_ = PumpMode::kSingle;
+  /// The running pool: *threads_ or *supervisor_, or null with zero
+  /// workers. Every worker operation goes through it.
+  WorkerPool* pool_ = nullptr;
+  /// The last pool of each backend; kept after it stops so its counters
+  /// (park times, restarts, degradations) stay readable.
+  std::unique_ptr<ThreadPool> threads_;
   std::unique_ptr<Supervisor> supervisor_;
-  bool processes_running_ = false;
+  /// nodes_ indices owned by each worker of the last pool started.
+  std::vector<std::vector<size_t>> worker_nodes_;
+  std::vector<char> worker_adopted_;
+  /// Each worker's processed-message count at its last drain.
+  std::vector<uint64_t> worker_drained_;
+  /// Parallel to nodes_ (missing entries: the inject thread): the worker
+  /// that polls each node, or kInjectThread.
+  std::vector<int> node_worker_;
+  /// While a pool runs: the streams the inject thread produces into
+  /// (sources, LFTA outputs, gs_stats, adopted nodes' outputs).
+  std::vector<std::string> inject_streams_;
+  /// Worker adoptions with a resync (each opens a resync gap, like a
+  /// restart does); atomic because the gs_stats reader may run while the
+  /// engine thread adopts.
+  std::atomic<uint64_t> adopted_resync_{0};
+  // -- Process backend -------------------------------------------------------
   bool process_telemetry_registered_ = false;
   /// Shm metrics arena (process mode): created by the parent before any
   /// fork so children inherit counters bound into shared slots; the
@@ -567,43 +540,12 @@ class Engine {
     size_t count = 0;
   };
   std::vector<ArenaRange> worker_arena_ranges_;
-  /// nodes_ indices owned by each worker process.
-  std::vector<std::vector<size_t>> process_groups_;
-  /// Output stream names per worker (= its nodes' names): each process
-  /// retries parked punctuations only on rings it produces into.
-  std::vector<std::vector<std::string>> worker_output_streams_;
-  /// Streams the parent produces into (sources, LFTA outputs, gs_stats);
-  /// adopted nodes' outputs are appended as workers fail over.
-  std::vector<std::string> parent_streams_;
-  std::vector<char> worker_adopted_;
-  std::vector<char> node_adopted_;
-  /// Degraded-worker adoptions (each one opens a resync gap, like a
-  /// restart does); atomic because the gs_stats reader may run while the
-  /// engine thread adopts.
-  std::atomic<uint64_t> adopted_resync_{0};
+
   bool flushed_ = false;
   /// Once a user node exists, sources created later also materialize every
   /// field — the node may subscribe to them through registry().
   bool user_nodes_present_ = false;
 };
-
-/// Interprets a raw packet into a row under a precompiled plan: one packet
-/// decode, then a switch per field — no name lookups on the hot path.
-rts::Row InterpretPacket(const InterpretPlan& plan,
-                         const net::Packet& packet);
-
-/// Same, reporting whether the packet failed to decode (fields then
-/// interpret as type defaults — malformed input never crashes the
-/// interpreter, it is counted via the source's parse_errors metric).
-rts::Row InterpretPacket(const InterpretPlan& plan, const net::Packet& packet,
-                         bool* malformed);
-
-/// Convenience overload: resolves `schema` (time, timestamp, srcIP,
-/// destIP, srcPort, destPort, protocol, ipVersion, len, tcpFlags, tcpSeq,
-/// ipId, fragOffset, moreFrags, payload, ipPayload; unknown names get
-/// default values) and interprets with every field materialized.
-rts::Row InterpretPacket(const gsql::StreamSchema& schema,
-                         const net::Packet& packet);
 
 }  // namespace gigascope::core
 

@@ -157,21 +157,12 @@ bool Supervisor::SendCommand(size_t worker, WorkerCommand command,
                              uint64_t arg, uint64_t* ack_value) {
   GS_CHECK(worker < slots_.size());
   WorkerControl* ctrl = &controls_[worker];
-  const uint64_t seq = ctrl->cmd_seq.load(std::memory_order_relaxed) + 1;
-  ctrl->cmd_code.store(static_cast<uint32_t>(command),
-                       std::memory_order_relaxed);
-  ctrl->cmd_arg.store(arg, std::memory_order_relaxed);
-  ctrl->cmd_seq.store(seq, std::memory_order_release);
+  const uint64_t seq = ctrl->Post(command, arg);
   const int64_t deadline =
       telemetry::MonotonicNowNs() +
       static_cast<int64_t>(options_.command_timeout_ms) * kMilli;
   for (int spins = 0;; ++spins) {
-    if (ctrl->ack_seq.load(std::memory_order_acquire) >= seq) {
-      if (ack_value != nullptr) {
-        *ack_value = ctrl->ack_value.load(std::memory_order_relaxed);
-      }
-      return true;
-    }
+    if (ctrl->Acked(seq, ack_value)) return true;
     const WorkerState st = state(worker);
     if (st == WorkerState::kDegraded || st == WorkerState::kStopped) {
       return false;
@@ -199,12 +190,7 @@ void Supervisor::StopAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (size_t w = 0; w < slots_.size(); ++w) {
     if (slots_[w]->pid.load(std::memory_order_relaxed) <= 0) continue;
-    WorkerControl* ctrl = &controls_[w];
-    const uint64_t seq = ctrl->cmd_seq.load(std::memory_order_relaxed) + 1;
-    ctrl->cmd_code.store(static_cast<uint32_t>(WorkerCommand::kExit),
-                         std::memory_order_relaxed);
-    ctrl->cmd_arg.store(0, std::memory_order_relaxed);
-    ctrl->cmd_seq.store(seq, std::memory_order_release);
+    controls_[w].Post(WorkerCommand::kExit, 0);
   }
   const int64_t deadline = telemetry::MonotonicNowNs() + 2000 * kMilli;
   for (size_t w = 0; w < slots_.size(); ++w) {
@@ -229,29 +215,6 @@ void Supervisor::StopAll() {
       slot.state.store(WorkerState::kStopped, std::memory_order_release);
     }
   }
-}
-
-WorkerCommand Supervisor::PendingCommand(WorkerControl* control, uint64_t* arg,
-                                         uint64_t* seq) {
-  const uint64_t cmd_seq = control->cmd_seq.load(std::memory_order_acquire);
-  if (cmd_seq == control->ack_seq.load(std::memory_order_relaxed)) {
-    return WorkerCommand::kNone;
-  }
-  *seq = cmd_seq;
-  *arg = control->cmd_arg.load(std::memory_order_relaxed);
-  const uint32_t code = control->cmd_code.load(std::memory_order_relaxed);
-  if (code == 0 || code > static_cast<uint32_t>(WorkerCommand::kExit)) {
-    // Unknown command (version skew can't really happen in-process, but
-    // never leave the mailbox wedged): ack it as a no-op.
-    Ack(control, cmd_seq, 0);
-    return WorkerCommand::kNone;
-  }
-  return static_cast<WorkerCommand>(code);
-}
-
-void Supervisor::Ack(WorkerControl* control, uint64_t seq, uint64_t value) {
-  control->ack_value.store(value, std::memory_order_relaxed);
-  control->ack_seq.store(seq, std::memory_order_release);
 }
 
 }  // namespace gigascope::core

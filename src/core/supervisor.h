@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/worker.h"
 #include "rts/shm.h"
 
 namespace gigascope::core {
@@ -36,43 +37,6 @@ struct SupervisorOptions {
   uint64_t command_timeout_ms = 10000;
 };
 
-/// Parent -> child requests carried through the shm mailbox.
-enum class WorkerCommand : uint32_t {
-  kNone = 0,
-  /// Flush the worker-local node at index `arg` of the worker's group and
-  /// drain; ack_value = messages processed while draining.
-  kFlushNode = 1,
-  /// Pump the worker's nodes until idle; ack_value = messages processed.
-  kDrain = 2,
-  /// Acknowledge and _exit(0).
-  kExit = 3,
-};
-
-/// One worker's shared-memory control block, mapped before any fork so
-/// parent and every child incarnation address the same cache lines.
-///
-/// Single-writer disciplines: `heartbeat`, `msgs_processed`, `fault_fired`,
-/// `ack_seq`, and `ack_value` are written only by the (one live) child;
-/// `generation`, `cmd_seq`, `cmd_code`, and `cmd_arg` only by the parent.
-/// Mailbox protocol: the parent writes cmd_code/cmd_arg then publishes by
-/// storing cmd_seq (release); the child observes cmd_seq != ack_seq,
-/// executes, writes ack_value, and publishes by storing ack_seq = cmd_seq
-/// (release). A command posted to a worker that dies before acking is
-/// re-observed by the restarted incarnation — or failed over by the parent
-/// once the worker degrades.
-struct WorkerControl {
-  alignas(64) std::atomic<uint64_t> heartbeat{0};
-  std::atomic<uint64_t> msgs_processed{0};
-  std::atomic<uint32_t> generation{0};
-  /// FaultInjector's fire-once-per-run latch (survives restarts).
-  std::atomic<uint32_t> fault_fired{0};
-  alignas(64) std::atomic<uint64_t> cmd_seq{0};
-  std::atomic<uint32_t> cmd_code{0};
-  std::atomic<uint64_t> cmd_arg{0};
-  alignas(64) std::atomic<uint64_t> ack_seq{0};
-  std::atomic<uint64_t> ack_value{0};
-};
-
 /// Forks and babysits the HFTA worker processes (the paper's §4 model: each
 /// HFTA is "an application process" fed through shared memory). Liveness is
 /// watched two ways — waitpid for death, a shm heartbeat counter for hangs —
@@ -84,7 +48,11 @@ struct WorkerControl {
 /// operators' pristine copy-on-write state: restart *is* recovery, and the
 /// restarted incarnation resynchronizes its input rings at the next
 /// punctuation boundary (RingChannel::BeginResync).
-class Supervisor {
+///
+/// As a WorkerPool it is the engine's process backend: Call is
+/// SendCommand, a degraded or stopped worker is Gone, and node state does
+/// not survive StopAll.
+class Supervisor : public WorkerPool {
  public:
   enum class WorkerState : uint32_t {
     kStopped = 0,   // never started, or StopAll completed
@@ -100,19 +68,19 @@ class Supervisor {
 
   Supervisor(const SupervisorOptions& options, size_t workers,
              ChildMain child_main);
-  ~Supervisor();
+  ~Supervisor() override;
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Forks every worker and starts the monitor thread. Call once, from the
   /// thread that owns engine setup, before any data flows.
-  Status Start();
+  Status Start() override;
 
   /// Enters the drain phase: no further restarts. Workers already waiting
   /// in backoff degrade immediately; a worker that dies after this call
   /// degrades instead of restarting, so FlushAll never waits on a respawn.
-  void BeginSeal();
+  void BeginSeal() override;
 
   /// Posts a command and waits for the ack. Returns false — without
   /// blocking for the full timeout — when the worker is (or becomes)
@@ -120,11 +88,23 @@ class Supervisor {
   /// execution of that worker's nodes.
   bool SendCommand(size_t worker, WorkerCommand command, uint64_t arg,
                    uint64_t* ack_value);
+  bool Call(size_t worker, WorkerCommand command, uint64_t arg,
+            uint64_t* ack) override {
+    return SendCommand(worker, command, arg, ack);
+  }
+  bool Gone(size_t worker) const override {
+    const WorkerState st = state(worker);
+    return st == WorkerState::kDegraded || st == WorkerState::kStopped;
+  }
+  bool keeps_state() const override { return false; }
+  uint32_t restarts(size_t worker) const override {
+    return restarts_used(worker);
+  }
 
   /// Stops everything: best-effort kExit commands, SIGKILL for stragglers,
   /// reaps all children, joins the monitor thread. Idempotent; degraded
   /// workers stay marked degraded for introspection.
-  void StopAll();
+  void StopAll() override;
 
   size_t workers() const { return slots_.size(); }
   WorkerState state(size_t worker) const {
@@ -154,8 +134,12 @@ class Supervisor {
   /// Child side: the pending command, or kNone. On a command, *arg and
   /// *seq are filled; the child must Ack(seq) exactly once after executing.
   static WorkerCommand PendingCommand(WorkerControl* control, uint64_t* arg,
-                                      uint64_t* seq);
-  static void Ack(WorkerControl* control, uint64_t seq, uint64_t value);
+                                      uint64_t* seq) {
+    return control->Pending(arg, seq);
+  }
+  static void Ack(WorkerControl* control, uint64_t seq, uint64_t value) {
+    control->Ack(seq, value);
+  }
 
  private:
   struct Slot {

@@ -32,33 +32,38 @@ void QueryNode::RegisterTelemetry(telemetry::Registry* metrics) const {
     metrics->RegisterHistogram(name_, metric::kE2eLatencyNs, &e2e_ns_);
   }
   for (size_t i = 0; i < inputs_.size(); ++i) {
-    std::string prefix = inputs_.size() == 1
-                             ? metric::kRingPrefix
-                             : metric::kRingPrefix + std::to_string(i);
-    // The closures share ownership of the channel: a registry snapshot
-    // stays safe even if the subscription is dropped before the registry.
-    Subscription channel = inputs_[i];
-    metrics->RegisterReader(name_, prefix + metric::kRingPushedSuffix,
-                            [channel] { return channel->pushed(); });
-    metrics->RegisterReader(name_, prefix + metric::kRingPoppedSuffix,
-                            [channel] { return channel->popped(); });
-    metrics->RegisterReader(name_, prefix + metric::kRingDroppedSuffix,
-                            [channel] { return channel->dropped(); });
-    metrics->RegisterReader(name_, prefix + metric::kRingSizeSuffix,
-                            [channel] {
-                              return static_cast<uint64_t>(channel->size());
-                            });
-    metrics->RegisterReader(
-        name_, prefix + metric::kRingHighWaterSuffix, [channel] {
-          return static_cast<uint64_t>(channel->high_water_mark());
-        });
-    metrics->RegisterHistogram(
-        name_, prefix + metric::kRingOccupancySuffix,
-        [channel] { return channel->occupancy_histogram().Snapshot(); });
-    metrics->RegisterHistogram(
-        name_, prefix + metric::kRingBatchSizeSuffix,
-        [channel] { return channel->batch_size_histogram().Snapshot(); });
+    RegisterRingTelemetry(metrics, name_,
+                          inputs_.size() == 1
+                              ? metric::kRingPrefix
+                              : metric::kRingPrefix + std::to_string(i),
+                          inputs_[i]);
   }
+}
+
+void RegisterRingTelemetry(telemetry::Registry* metrics,
+                           const std::string& entity,
+                           const std::string& prefix,
+                           const Subscription& channel) {
+  // The closures share ownership of the channel: a registry snapshot stays
+  // safe even if the subscription is dropped before the registry.
+  metrics->RegisterReader(entity, prefix + metric::kRingPushedSuffix,
+                          [channel] { return channel->pushed(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingPoppedSuffix,
+                          [channel] { return channel->popped(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingDroppedSuffix,
+                          [channel] { return channel->dropped(); });
+  metrics->RegisterReader(entity, prefix + metric::kRingSizeSuffix, [channel] {
+    return static_cast<uint64_t>(channel->size());
+  });
+  metrics->RegisterReader(
+      entity, prefix + metric::kRingHighWaterSuffix,
+      [channel] { return static_cast<uint64_t>(channel->high_water_mark()); });
+  metrics->RegisterHistogram(
+      entity, prefix + metric::kRingOccupancySuffix,
+      [channel] { return channel->occupancy_histogram().Snapshot(); });
+  metrics->RegisterHistogram(
+      entity, prefix + metric::kRingBatchSizeSuffix,
+      [channel] { return channel->batch_size_histogram().Snapshot(); });
 }
 
 }  // namespace gigascope::rts

@@ -215,6 +215,14 @@ class QueryNode {
   uint32_t active_weight_ = 1;
 };
 
+/// Registers one channel's ring metrics under `entity`, named `prefix`
+/// plus the pushed/popped/dropped/size/high-water suffixes and the
+/// occupancy and batch-size histograms (telemetry/metric_names.h).
+void RegisterRingTelemetry(telemetry::Registry* metrics,
+                           const std::string& entity,
+                           const std::string& prefix,
+                           const Subscription& channel);
+
 }  // namespace gigascope::rts
 
 #endif  // GIGASCOPE_RTS_NODE_H_

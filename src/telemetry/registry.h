@@ -12,10 +12,10 @@
 
 namespace gigascope::telemetry {
 
-/// The process that owns a metric's writer. "rts" is the parent process
-/// (the runtime system the LFTAs are linked into); forked HFTA workers are
-/// "w0", "w1", ... A worker's metrics keep flowing under its name after
-/// the parent adopts the nodes (SetEntityProc retags them to "rts").
+/// The owner of a metric's writer. "rts" is the parent process's inject
+/// thread (the runtime system the LFTAs are linked into); HFTA workers,
+/// threads or forked processes, are "w0", "w1", ... When the parent adopts
+/// a worker's nodes, SetEntityProc retags their metrics to "rts".
 inline constexpr char kProcRts[] = "rts";
 
 /// One metric reading: the owning entity (a query node, a channel, a packet

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/engine.h"
 #include "gsql/catalog.h"
 #include "net/headers.h"
+#include "rts/punctuation.h"
 
 namespace gigascope::core {
 namespace {
@@ -140,6 +146,78 @@ TEST(InterpretPacketTest, UnknownFieldsGetTypeDefaults) {
   rts::Row row = InterpretPacket(schema, SamplePacket());
   EXPECT_DOUBLE_EQ(row[1].float_value(), 0.0);
   EXPECT_EQ(row[2].string_value(), "");
+}
+
+// --- PacketSource: batching, punctuation, clamping ---
+
+/// Every punctuation on `channel`, as (time, timestamp) bounds.
+std::vector<std::pair<uint64_t, uint64_t>> DrainPunctuations(
+    rts::RingChannel* channel, const gsql::StreamSchema& schema) {
+  std::vector<std::pair<uint64_t, uint64_t>> bounds;
+  rts::StreamMessage message;
+  while (channel->TryPop(&message)) {
+    if (message.kind != rts::StreamMessage::Kind::kPunctuation) continue;
+    auto punctuation = rts::DecodePunctuation(
+        ByteSpan(message.payload.data(), message.payload.size()), schema);
+    EXPECT_TRUE(punctuation.ok());
+    auto time = punctuation->BoundFor(*schema.FieldIndex("time"));
+    auto timestamp = punctuation->BoundFor(*schema.FieldIndex("timestamp"));
+    EXPECT_TRUE(time.has_value() && timestamp.has_value());
+    bounds.emplace_back(time->uint_value(), timestamp->uint_value());
+  }
+  return bounds;
+}
+
+TEST(PacketSourceTest, OnePunctuationRuleForTuplesShedPacketsAndHeartbeats) {
+  gsql::StreamSchema schema("eth0.PKT", gsql::StreamKind::kStream,
+                            gsql::Catalog::BuiltinPacketSchema().fields());
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(schema).ok());
+  auto channel = registry.Subscribe("eth0.PKT", 64);
+  ASSERT_TRUE(channel.ok());
+  PacketSource::Options options;
+  options.punctuation_interval = 2;
+  PacketSource source(schema, options, /*materialize_all=*/false, &registry);
+  telemetry::Registry metrics;
+  source.RegisterTelemetry(&metrics);
+
+  auto at = [](SimTime t) {
+    net::Packet packet = SamplePacket();
+    packet.timestamp = t;
+    return packet;
+  };
+  PacketSource::Offer kept;
+  PacketSource::Offer shed;
+  shed.shed = true;
+  // Two kept packets close an interval, two shed ones the next: both
+  // punctuate at the closing packet's time.
+  EXPECT_FALSE(source.Inject(at(3 * kNanosPerSecond), kept));
+  EXPECT_TRUE(source.Inject(at(4 * kNanosPerSecond), kept));
+  EXPECT_FALSE(source.Inject(at(5 * kNanosPerSecond), shed));
+  EXPECT_TRUE(source.Inject(at(6 * kNanosPerSecond), shed));
+  // A heartbeat punctuates at its own time; one behind the source's bound
+  // re-states the bound instead of moving it backwards.
+  EXPECT_TRUE(source.Heartbeat(7 * kNanosPerSecond));
+  EXPECT_TRUE(source.Heartbeat(2 * kNanosPerSecond));
+  // A packet stamped behind the bound is clamped to it and counted.
+  EXPECT_FALSE(source.Inject(at(8 * kNanosPerSecond), kept));
+  EXPECT_TRUE(source.Inject(at(1 * kNanosPerSecond), kept));
+  EXPECT_EQ(source.last_punct_time(), 7 * kNanosPerSecond);
+
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {4, 4 * kNanosPerSecond},
+      {6, 6 * kNanosPerSecond},
+      {7, 7 * kNanosPerSecond},
+      {7, 7 * kNanosPerSecond},
+      {7, 7 * kNanosPerSecond}};
+  EXPECT_EQ(DrainPunctuations(channel->get(), schema), expected);
+  std::map<std::string, uint64_t> counters;
+  for (const telemetry::MetricSample& sample : metrics.Snapshot()) {
+    counters[sample.metric] = sample.value;
+  }
+  EXPECT_EQ(counters["packets"], 6u);
+  EXPECT_EQ(counters["time_regressions"], 1u);
+  EXPECT_EQ(counters["last_punct_sec"], 7u);
 }
 
 // --- sample(): §5's analyst-controlled sampling, deterministically ---

@@ -826,6 +826,45 @@ TEST(EngineTest, FlushAllSealsTheEngine) {
   EXPECT_FALSE((*sub)->NextRow().has_value());
 }
 
+TEST(EngineThreadedTest, WorkerThreadOwnershipIsVisibleInStatsAndAnalyze) {
+  // Worker threads own their nodes the way worker processes do: while the
+  // pool runs, the HFTA node's metrics are tagged with its worker and
+  // ANALYZE places it there; after FlushAll the inject thread owns it.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, count(*) FROM eth0.PKT "
+                            "GROUP BY time AS tb")
+                  .ok());
+  auto sub = engine.Subscribe("agg", 8192);
+  ASSERT_TRUE(sub.ok());
+  auto proc_of = [&engine](const std::string& entity) {
+    for (const auto& sample : engine.telemetry().Snapshot()) {
+      if (sample.entity == entity && sample.metric == "tuples_in") {
+        return sample.proc;
+      }
+    }
+    return std::string("missing");
+  };
+  ASSERT_TRUE(engine.StartThreads(1).ok());
+  EXPECT_EQ(proc_of("agg"), "w0");
+  EXPECT_EQ(proc_of("agg_lfta"), "rts");  // LFTAs stay on the inject thread
+  EXPECT_NE(engine.AnalyzeText(true).find("proc: w0"), std::string::npos);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket((i + 1) * kNanosPerSecond,
+                                                0x0a000001, 80, "x"))
+                    .ok());
+  }
+  engine.FlushAll();
+  EXPECT_EQ(proc_of("agg"), "rts");
+  uint64_t total = 0;
+  while (auto row = (*sub)->NextRow()) total += (*row)[1].uint_value();
+  EXPECT_EQ(total, 100u);
+}
+
 TEST(EngineThreadedTest, MutationsRejectedWhileWorkersRun) {
   Engine engine;
   engine.AddInterface("eth0");
