@@ -69,11 +69,13 @@ Reduction Measure(uint16_t max_port, bool with_preagg) {
   engine.PumpUntilIdle();
   engine.FlushAll();
 
-  gigascope::rts::StreamMessage message;
-  while ((*channel)->TryPop(&message)) {
-    if (message.kind != gigascope::rts::StreamMessage::Kind::kTuple) continue;
-    ++result.tuples_to_hfta;
-    result.bytes_to_hfta += message.payload.size();
+  gigascope::rts::StreamBatch batch;
+  while ((*channel)->TryPop(&batch)) {
+    for (const gigascope::rts::BatchItem& item : batch.items()) {
+      if (item.kind != gigascope::rts::MessageKind::kTuple) continue;
+      ++result.tuples_to_hfta;
+      result.bytes_to_hfta += item.length;
+    }
   }
   return result;
 }

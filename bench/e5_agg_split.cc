@@ -69,10 +69,12 @@ RunResult Run(bool split, int packets) {
   RunResult result;
   result.seconds = std::chrono::duration<double>(end - start).count();
   result.boundary_tuples = 0;
-  gigascope::rts::StreamMessage message;
-  while ((*boundary_sub)->TryPop(&message)) {
-    if (message.kind == gigascope::rts::StreamMessage::Kind::kTuple) {
-      ++result.boundary_tuples;
+  gigascope::rts::StreamBatch batch;
+  while ((*boundary_sub)->TryPop(&batch)) {
+    for (const gigascope::rts::BatchItem& item : batch.items()) {
+      if (item.kind == gigascope::rts::MessageKind::kTuple) {
+        ++result.boundary_tuples;
+      }
     }
   }
   result.results = 0;

@@ -321,8 +321,8 @@ int main(int argc, char** argv) {
 
   // Multi-process pump mode (DESIGN.md §14): the same LFTA/HFTA split,
   // but HFTAs in supervised forked workers over shm rings — the paper's
-  // fault-isolation architecture. The shm serialization and supervisor
-  // heartbeats are the overhead being priced; acceptance: within 15% of
+  // fault-isolation architecture. The shm copy of each batch and the
+  // supervisor heartbeats are the overhead being priced; acceptance: within 15% of
   // the in-process single pump on the split queries.
   std::printf(
       "\nmulti-process pump mode (1 supervised worker, shm rings):\n"
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nobservation: process isolation prices each ring handoff with a\n"
-      "serialize/deserialize through the shm arena; batching keeps that\n"
+      "copy of the batch arena through the shm ring; batching keeps that\n"
       "amortized, so the mode stays within ~15%% of in-process while\n"
       "buying crash containment (see DESIGN.md §14).\n");
 

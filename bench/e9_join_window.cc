@@ -75,14 +75,13 @@ JoinRun Run(int64_t window, uint64_t input_band, uint64_t tuples,
         input_band > 0 ? rng.NextBelow(input_band + 1) : 0;
     uint64_t jitter_r =
         input_band > 0 ? rng.NextBelow(input_band + 1) : 0;
-    gigascope::rts::StreamMessage message;
-    codec.Encode({Value::Uint(tl >= jitter_l ? tl - jitter_l : 0)},
-                 &message.payload);
-    registry.Publish("l", message);
-    message.payload.clear();
-    codec.Encode({Value::Uint(tr >= jitter_r ? tr - jitter_r : 0)},
-                 &message.payload);
-    registry.Publish("r", message);
+    gigascope::rts::StreamBatch left;
+    left.AppendTuple(codec, {Value::Uint(tl >= jitter_l ? tl - jitter_l : 0)});
+    registry.PublishBatch("l", std::move(left));
+    gigascope::rts::StreamBatch right;
+    right.AppendTuple(codec,
+                      {Value::Uint(tr >= jitter_r ? tr - jitter_r : 0)});
+    registry.PublishBatch("r", std::move(right));
     if (i % 32 == 31) node.Poll(1 << 20);
   }
   node.Poll(1 << 20);

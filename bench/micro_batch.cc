@@ -15,15 +15,13 @@
 namespace {
 
 using gigascope::rts::RingChannel;
+using gigascope::rts::MessageMeta;
 using gigascope::rts::StreamBatch;
-using gigascope::rts::StreamMessage;
 
 StreamBatch MakeBatch(size_t messages, size_t payload_bytes) {
   StreamBatch batch;
   for (size_t i = 0; i < messages; ++i) {
-    StreamMessage message;
-    message.payload.resize(payload_bytes);
-    batch.items.push_back(std::move(message));
+    batch.Append(MessageMeta{}, payload_bytes);
   }
   return batch;
 }
@@ -39,33 +37,12 @@ void BM_BatchPushPop(benchmark::State& state) {
   for (auto _ : state) {
     channel.TryPush(std::move(batch));
     channel.TryPop(&batch);
-    benchmark::DoNotOptimize(batch.items.data());
+    benchmark::DoNotOptimize(batch.items().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch_size));
 }
 BENCHMARK(BM_BatchPushPop)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
-/// Consumer drains message-at-a-time through the staging path while the
-/// producer pushes whole batches — the shape an unconverted (or
-/// message-level) consumer sees. Staging should keep most of the win.
-void BM_BatchPushMessagePop(benchmark::State& state) {
-  const size_t batch_size = static_cast<size_t>(state.range(0));
-  RingChannel channel(64);
-  StreamMessage out;
-  for (auto _ : state) {
-    state.PauseTiming();
-    StreamBatch batch = MakeBatch(batch_size, 64);
-    state.ResumeTiming();
-    channel.TryPush(std::move(batch));
-    while (channel.TryPop(&out)) {
-      benchmark::DoNotOptimize(out.payload.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_size));
-}
-BENCHMARK(BM_BatchPushMessagePop)->Arg(1)->Arg(8)->Arg(64);
 
 /// Two threads, backpressure, a fixed number of messages per iteration
 /// carried in batches of the swept size: the cross-core handoff the
@@ -100,7 +77,7 @@ void BM_TwoThreadBatchHandoff(benchmark::State& state) {
     const uint64_t goal = popped + kMessagesPerIteration;
     while (popped < goal) {
       if (channel.TryPop(&out)) {
-        popped += out.items.size();
+        popped += out.size();
       } else {
         std::this_thread::yield();
       }

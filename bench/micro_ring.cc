@@ -1,8 +1,8 @@
 // Microbenchmark: ring-channel push/pop — the shared-memory hop between
 // query nodes — single-threaded, and the two-thread producer/consumer
-// handoff that the threaded engine rides on. The seed's coarse-mutex
-// std::deque channel is kept here as the baseline the lock-free SPSC ring
-// replaced.
+// handoff that the threaded engine rides on, one message per slot (a
+// batch of one). The seed's coarse-mutex std::deque channel is kept here
+// as the baseline the lock-free SPSC ring replaced.
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +16,16 @@
 
 namespace {
 
+using gigascope::rts::MessageMeta;
 using gigascope::rts::RingChannel;
-using gigascope::rts::StreamMessage;
+using gigascope::rts::StreamBatch;
+
+/// A batch of one message with `payload_bytes` of packed bytes.
+StreamBatch OneMessage(size_t payload_bytes) {
+  StreamBatch batch;
+  batch.Append(MessageMeta{}, payload_bytes);
+  return batch;
+}
 
 /// The seed implementation (coarse mutex around a deque), preserved as the
 /// benchmark baseline.
@@ -25,7 +33,7 @@ class MutexRingChannel {
  public:
   explicit MutexRingChannel(size_t capacity) : capacity_(capacity) {}
 
-  bool TryPush(StreamMessage message) {
+  bool TryPush(StreamBatch&& message) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.size() >= capacity_) return false;
     queue_.push_back(std::move(message));
@@ -34,7 +42,7 @@ class MutexRingChannel {
     return true;
   }
 
-  bool TryPop(StreamMessage* out) {
+  bool TryPop(StreamBatch* out) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.empty()) return false;
     *out = std::move(queue_.front());
@@ -46,7 +54,7 @@ class MutexRingChannel {
  private:
   const size_t capacity_;
   std::mutex mutex_;
-  std::deque<StreamMessage> queue_;
+  std::deque<StreamBatch> queue_;
   uint64_t pushed_ = 0;
   uint64_t popped_ = 0;
   size_t high_water_ = 0;
@@ -55,13 +63,13 @@ class MutexRingChannel {
 template <class Channel>
 void BM_PushPop(benchmark::State& state) {
   Channel channel(1024);
-  StreamMessage message;
-  message.payload.resize(static_cast<size_t>(state.range(0)));
-  StreamMessage out;
+  const StreamBatch message = OneMessage(static_cast<size_t>(state.range(0)));
+  StreamBatch out;
   for (auto _ : state) {
-    channel.TryPush(message);
+    StreamBatch copy = message;
+    channel.TryPush(std::move(copy));
     channel.TryPop(&out);
-    benchmark::DoNotOptimize(out.payload.data());
+    benchmark::DoNotOptimize(out.arena().data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -71,11 +79,13 @@ BENCHMARK(BM_PushPop<MutexRingChannel>)->Arg(24)->Arg(256)->Arg(1500);
 template <class Channel>
 void BM_BurstThenDrain(benchmark::State& state) {
   Channel channel(4096);
-  StreamMessage message;
-  message.payload.resize(64);
-  StreamMessage out;
+  const StreamBatch message = OneMessage(64);
+  StreamBatch out;
   for (auto _ : state) {
-    for (int i = 0; i < 256; ++i) channel.TryPush(message);
+    for (int i = 0; i < 256; ++i) {
+      StreamBatch copy = message;
+      channel.TryPush(std::move(copy));
+    }
     while (channel.TryPop(&out)) {
     }
   }
@@ -95,12 +105,12 @@ void BM_TwoThreadHandoff(benchmark::State& state) {
   std::atomic<uint64_t> target{0};
 
   std::thread producer([&] {
-    StreamMessage message;
-    message.payload.resize(64);
+    const StreamBatch message = OneMessage(64);
     uint64_t produced = 0;
     while (!stop.load(std::memory_order_acquire)) {
       if (produced < target.load(std::memory_order_acquire)) {
-        if (channel.TryPush(message)) {
+        StreamBatch copy = message;
+        if (channel.TryPush(std::move(copy))) {
           ++produced;
         }
       } else {
@@ -109,7 +119,7 @@ void BM_TwoThreadHandoff(benchmark::State& state) {
     }
   });
 
-  StreamMessage out;
+  StreamBatch out;
   uint64_t popped = 0;
   for (auto _ : state) {
     target.fetch_add(kBatch, std::memory_order_release);

@@ -1,6 +1,7 @@
 #ifndef GIGASCOPE_COMMON_BYTES_H_
 #define GIGASCOPE_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -68,6 +69,45 @@ class ByteReader {
   ByteSpan data_;
   size_t pos_;
 };
+
+/// Little-endian stores and loads at any alignment: memcpy on
+/// little-endian hosts (one unaligned move), byte shifts elsewhere. The
+/// packed-tuple layout (rts/tuple.h) is built on these.
+inline void StoreLe32(uint8_t* p, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+inline void StoreLe64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  }
+  return v;
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  }
+  return v;
+}
 
 /// Formats an IPv4 address (host byte order) as dotted quad.
 std::string Ipv4ToString(uint32_t addr);

@@ -27,7 +27,7 @@ struct InstantiationContext {
   /// This plan's nodes run in the parent process even in multi-process
   /// mode (the LFTA stage: its inputs are protocol sources and streams
   /// internal to the same plan, both produced on the inject thread), so
-  /// its input rings stay heap-backed — no shm serialization for traffic
+  /// its input rings stay heap-backed — no shm copy for traffic
   /// that never crosses a process boundary.
   bool parent_local = false;
   /// Shared shedding state read by LFTA-stage nodes (nullable = no shedding).

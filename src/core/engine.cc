@@ -24,14 +24,16 @@ TupleSubscription::TupleSubscription(rts::Subscription channel,
     : channel_(std::move(channel)), codec_(std::move(schema)) {}
 
 std::optional<rts::Row> TupleSubscription::NextRow() {
-  rts::StreamMessage message;
-  while (channel_->TryPop(&message)) {
-    if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-    auto row = codec_.Decode(
-        ByteSpan(message.payload.data(), message.payload.size()));
-    if (row.ok()) return std::move(row).value();
+  for (;;) {
+    while (cursor_ < batch_.size()) {
+      const rts::BatchItem& item = batch_.item(cursor_++);
+      if (item.kind != rts::MessageKind::kTuple) continue;
+      auto row = codec_.Decode(batch_.payload(item));
+      if (row.ok()) return std::move(row).value();
+    }
+    cursor_ = 0;
+    if (!channel_->TryPop(&batch_)) return std::nullopt;
   }
-  return std::nullopt;
 }
 
 Engine::Engine(EngineOptions options) : options_(options) {
@@ -146,6 +148,11 @@ Status Engine::ExecuteDdl(std::string_view ddl) {
       return Status::InvalidArgument(
           "ExecuteDdl accepts only CREATE statements; use AddQuery for "
           "queries");
+    }
+    // Sources write each protocol field straight from its extractor, so a
+    // field named like one must have the type that extractor produces.
+    if (create->schema.kind() == gsql::StreamKind::kProtocol) {
+      GS_RETURN_IF_ERROR(CheckProtocolSchema(create->schema));
     }
     GS_RETURN_IF_ERROR(catalog_.AddSchema(create->schema));
   }
@@ -323,7 +330,7 @@ Result<QueryInfo> Engine::AddQuery(
     // mode, and the splitter guarantees their inputs are protocol sources
     // or streams internal to this same plan — all produced in the parent.
     // Keep those rings heap-backed: the per-packet source traffic must
-    // not pay shm serialization for a process boundary it never crosses.
+    // not pay a shm copy for a process boundary it never crosses.
     ctx.parent_local = true;
     std::string lfta_output =
         split.hfta == nullptr ? split.name : split.lfta_name;
@@ -489,11 +496,23 @@ Status Engine::InjectRow(const std::string& stream_name,
   GS_RETURN_IF_ERROR(CheckAcceptingInput("InjectRow"));
   GS_ASSIGN_OR_RETURN(gsql::StreamSchema schema,
                       registry_.GetSchema(stream_name));
-  rts::TupleCodec codec(schema);
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  codec.Encode(row, &message.payload);
-  registry_.Publish(stream_name, message);
+  if (row.size() != schema.num_fields()) {
+    return Status::InvalidArgument(
+        "InjectRow: stream '" + stream_name + "' has " +
+        std::to_string(schema.num_fields()) + " fields, the row has " +
+        std::to_string(row.size()));
+  }
+  for (size_t f = 0; f < row.size(); ++f) {
+    if (row[f].type() != schema.field(f).type) {
+      return Status::InvalidArgument(
+          "InjectRow: field '" + schema.field(f).name + "' of stream '" +
+          stream_name + "' is " + gsql::DataTypeName(schema.field(f).type) +
+          ", the row holds " + gsql::DataTypeName(row[f].type()));
+    }
+  }
+  rts::StreamBatch batch;
+  batch.AppendTuple(rts::TupleCodec(schema), row);
+  registry_.PublishBatch(stream_name, std::move(batch));
   PumpAfterInput();
   return Status::Ok();
 }
@@ -506,10 +525,17 @@ Status Engine::InjectPunctuation(const std::string& stream_name, size_t field,
   if (field >= schema.num_fields()) {
     return Status::OutOfRange("punctuation field out of range");
   }
+  const DataType type = schema.field(field).type;
+  if (bound.type() != type || !expr::IsNumericType(type)) {
+    return Status::InvalidArgument(
+        "InjectPunctuation: a bound on field '" + schema.field(field).name +
+        "' (" + gsql::DataTypeName(type) + ") must be a numeric value of "
+        "that type, got " + gsql::DataTypeName(bound.type()));
+  }
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(field, bound);
-  registry_.Publish(stream_name,
-                    rts::MakePunctuationMessage(punctuation, schema));
+  registry_.PublishBatch(stream_name,
+                         rts::MakePunctuationBatch(punctuation, schema));
   PumpAfterInput();
   return Status::Ok();
 }

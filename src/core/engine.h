@@ -39,6 +39,7 @@ class TupleSubscription {
   TupleSubscription(rts::Subscription channel, gsql::StreamSchema schema);
 
   /// Next decoded tuple, skipping punctuations; nullopt when drained.
+  /// Pops a whole batch at a time and keeps a cursor into it.
   std::optional<rts::Row> NextRow();
 
   /// Number of messages currently queued.
@@ -50,6 +51,8 @@ class TupleSubscription {
  private:
   rts::Subscription channel_;
   rts::TupleCodec codec_;
+  rts::StreamBatch batch_;  // the batch being read
+  size_t cursor_ = 0;       // next item of batch_
 };
 
 /// Multi-process HFTA execution (the paper's §4 model: HFTAs are
@@ -236,10 +239,14 @@ class Engine {
   /// tuple (§3's ordering-update tokens for slow streams).
   Status InjectHeartbeat(const std::string& interface_name, SimTime now);
 
-  /// Feeds one tuple into a caller-declared stream.
+  /// Feeds one tuple into a caller-declared stream. InvalidArgument (and
+  /// nothing published) when `row` does not match the stream's arity and
+  /// field types.
   Status InjectRow(const std::string& stream_name, const rts::Row& row);
 
   /// Injects a punctuation bound on one field of a caller-declared stream.
+  /// InvalidArgument (and nothing published) unless `bound` has the
+  /// field's type and that type is numeric.
   Status InjectPunctuation(const std::string& stream_name, size_t field,
                            const expr::Value& bound);
 

@@ -25,7 +25,15 @@ namespace gigascope::core {
 /// until a consumer that reads them registers — the same
 /// haul-only-what-queries-need idea as the NIC snap length (§4), applied
 /// at the interpretation layer.
+///
+/// Interpretation writes each field straight from the decoded headers into
+/// `codec`'s packed layout: no Row, no Value. A field named like a
+/// built-in extractor resolves to it only when its type is the one the
+/// extractor produces (ExecuteDdl rejects the other case, see
+/// CheckProtocolSchema); otherwise it interprets as its type default.
 struct InterpretPlan {
+  explicit InterpretPlan(const gsql::StreamSchema& schema) : codec(schema) {}
+
   enum class Extract : uint8_t {
     kTime, kTimestamp, kLen,
     kSrcIp, kDestIp, kSrcPort, kDestPort,
@@ -40,22 +48,25 @@ struct InterpretPlan {
   /// kIpPayload are ever gated off; fixed-width fields are always cheap
   /// enough to materialize.
   std::vector<bool> wanted;
+  /// The schema's packed layout: what interpretation writes.
+  rts::TupleCodec codec;
 };
 
 /// Resolves `schema`'s field names against the built-in interpretation
 /// library (§2.2). All fields start wanted.
 InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema);
 
-/// Interprets a raw packet into a row under a precompiled plan: one packet
-/// decode, then a switch per field — no name lookups on the hot path.
+/// InvalidArgument when a field of protocol schema `schema` is named like a
+/// built-in extractor but declared with another type than the extractor
+/// produces (e.g. `time INT`); the message names the field and that type.
+Status CheckProtocolSchema(const gsql::StreamSchema& schema);
+
+/// Interprets a raw packet into a row under a precompiled plan: the packed
+/// tuple the engine's sources publish, decoded with TupleCodec::Decode —
+/// one interpretation implementation, whose Row form is for tests and
+/// measurements.
 rts::Row InterpretPacket(const InterpretPlan& plan,
                          const net::Packet& packet);
-
-/// Same, reporting whether the packet failed to decode (fields then
-/// interpret as type defaults — malformed input never crashes the
-/// interpreter, it is counted via the source's parse_errors metric).
-rts::Row InterpretPacket(const InterpretPlan& plan, const net::Packet& packet,
-                         bool* malformed);
 
 /// Convenience overload: resolves `schema` (time, timestamp, srcIP,
 /// destIP, srcPort, destPort, protocol, ipVersion, len, tcpFlags, tcpSeq,
@@ -137,9 +148,11 @@ class PacketSource {
   /// The one punctuation builder: appends a punctuation bounding every
   /// increasing field at sim time `t` to the open batch. Time-derived
   /// fields bound at `t`; other increasing fields take their value from
-  /// `row` (the tuple just interpreted), and are left out when there is
-  /// none. Returns false (appending nothing) if no field is bounded.
-  bool AppendPunctuation(SimTime t, const rts::Row* row, const Offer& offer);
+  /// `tuple` (the packed tuple just interpreted), and are left out when
+  /// there is none. Returns false (appending nothing) if no field is
+  /// bounded.
+  bool AppendPunctuation(SimTime t, const ByteSpan* tuple,
+                         const Offer& offer);
   /// Whether packet number `packets_` closes a punctuation interval.
   bool PunctuationDue() const;
 
@@ -147,9 +160,12 @@ class PacketSource {
   Options options_;
   rts::StreamRegistry* registry_;
   InterpretPlan interpret_;
-  rts::TupleCodec codec_;
   /// Increasing-like, non-string fields: the ones a punctuation bounds.
   std::vector<size_t> ordered_fields_;
+  /// The ordered fields not derived from time, which a punctuation bounds
+  /// at the triggering tuple's value, and the row they are read into.
+  rts::ReadSet tuple_bounded_;
+  rts::Row bound_row_;
 
   telemetry::Counter packets_;
   /// Seconds bound of the last punctuation published; `gs_stats`

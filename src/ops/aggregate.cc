@@ -183,21 +183,26 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
       output_codec_(spec_.output_schema),
       writer_(registry, spec_.name, spec_.output_batch) {
   RegisterInput(input_);
+  for (const expr::CompiledExpr& key : spec_.keys) {
+    rts::AddLoadedFields(key, &reads_);
+  }
+  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
+    if (arg.has_value()) rts::AddLoadedFields(*arg, &reads_);
+  }
 }
 
 size_t OrderedAggregateNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
   // Batch-at-a-time: one pop per ring slot, then a tight loop over its
   // messages (the budget may overshoot by at most one batch).
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
+  while (processed < budget && input_->TryPop(&batch_)) {
+    for (const rts::BatchItem& item : batch_.items()) {
       ++processed;
-      BeginMessage(message);
-      if (message.kind == rts::StreamMessage::Kind::kTuple) {
-        ProcessTuple(message.payload, message.weight);
+      BeginMessage(item);
+      if (item.kind == rts::MessageKind::kTuple) {
+        ProcessTuple(batch_.payload(item), item.weight);
       } else {
-        ProcessPunctuation(message.payload);
+        ProcessPunctuation(batch_.payload(item));
       }
       EndMessage();
     }
@@ -206,16 +211,14 @@ size_t OrderedAggregateNode::Poll(size_t budget) {
   return processed;
 }
 
-void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
-                                        uint32_t weight) {
+void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
-  if (!row.ok()) {
+  if (!input_codec_.DecodeFields(payload, reads_, &row_)) {
     ++eval_errors_;
     return;
   }
   expr::EvalContext ctx;
-  ctx.row0 = &row.value();
+  ctx.row0 = &row_;
   ctx.params = params_.get();
 
   rts::Row keys;
@@ -242,10 +245,10 @@ void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
       rts::Punctuation punctuation;
       punctuation.bounds.emplace_back(
           static_cast<size_t>(spec_.ordered_key), close_bound);
-      rts::StreamMessage punct_message = rts::MakePunctuationMessage(
-          punctuation, spec_.output_schema);
-      StampOutput(&punct_message);
-      writer_.Write(std::move(punct_message));
+      rts::MessageMeta meta;
+      meta.kind = rts::MessageKind::kPunctuation;
+      StampOutput(&meta);
+      writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
     }
     if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
       epoch_ = ordered;
@@ -276,10 +279,9 @@ void OrderedAggregateNode::ProcessTuple(const ByteBuffer& payload,
   it->second.Update(args, weight);
 }
 
-void OrderedAggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
+void OrderedAggregateNode::ProcessPunctuation(ByteSpan payload) {
   if (spec_.ordered_key < 0) return;
-  auto punctuation = rts::DecodePunctuation(
-      ByteSpan(payload.data(), payload.size()), spec_.input_schema);
+  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
   if (!punctuation.ok()) return;
   int source = spec_.key_punctuation_source[
       static_cast<size_t>(spec_.ordered_key)];
@@ -307,10 +309,10 @@ void OrderedAggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
   rts::Punctuation forward;
   forward.bounds.emplace_back(static_cast<size_t>(spec_.ordered_key),
                               out.value);
-  rts::StreamMessage forward_message =
-      rts::MakePunctuationMessage(forward, spec_.output_schema);
-  StampOutput(&forward_message);
-  writer_.Write(std::move(forward_message));
+  rts::MessageMeta meta;
+  meta.kind = rts::MessageKind::kPunctuation;
+  StampOutput(&meta);
+  writer_.WritePunctuation(forward, spec_.output_schema, meta);
 }
 
 void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
@@ -341,16 +343,14 @@ void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
 
 void OrderedAggregateNode::EmitGroup(const rts::Row& keys,
                                      const GroupAccumulator& acc) {
-  rts::Row out = keys;
   rts::Row aggs = acc.Finalize();
-  out.insert(out.end(), aggs.begin(), aggs.end());
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
+  out_row_.assign(keys.begin(), keys.end());
+  out_row_.insert(out_row_.end(), aggs.begin(), aggs.end());
   // Flushed groups inherit the trace context of the message that closed
   // them, so a traced tuple's e2e latency spans inject → group close.
-  StampOutput(&message);
-  writer_.Write(std::move(message));
+  rts::MessageMeta meta;
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out_row_, meta);
   ++tuples_out_;
   ++groups_flushed_;
 }

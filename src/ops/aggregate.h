@@ -105,8 +105,8 @@ class OrderedAggregateNode : public rts::QueryNode {
   uint64_t groups_flushed() const { return groups_flushed_.value(); }
 
  private:
-  void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
-  void ProcessPunctuation(const ByteBuffer& payload);
+  void ProcessTuple(ByteSpan payload, uint32_t weight);
+  void ProcessPunctuation(ByteSpan payload);
   /// Flushes groups whose ordered key is strictly below `bound` (all groups
   /// when bound is nullopt), in key order.
   void FlushGroups(const std::optional<expr::Value>& bound);
@@ -120,6 +120,11 @@ class OrderedAggregateNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
+  /// Input fields the group keys and aggregate arguments load.
+  rts::ReadSet reads_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
+  rts::Row row_;            // read-set decode target, reused per tuple
+  rts::Row out_row_;        // emitted group, reused
   std::unordered_map<rts::Row, GroupAccumulator, RowHash, RowEq> groups_;
   std::optional<expr::Value> epoch_;  // max ordered-key value seen
   telemetry::Counter groups_flushed_;

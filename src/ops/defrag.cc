@@ -66,22 +66,21 @@ IpDefragNode::IpDefragNode(Spec spec, FieldSlots slots,
 
 size_t IpDefragNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
+  while (processed < budget && input_->TryPop(&batch_)) {
+    for (const rts::BatchItem& item : batch_.items()) {
       ++processed;
       // Punctuations carry no fragment data; reassembly state is bounded by
       // the timeout instead.
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      ProcessTuple(message.payload);
+      if (item.kind != rts::MessageKind::kTuple) continue;
+      ProcessTuple(batch_.payload(item));
     }
   }
   return processed;
 }
 
-void IpDefragNode::ProcessTuple(const ByteBuffer& payload) {
+void IpDefragNode::ProcessTuple(ByteSpan payload) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
+  auto row = input_codec_.Decode(payload);
   if (!row.ok()) {
     ++eval_errors_;
     return;
@@ -192,10 +191,9 @@ void IpDefragNode::Emit(uint64_t time_now, const AssemblyKey& key,
   out.push_back(Value::Ip(key.dst));
   out.push_back(Value::Uint(key.proto));
   out.push_back(Value::String(datagram));
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
-  registry_->Publish(name(), message);
+  rts::StreamBatch batch;
+  batch.AppendTuple(output_codec_, out);
+  registry_->PublishBatch(name(), std::move(batch));
   ++tuples_out_;
 }
 

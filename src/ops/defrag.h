@@ -97,7 +97,7 @@ class IpDefragNode : public rts::QueryNode {
   IpDefragNode(Spec spec, FieldSlots slots, rts::Subscription input,
                rts::StreamRegistry* registry);
 
-  void ProcessTuple(const ByteBuffer& payload);
+  void ProcessTuple(ByteSpan payload);
   /// Emits the datagram if the assembly is complete; returns true then.
   bool TryComplete(const AssemblyKey& key, Assembly& assembly,
                    uint64_t time_now);
@@ -111,6 +111,7 @@ class IpDefragNode : public rts::QueryNode {
   rts::StreamRegistry* registry_;
   rts::TupleCodec input_codec_;
   rts::TupleCodec output_codec_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
   std::map<AssemblyKey, Assembly> assemblies_;
   uint64_t timeouts_ = 0;
   telemetry::Counter parse_errors_;

@@ -46,24 +46,23 @@ int64_t WindowJoinNode::KeyOf(const rts::Row& row, bool is_left) const {
 
 size_t WindowJoinNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
   // Alternate whole batches between the sides so neither input starves;
   // the budget may overshoot by at most one batch per side.
   while (processed < budget) {
     bool any = false;
-    if (left_->TryPop(&batch)) {
-      for (rts::StreamMessage& message : batch.items) {
-        BeginMessage(message);
-        ProcessSide(/*is_left=*/true, message);
+    if (left_->TryPop(&batch_)) {
+      for (const rts::BatchItem& item : batch_.items()) {
+        BeginMessage(item);
+        ProcessSide(/*is_left=*/true, item, batch_.payload(item));
         EndMessage();
         ++processed;
       }
       any = true;
     }
-    if (processed < budget && right_->TryPop(&batch)) {
-      for (rts::StreamMessage& message : batch.items) {
-        BeginMessage(message);
-        ProcessSide(/*is_left=*/false, message);
+    if (processed < budget && right_->TryPop(&batch_)) {
+      for (const rts::BatchItem& item : batch_.items()) {
+        BeginMessage(item);
+        ProcessSide(/*is_left=*/false, item, batch_.payload(item));
         EndMessage();
         ++processed;
       }
@@ -81,8 +80,8 @@ size_t WindowJoinNode::Poll(size_t budget) {
   return processed;
 }
 
-void WindowJoinNode::ProcessSide(bool is_left,
-                                 const rts::StreamMessage& message) {
+void WindowJoinNode::ProcessSide(bool is_left, const rts::BatchItem& item,
+                                 ByteSpan payload) {
   const gsql::StreamSchema& schema =
       is_left ? spec_.left_schema : spec_.right_schema;
   rts::TupleCodec& codec = is_left ? left_codec_ : right_codec_;
@@ -90,9 +89,8 @@ void WindowJoinNode::ProcessSide(bool is_left,
       is_left ? left_watermark_ : right_watermark_;
   uint64_t band = is_left ? spec_.left_band : spec_.right_band;
 
-  if (message.kind == rts::StreamMessage::Kind::kPunctuation) {
-    auto punctuation = rts::DecodePunctuation(
-        ByteSpan(message.payload.data(), message.payload.size()), schema);
+  if (item.kind == rts::MessageKind::kPunctuation) {
+    auto punctuation = rts::DecodePunctuation(payload, schema);
     if (!punctuation.ok()) return;
     auto bound = punctuation->BoundFor(
         is_left ? spec_.left_field : spec_.right_field);
@@ -114,8 +112,7 @@ void WindowJoinNode::ProcessSide(bool is_left,
   }
 
   ++tuples_in_;
-  auto row = codec.Decode(
-      ByteSpan(message.payload.data(), message.payload.size()));
+  auto row = codec.Decode(payload);
   if (!row.ok()) {
     ++eval_errors_;
     return;
@@ -206,8 +203,8 @@ void WindowJoinNode::Purge() {
                       : Value::Uint(bound < 0 ? 0
                                               : static_cast<uint64_t>(bound));
     punctuation.bounds.emplace_back(spec_.left_field, std::move(value));
-    writer_.Write(
-        rts::MakePunctuationMessage(punctuation, spec_.output_schema));
+    writer_.WritePunctuation(punctuation, spec_.output_schema,
+                             rts::MessageMeta{});
   }
 }
 
@@ -226,14 +223,12 @@ void WindowJoinNode::EmitJoined(const rts::Row& left, const rts::Row& right) {
 }
 
 void WindowJoinNode::Publish(const rts::Row& out) {
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
   // A match against buffered state inherits the trace of the probing
   // message; order-preserving holds released later lose it (no active
   // message), which is fine for sampled tracing.
-  StampOutput(&message);
-  writer_.Write(std::move(message));
+  rts::MessageMeta meta;
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out, meta);
   ++tuples_out_;
 }
 

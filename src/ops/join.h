@@ -63,7 +63,8 @@ class WindowJoinNode : public rts::QueryNode {
   size_t pending_matches() const { return pending_.size(); }
 
  private:
-  void ProcessSide(bool is_left, const rts::StreamMessage& message);
+  void ProcessSide(bool is_left, const rts::BatchItem& item,
+                   ByteSpan payload);
   void ProbeAndEmit(bool from_left, const rts::Row& row);
   void Purge();
   void EmitJoined(const rts::Row& left, const rts::Row& right);
@@ -82,6 +83,7 @@ class WindowJoinNode : public rts::QueryNode {
   rts::TupleCodec right_codec_;
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
   expr::Evaluator vm_;
 
   std::deque<rts::Row> left_buffer_;

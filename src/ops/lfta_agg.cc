@@ -102,21 +102,26 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
       table_(log2_slots, &spec_.agg_specs),
       shed_(shed) {
   RegisterInput(input_);
+  for (const expr::CompiledExpr& key : spec_.keys) {
+    rts::AddLoadedFields(key, &reads_);
+  }
+  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
+    if (arg.has_value()) rts::AddLoadedFields(*arg, &reads_);
+  }
 }
 
 size_t LftaAggregateNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
   // Batch-at-a-time: one pop per ring slot, then a tight loop over its
   // messages (the budget may overshoot by at most one batch).
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
+  while (processed < budget && input_->TryPop(&batch_)) {
+    for (const rts::BatchItem& item : batch_.items()) {
       ++processed;
-      BeginMessage(message);
-      if (message.kind == rts::StreamMessage::Kind::kTuple) {
-        ProcessTuple(message.payload, message.weight);
+      BeginMessage(item);
+      if (item.kind == rts::MessageKind::kTuple) {
+        ProcessTuple(batch_.payload(item), item.weight);
       } else {
-        ProcessPunctuation(message.payload);
+        ProcessPunctuation(batch_.payload(item));
       }
       EndMessage();
     }
@@ -125,16 +130,14 @@ size_t LftaAggregateNode::Poll(size_t budget) {
   return processed;
 }
 
-void LftaAggregateNode::ProcessTuple(const ByteBuffer& payload,
-                                     uint32_t weight) {
+void LftaAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
-  if (!row.ok()) {
+  if (!input_codec_.DecodeFields(payload, reads_, &row_)) {
     ++eval_errors_;
     return;
   }
   expr::EvalContext ctx;
-  ctx.row0 = &row.value();
+  ctx.row0 = &row_;
   ctx.params = params_.get();
 
   rts::Row keys;
@@ -181,10 +184,9 @@ void LftaAggregateNode::ProcessTuple(const ByteBuffer& payload,
   EnforceTableCap();
 }
 
-void LftaAggregateNode::ProcessPunctuation(const ByteBuffer& payload) {
+void LftaAggregateNode::ProcessPunctuation(ByteSpan payload) {
   if (spec_.ordered_key < 0) return;
-  auto punctuation = rts::DecodePunctuation(
-      ByteSpan(payload.data(), payload.size()), spec_.input_schema);
+  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
   if (!punctuation.ok()) return;
   int source = spec_.key_punctuation_source[
       static_cast<size_t>(spec_.ordered_key)];
@@ -239,15 +241,13 @@ void LftaAggregateNode::EnforceTableCap() {
 
 void LftaAggregateNode::EmitPartial(const rts::Row& keys,
                                     const rts::Row& aggs) {
-  rts::Row out = keys;
-  out.insert(out.end(), aggs.begin(), aggs.end());
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
+  out_row_.assign(keys.begin(), keys.end());
+  out_row_.insert(out_row_.end(), aggs.begin(), aggs.end());
   // Ejected/drained partials carry the trace of the packet that triggered
   // them, keeping the sampled span chain unbroken across the LFTA table.
-  StampOutput(&message);
-  writer_.Write(std::move(message));
+  rts::MessageMeta meta;
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out_row_, meta);
   ++tuples_out_;
 }
 
@@ -262,10 +262,10 @@ void LftaAggregateNode::DrainEpoch(const Value& new_epoch) {
   punctuation.bounds.emplace_back(
       static_cast<size_t>(spec_.ordered_key),
       ReduceByBand(new_epoch, spec_.ordered_key_band));
-  rts::StreamMessage punct_message =
-      rts::MakePunctuationMessage(punctuation, spec_.output_schema);
-  StampOutput(&punct_message);
-  writer_.Write(std::move(punct_message));
+  rts::MessageMeta meta;
+  meta.kind = rts::MessageKind::kPunctuation;
+  StampOutput(&meta);
+  writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
 }
 
 void LftaAggregateNode::Flush() {

@@ -90,8 +90,8 @@ class LftaAggregateNode : public rts::QueryNode {
   const DirectMappedAggTable& table() const { return table_; }
 
  private:
-  void ProcessTuple(const ByteBuffer& payload, uint32_t weight);
-  void ProcessPunctuation(const ByteBuffer& payload);
+  void ProcessTuple(ByteSpan payload, uint32_t weight);
+  void ProcessPunctuation(ByteSpan payload);
   void EmitPartial(const rts::Row& keys, const rts::Row& aggs);
   void DrainEpoch(const expr::Value& new_epoch);
   /// Counts an ordered-key advance to `new_epoch` and drains once every
@@ -108,6 +108,11 @@ class LftaAggregateNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
+  /// Input fields the group keys and aggregate arguments load.
+  rts::ReadSet reads_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
+  rts::Row row_;            // read-set decode target, reused per tuple
+  rts::Row out_row_;        // emitted partial, reused
   DirectMappedAggTable table_;
   std::optional<expr::Value> epoch_;
   const rts::ShedState* shed_;

@@ -14,7 +14,8 @@ MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
       spec_(std::move(spec)),
       registry_(registry),
       codec_(spec_.schema),
-      writer_(registry, spec_.name, spec_.output_batch) {
+      writer_(registry, spec_.name, spec_.output_batch),
+      reads_{static_cast<uint32_t>(spec_.merge_field)} {
   GS_CHECK(inputs.size() >= 2);
   for (rts::Subscription& input : inputs) {
     InputState state;
@@ -26,15 +27,14 @@ MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
 
 size_t MergeNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
   // Batch-at-a-time: drain whole ring slots per input; the budget may
   // overshoot by at most one batch (a batch is never split across polls).
   for (InputState& input : inputs_) {
-    while (processed < budget && input.channel->TryPop(&batch)) {
-      for (rts::StreamMessage& message : batch.items) {
+    while (processed < budget && input.channel->TryPop(&batch_)) {
+      for (const rts::BatchItem& item : batch_.items()) {
         ++processed;
-        BeginMessage(message);
-        Absorb(input, message);
+        BeginMessage(item);
+        Absorb(input, item, batch_.payload(item));
         EndMessage();
       }
     }
@@ -46,16 +46,15 @@ size_t MergeNode::Poll(size_t budget) {
   return processed;
 }
 
-void MergeNode::Absorb(InputState& input, rts::StreamMessage& message) {
-  if (message.kind == rts::StreamMessage::Kind::kTuple) {
+void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
+                       ByteSpan payload) {
+  if (item.kind == rts::MessageKind::kTuple) {
     ++tuples_in_;
-    auto row = codec_.Decode(
-        ByteSpan(message.payload.data(), message.payload.size()));
-    if (!row.ok()) {
+    if (!codec_.DecodeFields(payload, reads_, &row_)) {
       ++eval_errors_;
       return;
     }
-    const Value& key = row.value()[spec_.merge_field];
+    const Value& key = row_[spec_.merge_field];
     // A tuple also carries ordering information: on a
     // (banded-)increasing stream no future tuple can fall more than
     // `band` below it, so it advances the watermark like a punctuation
@@ -86,26 +85,22 @@ void MergeNode::Absorb(InputState& input, rts::StreamMessage& message) {
     }
     // Banded inputs arrive slightly out of order; keep the buffer
     // sorted on the merge key so the head is always the minimum.
-    BufferedRow decoded{std::move(row).value(), message.trace_id,
-                        message.trace_ns, message.weight};
+    BufferedTuple buffered{key, ByteBuffer(payload.begin(), payload.end()),
+                           item.trace_id, item.trace_ns, item.weight};
     if (spec_.band > 0 && !input.buffer.empty() &&
-        input.buffer.back().row[spec_.merge_field].Compare(
-            decoded.row[spec_.merge_field]) > 0) {
+        input.buffer.back().key.Compare(buffered.key) > 0) {
       auto pos = std::upper_bound(
-          input.buffer.begin(), input.buffer.end(), decoded,
-          [this](const BufferedRow& a, const BufferedRow& b) {
-            return a.row[spec_.merge_field].Compare(
-                       b.row[spec_.merge_field]) < 0;
+          input.buffer.begin(), input.buffer.end(), buffered,
+          [](const BufferedTuple& a, const BufferedTuple& b) {
+            return a.key.Compare(b.key) < 0;
           });
-      input.buffer.insert(pos, std::move(decoded));
+      input.buffer.insert(pos, std::move(buffered));
     } else {
-      input.buffer.push_back(std::move(decoded));
+      input.buffer.push_back(std::move(buffered));
     }
     input.saw_any = true;
   } else {
-    auto punctuation = rts::DecodePunctuation(
-        ByteSpan(message.payload.data(), message.payload.size()),
-        spec_.schema);
+    auto punctuation = rts::DecodePunctuation(payload, spec_.schema);
     // Undecodable punctuations fall through to the caller's EndMessage: an
     // early return that skipped it used to leak the message's trace
     // context into whatever the node processed next.
@@ -127,17 +122,16 @@ void MergeNode::EmitReady() {
     int best = -1;
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (inputs_[i].buffer.empty()) continue;
-      const Value& key = inputs_[i].buffer.front().row[spec_.merge_field];
+      const Value& key = inputs_[i].buffer.front().key;
       if (best < 0 ||
-          key.Compare(
-              inputs_[static_cast<size_t>(best)].buffer.front().row
-                  [spec_.merge_field]) < 0) {
+          key.Compare(inputs_[static_cast<size_t>(best)].buffer.front().key) <
+              0) {
         best = static_cast<int>(i);
       }
     }
     if (best < 0) return;
-    const Value& candidate = inputs_[static_cast<size_t>(best)]
-                                 .buffer.front().row[spec_.merge_field];
+    const Value& candidate =
+        inputs_[static_cast<size_t>(best)].buffer.front().key;
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (static_cast<int>(i) == best) continue;
       if (!inputs_[i].buffer.empty()) continue;  // its head already compared
@@ -146,21 +140,19 @@ void MergeNode::EmitReady() {
         return;  // input i might still produce something smaller: blocked
       }
     }
-    EmitRow(inputs_[static_cast<size_t>(best)].buffer.front());
+    EmitTuple(inputs_[static_cast<size_t>(best)].buffer.front());
     inputs_[static_cast<size_t>(best)].buffer.pop_front();
   }
 }
 
-void MergeNode::EmitRow(const BufferedRow& buffered) {
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  message.weight = buffered.weight;
-  codec_.Encode(buffered.row, &message.payload);
+void MergeNode::EmitTuple(const BufferedTuple& buffered) {
+  rts::MessageMeta meta;
+  meta.weight = buffered.weight;
   // Restore the context carried through the buffer: the merged tuple keeps
   // the trace of the input message it came from, not whichever message the
   // poll loop happens to be processing.
-  StampOutputWithContext(&message, buffered.trace_id, buffered.trace_ns);
-  writer_.Write(std::move(message));
+  StampOutputWithContext(&meta, buffered.trace_id, buffered.trace_ns);
+  writer_.Write(meta, ByteSpan(buffered.bytes.data(), buffered.bytes.size()));
   ++tuples_out_;
 
   // Downstream watermark: the smallest guarantee across inputs.
@@ -174,7 +166,7 @@ void MergeNode::EmitRow(const BufferedRow& buffered) {
   if (low.has_value()) {
     rts::Punctuation punctuation;
     punctuation.bounds.emplace_back(spec_.merge_field, *low);
-    writer_.Write(rts::MakePunctuationMessage(punctuation, spec_.schema));
+    writer_.WritePunctuation(punctuation, spec_.schema, rts::MessageMeta{});
   }
 }
 
@@ -185,14 +177,13 @@ void MergeNode::Flush() {
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (inputs_[i].buffer.empty()) continue;
       if (best < 0 ||
-          inputs_[i].buffer.front().row[spec_.merge_field].Compare(
-              inputs_[static_cast<size_t>(best)].buffer.front().row
-                  [spec_.merge_field]) < 0) {
+          inputs_[i].buffer.front().key.Compare(
+              inputs_[static_cast<size_t>(best)].buffer.front().key) < 0) {
         best = static_cast<int>(i);
       }
     }
     if (best < 0) break;
-    EmitRow(inputs_[static_cast<size_t>(best)].buffer.front());
+    EmitTuple(inputs_[static_cast<size_t>(best)].buffer.front());
     inputs_[static_cast<size_t>(best)].buffer.pop_front();
   }
   writer_.Flush();  // Flush runs outside any Poll round

@@ -16,9 +16,11 @@ namespace gigascope::ops {
 /// simplex directions into one stream.
 ///
 /// Each input buffers tuples until the merge attribute's global low
-/// watermark passes them. A slow (or silent) input would block the merge
-/// forever; punctuations (ordering-update tokens) advance that input's
-/// watermark without tuples — the §3 unblocking mechanism, ablated by
+/// watermark passes them. A buffered tuple keeps its packed bytes and is
+/// forwarded as is: merge validates framing and reads only the merge
+/// field. A slow (or silent) input would block the merge forever;
+/// punctuations (ordering-update tokens) advance that input's watermark
+/// without tuples — the §3 unblocking mechanism, ablated by
 /// bench/e4_heartbeats.
 class MergeNode : public rts::QueryNode {
  public:
@@ -45,10 +47,11 @@ class MergeNode : public rts::QueryNode {
   size_t buffer_high_water() const { return buffer_high_water_; }
 
  private:
-  /// A decoded tuple parked until the watermark passes it, keeping its
+  /// A packed tuple parked until the watermark passes it, keeping its
   /// trace context so sampled traces survive the buffering delay.
-  struct BufferedRow {
-    rts::Row row;
+  struct BufferedTuple {
+    expr::Value key;  // the merge field
+    ByteBuffer bytes;
     uint64_t trace_id = 0;
     int64_t trace_ns = 0;
     uint32_t weight = 1;  // sampling weight carried through the buffer
@@ -56,21 +59,25 @@ class MergeNode : public rts::QueryNode {
 
   struct InputState {
     rts::Subscription channel;
-    std::deque<BufferedRow> buffer;
+    std::deque<BufferedTuple> buffer;
     std::optional<expr::Value> watermark;  // all future tuples >= this
     bool saw_any = false;
   };
 
   /// Folds one input message into the input's buffer and watermark.
-  void Absorb(InputState& input, rts::StreamMessage& message);
+  void Absorb(InputState& input, const rts::BatchItem& item,
+              ByteSpan payload);
   /// Drains ready tuples to the output in merge order.
   void EmitReady();
-  void EmitRow(const BufferedRow& buffered);
+  void EmitTuple(const BufferedTuple& buffered);
 
   Spec spec_;
   rts::StreamRegistry* registry_;
   rts::TupleCodec codec_;
   rts::BatchWriter writer_;
+  const rts::ReadSet reads_;  // just the merge field
+  rts::StreamBatch batch_;    // input batch, reused across polls
+  rts::Row row_;              // read-set decode target
   std::vector<InputState> inputs_;
   size_t buffer_high_water_ = 0;
 };

@@ -58,6 +58,13 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       writer_(registry, spec_.name, spec_.output_batch) {
   RegisterInput(input_);
   BuildRawFilter();
+  for (const expr::CompiledExpr& projection : spec_.projections) {
+    rts::AddLoadedFields(projection, &projection_reads_);
+  }
+  reads_ = projection_reads_;
+  if (spec_.predicate.has_value()) {
+    rts::AddLoadedFields(*spec_.predicate, &reads_);
+  }
 }
 
 void SelectProjectNode::BuildRawFilter() {
@@ -65,7 +72,6 @@ void SelectProjectNode::BuildRawFilter() {
   auto terms = expr::MatchFilterTerms(*spec_.predicate);
   if (!terms.has_value()) return;
   std::vector<RawTerm> raw;
-  size_t min_payload = 0;
   for (const expr::FilterTerm& term : *terms) {
     if (term.field >= spec_.input_schema.num_fields()) return;
     const DataType type = spec_.input_schema.field(term.field).type;
@@ -87,11 +93,9 @@ void SelectProjectNode::BuildRawFilter() {
       case DataType::kFloat: rt.f = term.constant.float_value(); break;
       case DataType::kString: return;  // unreachable (no fixed width)
     }
-    min_payload = std::max(min_payload, *offset + *width);
     raw.push_back(rt);
   }
   raw_terms_ = std::move(raw);
-  raw_min_payload_ = min_payload;
 }
 
 void SelectProjectNode::AttachJit(jit::QueryJit* jit) {
@@ -133,7 +137,7 @@ void SelectProjectNode::CountJitKernels(size_t* native, size_t* total) const {
   }
 }
 
-bool SelectProjectNode::RawFilterPass(const ByteBuffer& payload) const {
+bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
   const uint8_t* data = payload.data();
   if (raw_filter_slot_ != nullptr) {
     expr::ByteFilterFn fn =
@@ -173,37 +177,17 @@ bool SelectProjectNode::RawFilterPass(const ByteBuffer& payload) const {
 
 size_t SelectProjectNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
   // Batch-at-a-time: one pop per ring slot, then a tight loop over its
   // messages. The budget may overshoot by at most one batch (a batch is
   // never split across polls).
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
+  while (processed < budget && input_->TryPop(&batch_)) {
+    for (const rts::BatchItem& item : batch_.items()) {
       ++processed;
-      if (message.kind == rts::StreamMessage::Kind::kTuple) {
-        if (!raw_terms_.empty() &&
-            message.payload.size() >= raw_min_payload_) {
-          // Columnar fast path: the whole predicate runs on packed bytes;
-          // rejected tuples are never decoded.
-          if (!RawFilterPass(message.payload)) {
-            ++tuples_in_;
-            if (message.trace_id != 0) {
-              BeginMessage(message);
-              EndMessage();
-            }
-            continue;
-          }
-          BeginMessage(message);
-          ProcessTuple(message.payload, /*predicate_checked=*/true);
-          EndMessage();
-          continue;
-        }
-        BeginMessage(message);
-        ProcessTuple(message.payload, /*predicate_checked=*/false);
-        EndMessage();
+      if (item.kind == rts::MessageKind::kTuple) {
+        ProcessTuple(item, batch_.payload(item));
       } else {
-        BeginMessage(message);
-        ProcessPunctuation(message.payload);
+        BeginMessage(item);
+        ProcessPunctuation(batch_.payload(item));
         EndMessage();
       }
     }
@@ -212,16 +196,35 @@ size_t SelectProjectNode::Poll(size_t budget) {
   return processed;
 }
 
-void SelectProjectNode::ProcessTuple(const ByteBuffer& payload,
-                                     bool predicate_checked) {
+void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
+                                     ByteSpan payload) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
-  if (!row.ok()) {
+  if (!input_codec_.Framed(payload)) {
+    BeginMessage(item);
     ++eval_errors_;
+    EndMessage();
     return;
   }
+  const bool raw = !raw_terms_.empty();
+  // Columnar fast path: the whole predicate runs on packed bytes (framing
+  // guarantees every fixed-offset field is present); rejected tuples are
+  // never decoded.
+  if (raw && !RawFilterPass(payload)) {
+    if (item.trace_id != 0) {
+      BeginMessage(item);
+      EndMessage();
+    }
+    return;
+  }
+  BeginMessage(item);
+  input_codec_.ReadFields(payload, raw ? projection_reads_ : reads_, &row_);
+  EvaluateRow(/*predicate_checked=*/raw);
+  EndMessage();
+}
+
+void SelectProjectNode::EvaluateRow(bool predicate_checked) {
   expr::EvalContext ctx;
-  ctx.row0 = &row.value();
+  ctx.row0 = &row_;
   ctx.params = params_.get();
 
   if (!predicate_checked && spec_.predicate.has_value()) {
@@ -238,8 +241,7 @@ void SelectProjectNode::ProcessTuple(const ByteBuffer& payload,
     }
   }
 
-  rts::Row out_row;
-  out_row.reserve(spec_.projections.size());
+  out_row_.clear();
   for (const expr::CompiledExpr& projection : spec_.projections) {
     expr::EvalOutput out;
     Status status = vm_.Eval(projection, ctx, &out);
@@ -248,21 +250,18 @@ void SelectProjectNode::ProcessTuple(const ByteBuffer& payload,
       return;
     }
     if (!out.has_value) return;  // partial miss anywhere discards the tuple
-    out_row.push_back(std::move(out.value));
+    out_row_.push_back(std::move(out.value));
   }
 
-  rts::StreamMessage out_message;
-  out_message.kind = rts::StreamMessage::Kind::kTuple;
-  out_message.weight = active_weight();  // sampling weight rides through
-  output_codec_.Encode(out_row, &out_message.payload);
-  StampOutput(&out_message);
-  writer_.Write(std::move(out_message));
+  rts::MessageMeta meta;
+  meta.weight = active_weight();  // sampling weight rides through
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out_row_, meta);
   ++tuples_out_;
 }
 
-void SelectProjectNode::ProcessPunctuation(const ByteBuffer& payload) {
-  auto punctuation = rts::DecodePunctuation(
-      ByteSpan(payload.data(), payload.size()), spec_.input_schema);
+void SelectProjectNode::ProcessPunctuation(ByteSpan payload) {
+  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
   if (!punctuation.ok()) return;
 
   rts::Punctuation out;
@@ -290,12 +289,12 @@ void SelectProjectNode::ProcessPunctuation(const ByteBuffer& payload) {
     }
   }
   if (out.bounds.empty()) return;
-  rts::StreamMessage out_message =
-      rts::MakePunctuationMessage(out, spec_.output_schema);
   // Forwarded punctuation keeps the trace context so downstream
   // punctuation-driven group closes stay attributed to the traced packet.
-  StampOutput(&out_message);
-  writer_.Write(std::move(out_message));
+  rts::MessageMeta meta;
+  meta.kind = rts::MessageKind::kPunctuation;
+  StampOutput(&meta);
+  writer_.WritePunctuation(out, spec_.output_schema, meta);
 }
 
 }  // namespace gigascope::ops

@@ -23,10 +23,13 @@ namespace gigascope::ops {
 /// function of exactly that field (e.g. `time/60`).
 ///
 /// Polls a whole StreamBatch at a time and emits through a BatchWriter.
-/// When the predicate is a conjunction of `field <cmp> constant` terms over
-/// fixed-offset fields (the dominant LFTA filter shape), it is evaluated
-/// columnar-style straight off the packed tuple bytes: rejected tuples —
-/// the vast majority on a selective filter — never get decoded.
+/// Every input tuple's framing is validated first (a malformed tuple is one
+/// eval error). When the predicate is a conjunction of `field <cmp>
+/// constant` terms over fixed-offset fields (the dominant LFTA filter
+/// shape), it is evaluated columnar-style straight off the packed tuple
+/// bytes: rejected tuples — the vast majority on a selective filter — never
+/// get decoded. Surviving tuples materialize only the fields the
+/// expressions load (the read set) into one reused row.
 class SelectProjectNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -72,9 +75,12 @@ class SelectProjectNode : public rts::QueryNode {
   };
 
   void BuildRawFilter();
-  bool RawFilterPass(const ByteBuffer& payload) const;
-  void ProcessTuple(const ByteBuffer& payload, bool predicate_checked);
-  void ProcessPunctuation(const ByteBuffer& payload);
+  bool RawFilterPass(ByteSpan payload) const;
+  void ProcessTuple(const rts::BatchItem& item, ByteSpan payload);
+  /// Evaluates the predicate (unless the raw filter already did) and the
+  /// projections over `row_`, emitting the output tuple.
+  void EvaluateRow(bool predicate_checked);
+  void ProcessPunctuation(ByteSpan payload);
 
   Spec spec_;
   rts::Subscription input_;
@@ -85,7 +91,13 @@ class SelectProjectNode : public rts::QueryNode {
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
   std::vector<RawTerm> raw_terms_;  // empty: use the general VM
-  size_t raw_min_payload_ = 0;      // shorter payloads take the slow path
+  /// Input fields the predicate and projections load, and the projections
+  /// alone (enough once the raw filter has checked the predicate).
+  rts::ReadSet reads_;
+  rts::ReadSet projection_reads_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
+  rts::Row row_;            // read-set decode target, reused per tuple
+  rts::Row out_row_;        // projected output, reused per tuple
   /// Native byte-filter slot; null until AttachJit ran with the tier on.
   std::shared_ptr<expr::ByteFilterSlot> raw_filter_slot_;
 };

@@ -70,20 +70,19 @@ TcpSessionNode::TcpSessionNode(Spec spec, FieldSlots slots,
 
 size_t TcpSessionNode::Poll(size_t budget) {
   size_t processed = 0;
-  rts::StreamBatch batch;
-  while (processed < budget && input_->TryPop(&batch)) {
-    for (rts::StreamMessage& message : batch.items) {
+  while (processed < budget && input_->TryPop(&batch_)) {
+    for (const rts::BatchItem& item : batch_.items()) {
       ++processed;
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      ProcessTuple(message.payload);
+      if (item.kind != rts::MessageKind::kTuple) continue;
+      ProcessTuple(batch_.payload(item));
     }
   }
   return processed;
 }
 
-void TcpSessionNode::ProcessTuple(const ByteBuffer& payload) {
+void TcpSessionNode::ProcessTuple(ByteSpan payload) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(ByteSpan(payload.data(), payload.size()));
+  auto row = input_codec_.Decode(payload);
   if (!row.ok()) {
     ++eval_errors_;
     return;
@@ -185,10 +184,9 @@ void TcpSessionNode::Emit(uint64_t end_time, const Session& session,
                                 ? end_time - session.start_time
                                 : 0));
   out.push_back(Value::String(state));
-  rts::StreamMessage message;
-  message.kind = rts::StreamMessage::Kind::kTuple;
-  output_codec_.Encode(out, &message.payload);
-  registry_->Publish(name(), message);
+  rts::StreamBatch batch;
+  batch.AppendTuple(output_codec_, out);
+  registry_->PublishBatch(name(), std::move(batch));
   ++tuples_out_;
 }
 

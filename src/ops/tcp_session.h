@@ -81,7 +81,7 @@ class TcpSessionNode : public rts::QueryNode {
   TcpSessionNode(Spec spec, FieldSlots slots, rts::Subscription input,
                  rts::StreamRegistry* registry);
 
-  void ProcessTuple(const ByteBuffer& payload);
+  void ProcessTuple(ByteSpan payload);
   void Emit(uint64_t end_time, const Session& session, const char* state);
   void ExpireOld(uint64_t time_now);
 
@@ -91,6 +91,7 @@ class TcpSessionNode : public rts::QueryNode {
   rts::StreamRegistry* registry_;
   rts::TupleCodec input_codec_;
   rts::TupleCodec output_codec_;
+  rts::StreamBatch batch_;  // input batch, reused across polls
   std::map<SessionKey, Session> sessions_;
   uint64_t closed_ = 0;
   uint64_t reset_ = 0;

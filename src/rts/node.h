@@ -134,7 +134,7 @@ class QueryNode {
   // are no-ops (two predictable branches) when untraced.
 
   /// Starts the span for a dequeued message, if it carries a trace.
-  void BeginMessage(const StreamMessage& message) {
+  void BeginMessage(const MessageMeta& message) {
     active_trace_id_ = message.trace_id;
     active_weight_ = message.weight;
     if (tracer_ == nullptr) {
@@ -166,19 +166,19 @@ class QueryNode {
   /// Propagates the active trace context onto an outgoing message; on a
   /// terminal node, additionally records the inject→emit latency and an
   /// emit instant for traced tuples.
-  void StampOutput(StreamMessage* out) {
+  void StampOutput(MessageMeta* out) {
     StampOutputWithContext(out, active_trace_id_, active_trace_ns_);
   }
 
   /// Same, with an explicit context — for operators that buffer tuples
   /// (merge) and emit them under a different active message than the one
   /// that delivered them.
-  void StampOutputWithContext(StreamMessage* out, uint64_t trace_id,
+  void StampOutputWithContext(MessageMeta* out, uint64_t trace_id,
                               int64_t trace_ns) {
     if (trace_id == 0 || tracer_ == nullptr) return;
     out->trace_id = trace_id;
     out->trace_ns = trace_ns;
-    if (terminal_ && out->kind == StreamMessage::Kind::kTuple) {
+    if (terminal_ && out->kind == MessageKind::kTuple) {
       const int64_t now = tracer_->NowNs();
       if (now > trace_ns) {
         e2e_ns_.Record(static_cast<uint64_t>(now - trace_ns));

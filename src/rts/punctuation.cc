@@ -109,12 +109,20 @@ Result<Punctuation> DecodePunctuation(ByteSpan bytes,
   return punctuation;
 }
 
-StreamMessage MakePunctuationMessage(const Punctuation& punctuation,
-                                     const gsql::StreamSchema& schema) {
-  StreamMessage message;
-  message.kind = StreamMessage::Kind::kPunctuation;
-  EncodePunctuation(punctuation, schema, &message.payload);
-  return message;
+void AppendPunctuation(const Punctuation& punctuation,
+                       const gsql::StreamSchema& schema, MessageMeta meta,
+                       StreamBatch* batch) {
+  ByteBuffer bytes;
+  EncodePunctuation(punctuation, schema, &bytes);
+  meta.kind = MessageKind::kPunctuation;
+  batch->Append(meta, ByteSpan(bytes.data(), bytes.size()));
+}
+
+StreamBatch MakePunctuationBatch(const Punctuation& punctuation,
+                                 const gsql::StreamSchema& schema) {
+  StreamBatch batch;
+  AppendPunctuation(punctuation, schema, MessageMeta{}, &batch);
+  return batch;
 }
 
 }  // namespace gigascope::rts

@@ -34,9 +34,15 @@ void EncodePunctuation(const Punctuation& punctuation,
 Result<Punctuation> DecodePunctuation(ByteSpan bytes,
                                       const gsql::StreamSchema& schema);
 
-/// Wraps a punctuation into a channel message.
-StreamMessage MakePunctuationMessage(const Punctuation& punctuation,
-                                     const gsql::StreamSchema& schema);
+/// Appends `punctuation` to `batch` as a punctuation message carrying
+/// `meta`'s trace context (its kind is overridden).
+void AppendPunctuation(const Punctuation& punctuation,
+                       const gsql::StreamSchema& schema, MessageMeta meta,
+                       StreamBatch* batch);
+
+/// A batch holding just `punctuation`.
+StreamBatch MakePunctuationBatch(const Punctuation& punctuation,
+                                 const gsql::StreamSchema& schema);
 
 }  // namespace gigascope::rts
 

@@ -42,21 +42,10 @@ Result<Subscription> StreamRegistry::Subscribe(const std::string& name,
   return channel;
 }
 
-size_t StreamRegistry::Publish(const std::string& name,
-                               const StreamMessage& message) {
-  auto it = streams_.find(name);
-  if (it == streams_.end()) return 0;
-  size_t accepted = 0;
-  for (const Subscription& subscriber : it->second.subscribers) {
-    if (subscriber->PushOrDrop(message)) ++accepted;
-  }
-  return accepted;
-}
-
 size_t StreamRegistry::PublishBatch(const std::string& name,
                                     StreamBatch&& batch) {
   auto it = streams_.find(name);
-  if (it == streams_.end() || batch.items.empty()) return 0;
+  if (it == streams_.end() || batch.empty()) return 0;
   auto& subscribers = it->second.subscribers;
   if (subscribers.empty()) return 0;
   size_t accepted = 0;

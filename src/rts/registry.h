@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gsql/schema.h"
+#include "rts/punctuation.h"
 #include "rts/ring.h"
 
 namespace gigascope::rts {
@@ -45,13 +46,9 @@ class StreamRegistry {
   /// `local` forces a heap-backed ring even when SetChannelOptions chose
   /// shm — for subscriptions whose producer and consumer provably share
   /// the parent process (e.g. source→LFTA rings in multi-process mode),
-  /// which would otherwise pay serialization for a boundary never crossed.
+  /// which would otherwise pay a copy for a boundary never crossed.
   Result<Subscription> Subscribe(const std::string& name, size_t capacity,
                                  bool local = false);
-
-  /// Publishes a message to all subscribers. Returns the number of
-  /// subscribers that accepted it (others counted drops).
-  size_t Publish(const std::string& name, const StreamMessage& message);
 
   /// Publishes a whole batch to all subscribers (copied per subscriber,
   /// moved to the last). Returns the number of subscribers that accepted
@@ -109,11 +106,11 @@ class StreamRegistry {
 };
 
 /// Producer-side accumulator for a node's output stream: operators append
-/// messages and the writer publishes them as batches. A batch flushes when
-/// it reaches `max_batch` messages or when a punctuation closes it (the
-/// batch invariant: punctuation only at the tail); the owning operator
-/// calls Flush() at the end of every Poll so no output outlives the poll
-/// round that produced it.
+/// messages straight into the open batch's arena and the writer publishes
+/// them as batches. A batch flushes when it reaches `max_batch` messages or
+/// when a punctuation closes it (the batch invariant: punctuation only at
+/// the tail); the owning operator calls Flush() at the end of every Poll so
+/// no output outlives the poll round that produced it.
 class BatchWriter {
  public:
   BatchWriter(StreamRegistry* registry, std::string stream, size_t max_batch)
@@ -121,17 +118,40 @@ class BatchWriter {
         stream_(std::move(stream)),
         max_batch_(max_batch == 0 ? 1 : max_batch) {}
 
-  void Write(StreamMessage&& message) {
-    const bool punctuation =
-        message.kind == StreamMessage::Kind::kPunctuation;
-    open_.items.push_back(std::move(message));
-    if (punctuation || open_.items.size() >= max_batch_) Flush();
+  /// Appends `row` packed by `codec`, as a tuple carrying `meta`.
+  void WriteTuple(const TupleCodec& codec, const Row& row,
+                  const MessageMeta& meta) {
+    open_.AppendTuple(codec, row, meta);
+    if (open_.size() >= max_batch_) Flush();
+  }
+
+  /// Appends an already packed message (a forwarded tuple).
+  void Write(const MessageMeta& meta, ByteSpan bytes) {
+    open_.Append(meta, bytes);
+    if (meta.kind == MessageKind::kPunctuation ||
+        open_.size() >= max_batch_) {
+      Flush();
+    }
+  }
+
+  /// Appends a punctuation carrying `meta`'s trace context; it closes the
+  /// batch.
+  void WritePunctuation(const Punctuation& punctuation,
+                        const gsql::StreamSchema& schema,
+                        const MessageMeta& meta) {
+    AppendPunctuation(punctuation, schema, meta, &open_);
+    Flush();
   }
 
   void Flush() {
-    if (open_.items.empty()) return;
+    if (open_.empty()) return;
+    // The next batch is sized like this one: one allocation each for its
+    // arena and item table, however many messages it will hold.
+    const size_t items = open_.size();
+    const size_t bytes = open_.arena().size();
     registry_->PublishBatch(stream_, std::move(open_));
-    open_.items.clear();
+    open_.clear();
+    open_.Reserve(items, bytes);
   }
 
  private:

@@ -101,7 +101,7 @@ void RingChannel::CountDropped(size_t messages) {
 }
 
 bool RingChannel::TryPush(StreamBatch&& batch) {
-  if (batch.items.empty()) return true;  // nothing to enqueue
+  if (batch.empty()) return true;  // nothing to enqueue
   if (ctrl_ != nullptr) return ShmTryPush(std::move(batch));
   const uint64_t head = head_.load(std::memory_order_relaxed);
   if (head - cached_tail_ >= capacity_) {
@@ -109,13 +109,11 @@ bool RingChannel::TryPush(StreamBatch&& batch) {
     // store so the slot we are about to overwrite is truly vacated.
     cached_tail_ = tail_.load(std::memory_order_acquire);
     // The batch has not been touched: the caller keeps ownership and can
-    // retry with the very same object (the old by-value API consumed the
-    // message even on failure, which made retry loops re-send a
-    // moved-from shell).
+    // retry with the very same object.
     if (head - cached_tail_ >= capacity_) return false;
   }
-  const size_t messages = batch.items.size();
-  slots_[head & mask_] = std::move(batch);
+  const size_t messages = batch.size();
+  slots_[head & mask_] = std::move(batch);  // leaves `batch` empty
   head_.store(head + 1, std::memory_order_release);
   RecordPush(messages, static_cast<size_t>(
                            head + 1 - tail_.load(std::memory_order_relaxed)));
@@ -123,21 +121,21 @@ bool RingChannel::TryPush(StreamBatch&& batch) {
 }
 
 bool RingChannel::ShmTryPush(StreamBatch&& batch) {
-  // Chunk the batch into runs whose serialized forms share one slot.
-  // Chunking happens before the space check so a batch needing N slots
-  // fails atomically (no-consume contract) when fewer than N are free.
+  // Chunk the batch into runs that share one slot region. Chunking happens
+  // before the space check so a batch needing N slots fails atomically
+  // (no-consume contract) when fewer than N are free.
   struct Chunk {
     size_t begin;
     size_t end;
   };
   std::vector<Chunk> chunks;
-  std::vector<char> oversize(batch.items.size(), 0);
+  std::vector<char> oversize(batch.size(), 0);
   size_t oversize_count = 0;
-  const size_t none = batch.items.size();
+  const size_t none = batch.size();
   size_t run_begin = none;
   size_t run_bytes = 0;
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    const size_t need = ShmEncodedMessageSize(batch.items[i]);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t need = ShmItemBytes(batch.item(i));
     if (need > shm_slot_bytes_) {
       // Could never be delivered at any occupancy: dropped on the success
       // path below, counted separately from ring-full drops.
@@ -159,7 +157,7 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
   if (chunks.empty()) {
     // Every message was oversize; nothing deliverable remains.
     CounterAdd(&ctrl_->oversize_dropped, oversize_count);
-    batch.items.clear();
+    batch.clear();
     return true;
   }
   const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
@@ -171,19 +169,13 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
   for (size_t c = 0; c < chunks.size(); ++c) {
     const uint64_t index = head + c;
     const size_t s = index & mask_;
-    push_scratch_.clear();
-    uint32_t count = 0;
-    for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) {
-      if (oversize[i]) continue;
-      ShmEncodeMessage(batch.items[i], &push_scratch_);
-      ++count;
-    }
     ShmSlot& slot = shm_slots_[s];
     slot.offset = ArenaOffset(s);
-    slot.len = static_cast<uint32_t>(push_scratch_.size());
+    uint32_t count = 0;
+    slot.len = static_cast<uint32_t>(
+        ShmWriteChunk(batch, chunks[c].begin, chunks[c].end, oversize,
+                      shm_->As<uint8_t>(slot.offset), &count));
     slot.msg_count = count;
-    std::memcpy(shm_->As<uint8_t>(slot.offset), push_scratch_.data(),
-                push_scratch_.size());
     // Publication stamp: written (release) only after the payload bytes
     // are complete, validated by the consumer before it touches them.
     uint64_t seq = index + 1;
@@ -201,70 +193,46 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
   RecordPush(delivered,
              static_cast<size_t>(head + chunks.size() -
                                  ctrl_->tail.load(std::memory_order_relaxed)));
-  batch.items.clear();
+  batch.clear();
   return true;
 }
 
-bool RingChannel::TryPush(StreamMessage&& message) {
-  StreamBatch batch;
-  batch.items.push_back(std::move(message));
-  if (TryPush(std::move(batch))) return true;
-  message = std::move(batch.items.front());  // restore: no-consume contract
-  return false;
-}
-
-bool RingChannel::TryPush(const StreamMessage& message) {
-  StreamBatch batch;
-  batch.items.push_back(message);
-  return TryPush(std::move(batch));
-}
-
 bool RingChannel::PushOrDrop(StreamBatch&& batch) {
-  if (parked_punct_.has_value()) {
+  if (!parked_.empty()) {
     if (batch.has_punctuation()) {
       // The batch's own punctuation carries a bound at least as new as the
       // parked one (bounds are non-decreasing on a stream), so the parked
       // punctuation is superseded — dropping it loses no information.
-      parked_punct_.reset();
+      parked_.clear();
     } else {
       // Ride the parked punctuation at the tail of this batch. It now
       // follows tuples that were produced after it, which is safe: its
       // bound ("no future tuple below v") still holds after any later
       // tuple.
-      batch.items.push_back(std::move(*parked_punct_));
-      parked_punct_.reset();
+      batch.AppendFrom(parked_, 0);
+      parked_.clear();
     }
   }
-  if (batch.items.empty()) return true;
+  if (batch.empty()) return true;
   if (TryPush(std::move(batch))) return true;
   // Full ring: the tuples drop here — as early in the chain as possible,
   // per §4/§5 — but the punctuation must not, or downstream group-close
   // stalls until the next one happens to arrive. Park it for the next
   // push.
-  size_t tuples = batch.items.size();
+  size_t tuples = batch.size();
   if (batch.has_punctuation()) {
     --tuples;
-    parked_punct_ = std::move(batch.items.back());
+    parked_.AppendFrom(batch, batch.size() - 1);
   }
   CountDropped(tuples);
-  batch.items.clear();
+  batch.clear();
   return false;
-}
-
-bool RingChannel::PushOrDrop(StreamMessage message) {
-  StreamBatch batch;
-  batch.items.push_back(std::move(message));
-  return PushOrDrop(std::move(batch));
 }
 
 bool RingChannel::FlushParked() {
-  if (!parked_punct_.has_value()) return true;
-  StreamBatch batch;
-  batch.items.push_back(std::move(*parked_punct_));
-  parked_punct_.reset();
-  if (TryPush(std::move(batch))) return true;
-  parked_punct_ = std::move(batch.items.back());  // still full: re-park
-  return false;
+  if (parked_.empty()) return true;
+  // On failure TryPush leaves the batch untouched: it stays parked.
+  return TryPush(std::move(parked_));
 }
 
 bool RingChannel::HeapPopSlotRaw(StreamBatch* out) {
@@ -277,7 +245,7 @@ bool RingChannel::HeapPopSlotRaw(StreamBatch* out) {
   }
   *out = std::move(slots_[tail & mask_]);
   tail_.store(tail + 1, std::memory_order_release);
-  popped_.Add(out->items.size());
+  popped_.Add(out->size());
   return true;
 }
 
@@ -304,22 +272,21 @@ bool RingChannel::ShmPopSlotRaw(StreamBatch* out) {
               slot.len <= shm_slot_bytes_;
     if (ok) {
       ByteSpan bytes(shm_->As<uint8_t>(slot.offset), slot.len);
-      ok = ShmDecodeBatch(bytes, slot.msg_count, out);
-      if (!ok) out->items.clear();
+      ok = ShmReadChunk(bytes, slot.msg_count, out);
     }
     ctrl_->tail.store(tail + 1, std::memory_order_release);
     if (!ok) {
       CounterAdd(&ctrl_->torn, 1);
       continue;  // torn slot skipped; try the next one
     }
-    CounterAdd(&ctrl_->popped, out->items.size());
+    CounterAdd(&ctrl_->popped, out->size());
     return true;
   }
 }
 
-bool RingChannel::PopSlot(StreamBatch* out) {
+bool RingChannel::TryPop(StreamBatch* out) {
   for (;;) {
-    out->items.clear();
+    out->clear();
     const uint64_t pos = ctrl_ != nullptr
                              ? ctrl_->tail.load(std::memory_order_relaxed)
                              : tail_.load(std::memory_order_relaxed);
@@ -332,7 +299,7 @@ bool RingChannel::PopSlot(StreamBatch* out) {
     if (resync_ && pos >= resync_end_) resync_ = false;
     if (!resync_) return true;
     ApplyResyncGate(out);
-    if (!out->items.empty()) return true;
+    if (!out->empty()) return true;
     // Whole slot discarded by the gate; keep popping toward the
     // punctuation boundary.
   }
@@ -340,19 +307,18 @@ bool RingChannel::PopSlot(StreamBatch* out) {
 
 void RingChannel::ApplyResyncGate(StreamBatch* out) {
   size_t drop = 0;
-  while (drop < out->items.size() &&
-         out->items[drop].kind != StreamMessage::Kind::kPunctuation) {
+  while (drop < out->size() &&
+         out->item(drop).kind != MessageKind::kPunctuation) {
     ++drop;
   }
-  const bool punctuation = drop < out->items.size();
+  const bool punctuation = drop < out->size();
   if (drop > 0) {
     if (ctrl_ != nullptr) {
       CounterAdd(&ctrl_->resync_dropped, drop);
     } else {
       resync_dropped_.Add(drop);
     }
-    out->items.erase(out->items.begin(),
-                     out->items.begin() + static_cast<ptrdiff_t>(drop));
+    out->DropFront(drop);
   }
   // The punctuation re-establishes ordering for everything that follows:
   // the new consumer incarnation starts clean at a window boundary.
@@ -365,52 +331,12 @@ void RingChannel::BeginResync() {
   // span; everything after this head position post-dates the handoff.
   resync_end_ = ctrl_ != nullptr ? ctrl_->head.load(std::memory_order_acquire)
                                  : head_.load(std::memory_order_acquire);
-  // Any staged remainder belonged to the dead incarnation's batch.
-  size_t staged_tuples = 0;
-  for (size_t i = staged_index_; i < staged_.items.size(); ++i) {
-    if (staged_.items[i].kind == StreamMessage::Kind::kTuple) {
-      ++staged_tuples;
-    }
-  }
-  if (staged_tuples > 0) {
-    if (ctrl_ != nullptr) {
-      CounterAdd(&ctrl_->resync_dropped, staged_tuples);
-    } else {
-      resync_dropped_.Add(staged_tuples);
-    }
-  }
-  staged_.items.clear();
-  staged_index_ = 0;
 }
 
 void RingChannel::ArmTornFault(uint64_t nth) {
   GS_CHECK(ctrl_ != nullptr);  // the heap backend has no serialized form
   torn_arm_ = nth == 0 ? 1 : nth;
   slot_pubs_ = 0;
-}
-
-bool RingChannel::TryPop(StreamBatch* out) {
-  if (staged_index_ < staged_.items.size()) {
-    // Hand over the remainder of a partially drained batch first so the
-    // batch- and message-level pop APIs interleave in FIFO order.
-    out->items.assign(
-        std::make_move_iterator(staged_.items.begin() + staged_index_),
-        std::make_move_iterator(staged_.items.end()));
-    staged_.items.clear();
-    staged_index_ = 0;
-    return true;
-  }
-  return PopSlot(out);
-}
-
-bool RingChannel::TryPop(StreamMessage* out) {
-  while (staged_index_ >= staged_.items.size()) {
-    staged_.items.clear();
-    staged_index_ = 0;
-    if (!PopSlot(&staged_)) return false;
-  }
-  *out = std::move(staged_.items[staged_index_++]);
-  return true;
 }
 
 size_t RingChannel::size() const {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "rts/shm.h"
@@ -51,9 +50,9 @@ class ConsumerWaker {
 ///
 /// Each slot carries a StreamBatch — tuples plus at most one trailing
 /// punctuation — so one push/pop pair amortizes the synchronization cost
-/// over the whole batch. Message-level TryPush/TryPop overloads wrap the
-/// batch API (singleton batches in; a consumer-side staging batch out) for
-/// callers that still speak one message at a time.
+/// over the whole batch. The batch is the only unit: a producer with one
+/// message pushes a batch of one, and a consumer that wants one message at
+/// a time keeps its own cursor into the batch it popped.
 ///
 /// Lock-free single-producer/single-consumer ring: a fixed power-of-two
 /// slot array indexed by free-running head (producer) and tail (consumer)
@@ -68,13 +67,14 @@ class ConsumerWaker {
 /// Two slot backends share the protocol:
 ///
 ///  - Heap (default): slots are a std::vector<StreamBatch>; batches move
-///    through without serialization. Producer and consumer must share an
+///    through without copying. Producer and consumer must share an
 ///    address space (threads of one process).
 ///  - Shared memory (ShmRingOptions::enabled): head/tail/counters and the
-///    slots live in a fork-inherited ShmSegment; batches serialize into a
-///    fixed per-slot payload region of the segment's arena (offset-based,
-///    nothing heap-pointed crosses the boundary). This is the paper's §4
-///    process split: producer and consumer may be different processes.
+///    slots live in a fork-inherited ShmSegment; a batch is copied into a
+///    fixed per-slot region of the segment's arena as its item table plus
+///    its arena bytes (offset-based, nothing heap-pointed crosses the
+///    boundary; rts/shm.h). This is the paper's §4 process split: producer
+///    and consumer may be different processes.
 ///    Each slot carries a publication sequence stamp that the consumer
 ///    validates before touching the payload, so a slot half-written at
 ///    producer death is detected (counted `torn`) and skipped instead of
@@ -103,18 +103,12 @@ class RingChannel {
   /// slots fails atomically when fewer than N are free.)
   bool TryPush(StreamBatch&& batch);
 
-  /// Message-level compatibility: enqueues a singleton batch. Same
-  /// no-consume contract — on failure `message` still holds its payload.
-  bool TryPush(StreamMessage&& message);
-  bool TryPush(const StreamMessage& message);
-
   /// Enqueues, or drops the batch's tuples and records them as drops;
   /// returns whether the batch was enqueued. A trailing punctuation is
   /// never dropped: on failure it is parked and attached to the next
   /// push (see class comment). Consumes the batch either way.
   /// Producer-side only.
   bool PushOrDrop(StreamBatch&& batch);
-  bool PushOrDrop(StreamMessage message);
 
   /// Retries a parked punctuation (pushes it as its own batch). Returns
   /// true when nothing remains parked. Producer-side only.
@@ -122,17 +116,11 @@ class RingChannel {
 
   /// Whether a punctuation is parked waiting for ring space. Producer-side
   /// only (the parked message lives outside the slots).
-  bool has_parked() const { return parked_punct_.has_value(); }
+  bool has_parked() const { return !parked_.empty(); }
 
-  /// Dequeues a whole batch; false when empty. Consumer-side only. If a
-  /// previous message-level TryPop left part of a batch staged, the staged
-  /// remainder is returned first so the two pop APIs interleave in FIFO
-  /// order.
+  /// Dequeues a whole batch into `out` (replacing its contents); false
+  /// when empty. Consumer-side only.
   bool TryPop(StreamBatch* out);
-
-  /// Message-level compatibility: dequeues the next message, staging the
-  /// rest of its batch for subsequent calls. Consumer-side only.
-  bool TryPop(StreamMessage* out);
 
   /// Arms the post-restart resync gate: subsequent pops discard tuples
   /// (counting them as resync_dropped) until the first punctuation, which
@@ -143,8 +131,7 @@ class RingChannel {
   /// flush, new live data) is beyond the lost prefix and must be
   /// delivered, or a punctuation-free residue would gate out the entire
   /// remaining output. Consumer-side only; call before the new consumer
-  /// incarnation starts polling. Also discards any staged remainder (it
-  /// belonged to the dead incarnation's batch).
+  /// incarnation starts polling.
   void BeginResync();
   bool resync_pending() const { return resync_; }
 
@@ -156,8 +143,7 @@ class RingChannel {
   void ArmTornFault(uint64_t nth);
 
   /// Occupied slots (batches). Exact when quiesced; a point-in-time
-  /// estimate while the producer and consumer are running. Does not count
-  /// the consumer's staged remainder.
+  /// estimate while the producer and consumer are running.
   size_t size() const;
   size_t capacity() const { return capacity_; }
   uint64_t pushed() const {
@@ -227,9 +213,6 @@ class RingChannel {
   }
 
  private:
-  /// Pops the next slot into `out` (bypassing the staging batch), applying
-  /// the resync gate; loops past torn or fully-discarded slots.
-  bool PopSlot(StreamBatch* out);
   /// Backend slot pops without the resync gate; `out` must arrive empty.
   bool HeapPopSlotRaw(StreamBatch* out);
   bool ShmPopSlotRaw(StreamBatch* out);
@@ -254,7 +237,6 @@ class RingChannel {
   ShmSlot* shm_slots_ = nullptr;
   size_t shm_slot_bytes_ = 0;
   size_t arena_base_ = 0;
-  ByteBuffer push_scratch_;  // producer-side serialization buffer
 
   // Free-running counters; slot index is counter & mask_. The shm backend
   // uses ctrl_->head/tail instead (shared across processes).
@@ -269,13 +251,9 @@ class RingChannel {
   // waiting to ride the next successful push (never dropped). Heap state:
   // a producer process that dies loses its parked punctuation — the gap
   // closes at the next punctuation (bounds supersede), within the same
-  // resync window the crash already opened.
-  std::optional<StreamMessage> parked_punct_;
+  // resync window the crash already opened. Empty when nothing is parked.
+  StreamBatch parked_;
 
-  // Consumer-side only: remainder of a batch being drained one message at
-  // a time by the message-level TryPop.
-  StreamBatch staged_;
-  size_t staged_index_ = 0;
   // Consumer-side: the post-restart resync gate (see BeginResync).
   // resync_end_ is the head position at arming: slots at or past it were
   // pushed after the handoff and end the gap unconditionally.

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "rts/tuple.h"
 
@@ -56,9 +57,9 @@ struct ShmRingOptions {
   /// payload region each, so the registry clamps. Lazily allocated pages
   /// keep even this bound cheap until slots are actually used.
   size_t max_slots = 32768;
-  /// Fixed serialized-payload bytes per slot. Batches larger than this
-  /// split across slots; a single message that cannot fit is dropped and
-  /// counted (oversize_dropped) — it could never be delivered.
+  /// Fixed payload bytes per slot. Batches larger than this split across
+  /// slots; a single message that cannot fit is dropped and counted
+  /// (oversize_dropped) — it could never be delivered.
   size_t slot_bytes = 16 * 1024;
 };
 
@@ -94,21 +95,30 @@ struct ShmRingControl {
 struct ShmSlot {
   std::atomic<uint64_t> seq{0};
   uint64_t offset = 0;     // payload start, bytes from segment base
-  uint32_t len = 0;        // serialized payload length
+  uint32_t len = 0;        // bytes used: item table + packed bytes
   uint32_t msg_count = 0;  // messages in this batch chunk
 };
 
-/// Serialized size of one StreamMessage in the slot wire format
-/// (kind u8 + weight u32 + trace_id u64 + trace_ns u64 + len u32 + bytes).
-size_t ShmEncodedMessageSize(const StreamMessage& message);
+/// Slot bytes one message needs: its item-table entry plus its packed
+/// bytes. A slot region holds a chunk of a batch as the chunk's item table
+/// (BatchItems, offsets relative to the chunk's bytes) followed by the
+/// chunk's packed bytes — the batch's own representation, so a push copies
+/// the table and arena ranges instead of serializing message by message.
+size_t ShmItemBytes(const BatchItem& item);
 
-/// Appends `message` to `out` in the slot wire format.
-void ShmEncodeMessage(const StreamMessage& message, ByteBuffer* out);
+/// Writes the items of `batch` in [begin, end) that are not flagged in
+/// `skip` into the slot region at `out` and sets `*count` to how many it
+/// wrote. The packed bytes of consecutive items are copied as one arena
+/// range. Returns the bytes written (the sum of their ShmItemBytes).
+size_t ShmWriteChunk(const StreamBatch& batch, size_t begin, size_t end,
+                     const std::vector<char>& skip, uint8_t* out,
+                     uint32_t* count);
 
-/// Decodes `count` messages from `bytes` into `out->items` (appending).
-/// Bounds-checked everywhere: returns false on any truncation or overrun,
-/// which the ring treats as a torn slot. Never crashes on garbage.
-bool ShmDecodeBatch(ByteSpan bytes, uint32_t count, StreamBatch* out);
+/// Appends the `count` messages of a slot region to `out`. Bounds-checked
+/// everywhere: returns false (appending nothing) when a kind is unknown or
+/// the table does not tile the bytes exactly, which the ring treats as a
+/// torn slot. Never crashes on garbage.
+bool ShmReadChunk(ByteSpan bytes, uint32_t count, StreamBatch* out);
 
 /// Total segment bytes for a ring of `slot_count` slots.
 size_t ShmRingSegmentSize(size_t slot_count, size_t slot_bytes);

@@ -1,10 +1,13 @@
 #ifndef GIGASCOPE_RTS_TUPLE_H_
 #define GIGASCOPE_RTS_TUPLE_H_
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/bytes.h"
+#include "expr/codegen.h"
 #include "expr/type.h"
 #include "gsql/schema.h"
 
@@ -13,26 +16,63 @@ namespace gigascope::rts {
 /// A decoded tuple: one Value per schema field.
 using Row = std::vector<expr::Value>;
 
+/// The fields an operator reads from its input tuples: ascending field
+/// indexes, no duplicates. Only these are materialized by
+/// TupleCodec::DecodeFields.
+using ReadSet = std::vector<uint32_t>;
+
+/// Adds every field of input row 0 that `expr` loads (kLoadField) to
+/// `set`, keeping it sorted and unique.
+void AddLoadedFields(const expr::CompiledExpr& expr, ReadSet* set);
+
 /// Packs and unpacks tuples of one schema ("the fields of its tuples are
 /// packed in a standard fashion", §2.2). The packed form is what crosses
 /// the shared-memory channels between query nodes.
 ///
 /// Layout: fields in schema order. BOOL = 1 byte; INT/UINT/FLOAT = 8 bytes
-/// little-endian; IP = 4 bytes; STRING = u32 length + bytes.
+/// little-endian; IP = 4 bytes; STRING = u32 length + bytes. The layout is
+/// computed once per schema: every field sits at a fixed distance from the
+/// end of the string before it (or from the tuple start), so locating a
+/// field costs one length read per preceding string and nothing else.
 class TupleCodec {
  public:
   explicit TupleCodec(const gsql::StreamSchema& schema);
 
   const gsql::StreamSchema& schema() const { return schema_; }
 
-  /// Serializes `row` (must match the schema arity and field types).
+  /// Appends the packed form of `row` to `out`, sizing it once. `row` must
+  /// match the schema arity and field types (checked: callers validate
+  /// untrusted rows first, see Engine::InjectRow).
   void Encode(const Row& row, ByteBuffer* out) const;
 
-  /// Deserializes a packed tuple; fails on truncation or overrun.
-  Result<Row> Decode(ByteSpan bytes) const;
+  /// Writes exactly EncodedSize(row) bytes of `row`'s packed form at `out`.
+  void EncodeTo(const Row& row, uint8_t* out) const;
 
   /// Encoded size of `row` in bytes.
   size_t EncodedSize(const Row& row) const;
+
+  /// Encoded size of a tuple whose strings are all empty: the fixed-width
+  /// fields plus one length word per string.
+  size_t fixed_size() const { return fixed_size_; }
+
+  /// Deserializes a packed tuple; fails on truncation, a string length
+  /// that runs past the end, or trailing bytes.
+  Result<Row> Decode(ByteSpan bytes) const;
+
+  /// Whether `bytes` is exactly one well-framed tuple: the checks Decode
+  /// makes, without materializing anything.
+  bool Framed(ByteSpan bytes) const;
+
+  /// Read-set decode: validates `bytes` exactly as Decode does, then
+  /// materializes only the fields in `fields` into `row`, which is resized
+  /// to the schema arity if needed and otherwise reused (fields outside
+  /// the read set keep whatever they held). Returns false — touching
+  /// nothing the caller may rely on — when Decode would fail.
+  bool DecodeFields(ByteSpan bytes, const ReadSet& fields, Row* row) const;
+
+  /// Materializes `fields` of an already Framed() tuple into `row` (sized
+  /// to the schema arity).
+  void ReadFields(ByteSpan framed, const ReadSet& fields, Row* row) const;
 
   /// Byte offset of field `field` in every encoded tuple of this schema,
   /// when all preceding fields are fixed-width (no strings); nullopt when
@@ -45,11 +85,33 @@ class TupleCodec {
   static std::optional<size_t> FixedTypeWidth(gsql::DataType type);
 
  private:
+  /// Where one field lives: `offset` bytes past the start of segment
+  /// `segment`, where segment k starts right after the k-th string (segment
+  /// 0 at the tuple start). A string's offset points at its length word.
+  struct Slot {
+    gsql::DataType type = gsql::DataType::kUint;
+    uint32_t width = 0;  // 0 for strings
+    uint32_t segment = 0;
+    uint32_t offset = 0;
+  };
+
+  /// Null when `bytes` is well framed, else why it is not.
+  const char* FramingError(ByteSpan bytes) const;
+  /// Reads one field whose bytes start at `p`.
+  expr::Value ReadValue(const Slot& slot, const uint8_t* p) const;
+
   gsql::StreamSchema schema_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> string_fields_;  // field index of each string
+  size_t fixed_size_ = 0;
+  size_t tail_bytes_ = 0;  // fixed bytes after the last string
 };
 
-/// A message flowing on a stream channel: a tuple or a punctuation
+/// What a message on a stream channel is: a tuple or a punctuation
 /// (ordering-update token, §3 "Unblocking Operators").
+enum class MessageKind : uint8_t { kTuple, kPunctuation };
+
+/// The per-message metadata that travels beside the packed bytes.
 ///
 /// The trace context piggybacks on the message: when the inject thread
 /// samples a packet (telemetry::Tracer), every message derived from it —
@@ -58,12 +120,8 @@ class TupleCodec {
 /// record per-hop spans and the terminal node the inject→emit latency.
 /// trace_id 0 (the default) means untraced; the hot path only ever
 /// copies the two words.
-struct StreamMessage {
-  enum class Kind : uint8_t { kTuple, kPunctuation };
-  Kind kind = Kind::kTuple;
-  ByteBuffer payload;
-  uint64_t trace_id = 0;
-  int64_t trace_ns = 0;  // inject time, in the tracer's epoch
+struct MessageMeta {
+  MessageKind kind = MessageKind::kTuple;
   /// How many offered tuples this message stands for. 1 normally; under
   /// L1 load shedding a surviving source tuple carries the sampling rate
   /// in force when it was injected (its Horvitz-Thompson weight), and
@@ -71,6 +129,15 @@ struct StreamMessage {
   /// decision — not read at fold time — so a backlog of pre-shed tuples
   /// is never retroactively scaled.
   uint32_t weight = 1;
+  uint64_t trace_id = 0;
+  int64_t trace_ns = 0;  // inject time, in the tracer's epoch
+};
+
+/// One row of a batch's item table: the message's metadata and where its
+/// packed bytes sit in the batch arena.
+struct BatchItem : MessageMeta {
+  uint32_t offset = 0;
+  uint32_t length = 0;
 };
 
 /// The unit a ring slot carries: zero or more tuples followed by at most
@@ -80,18 +147,103 @@ struct StreamMessage {
 /// the order it was produced, and a punctuation always closes its batch
 /// (nothing in this batch follows it, so its ordering guarantee covers
 /// exactly the tuples that preceded it on the stream).
-struct StreamBatch {
-  std::vector<StreamMessage> items;
+///
+/// Storage is one byte arena holding every message's packed bytes back to
+/// back, in item order, plus the item table. A batch therefore costs one
+/// arena and one table allocation however many tuples it holds, and a
+/// shared-memory ring moves it with a copy of each (rts/shm.h). The object
+/// itself is one pointer, allocated on first append: a ring's slot array
+/// of idle batches stays small.
+class StreamBatch {
+ public:
+  StreamBatch() = default;
+  StreamBatch(const StreamBatch& other)
+      : data_(other.data_ != nullptr ? std::make_unique<Data>(*other.data_)
+                                     : nullptr) {}
+  StreamBatch& operator=(const StreamBatch& other) {
+    if (this != &other) *this = StreamBatch(other);
+    return *this;
+  }
+  StreamBatch(StreamBatch&&) noexcept = default;
+  StreamBatch& operator=(StreamBatch&&) noexcept = default;
 
-  size_t size() const { return items.size(); }
-  bool empty() const { return items.empty(); }
+  size_t size() const { return items().size(); }
+  bool empty() const { return items().empty(); }
 
   /// True when the batch ends in a punctuation. Producers maintain the
   /// invariant that a punctuation can only be the last item.
   bool has_punctuation() const {
-    return !items.empty() &&
-           items.back().kind == StreamMessage::Kind::kPunctuation;
+    return !empty() && items().back().kind == MessageKind::kPunctuation;
   }
+
+  const BatchItem& item(size_t i) const { return data_->items[i]; }
+  const std::vector<BatchItem>& items() const {
+    return data_ != nullptr ? data_->items : kNoItems;
+  }
+
+  /// The packed bytes of item `i`; valid until the batch is next changed.
+  ByteSpan payload(size_t i) const { return payload(data_->items[i]); }
+  ByteSpan payload(const BatchItem& item) const {
+    return ByteSpan(data_->arena.data() + item.offset, item.length);
+  }
+
+  /// The arena: every item's bytes, back to back in item order (a prefix
+  /// may be dead after DropFront).
+  ByteSpan arena() const {
+    return data_ != nullptr
+               ? ByteSpan(data_->arena.data(), data_->arena.size())
+               : ByteSpan();
+  }
+
+  /// Appends a message of `length` bytes and returns where to write them
+  /// (valid until the next append).
+  uint8_t* Append(const MessageMeta& meta, size_t length);
+
+  /// Appends a message holding a copy of `bytes`.
+  void Append(const MessageMeta& meta, ByteSpan bytes);
+
+  /// Appends `row` packed by `codec`, as a tuple.
+  void AppendTuple(const TupleCodec& codec, const Row& row,
+                   MessageMeta meta = {});
+
+  /// Appends a copy of item `i` of `other`.
+  void AppendFrom(const StreamBatch& other, size_t i) {
+    Append(other.item(i), other.payload(i));
+  }
+
+  /// Appends `count` items from a packed item table (`count` BatchItems
+  /// laid out by memcpy, any alignment) whose offsets are relative to
+  /// `arena`, and copies `arena` after the current arena. The caller has
+  /// validated the table against `arena` (rts/shm.cc).
+  void AppendPacked(const uint8_t* table, size_t count, ByteSpan arena);
+
+  /// Removes the first `count` items (their bytes stay in the arena).
+  void DropFront(size_t count);
+
+  /// Empties the batch, keeping its allocations.
+  void clear() {
+    if (data_ == nullptr) return;
+    data_->items.clear();
+    data_->arena.clear();
+  }
+
+  /// Sizes the item table and arena for `items` messages of `bytes` in
+  /// all.
+  void Reserve(size_t items, size_t bytes);
+
+ private:
+  struct Data {
+    std::vector<BatchItem> items;
+    ByteBuffer arena;
+  };
+  static const std::vector<BatchItem> kNoItems;
+
+  Data& data() {
+    if (data_ == nullptr) data_ = std::make_unique<Data>();
+    return *data_;
+  }
+
+  std::unique_ptr<Data> data_;
 };
 
 }  // namespace gigascope::rts

@@ -31,10 +31,7 @@ void StatsSource::EmitSnapshot(SimTime now) {
     row[3] = Value::String(sample.metric);
     row[4] = Value::Uint(sample.value);
     row[5] = Value::String(sample.proc);
-    rts::StreamMessage message;
-    message.kind = rts::StreamMessage::Kind::kTuple;
-    codec_.Encode(row, &message.payload);
-    batch.items.push_back(std::move(message));
+    batch.AppendTuple(codec_, row);
   }
 
   // No tuple of a later snapshot will carry smaller time attributes, so
@@ -42,7 +39,7 @@ void StatsSource::EmitSnapshot(SimTime now) {
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(0, Value::Uint(seconds));
   punctuation.bounds.emplace_back(1, Value::Uint(nanos));
-  batch.items.push_back(rts::MakePunctuationMessage(punctuation, schema_));
+  rts::AppendPunctuation(punctuation, schema_, rts::MessageMeta{}, &batch);
   streams_->PublishBatch(stream, std::move(batch));
   ++snapshots_;
 }

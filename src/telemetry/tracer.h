@@ -28,7 +28,7 @@ struct TraceEvent {
 
 /// Sampled per-tuple tracing (the profiling face of "use Gigascope to
 /// monitor Gigascope"): the inject thread tags 1-in-N packets with a trace
-/// id; the trace context rides on every StreamMessage derived from a
+/// id; the trace context rides on every message derived from a
 /// tagged one through LFTA pre-aggregation, the rings, and the HFTA
 /// operators, and each operator records a span per traced message it
 /// processes. The result serializes as Chrome trace-event JSON, loadable

@@ -57,6 +57,11 @@ net::Packet MakeUdpPacket(SimTime timestamp, uint16_t dst_port) {
 
 class AnalyzeTest : public ::testing::Test {
  protected:
+  // The goldens record the default tier's `jit-active` line, so the
+  // process-wide override a --jit=sync run exports must not leak in (as in
+  // jit_test's EngineJitTest).
+  void SetUp() override { unsetenv("GS_JIT_FORCE"); }
+
   // Runs `query` over 5 TCP + 3 UDP packets (one per second) through a
   // fresh single-process engine; the counts in the golden follow from
   // this fixed workload.

@@ -1,11 +1,13 @@
 // Batch-vs-per-tuple equivalence: the batched data plane is a pure
 // transport optimization, so the byte-exact sequence of emitted tuples AND
 // the positions of punctuations in every output stream must be identical
-// for any batch size, single-threaded or threaded. The baseline is batch
+// for any batch size, single-threaded, threaded, or with HFTAs in worker
+// processes (batch arenas then cross shm rings). The baseline is batch
 // size 1 (per-tuple flow, the pre-batching data plane).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,25 +23,31 @@ using expr::Value;
 /// One output message rendered for diffing: kind marker + raw payload
 /// bytes. Tuple payloads are deterministic encodings, so byte equality is
 /// row equality; punctuations keep their position in the sequence.
-std::string RenderMessage(const rts::StreamMessage& message) {
-  std::string text(message.kind == rts::StreamMessage::Kind::kTuple ? "T:"
-                                                                    : "P:");
-  text.append(reinterpret_cast<const char*>(message.payload.data()),
-              message.payload.size());
+std::string RenderMessage(const rts::BatchItem& item, ByteSpan payload) {
+  std::string text(item.kind == rts::MessageKind::kTuple ? "T:" : "P:");
+  text.append(reinterpret_cast<const char*>(payload.data()), payload.size());
   return text;
 }
 
+/// Where the HFTAs run.
+enum class Mode { kSingle, kThreads, kProcesses };
+
 /// Replays a fixed randomized workload through the engine at the given
-/// batch size / thread count and returns the full message trace of both
-/// query outputs (a stateless filter and a split aggregation).
-std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
+/// batch size and mode (two workers when not single) and returns the full
+/// message trace of the query outputs: a stateless filter, a split
+/// aggregation, and the paper's HTTP regex query, whose LFTA ships payload
+/// strings to the HFTA.
+std::vector<std::string> RunWorkload(size_t batch_size, Mode mode) {
   workload::TrafficConfig config;
   config.seed = 11;
   config.num_flows = 40;
+  config.port80_fraction = 0.3;
+  config.http_fraction = 0.5;
   workload::TrafficGenerator gen(config);
 
   EngineOptions options;
   options.batch_max_size = batch_size;
+  options.process.enabled = mode == Mode::kProcesses;
   Engine engine(options);
   engine.AddInterface("eth0");
   EXPECT_TRUE(engine
@@ -53,11 +61,22 @@ std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
                             "FROM eth0.PKT "
                             "GROUP BY time AS tb, destIP")
                   .ok());
-  auto filter_out = engine.registry().Subscribe("filter", 1 << 15);
-  auto agg_out = engine.registry().Subscribe("agg", 1 << 15);
-  EXPECT_TRUE(filter_out.ok() && agg_out.ok());
-  if (threads > 0) {
-    Status started = engine.StartThreads(threads);
+  EXPECT_TRUE(engine
+                  .AddQuery("DEFINE { query_name http80; } "
+                            "SELECT time, len FROM eth0.PKT "
+                            "WHERE protocol = 6 AND destPort = 80 "
+                            "AND match_regex(payload, '^[^\\n]*HTTP/1.*')")
+                  .ok());
+  const char* kOutputs[] = {"filter", "agg", "http80"};
+  std::vector<rts::Subscription> outputs;
+  for (const char* name : kOutputs) {
+    auto out = engine.registry().Subscribe(name, 1 << 15);
+    EXPECT_TRUE(out.ok());
+    outputs.push_back(*out);
+  }
+  if (mode != Mode::kSingle) {
+    Status started = mode == Mode::kThreads ? engine.StartThreads(2)
+                                            : engine.StartProcesses(2);
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
 
@@ -74,33 +93,42 @@ std::vector<std::string> RunWorkload(size_t batch_size, size_t threads) {
   engine.FlushAll();
 
   std::vector<std::string> trace;
-  rts::StreamMessage message;
-  while ((*filter_out)->TryPop(&message)) {
-    trace.push_back("filter/" + RenderMessage(message));
-  }
-  while ((*agg_out)->TryPop(&message)) {
-    trace.push_back("agg/" + RenderMessage(message));
+  rts::StreamBatch batch;
+  for (size_t q = 0; q < outputs.size(); ++q) {
+    while (outputs[q]->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        trace.push_back(std::string(kOutputs[q]) + "/" +
+                        RenderMessage(item, batch.payload(item)));
+      }
+    }
   }
   // No run may have lost anything to backpressure: equivalence is only
   // meaningful when every configuration saw the whole workload.
   EXPECT_EQ(engine.registry().TotalDrops("eth0.PKT"), 0u);
-  EXPECT_EQ(engine.registry().TotalDrops("filter"), 0u);
-  EXPECT_EQ(engine.registry().TotalDrops("agg"), 0u);
+  for (const char* name : kOutputs) {
+    EXPECT_EQ(engine.registry().TotalDrops(name), 0u) << name;
+  }
+  EXPECT_EQ(engine.registry().TotalOversizeDroppedAll(), 0u);
   return trace;
 }
 
 TEST(BatchEquivalenceTest, RowsAndPunctuationsMatchAcrossBatchSizes) {
   // Baseline: per-tuple flow, single-threaded.
-  std::vector<std::string> baseline = RunWorkload(1, 0);
+  std::vector<std::string> baseline = RunWorkload(1, Mode::kSingle);
   ASSERT_FALSE(baseline.empty());
+  // The regex query really matched some payloads (and rejected others).
+  const auto http_rows = std::count_if(
+      baseline.begin(), baseline.end(),
+      [](const std::string& m) { return m.rfind("http80/T:", 0) == 0; });
+  EXPECT_GT(http_rows, 0);
 
   const size_t kBatchSizes[] = {1, 7, 64, 4096};
   for (size_t batch_size : kBatchSizes) {
-    for (size_t threads : {size_t{0}, size_t{2}}) {
-      if (batch_size == 1 && threads == 0) continue;  // the baseline itself
-      std::vector<std::string> trace = RunWorkload(batch_size, threads);
-      EXPECT_EQ(trace, baseline)
-          << "batch_size=" << batch_size << " threads=" << threads;
+    for (Mode mode : {Mode::kSingle, Mode::kThreads, Mode::kProcesses}) {
+      if (batch_size == 1 && mode == Mode::kSingle) continue;  // baseline
+      std::vector<std::string> trace = RunWorkload(batch_size, mode);
+      EXPECT_EQ(trace, baseline) << "batch_size=" << batch_size
+                                 << " mode=" << static_cast<int>(mode);
     }
   }
 }

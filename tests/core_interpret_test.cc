@@ -154,16 +154,18 @@ TEST(InterpretPacketTest, UnknownFieldsGetTypeDefaults) {
 std::vector<std::pair<uint64_t, uint64_t>> DrainPunctuations(
     rts::RingChannel* channel, const gsql::StreamSchema& schema) {
   std::vector<std::pair<uint64_t, uint64_t>> bounds;
-  rts::StreamMessage message;
-  while (channel->TryPop(&message)) {
-    if (message.kind != rts::StreamMessage::Kind::kPunctuation) continue;
-    auto punctuation = rts::DecodePunctuation(
-        ByteSpan(message.payload.data(), message.payload.size()), schema);
-    EXPECT_TRUE(punctuation.ok());
-    auto time = punctuation->BoundFor(*schema.FieldIndex("time"));
-    auto timestamp = punctuation->BoundFor(*schema.FieldIndex("timestamp"));
-    EXPECT_TRUE(time.has_value() && timestamp.has_value());
-    bounds.emplace_back(time->uint_value(), timestamp->uint_value());
+  rts::StreamBatch message_batch;
+  while (channel->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind != rts::MessageKind::kPunctuation) continue;
+      auto punctuation = rts::DecodePunctuation(
+          message_batch.payload(message), schema);
+      EXPECT_TRUE(punctuation.ok());
+      auto time = punctuation->BoundFor(*schema.FieldIndex("time"));
+      auto timestamp = punctuation->BoundFor(*schema.FieldIndex("timestamp"));
+      EXPECT_TRUE(time.has_value() && timestamp.has_value());
+      bounds.emplace_back(time->uint_value(), timestamp->uint_value());
+    }
   }
   return bounds;
 }

@@ -378,6 +378,114 @@ TEST(EngineTest, CustomProtocolViaDdl) {
   EXPECT_EQ((*row)[1].uint_value(), packet.orig_len);
 }
 
+TEST(EngineTest, DdlRejectsBuiltinFieldNamesOfAnotherType) {
+  // A protocol field named like a built-in extractor is written straight
+  // from that extractor into the packed tuple, so it must have the type
+  // the extractor produces. These used to be accepted and then abort the
+  // engine on the first packet.
+  struct Case {
+    const char* ddl;
+    const char* field;
+    const char* produced;
+  };
+  const Case cases[] = {
+      {"CREATE PROTOCOL MINI (time UINT INCREASING, srcIP UINT)", "srcIP",
+       "IP"},
+      {"CREATE PROTOCOL MINI (time UINT INCREASING, len INT)", "len", "UINT"},
+      {"CREATE PROTOCOL MINI (time UINT INCREASING, payload UINT)", "payload",
+       "STRING"},
+      {"CREATE PROTOCOL MINI (time INT INCREASING, len UINT)", "time", "UINT"},
+  };
+  for (const Case& c : cases) {
+    Engine engine;
+    engine.AddInterface("eth0");
+    Status status = engine.ExecuteDdl(c.ddl);
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << c.ddl;
+    EXPECT_NE(status.message().find(std::string("'") + c.field + "'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(std::string("produces ") + c.produced),
+              std::string::npos)
+        << status.message();
+    // Nothing was registered: no query can name the protocol.
+    EXPECT_FALSE(
+        engine.AddQuery("DEFINE { query_name m; } SELECT len FROM eth0.MINI")
+            .ok());
+  }
+  // The well-typed declaration of the same fields is accepted and runs.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .ExecuteDdl("CREATE PROTOCOL MINI (time UINT INCREASING, "
+                              "srcIP IP, payload STRING)")
+                  .ok());
+  auto info = engine.AddQuery(
+      "DEFINE { query_name m; } SELECT time, srcIP, payload FROM eth0.MINI");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto sub = engine.Subscribe("m");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(engine
+                  .InjectPacket("eth0",
+                                MakeTcpPacket(kNanosPerSecond, 1, 2, "abc"))
+                  .ok());
+  engine.PumpUntilIdle();
+  auto row = (*sub)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[0].uint_value(), 1u);
+  EXPECT_EQ((*row)[2].string_value(), "abc");
+}
+
+TEST(EngineTest, InjectRowAndPunctuationRejectMismatchedInput) {
+  Engine engine;
+  std::vector<gsql::FieldDef> fields;
+  fields.push_back({"t", DataType::kUint, gsql::OrderSpec::Increasing()});
+  fields.push_back({"v", DataType::kUint, gsql::OrderSpec::None()});
+  fields.push_back({"s", DataType::kString, gsql::OrderSpec::None()});
+  ASSERT_TRUE(engine
+                  .DeclareStream(gsql::StreamSchema(
+                      "external", gsql::StreamKind::kStream, fields))
+                  .ok());
+  ASSERT_TRUE(
+      engine.AddQuery("DEFINE { query_name q; } SELECT t, v FROM external")
+          .ok());
+  auto sub = engine.Subscribe("q");
+  ASSERT_TRUE(sub.ok());
+
+  const Value s = Value::String("x");
+  const rts::Row bad_rows[] = {
+      {Value::Uint(1), Value::Uint(2)},                     // too few
+      {Value::Uint(1), Value::Uint(2), s, Value::Uint(3)},  // too many
+      {Value::Uint(1), Value::Int(2), s},                   // wrong type
+      {Value::Uint(1), Value::Uint(2), Value::Uint(3)},     // wrong type
+  };
+  for (const rts::Row& row : bad_rows) {
+    EXPECT_EQ(engine.InjectRow("external", row).code(),
+              Status::Code::kInvalidArgument)
+        << row.size();
+  }
+  // A bound must have its field's type, and that type must be numeric.
+  EXPECT_EQ(engine.InjectPunctuation("external", 0, Value::Int(5)).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(engine.InjectPunctuation("external", 2, s).code(),
+            Status::Code::kInvalidArgument);
+  // Nothing was published.
+  for (const rts::Subscription& channel :
+       engine.registry().Subscribers("external")) {
+    EXPECT_EQ(channel->pushed(), 0u);
+  }
+  engine.PumpUntilIdle();
+  EXPECT_FALSE((*sub)->NextRow().has_value());
+
+  // Well-formed input still flows.
+  ASSERT_TRUE(
+      engine.InjectRow("external", {Value::Uint(1), Value::Uint(21), s}).ok());
+  ASSERT_TRUE(engine.InjectPunctuation("external", 0, Value::Uint(2)).ok());
+  engine.PumpUntilIdle();
+  auto row = (*sub)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[1].uint_value(), 21u);
+}
+
 TEST(EngineTest, ExternalStreamViaInjectRow) {
   Engine engine;
   // The "write your own query node" path: declare a stream and feed it.

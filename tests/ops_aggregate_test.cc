@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "channel_reader.h"
 #include "common/rng.h"
 #include "expr/codegen.h"
 #include "ops/aggregate.h"
@@ -92,20 +93,20 @@ class AggregateTest : public ::testing::Test {
 
   void Send(uint64_t t, uint64_t key, uint64_t len) {
     rts::TupleCodec codec(InputSchema());
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(t), Value::Uint(key), Value::Uint(len)},
-                 &message.payload);
-    registry_.Publish("in", message);
+    registry_.PublishBatch(
+        "in", testing_util::TupleBatch(codec, {Value::Uint(t), Value::Uint(key),
+                                               Value::Uint(len)}));
   }
 
   std::vector<rts::Row> ReceiveAll() {
     std::vector<rts::Row> rows;
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      auto row = codec_->Decode(
-          ByteSpan(message.payload.data(), message.payload.size()));
-      if (row.ok()) rows.push_back(std::move(row).value());
+    rts::StreamBatch message_batch;
+    while (output_->TryPop(&message_batch)) {
+      for (const rts::BatchItem& message : message_batch.items()) {
+        if (message.kind != rts::MessageKind::kTuple) continue;
+        auto row = codec_->Decode(message_batch.payload(message));
+        if (row.ok()) rows.push_back(std::move(row).value());
+      }
     }
     return rows;
   }
@@ -161,7 +162,7 @@ TEST_F(AggregateTest, PunctuationClosesGroups) {
   // Punctuation: t >= 50, so bucket 5 is the floor; buckets < 5 close.
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(0, Value::Uint(50));
-  registry_.Publish("in", rts::MakePunctuationMessage(punctuation,
+  registry_.PublishBatch("in", rts::MakePunctuationBatch(punctuation,
                                                       InputSchema()));
   node_->Poll(100);
   auto rows = ReceiveAll();
@@ -175,21 +176,23 @@ TEST_F(AggregateTest, EmitsPunctuationDownstreamOnEpochAdvance) {
   node_->Poll(100);
   // Look for a punctuation on the output stream bounding tb.
   bool saw_punctuation = false;
-  rts::StreamMessage message;
+  rts::StreamBatch message_batch;
   auto sub = registry_.Subscribe("agg", 64);
   // (Subscribe happened after publish; pull again through a new round.)
   Send(25, 100, 1);
   node_->Poll(100);
-  while ((*sub)->TryPop(&message)) {
-    if (message.kind == rts::StreamMessage::Kind::kPunctuation) {
-      auto punctuation = rts::DecodePunctuation(
-          ByteSpan(message.payload.data(), message.payload.size()),
-          AggOutputSchema("agg"));
-      ASSERT_TRUE(punctuation.ok());
-      auto bound = punctuation->BoundFor(0);
-      ASSERT_TRUE(bound.has_value());
-      EXPECT_EQ(bound->uint_value(), 2u);  // 25/10
-      saw_punctuation = true;
+  while ((*sub)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind == rts::MessageKind::kPunctuation) {
+        auto punctuation = rts::DecodePunctuation(
+            message_batch.payload(message),
+            AggOutputSchema("agg"));
+        ASSERT_TRUE(punctuation.ok());
+        auto bound = punctuation->BoundFor(0);
+        ASSERT_TRUE(bound.has_value());
+        EXPECT_EQ(bound->uint_value(), 2u);  // 25/10
+        saw_punctuation = true;
+      }
     }
   }
   EXPECT_TRUE(saw_punctuation);
@@ -234,16 +237,17 @@ TEST_F(AggregateTest, MinMaxAggregates) {
   node.Poll(100);
   node.Flush();
   rts::TupleCodec codec(StreamSchema("mm", StreamKind::kStream, fields));
-  rts::StreamMessage message;
+  rts::StreamBatch message_batch;
   rts::Row row;
   bool got = false;
-  while ((*output)->TryPop(&message)) {
-    if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-    auto decoded = codec.Decode(
-        ByteSpan(message.payload.data(), message.payload.size()));
-    ASSERT_TRUE(decoded.ok());
-    row = *decoded;
-    got = true;
+  while ((*output)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind != rts::MessageKind::kTuple) continue;
+      auto decoded = codec.Decode(message_batch.payload(message));
+      ASSERT_TRUE(decoded.ok());
+      row = *decoded;
+      got = true;
+    }
   }
   ASSERT_TRUE(got);
   EXPECT_EQ(row[1].uint_value(), 10u);
@@ -251,6 +255,48 @@ TEST_F(AggregateTest, MinMaxAggregates) {
 }
 
 // --- Direct-mapped LFTA table ---
+
+TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
+  // Both aggregates, and an LFTA whose read set ({t}) skips the other
+  // fields: framing is still checked in full.
+  OrderedAggregateNode::Spec narrow = MakeSpec("lagg");
+  narrow.keys.pop_back();  // group by t/10 only
+  narrow.key_punctuation_source = {0};
+  narrow.agg_specs.pop_back();  // count(*) only
+  narrow.agg_args.pop_back();
+  std::vector<FieldDef> fields;
+  fields.push_back({"tb", DataType::kUint, OrderSpec::Increasing()});
+  fields.push_back({"cnt", DataType::kUint, OrderSpec::None()});
+  narrow.output_schema = StreamSchema("lagg", StreamKind::kStream, fields);
+  ASSERT_TRUE(registry_.DeclareStream(narrow.output_schema).ok());
+  auto input = registry_.Subscribe("in", 64);
+  ASSERT_TRUE(input.ok());
+  LftaAggregateNode lfta(std::move(narrow), 4, *input, &registry_, params_);
+  auto lfta_out = registry_.Subscribe("lagg", 64);
+  ASSERT_TRUE(lfta_out.ok());
+
+  rts::TupleCodec codec(InputSchema());
+  ByteBuffer valid;
+  codec.Encode({Value::Uint(1), Value::Uint(2), Value::Uint(3)}, &valid);
+  std::vector<ByteBuffer> malformed;
+  malformed.push_back(ByteBuffer(valid.begin(), valid.end() - 1));
+  malformed.push_back(ByteBuffer(valid.begin(), valid.begin() + 8));
+  malformed.push_back(valid);
+  malformed.back().push_back(0);  // trailing byte
+  for (const ByteBuffer& bytes : malformed) {
+    registry_.PublishBatch("in", testing_util::RawBatch(bytes));
+  }
+  node_->Poll(100);
+  lfta.Poll(100);
+  node_->Flush();
+  lfta.Flush();
+  EXPECT_EQ(node_->eval_errors(), malformed.size());
+  EXPECT_EQ(lfta.eval_errors(), malformed.size());
+  EXPECT_EQ(node_->tuples_out(), 0u);
+  EXPECT_EQ(lfta.tuples_out(), 0u);
+  EXPECT_TRUE(ReceiveAll().empty());
+  EXPECT_EQ((*lfta_out)->pushed(), 0u);
+}
 
 TEST(DirectMappedTableTest, UpsertAndDrain) {
   std::vector<AggregateSpec> specs;
@@ -356,21 +402,22 @@ class BandedAggregateTest : public ::testing::Test {
 
   void Send(uint64_t bt) {
     rts::TupleCodec codec(BandedInputSchema());
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(bt), Value::Uint(1)}, &message.payload);
-    registry_.Publish("bin", message);
+    registry_.PublishBatch(
+        "bin",
+        testing_util::TupleBatch(codec, {Value::Uint(bt), Value::Uint(1)}));
   }
 
   std::vector<std::pair<uint64_t, uint64_t>> ReceiveGroups() {
     std::vector<std::pair<uint64_t, uint64_t>> groups;
     rts::TupleCodec codec(registry_.GetSchema("bagg").value());
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      auto row = codec.Decode(
-          ByteSpan(message.payload.data(), message.payload.size()));
-      if (row.ok()) {
-        groups.emplace_back((*row)[0].uint_value(), (*row)[1].uint_value());
+    rts::StreamBatch message_batch;
+    while (output_->TryPop(&message_batch)) {
+      for (const rts::BatchItem& message : message_batch.items()) {
+        if (message.kind != rts::MessageKind::kTuple) continue;
+        auto row = codec.Decode(message_batch.payload(message));
+        if (row.ok()) {
+          groups.emplace_back((*row)[0].uint_value(), (*row)[1].uint_value());
+        }
       }
     }
     return groups;
@@ -425,7 +472,7 @@ TEST_F(BandedAggregateTest, PunctuationIsAuthoritativeDespiteBand) {
   // An upstream punctuation is a hard guarantee (not band-relative).
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(0, Value::Uint(200));
-  registry_.Publish("bin", rts::MakePunctuationMessage(
+  registry_.PublishBatch("bin", rts::MakePunctuationBatch(
                                punctuation, BandedInputSchema()));
   node_->Poll(100);
   EXPECT_EQ(ReceiveGroups().size(), 2u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "channel_reader.h"
 #include "expr/codegen.h"
 #include "ops/join.h"
 #include "rts/punctuation.h"
@@ -75,21 +76,22 @@ class JoinTest : public ::testing::Test {
 
   void Send(const std::string& stream, uint64_t ts, uint64_t v) {
     rts::TupleCodec codec(SideSchema(stream));
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(ts), Value::Uint(v)}, &message.payload);
-    registry_.Publish(stream, message);
+    registry_.PublishBatch(
+        stream,
+        testing_util::TupleBatch(codec, {Value::Uint(ts), Value::Uint(v)}));
   }
 
   /// Returns (left_ts, right_ts) pairs.
   std::vector<std::pair<uint64_t, uint64_t>> ReceivePairs() {
     std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      auto row = codec_->Decode(
-          ByteSpan(message.payload.data(), message.payload.size()));
-      if (row.ok()) {
-        pairs.emplace_back((*row)[0].uint_value(), (*row)[2].uint_value());
+    rts::StreamBatch message_batch;
+    while (output_->TryPop(&message_batch)) {
+      for (const rts::BatchItem& message : message_batch.items()) {
+        if (message.kind != rts::MessageKind::kTuple) continue;
+        auto row = codec_->Decode(message_batch.payload(message));
+        if (row.ok()) {
+          pairs.emplace_back((*row)[0].uint_value(), (*row)[2].uint_value());
+        }
       }
     }
     return pairs;
@@ -123,9 +125,9 @@ size_t JoinScenarioHighWater(bool order_preserving) {
   rts::TupleCodec codec(SideSchema("l"));
   for (uint64_t t = 1; t <= 400; ++t) {
     for (const char* stream : {"l", "r"}) {
-      rts::StreamMessage message;
-      codec.Encode({Value::Uint(t), Value::Uint(0)}, &message.payload);
-      registry.Publish(stream, message);
+      registry.PublishBatch(
+          stream,
+          testing_util::TupleBatch(codec, {Value::Uint(t), Value::Uint(0)}));
     }
     if (t % 16 == 0) node.Poll(1 << 20);
   }
@@ -235,7 +237,7 @@ TEST_F(JoinTest, PunctuationAdvancesWatermark) {
   // can never match and purges them.
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(0, Value::Uint(10));
-  registry_.Publish("r", rts::MakePunctuationMessage(punctuation,
+  registry_.PublishBatch("r", rts::MakePunctuationBatch(punctuation,
                                                      SideSchema("r")));
   node_->Poll(100);
   EXPECT_EQ(node_->buffered_left(), 0u);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "channel_reader.h"
 #include "ops/merge.h"
 #include "rts/punctuation.h"
 
@@ -51,26 +52,27 @@ class MergeTest : public ::testing::Test {
 
   void Send(const std::string& stream, uint64_t time, uint64_t v) {
     rts::TupleCodec codec(MergeSchema(stream));
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(time), Value::Uint(v)}, &message.payload);
-    registry_.Publish(stream, message);
+    registry_.PublishBatch(
+        stream,
+        testing_util::TupleBatch(codec, {Value::Uint(time), Value::Uint(v)}));
   }
 
   void SendHeartbeat(const std::string& stream, uint64_t time) {
     rts::Punctuation punctuation;
     punctuation.bounds.emplace_back(0, Value::Uint(time));
-    registry_.Publish(stream, rts::MakePunctuationMessage(
+    registry_.PublishBatch(stream, rts::MakePunctuationBatch(
                                   punctuation, MergeSchema(stream)));
   }
 
   std::vector<uint64_t> ReceiveTimes() {
     std::vector<uint64_t> times;
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      auto row = codec_->Decode(
-          ByteSpan(message.payload.data(), message.payload.size()));
-      if (row.ok()) times.push_back((*row)[0].uint_value());
+    rts::StreamBatch message_batch;
+    while (output_->TryPop(&message_batch)) {
+      for (const rts::BatchItem& message : message_batch.items()) {
+        if (message.kind != rts::MessageKind::kTuple) continue;
+        auto row = codec_->Decode(message_batch.payload(message));
+        if (row.ok()) times.push_back((*row)[0].uint_value());
+      }
     }
     return times;
   }
@@ -179,10 +181,12 @@ TEST_F(MergeTest, EmitsDownstreamPunctuation) {
   Send("b", 40, 0);
   node_->Poll(100);
   bool saw_punctuation = false;
-  rts::StreamMessage message;
-  while ((*sub)->TryPop(&message)) {
-    if (message.kind == rts::StreamMessage::Kind::kPunctuation) {
-      saw_punctuation = true;
+  rts::StreamBatch message_batch;
+  while ((*sub)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind == rts::MessageKind::kPunctuation) {
+        saw_punctuation = true;
+      }
     }
   }
   EXPECT_TRUE(saw_punctuation);

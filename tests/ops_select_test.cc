@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "channel_reader.h"
 #include "expr/codegen.h"
 #include "ops/select_project.h"
 #include "rts/punctuation.h"
@@ -70,34 +71,34 @@ class SelectProjectTest : public ::testing::Test {
     auto output = registry_.Subscribe("out", 64);
     ASSERT_TRUE(output.ok());
     output_ = *output;
+    reader_ = std::make_unique<testing_util::ChannelReader>(output_.get());
     codec_ = std::make_unique<rts::TupleCodec>(OutputSchema());
   }
 
   void Send(uint64_t t, uint64_t v) {
     rts::TupleCodec codec(InputSchema());
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(t), Value::Uint(v)}, &message.payload);
-    registry_.Publish("in", message);
+    registry_.PublishBatch(
+        "in",
+        testing_util::TupleBatch(codec, {Value::Uint(t), Value::Uint(v)}));
   }
 
   std::optional<rts::Row> Receive() {
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-      auto row = codec_->Decode(
-          ByteSpan(message.payload.data(), message.payload.size()));
+    rts::BatchItem item;
+    ByteSpan payload;
+    while (reader_->Next(&item, &payload)) {
+      if (item.kind != rts::MessageKind::kTuple) continue;
+      auto row = codec_->Decode(payload);
       if (row.ok()) return std::move(row).value();
     }
     return std::nullopt;
   }
 
   std::optional<rts::Punctuation> ReceivePunctuation() {
-    rts::StreamMessage message;
-    while (output_->TryPop(&message)) {
-      if (message.kind != rts::StreamMessage::Kind::kPunctuation) continue;
-      auto punctuation = rts::DecodePunctuation(
-          ByteSpan(message.payload.data(), message.payload.size()),
-          OutputSchema());
+    rts::BatchItem item;
+    ByteSpan payload;
+    while (reader_->Next(&item, &payload)) {
+      if (item.kind != rts::MessageKind::kPunctuation) continue;
+      auto punctuation = rts::DecodePunctuation(payload, OutputSchema());
       if (punctuation.ok()) return std::move(punctuation).value();
     }
     return std::nullopt;
@@ -107,6 +108,7 @@ class SelectProjectTest : public ::testing::Test {
   rts::ParamBlock params_;
   std::unique_ptr<SelectProjectNode> node_;
   rts::Subscription output_;
+  std::unique_ptr<testing_util::ChannelReader> reader_;
   std::unique_ptr<rts::TupleCodec> codec_;
 };
 
@@ -138,8 +140,8 @@ TEST_F(SelectProjectTest, PollRespectsBudget) {
 TEST_F(SelectProjectTest, PunctuationMapsThroughProjection) {
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(0, Value::Uint(600));
-  registry_.Publish("in", rts::MakePunctuationMessage(punctuation,
-                                                      InputSchema()));
+  registry_.PublishBatch("in", rts::MakePunctuationBatch(punctuation,
+                                                          InputSchema()));
   node_->Poll(10);
   auto out = ReceivePunctuation();
   ASSERT_TRUE(out.has_value());
@@ -150,13 +152,62 @@ TEST_F(SelectProjectTest, PunctuationMapsThroughProjection) {
 }
 
 TEST_F(SelectProjectTest, MalformedTupleCountsEvalError) {
-  rts::StreamMessage junk;
-  junk.kind = rts::StreamMessage::Kind::kTuple;
-  junk.payload = {1, 2, 3};  // not a valid encoding
-  registry_.Publish("in", junk);
+  // not a valid encoding
+  registry_.PublishBatch("in", testing_util::RawBatch({1, 2, 3}));
   node_->Poll(10);
   EXPECT_EQ(node_->eval_errors(), 1u);
   EXPECT_EQ(node_->tuples_out(), 0u);
+}
+
+TEST_F(SelectProjectTest, MalformedTuplesCountOneEvalErrorRawFilterOnOrOff) {
+  // The fixture's `v > 10` runs as a raw-byte filter; `v * 1 > 10` does not
+  // match the raw term shape and goes through the VM.
+  ASSERT_TRUE(node_->has_raw_filter());
+  SelectProjectNode::Spec spec;
+  spec.name = "vm";
+  spec.input_schema = InputSchema();
+  std::vector<FieldDef> out_fields;
+  out_fields.push_back({"v", DataType::kUint, OrderSpec::None()});
+  spec.output_schema = StreamSchema("vm", StreamKind::kStream, out_fields);
+  spec.predicate = MustCompile(expr::MakeBinaryIr(
+      BinaryOp::kGt, DataType::kBool,
+      expr::MakeBinaryIr(BinaryOp::kMul, DataType::kUint,
+                         expr::MakeFieldRef(0, 1, DataType::kUint, "v"),
+                         expr::MakeConst(Value::Uint(1))),
+      expr::MakeConst(Value::Uint(10))));
+  spec.projections.push_back(
+      MustCompile(expr::MakeFieldRef(0, 1, DataType::kUint, "v")));
+  spec.punctuation_source = {-1};
+  ASSERT_TRUE(registry_.DeclareStream(spec.output_schema).ok());
+  auto input = registry_.Subscribe("in", 64);
+  ASSERT_TRUE(input.ok());
+  SelectProjectNode vm_node(std::move(spec), *input, &registry_, params_);
+  ASSERT_FALSE(vm_node.has_raw_filter());
+
+  rts::TupleCodec codec(InputSchema());
+  ByteBuffer passing;  // v = 50 passes the predicate
+  codec.Encode({Value::Uint(1), Value::Uint(50)}, &passing);
+  ByteBuffer failing;  // v = 5 fails it
+  codec.Encode({Value::Uint(1), Value::Uint(5)}, &failing);
+  std::vector<ByteBuffer> malformed;
+  malformed.push_back(ByteBuffer(passing.begin(), passing.end() - 1));
+  malformed.push_back(ByteBuffer(failing.begin(), failing.end() - 1));
+  malformed.push_back(passing);
+  malformed.back().push_back(0);  // trailing byte
+  malformed.push_back(failing);
+  malformed.back().push_back(0);
+  malformed.push_back(ByteBuffer{});
+  for (const ByteBuffer& bytes : malformed) {
+    registry_.PublishBatch("in", testing_util::RawBatch(bytes));
+  }
+  node_->Poll(100);
+  vm_node.Poll(100);
+  EXPECT_EQ(node_->eval_errors(), malformed.size());
+  EXPECT_EQ(vm_node.eval_errors(), malformed.size());
+  EXPECT_EQ(node_->tuples_in(), malformed.size());
+  EXPECT_EQ(node_->tuples_out(), 0u);
+  EXPECT_EQ(vm_node.tuples_out(), 0u);
+  EXPECT_FALSE(Receive().has_value());
 }
 
 TEST_F(SelectProjectTest, ParamChangeTakesEffectImmediately) {

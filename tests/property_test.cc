@@ -7,6 +7,7 @@
 #include <map>
 
 #include "bpf/interpreter.h"
+#include "channel_reader.h"
 #include "core/engine.h"
 #include "expr/vm.h"
 #include "ops/aggregate.h"
@@ -142,10 +143,10 @@ TEST_P(MergeProperty, OutputSortedAndComplete) {
   while (sent < total) {
     size_t i = rng.NextBelow(kInputs);
     if (positions[i] >= sequences[i].size()) continue;
-    rts::StreamMessage message;
-    codec.Encode({Value::Uint(sequences[i][positions[i]++])},
-                 &message.payload);
-    registry.Publish("in" + std::to_string(i), message);
+    registry.PublishBatch(
+        "in" + std::to_string(i),
+        testing_util::TupleBatch(codec,
+                                 {Value::Uint(sequences[i][positions[i]++])}));
     ++sent;
     if (rng.NextBool(0.1)) node.Poll(1000);
   }
@@ -153,13 +154,14 @@ TEST_P(MergeProperty, OutputSortedAndComplete) {
   node.Flush();
 
   std::vector<uint64_t> merged;
-  rts::StreamMessage message;
-  while ((*out)->TryPop(&message)) {
-    if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-    auto row = codec.Decode(
-        ByteSpan(message.payload.data(), message.payload.size()));
-    ASSERT_TRUE(row.ok());
-    merged.push_back((*row)[0].uint_value());
+  rts::StreamBatch message_batch;
+  while ((*out)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind != rts::MessageKind::kTuple) continue;
+      auto row = codec.Decode(message_batch.payload(message));
+      ASSERT_TRUE(row.ok());
+      merged.push_back((*row)[0].uint_value());
+    }
   }
   ASSERT_EQ(merged.size(), total);
   EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));

@@ -36,6 +36,28 @@ Row SampleRow() {
           Value::String("payload"), Value::Bool(true)};
 }
 
+/// Appends a message holding `payload` to `batch`.
+void Add(StreamBatch* batch, const ByteBuffer& payload = {},
+         MessageKind kind = MessageKind::kTuple) {
+  MessageMeta meta;
+  meta.kind = kind;
+  batch->Append(meta, ByteSpan(payload.data(), payload.size()));
+}
+
+/// A batch of one message: what a message-at-a-time producer pushes.
+StreamBatch One(const ByteBuffer& payload = {},
+                MessageKind kind = MessageKind::kTuple) {
+  StreamBatch batch;
+  Add(&batch, payload, kind);
+  return batch;
+}
+
+/// The packed bytes of item `i`.
+ByteBuffer Payload(const StreamBatch& batch, size_t i) {
+  ByteSpan bytes = batch.payload(i);
+  return ByteBuffer(bytes.begin(), bytes.end());
+}
+
 TEST(TupleCodecTest, RoundTrip) {
   TupleCodec codec(MixedSchema());
   ByteBuffer buffer;
@@ -80,36 +102,146 @@ TEST(TupleCodecTest, TrailingBytesRejected) {
   EXPECT_FALSE(codec.Decode(ByteSpan(buffer.data(), buffer.size())).ok());
 }
 
+/// Fixed-width fields before, between and after two strings.
+StreamSchema StringsBetweenSchema() {
+  std::vector<FieldDef> fields;
+  fields.push_back({"t", DataType::kUint, OrderSpec::Increasing()});
+  fields.push_back({"a", DataType::kString, OrderSpec::None()});
+  fields.push_back({"addr", DataType::kIp, OrderSpec::None()});
+  fields.push_back({"b", DataType::kString, OrderSpec::None()});
+  fields.push_back({"flag", DataType::kBool, OrderSpec::None()});
+  fields.push_back({"f", DataType::kFloat, OrderSpec::None()});
+  return StreamSchema("between", StreamKind::kStream, fields);
+}
+
+/// Read-set decode must accept exactly what Decode accepts and, when it
+/// does, materialize every read field as Decode's value.
+void ExpectSameVerdict(const TupleCodec& codec, ByteSpan bytes,
+                       const std::string& what) {
+  const auto full = codec.Decode(bytes);
+  const ReadSet read_sets[] = {{}, {0}, {1}, {2, 4}, {3, 5}, {0, 1, 2, 3, 4, 5}};
+  for (const ReadSet& fields : read_sets) {
+    Row row;
+    const bool ok = codec.DecodeFields(bytes, fields, &row);
+    ASSERT_EQ(ok, full.ok()) << what << ", " << fields.size() << " fields";
+    EXPECT_EQ(codec.Framed(bytes), full.ok()) << what;
+    if (!ok) continue;
+    for (uint32_t f : fields) {
+      EXPECT_EQ(row[f], (*full)[f]) << what << ", field " << f;
+    }
+  }
+}
+
+TEST(TupleCodecTest, ReadSetDecodeIsExactlyAsStrictAsDecode) {
+  TupleCodec codec(StringsBetweenSchema());
+  const Row row = {Value::Uint(7),    Value::String("first"),
+                   Value::Ip(0x01020304), Value::String(""),
+                   Value::Bool(true), Value::Float(-2.5)};
+  ByteBuffer buffer;
+  codec.Encode(row, &buffer);
+  ExpectSameVerdict(codec, ByteSpan(buffer.data(), buffer.size()), "intact");
+  // Every truncation prefix.
+  for (size_t cut = 0; cut < buffer.size(); ++cut) {
+    ExpectSameVerdict(codec, ByteSpan(buffer.data(), cut),
+                      "cut at " + std::to_string(cut));
+  }
+  // A string length that runs past the end, for each string.
+  for (size_t length_word : {size_t{8}, size_t{8 + 4 + 5 + 4}}) {
+    ByteBuffer bad = buffer;
+    bad[length_word] = 0xff;
+    ExpectSameVerdict(codec, ByteSpan(bad.data(), bad.size()),
+                      "long string at " + std::to_string(length_word));
+  }
+  // Trailing bytes.
+  ByteBuffer trailing = buffer;
+  trailing.push_back(0);
+  ExpectSameVerdict(codec, ByteSpan(trailing.data(), trailing.size()),
+                    "trailing byte");
+  // Random single-byte corruptions, which move the string boundaries.
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    ByteBuffer mutated = buffer;
+    mutated[rng.NextBelow(mutated.size())] =
+        static_cast<uint8_t>(rng.NextBelow(256));
+    if (rng.NextBool(0.3)) mutated.resize(rng.NextBelow(mutated.size() + 1));
+    ExpectSameVerdict(codec, ByteSpan(mutated.data(), mutated.size()),
+                      "mutation " + std::to_string(i));
+  }
+}
+
+TEST(TupleCodecTest, ReadSetDecodeReusesTheRow) {
+  TupleCodec codec(StringsBetweenSchema());
+  ByteBuffer first;
+  ByteBuffer second;
+  codec.Encode({Value::Uint(1), Value::String("x"), Value::Ip(1),
+                Value::String("y"), Value::Bool(false), Value::Float(1)},
+               &first);
+  codec.Encode({Value::Uint(2), Value::String("xx"), Value::Ip(2),
+                Value::String("yy"), Value::Bool(true), Value::Float(2)},
+               &second);
+  Row row;
+  ASSERT_TRUE(codec.DecodeFields(ByteSpan(first.data(), first.size()),
+                                 {0, 3, 5}, &row));
+  ASSERT_TRUE(codec.DecodeFields(ByteSpan(second.data(), second.size()),
+                                 {3}, &row));
+  EXPECT_EQ(row[3].string_value(), "yy");
+  // Fields outside the second read set keep what the first decode put
+  // there: callers only read their read set.
+  EXPECT_EQ(row[0].uint_value(), 1u);
+  EXPECT_EQ(row[5].float_value(), 1.0);
+}
+
+TEST(StreamBatchTest, ItemsShareOneArenaInOrder) {
+  StreamBatch batch;
+  MessageMeta meta;
+  meta.weight = 3;
+  batch.Append(meta, ByteSpan(reinterpret_cast<const uint8_t*>("ab"), 2));
+  meta.kind = MessageKind::kPunctuation;
+  batch.Append(meta, ByteSpan(reinterpret_cast<const uint8_t*>("cde"), 3));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch.arena().size(), 5u);
+  EXPECT_EQ(batch.item(1).offset, 2u);
+  EXPECT_EQ(batch.item(0).weight, 3u);
+  EXPECT_TRUE(batch.has_punctuation());
+
+  StreamBatch copy = batch;
+  batch.DropFront(1);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(Payload(batch, 0), (ByteBuffer{'c', 'd', 'e'}));
+  ASSERT_EQ(copy.size(), 2u);  // copies own their arena
+  EXPECT_EQ(Payload(copy, 0), (ByteBuffer{'a', 'b'}));
+
+  StreamBatch moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 2u);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(RingTest, FifoOrder) {
   RingChannel channel(8);
   for (int i = 0; i < 5; ++i) {
-    StreamMessage message;
-    message.payload = {static_cast<uint8_t>(i)};
-    ASSERT_TRUE(channel.TryPush(std::move(message)));
+    ASSERT_TRUE(channel.TryPush(One({static_cast<uint8_t>(i)})));
   }
-  StreamMessage out;
+  StreamBatch out;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(channel.TryPop(&out));
-    EXPECT_EQ(out.payload[0], i);
+    EXPECT_EQ(out.payload(0)[0], i);
   }
   EXPECT_FALSE(channel.TryPop(&out));
 }
 
 TEST(RingTest, CapacityEnforced) {
   RingChannel channel(2);
-  StreamMessage message;
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_FALSE(channel.TryPush(message));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_FALSE(channel.TryPush(One()));
   EXPECT_EQ(channel.size(), 2u);
 }
 
 TEST(RingTest, DropAccounting) {
   RingChannel channel(1);
-  StreamMessage message;
-  EXPECT_TRUE(channel.PushOrDrop(message));
-  EXPECT_FALSE(channel.PushOrDrop(message));
-  EXPECT_FALSE(channel.PushOrDrop(message));
+  EXPECT_TRUE(channel.PushOrDrop(One()));
+  EXPECT_FALSE(channel.PushOrDrop(One()));
+  EXPECT_FALSE(channel.PushOrDrop(One()));
   EXPECT_EQ(channel.dropped(), 2u);
   EXPECT_EQ(channel.pushed(), 1u);
 }
@@ -120,14 +252,12 @@ TEST(RingTest, BatchDropAccountingIsMessageGranular) {
   // controller's drops-per-check threshold reads this counter.
   RingChannel channel(1);
   StreamBatch filler;
-  filler.items.emplace_back();
+  Add(&filler);
   ASSERT_TRUE(channel.PushOrDrop(std::move(filler)));
 
   StreamBatch batch;
   for (int i = 0; i < 5; ++i) {
-    StreamMessage message;
-    message.payload = {static_cast<uint8_t>(i)};
-    batch.items.push_back(std::move(message));
+    Add(&batch, {static_cast<uint8_t>(i)});
   }
   EXPECT_FALSE(channel.PushOrDrop(std::move(batch)));
   EXPECT_EQ(channel.dropped(), 5u);
@@ -135,31 +265,28 @@ TEST(RingTest, BatchDropAccountingIsMessageGranular) {
   // A punctuation riding the batch parks instead of dropping: only the
   // tuple messages count.
   StreamBatch with_punct;
-  for (int i = 0; i < 3; ++i) with_punct.items.emplace_back();
-  StreamMessage punct;
-  punct.kind = StreamMessage::Kind::kPunctuation;
-  with_punct.items.push_back(std::move(punct));
+  for (int i = 0; i < 3; ++i) Add(&with_punct);
+  Add(&with_punct, {}, MessageKind::kPunctuation);
   EXPECT_FALSE(channel.PushOrDrop(std::move(with_punct)));
   EXPECT_EQ(channel.dropped(), 8u);  // 5 + 3; the punctuation parked
   // The parked punctuation rides out on the next successful push after
   // the ring drains.
-  StreamMessage out;
+  StreamBatch out;
   ASSERT_TRUE(channel.TryPop(&out));
   StreamBatch next;
-  next.items.emplace_back();
+  Add(&next);
   ASSERT_TRUE(channel.PushOrDrop(std::move(next)));
   StreamBatch popped;
   ASSERT_TRUE(channel.TryPop(&popped));
-  ASSERT_EQ(popped.items.size(), 2u);
-  EXPECT_EQ(popped.items.back().kind, StreamMessage::Kind::kPunctuation);
+  ASSERT_EQ(popped.size(), 2u);
+  EXPECT_EQ(popped.items().back().kind, MessageKind::kPunctuation);
   EXPECT_EQ(channel.dropped(), 8u);
 }
 
 TEST(RingTest, HighWaterMark) {
   RingChannel channel(16);
-  StreamMessage message;
-  for (int i = 0; i < 10; ++i) channel.TryPush(message);
-  StreamMessage out;
+  for (int i = 0; i < 10; ++i) channel.TryPush(One());
+  StreamBatch out;
   for (int i = 0; i < 10; ++i) channel.TryPop(&out);
   EXPECT_EQ(channel.high_water_mark(), 10u);
   EXPECT_EQ(channel.size(), 0u);
@@ -171,12 +298,10 @@ TEST(RegistryTest, DeclareSubscribePublish) {
   EXPECT_TRUE(registry.HasStream("mixed"));
   auto sub = registry.Subscribe("mixed", 8);
   ASSERT_TRUE(sub.ok());
-  StreamMessage message;
-  message.payload = {1, 2, 3};
-  EXPECT_EQ(registry.Publish("mixed", message), 1u);
-  StreamMessage out;
+  EXPECT_EQ(registry.PublishBatch("mixed", One({1, 2, 3})), 1u);
+  StreamBatch out;
   ASSERT_TRUE((*sub)->TryPop(&out));
-  EXPECT_EQ(out.payload, (ByteBuffer{1, 2, 3}));
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{1, 2, 3}));
 }
 
 TEST(RegistryTest, FanOutToMultipleSubscribers) {
@@ -185,8 +310,7 @@ TEST(RegistryTest, FanOutToMultipleSubscribers) {
   auto sub1 = registry.Subscribe("mixed", 8);
   auto sub2 = registry.Subscribe("mixed", 8);
   ASSERT_TRUE(sub1.ok() && sub2.ok());
-  StreamMessage message;
-  EXPECT_EQ(registry.Publish("mixed", message), 2u);
+  EXPECT_EQ(registry.PublishBatch("mixed", One()), 2u);
   EXPECT_EQ((*sub1)->size(), 1u);
   EXPECT_EQ((*sub2)->size(), 1u);
 }
@@ -196,8 +320,7 @@ TEST(RegistryTest, SlowSubscriberDropsAlone) {
   ASSERT_TRUE(registry.DeclareStream(MixedSchema()).ok());
   auto slow = registry.Subscribe("mixed", 1);
   auto fast = registry.Subscribe("mixed", 100);
-  StreamMessage message;
-  for (int i = 0; i < 10; ++i) registry.Publish("mixed", message);
+  for (int i = 0; i < 10; ++i) registry.PublishBatch("mixed", One());
   EXPECT_EQ((*slow)->dropped(), 9u);
   EXPECT_EQ((*fast)->dropped(), 0u);
   EXPECT_EQ(registry.TotalDrops("mixed"), 9u);
@@ -206,7 +329,7 @@ TEST(RegistryTest, SlowSubscriberDropsAlone) {
 TEST(RegistryTest, SubscribeUnknownStreamFails) {
   StreamRegistry registry;
   EXPECT_FALSE(registry.Subscribe("nope", 8).ok());
-  EXPECT_EQ(registry.Publish("nope", StreamMessage{}), 0u);
+  EXPECT_EQ(registry.PublishBatch("nope", One()), 0u);
 }
 
 TEST(RegistryTest, RedeclareKeepsSubscribers) {
@@ -214,8 +337,7 @@ TEST(RegistryTest, RedeclareKeepsSubscribers) {
   ASSERT_TRUE(registry.DeclareStream(MixedSchema()).ok());
   auto sub = registry.Subscribe("mixed", 8);
   ASSERT_TRUE(registry.DeclareStream(MixedSchema()).ok());
-  StreamMessage message;
-  EXPECT_EQ(registry.Publish("mixed", message), 1u);
+  EXPECT_EQ(registry.PublishBatch("mixed", One()), 1u);
 }
 
 TEST(PunctuationTest, EncodeDecodeRoundTrip) {
@@ -277,11 +399,11 @@ TEST(RingConcurrencyTest, ProducerConsumerLosesNothing) {
   uint64_t checksum_out = 0;
 
   std::thread consumer([&] {
-    StreamMessage message;
+    StreamBatch message;
     uint64_t local = 0;
     while (local < kMessages) {
       if (channel.TryPop(&message)) {
-        checksum_out += message.payload.empty() ? 0 : message.payload[0];
+        checksum_out += message.payload(0).empty() ? 0 : message.payload(0)[0];
         ++local;
       } else {
         std::this_thread::yield();
@@ -292,10 +414,9 @@ TEST(RingConcurrencyTest, ProducerConsumerLosesNothing) {
 
   uint64_t checksum_in = 0;
   for (uint64_t i = 0; i < kMessages; ++i) {
-    StreamMessage message;
-    message.payload = {static_cast<uint8_t>(i & 0xff)};
-    checksum_in += message.payload[0];
-    while (!channel.TryPush(message)) {
+    StreamBatch message = One({static_cast<uint8_t>(i & 0xff)});
+    checksum_in += message.payload(0)[0];
+    while (!channel.TryPush(std::move(message))) {
       std::this_thread::yield();  // backpressure, never drop
     }
   }
@@ -312,16 +433,15 @@ TEST(RingTest, NonPowerOfTwoCapacityExact) {
   // capacity handed to the constructor must be enforced exactly.
   RingChannel channel(3);
   EXPECT_EQ(channel.capacity(), 3u);
-  StreamMessage message;
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_FALSE(channel.TryPush(message));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_FALSE(channel.TryPush(One()));
   EXPECT_EQ(channel.size(), 3u);
-  StreamMessage out;
+  StreamBatch out;
   EXPECT_TRUE(channel.TryPop(&out));
-  EXPECT_TRUE(channel.TryPush(message));
-  EXPECT_FALSE(channel.TryPush(message));
+  EXPECT_TRUE(channel.TryPush(One()));
+  EXPECT_FALSE(channel.TryPush(One()));
 }
 
 TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
@@ -333,7 +453,7 @@ TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
   std::atomic<bool> fifo_ok{true};
 
   std::thread consumer([&] {
-    StreamMessage message;
+    StreamBatch message;
     uint64_t expected = 0;
     while (expected < kMessages) {
       if (!channel.TryPop(&message)) {
@@ -342,7 +462,7 @@ TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
       }
       uint64_t sequence = 0;
       for (int b = 0; b < 8; ++b) {
-        sequence |= static_cast<uint64_t>(message.payload[b]) << (8 * b);
+        sequence |= static_cast<uint64_t>(message.payload(0)[b]) << (8 * b);
       }
       if (sequence != expected) {
         fifo_ok.store(false);
@@ -353,11 +473,11 @@ TEST(RingConcurrencyTest, SpscStressFifoNoLoss) {
   });
 
   for (uint64_t i = 0; i < kMessages; ++i) {
-    StreamMessage message;
-    message.payload.resize(8);
+    ByteBuffer payload(8);
     for (int b = 0; b < 8; ++b) {
-      message.payload[b] = static_cast<uint8_t>(i >> (8 * b));
+      payload[b] = static_cast<uint8_t>(i >> (8 * b));
     }
+    StreamBatch message = One(payload);
     // A failed TryPush leaves the message untouched (no-consume
     // contract), so the retry loop can move the very same object.
     while (!channel.TryPush(std::move(message))) {
@@ -378,40 +498,38 @@ TEST(RingTest, FailedPushLeavesMessageIntact) {
   // Regression: the old by-value TryPush consumed the message even when
   // the ring was full, so retry loops re-sent a moved-from shell.
   RingChannel channel(1);
-  StreamMessage filler;
-  filler.payload = {9};
-  ASSERT_TRUE(channel.TryPush(std::move(filler)));
+  ASSERT_TRUE(channel.TryPush(One({9})));
 
-  StreamMessage message;
-  message.payload = {1, 2, 3};
-  message.trace_id = 77;
+  StreamBatch message;
+  MessageMeta meta;
+  meta.trace_id = 77;
+  const ByteBuffer payload = {1, 2, 3};
+  message.Append(meta, ByteSpan(payload.data(), payload.size()));
   EXPECT_FALSE(channel.TryPush(std::move(message)));
   // The caller still owns the payload and can retry with the same object.
-  EXPECT_EQ(message.payload, (ByteBuffer{1, 2, 3}));
-  EXPECT_EQ(message.trace_id, 77u);
+  EXPECT_EQ(Payload(message, 0), (ByteBuffer{1, 2, 3}));
+  EXPECT_EQ(message.item(0).trace_id, 77u);
 
-  StreamMessage out;
+  StreamBatch out;
   ASSERT_TRUE(channel.TryPop(&out));
   EXPECT_TRUE(channel.TryPush(std::move(message)));
   ASSERT_TRUE(channel.TryPop(&out));
-  EXPECT_EQ(out.payload, (ByteBuffer{1, 2, 3}));
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{1, 2, 3}));
 }
 
 TEST(RingTest, FailedBatchPushLeavesBatchIntact) {
   RingChannel channel(1);
   StreamBatch filler;
-  filler.items.emplace_back();
+  Add(&filler);
   ASSERT_TRUE(channel.TryPush(std::move(filler)));
 
   StreamBatch batch;
   for (uint8_t i = 0; i < 3; ++i) {
-    StreamMessage message;
-    message.payload = {i};
-    batch.items.push_back(std::move(message));
+    Add(&batch, {i});
   }
   EXPECT_FALSE(channel.TryPush(std::move(batch)));
-  ASSERT_EQ(batch.items.size(), 3u);
-  for (uint8_t i = 0; i < 3; ++i) EXPECT_EQ(batch.items[i].payload[0], i);
+  ASSERT_EQ(batch.size(), 3u);
+  for (uint8_t i = 0; i < 3; ++i) EXPECT_EQ(batch.payload(i)[0], i);
 
   StreamBatch out;
   ASSERT_TRUE(channel.TryPop(&out));
@@ -421,16 +539,12 @@ TEST(RingTest, FailedBatchPushLeavesBatchIntact) {
 
 TEST(RingTest, PunctuationParksOnFullRingAndRidesNextPush) {
   RingChannel channel(1);
-  StreamMessage filler;
-  ASSERT_TRUE(channel.TryPush(std::move(filler)));
+  ASSERT_TRUE(channel.TryPush(One()));
 
   // A full ring drops the batch's tuples but never its punctuation.
   StreamBatch batch;
-  batch.items.emplace_back();  // tuple, will drop
-  StreamMessage punct;
-  punct.kind = StreamMessage::Kind::kPunctuation;
-  punct.payload = {42};
-  batch.items.push_back(std::move(punct));
+  Add(&batch);  // tuple, will drop
+  Add(&batch, {42}, MessageKind::kPunctuation);
   EXPECT_FALSE(channel.PushOrDrop(std::move(batch)));
   EXPECT_EQ(channel.dropped(), 1u);  // the tuple only
   EXPECT_TRUE(channel.has_parked());
@@ -439,32 +553,25 @@ TEST(RingTest, PunctuationParksOnFullRingAndRidesNextPush) {
   StreamBatch out;
   ASSERT_TRUE(channel.TryPop(&out));
   StreamBatch next;
-  next.items.emplace_back();
+  Add(&next);
   EXPECT_TRUE(channel.PushOrDrop(std::move(next)));
   EXPECT_FALSE(channel.has_parked());
   ASSERT_TRUE(channel.TryPop(&out));
-  ASSERT_EQ(out.items.size(), 2u);
-  EXPECT_EQ(out.items[1].kind, StreamMessage::Kind::kPunctuation);
-  EXPECT_EQ(out.items[1].payload, (ByteBuffer{42}));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.item(1).kind, MessageKind::kPunctuation);
+  EXPECT_EQ(Payload(out, 1), (ByteBuffer{42}));
 }
 
 TEST(RingTest, ParkedPunctuationSupersededByNewer) {
   RingChannel channel(1);
-  StreamMessage filler;
-  ASSERT_TRUE(channel.TryPush(std::move(filler)));
+  ASSERT_TRUE(channel.TryPush(One()));
 
-  StreamMessage old_punct;
-  old_punct.kind = StreamMessage::Kind::kPunctuation;
-  old_punct.payload = {1};
-  EXPECT_FALSE(channel.PushOrDrop(std::move(old_punct)));
+  EXPECT_FALSE(channel.PushOrDrop(One({1}, MessageKind::kPunctuation)));
   EXPECT_TRUE(channel.has_parked());
 
   // A newer punctuation carries a bound at least as tight: the parked one
   // is dropped as superseded, and the newer one parks in its place.
-  StreamMessage new_punct;
-  new_punct.kind = StreamMessage::Kind::kPunctuation;
-  new_punct.payload = {2};
-  EXPECT_FALSE(channel.PushOrDrop(std::move(new_punct)));
+  EXPECT_FALSE(channel.PushOrDrop(One({2}, MessageKind::kPunctuation)));
   EXPECT_TRUE(channel.has_parked());
   EXPECT_EQ(channel.dropped(), 0u);  // punctuations never count as drops
 
@@ -473,64 +580,29 @@ TEST(RingTest, ParkedPunctuationSupersededByNewer) {
   EXPECT_TRUE(channel.FlushParked());
   EXPECT_FALSE(channel.has_parked());
   ASSERT_TRUE(channel.TryPop(&out));
-  ASSERT_EQ(out.items.size(), 1u);
-  EXPECT_EQ(out.items[0].payload, (ByteBuffer{2}));  // only the newer one
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{2}));  // only the newer one
 }
 
 TEST(RingTest, FlushParkedReparksWhileStillFull) {
   RingChannel channel(1);
-  StreamMessage filler;
-  ASSERT_TRUE(channel.TryPush(std::move(filler)));
-  StreamMessage punct;
-  punct.kind = StreamMessage::Kind::kPunctuation;
-  EXPECT_FALSE(channel.PushOrDrop(std::move(punct)));
+  ASSERT_TRUE(channel.TryPush(One()));
+  EXPECT_FALSE(channel.PushOrDrop(One({}, MessageKind::kPunctuation)));
   EXPECT_FALSE(channel.FlushParked());  // no room yet
   EXPECT_TRUE(channel.has_parked());
   StreamBatch out;
   ASSERT_TRUE(channel.TryPop(&out));
   EXPECT_TRUE(channel.FlushParked());
   ASSERT_TRUE(channel.TryPop(&out));
-  EXPECT_EQ(out.items[0].kind, StreamMessage::Kind::kPunctuation);
-}
-
-TEST(RingTest, BatchPopAndMessagePopInterleaveFifo) {
-  RingChannel channel(4);
-  for (uint8_t b = 0; b < 3; ++b) {
-    StreamBatch batch;
-    for (uint8_t i = 0; i < 3; ++i) {
-      StreamMessage message;
-      message.payload = {static_cast<uint8_t>(b * 3 + i)};
-      batch.items.push_back(std::move(message));
-    }
-    ASSERT_TRUE(channel.TryPush(std::move(batch)));
-  }
-  // Drain one message from the first batch, then switch to batch pops:
-  // the staged remainder must come out before the next slot.
-  StreamMessage message;
-  ASSERT_TRUE(channel.TryPop(&message));
-  EXPECT_EQ(message.payload[0], 0);
-  StreamBatch batch;
-  ASSERT_TRUE(channel.TryPop(&batch));
-  ASSERT_EQ(batch.items.size(), 2u);
-  EXPECT_EQ(batch.items[0].payload[0], 1);
-  EXPECT_EQ(batch.items[1].payload[0], 2);
-  // Remaining six messages, message-at-a-time across slot boundaries.
-  for (uint8_t expected = 3; expected < 9; ++expected) {
-    ASSERT_TRUE(channel.TryPop(&message));
-    EXPECT_EQ(message.payload[0], expected);
-  }
-  EXPECT_FALSE(channel.TryPop(&message));
-  EXPECT_EQ(channel.pushed(), 9u);
-  EXPECT_EQ(channel.popped(), 9u);
+  EXPECT_EQ(out.item(0).kind, MessageKind::kPunctuation);
 }
 
 TEST(RingTest, BatchSizeHistogramCountsMessagesPerPush) {
   RingChannel channel(8);
   StreamBatch batch;
-  for (int i = 0; i < 5; ++i) batch.items.emplace_back();
+  for (int i = 0; i < 5; ++i) Add(&batch);
   ASSERT_TRUE(channel.TryPush(std::move(batch)));
-  StreamMessage single;
-  ASSERT_TRUE(channel.TryPush(std::move(single)));
+  ASSERT_TRUE(channel.TryPush(One()));
   auto snapshot = channel.batch_size_histogram().Snapshot();
   EXPECT_EQ(snapshot.count, 2u);  // two pushes...
   EXPECT_EQ(snapshot.sum, 6u);    // ...carrying six messages
@@ -547,12 +619,9 @@ TEST(RegistryTest, FanOutDropChargedToFullChannelOnly) {
   auto roomy = registry.Subscribe("mixed", 8);
   ASSERT_TRUE(tiny.ok() && roomy.ok());
 
-  StreamMessage first, second;
-  first.payload = {1};
-  second.payload = {2};
-  EXPECT_EQ(registry.Publish("mixed", first), 2u);
+  EXPECT_EQ(registry.PublishBatch("mixed", One({1})), 2u);
   // tiny is now full; the second publish reaches only roomy.
-  EXPECT_EQ(registry.Publish("mixed", second), 1u);
+  EXPECT_EQ(registry.PublishBatch("mixed", One({2})), 1u);
 
   EXPECT_EQ((*tiny)->dropped(), 1u);
   EXPECT_EQ((*tiny)->pushed(), 1u);
@@ -561,14 +630,14 @@ TEST(RegistryTest, FanOutDropChargedToFullChannelOnly) {
   EXPECT_EQ(registry.TotalDrops("mixed"), 1u);
 
   // roomy saw both messages, in publish order.
-  StreamMessage out;
+  StreamBatch out;
   ASSERT_TRUE((*roomy)->TryPop(&out));
-  EXPECT_EQ(out.payload, (ByteBuffer{1}));
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{1}));
   ASSERT_TRUE((*roomy)->TryPop(&out));
-  EXPECT_EQ(out.payload, (ByteBuffer{2}));
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{2}));
   // tiny kept the message that fit.
   ASSERT_TRUE((*tiny)->TryPop(&out));
-  EXPECT_EQ(out.payload, (ByteBuffer{1}));
+  EXPECT_EQ(Payload(out, 0), (ByteBuffer{1}));
   EXPECT_FALSE((*tiny)->TryPop(&out));
 }
 
@@ -580,20 +649,19 @@ TEST(RegistryConcurrencyTest, PublisherAndSubscriberThreads) {
   const uint64_t kMessages = 50000;
   std::atomic<uint64_t> received{0};
   std::thread consumer([&] {
-    StreamMessage message;
+    StreamBatch message;
     uint64_t local = 0;
     while (local < kMessages) {
       if ((*sub)->TryPop(&message)) {
-        ++local;
+        local += message.size();
       } else {
         std::this_thread::yield();
       }
     }
     received.store(local);
   });
-  StreamMessage message;
   for (uint64_t i = 0; i < kMessages; ++i) {
-    while (registry.Publish("mixed", message) == 0 ||
+    while (registry.PublishBatch("mixed", One()) == 0 ||
            (*sub)->dropped() > 0) {
       if ((*sub)->dropped() > 0) break;  // PushOrDrop dropped: back off
       std::this_thread::yield();

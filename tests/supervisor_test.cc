@@ -29,21 +29,24 @@ namespace {
 using expr::Value;
 using rts::RingChannel;
 using rts::ShmRingOptions;
+using rts::MessageKind;
+using rts::MessageMeta;
 using rts::StreamBatch;
-using rts::StreamMessage;
 
-StreamMessage Tuple(uint8_t tag, size_t payload_bytes = 8) {
-  StreamMessage m;
-  m.kind = StreamMessage::Kind::kTuple;
-  m.payload.assign(payload_bytes, tag);
-  return m;
+/// Appends a tuple of `payload_bytes` bytes, each `tag`.
+void Tuple(StreamBatch* batch, uint8_t tag, size_t payload_bytes = 8,
+           MessageMeta meta = {}) {
+  meta.kind = MessageKind::kTuple;
+  const ByteBuffer payload(payload_bytes, tag);
+  batch->Append(meta, ByteSpan(payload.data(), payload.size()));
 }
 
-StreamMessage Punct(uint8_t tag) {
-  StreamMessage m;
-  m.kind = StreamMessage::Kind::kPunctuation;
-  m.payload.assign(8, tag);
-  return m;
+/// Appends a punctuation of 8 bytes, each `tag`.
+void Punct(StreamBatch* batch, uint8_t tag) {
+  MessageMeta meta;
+  meta.kind = MessageKind::kPunctuation;
+  const ByteBuffer payload(8, tag);
+  batch->Append(meta, ByteSpan(payload.data(), payload.size()));
 }
 
 ShmRingOptions SmallShm(size_t max_slots = 64, size_t slot_bytes = 256) {
@@ -67,9 +70,9 @@ TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
   for (int round = 0; round < 50; ++round) {
     StreamBatch batch;
     for (int i = 0; i < 5; ++i) {
-      batch.items.push_back(Tuple(static_cast<uint8_t>(round * 5 + i)));
+      Tuple(&batch, static_cast<uint8_t>(round * 5 + i));
     }
-    batch.items.push_back(Punct(static_cast<uint8_t>(round)));
+    Punct(&batch, static_cast<uint8_t>(round));
     StreamBatch copy = batch;
     ASSERT_TRUE(heap.TryPush(std::move(batch)));
     ASSERT_TRUE(shm.TryPush(std::move(copy)));
@@ -82,9 +85,9 @@ TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
     }
     ASSERT_EQ(from_heap.size(), from_shm.size());
     for (size_t i = 0; i < from_heap.size(); ++i) {
-      EXPECT_EQ(from_heap.items[i].kind, from_shm.items[i].kind);
-      EXPECT_EQ(from_heap.items[i].payload, from_shm.items[i].payload);
-      EXPECT_EQ(from_heap.items[i].weight, from_shm.items[i].weight);
+      EXPECT_EQ(from_heap.item(i).kind, from_shm.item(i).kind);
+      EXPECT_EQ(from_heap.payload(i), from_shm.payload(i));
+      EXPECT_EQ(from_heap.item(i).weight, from_shm.item(i).weight);
     }
   }
   EXPECT_EQ(heap.pushed(), shm.pushed());
@@ -95,16 +98,18 @@ TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
 
 TEST(ShmRingTest, TraceContextAndWeightSurviveSerialization) {
   RingChannel ring(8, SmallShm());
-  StreamMessage m = Tuple(7);
-  m.trace_id = 0xdeadbeefcafe;
-  m.trace_ns = 123456789;
-  m.weight = 64;
+  MessageMeta meta;
+  meta.trace_id = 0xdeadbeefcafe;
+  meta.trace_ns = 123456789;
+  meta.weight = 64;
+  StreamBatch m;
+  Tuple(&m, 7, 8, meta);
   ASSERT_TRUE(ring.TryPush(std::move(m)));
-  StreamMessage out;
+  StreamBatch out;
   ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out.trace_id, 0xdeadbeefcafeu);
-  EXPECT_EQ(out.trace_ns, 123456789);
-  EXPECT_EQ(out.weight, 64u);
+  EXPECT_EQ(out.item(0).trace_id, 0xdeadbeefcafeu);
+  EXPECT_EQ(out.item(0).trace_ns, 123456789);
+  EXPECT_EQ(out.item(0).weight, 64u);
 }
 
 TEST(ShmRingTest, OversizeMessageDroppedAndCounted) {
@@ -113,16 +118,16 @@ TEST(ShmRingTest, OversizeMessageDroppedAndCounted) {
   // of its batch still flows.
   RingChannel ring(8, SmallShm(8, 64));
   StreamBatch batch;
-  batch.items.push_back(Tuple(1, 8));
-  batch.items.push_back(Tuple(2, 4096));  // > 64-byte slot region
-  batch.items.push_back(Tuple(3, 8));
+  Tuple(&batch, 1, 8);
+  Tuple(&batch, 2, 4096);  // > 64-byte slot region
+  Tuple(&batch, 3, 8);
   ASSERT_TRUE(ring.PushOrDrop(std::move(batch)));
   EXPECT_EQ(ring.oversize_dropped(), 1u);
   StreamBatch out;
   ASSERT_TRUE(ring.TryPop(&out));
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.items[0].payload[0], 1);
-  EXPECT_EQ(out.items[1].payload[0], 3);
+  EXPECT_EQ(out.payload(0)[0], 1);
+  EXPECT_EQ(out.payload(1)[0], 3);
 }
 
 TEST(ShmRingTest, LargeBatchSplitsAcrossSlots) {
@@ -131,23 +136,24 @@ TEST(ShmRingTest, LargeBatchSplitsAcrossSlots) {
   RingChannel ring(32, SmallShm(32, 128));
   StreamBatch batch;
   for (int i = 0; i < 40; ++i) {
-    batch.items.push_back(Tuple(static_cast<uint8_t>(i), 32));
+    Tuple(&batch, static_cast<uint8_t>(i), 32);
   }
-  batch.items.push_back(Punct(99));
+  Punct(&batch, 99);
   ASSERT_TRUE(ring.TryPush(std::move(batch)));
   EXPECT_GT(ring.size(), 1u);  // really did span multiple slots
 
-  std::vector<StreamMessage> out;
+  std::vector<std::pair<MessageKind, uint8_t>> out;
   StreamBatch popped;
   while (ring.TryPop(&popped)) {
-    for (auto& m : popped.items) out.push_back(std::move(m));
-    popped.items.clear();
+    for (size_t i = 0; i < popped.size(); ++i) {
+      out.emplace_back(popped.item(i).kind, popped.payload(i)[0]);
+    }
   }
   ASSERT_EQ(out.size(), 41u);
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(out[i].payload[0], static_cast<uint8_t>(i));
+    EXPECT_EQ(out[i].second, static_cast<uint8_t>(i));
   }
-  EXPECT_EQ(out[40].kind, StreamMessage::Kind::kPunctuation);
+  EXPECT_EQ(out[40].first, MessageKind::kPunctuation);
 }
 
 TEST(ShmRingTest, TornSlotSkippedAndCounted) {
@@ -158,14 +164,13 @@ TEST(ShmRingTest, TornSlotSkippedAndCounted) {
   ring.ArmTornFault(2);  // tear the second slot published
   for (uint8_t i = 0; i < 4; ++i) {
     StreamBatch batch;
-    batch.items.push_back(Tuple(i));
+    Tuple(&batch, i);
     ASSERT_TRUE(ring.TryPush(std::move(batch)));
   }
   std::vector<uint8_t> seen;
   StreamBatch out;
   while (ring.TryPop(&out)) {
-    for (const auto& m : out.items) seen.push_back(m.payload[0]);
-    out.items.clear();
+    for (size_t i = 0; i < out.size(); ++i) seen.push_back(out.payload(i)[0]);
   }
   EXPECT_EQ(ring.torn(), 1u);
   ASSERT_EQ(seen.size(), 3u);  // slot 2 skipped
@@ -178,28 +183,29 @@ TEST(ShmRingTest, ResyncGateDropsUntilPunctuation) {
   // punctuation, delivers it (its bound is still valid), and disarms.
   RingChannel ring(16, SmallShm());
   StreamBatch pre;
-  pre.items.push_back(Tuple(1));
-  pre.items.push_back(Tuple(2));
-  pre.items.push_back(Punct(10));
+  Tuple(&pre, 1);
+  Tuple(&pre, 2);
+  Punct(&pre, 10);
   ASSERT_TRUE(ring.TryPush(std::move(pre)));
   StreamBatch post;
-  post.items.push_back(Tuple(3));
+  Tuple(&post, 3);
   ASSERT_TRUE(ring.TryPush(std::move(post)));
 
   ring.BeginResync();
   EXPECT_TRUE(ring.resync_pending());
-  std::vector<StreamMessage> seen;
+  std::vector<std::pair<MessageKind, uint8_t>> seen;
   StreamBatch out;
   while (ring.TryPop(&out)) {
-    for (auto& m : out.items) seen.push_back(std::move(m));
-    out.items.clear();
+    for (size_t i = 0; i < out.size(); ++i) {
+      seen.emplace_back(out.item(i).kind, out.payload(i)[0]);
+    }
   }
   EXPECT_FALSE(ring.resync_pending());
   EXPECT_EQ(ring.resync_dropped(), 2u);
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].kind, StreamMessage::Kind::kPunctuation);
-  EXPECT_EQ(seen[1].kind, StreamMessage::Kind::kTuple);
-  EXPECT_EQ(seen[1].payload[0], 3);
+  EXPECT_EQ(seen[0].first, MessageKind::kPunctuation);
+  EXPECT_EQ(seen[1].first, MessageKind::kTuple);
+  EXPECT_EQ(seen[1].second, 3);
 }
 
 TEST(ShmRingTest, ResyncGateEndsAtArmingPositionWithoutPunctuation) {
@@ -208,20 +214,19 @@ TEST(ShmRingTest, ResyncGateEndsAtArmingPositionWithoutPunctuation) {
   // pushes (a seal-time upstream flush, new live data) always deliver.
   RingChannel ring(16, SmallShm());
   StreamBatch residue;
-  residue.items.push_back(Tuple(1));
-  residue.items.push_back(Tuple(2));
+  Tuple(&residue, 1);
+  Tuple(&residue, 2);
   ASSERT_TRUE(ring.TryPush(std::move(residue)));
 
   ring.BeginResync();
   StreamBatch after;
-  after.items.push_back(Tuple(3));  // pushed after adoption, no punctuation
+  Tuple(&after, 3);  // pushed after adoption, no punctuation
   ASSERT_TRUE(ring.TryPush(std::move(after)));
 
   std::vector<uint8_t> seen;
   StreamBatch out;
   while (ring.TryPop(&out)) {
-    for (const auto& m : out.items) seen.push_back(m.payload[0]);
-    out.items.clear();
+    for (size_t i = 0; i < out.size(); ++i) seen.push_back(out.payload(i)[0]);
   }
   EXPECT_FALSE(ring.resync_pending());
   EXPECT_EQ(ring.resync_dropped(), 2u);  // only the pre-arming residue
@@ -238,11 +243,11 @@ TEST(ShmRingTest, CrossForkDelivery) {
   if (child == 0) {
     for (int i = 0; i < kMessages; ++i) {
       StreamBatch batch;
-      batch.items.push_back(Tuple(static_cast<uint8_t>(i % 251)));
+      Tuple(&batch, static_cast<uint8_t>(i % 251));
       while (!ring->TryPush(std::move(batch))) {
         usleep(100);
-        batch.items.clear();
-        batch.items.push_back(Tuple(static_cast<uint8_t>(i % 251)));
+        batch.clear();
+        Tuple(&batch, static_cast<uint8_t>(i % 251));
       }
     }
     _exit(0);
@@ -256,11 +261,10 @@ TEST(ShmRingTest, CrossForkDelivery) {
       usleep(100);
       continue;
     }
-    for (const auto& m : out.items) {
-      EXPECT_EQ(m.payload[0], static_cast<uint8_t>(received % 251));
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out.payload(i)[0], static_cast<uint8_t>(received % 251));
       ++received;
     }
-    out.items.clear();
   }
   int status = 0;
   ASSERT_EQ(waitpid(child, &status, 0), child);

@@ -185,15 +185,17 @@ TEST(TelemetryEngineTest, StatsStreamCarriesProcColumn) {
 
   rts::TupleCodec codec(schema);
   size_t rows = 0;
-  rts::StreamMessage message;
-  while ((*channel)->TryPop(&message)) {
-    if (message.kind != rts::StreamMessage::Kind::kTuple) continue;
-    ByteSpan bytes(message.payload.data(), message.payload.size());
-    auto row = codec.Decode(bytes);
-    ASSERT_TRUE(row.ok());
-    ASSERT_EQ(row->size(), 6u);
-    EXPECT_EQ((*row)[5].string_value(), "rts");
-    ++rows;
+  rts::StreamBatch message_batch;
+  while ((*channel)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      if (message.kind != rts::MessageKind::kTuple) continue;
+      ByteSpan bytes = message_batch.payload(message);
+      auto row = codec.Decode(bytes);
+      ASSERT_TRUE(row.ok());
+      ASSERT_EQ(row->size(), 6u);
+      EXPECT_EQ((*row)[5].string_value(), "rts");
+      ++rows;
+    }
   }
   EXPECT_GT(rows, 0u);
 }
@@ -277,23 +279,25 @@ TEST(TelemetryEngineTest, SnapshotOrderingAndPunctuation) {
   uint64_t last_ts = 0;
   size_t tuples = 0;
   size_t punctuations = 0;
-  rts::StreamMessage message;
-  while ((*channel)->TryPop(&message)) {
-    ByteSpan bytes(message.payload.data(), message.payload.size());
-    if (message.kind == rts::StreamMessage::Kind::kTuple) {
-      auto row = codec.Decode(bytes);
-      ASSERT_TRUE(row.ok());
-      uint64_t ts = (*row)[1].uint_value();
-      EXPECT_GE(ts, last_ts);
-      last_ts = ts;
-      ++tuples;
-    } else {
-      auto punctuation = rts::DecodePunctuation(bytes, schema);
-      ASSERT_TRUE(punctuation.ok());
-      auto bound = punctuation->BoundFor(1);
-      ASSERT_TRUE(bound.has_value());
-      EXPECT_GE(bound->uint_value(), last_ts);
-      ++punctuations;
+  rts::StreamBatch message_batch;
+  while ((*channel)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      ByteSpan bytes = message_batch.payload(message);
+      if (message.kind == rts::MessageKind::kTuple) {
+        auto row = codec.Decode(bytes);
+        ASSERT_TRUE(row.ok());
+        uint64_t ts = (*row)[1].uint_value();
+        EXPECT_GE(ts, last_ts);
+        last_ts = ts;
+        ++tuples;
+      } else {
+        auto punctuation = rts::DecodePunctuation(bytes, schema);
+        ASSERT_TRUE(punctuation.ok());
+        auto bound = punctuation->BoundFor(1);
+        ASSERT_TRUE(bound.has_value());
+        EXPECT_GE(bound->uint_value(), last_ts);
+        ++punctuations;
+      }
     }
   }
   EXPECT_GT(tuples, 0u);
@@ -389,19 +393,21 @@ TEST(TelemetryEngineTest, FlushAllEmitsTerminalSnapshot) {
   uint64_t last_snapshot_ts = 0;
   uint64_t terminal_base_tuples = 0;
   size_t punctuations = 0;
-  rts::StreamMessage message;
-  while ((*channel)->TryPop(&message)) {
-    ByteSpan bytes(message.payload.data(), message.payload.size());
-    if (message.kind == rts::StreamMessage::Kind::kTuple) {
-      auto row = codec.Decode(bytes);
-      ASSERT_TRUE(row.ok());
-      last_snapshot_ts = (*row)[1].uint_value();
-      if ((*row)[2].string_value() == "base" &&
-          (*row)[3].string_value() == "tuples_out") {
-        terminal_base_tuples = (*row)[4].uint_value();
+  rts::StreamBatch message_batch;
+  while ((*channel)->TryPop(&message_batch)) {
+    for (const rts::BatchItem& message : message_batch.items()) {
+      ByteSpan bytes = message_batch.payload(message);
+      if (message.kind == rts::MessageKind::kTuple) {
+        auto row = codec.Decode(bytes);
+        ASSERT_TRUE(row.ok());
+        last_snapshot_ts = (*row)[1].uint_value();
+        if ((*row)[2].string_value() == "base" &&
+            (*row)[3].string_value() == "tuples_out") {
+          terminal_base_tuples = (*row)[4].uint_value();
+        }
+      } else {
+        ++punctuations;
       }
-    } else {
-      ++punctuations;
     }
   }
   // The terminal snapshot is stamped with the last input time, not the
