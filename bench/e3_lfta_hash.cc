@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "ops/lfta_agg.h"
 
@@ -17,8 +18,10 @@ using gigascope::Rng;
 using gigascope::ZipfSampler;
 using gigascope::expr::AggFn;
 using gigascope::expr::AggregateSpec;
-using gigascope::expr::Value;
+using gigascope::gsql::DataType;
 using gigascope::ops::DirectMappedAggTable;
+using gigascope::ops::GroupLayout;
+using gigascope::ops::GroupRef;
 
 struct Cell {
   double eviction_rate;
@@ -29,25 +32,30 @@ Cell Run(int log2_slots, double skew, uint64_t flows, uint64_t updates) {
   std::vector<AggregateSpec> specs;
   AggregateSpec count;
   count.fn = AggFn::kCount;
-  count.result_type = gigascope::gsql::DataType::kUint;
+  count.result_type = DataType::kUint;
   specs.push_back(count);
 
-  DirectMappedAggTable table(log2_slots, &specs);
+  // COUNT(*) grouped by a UINT flow id, packed as the LFTA packs it.
+  GroupLayout layout({DataType::kUint}, specs, {DataType::kUint});
+  DirectMappedAggTable table(log2_slots, &layout);
   Rng rng(7);
   ZipfSampler sampler(flows, skew);
-  std::vector<std::optional<Value>> args(1);
+  const uint8_t* args[] = {nullptr};
   uint64_t outputs = 0;
+  auto count_output = [&outputs](const GroupRef&) { ++outputs; };
   // Epoch structure: drain once per 1/16th of the run, as a time bucket
   // close would.
   uint64_t epoch_len = updates / 16;
   for (uint64_t i = 0; i < updates; ++i) {
-    uint64_t flow = sampler.Sample(rng);
-    if (table.Upsert({Value::Uint(flow)}, args).has_value()) ++outputs;
+    uint8_t key[8];
+    gigascope::StoreLe64(key, sampler.Sample(rng));
+    table.Upsert(gigascope::ByteSpan(key, sizeof(key)), args, 1,
+                 count_output);
     if (epoch_len > 0 && i % epoch_len == epoch_len - 1) {
-      outputs += table.DrainAll().size();
+      table.DrainAll(count_output);
     }
   }
-  outputs += table.DrainAll().size();
+  table.DrainAll(count_output);
   Cell cell;
   cell.eviction_rate =
       static_cast<double>(table.evictions()) / static_cast<double>(updates);

@@ -102,25 +102,6 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
-uint64_t Value::Hash() const {
-  switch (type_) {
-    case DataType::kBool: {
-      uint8_t byte = bool_ ? 1 : 0;
-      return Fnv1a64(&byte, 1);
-    }
-    case DataType::kInt:
-      return Fnv1a64(&int_, sizeof(int_));
-    case DataType::kUint:
-    case DataType::kIp:
-      return Fnv1a64(&uint_, sizeof(uint_));
-    case DataType::kFloat:
-      return Fnv1a64(&float_, sizeof(float_));
-    case DataType::kString:
-      return Fnv1a64(string_.data(), string_.size());
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   switch (type_) {
     case DataType::kBool:

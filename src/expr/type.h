@@ -50,9 +50,6 @@ class Value {
     return type_ == other.type_ && Compare(other) == 0;
   }
 
-  /// Stable hash (used for group keys).
-  uint64_t Hash() const;
-
   std::string ToString() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "ops/aggregate.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "expr/vm.h"
@@ -13,130 +14,6 @@ using expr::AggFn;
 using expr::AggregateSpec;
 using expr::Value;
 using gsql::DataType;
-
-GroupAccumulator::GroupAccumulator(const std::vector<AggregateSpec>* specs)
-    : specs_(specs), cells_(specs->size()) {}
-
-void GroupAccumulator::Update(
-    const std::vector<std::optional<Value>>& args, uint64_t weight) {
-  rows_ += weight;
-  for (size_t i = 0; i < specs_->size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    Cell& cell = cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        cell.count += weight;
-        break;
-      case AggFn::kSum: {
-        GS_CHECK(args[i].has_value());
-        const Value& v = *args[i];
-        switch (v.type()) {
-          case DataType::kInt:
-            cell.sum_int += v.int_value() * static_cast<int64_t>(weight);
-            break;
-          case DataType::kUint:
-            cell.sum_uint += v.uint_value() * weight;
-            break;
-          case DataType::kFloat:
-            cell.sum_float += v.float_value() * static_cast<double>(weight);
-            break;
-          default:
-            cell.sum_uint += v.uint_value() * weight;
-            break;
-        }
-        break;
-      }
-      case AggFn::kMin:
-      case AggFn::kMax: {
-        GS_CHECK(args[i].has_value());
-        const Value& v = *args[i];
-        if (!cell.extremum.has_value()) {
-          cell.extremum = v;
-        } else {
-          int cmp = v.Compare(*cell.extremum);
-          if ((spec.fn == AggFn::kMin && cmp < 0) ||
-              (spec.fn == AggFn::kMax && cmp > 0)) {
-            cell.extremum = v;
-          }
-        }
-        break;
-      }
-      case AggFn::kAvg:
-        GS_CHECK(false && "AVG must be decomposed by the planner");
-        break;
-    }
-  }
-}
-
-void GroupAccumulator::Merge(const GroupAccumulator& other) {
-  GS_CHECK(specs_ == other.specs_ || specs_->size() == other.specs_->size());
-  rows_ += other.rows_;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    Cell& cell = cells_[i];
-    const Cell& in = other.cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        cell.count += in.count;
-        break;
-      case AggFn::kSum:
-        cell.sum_int += in.sum_int;
-        cell.sum_uint += in.sum_uint;
-        cell.sum_float += in.sum_float;
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        if (in.extremum.has_value()) {
-          if (!cell.extremum.has_value()) {
-            cell.extremum = in.extremum;
-          } else {
-            int cmp = in.extremum->Compare(*cell.extremum);
-            if ((spec.fn == AggFn::kMin && cmp < 0) ||
-                (spec.fn == AggFn::kMax && cmp > 0)) {
-              cell.extremum = in.extremum;
-            }
-          }
-        }
-        break;
-      case AggFn::kAvg:
-        break;
-    }
-  }
-}
-
-rts::Row GroupAccumulator::Finalize() const {
-  rts::Row out;
-  out.reserve(specs_->size());
-  for (size_t i = 0; i < specs_->size(); ++i) {
-    const AggregateSpec& spec = (*specs_)[i];
-    const Cell& cell = cells_[i];
-    switch (spec.fn) {
-      case AggFn::kCount:
-        out.push_back(Value::Uint(cell.count));
-        break;
-      case AggFn::kSum:
-        switch (spec.result_type) {
-          case DataType::kInt: out.push_back(Value::Int(cell.sum_int)); break;
-          case DataType::kFloat:
-            out.push_back(Value::Float(cell.sum_float));
-            break;
-          default:
-            out.push_back(Value::Uint(cell.sum_uint));
-            break;
-        }
-        break;
-      case AggFn::kMin:
-      case AggFn::kMax:
-        out.push_back(cell.extremum.value_or(
-            Value::Default(spec.result_type)));
-        break;
-      case AggFn::kAvg:
-        out.push_back(Value::Float(0));
-        break;
-    }
-  }
-  return out;
-}
 
 expr::Value ReduceByBand(const expr::Value& value, uint64_t band) {
   if (band == 0) return value;
@@ -154,21 +31,460 @@ expr::Value ReduceByBand(const expr::Value& value, uint64_t band) {
   }
 }
 
-size_t RowHash::operator()(const rts::Row& row) const {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Value& value : row) {
-    h ^= value.Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return static_cast<size_t>(h);
+namespace {
+
+double LoadDouble(const uint8_t* p) {
+  const uint64_t bits = LoadLe64(p);
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
 }
 
-bool RowEq::operator()(const rts::Row& a, const rts::Row& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type() != b[i].type() || a[i].Compare(b[i]) != 0) return false;
+void StoreDouble(uint8_t* p, double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  StoreLe64(p, bits);
+}
+
+/// The input field `expr` reads, when it is a bare reference to a field of
+/// `input` of the expression's own type; a computed expression otherwise.
+std::optional<uint32_t> InputField(const expr::CompiledExpr& expr,
+                                   const gsql::StreamSchema& input) {
+  std::optional<uint32_t> field = rts::BareField(expr);
+  if (!field.has_value() || *field >= input.num_fields() ||
+      input.field(*field).type != expr.result_type) {
+    return std::nullopt;
   }
-  return true;
+  return field;
+}
+
+/// Lexicographic order of a packed STRING against a held one, as
+/// std::string::compare orders them.
+int CompareString(const uint8_t* packed, const std::string& held) {
+  const uint32_t n = LoadLe32(packed);
+  const int cmp = std::memcmp(packed + 4, held.data(),
+                              std::min<size_t>(n, held.size()));
+  if (cmp != 0) return cmp;
+  return n < held.size() ? -1 : (n > held.size() ? 1 : 0);
+}
+
+}  // namespace
+
+GroupLayout::GroupLayout(std::vector<DataType> key_types,
+                         const std::vector<AggregateSpec>& specs,
+                         const std::vector<DataType>& arg_types)
+    : key_types_(std::move(key_types)) {
+  GS_CHECK(arg_types.size() == specs.size());
+  int offset = 0;
+  for (DataType type : key_types_) {
+    key_offsets_.push_back(offset);
+    std::optional<size_t> width = rts::TupleCodec::FixedTypeWidth(type);
+    offset = offset < 0 || !width.has_value()
+                 ? -1
+                 : offset + static_cast<int>(*width);
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    Cell cell;
+    cell.fn = specs[i].fn;
+    cell.type = specs[i].result_type;
+    cell.arg = arg_types[i];
+    GS_CHECK(cell.fn != AggFn::kAvg &&
+             "AVG must be decomposed by the planner");
+    if (cell.fn == AggFn::kSum) {
+      // The total is an 8-byte cell of the result type; only a FLOAT
+      // argument sums as a double.
+      GS_CHECK((cell.type == DataType::kFloat) ==
+               (cell.arg == DataType::kFloat));
+    } else if (cell.fn != AggFn::kCount) {
+      GS_CHECK(cell.arg == cell.type);  // an extremum keeps its type
+    }
+    if (cell.type == DataType::kString) {
+      cell.string_index = static_cast<int>(num_strings_++);
+    } else {
+      cell.offset = static_cast<uint32_t>(cells_size_);
+      cell.width =
+          static_cast<uint32_t>(*rts::TupleCodec::FixedTypeWidth(cell.type));
+      cells_size_ += cell.width;
+    }
+    cells_.push_back(cell);
+  }
+}
+
+void GroupLayout::Init(uint8_t* cells, std::string* strings,
+                       const uint8_t* const* args, uint64_t weight) const {
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    const Cell& cell = cells_[i];
+    uint8_t* at = cells + cell.offset;
+    switch (cell.fn) {
+      case AggFn::kCount:
+      case AggFn::kSum:
+        StoreLe64(at, 0);  // +0.0 as a FLOAT: SUM(-0.0) is +0.0
+        Accumulate(cell, at, strings, args[i], weight);
+        break;
+      default:  // MIN/MAX: the first value is the extremum
+        SetExtremum(cell, at, strings, args[i]);
+        break;
+    }
+  }
+}
+
+void GroupLayout::Fold(uint8_t* cells, std::string* strings,
+                       const uint8_t* const* args, uint64_t weight) const {
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    Accumulate(cells_[i], cells + cells_[i].offset, strings, args[i], weight);
+  }
+}
+
+void GroupLayout::Accumulate(const Cell& cell, uint8_t* at,
+                             std::string* strings, const uint8_t* arg,
+                             uint64_t weight) const {
+  switch (cell.fn) {
+    case AggFn::kCount:
+      StoreLe64(at, LoadLe64(at) + weight);
+      return;
+    case AggFn::kSum:
+      if (cell.arg == DataType::kFloat) {
+        StoreDouble(at, LoadDouble(at) +
+                            LoadDouble(arg) * static_cast<double>(weight));
+      } else {
+        // INT and UINT totals wrap modulo 2^64, like the VM's `+` and `*`.
+        const uint64_t v =
+            cell.arg == DataType::kIp ? LoadLe32(arg) : LoadLe64(arg);
+        StoreLe64(at, LoadLe64(at) + v * weight);
+      }
+      return;
+    case AggFn::kMin:
+    case AggFn::kMax: {
+      const int cmp = cell.string_index >= 0
+                          ? CompareString(arg, strings[cell.string_index])
+                          : rts::ComparePacked(cell.type, arg, at);
+      if (cell.fn == AggFn::kMin ? cmp < 0 : cmp > 0) {
+        SetExtremum(cell, at, strings, arg);
+      }
+      return;
+    }
+    case AggFn::kAvg:
+      return;  // rejected by the constructor
+  }
+}
+
+void GroupLayout::SetExtremum(const Cell& cell, uint8_t* at,
+                              std::string* strings, const uint8_t* arg) {
+  if (cell.string_index >= 0) {
+    strings[cell.string_index].assign(reinterpret_cast<const char*>(arg + 4),
+                                      LoadLe32(arg));
+  } else {
+    std::memcpy(at, arg, cell.width);
+    rts::TupleCodec::CanonicalizeKeyField(cell.type, at);
+  }
+}
+
+size_t GroupLayout::OutputSize(const GroupRef& group) const {
+  size_t size = group.key.size() + cells_size_;
+  for (size_t s = 0; s < num_strings_; ++s) {
+    size += 4 + group.strings[s].size();
+  }
+  return size;
+}
+
+void GroupLayout::WriteOutput(const GroupRef& group, uint8_t* out) const {
+  if (!group.key.empty()) {
+    std::memcpy(out, group.key.data(), group.key.size());
+    out += group.key.size();
+  }
+  if (num_strings_ == 0) {
+    // The cells are the output's aggregate fields, byte for byte.
+    if (cells_size_ > 0) std::memcpy(out, group.cells, cells_size_);
+    return;
+  }
+  for (const Cell& cell : cells_) {
+    if (cell.string_index < 0) {
+      std::memcpy(out, group.cells + cell.offset, cell.width);
+      out += cell.width;
+      continue;
+    }
+    const std::string& s = group.strings[cell.string_index];
+    StoreLe32(out, static_cast<uint32_t>(s.size()));
+    if (!s.empty()) std::memcpy(out + 4, s.data(), s.size());
+    out += 4 + s.size();
+  }
+}
+
+int GroupLayout::CompareKeys(const uint8_t* a, const uint8_t* b) const {
+  for (DataType type : key_types_) {
+    const int cmp = rts::ComparePacked(type, a, b);
+    if (cmp != 0) return cmp;
+    a += rts::TupleCodec::FieldSize(type, a);
+    b += rts::TupleCodec::FieldSize(type, b);
+  }
+  return 0;
+}
+
+const uint8_t* GroupLayout::KeyField(const uint8_t* key, size_t k) const {
+  if (key_offsets_[k] >= 0) return key + key_offsets_[k];
+  for (size_t i = 0; i < k; ++i) {
+    key += rts::TupleCodec::FieldSize(key_types_[i], key);
+  }
+  return key;
+}
+
+uint64_t GroupLayout::Hash(ByteSpan key) {
+  // Eight bytes per multiply, then murmur3's finalizer, so every key byte
+  // reaches the low bits the tables mask with.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = key.size() * kMul;
+  const uint8_t* p = key.data();
+  size_t n = key.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    h = (h ^ LoadLe64(p)) * kMul;
+    h ^= h >> 29;
+  }
+  if (n > 0) {
+    uint64_t tail = 0;
+    for (size_t i = 0; i < n; ++i) tail |= uint64_t{p[i]} << (8 * i);
+    h = (h ^ tail) * kMul;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+void PackKeyValue(DataType type, const Value& value, ByteBuffer* out) {
+  GS_CHECK(value.type() == type);
+  out->resize(rts::TupleCodec::ValueSize(value));
+  rts::TupleCodec::WriteValue(value, out->data());
+  rts::TupleCodec::CanonicalizeKeyField(type, out->data());
+}
+
+GroupInput::GroupInput(
+    const std::vector<expr::CompiledExpr>& keys,
+    const std::vector<std::optional<expr::CompiledExpr>>& args,
+    const GroupLayout& layout, const rts::TupleCodec& input_codec)
+    : input_codec_(&input_codec) {
+  // Collect the bare fields first so `at` indexes the ascending located_.
+  const gsql::StreamSchema& input = input_codec.schema();
+  for (const expr::CompiledExpr& key : keys) {
+    if (auto field = InputField(key, input)) located_.push_back(*field);
+  }
+  for (const std::optional<expr::CompiledExpr>& arg : args) {
+    if (!arg.has_value()) continue;
+    if (auto field = InputField(*arg, input)) located_.push_back(*field);
+  }
+  std::sort(located_.begin(), located_.end());
+  located_.erase(std::unique(located_.begin(), located_.end()),
+                 located_.end());
+  at_.resize(located_.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    keys_.push_back(MakeSource(keys[k]));
+    GS_CHECK(keys_.back().type == layout.key_type(k));
+  }
+  for (const std::optional<expr::CompiledExpr>& arg : args) {
+    args_in_.push_back(arg.has_value() ? MakeSource(*arg) : Source{});
+  }
+  args_.resize(args.size(), nullptr);
+  values_.resize(keys.size() + args.size());
+}
+
+GroupInput::Source GroupInput::MakeSource(const expr::CompiledExpr& expr) {
+  Source source;
+  source.type = expr.result_type;
+  if (auto field = InputField(expr, input_codec_->schema())) {
+    source.at = static_cast<int>(
+        std::lower_bound(located_.begin(), located_.end(), *field) -
+        located_.begin());
+  } else {
+    source.expr = &expr;
+    rts::AddLoadedFields(expr, &computed_reads_);
+  }
+  return source;
+}
+
+GroupInput::Outcome GroupInput::Evaluate(
+    const Source& source, expr::Evaluator* vm,
+    const std::vector<Value>* params, Value* value) {
+  expr::EvalContext ctx;
+  ctx.row0 = &row_;
+  ctx.params = params;
+  expr::EvalOutput out;
+  if (!vm->Eval(*source.expr, ctx, &out).ok()) return Outcome::kError;
+  if (!out.has_value) return Outcome::kMiss;
+  *value = std::move(out.value);
+  return Outcome::kOk;
+}
+
+GroupInput::Outcome GroupInput::PackKey(ByteSpan framed, expr::Evaluator* vm,
+                                        const std::vector<Value>* params) {
+  input_codec_->LocateFields(framed.data(), located_, at_.data());
+  if (!computed_reads_.empty()) {
+    input_codec_->ReadFields(framed, computed_reads_, &row_);
+  }
+  size_t size = 0;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const Source& key = keys_[k];
+    if (key.expr == nullptr) {
+      size += rts::TupleCodec::FieldSize(key.type, at_[key.at]);
+      continue;
+    }
+    const Outcome outcome = Evaluate(key, vm, params, &values_[k]);
+    if (outcome != Outcome::kOk) return outcome;
+    size += rts::TupleCodec::ValueSize(values_[k]);
+  }
+  key_.resize(size);
+  uint8_t* out = key_.data();
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const Source& key = keys_[k];
+    uint8_t* field = out;
+    if (key.expr == nullptr) {
+      const size_t n = rts::TupleCodec::FieldSize(key.type, at_[key.at]);
+      std::memcpy(out, at_[key.at], n);
+      out += n;
+    } else {
+      out = rts::TupleCodec::WriteValue(values_[k], out);
+    }
+    rts::TupleCodec::CanonicalizeKeyField(key.type, field);
+  }
+  return Outcome::kOk;
+}
+
+GroupInput::Outcome GroupInput::PackArgs(expr::Evaluator* vm,
+                                         const std::vector<Value>* params) {
+  // Computed results are packed first and pointed at afterwards: scratch_
+  // may move while it grows.
+  size_t size = 0;
+  for (size_t i = 0; i < args_in_.size(); ++i) {
+    const Source& arg = args_in_[i];
+    if (arg.expr == nullptr) continue;
+    Value& value = values_[keys_.size() + i];
+    const Outcome outcome = Evaluate(arg, vm, params, &value);
+    if (outcome != Outcome::kOk) return outcome;
+    size += rts::TupleCodec::ValueSize(value);
+  }
+  scratch_.resize(size);
+  uint8_t* out = scratch_.data();
+  for (size_t i = 0; i < args_in_.size(); ++i) {
+    const Source& arg = args_in_[i];
+    if (arg.expr != nullptr) {
+      args_[i] = out;
+      out = rts::TupleCodec::WriteValue(values_[keys_.size() + i], out);
+    } else {
+      args_[i] = arg.at >= 0 ? at_[arg.at] : nullptr;
+    }
+  }
+  return Outcome::kOk;
+}
+
+GroupRef GroupMap::group(size_t g) const {
+  const Entry& entry = entries_[g];
+  GroupRef ref;
+  ref.key = ByteSpan(keys_.data() + entry.key_offset, entry.key_size);
+  ref.cells = cells_.data() + g * layout_->cells_size();
+  if (layout_->num_strings() > 0) {
+    ref.strings = &strings_[g * layout_->num_strings()];
+  }
+  return ref;
+}
+
+void GroupMap::Upsert(ByteSpan key, const uint8_t* const* args,
+                      uint64_t weight) {
+  if ((entries_.size() + 1) * 2 > index_.size()) {
+    Rehash(std::max<size_t>(64, index_.size() * 2));
+  }
+  const uint64_t hash = GroupLayout::Hash(key);
+  const size_t mask = index_.size() - 1;
+  const size_t cells = layout_->cells_size();
+  const size_t strings = layout_->num_strings();
+  size_t i = hash & mask;
+  for (; index_[i] != 0; i = (i + 1) & mask) {
+    const size_t g = index_[i] - 1;
+    const Entry& entry = entries_[g];
+    if (entry.hash == hash && entry.key_size == key.size() &&
+        (key.empty() || std::memcmp(keys_.data() + entry.key_offset,
+                                    key.data(), key.size()) == 0)) {
+      layout_->Fold(cells_.data() + g * cells,
+                    strings > 0 ? &strings_[g * strings] : nullptr, args,
+                    weight);
+      return;
+    }
+  }
+  const size_t g = entries_.size();
+  Entry entry;
+  entry.hash = hash;
+  entry.key_offset = static_cast<uint32_t>(keys_.size());
+  entry.key_size = static_cast<uint32_t>(key.size());
+  entries_.push_back(entry);
+  keys_.insert(keys_.end(), key.begin(), key.end());
+  cells_.resize(cells_.size() + cells);
+  strings_.resize(strings_.size() + strings);
+  index_[i] = static_cast<uint32_t>(g + 1);
+  layout_->Init(cells_.data() + g * cells,
+                strings > 0 ? &strings_[g * strings] : nullptr, args, weight);
+}
+
+void GroupMap::Index(uint32_t g) {
+  const size_t mask = index_.size() - 1;
+  size_t i = entries_[g].hash & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = g + 1;
+}
+
+void GroupMap::Rehash(size_t capacity) {
+  index_.assign(capacity, 0);
+  for (uint32_t g = 0; g < entries_.size(); ++g) Index(g);
+}
+
+void GroupMap::Erase(const std::vector<uint32_t>& gone) {
+  if (gone.empty()) return;
+  const size_t cells = layout_->cells_size();
+  const size_t strings = layout_->num_strings();
+  if (gone.size() < entries_.size()) {
+    // Slide the survivors down over the gaps, in order.
+    keep_.assign(entries_.size(), 1);
+    for (uint32_t g : gone) keep_[g] = 0;
+    size_t kept = 0;
+    size_t key_end = 0;
+    for (size_t g = 0; g < entries_.size(); ++g) {
+      if (keep_[g] == 0) continue;
+      Entry entry = entries_[g];
+      if (entry.key_size > 0) {
+        std::memmove(keys_.data() + key_end,
+                     keys_.data() + entry.key_offset, entry.key_size);
+      }
+      entry.key_offset = static_cast<uint32_t>(key_end);
+      key_end += entry.key_size;
+      if (cells > 0 && kept != g) {
+        std::memmove(cells_.data() + kept * cells, cells_.data() + g * cells,
+                     cells);
+      }
+      for (size_t s = 0; s < strings; ++s) {
+        std::swap(strings_[kept * strings + s], strings_[g * strings + s]);
+      }
+      entries_[kept++] = entry;
+    }
+    entries_.resize(kept);
+    keys_.resize(key_end);
+  } else {
+    entries_.clear();
+    keys_.clear();
+  }
+  cells_.resize(entries_.size() * cells);
+  strings_.resize(entries_.size() * strings);
+  std::fill(index_.begin(), index_.end(), 0);
+  for (uint32_t g = 0; g < entries_.size(); ++g) Index(g);
+}
+
+GroupLayout MakeGroupLayout(const OrderedAggregateNode::Spec& spec) {
+  std::vector<DataType> key_types;
+  for (size_t k = 0; k < spec.keys.size(); ++k) {
+    key_types.push_back(spec.output_schema.field(k).type);
+  }
+  std::vector<DataType> arg_types;
+  for (const std::optional<expr::CompiledExpr>& arg : spec.agg_args) {
+    arg_types.push_back(arg.has_value() ? arg->result_type : DataType::kUint);
+  }
+  return GroupLayout(std::move(key_types), spec.agg_specs, arg_types);
 }
 
 OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
@@ -180,15 +496,11 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
       registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
-      output_codec_(spec_.output_schema),
-      writer_(registry, spec_.name, spec_.output_batch) {
+      writer_(registry, spec_.name, spec_.output_batch),
+      layout_(MakeGroupLayout(spec_)),
+      grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
+      groups_(&layout_) {
   RegisterInput(input_);
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    rts::AddLoadedFields(key, &reads_);
-  }
-  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
-    if (arg.has_value()) rts::AddLoadedFields(*arg, &reads_);
-  }
 }
 
 size_t OrderedAggregateNode::Poll(size_t budget) {
@@ -213,24 +525,16 @@ size_t OrderedAggregateNode::Poll(size_t budget) {
 
 void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   ++tuples_in_;
-  if (!input_codec_.DecodeFields(payload, reads_, &row_)) {
+  if (!input_codec_.Framed(payload)) {
     ++eval_errors_;
     return;
   }
-  expr::EvalContext ctx;
-  ctx.row0 = &row_;
-  ctx.params = params_.get();
-
-  rts::Row keys;
-  keys.reserve(spec_.keys.size());
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    expr::EvalOutput out;
-    if (!vm_.Eval(key, ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;  // partial miss discards the tuple
-    keys.push_back(std::move(out.value));
+  GroupInput::Outcome outcome =
+      grouping_.PackKey(payload, &vm_, params_.get());
+  if (outcome != GroupInput::Outcome::kOk) {
+    // A partial miss discards the tuple; an error also counts.
+    if (outcome == GroupInput::Outcome::kError) ++eval_errors_;
+    return;
   }
 
   // Group closing: a tuple whose ordered key exceeds all open groups
@@ -238,45 +542,37 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   // weaker — late tuples up to `band` below the running maximum may still
   // arrive — so only groups below (key - band) close.
   if (spec_.ordered_key >= 0) {
-    const Value& ordered = keys[static_cast<size_t>(spec_.ordered_key)];
-    if (epoch_.has_value() && ordered.Compare(*epoch_) > 0) {
-      Value close_bound = ReduceByBand(ordered, spec_.ordered_key_band);
-      FlushGroups(close_bound);
-      rts::Punctuation punctuation;
-      punctuation.bounds.emplace_back(
-          static_cast<size_t>(spec_.ordered_key), close_bound);
-      rts::MessageMeta meta;
-      meta.kind = rts::MessageKind::kPunctuation;
-      StampOutput(&meta);
-      writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
-    }
-    if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
-      epoch_ = ordered;
+    const auto k = static_cast<size_t>(spec_.ordered_key);
+    const DataType type = layout_.key_type(k);
+    const uint8_t* ordered = layout_.KeyField(grouping_.key().data(), k);
+    const bool first = epoch_.empty();
+    if (first || rts::ComparePacked(type, ordered, epoch_.data()) > 0) {
+      if (!first) {
+        const uint8_t* bound = ordered;
+        if (spec_.ordered_key_band > 0) {
+          PackKeyValue(type,
+                       ReduceByBand(rts::TupleCodec::ReadField(type, ordered),
+                                    spec_.ordered_key_band),
+                       &bound_);
+          bound = bound_.data();
+        }
+        CloseGroups(bound);
+      }
+      epoch_.assign(ordered,
+                    ordered + rts::TupleCodec::FieldSize(type, ordered));
     }
   }
 
-  std::vector<std::optional<Value>> args(spec_.agg_specs.size());
-  for (size_t i = 0; i < spec_.agg_args.size(); ++i) {
-    if (!spec_.agg_args[i].has_value()) continue;
-    expr::EvalOutput out;
-    if (!vm_.Eval(*spec_.agg_args[i], ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;
-    args[i] = std::move(out.value);
-  }
-
-  auto it = groups_.find(keys);
-  if (it == groups_.end()) {
-    it = groups_.emplace(std::move(keys),
-                         GroupAccumulator(&spec_.agg_specs)).first;
-    open_groups_.Set(groups_.size());
+  outcome = grouping_.PackArgs(&vm_, params_.get());
+  if (outcome != GroupInput::Outcome::kOk) {
+    if (outcome == GroupInput::Outcome::kError) ++eval_errors_;
+    return;
   }
   // HFTA inputs are LFTA partials or operator output (weight 1); only a
   // raw source stream under L1 sampling carries a larger weight, and a
   // non-split aggregate must scale by it just like the LFTA table does.
-  it->second.Update(args, weight);
+  groups_.Upsert(grouping_.key(), grouping_.args(), weight);
+  open_groups_.Set(groups_.size());
 }
 
 void OrderedAggregateNode::ProcessPunctuation(ByteSpan payload) {
@@ -305,58 +601,54 @@ void OrderedAggregateNode::ProcessPunctuation(ByteSpan payload) {
       !out.has_value) {
     return;
   }
-  FlushGroups(out.value);
-  rts::Punctuation forward;
-  forward.bounds.emplace_back(static_cast<size_t>(spec_.ordered_key),
-                              out.value);
+  PackKeyValue(layout_.key_type(static_cast<size_t>(spec_.ordered_key)),
+               out.value, &bound_);
+  CloseGroups(bound_.data());
+}
+
+void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {
+  closing_.clear();
+  const auto k = static_cast<size_t>(spec_.ordered_key);
+  for (uint32_t g = 0; g < groups_.size(); ++g) {
+    if (bound == nullptr || spec_.ordered_key < 0 ||
+        rts::ComparePacked(layout_.key_type(k),
+                           layout_.KeyField(groups_.group(g).key.data(), k),
+                           bound) < 0) {
+      closing_.push_back(g);
+    }
+  }
+  // Deterministic output order: key order, NaN after every number.
+  std::sort(closing_.begin(), closing_.end(), [this](uint32_t a, uint32_t b) {
+    return layout_.CompareKeys(groups_.group(a).key.data(),
+                               groups_.group(b).key.data()) < 0;
+  });
+  for (uint32_t g : closing_) EmitGroup(groups_.group(g));
+  groups_.Erase(closing_);
+  open_groups_.Set(groups_.size());
+  if (bound == nullptr) return;
+
+  rts::Punctuation punctuation;
+  punctuation.bounds.emplace_back(
+      k, rts::TupleCodec::ReadField(layout_.key_type(k), bound));
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
-  writer_.WritePunctuation(forward, spec_.output_schema, meta);
+  writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
 }
 
-void OrderedAggregateNode::FlushGroups(const std::optional<Value>& bound) {
-  std::vector<const rts::Row*> to_flush;
-  for (const auto& [keys, acc] : groups_) {
-    if (!bound.has_value() || spec_.ordered_key < 0 ||
-        keys[static_cast<size_t>(spec_.ordered_key)].Compare(*bound) < 0) {
-      to_flush.push_back(&keys);
-    }
-  }
-  // Deterministic output order.
-  std::sort(to_flush.begin(), to_flush.end(),
-            [](const rts::Row* a, const rts::Row* b) {
-              for (size_t i = 0; i < a->size() && i < b->size(); ++i) {
-                if ((*a)[i].type() != (*b)[i].type()) continue;
-                int cmp = (*a)[i].Compare((*b)[i]);
-                if (cmp != 0) return cmp < 0;
-              }
-              return a->size() < b->size();
-            });
-  for (const rts::Row* keys : to_flush) {
-    auto it = groups_.find(*keys);
-    EmitGroup(it->first, it->second);
-    groups_.erase(it);
-  }
-  open_groups_.Set(groups_.size());
-}
-
-void OrderedAggregateNode::EmitGroup(const rts::Row& keys,
-                                     const GroupAccumulator& acc) {
-  rts::Row aggs = acc.Finalize();
-  out_row_.assign(keys.begin(), keys.end());
-  out_row_.insert(out_row_.end(), aggs.begin(), aggs.end());
+void OrderedAggregateNode::EmitGroup(const GroupRef& group) {
   // Flushed groups inherit the trace context of the message that closed
   // them, so a traced tuple's e2e latency spans inject → group close.
   rts::MessageMeta meta;
   StampOutput(&meta);
-  writer_.WriteTuple(output_codec_, out_row_, meta);
+  writer_.WriteTuple(meta, layout_.OutputSize(group),
+                     [&](uint8_t* out) { layout_.WriteOutput(group, out); });
   ++tuples_out_;
   ++groups_flushed_;
 }
 
 void OrderedAggregateNode::Flush() {
-  FlushGroups(std::nullopt);
+  CloseGroups(nullptr);
   writer_.Flush();  // Flush may run outside a Poll round
 }
 

@@ -3,7 +3,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/codegen.h"
@@ -14,53 +13,189 @@
 
 namespace gigascope::ops {
 
-/// Running state of one group's aggregates (COUNT/SUM/MIN/MAX; AVG is
-/// decomposed by the planner).
-class GroupAccumulator {
- public:
-  explicit GroupAccumulator(const std::vector<expr::AggregateSpec>* specs);
-
-  /// Folds one input tuple in. `args[i]` is the evaluated argument of
-  /// spec i (nullopt for COUNT(*)). `weight` is the number of input tuples
-  /// this one stands for (Horvitz-Thompson): under 1-in-k source sampling
-  /// the LFTA folds survivors with weight k, so COUNT adds k and SUM adds
-  /// k*v — unbiased estimates of the unsampled aggregate. MIN/MAX are
-  /// order statistics and take the value unweighted.
-  void Update(const std::vector<std::optional<expr::Value>>& args,
-              uint64_t weight = 1);
-
-  /// Merges another accumulator of the same spec list (superaggregation).
-  void Merge(const GroupAccumulator& other);
-
-  /// Produces the aggregate values in spec order.
-  rts::Row Finalize() const;
-
-  uint64_t rows() const { return rows_; }
-
- private:
-  const std::vector<expr::AggregateSpec>* specs_;
-  uint64_t rows_ = 0;
-  struct Cell {
-    uint64_t count = 0;
-    int64_t sum_int = 0;
-    uint64_t sum_uint = 0;
-    double sum_float = 0;
-    std::optional<expr::Value> extremum;
-  };
-  std::vector<Cell> cells_;
-};
-
 /// Lowers a numeric bound by `band` (saturating for unsigned types):
 /// on a banded-increasing stream, a value v only guarantees that no future
 /// value falls below v - band.
 expr::Value ReduceByBand(const expr::Value& value, uint64_t band);
 
-/// Hash/equality over key rows, for group maps.
-struct RowHash {
-  size_t operator()(const rts::Row& row) const;
+/// One group as stored: its packed key and its accumulator cells.
+struct GroupRef {
+  ByteSpan key;
+  const uint8_t* cells = nullptr;
+  /// The group's STRING MIN/MAX extrema, GroupLayout::num_strings() of
+  /// them (null when there are none).
+  const std::string* strings = nullptr;
 };
-struct RowEq {
-  bool operator()(const rts::Row& a, const rts::Row& b) const;
+
+/// How aggregation group state is packed (DESIGN.md §12), shared by the
+/// LFTA's direct-mapped table and the HFTA's group map.
+///
+/// A group is two parts. Its key is the output schema's key fields (the
+/// first ones, one per group key) in rts::TupleCodec's layout, with FLOAT
+/// and BOOL fields canonicalized (TupleCodec::CanonicalizeKeyField), so
+/// keys are equal exactly when their bytes are and hash over those bytes.
+/// Its cells hold one accumulator per aggregate, laid out as the output
+/// schema's aggregate fields: COUNT a UINT, SUM an 8-byte total (INT and
+/// UINT wrap through uint64_t as the VM's `+` and `*` do; FLOAT adds
+/// doubles), and MIN/MAX the extremum in its own type, FLOAT
+/// canonicalized. A STRING extremum is the one cell that is not
+/// fixed-width: it lives out of line in a std::string the owning table
+/// keeps per group and reuses. Emitting a group is its key bytes followed
+/// by its cells: one or two memcpys when no STRING extremum is involved.
+///
+/// Aggregate arguments arrive as pointers to packed values of their
+/// argument type (null for COUNT(*)). Every fold of a MIN/MAX carries a
+/// value, so a group's extrema are set from the tuple that creates it.
+class GroupLayout {
+ public:
+  /// `arg_types[i]` is the type aggregate `specs[i]` reads (ignored for
+  /// COUNT). AVG must already be decomposed (checked).
+  GroupLayout(std::vector<gsql::DataType> key_types,
+              const std::vector<expr::AggregateSpec>& specs,
+              const std::vector<gsql::DataType>& arg_types);
+
+  gsql::DataType key_type(size_t k) const { return key_types_[k]; }
+  /// Bytes of fixed-width cells per group.
+  size_t cells_size() const { return cells_size_; }
+  /// Out-of-line STRING extrema per group.
+  size_t num_strings() const { return num_strings_; }
+
+  /// Starts a group's cells from the tuple that creates it.
+  void Init(uint8_t* cells, std::string* strings, const uint8_t* const* args,
+            uint64_t weight) const;
+  /// Folds one more tuple in. `weight` is the number of input tuples it
+  /// stands for (Horvitz-Thompson): COUNT adds it and SUM adds weight * v,
+  /// unbiased under 1-in-k source sampling; MIN/MAX take v unweighted.
+  void Fold(uint8_t* cells, std::string* strings, const uint8_t* const* args,
+            uint64_t weight) const;
+
+  /// Packed size of `group`'s output tuple, and the tuple (key bytes, then
+  /// the finalized aggregates) written at `out`.
+  size_t OutputSize(const GroupRef& group) const;
+  void WriteOutput(const GroupRef& group, uint8_t* out) const;
+
+  /// Orders two packed keys field by field as ComparePacked does:
+  /// Value::Compare's order, with NaN after every number.
+  int CompareKeys(const uint8_t* a, const uint8_t* b) const;
+  /// Key field `k` of packed key `key`.
+  const uint8_t* KeyField(const uint8_t* key, size_t k) const;
+
+  /// The group hash: a 64-bit mix over the key bytes, strong in the low
+  /// bits that both tables index by.
+  static uint64_t Hash(ByteSpan key);
+
+ private:
+  struct Cell {
+    expr::AggFn fn = expr::AggFn::kCount;
+    gsql::DataType type = gsql::DataType::kUint;  // the aggregate's result
+    gsql::DataType arg = gsql::DataType::kUint;
+    uint32_t offset = 0;  // into the fixed cells
+    uint32_t width = 0;   // 0 for a STRING extremum
+    int string_index = -1;
+  };
+  void Accumulate(const Cell& cell, uint8_t* at, std::string* strings,
+                  const uint8_t* arg, uint64_t weight) const;
+  /// Stores `arg` as the extremum of MIN/MAX cell `cell`.
+  static void SetExtremum(const Cell& cell, uint8_t* at, std::string* strings,
+                          const uint8_t* arg);
+
+  std::vector<gsql::DataType> key_types_;
+  /// Byte offset of each key field while no STRING key precedes it, else
+  /// -1 (then KeyField walks the string lengths).
+  std::vector<int> key_offsets_;
+  std::vector<Cell> cells_;
+  size_t cells_size_ = 0;
+  size_t num_strings_ = 0;
+};
+
+/// What one input tuple brings to its group: its packed key, and per
+/// aggregate a pointer to its argument's packed bytes. A bare column
+/// reference (rts::BareField) is located in the input tuple: a key field
+/// is copied and canonicalized, an argument points straight into the
+/// tuple. A computed expression runs once through the VM (native kernels
+/// included) and its result is packed into reused scratch. With only bare
+/// references, nothing is decoded and nothing is allocated per tuple.
+class GroupInput {
+ public:
+  /// kMiss: a partial function returned nothing, and the tuple is dropped
+  /// (§2.2). kError: evaluation failed (counted as an eval error).
+  enum class Outcome { kOk, kMiss, kError };
+
+  GroupInput(const std::vector<expr::CompiledExpr>& keys,
+             const std::vector<std::optional<expr::CompiledExpr>>& args,
+             const GroupLayout& layout, const rts::TupleCodec& input_codec);
+
+  /// Locates the fields of `framed` (already Framed()) and packs its key.
+  Outcome PackKey(ByteSpan framed, expr::Evaluator* vm,
+                  const std::vector<expr::Value>* params);
+  /// Points args() at the aggregate arguments of the tuple PackKey saw.
+  Outcome PackArgs(expr::Evaluator* vm,
+                   const std::vector<expr::Value>* params);
+
+  ByteSpan key() const { return ByteSpan(key_.data(), key_.size()); }
+  const uint8_t* const* args() const { return args_.data(); }
+
+ private:
+  /// Where one key or argument comes from: input field `at` of located_
+  /// when bare, else the computed expression.
+  struct Source {
+    int at = -1;
+    const expr::CompiledExpr* expr = nullptr;
+    gsql::DataType type = gsql::DataType::kUint;
+  };
+  Source MakeSource(const expr::CompiledExpr& expr);
+  /// Evaluates computed source `source` into `*value`.
+  Outcome Evaluate(const Source& source, expr::Evaluator* vm,
+                   const std::vector<expr::Value>* params,
+                   expr::Value* value);
+
+  const rts::TupleCodec* input_codec_;
+  std::vector<Source> keys_;
+  std::vector<Source> args_in_;  // expr null and at -1: COUNT(*)
+  rts::ReadSet located_;         // bare fields, ascending
+  std::vector<const uint8_t*> at_;
+  rts::ReadSet computed_reads_;  // fields the computed expressions load
+  rts::Row row_;                 // read-set decode target for those
+  std::vector<expr::Value> values_;  // computed results, reused
+  ByteBuffer key_;
+  ByteBuffer scratch_;  // packed computed arguments
+  std::vector<const uint8_t*> args_;
+};
+
+/// The HFTA's open groups: packed keys back to back in one arena, cells in
+/// one array, found through an open-addressing index over the key hash. No
+/// per-group heap node: closing a window empties the arrays and keeps
+/// their capacity for the next one.
+class GroupMap {
+ public:
+  explicit GroupMap(const GroupLayout* layout) : layout_(layout) {}
+
+  size_t size() const { return entries_.size(); }
+  GroupRef group(size_t g) const;
+
+  /// Folds a tuple into the group with `key`, creating it if new.
+  void Upsert(ByteSpan key, const uint8_t* const* args, uint64_t weight);
+
+  /// Removes the groups listed in `gone` (distinct indexes, any order);
+  /// the others keep their relative order.
+  void Erase(const std::vector<uint32_t>& gone);
+
+ private:
+  struct Entry {
+    uint64_t hash = 0;
+    uint32_t key_offset = 0;
+    uint32_t key_size = 0;
+  };
+  void Rehash(size_t capacity);
+  void Index(uint32_t g);
+
+  const GroupLayout* layout_;
+  std::vector<Entry> entries_;
+  ByteBuffer keys_;
+  ByteBuffer cells_;                  // entries_.size() * cells_size()
+  std::vector<std::string> strings_;  // entries_.size() * num_strings()
+  std::vector<uint32_t> index_;       // group + 1; 0 = free
+  std::vector<uint8_t> keep_;         // Erase scratch
 };
 
 /// Ordered group-by/aggregation (§2.1): the group key contains an ordered
@@ -107,26 +242,26 @@ class OrderedAggregateNode : public rts::QueryNode {
  private:
   void ProcessTuple(ByteSpan payload, uint32_t weight);
   void ProcessPunctuation(ByteSpan payload);
-  /// Flushes groups whose ordered key is strictly below `bound` (all groups
-  /// when bound is nullopt), in key order.
-  void FlushGroups(const std::optional<expr::Value>& bound);
-  void EmitGroup(const rts::Row& keys, const GroupAccumulator& acc);
+  /// Closes the groups whose ordered key is strictly below the packed
+  /// `bound` (all groups when null) in key order, then punctuates the
+  /// output with `bound`.
+  void CloseGroups(const uint8_t* bound);
+  void EmitGroup(const GroupRef& group);
 
   Spec spec_;
   rts::Subscription input_;
   rts::StreamRegistry* registry_;
   rts::ParamBlock params_;
   rts::TupleCodec input_codec_;
-  rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
-  /// Input fields the group keys and aggregate arguments load.
-  rts::ReadSet reads_;
+  GroupLayout layout_;
+  GroupInput grouping_;
   rts::StreamBatch batch_;  // input batch, reused across polls
-  rts::Row row_;            // read-set decode target, reused per tuple
-  rts::Row out_row_;        // emitted group, reused
-  std::unordered_map<rts::Row, GroupAccumulator, RowHash, RowEq> groups_;
-  std::optional<expr::Value> epoch_;  // max ordered-key value seen
+  GroupMap groups_;
+  ByteBuffer epoch_;  // packed max ordered-key value seen; empty: none yet
+  ByteBuffer bound_;  // packed close bound, reused
+  std::vector<uint32_t> closing_;  // groups being closed, reused
   telemetry::Counter groups_flushed_;
   /// Mirrors groups_.size() so other threads can read the gauge without
   /// touching the (unsynchronized) group map.
@@ -137,6 +272,14 @@ class OrderedAggregateNode : public rts::QueryNode {
 /// aggregate-argument expressions — the per-tuple hot loop of both the
 /// ordered (HFTA) and direct-mapped (LFTA) aggregates.
 void RequestAggKernels(OrderedAggregateNode::Spec* spec, jit::QueryJit* jit);
+
+/// The packed group layout of an aggregation Spec: key types from its
+/// output schema, argument types from its compiled arguments.
+GroupLayout MakeGroupLayout(const OrderedAggregateNode::Spec& spec);
+
+/// Packs `value` as the group-key field of `type` into `out` (resized).
+void PackKeyValue(gsql::DataType type, const expr::Value& value,
+                  ByteBuffer* out);
 
 }  // namespace gigascope::ops
 

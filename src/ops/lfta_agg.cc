@@ -1,6 +1,6 @@
 #include "ops/lfta_agg.h"
 
-#include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "expr/vm.h"
@@ -9,81 +9,59 @@
 namespace gigascope::ops {
 
 using expr::Value;
+using gsql::DataType;
 
-DirectMappedAggTable::DirectMappedAggTable(
-    int log2_slots, const std::vector<expr::AggregateSpec>* specs)
-    : specs_(specs) {
+DirectMappedAggTable::DirectMappedAggTable(int log2_slots,
+                                           const GroupLayout* layout)
+    : layout_(layout) {
   GS_CHECK(log2_slots >= 0 && log2_slots <= 24);
   slots_.resize(size_t{1} << log2_slots);
+  cells_.resize(slots_.size() * layout_->cells_size());
+  strings_.resize(slots_.size() * layout_->num_strings());
   mask_ = slots_.size() - 1;
 }
 
-std::optional<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::Upsert(
-    rts::Row keys, const std::vector<std::optional<Value>>& args,
-    uint64_t weight) {
-  ++updates_;
-  size_t slot_index = RowHash{}(keys) & mask_;
-  Slot& slot = slots_[slot_index];
-  std::optional<std::pair<rts::Row, rts::Row>> ejected;
-
-  if (slot.used && !RowEq{}(slot.keys, keys)) {
-    // Collision: eject the incumbent as a partial aggregate (§3).
-    ++evictions_;
-    ejected.emplace(std::move(slot.keys), slot.acc->Finalize());
-    slot.used = false;
-    --occupied_;
+GroupRef DirectMappedAggTable::Group(size_t s) const {
+  GroupRef group;
+  const std::string& key = slots_[s].key;
+  group.key =
+      ByteSpan(reinterpret_cast<const uint8_t*>(key.data()), key.size());
+  group.cells = cells_.data() + s * layout_->cells_size();
+  if (layout_->num_strings() > 0) {
+    group.strings = &strings_[s * layout_->num_strings()];
   }
-  if (!slot.used) {
-    slot.used = true;
-    slot.keys = std::move(keys);
-    slot.acc.emplace(specs_);
-    ++occupied_;
+  return group;
+}
+
+void DirectMappedAggTable::Claim(size_t s, ByteSpan key,
+                                 const uint8_t* const* args,
+                                 uint64_t weight) {
+  Slot& slot = slots_[s];
+  slot.key.assign(reinterpret_cast<const char*>(key.data()), key.size());
+  slot.last_touch = ++tick_;
+  layout_->Init(cells_.data() + s * layout_->cells_size(),
+                layout_->num_strings() > 0
+                    ? &strings_[s * layout_->num_strings()]
+                    : nullptr,
+                args, weight);
+}
+
+bool DirectMappedAggTable::FoldIfSame(size_t s, ByteSpan key,
+                                      const uint8_t* const* args,
+                                      uint64_t weight) {
+  Slot& slot = slots_[s];
+  if (slot.key.size() != key.size() ||
+      (!key.empty() &&
+       std::memcmp(slot.key.data(), key.data(), key.size()) != 0)) {
+    return false;
   }
   slot.last_touch = ++tick_;
-  slot.acc->Update(args, weight);
-  return ejected;
-}
-
-std::vector<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::DrainAll() {
-  std::vector<std::pair<rts::Row, rts::Row>> out;
-  out.reserve(occupied());
-  for (Slot& slot : slots_) {
-    if (!slot.used) continue;
-    out.emplace_back(std::move(slot.keys), slot.acc->Finalize());
-    slot.used = false;
-    slot.acc.reset();
-  }
-  occupied_.Set(0);
-  return out;
-}
-
-std::vector<std::pair<rts::Row, rts::Row>> DirectMappedAggTable::EvictColdest(
-    size_t target) {
-  std::vector<std::pair<rts::Row, rts::Row>> out;
-  if (occupied() <= target) return out;
-  size_t to_evict = occupied() - target;
-  // Collect used slots ordered by last_touch and evict the oldest. The scan
-  // is O(slots); callers amortize it by evicting a chunk below the cap.
-  std::vector<size_t> used;
-  used.reserve(occupied());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].used) used.push_back(i);
-  }
-  std::partial_sort(used.begin(), used.begin() + to_evict, used.end(),
-                    [this](size_t a, size_t b) {
-                      return slots_[a].last_touch < slots_[b].last_touch;
-                    });
-  out.reserve(to_evict);
-  for (size_t i = 0; i < to_evict; ++i) {
-    Slot& slot = slots_[used[i]];
-    out.emplace_back(std::move(slot.keys), slot.acc->Finalize());
-    slot.used = false;
-    slot.acc.reset();
-    ++evictions_;
-    ++shed_evictions_;
-    --occupied_;
-  }
-  return out;
+  layout_->Fold(cells_.data() + s * layout_->cells_size(),
+                layout_->num_strings() > 0
+                    ? &strings_[s * layout_->num_strings()]
+                    : nullptr,
+                args, weight);
+  return true;
 }
 
 LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
@@ -97,17 +75,12 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
       registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
-      output_codec_(spec_.output_schema),
       writer_(registry, spec_.name, spec_.output_batch),
-      table_(log2_slots, &spec_.agg_specs),
+      layout_(MakeGroupLayout(spec_)),
+      grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
+      table_(log2_slots, &layout_),
       shed_(shed) {
   RegisterInput(input_);
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    rts::AddLoadedFields(key, &reads_);
-  }
-  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
-    if (arg.has_value()) rts::AddLoadedFields(*arg, &reads_);
-  }
 }
 
 size_t LftaAggregateNode::Poll(size_t budget) {
@@ -132,55 +105,31 @@ size_t LftaAggregateNode::Poll(size_t budget) {
 
 void LftaAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   ++tuples_in_;
-  if (!input_codec_.DecodeFields(payload, reads_, &row_)) {
+  if (!input_codec_.Framed(payload)) {
     ++eval_errors_;
     return;
   }
-  expr::EvalContext ctx;
-  ctx.row0 = &row_;
-  ctx.params = params_.get();
-
-  rts::Row keys;
-  keys.reserve(spec_.keys.size());
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    expr::EvalOutput out;
-    if (!vm_.Eval(key, ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;
-    keys.push_back(std::move(out.value));
+  GroupInput::Outcome outcome =
+      grouping_.PackKey(payload, &vm_, params_.get());
+  if (outcome != GroupInput::Outcome::kOk) {
+    if (outcome == GroupInput::Outcome::kError) ++eval_errors_;
+    return;
   }
-
   if (spec_.ordered_key >= 0) {
-    const Value& ordered = keys[static_cast<size_t>(spec_.ordered_key)];
-    if (epoch_.has_value() && ordered.Compare(*epoch_) > 0) {
-      MaybeDrainEpoch(ordered);
-    }
-    if (!epoch_.has_value() || ordered.Compare(*epoch_) > 0) {
-      epoch_ = ordered;
-    }
+    AdvanceEpoch(layout_.KeyField(grouping_.key().data(),
+                                  static_cast<size_t>(spec_.ordered_key)),
+                 /*drain_first=*/false);
   }
-
-  std::vector<std::optional<Value>> args(spec_.agg_specs.size());
-  for (size_t i = 0; i < spec_.agg_args.size(); ++i) {
-    if (!spec_.agg_args[i].has_value()) continue;
-    expr::EvalOutput out;
-    if (!vm_.Eval(*spec_.agg_args[i], ctx, &out).ok()) {
-      ++eval_errors_;
-      return;
-    }
-    if (!out.has_value) return;
-    args[i] = std::move(out.value);
+  outcome = grouping_.PackArgs(&vm_, params_.get());
+  if (outcome != GroupInput::Outcome::kOk) {
+    if (outcome == GroupInput::Outcome::kError) ++eval_errors_;
+    return;
   }
-
   // Under L1 sampling each surviving tuple stands for `weight` offered
   // ones (stamped on the message at the sampling decision); fold with it
   // so COUNT/SUM stay unbiased.
-  auto ejected = table_.Upsert(std::move(keys), args, weight);
-  if (ejected.has_value()) {
-    EmitPartial(ejected->first, ejected->second);
-  }
+  table_.Upsert(grouping_.key(), grouping_.args(), weight,
+                [this](const GroupRef& group) { EmitPartial(group); });
   EnforceTableCap();
 }
 
@@ -209,21 +158,29 @@ void LftaAggregateNode::ProcessPunctuation(ByteSpan payload) {
       !out.has_value) {
     return;
   }
-  if (!epoch_.has_value() || out.value.Compare(*epoch_) > 0) {
-    MaybeDrainEpoch(out.value);
-    epoch_ = out.value;
-  }
+  PackKeyValue(layout_.key_type(static_cast<size_t>(spec_.ordered_key)),
+               out.value, &bound_);
+  AdvanceEpoch(bound_.data(), /*drain_first=*/true);
 }
 
-void LftaAggregateNode::MaybeDrainEpoch(const Value& new_epoch) {
+void LftaAggregateNode::AdvanceEpoch(const uint8_t* ordered,
+                                     bool drain_first) {
+  const DataType type =
+      layout_.key_type(static_cast<size_t>(spec_.ordered_key));
+  const bool first = epoch_.empty();
+  if (!first && rts::ComparePacked(type, ordered, epoch_.data()) <= 0) return;
   // L2 shedding: batch several ordered-key advances into one drain, cutting
   // per-epoch drain + punctuation cost. Coarsening delays window closes but
   // never loses them — every coarsen-th advance still drains everything and
   // emits the punctuation for the newest bound.
-  uint32_t coarsen = shed_ ? shed_->EpochCoarsen() : 1;
-  if (coarsen > 1 && ++epoch_advances_ < coarsen) return;
-  epoch_advances_ = 0;
-  DrainEpoch(new_epoch);
+  if (!first || drain_first) {
+    const uint32_t coarsen = shed_ ? shed_->EpochCoarsen() : 1;
+    if (coarsen <= 1 || ++epoch_advances_ >= coarsen) {
+      epoch_advances_ = 0;
+      DrainEpoch(ordered);
+    }
+  }
+  epoch_.assign(ordered, ordered + rts::TupleCodec::FieldSize(type, ordered));
 }
 
 void LftaAggregateNode::EnforceTableCap() {
@@ -234,34 +191,31 @@ void LftaAggregateNode::EnforceTableCap() {
   // Evict a chunk below the cap (not just one) so the O(slots) coldness
   // scan amortizes over many upserts.
   size_t target = cap - cap / 8;
-  for (const auto& [keys, aggs] : table_.EvictColdest(target)) {
-    EmitPartial(keys, aggs);
-  }
+  table_.EvictColdest(target,
+                      [this](const GroupRef& group) { EmitPartial(group); });
 }
 
-void LftaAggregateNode::EmitPartial(const rts::Row& keys,
-                                    const rts::Row& aggs) {
-  out_row_.assign(keys.begin(), keys.end());
-  out_row_.insert(out_row_.end(), aggs.begin(), aggs.end());
+void LftaAggregateNode::EmitPartial(const GroupRef& group) {
   // Ejected/drained partials carry the trace of the packet that triggered
   // them, keeping the sampled span chain unbroken across the LFTA table.
   rts::MessageMeta meta;
   StampOutput(&meta);
-  writer_.WriteTuple(output_codec_, out_row_, meta);
+  writer_.WriteTuple(meta, layout_.OutputSize(group),
+                     [&](uint8_t* out) { layout_.WriteOutput(group, out); });
   ++tuples_out_;
 }
 
-void LftaAggregateNode::DrainEpoch(const Value& new_epoch) {
+void LftaAggregateNode::DrainEpoch(const uint8_t* new_epoch) {
   // Draining everything is always safe — ejected groups are partial
   // aggregates the HFTA re-merges — but the ordering promise must honour
   // the band: late arrivals within it will re-open groups below new_epoch.
-  for (const auto& [keys, aggs] : table_.DrainAll()) {
-    EmitPartial(keys, aggs);
-  }
+  table_.DrainAll([this](const GroupRef& group) { EmitPartial(group); });
+  const auto k = static_cast<size_t>(spec_.ordered_key);
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(
-      static_cast<size_t>(spec_.ordered_key),
-      ReduceByBand(new_epoch, spec_.ordered_key_band));
+      k, ReduceByBand(rts::TupleCodec::ReadField(layout_.key_type(k),
+                                                 new_epoch),
+                      spec_.ordered_key_band));
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
@@ -269,9 +223,7 @@ void LftaAggregateNode::DrainEpoch(const Value& new_epoch) {
 }
 
 void LftaAggregateNode::Flush() {
-  for (const auto& [keys, aggs] : table_.DrainAll()) {
-    EmitPartial(keys, aggs);
-  }
+  table_.DrainAll([this](const GroupRef& group) { EmitPartial(group); });
   writer_.Flush();  // Flush may run outside a Poll round
 }
 

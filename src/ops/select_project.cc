@@ -1,5 +1,6 @@
 #include "ops/select_project.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "expr/vm.h"
@@ -58,13 +59,42 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       writer_(registry, spec_.name, spec_.output_batch) {
   RegisterInput(input_);
   BuildRawFilter();
+  BuildCopyProjection();
   for (const expr::CompiledExpr& projection : spec_.projections) {
     rts::AddLoadedFields(projection, &projection_reads_);
   }
   reads_ = projection_reads_;
   if (spec_.predicate.has_value()) {
     rts::AddLoadedFields(*spec_.predicate, &reads_);
+    rts::AddLoadedFields(*spec_.predicate, &predicate_reads_);
   }
+}
+
+void SelectProjectNode::BuildCopyProjection() {
+  std::vector<uint32_t> fields;
+  for (size_t i = 0; i < spec_.projections.size(); ++i) {
+    std::optional<uint32_t> field = rts::BareField(spec_.projections[i]);
+    if (!field.has_value() || *field >= spec_.input_schema.num_fields() ||
+        spec_.input_schema.field(*field).type !=
+            spec_.output_schema.field(i).type) {
+      return;
+    }
+    fields.push_back(*field);
+  }
+  if (fields.empty()) return;
+  copy_reads_ = fields;
+  std::sort(copy_reads_.begin(), copy_reads_.end());
+  copy_reads_.erase(std::unique(copy_reads_.begin(), copy_reads_.end()),
+                    copy_reads_.end());
+  copy_at_.resize(copy_reads_.size());
+  for (uint32_t field : fields) {
+    copy_slot_.push_back(static_cast<uint32_t>(
+        std::lower_bound(copy_reads_.begin(), copy_reads_.end(), field) -
+        copy_reads_.begin()));
+  }
+  copy_whole_ = fields.size() == spec_.input_schema.num_fields() &&
+                copy_reads_.size() == fields.size() &&
+                std::is_sorted(fields.begin(), fields.end());
 }
 
 void SelectProjectNode::BuildRawFilter() {
@@ -217,30 +247,36 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
     return;
   }
   BeginMessage(item);
-  input_codec_.ReadFields(payload, raw ? projection_reads_ : reads_, &row_);
-  EvaluateRow(/*predicate_checked=*/raw);
+  if (copy_slot_.empty()) {
+    input_codec_.ReadFields(payload, raw ? projection_reads_ : reads_, &row_);
+    if (raw || PredicateHolds()) EvaluateProjections();
+  } else {
+    // Copy path: only a predicate the raw filter could not take decodes.
+    if (!raw) input_codec_.ReadFields(payload, predicate_reads_, &row_);
+    if (raw || PredicateHolds()) CopyProjection(payload);
+  }
   EndMessage();
 }
 
-void SelectProjectNode::EvaluateRow(bool predicate_checked) {
+bool SelectProjectNode::PredicateHolds() {
+  if (!spec_.predicate.has_value()) return true;
   expr::EvalContext ctx;
   ctx.row0 = &row_;
   ctx.params = params_.get();
-
-  if (!predicate_checked && spec_.predicate.has_value()) {
-    expr::EvalOutput predicate_result;
-    Status status = vm_.Eval(*spec_.predicate, ctx, &predicate_result);
-    if (!status.ok()) {
-      ++eval_errors_;
-      return;
-    }
-    // Partial-function miss or false: tuple discarded (§2.2).
-    if (!predicate_result.has_value ||
-        !predicate_result.value.bool_value()) {
-      return;
-    }
+  expr::EvalOutput predicate_result;
+  Status status = vm_.Eval(*spec_.predicate, ctx, &predicate_result);
+  if (!status.ok()) {
+    ++eval_errors_;
+    return false;
   }
+  // Partial-function miss or false: tuple discarded (§2.2).
+  return predicate_result.has_value && predicate_result.value.bool_value();
+}
 
+void SelectProjectNode::EvaluateProjections() {
+  expr::EvalContext ctx;
+  ctx.row0 = &row_;
+  ctx.params = params_.get();
   out_row_.clear();
   for (const expr::CompiledExpr& projection : spec_.projections) {
     expr::EvalOutput out;
@@ -258,6 +294,31 @@ void SelectProjectNode::EvaluateRow(bool predicate_checked) {
   StampOutput(&meta);
   writer_.WriteTuple(output_codec_, out_row_, meta);
   ++tuples_out_;
+}
+
+void SelectProjectNode::CopyProjection(ByteSpan payload) {
+  rts::MessageMeta meta;
+  meta.weight = active_weight();  // sampling weight rides through
+  StampOutput(&meta);
+  ++tuples_out_;
+  if (copy_whole_) {
+    writer_.Write(meta, payload);
+    return;
+  }
+  input_codec_.LocateFields(payload.data(), copy_reads_, copy_at_.data());
+  auto field_size = [this](size_t i) {
+    return rts::TupleCodec::FieldSize(spec_.output_schema.field(i).type,
+                                      copy_at_[copy_slot_[i]]);
+  };
+  size_t size = 0;
+  for (size_t i = 0; i < copy_slot_.size(); ++i) size += field_size(i);
+  writer_.WriteTuple(meta, size, [&](uint8_t* out) {
+    for (size_t i = 0; i < copy_slot_.size(); ++i) {
+      const size_t n = field_size(i);
+      std::memcpy(out, copy_at_[copy_slot_[i]], n);
+      out += n;
+    }
+  });
 }
 
 void SelectProjectNode::ProcessPunctuation(ByteSpan payload) {

@@ -29,7 +29,10 @@ namespace gigascope::ops {
 /// shape), it is evaluated columnar-style straight off the packed tuple
 /// bytes: rejected tuples — the vast majority on a selective filter — never
 /// get decoded. Surviving tuples materialize only the fields the
-/// expressions load (the read set) into one reused row.
+/// expressions load (the read set) into one reused row. When every
+/// projection is a bare column reference (a rename, or a column subset),
+/// the output tuple is a copy of those fields' packed bytes, written in
+/// place into the output batch: no row, no VM.
 class SelectProjectNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -75,11 +78,16 @@ class SelectProjectNode : public rts::QueryNode {
   };
 
   void BuildRawFilter();
+  /// Sets up the copy path when every projection is a bare column.
+  void BuildCopyProjection();
   bool RawFilterPass(ByteSpan payload) const;
   void ProcessTuple(const rts::BatchItem& item, ByteSpan payload);
-  /// Evaluates the predicate (unless the raw filter already did) and the
-  /// projections over `row_`, emitting the output tuple.
-  void EvaluateRow(bool predicate_checked);
+  /// Evaluates the predicate over `row_`; false drops the tuple.
+  bool PredicateHolds();
+  /// Evaluates the projections over `row_`, emitting the output tuple.
+  void EvaluateProjections();
+  /// Emits the copy path's output: the projected fields' packed bytes.
+  void CopyProjection(ByteSpan payload);
   void ProcessPunctuation(ByteSpan payload);
 
   Spec spec_;
@@ -91,10 +99,19 @@ class SelectProjectNode : public rts::QueryNode {
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
   std::vector<RawTerm> raw_terms_;  // empty: use the general VM
-  /// Input fields the predicate and projections load, and the projections
-  /// alone (enough once the raw filter has checked the predicate).
+  /// Input fields the predicate and projections load, the projections
+  /// alone (enough once the raw filter has checked the predicate), and the
+  /// predicate alone (all the copy path decodes).
   rts::ReadSet reads_;
   rts::ReadSet projection_reads_;
+  rts::ReadSet predicate_reads_;
+  /// Copy path (empty when some projection is computed): the input
+  /// fields it copies, ascending, where they sit in the current tuple,
+  /// and per output field its index among them.
+  rts::ReadSet copy_reads_;
+  std::vector<const uint8_t*> copy_at_;
+  std::vector<uint32_t> copy_slot_;
+  bool copy_whole_ = false;  // the projection is the identity
   rts::StreamBatch batch_;  // input batch, reused across polls
   rts::Row row_;            // read-set decode target, reused per tuple
   rts::Row out_row_;        // projected output, reused per tuple

@@ -125,6 +125,14 @@ class BatchWriter {
     if (open_.size() >= max_batch_) Flush();
   }
 
+  /// Appends a tuple of `length` bytes carrying `meta`; `fill(uint8_t*
+  /// out)` writes its packed bytes in place, straight into the arena.
+  template <typename Fill>
+  void WriteTuple(const MessageMeta& meta, size_t length, Fill&& fill) {
+    fill(open_.Append(meta, length));
+    if (open_.size() >= max_batch_) Flush();
+  }
+
   /// Appends an already packed message (a forwarded tuple).
   void Write(const MessageMeta& meta, ByteSpan bytes) {
     open_.Append(meta, bytes);

@@ -1,6 +1,7 @@
 #include "rts/tuple.h"
 
 #include <algorithm>
+#include <cmath>
 #include <type_traits>
 
 #include "common/logging.h"
@@ -16,6 +17,60 @@ void AddLoadedFields(const expr::CompiledExpr& expr, ReadSet* set) {
     auto it = std::lower_bound(set->begin(), set->end(), instr.b);
     if (it == set->end() || *it != instr.b) set->insert(it, instr.b);
   }
+}
+
+std::optional<uint32_t> BareField(const expr::CompiledExpr& expr) {
+  if (expr.code.size() != 1) return std::nullopt;
+  const expr::Instr& instr = expr.code[0];
+  if (instr.op != expr::ByteOp::kLoadField || instr.a != 0) {
+    return std::nullopt;
+  }
+  return instr.b;
+}
+
+uint64_t CanonicalFloatBits(uint64_t bits) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  constexpr uint64_t kExponent = uint64_t{0x7ff} << 52;
+  constexpr uint64_t kQuietNan = kExponent | (uint64_t{1} << 51);
+  if ((bits & ~kSign) == 0) return 0;  // -0.0
+  if ((bits & kExponent) == kExponent && (bits & ~(kSign | kExponent)) != 0) {
+    return kQuietNan;
+  }
+  return bits;
+}
+
+int ComparePacked(DataType type, const uint8_t* a, const uint8_t* b) {
+  auto cmp3 = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  switch (type) {
+    case DataType::kBool:
+      return cmp3(*a != 0, *b != 0);
+    case DataType::kInt:
+      return cmp3(static_cast<int64_t>(LoadLe64(a)),
+                  static_cast<int64_t>(LoadLe64(b)));
+    case DataType::kUint:
+      return cmp3(LoadLe64(a), LoadLe64(b));
+    case DataType::kIp:
+      return cmp3(LoadLe32(a), LoadLe32(b));
+    case DataType::kFloat: {
+      double x;
+      double y;
+      const uint64_t xb = LoadLe64(a);
+      const uint64_t yb = LoadLe64(b);
+      std::memcpy(&x, &xb, sizeof(x));
+      std::memcpy(&y, &yb, sizeof(y));
+      if (std::isnan(x) || std::isnan(y)) {
+        return cmp3(std::isnan(x), std::isnan(y));  // NaN last
+      }
+      return cmp3(x, y);
+    }
+    case DataType::kString: {
+      const uint32_t na = LoadLe32(a);
+      const uint32_t nb = LoadLe32(b);
+      const int cmp = std::memcmp(a + 4, b + 4, std::min(na, nb));
+      return cmp != 0 ? cmp3(cmp, 0) : cmp3(na, nb);
+    }
+  }
+  return 0;
 }
 
 TupleCodec::TupleCodec(const gsql::StreamSchema& schema) : schema_(schema) {
@@ -46,41 +101,46 @@ TupleCodec::TupleCodec(const gsql::StreamSchema& schema) : schema_(schema) {
 
 void TupleCodec::EncodeTo(const Row& row, uint8_t* p) const {
   for (size_t f = 0; f < slots_.size(); ++f) {
-    const Value& value = row[f];
-    GS_CHECK(value.type() == slots_[f].type);
-    switch (value.type()) {
-      case DataType::kBool:
-        *p++ = value.bool_value() ? 1 : 0;
-        break;
-      case DataType::kInt:
-        StoreLe64(p, static_cast<uint64_t>(value.int_value()));
-        p += 8;
-        break;
-      case DataType::kUint:
-        StoreLe64(p, value.uint_value());
-        p += 8;
-        break;
-      case DataType::kFloat: {
-        uint64_t bits;
-        const double d = value.float_value();
-        std::memcpy(&bits, &d, sizeof(bits));
-        StoreLe64(p, bits);
-        p += 8;
-        break;
-      }
-      case DataType::kIp:
-        StoreLe32(p, value.ip_value());
-        p += 4;
-        break;
-      case DataType::kString: {
-        const std::string& s = value.string_value();
-        StoreLe32(p, static_cast<uint32_t>(s.size()));
-        if (!s.empty()) std::memcpy(p + 4, s.data(), s.size());
-        p += 4 + s.size();
-        break;
-      }
+    GS_CHECK(row[f].type() == slots_[f].type);
+    p = WriteValue(row[f], p);
+  }
+}
+
+size_t TupleCodec::ValueSize(const Value& value) {
+  return value.type() == DataType::kString
+             ? 4 + value.string_value().size()
+             : *FixedTypeWidth(value.type());
+}
+
+uint8_t* TupleCodec::WriteValue(const Value& value, uint8_t* p) {
+  switch (value.type()) {
+    case DataType::kBool:
+      *p = value.bool_value() ? 1 : 0;
+      return p + 1;
+    case DataType::kInt:
+      StoreLe64(p, static_cast<uint64_t>(value.int_value()));
+      return p + 8;
+    case DataType::kUint:
+      StoreLe64(p, value.uint_value());
+      return p + 8;
+    case DataType::kFloat: {
+      uint64_t bits;
+      const double d = value.float_value();
+      std::memcpy(&bits, &d, sizeof(bits));
+      StoreLe64(p, bits);
+      return p + 8;
+    }
+    case DataType::kIp:
+      StoreLe32(p, value.ip_value());
+      return p + 4;
+    case DataType::kString: {
+      const std::string& s = value.string_value();
+      StoreLe32(p, static_cast<uint32_t>(s.size()));
+      if (!s.empty()) std::memcpy(p + 4, s.data(), s.size());
+      return p + 4 + s.size();
     }
   }
+  return p;
 }
 
 void TupleCodec::Encode(const Row& row, ByteBuffer* out) const {
@@ -122,8 +182,8 @@ bool TupleCodec::Framed(ByteSpan bytes) const {
   return FramingError(bytes) == nullptr;
 }
 
-Value TupleCodec::ReadValue(const Slot& slot, const uint8_t* p) const {
-  switch (slot.type) {
+Value TupleCodec::ReadField(DataType type, const uint8_t* p) {
+  switch (type) {
     case DataType::kBool:
       return Value::Bool(*p != 0);
     case DataType::kInt:
@@ -145,6 +205,30 @@ Value TupleCodec::ReadValue(const Slot& slot, const uint8_t* p) const {
   return Value();
 }
 
+void TupleCodec::LocateFields(const uint8_t* data, const ReadSet& fields,
+                              const uint8_t** at) const {
+  // Fields ascend, so the segment base only ever moves forward.
+  uint32_t segment = 0;
+  size_t base = 0;
+  for (uint32_t f : fields) {
+    const Slot& slot = slots_[f];
+    while (segment < slot.segment) {
+      const size_t string_at = base + slots_[string_fields_[segment]].offset;
+      base = string_at + 4 + LoadLe32(data + string_at);
+      ++segment;
+    }
+    *at++ = data + base + slot.offset;
+  }
+}
+
+void TupleCodec::CanonicalizeKeyField(DataType type, uint8_t* at) {
+  if (type == DataType::kFloat) {
+    StoreLe64(at, CanonicalFloatBits(LoadLe64(at)));
+  } else if (type == DataType::kBool) {
+    *at = *at != 0 ? 1 : 0;
+  }
+}
+
 void TupleCodec::ReadFields(ByteSpan framed, const ReadSet& fields,
                             Row* row) const {
   if (row->size() != slots_.size()) row->resize(slots_.size());
@@ -159,7 +243,7 @@ void TupleCodec::ReadFields(ByteSpan framed, const ReadSet& fields,
       base = at + 4 + LoadLe32(data + at);
       ++segment;
     }
-    (*row)[f] = ReadValue(slot, data + base + slot.offset);
+    (*row)[f] = ReadField(slot.type, data + base + slot.offset);
   }
 }
 
@@ -177,7 +261,7 @@ Result<Row> TupleCodec::Decode(ByteSpan bytes) const {
   Row row(slots_.size());
   const uint8_t* p = bytes.data();
   for (size_t f = 0; f < slots_.size(); ++f) {
-    row[f] = ReadValue(slots_[f], p);
+    row[f] = ReadField(slots_[f].type, p);
     p += slots_[f].width != 0 ? slots_[f].width : 4 + LoadLe32(p);
   }
   return row;

@@ -25,6 +25,22 @@ using ReadSet = std::vector<uint32_t>;
 /// `set`, keeping it sorted and unique.
 void AddLoadedFields(const expr::CompiledExpr& expr, ReadSet* set);
 
+/// The input field `expr` is a bare reference to (its whole program is one
+/// kLoadField of row 0), or nullopt for a computed expression. Operators
+/// copy or load such a field straight from the packed tuple instead of
+/// running the VM.
+std::optional<uint32_t> BareField(const expr::CompiledExpr& expr);
+
+/// Canonical bits of a FLOAT kept in aggregation group state: -0.0 becomes
+/// +0.0 and every NaN one quiet NaN. Two canonical FLOATs are equal as
+/// bytes exactly when ComparePacked calls them equal.
+uint64_t CanonicalFloatBits(uint64_t bits);
+
+/// Three-way comparison of two packed values of `type`, in Value::Compare's
+/// order except that NaN sorts after every number (and equal to NaN),
+/// which makes it a strict weak order. BOOL compares as zero / nonzero.
+int ComparePacked(gsql::DataType type, const uint8_t* a, const uint8_t* b);
+
 /// Packs and unpacks tuples of one schema ("the fields of its tuples are
 /// packed in a standard fashion", §2.2). The packed form is what crosses
 /// the shared-memory channels between query nodes.
@@ -84,6 +100,36 @@ class TupleCodec {
   /// Encoded width in bytes of a fixed-width type; nullopt for strings.
   static std::optional<size_t> FixedTypeWidth(gsql::DataType type);
 
+  // -- Field-level access to packed bytes ------------------------------------
+
+  /// Points `at[i]` at the packed bytes of field `fields[i]` (a string's
+  /// length word) in an already Framed() tuple; `fields` ascends.
+  void LocateFields(const uint8_t* framed, const ReadSet& fields,
+                    const uint8_t** at) const;
+
+  /// Packed size of the field of `type` whose bytes start at `at`.
+  static size_t FieldSize(gsql::DataType type, const uint8_t* at) {
+    switch (type) {
+      case gsql::DataType::kBool: return 1;
+      case gsql::DataType::kIp: return 4;
+      case gsql::DataType::kString: return 4 + LoadLe32(at);
+      default: return 8;  // INT, UINT, FLOAT
+    }
+  }
+
+  /// Reads the packed field of `type` at `at`.
+  static expr::Value ReadField(gsql::DataType type, const uint8_t* at);
+
+  /// Packed size of `value`, and its packed bytes written at `out`
+  /// (returns the end).
+  static size_t ValueSize(const expr::Value& value);
+  static uint8_t* WriteValue(const expr::Value& value, uint8_t* out);
+
+  /// Rewrites the packed field of `type` at `at` in group-key form: a FLOAT
+  /// to CanonicalFloatBits, a BOOL to 0 or 1; other types are already
+  /// canonical. Equal keys are then equal bytes.
+  static void CanonicalizeKeyField(gsql::DataType type, uint8_t* at);
+
  private:
   /// Where one field lives: `offset` bytes past the start of segment
   /// `segment`, where segment k starts right after the k-th string (segment
@@ -97,8 +143,6 @@ class TupleCodec {
 
   /// Null when `bytes` is well framed, else why it is not.
   const char* FramingError(ByteSpan bytes) const;
-  /// Reads one field whose bytes start at `p`.
-  expr::Value ReadValue(const Slot& slot, const uint8_t* p) const;
 
   gsql::StreamSchema schema_;
   std::vector<Slot> slots_;

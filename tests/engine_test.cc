@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -507,6 +509,48 @@ TEST(EngineTest, ExternalStreamViaInjectRow) {
   auto row = (*sub)->NextRow();
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ((*row)[1].uint_value(), 42u);
+}
+
+// A FLOAT group key folds -0.0 into 0.0 and every NaN into one group, and
+// closes in key order with NaN after every number.
+TEST(EngineTest, FloatGroupKeysAreCanonicalAndNanSortsLast) {
+  Engine engine;
+  std::vector<gsql::FieldDef> fields;
+  fields.push_back({"t", DataType::kUint, gsql::OrderSpec::Increasing()});
+  fields.push_back({"x", DataType::kFloat, gsql::OrderSpec::None()});
+  ASSERT_TRUE(engine
+                  .DeclareStream(gsql::StreamSchema(
+                      "floats", gsql::StreamKind::kStream, fields))
+                  .ok());
+  auto info = engine.AddQuery(
+      "DEFINE { query_name fx; } "
+      "SELECT t, x, count(*) FROM floats GROUP BY t, x");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto sub = engine.Subscribe("fx");
+  ASSERT_TRUE(sub.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double x : {0.0, -0.0, 0.0, -0.0, nan, 1.0, -nan, 2.0}) {
+    ASSERT_TRUE(
+        engine.InjectRow("floats", {Value::Uint(1), Value::Float(x)}).ok());
+  }
+  // t=2 closes every t=1 group.
+  ASSERT_TRUE(
+      engine.InjectRow("floats", {Value::Uint(2), Value::Float(5)}).ok());
+  engine.PumpUntilIdle();
+
+  std::vector<std::pair<double, uint64_t>> groups;
+  while (auto row = (*sub)->NextRow()) {
+    ASSERT_EQ((*row)[0].uint_value(), 1u);
+    groups.emplace_back((*row)[1].float_value(), (*row)[2].uint_value());
+  }
+  ASSERT_EQ(groups.size(), 4u);
+  EXPECT_EQ(groups[0].first, 0.0);
+  EXPECT_FALSE(std::signbit(groups[0].first));  // -0.0 folded into 0.0
+  EXPECT_EQ(groups[0].second, 4u);
+  EXPECT_EQ(groups[1], (std::pair<double, uint64_t>{1.0, 1}));
+  EXPECT_EQ(groups[2], (std::pair<double, uint64_t>{2.0, 1}));
+  EXPECT_TRUE(std::isnan(groups[3].first));
+  EXPECT_EQ(groups[3].second, 2u);
 }
 
 TEST(EngineTest, HeartbeatClosesIdleAggregation) {

@@ -79,13 +79,11 @@ std::vector<Value> SampleRow() {
           Value::Bool(true)};
 }
 
-TEST(ValueTest, CompareAndHash) {
+TEST(ValueTest, Compare) {
   EXPECT_EQ(Value::Int(3).Compare(Value::Int(5)), -1);
   EXPECT_EQ(Value::Uint(9).Compare(Value::Uint(9)), 0);
   EXPECT_EQ(Value::Float(2.0).Compare(Value::Float(1.0)), 1);
   EXPECT_EQ(Value::String("a").Compare(Value::String("b")), -1);
-  EXPECT_EQ(Value::Int(3).Hash(), Value::Int(3).Hash());
-  EXPECT_NE(Value::Int(3).Hash(), Value::Int(4).Hash());
 }
 
 TEST(ValueTest, ToStringFormats) {

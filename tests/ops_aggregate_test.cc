@@ -254,6 +254,143 @@ TEST_F(AggregateTest, MinMaxAggregates) {
   EXPECT_EQ(row[2].uint_value(), 90u);
 }
 
+// No GROUP BY: every tuple folds into the one group with an empty key,
+// which both tables hold, compare and emit like any other.
+TEST_F(AggregateTest, EmptyKeyIsOneGroup) {
+  auto make_spec = [](const std::string& name) {
+    OrderedAggregateNode::Spec spec = MakeSpec(name);
+    spec.keys.clear();
+    spec.key_punctuation_source.clear();
+    spec.ordered_key = -1;
+    std::vector<FieldDef> fields;
+    fields.push_back({"cnt", DataType::kUint, OrderSpec::None()});
+    fields.push_back({"total", DataType::kUint, OrderSpec::None()});
+    spec.output_schema = StreamSchema(name, StreamKind::kStream, fields);
+    return spec;
+  };
+  auto hfta_spec = make_spec("all");
+  auto lfta_spec = make_spec("lall");
+  ASSERT_TRUE(registry_.DeclareStream(hfta_spec.output_schema).ok());
+  ASSERT_TRUE(registry_.DeclareStream(lfta_spec.output_schema).ok());
+  auto hfta_in = registry_.Subscribe("in", 64);
+  auto lfta_in = registry_.Subscribe("in", 64);
+  ASSERT_TRUE(hfta_in.ok() && lfta_in.ok());
+  OrderedAggregateNode hfta(std::move(hfta_spec), *hfta_in, &registry_,
+                            params_);
+  LftaAggregateNode lfta(std::move(lfta_spec), 0, *lfta_in, &registry_,
+                         params_);
+  auto hfta_out = registry_.Subscribe("all", 64);
+  auto lfta_out = registry_.Subscribe("lall", 64);
+  ASSERT_TRUE(hfta_out.ok() && lfta_out.ok());
+
+  Send(1, 100, 10);
+  Send(2, 200, 20);
+  Send(30, 300, 30);
+  hfta.Poll(100);
+  lfta.Poll(100);
+  EXPECT_EQ(hfta.open_groups(), 1u);
+  hfta.Flush();
+  lfta.Flush();
+  for (rts::Subscription* out : {&*hfta_out, &*lfta_out}) {
+    rts::TupleCodec codec(registry_.GetSchema("all").value());
+    std::vector<rts::Row> rows;
+    rts::StreamBatch batch;
+    while ((*out)->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        auto row = codec.Decode(batch.payload(item));
+        ASSERT_TRUE(row.ok());
+        rows.push_back(*row);
+      }
+    }
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].uint_value(), 3u);
+    EXPECT_EQ(rows[0][1].uint_value(), 60u);
+  }
+}
+
+// SUM over INT wraps modulo 2^64 like the VM's INT `+` and `*`, in the
+// HFTA map and the LFTA table alike, weighted or not (no signed overflow).
+TEST(SumWrapTest, IntSumWrapsThroughUint64) {
+  std::vector<FieldDef> in_fields;
+  in_fields.push_back({"t", DataType::kUint, OrderSpec::Increasing()});
+  in_fields.push_back({"v", DataType::kInt, OrderSpec::None()});
+  const StreamSchema in("ints", StreamKind::kStream, in_fields);
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(in).ok());
+  auto params = std::make_shared<std::vector<Value>>();
+
+  auto make_spec = [&](const std::string& name) {
+    OrderedAggregateNode::Spec spec;
+    spec.name = name;
+    spec.input_schema = in;
+    std::vector<FieldDef> out_fields;
+    out_fields.push_back({"t", DataType::kUint, OrderSpec::Increasing()});
+    out_fields.push_back({"total", DataType::kInt, OrderSpec::None()});
+    spec.output_schema = StreamSchema(name, StreamKind::kStream, out_fields);
+    spec.keys.push_back(
+        MustCompile(expr::MakeFieldRef(0, 0, DataType::kUint, "t")));
+    AggregateSpec sum;
+    sum.fn = AggFn::kSum;
+    sum.arg = expr::MakeFieldRef(0, 1, DataType::kInt, "v");
+    sum.result_type = DataType::kInt;
+    spec.agg_specs.push_back(sum);
+    spec.agg_args.emplace_back(MustCompile(sum.arg));
+    spec.ordered_key = 0;
+    spec.key_punctuation_source = {0};
+    EXPECT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+    return spec;
+  };
+  auto hfta_in = registry.Subscribe("ints", 64);
+  auto lfta_in = registry.Subscribe("ints", 64);
+  ASSERT_TRUE(hfta_in.ok() && lfta_in.ok());
+  OrderedAggregateNode hfta(make_spec("hsum"), *hfta_in, &registry, params);
+  LftaAggregateNode lfta(make_spec("lsum"), 4, *lfta_in, &registry, params);
+  auto hfta_out = registry.Subscribe("hsum", 64);
+  auto lfta_out = registry.Subscribe("lsum", 64);
+  ASSERT_TRUE(hfta_out.ok() && lfta_out.ok());
+
+  // Group t=1: INT64_MAX twice. Group t=2: INT64_MAX once under an L1
+  // weight of 2. Group t=3: INT64_MIN with weight 2, plus -1.
+  rts::TupleCodec codec(in);
+  auto send = [&](uint64_t t, int64_t v, uint32_t weight) {
+    rts::MessageMeta meta;
+    meta.weight = weight;
+    rts::StreamBatch batch;
+    batch.AppendTuple(codec, {Value::Uint(t), Value::Int(v)}, meta);
+    registry.PublishBatch("ints", std::move(batch));
+  };
+  send(1, INT64_MAX, 1);
+  send(1, INT64_MAX, 1);
+  send(2, INT64_MAX, 2);
+  send(3, INT64_MIN, 2);
+  send(3, -1, 1);
+  hfta.Poll(100);
+  lfta.Poll(100);
+  hfta.Flush();
+  lfta.Flush();
+
+  auto totals = [](rts::Subscription& out, const StreamSchema& schema) {
+    rts::TupleCodec out_codec(schema);
+    std::map<uint64_t, int64_t> by_t;
+    rts::StreamBatch batch;
+    while (out->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        if (item.kind != rts::MessageKind::kTuple) continue;
+        auto row = out_codec.Decode(batch.payload(item));
+        EXPECT_TRUE(row.ok());
+        // Partials re-merge, wrapping like the aggregate itself.
+        const auto v = static_cast<uint64_t>((*row)[1].int_value());
+        int64_t& total = by_t[(*row)[0].uint_value()];
+        total = static_cast<int64_t>(static_cast<uint64_t>(total) + v);
+      }
+    }
+    return by_t;
+  };
+  const std::map<uint64_t, int64_t> expected = {{1, -2}, {2, -2}, {3, -1}};
+  EXPECT_EQ(totals(*hfta_out, registry.GetSchema("hsum").value()), expected);
+  EXPECT_EQ(totals(*lfta_out, registry.GetSchema("lsum").value()), expected);
+}
+
 // --- Direct-mapped LFTA table ---
 
 TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
@@ -298,59 +435,90 @@ TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
   EXPECT_EQ((*lfta_out)->pushed(), 0u);
 }
 
-TEST(DirectMappedTableTest, UpsertAndDrain) {
-  std::vector<AggregateSpec> specs;
-  AggregateSpec count;
-  count.fn = AggFn::kCount;
-  count.result_type = DataType::kUint;
-  specs.push_back(count);
-  DirectMappedAggTable table(4, &specs);  // 16 slots
+/// COUNT(*) grouped by one UINT key, packed as the LFTA table keeps it.
+class CountTable {
+ public:
+  explicit CountTable(int log2_slots)
+      : layout_({DataType::kUint}, {CountSpec()}, {DataType::kUint}),
+        table_(log2_slots, &layout_),
+        codec_(StreamSchema("partial", StreamKind::kStream,
+                            {FieldDef{"key", DataType::kUint,
+                                      OrderSpec::None()},
+                             FieldDef{"cnt", DataType::kUint,
+                                      OrderSpec::None()}})) {}
 
-  std::vector<std::optional<Value>> args(1);
-  for (int i = 0; i < 3; ++i) {
-    auto ejected = table.Upsert({Value::Uint(7)}, args);
-    EXPECT_FALSE(ejected.has_value());
+  /// Folds one tuple of `key`; returns the partials it ejected.
+  std::vector<std::pair<uint64_t, uint64_t>> Upsert(uint64_t key) {
+    uint8_t bytes[8];
+    StoreLe64(bytes, key);
+    const uint8_t* args[] = {nullptr};  // count(*)
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    table_.Upsert(ByteSpan(bytes, sizeof(bytes)), args, 1,
+                  [&](const GroupRef& group) { out.push_back(Decode(group)); });
+    return out;
   }
-  EXPECT_EQ(table.occupied(), 1u);
+
+  std::vector<std::pair<uint64_t, uint64_t>> DrainAll() {
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    table_.DrainAll(
+        [&](const GroupRef& group) { out.push_back(Decode(group)); });
+    return out;
+  }
+
+  const DirectMappedAggTable& table() const { return table_; }
+
+ private:
+  static AggregateSpec CountSpec() {
+    AggregateSpec count;
+    count.fn = AggFn::kCount;
+    count.result_type = DataType::kUint;
+    return count;
+  }
+
+  /// The (key, count) of an emitted partial, through its packed output.
+  std::pair<uint64_t, uint64_t> Decode(const GroupRef& group) const {
+    ByteBuffer bytes(layout_.OutputSize(group));
+    layout_.WriteOutput(group, bytes.data());
+    auto row = codec_.Decode(ByteSpan(bytes.data(), bytes.size()));
+    EXPECT_TRUE(row.ok());
+    return {(*row)[0].uint_value(), (*row)[1].uint_value()};
+  }
+
+  GroupLayout layout_;
+  DirectMappedAggTable table_;
+  rts::TupleCodec codec_;
+};
+
+using Partial = std::pair<uint64_t, uint64_t>;
+
+TEST(DirectMappedTableTest, UpsertAndDrain) {
+  CountTable table(4);  // 16 slots
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(table.Upsert(7).empty());  // the repeated key folds
+  }
+  EXPECT_EQ(table.table().occupied(), 1u);
   auto drained = table.DrainAll();
   ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].first[0].uint_value(), 7u);
-  EXPECT_EQ(drained[0].second[0].uint_value(), 3u);
-  EXPECT_EQ(table.occupied(), 0u);
+  EXPECT_EQ(drained[0], (Partial{7, 3}));
+  EXPECT_EQ(table.table().occupied(), 0u);
 }
 
 TEST(DirectMappedTableTest, CollisionEjectsIncumbent) {
-  std::vector<AggregateSpec> specs;
-  AggregateSpec count;
-  count.fn = AggFn::kCount;
-  count.result_type = DataType::kUint;
-  specs.push_back(count);
-  DirectMappedAggTable table(0, &specs);  // 1 slot: every new key collides
-
-  std::vector<std::optional<Value>> args(1);
-  EXPECT_FALSE(table.Upsert({Value::Uint(1)}, args).has_value());
-  auto ejected = table.Upsert({Value::Uint(2)}, args);
-  ASSERT_TRUE(ejected.has_value());
-  EXPECT_EQ(ejected->first[0].uint_value(), 1u);
-  EXPECT_EQ(ejected->second[0].uint_value(), 1u);
-  EXPECT_EQ(table.evictions(), 1u);
+  CountTable table(0);  // 1 slot: every new key collides
+  EXPECT_TRUE(table.Upsert(1).empty());
+  auto ejected = table.Upsert(2);
+  ASSERT_EQ(ejected.size(), 1u);
+  EXPECT_EQ(ejected[0], (Partial{1, 1}));
+  EXPECT_EQ(table.table().evictions(), 1u);
+  EXPECT_EQ(table.DrainAll(), (std::vector<Partial>{{2, 1}}));
 }
 
 TEST(DirectMappedTableTest, EvictionRateDropsWithTableSize) {
-  std::vector<AggregateSpec> specs;
-  AggregateSpec count;
-  count.fn = AggFn::kCount;
-  count.result_type = DataType::kUint;
-  specs.push_back(count);
-
-  auto run = [&specs](int log2_slots) {
-    DirectMappedAggTable table(log2_slots, &specs);
-    std::vector<std::optional<Value>> args(1);
+  auto run = [](int log2_slots) {
+    CountTable table(log2_slots);
     Rng rng(5);
-    for (int i = 0; i < 20000; ++i) {
-      table.Upsert({Value::Uint(rng.NextBelow(256))}, args);
-    }
-    return table.evictions();
+    for (int i = 0; i < 20000; ++i) table.Upsert(rng.NextBelow(256));
+    return table.table().evictions();
   };
   uint64_t small = run(3);
   uint64_t large = run(10);

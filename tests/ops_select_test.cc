@@ -210,6 +210,108 @@ TEST_F(SelectProjectTest, MalformedTuplesCountOneEvalErrorRawFilterOnOrOff) {
   EXPECT_FALSE(Receive().has_value());
 }
 
+// Bare-column projections copy packed bytes: fields reordered, repeated
+// and located behind strings, under a predicate only the VM can run, and
+// the identity projection that forwards the whole tuple with its weight.
+TEST(SelectProjectCopyTest, ColumnProjectionsCopyPackedFields) {
+  std::vector<FieldDef> in_fields;
+  in_fields.push_back({"t", DataType::kUint, OrderSpec::Increasing()});
+  in_fields.push_back({"a", DataType::kString, OrderSpec::None()});
+  in_fields.push_back({"v", DataType::kUint, OrderSpec::None()});
+  in_fields.push_back({"b", DataType::kString, OrderSpec::None()});
+  in_fields.push_back({"ip", DataType::kIp, OrderSpec::None()});
+  const StreamSchema in("cin", StreamKind::kStream, in_fields);
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(in).ok());
+  auto params = std::make_shared<std::vector<Value>>();
+
+  // SELECT b, t, a, b, ip WHERE v * 1 > 10
+  const std::vector<uint32_t> picked = {3, 0, 1, 3, 4};
+  SelectProjectNode::Spec reorder;
+  reorder.name = "reorder";
+  reorder.input_schema = in;
+  std::vector<FieldDef> out_fields;
+  for (uint32_t f : picked) {
+    out_fields.push_back({"o" + std::to_string(out_fields.size()),
+                          in_fields[f].type, OrderSpec::None()});
+    reorder.projections.push_back(MustCompile(expr::MakeFieldRef(
+        0, f, in_fields[f].type, in_fields[f].name)));
+    reorder.punctuation_source.push_back(f == 0 ? 0 : -1);
+  }
+  out_fields[1].order = OrderSpec::Increasing();
+  reorder.output_schema =
+      StreamSchema("reorder", StreamKind::kStream, out_fields);
+  reorder.predicate = MustCompile(expr::MakeBinaryIr(
+      BinaryOp::kGt, DataType::kBool,
+      expr::MakeBinaryIr(BinaryOp::kMul, DataType::kUint,
+                         expr::MakeFieldRef(0, 2, DataType::kUint, "v"),
+                         expr::MakeConst(Value::Uint(1))),
+      expr::MakeConst(Value::Uint(10))));
+  // SELECT t, a, v, b, ip (the identity)
+  SelectProjectNode::Spec identity;
+  identity.name = "identity";
+  identity.input_schema = in;
+  identity.output_schema = StreamSchema("identity", StreamKind::kStream,
+                                        in_fields);
+  for (uint32_t f = 0; f < in_fields.size(); ++f) {
+    identity.projections.push_back(MustCompile(expr::MakeFieldRef(
+        0, f, in_fields[f].type, in_fields[f].name)));
+    identity.punctuation_source.push_back(f == 0 ? 0 : -1);
+  }
+  ASSERT_TRUE(registry.DeclareStream(reorder.output_schema).ok());
+  ASSERT_TRUE(registry.DeclareStream(identity.output_schema).ok());
+  auto in1 = registry.Subscribe("cin", 64);
+  auto in2 = registry.Subscribe("cin", 64);
+  ASSERT_TRUE(in1.ok() && in2.ok());
+  const StreamSchema reorder_schema = reorder.output_schema;
+  SelectProjectNode reorder_node(std::move(reorder), *in1, &registry, params);
+  SelectProjectNode identity_node(std::move(identity), *in2, &registry,
+                                  params);
+  auto reorder_out = registry.Subscribe("reorder", 64);
+  auto identity_out = registry.Subscribe("identity", 64);
+  ASSERT_TRUE(reorder_out.ok() && identity_out.ok());
+
+  const std::vector<rts::Row> rows = {
+      {Value::Uint(1), Value::String(""), Value::Uint(50),
+       Value::String("a string longer than fifteen bytes"), Value::Ip(7)},
+      {Value::Uint(2), Value::String("x"), Value::Uint(5),  // filtered
+       Value::String("y"), Value::Ip(8)},
+      {Value::Uint(3), Value::String("abc"), Value::Uint(11),
+       Value::String(""), Value::Ip(0xffffffff)},
+  };
+  rts::TupleCodec codec(in);
+  rts::StreamBatch batch;
+  rts::MessageMeta meta;
+  meta.weight = 3;
+  for (const rts::Row& row : rows) batch.AppendTuple(codec, row, meta);
+  registry.PublishBatch("cin", std::move(batch));
+  reorder_node.Poll(100);
+  identity_node.Poll(100);
+
+  auto read = [](rts::Subscription& out, const StreamSchema& schema) {
+    rts::TupleCodec out_codec(schema);
+    std::vector<rts::Row> got;
+    rts::StreamBatch popped;
+    while (out->TryPop(&popped)) {
+      for (const rts::BatchItem& item : popped.items()) {
+        EXPECT_EQ(item.weight, 3u);  // the sampling weight rides through
+        auto row = out_codec.Decode(popped.payload(item));
+        EXPECT_TRUE(row.ok());
+        got.push_back(*row);
+      }
+    }
+    return got;
+  };
+  std::vector<rts::Row> expected;
+  for (size_t r : {0, 2}) {
+    rts::Row row;
+    for (uint32_t f : picked) row.push_back(rows[r][f]);
+    expected.push_back(row);
+  }
+  EXPECT_EQ(read(*reorder_out, reorder_schema), expected);
+  EXPECT_EQ(read(*identity_out, in), rows);
+}
+
 TEST_F(SelectProjectTest, ParamChangeTakesEffectImmediately) {
   // Rebuild a node whose predicate uses a parameter: v > $threshold.
   SelectProjectNode::Spec spec;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 
 #include "bpf/interpreter.h"
@@ -14,12 +17,15 @@
 #include "ops/lfta_agg.h"
 #include "ops/merge.h"
 #include "plan/ordering.h"
+#include "rts/punctuation.h"
+#include "rts/shed_state.h"
 #include "rts/tuple.h"
 #include "workload/traffic_gen.h"
 
 namespace gigascope {
 namespace {
 
+using expr::CompiledExpr;
 using expr::Value;
 using gsql::DataType;
 using gsql::FieldDef;
@@ -244,6 +250,453 @@ TEST_P(SplitAggEquivalence, TableSizeDoesNotChangeResults) {
 
 INSTANTIATE_TEST_SUITE_P(TableSizes, SplitAggEquivalence,
                          ::testing::Values(0, 2, 4, 8, 12));
+
+// ---------------------------------------------------------------------------
+// Packed group state against a reference: a std::map over Values computes
+// every group's COUNT/SUM/MIN/MAX from the whole input, and the split plan
+// (LFTA direct-mapped table feeding the HFTA superaggregate, shaped as the
+// splitter shapes it) and the HFTA-only plan must both produce exactly its
+// rows. Keys of every type (FLOAT with +-0 and NaN, STRINGs empty, short
+// and long), a computed key, a partial UDF, a banded ordered key, L1
+// weights above 1, a one-slot table and L3 coldest eviction are covered.
+// ---------------------------------------------------------------------------
+
+namespace packed_groups {
+
+using expr::AggFn;
+using expr::AggregateSpec;
+using expr::IrPtr;
+
+constexpr uint64_t kBand = 3;
+
+enum Column { kT, kB, kI, kU, kF, kIp, kS };
+
+StreamSchema InputSchema() {
+  return StreamSchema(
+      "gin", StreamKind::kStream,
+      {FieldDef{"t", DataType::kUint, OrderSpec::Banded(kBand)},
+       FieldDef{"b", DataType::kBool, OrderSpec::None()},
+       FieldDef{"i", DataType::kInt, OrderSpec::None()},
+       FieldDef{"u", DataType::kUint, OrderSpec::None()},
+       FieldDef{"f", DataType::kFloat, OrderSpec::None()},
+       FieldDef{"ip", DataType::kIp, OrderSpec::None()},
+       FieldDef{"s", DataType::kString, OrderSpec::None()}});
+}
+
+IrPtr Col(Column column) {
+  const FieldDef field = InputSchema().field(column);
+  return expr::MakeFieldRef(0, column, field.type, field.name);
+}
+
+/// pick(u): u, or no result when u is a multiple of 3.
+const expr::FunctionInfo* Pick() {
+  static const expr::FunctionInfo info = [] {
+    expr::FunctionInfo fn;
+    fn.name = "pick";
+    fn.return_type = DataType::kUint;
+    fn.arg_types = {DataType::kUint};
+    fn.pass_by_handle = {false};
+    fn.partial = true;
+    fn.lfta_safe = true;
+    fn.cost = 1;
+    fn.invoke = [](const std::vector<Value>& args,
+                   const std::vector<std::shared_ptr<void>>&, Value* out,
+                   bool* has_result) {
+      *has_result = args[0].uint_value() % 3 != 0;
+      if (*has_result) *out = args[0];
+      return Status::Ok();
+    };
+    return fn;
+  }();
+  return &info;
+}
+
+AggregateSpec Agg(AggFn fn, IrPtr arg) {
+  AggregateSpec spec;
+  spec.fn = fn;
+  if (fn == AggFn::kCount) {
+    spec.result_type = DataType::kUint;
+    return spec;
+  }
+  const DataType type = arg->type;
+  spec.result_type = fn != AggFn::kSum           ? type
+                     : type == DataType::kFloat ? DataType::kFloat
+                     : type == DataType::kInt   ? DataType::kInt
+                                                : DataType::kUint;
+  spec.arg = std::move(arg);
+  return spec;
+}
+
+/// One query shape: GROUP BY t, <keys>; the aggregates of Aggregates().
+struct Query {
+  std::vector<IrPtr> keys;  // keys[0] is t, the banded ordered key
+  std::vector<AggregateSpec> aggs;
+};
+
+std::vector<AggregateSpec> Aggregates() {
+  std::vector<AggregateSpec> aggs = {
+      Agg(AggFn::kCount, nullptr), Agg(AggFn::kSum, Col(kI)),
+      Agg(AggFn::kSum, Col(kU)),   Agg(AggFn::kSum, Col(kF)),
+      Agg(AggFn::kSum, Col(kIp))};
+  for (Column column : {kB, kI, kU, kF, kIp, kS}) {
+    aggs.push_back(Agg(AggFn::kMin, Col(column)));
+    aggs.push_back(Agg(AggFn::kMax, Col(column)));
+  }
+  return aggs;
+}
+
+std::vector<Query> Queries() {
+  std::vector<Query> queries;
+  for (Column column : {kB, kI, kU, kF, kIp, kS}) {
+    queries.push_back({{Col(kT), Col(column)}, Aggregates()});
+  }
+  // A computed key (i * 2, wrapping) beside FLOAT and STRING keys, and a
+  // partial UDF whose misses drop the tuple.
+  Query computed{{Col(kT),
+                  expr::MakeBinaryIr(gsql::BinaryOp::kMul, DataType::kInt,
+                                     Col(kI),
+                                     expr::MakeConst(Value::Int(2))),
+                  Col(kF), Col(kS)},
+                 Aggregates()};
+  computed.aggs.push_back(
+      Agg(AggFn::kSum, expr::MakeCallIr(Pick(), {Col(kU)})));
+  queries.push_back(std::move(computed));
+  return queries;
+}
+
+struct Input {
+  rts::Row row;
+  uint32_t weight = 1;
+};
+
+/// Seeded input: t banded-increasing within kBand, every column drawn
+/// from a small pool of edge values so groups repeat.
+std::vector<Input> MakeInput(uint64_t seed, size_t count) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<int64_t> ints = {0, 1, -1, 7, -7, INT64_MAX, INT64_MIN};
+  const std::vector<uint64_t> uints = {0, 1, 2, 3, 4, 5, UINT64_MAX};
+  const std::vector<double> floats = {0.0, -0.0, nan, -nan,
+                                      1.5, -2.25, 3.0, 1024.0};
+  const std::vector<uint32_t> ips = {0, 1, 0x0a000001, 0xffffffff};
+  const std::vector<std::string> strings = {
+      "", "a", "ab", std::string("ab\0c", 4), "\xff", "fifteen-bytes!!",
+      "sixteen-bytes!!!", "a string well past the inline key capacity"};
+  const std::vector<uint32_t> weights = {1, 1, 1, 2, 5};
+  Rng rng(seed);
+  std::vector<Input> input;
+  uint64_t max_t = 10;
+  for (size_t n = 0; n < count; ++n) {
+    if (rng.NextBool(0.03)) max_t += 1 + rng.NextBelow(2);
+    Input in;
+    in.row = {Value::Uint(max_t - rng.NextBelow(kBand + 1)),
+              Value::Bool(rng.NextBool(0.5)),
+              Value::Int(ints[rng.NextBelow(ints.size())]),
+              Value::Uint(uints[rng.NextBelow(uints.size())]),
+              Value::Float(floats[rng.NextBelow(floats.size())]),
+              Value::Ip(ips[rng.NextBelow(ips.size())]),
+              Value::String(strings[rng.NextBelow(strings.size())])};
+    in.weight = weights[rng.NextBelow(weights.size())];
+    input.push_back(std::move(in));
+  }
+  return input;
+}
+
+/// Canonical text of a value: FLOAT as an exact hex float, any NaN alike.
+std::string Show(const Value& value) {
+  if (value.type() == DataType::kFloat) {
+    if (std::isnan(value.float_value())) return "f:nan";
+    char text[64];
+    std::snprintf(text, sizeof(text), "f:%a", value.float_value());
+    return text;
+  }
+  if (value.type() == DataType::kString) {
+    std::string text = "s:";
+    for (unsigned char c : value.string_value()) {
+      text += std::to_string(c) + ".";
+    }
+    return text;
+  }
+  return std::to_string(static_cast<int>(value.type())) + ":" +
+         value.ToString();
+}
+
+std::string ShowRow(const rts::Row& row) {
+  std::string text;
+  for (const Value& value : row) text += Show(value) + " | ";
+  return text;
+}
+
+// -- The reference: one pass over the whole input, per group a Value row.
+
+Value CanonicalFloat(double d) {
+  if (std::isnan(d)) {
+    return Value::Float(std::numeric_limits<double>::quiet_NaN());
+  }
+  return Value::Float(d == 0 ? 0.0 : d);
+}
+
+/// Value::Compare, with NaN after every number.
+int Order(const Value& a, const Value& b) {
+  if (a.type() == DataType::kFloat &&
+      (std::isnan(a.float_value()) || std::isnan(b.float_value()))) {
+    return static_cast<int>(std::isnan(a.float_value())) -
+           static_cast<int>(std::isnan(b.float_value()));
+  }
+  return a.Compare(b);
+}
+
+Value Evaluate(const IrPtr& ir, const rts::Row& row, bool* has_value) {
+  auto compiled = expr::Compile(ir);
+  EXPECT_TRUE(compiled.ok());
+  expr::EvalContext ctx;
+  ctx.row0 = &row;
+  expr::EvalOutput out;
+  EXPECT_TRUE(expr::Eval(*compiled, ctx, &out).ok());
+  *has_value = out.has_value;
+  return out.value;
+}
+
+std::vector<std::string> Reference(const Query& query,
+                                   const std::vector<Input>& input) {
+  std::map<std::string, rts::Row> groups;  // key text -> keys ++ aggregates
+  for (const Input& in : input) {
+    rts::Row keys;
+    bool has_value = true;
+    for (const IrPtr& key : query.keys) {
+      Value v = Evaluate(key, in.row, &has_value);
+      keys.push_back(v.type() == DataType::kFloat
+                         ? CanonicalFloat(v.float_value())
+                         : v);
+    }
+    std::vector<Value> args;
+    for (const AggregateSpec& agg : query.aggs) {
+      args.push_back(agg.arg != nullptr
+                         ? Evaluate(agg.arg, in.row, &has_value)
+                         : Value());
+      if (!has_value) break;
+    }
+    if (!has_value) continue;  // a partial miss drops the tuple
+    const uint64_t w = in.weight;
+    auto [it, fresh] = groups.emplace(ShowRow(keys), keys);
+    rts::Row& group = it->second;
+    for (size_t a = 0; a < query.aggs.size(); ++a) {
+      const AggregateSpec& agg = query.aggs[a];
+      Value v = args[a];
+      if (v.type() == DataType::kFloat && agg.fn != AggFn::kSum) {
+        v = CanonicalFloat(v.float_value());
+      }
+      if (fresh) {
+        switch (agg.fn) {
+          case AggFn::kCount: group.push_back(Value::Uint(0)); break;
+          case AggFn::kSum:
+            group.push_back(Value::Default(agg.result_type));
+            break;
+          default: group.push_back(v); break;
+        }
+      }
+      Value& cell = group[keys.size() + a];
+      switch (agg.fn) {
+        case AggFn::kCount:
+          cell = Value::Uint(cell.uint_value() + w);
+          break;
+        case AggFn::kSum:
+          if (v.type() == DataType::kFloat) {
+            cell = Value::Float(cell.float_value() +
+                                v.float_value() * static_cast<double>(w));
+          } else if (v.type() == DataType::kInt) {
+            cell = Value::Int(static_cast<int64_t>(
+                static_cast<uint64_t>(cell.int_value()) +
+                static_cast<uint64_t>(v.int_value()) * w));
+          } else {
+            cell = Value::Uint(cell.uint_value() + v.uint_value() * w);
+          }
+          break;
+        case AggFn::kMin:
+          if (Order(v, cell) < 0) cell = v;
+          break;
+        case AggFn::kMax:
+          if (Order(v, cell) > 0) cell = v;
+          break;
+        case AggFn::kAvg:
+          break;
+      }
+    }
+  }
+  std::vector<std::string> rows;
+  for (const auto& [key, row] : groups) rows.push_back(ShowRow(row));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// -- The engine's operators, wired as the planner and splitter wire them.
+
+CompiledExpr MustCompile(const IrPtr& ir) {
+  auto compiled = expr::Compile(ir);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return std::move(compiled).value();
+}
+
+ops::OrderedAggregateNode::Spec MakeSpec(
+    const std::string& name, const StreamSchema& input,
+    const std::vector<IrPtr>& keys, const std::vector<AggregateSpec>& aggs) {
+  ops::OrderedAggregateNode::Spec spec;
+  spec.name = name;
+  spec.input_schema = input;
+  std::vector<FieldDef> fields;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    fields.push_back({"k" + std::to_string(k), keys[k]->type,
+                      k == 0 ? OrderSpec::Banded(kBand) : OrderSpec::None()});
+    spec.keys.push_back(MustCompile(keys[k]));
+    spec.key_punctuation_source.push_back(k == 0 ? 0 : -1);
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    fields.push_back({"a" + std::to_string(a), aggs[a].result_type,
+                      OrderSpec::None()});
+    spec.agg_specs.push_back(aggs[a]);
+    if (aggs[a].arg == nullptr) {
+      spec.agg_args.emplace_back();
+    } else {
+      spec.agg_args.emplace_back(MustCompile(aggs[a].arg));
+    }
+  }
+  spec.output_schema = StreamSchema(name, StreamKind::kStream, fields);
+  spec.ordered_key = 0;
+  spec.ordered_key_band = kBand;
+  spec.output_batch = 8;
+  return spec;
+}
+
+/// The superaggregate over an LFTA's partials, as plan::SplitPlan builds it.
+ops::OrderedAggregateNode::Spec SuperSpec(
+    const std::string& name, const ops::OrderedAggregateNode::Spec& lfta) {
+  const StreamSchema& partials = lfta.output_schema;
+  std::vector<IrPtr> keys;
+  for (size_t k = 0; k < lfta.keys.size(); ++k) {
+    const FieldDef& field = partials.field(k);
+    keys.push_back(expr::MakeFieldRef(0, k, field.type, field.name));
+  }
+  std::vector<AggregateSpec> aggs;
+  for (size_t a = 0; a < lfta.agg_specs.size(); ++a) {
+    const FieldDef& field = partials.field(lfta.keys.size() + a);
+    AggregateSpec super;
+    super.fn = lfta.agg_specs[a].fn == AggFn::kCount ? AggFn::kSum
+                                                     : lfta.agg_specs[a].fn;
+    super.arg = expr::MakeFieldRef(0, lfta.keys.size() + a, field.type,
+                                   field.name);
+    super.result_type = lfta.agg_specs[a].result_type;
+    aggs.push_back(std::move(super));
+  }
+  return MakeSpec(name, partials, keys, aggs);
+}
+
+struct Plan {
+  bool split = false;
+  int log2_slots = 12;
+  uint32_t table_cap_pct = 100;  // < 100: L3 coldest eviction
+};
+
+std::vector<std::string> RunPlan(const Plan& plan, const Query& query,
+                             const std::vector<Input>& input, uint64_t seed) {
+  rts::StreamRegistry registry;
+  EXPECT_TRUE(registry.DeclareStream(InputSchema()).ok());
+  auto params = std::make_shared<std::vector<Value>>();
+  rts::ShedState shed;
+  shed.table_cap_pct.store(plan.table_cap_pct);
+  std::vector<std::unique_ptr<rts::QueryNode>> nodes;  // upstream first
+  auto source = registry.Subscribe("gin", 1 << 14);
+  EXPECT_TRUE(source.ok());
+  auto spec = MakeSpec(plan.split ? "partials" : "groups", InputSchema(),
+                       query.keys, query.aggs);
+  EXPECT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+  if (plan.split) {
+    auto super = SuperSpec("groups", spec);
+    EXPECT_TRUE(registry.DeclareStream(super.output_schema).ok());
+    auto partials = registry.Subscribe("partials", 1 << 14);
+    EXPECT_TRUE(partials.ok());
+    nodes.push_back(std::make_unique<ops::LftaAggregateNode>(
+        std::move(spec), plan.log2_slots, *source, &registry, params, &shed));
+    nodes.push_back(std::make_unique<ops::OrderedAggregateNode>(
+        std::move(super), *partials, &registry, params));
+  } else {
+    nodes.push_back(std::make_unique<ops::OrderedAggregateNode>(
+        std::move(spec), *source, &registry, params));
+  }
+  auto out = registry.Subscribe("groups", 1 << 14);
+  EXPECT_TRUE(out.ok());
+  const StreamSchema out_schema = registry.GetSchema("groups").value();
+
+  std::vector<std::string> rows;
+  rts::TupleCodec out_codec(out_schema);
+  auto drain = [&] {
+    for (auto& node : nodes) node->Poll(1 << 20);
+    rts::StreamBatch batch;
+    while ((*out)->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        if (item.kind != rts::MessageKind::kTuple) continue;
+        auto row = out_codec.Decode(batch.payload(item));
+        EXPECT_TRUE(row.ok());
+        rows.push_back(ShowRow(*row));
+      }
+    }
+  };
+
+  // Small batches of weighted tuples, with a punctuation now and then at
+  // the band's guarantee (no later t falls below max - band).
+  rts::TupleCodec codec(InputSchema());
+  Rng rng(seed * 7 + 1);
+  uint64_t max_t = 0;
+  for (size_t n = 0; n < input.size();) {
+    rts::StreamBatch batch;
+    for (size_t end = std::min(input.size(), n + 1 + rng.NextBelow(16));
+         n < end; ++n) {
+      rts::MessageMeta meta;
+      meta.weight = input[n].weight;
+      batch.AppendTuple(codec, input[n].row, meta);
+      max_t = std::max(max_t, input[n].row[kT].uint_value());
+    }
+    if (rng.NextBool(0.1) && max_t >= kBand) {
+      rts::Punctuation punctuation;
+      punctuation.bounds.emplace_back(kT, Value::Uint(max_t - kBand));
+      rts::AppendPunctuation(punctuation, InputSchema(), {}, &batch);
+    }
+    registry.PublishBatch("gin", std::move(batch));
+    drain();
+  }
+  for (auto& node : nodes) {
+    node->Flush();
+    drain();
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+}  // namespace packed_groups
+
+class PackedGroupDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PackedGroupDifferential, SplitAndHftaOnlyEqualTheReference) {
+  using namespace packed_groups;
+  const std::vector<Input> input = MakeInput(GetParam(), 3000);
+  const std::vector<Plan> plans = {
+      {false, 12, 100},  // HFTA only
+      {true, 12, 100},   // split, roomy table
+      {true, 0, 100},    // split, one slot: every new key collides
+      {true, 3, 50},     // split, L3 evicts the coldest beyond 4 groups
+  };
+  for (const Query& query : Queries()) {
+    const std::vector<std::string> expected = Reference(query, input);
+    ASSERT_FALSE(expected.empty());
+    for (const Plan& plan : plans) {
+      EXPECT_EQ(RunPlan(plan, query, input, GetParam()), expected)
+          << "split=" << plan.split << " log2_slots=" << plan.log2_slots
+          << " cap=" << plan.table_cap_pct << " keys=" << query.keys.size()
+          << " key1=" << query.keys[1]->ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackedGroupDifferential,
+                         ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------------
 // Many queries over one interface: each subscriber sees exactly what its

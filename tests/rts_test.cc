@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "common/rng.h"
@@ -189,6 +192,80 @@ TEST(TupleCodecTest, ReadSetDecodeReusesTheRow) {
   // there: callers only read their read set.
   EXPECT_EQ(row[0].uint_value(), 1u);
   EXPECT_EQ(row[5].float_value(), 1.0);
+}
+
+TEST(TupleCodecTest, LocateFieldsPointsAtEachFieldsPackedBytes) {
+  TupleCodec codec(StringsBetweenSchema());
+  const Row row = {Value::Uint(7),        Value::String("first"),
+                   Value::Ip(0x01020304), Value::String("second!"),
+                   Value::Bool(true),     Value::Float(-2.5)};
+  ByteBuffer buffer;
+  codec.Encode(row, &buffer);
+  const ReadSet fields = {0, 2, 3, 5};
+  const uint8_t* at[4];
+  codec.LocateFields(buffer.data(), fields, at);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const DataType type = StringsBetweenSchema().field(fields[i]).type;
+    EXPECT_EQ(TupleCodec::ReadField(type, at[i]), row[fields[i]]);
+    EXPECT_EQ(TupleCodec::FieldSize(type, at[i]),
+              TupleCodec::ValueSize(row[fields[i]]));
+  }
+}
+
+double Float(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(TupleCodecTest, GroupKeyFloatsAreCanonicalAndNanSortsLast) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CanonicalFloatBits(Bits(-0.0)), Bits(0.0));
+  EXPECT_EQ(CanonicalFloatBits(Bits(-nan)), Bits(nan));
+  EXPECT_EQ(CanonicalFloatBits(0x7ff0000000000001ULL), Bits(nan));  // sNaN
+  EXPECT_EQ(CanonicalFloatBits(Bits(-1.5)), Bits(-1.5));
+  EXPECT_TRUE(std::isinf(Float(CanonicalFloatBits(Bits(-INFINITY)))));
+
+  auto packed = [](double d) {
+    ByteBuffer bytes(8);
+    StoreLe64(bytes.data(), Bits(d));
+    return bytes;
+  };
+  auto cmp = [&](double a, double b) {
+    return ComparePacked(DataType::kFloat, packed(a).data(),
+                         packed(b).data());
+  };
+  EXPECT_EQ(cmp(-0.0, 0.0), 0);
+  EXPECT_EQ(cmp(nan, -nan), 0);
+  EXPECT_EQ(cmp(nan, INFINITY), 1);
+  EXPECT_EQ(cmp(-INFINITY, nan), -1);
+  EXPECT_EQ(cmp(-2.0, 1.0), -1);
+
+  // Strings order as std::string::compare: bytes unsigned, then length.
+  auto packed_string = [](const std::string& text) {
+    const Value value = Value::String(text);
+    ByteBuffer bytes(TupleCodec::ValueSize(value));
+    TupleCodec::WriteValue(value, bytes.data());
+    return bytes;
+  };
+  const ByteBuffer a = packed_string("ab");
+  const ByteBuffer b = packed_string("abc");
+  const ByteBuffer c = packed_string("\xff");
+  EXPECT_EQ(ComparePacked(DataType::kString, a.data(), b.data()), -1);
+  EXPECT_EQ(ComparePacked(DataType::kString, c.data(), b.data()), 1);
+  EXPECT_EQ(ComparePacked(DataType::kString, a.data(), a.data()), 0);
+  // A BOOL key byte of 2 is true, and canonicalizes to 1.
+  uint8_t flag = 2;
+  const uint8_t one = 1;
+  EXPECT_EQ(ComparePacked(DataType::kBool, &flag, &one), 0);
+  TupleCodec::CanonicalizeKeyField(DataType::kBool, &flag);
+  EXPECT_EQ(flag, 1);
 }
 
 TEST(StreamBatchTest, ItemsShareOneArenaInOrder) {
