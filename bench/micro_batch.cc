@@ -4,13 +4,25 @@
 // amortizes over the batch. Sweeping the batch size shows the curve the
 // engine's batch_max_size default (64) sits on; size 1 is the old
 // per-tuple data plane.
+//
+// Two more cases price a pump round (one Engine::PumpUntilIdle call): a
+// closed-loop sweep of the perfbench agg_paced query at k packets per
+// round, and one window close of N groups in the HFTA aggregate.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
+#include "core/engine.h"
+#include "ops/aggregate.h"
+#include "rts/punctuation.h"
 #include "rts/ring.h"
+#include "workload/traffic_gen.h"
 
 namespace {
 
@@ -94,5 +106,185 @@ BENCHMARK(BM_TwoThreadBatchHandoff)
     ->Arg(64)
     ->Arg(256)
     ->UseRealTime();
+
+/// Reports `items` per iteration as a counter of CPU time per item (the
+/// console prints it with its unit, e.g. "753ns").
+void ReportCpuPerItem(benchmark::State& state, const char* name,
+                      size_t items) {
+  state.counters[name] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(items),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/// The perfbench agg_paced workload's query and traffic, closed loop: each
+/// iteration injects k packets, runs one PumpUntilIdle and reads every row
+/// out. `cpu_per_pkt` is what a round costs per packet; k=1 against k=256
+/// shows the fixed cost of a round. The packets replay from a pool with
+/// their timestamps moved one pool span on per lap, so time keeps
+/// advancing and windows keep closing (about 5.5k packets per window).
+void BM_AggPacedRound(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  gigascope::workload::TrafficConfig traffic;
+  traffic.num_flows = 20000;
+  traffic.offered_bits_per_sec = 20e6;
+  traffic.burstiness = 1;
+  gigascope::workload::TrafficGenerator gen(traffic);
+  std::vector<gigascope::net::Packet> pool(1 << 15);
+  for (gigascope::net::Packet& packet : pool) packet = gen.Next();
+  const int64_t span = pool.back().timestamp - pool.front().timestamp + 1;
+
+  gigascope::core::Engine engine;
+  engine.AddInterface("eth0");
+  if (!engine
+           .AddQuery("DEFINE { query_name dest_agg; } "
+                     "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+                     "GROUP BY time AS tb, destIP")
+           .ok()) {
+    state.SkipWithError("AddQuery failed");
+    return;
+  }
+  auto sub = engine.Subscribe("dest_agg");
+  if (!sub.ok()) {
+    state.SkipWithError("Subscribe failed");
+    return;
+  }
+  size_t next = 0;
+  size_t rows = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < k; ++i) {
+      gigascope::net::Packet& packet = pool[next];
+      if (!engine.InjectPacket("eth0", packet).ok()) {
+        state.SkipWithError("InjectPacket failed");
+        return;
+      }
+      packet.timestamp += span;
+      next = (next + 1) % pool.size();
+    }
+    engine.PumpUntilIdle();
+    while ((*sub)->NextRow().has_value()) ++rows;
+  }
+  benchmark::DoNotOptimize(rows);
+  ReportCpuPerItem(state, "cpu_per_pkt", k);
+}
+BENCHMARK(BM_AggPacedRound)->Arg(1)->Arg(3)->Arg(8)->Arg(64)->Arg(256);
+
+/// One window close in the HFTA aggregate: N groups of one time bucket
+/// are folded in (untimed), then a punctuation past the bucket closes them
+/// all and the close is timed: sorting the groups into key order, emitting
+/// them, and compacting the map. `key` picks the group keys: 0 is
+/// (UINT, IP); 1 is (UINT, STRING) with random 36-44 byte strings; 2 is
+/// the same with one 1,500-byte string among them, a skewed set whose
+/// longest key is far longer than the rest. `cpu_per_group` is the close's
+/// CPU time per group.
+void BM_WindowClose(benchmark::State& state) {
+  namespace gs = gigascope;
+  using gs::gsql::DataType;
+  using gs::gsql::FieldDef;
+  using gs::gsql::OrderSpec;
+  using gs::gsql::StreamKind;
+  using gs::gsql::StreamSchema;
+  const size_t groups = static_cast<size_t>(state.range(0));
+  const int64_t key_kind = state.range(1);
+  const bool string_key = key_kind != 0;
+  const DataType key_type = string_key ? DataType::kString : DataType::kIp;
+
+  StreamSchema input("win", StreamKind::kStream,
+                     {FieldDef{"tb", DataType::kUint, OrderSpec::Increasing()},
+                      FieldDef{"k", key_type, OrderSpec::None()}});
+  gs::ops::OrderedAggregateNode::Spec spec;
+  spec.name = "wout";
+  spec.input_schema = input;
+  spec.output_schema = StreamSchema(
+      "wout", StreamKind::kStream,
+      {FieldDef{"tb", DataType::kUint, OrderSpec::Increasing()},
+       FieldDef{"k", key_type, OrderSpec::None()},
+       FieldDef{"cnt", DataType::kUint, OrderSpec::None()}});
+  for (uint32_t f = 0; f < 2; ++f) {
+    auto key = gs::expr::Compile(gs::expr::MakeFieldRef(
+        0, f, input.field(f).type, input.field(f).name));
+    if (!key.ok()) {
+      state.SkipWithError("Compile failed");
+      return;
+    }
+    spec.keys.push_back(std::move(key).value());
+  }
+  gs::expr::AggregateSpec count;
+  count.fn = gs::expr::AggFn::kCount;
+  count.result_type = DataType::kUint;
+  spec.agg_specs.push_back(count);
+  spec.agg_args.emplace_back();
+  spec.ordered_key = 0;
+  spec.key_punctuation_source = {0, -1};
+
+  gs::rts::StreamRegistry registry;
+  if (!registry.DeclareStream(input).ok() ||
+      !registry.DeclareStream(spec.output_schema).ok()) {
+    state.SkipWithError("DeclareStream failed");
+    return;
+  }
+  auto in = registry.Subscribe("win", 1 << 12);
+  auto out = registry.Subscribe("wout", 1 << 12);
+  if (!in.ok() || !out.ok()) {
+    state.SkipWithError("Subscribe failed");
+    return;
+  }
+  gs::ops::OrderedAggregateNode node(
+      std::move(spec), *in, &registry,
+      std::make_shared<std::vector<gs::expr::Value>>());
+
+  // The window's keys, distinct: random IPs, or random lowercase strings.
+  gs::Rng rng(1);
+  std::vector<gs::expr::Value> keys;
+  for (size_t g = 0; g < groups; ++g) {
+    if (string_key) {
+      const bool long_key = key_kind == 2 && g == groups / 2;
+      std::string s(long_key ? 1500 : 36 + rng.NextBelow(9), 'a');
+      for (char& c : s) c = static_cast<char>('a' + rng.NextBelow(26));
+      keys.push_back(gs::expr::Value::String(std::move(s)));
+    } else {
+      keys.push_back(gs::expr::Value::Ip(static_cast<uint32_t>(g) * 2654435761u));
+    }
+  }
+  gs::rts::TupleCodec codec(input);
+  StreamBatch batch;
+  StreamBatch drained;
+  uint64_t tb = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ++tb;
+    for (size_t g = 0; g < groups; ++g) {
+      batch.AppendTuple(codec, {gs::expr::Value::Uint(tb), keys[g]});
+      if (batch.size() == 64 || g + 1 == groups) {
+        registry.PublishBatch("win", std::move(batch));
+        batch.clear();
+        node.Poll(1 << 20);
+      }
+    }
+    gs::rts::Punctuation punctuation;
+    punctuation.bounds.emplace_back(0, gs::expr::Value::Uint(tb + 1));
+    registry.PublishBatch("win",
+                          gs::rts::MakePunctuationBatch(punctuation, input));
+    state.ResumeTiming();
+    node.Poll(1 << 20);  // the close
+    state.PauseTiming();
+    if (node.open_groups() != 0) {
+      state.SkipWithError("the punctuation closed nothing");
+      break;
+    }
+    while ((*out)->TryPop(&drained)) {
+      benchmark::DoNotOptimize(drained.items().data());
+    }
+    state.ResumeTiming();
+  }
+  ReportCpuPerItem(state, "cpu_per_group", groups);
+}
+BENCHMARK(BM_WindowClose)
+    ->ArgNames({"groups", "key"})
+    ->Args({2000, 0})
+    ->Args({16000, 0})
+    ->Args({2000, 1})
+    ->Args({16000, 1})
+    ->Args({2000, 2})
+    ->Args({16000, 2});
 
 }  // namespace

@@ -109,6 +109,16 @@ inline uint64_t LoadLe64(const uint8_t* p) {
   return v;
 }
 
+/// Big-endian stores at any alignment: memcmp over two stored values orders
+/// them as the integers are ordered.
+inline void StoreBe32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (24 - 8 * i));
+}
+
+inline void StoreBe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+}
+
 /// Formats an IPv4 address (host byte order) as dotted quad.
 std::string Ipv4ToString(uint32_t addr);
 

@@ -42,8 +42,16 @@ class TupleSubscription {
   /// Pops a whole batch at a time and keeps a cursor into it.
   std::optional<rts::Row> NextRow();
 
-  /// Number of messages currently queued.
-  size_t pending() const { return channel_->size(); }
+  /// Messages not yet read, punctuations included: the unread rest of the
+  /// batch NextRow is reading plus the channel's pushed - popped. The
+  /// messages of a torn shared-memory slot (RingChannel::torn) count as
+  /// pushed but are skipped, never popped, so they stay in this count.
+  size_t pending() const {
+    const uint64_t popped = channel_->popped();
+    const uint64_t pushed = channel_->pushed();
+    return batch_.size() - cursor_ +
+           static_cast<size_t>(pushed > popped ? pushed - popped : 0);
+  }
   uint64_t dropped() const { return channel_->dropped(); }
 
   const gsql::StreamSchema& schema() const { return codec_.schema(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.h"
 #include "expr/vm.h"
@@ -68,6 +69,46 @@ int CompareString(const uint8_t* packed, const std::string& held) {
   return n < held.size() ? -1 : (n > held.size() ? 1 : 0);
 }
 
+/// FLOAT bits whose unsigned order is ComparePacked's order of the values:
+/// a non-negative value gets its sign bit set and a negative one has every
+/// bit inverted. Canonicalized first, so -0.0 encodes as +0.0 and every NaN
+/// as the one quiet NaN, which then sorts after +inf.
+uint64_t OrderedFloatBits(uint64_t bits) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  bits = rts::CanonicalFloatBits(bits);
+  return (bits & kSign) == 0 ? bits | kSign : ~bits;
+}
+
+/// Orders `order` (indexes of rows of `width` bytes at `rows`) so that the
+/// rows ascend in memcmp order: an LSD radix sort, one counting pass per
+/// byte column from the last, skipping every column on which all rows
+/// agree. Stable. `scratch` is resized to match.
+void RadixSortRows(const uint8_t* rows, size_t width,
+                   std::vector<uint32_t>* order,
+                   std::vector<uint32_t>* scratch) {
+  const size_t n = order->size();
+  scratch->resize(n);
+  for (size_t c = width; c-- > 0;) {
+    const uint8_t* column = rows + c;
+    uint32_t count[256] = {};
+    for (size_t r = 0; r < n; ++r) ++count[column[r * width]];
+    if (count[column[0]] == n) continue;  // one byte value in every row
+    uint32_t sum = 0;
+    for (uint32_t& k : count) {
+      const uint32_t here = k;
+      k = sum;
+      sum += here;
+    }
+    const uint32_t* from = order->data();
+    uint32_t* to = scratch->data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = from[i];
+      to[count[column[r * width]]++] = r;
+    }
+    order->swap(*scratch);
+  }
+}
+
 }  // namespace
 
 GroupLayout::GroupLayout(std::vector<DataType> key_types,
@@ -82,6 +123,10 @@ GroupLayout::GroupLayout(std::vector<DataType> key_types,
     offset = offset < 0 || !width.has_value()
                  ? -1
                  : offset + static_cast<int>(*width);
+    // A fixed-width field encodes in its own width.
+    ordered_key_size_ = ordered_key_size_ < 0 || !width.has_value()
+                            ? -1
+                            : ordered_key_size_ + static_cast<int>(*width);
   }
   for (size_t i = 0; i < specs.size(); ++i) {
     Cell cell;
@@ -210,14 +255,68 @@ void GroupLayout::WriteOutput(const GroupRef& group, uint8_t* out) const {
   }
 }
 
-int GroupLayout::CompareKeys(const uint8_t* a, const uint8_t* b) const {
+size_t GroupLayout::OrderedKeySize(const uint8_t* key) const {
+  if (ordered_key_size_ >= 0) return static_cast<size_t>(ordered_key_size_);
+  size_t size = 0;
   for (DataType type : key_types_) {
-    const int cmp = rts::ComparePacked(type, a, b);
-    if (cmp != 0) return cmp;
-    a += rts::TupleCodec::FieldSize(type, a);
-    b += rts::TupleCodec::FieldSize(type, b);
+    const size_t field = rts::TupleCodec::FieldSize(type, key);
+    if (type == DataType::kString) {
+      // Each zero byte grows by one, and the terminator adds two.
+      size += field - 4 +
+              static_cast<size_t>(std::count(key + 4, key + field, 0)) + 2;
+    } else {
+      size += field;
+    }
+    key += field;
   }
-  return 0;
+  return size;
+}
+
+uint8_t* GroupLayout::WriteOrderedKey(const uint8_t* key, uint8_t* out) const {
+  for (DataType type : key_types_) {
+    switch (type) {
+      case DataType::kBool:
+        *out++ = *key != 0 ? 1 : 0;
+        break;
+      case DataType::kIp:
+        StoreBe32(out, LoadLe32(key));
+        out += 4;
+        break;
+      case DataType::kInt:
+        StoreBe64(out, LoadLe64(key) ^ (uint64_t{1} << 63));
+        out += 8;
+        break;
+      case DataType::kUint:
+        StoreBe64(out, LoadLe64(key));
+        out += 8;
+        break;
+      case DataType::kFloat:
+        StoreBe64(out, OrderedFloatBits(LoadLe64(key)));
+        out += 8;
+        break;
+      case DataType::kString: {
+        // Runs between zero bytes copy as they are; a zero becomes 00 FF.
+        const uint8_t* s = key + 4;
+        const uint8_t* end = s + LoadLe32(key);
+        for (;;) {
+          const auto* zero = static_cast<const uint8_t*>(
+              std::memchr(s, 0, static_cast<size_t>(end - s)));
+          const uint8_t* stop = zero != nullptr ? zero : end;
+          if (stop > s) std::memcpy(out, s, static_cast<size_t>(stop - s));
+          out += stop - s;
+          if (zero == nullptr) break;
+          *out++ = 0x00;
+          *out++ = 0xff;
+          s = zero + 1;
+        }
+        *out++ = 0x00;
+        *out++ = 0x00;
+        break;
+      }
+    }
+    key += rts::TupleCodec::FieldSize(type, key);
+  }
+  return out;
 }
 
 const uint8_t* GroupLayout::KeyField(const uint8_t* key, size_t k) const {
@@ -618,10 +717,7 @@ void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {
     }
   }
   // Deterministic output order: key order, NaN after every number.
-  std::sort(closing_.begin(), closing_.end(), [this](uint32_t a, uint32_t b) {
-    return layout_.CompareKeys(groups_.group(a).key.data(),
-                               groups_.group(b).key.data()) < 0;
-  });
+  SortClosing();
   for (uint32_t g : closing_) EmitGroup(groups_.group(g));
   groups_.Erase(closing_);
   open_groups_.Set(groups_.size());
@@ -634,6 +730,50 @@ void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
   writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
+}
+
+void OrderedAggregateNode::SortClosing() {
+  const size_t n = closing_.size();
+  if (n < 2) return;
+  const auto key = [this](size_t r) {
+    return groups_.group(closing_[r]).key.data();
+  };
+  sort_order_.resize(n);
+  std::iota(sort_order_.begin(), sort_order_.end(), 0);
+  if (layout_.fixed_width_keys()) {
+    const size_t width = layout_.OrderedKeySize(key(0));
+    sort_keys_.resize(n * width);
+    for (size_t r = 0; r < n; ++r) {
+      layout_.WriteOrderedKey(key(r), sort_keys_.data() + r * width);
+    }
+    RadixSortRows(sort_keys_.data(), width, &sort_order_, &sort_scratch_);
+  } else {
+    // STRING keys vary in length: padded to one width for a radix sort,
+    // every row would pay for the longest key.
+    sort_offsets_.resize(n + 1);
+    sort_offsets_[0] = 0;
+    for (size_t r = 0; r < n; ++r) {
+      sort_offsets_[r + 1] = sort_offsets_[r] + layout_.OrderedKeySize(key(r));
+    }
+    sort_keys_.resize(sort_offsets_[n]);
+    for (size_t r = 0; r < n; ++r) {
+      layout_.WriteOrderedKey(key(r), sort_keys_.data() + sort_offsets_[r]);
+    }
+    // No encoding is a proper prefix of another, so the shorter one's
+    // length decides.
+    const uint8_t* keys = sort_keys_.data();
+    const size_t* offsets = sort_offsets_.data();
+    std::sort(sort_order_.begin(), sort_order_.end(),
+              [keys, offsets](uint32_t a, uint32_t b) {
+                const size_t common = std::min(offsets[a + 1] - offsets[a],
+                                               offsets[b + 1] - offsets[b]);
+                return std::memcmp(keys + offsets[a], keys + offsets[b],
+                                   common) < 0;
+              });
+  }
+  sort_scratch_.resize(n);
+  for (size_t k = 0; k < n; ++k) sort_scratch_[k] = closing_[sort_order_[k]];
+  closing_.swap(sort_scratch_);
 }
 
 void OrderedAggregateNode::EmitGroup(const GroupRef& group) {

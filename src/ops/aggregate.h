@@ -74,9 +74,23 @@ class GroupLayout {
   size_t OutputSize(const GroupRef& group) const;
   void WriteOutput(const GroupRef& group, uint8_t* out) const;
 
-  /// Orders two packed keys field by field as ComparePacked does:
-  /// Value::Compare's order, with NaN after every number.
-  int CompareKeys(const uint8_t* a, const uint8_t* b) const;
+  /// The order-preserving encoding of packed key `key`: memcmp on two
+  /// encodings has the sign of comparing the keys field by field with
+  /// ComparePacked (Value::Compare's order, NaN after every number).
+  /// Fixed-width fields are big-endian: INT with its sign bit flipped,
+  /// FLOAT (canonicalized first) with its sign bit set when non-negative
+  /// and every bit inverted when negative, so the canonical NaN sorts after
+  /// +inf, and BOOL as 0 or 1. A STRING writes each 0x00 byte as 00 FF and
+  /// ends with 00 00, so a prefix sorts first. No encoding is a proper
+  /// prefix of another, so memcmp over the shorter one's length already
+  /// tells two different keys apart. OrderedKeySize is the encoding's
+  /// length; WriteOrderedKey writes exactly that many bytes at `out` and
+  /// returns their end.
+  size_t OrderedKeySize(const uint8_t* key) const;
+  uint8_t* WriteOrderedKey(const uint8_t* key, uint8_t* out) const;
+  /// Whether every key encodes in the same number of bytes: no key field
+  /// is a STRING.
+  bool fixed_width_keys() const { return ordered_key_size_ >= 0; }
   /// Key field `k` of packed key `key`.
   const uint8_t* KeyField(const uint8_t* key, size_t k) const;
 
@@ -103,6 +117,8 @@ class GroupLayout {
   /// Byte offset of each key field while no STRING key precedes it, else
   /// -1 (then KeyField walks the string lengths).
   std::vector<int> key_offsets_;
+  /// OrderedKeySize of every key while no key field is a STRING, else -1.
+  int ordered_key_size_ = 0;
   std::vector<Cell> cells_;
   size_t cells_size_ = 0;
   size_t num_strings_ = 0;
@@ -246,6 +262,13 @@ class OrderedAggregateNode : public rts::QueryNode {
   /// `bound` (all groups when null) in key order, then punctuates the
   /// output with `bound`.
   void CloseGroups(const uint8_t* bound);
+  /// Puts closing_ in key order. Each closing key is written once in its
+  /// order-preserving encoding (GroupLayout::WriteOrderedKey). Fixed-width
+  /// keys are then ordered by one LSD radix sort over those rows, whose
+  /// passes the key layout bounds. Keys with a STRING field keep their
+  /// encodings unpadded and are ordered by memcmp, so one long key costs
+  /// only its own bytes.
+  void SortClosing();
   void EmitGroup(const GroupRef& group);
 
   Spec spec_;
@@ -262,6 +285,13 @@ class OrderedAggregateNode : public rts::QueryNode {
   ByteBuffer epoch_;  // packed max ordered-key value seen; empty: none yet
   ByteBuffer bound_;  // packed close bound, reused
   std::vector<uint32_t> closing_;  // groups being closed, reused
+  // SortClosing's scratch, kept at the largest close seen. sort_keys_
+  // holds the closing keys' encodings, at most twice the packed key bytes
+  // groups_'s arena already keeps for them.
+  ByteBuffer sort_keys_;
+  std::vector<size_t> sort_offsets_;  // STRING keys: each start, then end
+  std::vector<uint32_t> sort_order_;  // row order, and its radix scratch
+  std::vector<uint32_t> sort_scratch_;
   telemetry::Counter groups_flushed_;
   /// Mirrors groups_.size() so other threads can read the gauge without
   /// touching the (unsynchronized) group map.

@@ -934,6 +934,36 @@ TEST(EngineTest, PunctuationOnlyChannelTerminates) {
   EXPECT_EQ((*sub)->pending(), 0u);
 }
 
+TEST(EngineTest, PendingCountsTheUnreadRestOfTheBatchBeingRead) {
+  // pending() counts messages, not ring slots: ten rows that arrive as one
+  // batch are ten pending messages, and the rows of that batch NextRow has
+  // not returned yet stay pending after it pops the batch.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name tcp; } "
+                            "SELECT time, destIP FROM eth0.PKT "
+                            "WHERE protocol = 6")
+                  .ok());
+  auto sub = engine.Subscribe("tcp");
+  ASSERT_TRUE(sub.ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket((i + 1) * kNanosPerSecond,
+                                                0x0a000001, 80, "x"))
+                    .ok());
+  }
+  engine.PumpUntilIdle();
+  EXPECT_EQ((*sub)->pending(), 10u);
+  size_t read = 0;
+  while ((*sub)->NextRow().has_value()) {
+    ++read;
+    EXPECT_EQ((*sub)->pending(), 10u - read);
+  }
+  EXPECT_EQ(read, 10u);
+}
+
 TEST(EngineTest, FlushAllSealsTheEngine) {
   // Contract: FlushAll is the end-of-stream barrier. Afterwards the engine
   // rejects further input with FailedPrecondition, and repeated FlushAll

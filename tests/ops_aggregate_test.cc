@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <set>
 
 #include "channel_reader.h"
 #include "common/rng.h"
@@ -645,6 +650,274 @@ TEST_F(BandedAggregateTest, PunctuationIsAuthoritativeDespiteBand) {
   node_->Poll(100);
   EXPECT_EQ(ReceiveGroups().size(), 2u);
   EXPECT_EQ(node_->open_groups(), 0u);
+}
+
+
+// -- Order-preserving key encoding and the radix close --------------------
+
+/// Edge values of every key type. FLOATs include both zeros and both NaN
+/// signs: group keys canonicalize them, so each pair is one key.
+std::vector<Value> EdgeValues(DataType type) {
+  switch (type) {
+    case DataType::kInt:
+      return {Value::Int(std::numeric_limits<int64_t>::min()), Value::Int(-1),
+              Value::Int(0), Value::Int(std::numeric_limits<int64_t>::max())};
+    case DataType::kUint:
+      return {Value::Uint(0), Value::Uint(uint64_t{1} << 63),
+              Value::Uint(std::numeric_limits<uint64_t>::max())};
+    case DataType::kIp:
+      return {Value::Ip(0), Value::Ip(1), Value::Ip(0x7fffffff),
+              Value::Ip(0x80000000), Value::Ip(0xffffffff)};
+    case DataType::kBool:
+      return {Value::Bool(false), Value::Bool(true)};
+    case DataType::kFloat: {
+      const double inf = std::numeric_limits<double>::infinity();
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      return {Value::Float(-inf),
+              Value::Float(-1.0),
+              Value::Float(-std::numeric_limits<double>::denorm_min()),
+              Value::Float(-0.0),
+              Value::Float(0.0),
+              Value::Float(std::numeric_limits<double>::denorm_min()),
+              Value::Float(inf),
+              Value::Float(nan),
+              Value::Float(std::copysign(nan, -1.0))};
+    }
+    case DataType::kString:
+      return {Value::String(""), Value::String("a"),
+              Value::String(std::string("a\0", 2)),
+              Value::String(std::string("a\0\xff", 3)), Value::String("ab"),
+              Value::String(std::string(300, 'q'))};
+  }
+  return {};
+}
+
+/// A random value of `type`, drawn so that ties, shared prefixes and zero
+/// bytes are common.
+Value RandomValue(DataType type, Rng* rng) {
+  switch (type) {
+    case DataType::kInt:
+      return Value::Int(static_cast<int64_t>(rng->Next()) >>
+                        rng->NextBelow(64));
+    case DataType::kUint:
+      return Value::Uint(rng->Next() >> rng->NextBelow(64));
+    case DataType::kIp:
+      return Value::Ip(static_cast<uint32_t>(rng->Next() >> 32));
+    case DataType::kBool:
+      return Value::Bool(rng->NextBool(0.5));
+    case DataType::kFloat:
+      return Value::Float((rng->NextDouble() - 0.5) *
+                          std::ldexp(1.0, static_cast<int>(
+                                              rng->NextBelow(200)) - 100));
+    case DataType::kString: {
+      std::string s(rng->NextBelow(9), 'a');
+      for (char& c : s) c = "\0a\xff"[rng->NextBelow(3)];
+      return Value::String(s);
+    }
+  }
+  return Value();
+}
+
+/// The packed group key of `values` (canonicalized, as GroupInput packs it).
+ByteBuffer PackKey(const std::vector<Value>& values) {
+  ByteBuffer key;
+  ByteBuffer field;
+  for (const Value& value : values) {
+    PackKeyValue(value.type(), value, &field);
+    key.insert(key.end(), field.begin(), field.end());
+  }
+  return key;
+}
+
+/// The reference order of two packed keys: field by field by ComparePacked.
+int CompareKeysByField(const std::vector<DataType>& types, const uint8_t* a,
+                       const uint8_t* b) {
+  for (DataType type : types) {
+    const int cmp = rts::ComparePacked(type, a, b);
+    if (cmp != 0) return cmp < 0 ? -1 : 1;
+    a += rts::TupleCodec::FieldSize(type, a);
+    b += rts::TupleCodec::FieldSize(type, b);
+  }
+  return 0;
+}
+
+int Sign(int v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
+
+/// Key layouts under test: every type alone, STRING keys before
+/// fixed-width ones, and fixed-width keys around a STRING.
+std::vector<std::vector<DataType>> KeyLayouts() {
+  using T = DataType;
+  return {{T::kInt},
+          {T::kUint},
+          {T::kIp},
+          {T::kBool},
+          {T::kFloat},
+          {T::kString},
+          {T::kUint, T::kIp},
+          {T::kString, T::kInt},
+          {T::kString, T::kFloat, T::kUint},
+          {T::kString, T::kString},
+          {T::kBool, T::kString, T::kIp},
+          {T::kInt, T::kFloat, T::kString, T::kBool}};
+}
+
+/// Up to `limit` distinct keys of `types`: every combination of the edge
+/// values when there are at most `limit`, then a seeded mix of edge and
+/// random values. Fewer when the layout has fewer distinct keys.
+std::vector<ByteBuffer> KeysOf(const std::vector<DataType>& types,
+                               size_t limit, uint64_t seed) {
+  std::vector<ByteBuffer> keys;
+  std::set<ByteBuffer> seen;
+  size_t product = 1;
+  for (DataType type : types) product *= EdgeValues(type).size();
+  if (product <= limit) {
+    for (size_t n = 0; n < product; ++n) {
+      std::vector<Value> values;
+      size_t rest = n;
+      for (DataType type : types) {
+        const std::vector<Value> edges = EdgeValues(type);
+        values.push_back(edges[rest % edges.size()]);
+        rest /= edges.size();
+      }
+      ByteBuffer key = PackKey(values);
+      if (seen.insert(key).second) keys.push_back(std::move(key));
+    }
+  }
+  Rng rng(seed);
+  for (size_t attempt = 0; keys.size() < limit && attempt < 100 * limit;
+       ++attempt) {
+    std::vector<Value> values;
+    for (DataType type : types) {
+      const std::vector<Value> edges = EdgeValues(type);
+      values.push_back(rng.NextBool(0.5) ? edges[rng.NextBelow(edges.size())]
+                                         : RandomValue(type, &rng));
+    }
+    ByteBuffer key = PackKey(values);
+    if (seen.insert(key).second) keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+TEST(OrderedKeyTest, MemcmpOfEncodingsFollowsComparePacked) {
+  for (const std::vector<DataType>& types : KeyLayouts()) {
+    GroupLayout layout(types, {}, {});
+    const bool fixed = std::count(types.begin(), types.end(),
+                                  DataType::kString) == 0;
+    ASSERT_EQ(layout.fixed_width_keys(), fixed);
+    const std::vector<ByteBuffer> keys = KeysOf(types, 400, 7);
+    ASSERT_GE(keys.size(), 2u);
+    std::vector<ByteBuffer> encoded;
+    for (const ByteBuffer& key : keys) {
+      ByteBuffer e(layout.OrderedKeySize(key.data()) + 1, 0xee);
+      uint8_t* end = layout.WriteOrderedKey(key.data(), e.data());
+      ASSERT_EQ(static_cast<size_t>(end - e.data()), e.size() - 1);
+      EXPECT_EQ(e.back(), 0xee);  // nothing written past the size
+      e.pop_back();
+      // The radix close takes every fixed-width encoding as one row width.
+      if (fixed) {
+        ASSERT_EQ(e.size(), layout.OrderedKeySize(keys[0].data()));
+      }
+      encoded.push_back(std::move(e));
+    }
+    // memcmp over the shorter length alone: no encoding is a proper prefix
+    // of another, so different keys never tie.
+    for (size_t a = 0; a < keys.size(); ++a) {
+      for (size_t b = 0; b < keys.size(); ++b) {
+        const size_t common = std::min(encoded[a].size(), encoded[b].size());
+        ASSERT_EQ(Sign(std::memcmp(encoded[a].data(), encoded[b].data(),
+                                   common)),
+                  CompareKeysByField(types, keys[a].data(), keys[b].data()))
+            << "layout of " << types.size() << " fields, keys " << a
+            << " and " << b;
+      }
+    }
+  }
+}
+
+/// SELECT <every input field>, count(*) GROUP BY <every input field>,
+/// unordered, so Flush closes every group at once.
+OrderedAggregateNode::Spec KeyOrderSpec(const std::vector<DataType>& types) {
+  std::vector<FieldDef> in_fields;
+  std::vector<FieldDef> out_fields;
+  OrderedAggregateNode::Spec spec;
+  for (size_t f = 0; f < types.size(); ++f) {
+    const std::string name = "k" + std::to_string(f);
+    in_fields.push_back({name, types[f], OrderSpec::None()});
+    out_fields.push_back({name, types[f], OrderSpec::None()});
+    spec.keys.push_back(MustCompile(expr::MakeFieldRef(
+        0, static_cast<uint32_t>(f), types[f], name)));
+    spec.key_punctuation_source.push_back(static_cast<int>(f));
+  }
+  out_fields.push_back({"cnt", DataType::kUint, OrderSpec::None()});
+  spec.name = "korder";
+  spec.input_schema = StreamSchema("kin", StreamKind::kStream, in_fields);
+  spec.output_schema = StreamSchema("korder", StreamKind::kStream, out_fields);
+  AggregateSpec count;
+  count.fn = AggFn::kCount;
+  count.result_type = DataType::kUint;
+  spec.agg_specs.push_back(count);
+  spec.agg_args.emplace_back();
+  return spec;
+}
+
+TEST(OrderedKeyTest, CloseEmitsGroupsInKeyOrder) {
+  size_t closes = 0;
+  for (const std::vector<DataType>& types : KeyLayouts()) {
+    for (size_t n : {1, 2, 1000}) {
+      std::vector<ByteBuffer> keys = KeysOf(types, n, 11 + n);
+      if (keys.size() < n) continue;  // BOOL alone has two keys
+      ++closes;
+      rts::StreamRegistry registry;
+      OrderedAggregateNode::Spec spec = KeyOrderSpec(types);
+      const StreamSchema input_schema = spec.input_schema;
+      ASSERT_TRUE(registry.DeclareStream(input_schema).ok());
+      ASSERT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+      auto input = registry.Subscribe("kin", 16);
+      ASSERT_TRUE(input.ok());
+      OrderedAggregateNode node(std::move(spec), *input, &registry,
+                                std::make_shared<std::vector<Value>>());
+      auto output = registry.Subscribe("korder", 1 << 16);
+      ASSERT_TRUE(output.ok());
+
+      // Packed keys are packed tuples of the input schema: arrive in a
+      // scrambled order, each group once.
+      Rng rng(n);
+      std::vector<ByteBuffer> arrival = keys;
+      for (size_t i = arrival.size(); i > 1; --i) {
+        std::swap(arrival[i - 1], arrival[rng.NextBelow(i)]);
+      }
+      rts::StreamBatch batch;
+      for (const ByteBuffer& key : arrival) {
+        batch.Append(rts::MessageMeta{}, ByteSpan(key.data(), key.size()));
+      }
+      registry.PublishBatch("kin", std::move(batch));
+      node.Poll(1 << 20);
+      ASSERT_EQ(node.open_groups(), keys.size());
+      node.Flush();
+
+      std::sort(keys.begin(), keys.end(),
+                [&](const ByteBuffer& a, const ByteBuffer& b) {
+                  return CompareKeysByField(types, a.data(), b.data()) < 0;
+                });
+      testing_util::ChannelReader reader(output->get());
+      rts::BatchItem item;
+      ByteSpan payload;
+      size_t emitted = 0;
+      while (reader.Next(&item, &payload)) {
+        if (item.kind != rts::MessageKind::kTuple) continue;
+        ASSERT_LT(emitted, keys.size());
+        const ByteBuffer& want = keys[emitted++];
+        // An output tuple starts with its group's packed key.
+        ASSERT_GE(payload.size(), want.size());
+        ASSERT_EQ(ByteSpan(payload.data(), want.size()),
+                  ByteSpan(want.data(), want.size()))
+            << "layout of " << types.size() << " fields, n " << n
+            << ", row " << emitted - 1;
+      }
+      EXPECT_EQ(emitted, keys.size());
+    }
+  }
+  EXPECT_EQ(closes, 3 * KeyLayouts().size() - 1);
 }
 
 }  // namespace

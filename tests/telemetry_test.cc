@@ -238,8 +238,9 @@ TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
   // and the TupleSubscription's own accessors read the same counters.
   EXPECT_EQ(FindSample(samples, "tcponly#sub0", "ring_pushed"), 5u);
   EXPECT_EQ(FindSample(samples, "tcponly#sub0", "ring_dropped"), 0u);
-  uint64_t ring_size = *FindSample(samples, "tcponly#sub0", "ring_size");
-  EXPECT_EQ(ring_size, (*sub)->pending());
+  uint64_t ring_queued = *FindSample(samples, "tcponly#sub0", "ring_pushed") -
+                         *FindSample(samples, "tcponly#sub0", "ring_popped");
+  EXPECT_EQ(ring_queued, (*sub)->pending());
   EXPECT_EQ((*sub)->dropped(), 0u);
 
   // GetNodeStats and the telemetry registry read the same counters too.
