@@ -42,17 +42,14 @@ bool ByteReader::GetU8(uint8_t* v) {
 
 bool ByteReader::GetU16Be(uint16_t* v) {
   if (remaining() < 2) return false;
-  *v = static_cast<uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
+  *v = LoadBe16(data_.data() + pos_);
   pos_ += 2;
   return true;
 }
 
 bool ByteReader::GetU32Be(uint32_t* v) {
   if (remaining() < 4) return false;
-  *v = static_cast<uint32_t>(data_[pos_]) << 24 |
-       static_cast<uint32_t>(data_[pos_ + 1]) << 16 |
-       static_cast<uint32_t>(data_[pos_ + 2]) << 8 |
-       static_cast<uint32_t>(data_[pos_ + 3]);
+  *v = LoadBe32(data_.data() + pos_);
   pos_ += 4;
   return true;
 }

@@ -119,6 +119,19 @@ inline void StoreBe64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
 }
 
+/// Big-endian (wire order) loads at any alignment, unchecked: the caller
+/// has checked that the bytes are there. Compilers fold each into one
+/// load and a byte swap.
+inline uint16_t LoadBe16(const uint8_t* p) {
+  return static_cast<uint16_t>(p[0] << 8 | p[1]);
+}
+
+inline uint32_t LoadBe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) << 24 |
+         static_cast<uint32_t>(p[1]) << 16 |
+         static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
+}
+
 /// Formats an IPv4 address (host byte order) as dotted quad.
 std::string Ipv4ToString(uint32_t addr);
 

@@ -437,6 +437,13 @@ Result<std::unique_ptr<TupleSubscription>> Engine::Subscribe(
 Status Engine::InjectPacket(const std::string& interface_name,
                             const net::Packet& packet) {
   GS_RETURN_IF_ERROR(CheckAcceptingInput("InjectPacket"));
+  // A packet on an interface with no sources is refused before anything
+  // counts it: no trace sample, no step of the sampling phase.
+  auto it = interface_sources_.find(interface_name);
+  if (it == interface_sources_.end()) {
+    return Status::NotFound("no protocol sources on interface '" +
+                            interface_name + "' (add a query first)");
+  }
   // One decision per offered packet, shared by every protocol stream of
   // the interface: a traced packet carries the same trace id on each, and
   // L1 shedding's deterministic 1-in-k sampling keeps them consistent.
@@ -455,11 +462,6 @@ Status Engine::InjectPacket(const std::string& interface_name,
   ++inject_seq_;
   offer.weight = shed_state_.SampleK();
   offer.shed = offer.weight > 1 && (inject_seq_ % offer.weight) != 0;
-  auto it = interface_sources_.find(interface_name);
-  if (it == interface_sources_.end()) {
-    return Status::NotFound("no protocol sources on interface '" +
-                            interface_name + "' (add a query first)");
-  }
   bool published = false;
   for (PacketSource* source : it->second) {
     if (source->Inject(packet, offer)) published = true;

@@ -51,126 +51,134 @@ gsql::DataType ExtractorType(Extract extract) {
   }
 }
 
-/// One packet as interpretation sees it: the frame, the sim time its
-/// time fields carry (clamped by the source), and its decoded headers
-/// (null when the frame failed to decode — every layer then reads absent).
+/// The store table of `plan` under its current `wanted` gates.
+std::vector<FieldStore> BuildStoreTable(const InterpretPlan& plan) {
+  std::vector<FieldStore> stores(plan.fields.size());
+  for (size_t f = 0; f < stores.size(); ++f) {
+    switch (plan.types[f]) {
+      case gsql::DataType::kString:
+        stores[f].width = FieldStore::Width::kString;
+        break;
+      case gsql::DataType::kIp:
+        stores[f].width = FieldStore::Width::kIp;
+        break;
+      case gsql::DataType::kBool:
+        stores[f].width = FieldStore::Width::kBool;
+        break;
+      default:  // INT, UINT, FLOAT: 8 bytes
+        stores[f].width = FieldStore::Width::kU64;
+        break;
+    }
+    if (plan.wanted[f]) stores[f].extract = plan.fields[f];
+  }
+  return stores;
+}
+
+constexpr size_t Index(Extract extract) {
+  return static_cast<size_t>(extract);
+}
+
+/// One packet as interpretation sees it: every fixed-width extractor's
+/// value and the bytes of the variable-length ones, computed once from the
+/// decoded headers and the sim time its time fields carry (clamped by the
+/// source). A layer the frame does not carry — every layer, when the frame
+/// fails to decode — reads as zero or empty, the type default.
 class PacketFields {
  public:
-  PacketFields(const net::Packet& packet, SimTime t)
-      : packet_(packet),
-        t_(t),
-        result_(net::DecodePacket(packet.view())),
-        decoded_(result_.ok() ? &result_.value() : nullptr) {}
+  PacketFields(const net::Packet& packet, SimTime t) {
+    value_[Index(Extract::kTime)] =
+        static_cast<uint64_t>(SimTimeToSeconds(t));
+    value_[Index(Extract::kTimestamp)] = static_cast<uint64_t>(t);
+    value_[Index(Extract::kLen)] = packet.orig_len;
+    const Result<net::DecodedPacket> decoded =
+        net::DecodePacket(packet.view());
+    if (!decoded.ok()) {
+      malformed_ = true;
+      return;
+    }
+    payload_ = decoded->payload;
+    if (!decoded->ip.has_value()) return;
+    const net::Ipv4Header& ip = *decoded->ip;
+    value_[Index(Extract::kSrcIp)] = ip.src_addr;
+    value_[Index(Extract::kDestIp)] = ip.dst_addr;
+    value_[Index(Extract::kProtocol)] = ip.protocol;
+    value_[Index(Extract::kIpVersion)] = 4;
+    value_[Index(Extract::kIpId)] = ip.identification;
+    value_[Index(Extract::kFragOffset)] = ip.fragment_offset;
+    value_[Index(Extract::kMoreFrags)] = ip.more_fragments() ? 1 : 0;
+    // The IP payload including any transport header — what an IP
+    // defragmenter reassembles.
+    const size_t start = net::kEthernetHeaderLen + ip.header_len;
+    if (packet.bytes.size() > start) {
+      ip_payload_ = ByteSpan(packet.bytes.data() + start,
+                             packet.bytes.size() - start);
+    }
+    if (decoded->tcp.has_value()) {
+      value_[Index(Extract::kSrcPort)] = decoded->tcp->src_port;
+      value_[Index(Extract::kDestPort)] = decoded->tcp->dst_port;
+      value_[Index(Extract::kTcpFlags)] = decoded->tcp->flags;
+      value_[Index(Extract::kTcpSeq)] = decoded->tcp->seq;
+    } else if (decoded->udp.has_value()) {
+      value_[Index(Extract::kSrcPort)] = decoded->udp->src_port;
+      value_[Index(Extract::kDestPort)] = decoded->udp->dst_port;
+    }
+  }
 
-  bool malformed() const { return decoded_ == nullptr; }
+  bool malformed() const { return malformed_; }
 
-  /// Packed size of this packet's tuple under `plan`.
-  size_t PackedSize(const InterpretPlan& plan) const {
-    size_t size = plan.codec.fixed_size();
-    for (size_t f = 0; f < plan.fields.size(); ++f) {
-      if (plan.types[f] == gsql::DataType::kString && plan.wanted[f]) {
-        size += Bytes(plan.fields[f]).size();
+  /// Packed size of this packet's tuple under `stores`, for a codec whose
+  /// tuples with empty strings take `fixed_size` bytes.
+  size_t PackedSize(const std::vector<FieldStore>& stores,
+                    size_t fixed_size) const {
+    size_t size = fixed_size;
+    for (const FieldStore& store : stores) {
+      if (store.width == FieldStore::Width::kString) {
+        size += Bytes(store.extract).size();
       }
     }
     return size;
   }
 
-  /// Writes the tuple at `out` (exactly PackedSize bytes), in the codec's
-  /// layout: fields in order, absent or unwanted ones as their type
-  /// default, which packs as zero bytes.
-  void Pack(const InterpretPlan& plan, uint8_t* out) const {
-    for (size_t f = 0; f < plan.fields.size(); ++f) {
-      const Extract extract = plan.wanted[f] ? plan.fields[f]
-                                             : Extract::kDefault;
-      switch (plan.types[f]) {
-        case gsql::DataType::kString: {
-          const ByteSpan bytes = Bytes(extract);
+  /// Writes the tuple at `out` (exactly PackedSize bytes) by walking
+  /// `stores`: one store per field, in the codec's layout.
+  void Pack(const std::vector<FieldStore>& stores, uint8_t* out) const {
+    for (const FieldStore& store : stores) {
+      const uint64_t value = value_[Index(store.extract)];
+      switch (store.width) {
+        case FieldStore::Width::kU64:
+          StoreLe64(out, value);
+          out += 8;
+          break;
+        case FieldStore::Width::kIp:
+          StoreLe32(out, static_cast<uint32_t>(value));
+          out += 4;
+          break;
+        case FieldStore::Width::kBool:
+          *out++ = static_cast<uint8_t>(value);
+          break;
+        case FieldStore::Width::kString: {
+          const ByteSpan bytes = Bytes(store.extract);
           StoreLe32(out, static_cast<uint32_t>(bytes.size()));
           if (!bytes.empty()) std::memcpy(out + 4, bytes.data(), bytes.size());
           out += 4 + bytes.size();
           break;
         }
-        case gsql::DataType::kIp:
-          StoreLe32(out, static_cast<uint32_t>(Fixed(extract)));
-          out += 4;
-          break;
-        case gsql::DataType::kBool:
-          *out++ = 0;  // no extractor produces BOOL
-          break;
-        default:  // INT, UINT, FLOAT: 8 bytes
-          StoreLe64(out, Fixed(extract));
-          out += 8;
-          break;
       }
     }
   }
 
  private:
-  bool has_ip() const {
-    return decoded_ != nullptr && decoded_->ip.has_value();
-  }
-
-  /// The value of a fixed-width extractor; 0 (the type default) when its
-  /// protocol layer is absent.
-  uint64_t Fixed(Extract extract) const {
-    const net::DecodedPacket* d = decoded_;
-    switch (extract) {
-      case Extract::kTime:
-        return static_cast<uint64_t>(SimTimeToSeconds(t_));
-      case Extract::kTimestamp:
-        return static_cast<uint64_t>(t_);
-      case Extract::kLen:
-        return packet_.orig_len;
-      case Extract::kSrcIp:
-        return has_ip() ? d->ip->src_addr : 0;
-      case Extract::kDestIp:
-        return has_ip() ? d->ip->dst_addr : 0;
-      case Extract::kSrcPort:
-        if (d == nullptr) return 0;
-        return d->is_tcp() ? d->tcp->src_port
-                           : d->is_udp() ? d->udp->src_port : 0;
-      case Extract::kDestPort:
-        if (d == nullptr) return 0;
-        return d->is_tcp() ? d->tcp->dst_port
-                           : d->is_udp() ? d->udp->dst_port : 0;
-      case Extract::kProtocol:
-        return has_ip() ? d->ip->protocol : 0;
-      case Extract::kIpVersion:
-        return has_ip() ? 4 : 0;
-      case Extract::kTcpFlags:
-        return d != nullptr && d->is_tcp() ? d->tcp->flags : 0;
-      case Extract::kTcpSeq:
-        return d != nullptr && d->is_tcp() ? d->tcp->seq : 0;
-      case Extract::kIpId:
-        return has_ip() ? d->ip->identification : 0;
-      case Extract::kFragOffset:
-        return has_ip() ? d->ip->fragment_offset : 0;
-      case Extract::kMoreFrags:
-        return has_ip() && d->ip->more_fragments() ? 1 : 0;
-      default:
-        return 0;
-    }
-  }
-
-  /// The bytes of a variable-length extractor; empty when its layer is
-  /// absent.
   ByteSpan Bytes(Extract extract) const {
-    if (extract == Extract::kPayload) {
-      return decoded_ != nullptr ? decoded_->payload : ByteSpan();
-    }
-    if (extract != Extract::kIpPayload || !has_ip()) return ByteSpan();
-    // The IP payload including any transport header — what an IP
-    // defragmenter reassembles.
-    const size_t start = net::kEthernetHeaderLen + decoded_->ip->header_len;
-    if (packet_.bytes.size() <= start) return ByteSpan();
-    return ByteSpan(packet_.bytes.data() + start,
-                    packet_.bytes.size() - start);
+    if (extract == Extract::kPayload) return payload_;
+    if (extract == Extract::kIpPayload) return ip_payload_;
+    return ByteSpan();
   }
 
-  const net::Packet& packet_;
-  SimTime t_;
-  Result<net::DecodedPacket> result_;
-  const net::DecodedPacket* decoded_;
+  /// Indexed by extractor; the variable-length ones and kDefault stay 0.
+  uint64_t value_[Index(Extract::kDefault) + 1] = {};
+  ByteSpan payload_;
+  ByteSpan ip_payload_;
+  bool malformed_ = false;
 };
 
 }  // namespace
@@ -210,9 +218,10 @@ Status CheckProtocolSchema(const gsql::StreamSchema& schema) {
 
 rts::Row InterpretPacket(const InterpretPlan& plan,
                          const net::Packet& packet) {
+  const std::vector<FieldStore> stores = BuildStoreTable(plan);
   const PacketFields fields(packet, packet.timestamp);
-  ByteBuffer packed(fields.PackedSize(plan));
-  fields.Pack(plan, packed.data());
+  ByteBuffer packed(fields.PackedSize(stores, plan.codec.fixed_size()));
+  fields.Pack(stores, packed.data());
   auto row = plan.codec.Decode(ByteSpan(packed.data(), packed.size()));
   GS_CHECK(row.ok());  // the packer writes exactly the codec's layout
   return std::move(row).value();
@@ -308,6 +317,7 @@ PacketSource::PacketSource(gsql::StreamSchema schema, const Options& options,
       }
     }
   }
+  stores_ = BuildStoreTable(interpret_);
 }
 
 void PacketSource::RegisterTelemetry(telemetry::Registry* metrics) {
@@ -320,11 +330,14 @@ void PacketSource::RegisterTelemetry(telemetry::Registry* metrics) {
 }
 
 void PacketSource::WantField(size_t field) {
-  if (field < interpret_.wanted.size()) interpret_.wanted[field] = true;
+  if (field >= interpret_.wanted.size() || interpret_.wanted[field]) return;
+  interpret_.wanted[field] = true;
+  stores_ = BuildStoreTable(interpret_);
 }
 
 void PacketSource::WantAllFields() {
   interpret_.wanted.assign(interpret_.wanted.size(), true);
+  stores_ = BuildStoreTable(interpret_);
 }
 
 bool PacketSource::PunctuationDue() const {
@@ -410,9 +423,10 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   meta.weight = offer.weight;
   if (open_batch_.empty()) batch_open_time_ = t;
   // The fields go straight from the decoded headers into the arena.
-  const size_t size = fields.PackedSize(interpret_);
+  const size_t size =
+      fields.PackedSize(stores_, interpret_.codec.fixed_size());
   uint8_t* tuple = open_batch_.Append(meta, size);
-  fields.Pack(interpret_, tuple);
+  fields.Pack(stores_, tuple);
   if (last_punct_time_ > 0) {
     punct_lag_.Record(static_cast<uint64_t>(t - last_punct_time_));
   }

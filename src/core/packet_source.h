@@ -27,7 +27,8 @@ namespace gigascope::core {
 /// at the interpretation layer.
 ///
 /// Interpretation writes each field straight from the decoded headers into
-/// `codec`'s packed layout: no Row, no Value. A field named like a
+/// `codec`'s packed layout, by walking a store table built from the plan
+/// (FieldStore): no Row, no Value. A field named like a
 /// built-in extractor resolves to it only when its type is the one the
 /// extractor produces (ExecuteDdl rejects the other case, see
 /// CheckProtocolSchema); otherwise it interprets as its type default.
@@ -40,7 +41,7 @@ struct InterpretPlan {
     kProtocol, kIpVersion, kTcpFlags, kTcpSeq,
     kIpId, kFragOffset, kMoreFrags,
     kPayload, kIpPayload,
-    kDefault,
+    kDefault,  // last: interpretation sizes a per-extractor array by it
   };
   std::vector<Extract> fields;
   std::vector<gsql::DataType> types;
@@ -56,15 +57,27 @@ struct InterpretPlan {
 /// library (§2.2). All fields start wanted.
 InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema);
 
+/// How interpretation writes one field of the packed tuple: the field's
+/// packed width and the extractor whose value it stores. A store table
+/// has one entry per field, in schema order, and is derived from a plan
+/// under its `wanted` gates at the moment it is built.
+struct FieldStore {
+  enum class Width : uint8_t { kU64, kIp, kBool, kString };
+  Width width = Width::kU64;
+  /// kDefault for an unwanted field: it stores its type default.
+  InterpretPlan::Extract extract = InterpretPlan::Extract::kDefault;
+};
+
 /// InvalidArgument when a field of protocol schema `schema` is named like a
 /// built-in extractor but declared with another type than the extractor
 /// produces (e.g. `time INT`); the message names the field and that type.
 Status CheckProtocolSchema(const gsql::StreamSchema& schema);
 
-/// Interprets a raw packet into a row under a precompiled plan: the packed
-/// tuple the engine's sources publish, decoded with TupleCodec::Decode —
-/// one interpretation implementation, whose Row form is for tests and
-/// measurements.
+/// Interprets a raw packet into a row under a precompiled plan and its
+/// gates as they stand: the packed tuple the engine's sources publish,
+/// decoded with TupleCodec::Decode — one interpretation implementation,
+/// whose Row form is for tests and measurements. Builds the plan's store
+/// table on every call.
 rts::Row InterpretPacket(const InterpretPlan& plan,
                          const net::Packet& packet);
 
@@ -127,7 +140,8 @@ class PacketSource {
   /// Registers the per-source counters under the stream's name.
   void RegisterTelemetry(telemetry::Registry* metrics);
 
-  /// Materialization gates: a consumer reads `field` / every field.
+  /// Materialization gates: a consumer reads `field` / every field. A
+  /// gate that opens rebuilds the store table.
   void WantField(size_t field);
   void WantAllFields();
 
@@ -160,6 +174,8 @@ class PacketSource {
   Options options_;
   rts::StreamRegistry* registry_;
   InterpretPlan interpret_;
+  /// `interpret_` under its current gates: what Inject packs by.
+  std::vector<FieldStore> stores_;
   /// Increasing-like, non-string fields: the ones a punctuation bounds.
   std::vector<size_t> ordered_fields_;
   /// The ordered fields not derived from time, which a punctuation bounds

@@ -1,6 +1,7 @@
 #include "net/headers.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace gigascope::net {
 
@@ -11,49 +12,69 @@ namespace {
 constexpr std::array<uint8_t, 6> kDefaultSrcMac = {2, 0, 0, 0, 0, 1};
 constexpr std::array<uint8_t, 6> kDefaultDstMac = {2, 0, 0, 0, 0, 2};
 
-bool ParseEthernet(ByteReader& reader, EthernetHeader* out) {
-  return reader.GetBytes(out->dst_mac.data(), 6) &&
-         reader.GetBytes(out->src_mac.data(), 6) &&
-         reader.GetU16Be(&out->ether_type);
+// Each parser reads every field with a direct load at its fixed offset,
+// after one check that the header is whole (for Ethernet, DecodePacket
+// makes it).
+
+void ParseEthernet(const uint8_t* p, EthernetHeader* out) {
+  std::memcpy(out->dst_mac.data(), p, 6);
+  std::memcpy(out->src_mac.data(), p + 6, 6);
+  out->ether_type = LoadBe16(p + 12);
 }
 
-bool ParseIpv4(ByteReader& reader, Ipv4Header* out) {
-  uint8_t ver_ihl;
-  if (!reader.GetU8(&ver_ihl)) return false;
-  out->version = ver_ihl >> 4;
-  out->header_len = static_cast<uint8_t>((ver_ihl & 0x0f) * 4);
-  if (out->version != 4 || out->header_len < kIpv4MinHeaderLen) return false;
-  uint16_t flags_frag;
-  if (!reader.GetU8(&out->tos) || !reader.GetU16Be(&out->total_len) ||
-      !reader.GetU16Be(&out->identification) ||
-      !reader.GetU16Be(&flags_frag) || !reader.GetU8(&out->ttl) ||
-      !reader.GetU8(&out->protocol) || !reader.GetU16Be(&out->checksum) ||
-      !reader.GetU32Be(&out->src_addr) || !reader.GetU32Be(&out->dst_addr)) {
+/// False when `bytes` does not start with a whole IPv4 header: a version
+/// other than 4, an IHL under 5, or a header (options included) cut short.
+bool ParseIpv4(ByteSpan bytes, Ipv4Header* out) {
+  if (bytes.size() < kIpv4MinHeaderLen) return false;
+  const uint8_t* p = bytes.data();
+  out->version = p[0] >> 4;
+  out->header_len = static_cast<uint8_t>((p[0] & 0x0f) * 4);
+  if (out->version != 4 || out->header_len < kIpv4MinHeaderLen ||
+      bytes.size() < out->header_len) {
     return false;
   }
+  out->tos = p[1];
+  out->total_len = LoadBe16(p + 2);
+  out->identification = LoadBe16(p + 4);
+  const uint16_t flags_frag = LoadBe16(p + 6);
   out->flags = static_cast<uint8_t>(flags_frag >> 13);
   out->fragment_offset = static_cast<uint16_t>(flags_frag & 0x1fff);
-  // Skip options.
-  return reader.Skip(out->header_len - kIpv4MinHeaderLen);
+  out->ttl = p[8];
+  out->protocol = p[9];
+  out->checksum = LoadBe16(p + 10);
+  out->src_addr = LoadBe32(p + 12);
+  out->dst_addr = LoadBe32(p + 16);
+  return true;
 }
 
-bool ParseTcp(ByteReader& reader, TcpHeader* out) {
-  uint8_t offset_reserved;
-  if (!reader.GetU16Be(&out->src_port) || !reader.GetU16Be(&out->dst_port) ||
-      !reader.GetU32Be(&out->seq) || !reader.GetU32Be(&out->ack) ||
-      !reader.GetU8(&offset_reserved) || !reader.GetU8(&out->flags) ||
-      !reader.GetU16Be(&out->window) || !reader.GetU16Be(&out->checksum) ||
-      !reader.GetU16Be(&out->urgent)) {
+/// False when `bytes` does not start with a whole TCP header: a data
+/// offset under 5, or a header (options included) cut short.
+bool ParseTcp(ByteSpan bytes, TcpHeader* out) {
+  if (bytes.size() < kTcpMinHeaderLen) return false;
+  const uint8_t* p = bytes.data();
+  out->header_len = static_cast<uint8_t>((p[12] >> 4) * 4);
+  if (out->header_len < kTcpMinHeaderLen || bytes.size() < out->header_len) {
     return false;
   }
-  out->header_len = static_cast<uint8_t>((offset_reserved >> 4) * 4);
-  if (out->header_len < kTcpMinHeaderLen) return false;
-  return reader.Skip(out->header_len - kTcpMinHeaderLen);
+  out->src_port = LoadBe16(p);
+  out->dst_port = LoadBe16(p + 2);
+  out->seq = LoadBe32(p + 4);
+  out->ack = LoadBe32(p + 8);
+  out->flags = p[13];
+  out->window = LoadBe16(p + 14);
+  out->checksum = LoadBe16(p + 16);
+  out->urgent = LoadBe16(p + 18);
+  return true;
 }
 
-bool ParseUdp(ByteReader& reader, UdpHeader* out) {
-  return reader.GetU16Be(&out->src_port) && reader.GetU16Be(&out->dst_port) &&
-         reader.GetU16Be(&out->length) && reader.GetU16Be(&out->checksum);
+bool ParseUdp(ByteSpan bytes, UdpHeader* out) {
+  if (bytes.size() < kUdpHeaderLen) return false;
+  const uint8_t* p = bytes.data();
+  out->src_port = LoadBe16(p);
+  out->dst_port = LoadBe16(p + 2);
+  out->length = LoadBe16(p + 4);
+  out->checksum = LoadBe16(p + 6);
+  return true;
 }
 
 void WriteIpv4Header(ByteWriter& writer, const Ipv4Header& ip) {
@@ -98,43 +119,46 @@ uint16_t InternetChecksum(ByteSpan data) {
 }
 
 Result<DecodedPacket> DecodePacket(ByteSpan bytes) {
-  DecodedPacket decoded;
-  ByteReader reader(bytes);
-  if (!ParseEthernet(reader, &decoded.eth)) {
+  if (bytes.size() < kEthernetHeaderLen) {
     return Status::InvalidArgument("packet shorter than Ethernet header");
   }
+  // Decoded in place, so returning it copies no header.
+  Result<DecodedPacket> result = DecodedPacket();
+  DecodedPacket& decoded = *result;
+  ParseEthernet(bytes.data(), &decoded.eth);
+  ByteSpan rest = bytes.substr(kEthernetHeaderLen);
   if (decoded.eth.ether_type != kEtherTypeIpv4) {
-    decoded.payload = reader.Rest();
-    return decoded;
+    decoded.payload = rest;
+    return result;
   }
-  Ipv4Header ip;
-  if (!ParseIpv4(reader, &ip)) {
+  if (!ParseIpv4(rest, &decoded.ip.emplace())) {
     // Truncated or malformed below Ethernet: stop at the Ethernet layer.
-    decoded.payload = ByteSpan();
-    return decoded;
+    decoded.ip.reset();
+    return result;
   }
-  decoded.ip = ip;
+  rest = rest.substr(decoded.ip->header_len);
   // Non-first fragments have no transport header.
-  if (ip.fragment_offset != 0) {
-    decoded.payload = reader.Rest();
-    return decoded;
+  if (decoded.ip->fragment_offset != 0) {
+    decoded.payload = rest;
+    return result;
   }
-  if (ip.protocol == kIpProtoTcp) {
-    TcpHeader tcp;
-    if (ParseTcp(reader, &tcp)) {
-      decoded.tcp = tcp;
-      decoded.payload = reader.Rest();
+  // A transport header that fails leaves the payload empty.
+  if (decoded.ip->protocol == kIpProtoTcp) {
+    if (ParseTcp(rest, &decoded.tcp.emplace())) {
+      decoded.payload = rest.substr(decoded.tcp->header_len);
+    } else {
+      decoded.tcp.reset();
     }
-  } else if (ip.protocol == kIpProtoUdp) {
-    UdpHeader udp;
-    if (ParseUdp(reader, &udp)) {
-      decoded.udp = udp;
-      decoded.payload = reader.Rest();
+  } else if (decoded.ip->protocol == kIpProtoUdp) {
+    if (ParseUdp(rest, &decoded.udp.emplace())) {
+      decoded.payload = rest.substr(kUdpHeaderLen);
+    } else {
+      decoded.udp.reset();
     }
   } else {
-    decoded.payload = reader.Rest();
+    decoded.payload = rest;
   }
-  return decoded;
+  return result;
 }
 
 ByteBuffer BuildTcpPacket(const TcpPacketSpec& spec) {

@@ -97,9 +97,19 @@ uint16_t InternetChecksum(ByteSpan data);
 
 /// Decodes Ethernet/IPv4/TCP-or-UDP layers from raw packet bytes.
 ///
-/// Returns an error only for packets malformed at the Ethernet layer; deeper
-/// truncation simply leaves later layers unset, mirroring what a capture
-/// stack does with snap-length-truncated packets.
+/// Returns an error only for a frame shorter than an Ethernet header.
+/// Deeper, a layer decodes only when its whole header is there, mirroring
+/// what a capture stack does with snap-length-truncated packets:
+/// - a non-IPv4 EtherType stops at Ethernet, the rest being the payload;
+/// - an IPv4 header with a version other than 4, an IHL under 5, or its
+///   options cut short is dropped, and the payload is empty;
+/// - a non-first fragment has no transport header; the rest of the frame
+///   after the IP header is the payload;
+/// - TCP needs a data offset of at least 5 and its options present, UDP
+///   8 bytes; a transport header that fails is dropped, and the payload is
+///   empty.
+/// Each header's length is checked once; its fields are then direct loads
+/// at fixed offsets.
 Result<DecodedPacket> DecodePacket(ByteSpan bytes);
 
 /// Builds raw packet bytes for a TCP segment.

@@ -82,19 +82,26 @@ void SelectProjectNode::BuildCopyProjection() {
     fields.push_back(*field);
   }
   if (fields.empty()) return;
-  copy_reads_ = fields;
-  std::sort(copy_reads_.begin(), copy_reads_.end());
-  copy_reads_.erase(std::unique(copy_reads_.begin(), copy_reads_.end()),
-                    copy_reads_.end());
-  copy_at_.resize(copy_reads_.size());
+  size_t segments = 1;
   for (uint32_t field : fields) {
-    copy_slot_.push_back(static_cast<uint32_t>(
-        std::lower_bound(copy_reads_.begin(), copy_reads_.end(), field) -
-        copy_reads_.begin()));
+    const rts::TupleCodec::Slot& slot = input_codec_.slot(field);
+    segments = std::max<size_t>(segments, slot.segment + 1);
+    // A string's length word is part of the constant size.
+    copy_fixed_bytes_ += slot.width != 0 ? slot.width : 4;
+    CopyRun* last = copy_runs_.empty() ? nullptr : &copy_runs_.back();
+    if (slot.width != 0 && last != nullptr && last->length != 0 &&
+        last->segment == slot.segment &&
+        last->offset + last->length == slot.offset) {
+      last->length += slot.width;  // the field continues the run
+    } else {
+      copy_runs_.push_back({slot.segment, slot.offset, slot.width});
+    }
   }
-  copy_whole_ = fields.size() == spec_.input_schema.num_fields() &&
-                copy_reads_.size() == fields.size() &&
-                std::is_sorted(fields.begin(), fields.end());
+  copy_starts_.assign(segments, 0);
+  copy_whole_ = fields.size() == spec_.input_schema.num_fields();
+  for (size_t i = 0; copy_whole_ && i < fields.size(); ++i) {
+    copy_whole_ = fields[i] == i;
+  }
 }
 
 void SelectProjectNode::BuildRawFilter() {
@@ -247,7 +254,7 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
     return;
   }
   BeginMessage(item);
-  if (copy_slot_.empty()) {
+  if (copy_runs_.empty()) {
     input_codec_.ReadFields(payload, raw ? projection_reads_ : reads_, &row_);
     if (raw || PredicateHolds()) EvaluateProjections();
   } else {
@@ -305,17 +312,23 @@ void SelectProjectNode::CopyProjection(ByteSpan payload) {
     writer_.Write(meta, payload);
     return;
   }
-  input_codec_.LocateFields(payload.data(), copy_reads_, copy_at_.data());
-  auto field_size = [this](size_t i) {
-    return rts::TupleCodec::FieldSize(spec_.output_schema.field(i).type,
-                                      copy_at_[copy_slot_[i]]);
-  };
-  size_t size = 0;
-  for (size_t i = 0; i < copy_slot_.size(); ++i) size += field_size(i);
+  // The tuple is Framed(), so every run lies inside it. Segment 0 starts
+  // at 0 in every tuple; later ones move with the strings before them.
+  const uint8_t* data = payload.data();
+  if (copy_starts_.size() > 1) {
+    input_codec_.SegmentStarts(data, copy_starts_.size(), copy_starts_.data());
+  }
+  size_t size = copy_fixed_bytes_;
+  for (const CopyRun& run : copy_runs_) {
+    if (run.length == 0) {
+      size += LoadLe32(data + copy_starts_[run.segment] + run.offset);
+    }
+  }
   writer_.WriteTuple(meta, size, [&](uint8_t* out) {
-    for (size_t i = 0; i < copy_slot_.size(); ++i) {
-      const size_t n = field_size(i);
-      std::memcpy(out, copy_at_[copy_slot_[i]], n);
+    for (const CopyRun& run : copy_runs_) {
+      const uint8_t* from = data + copy_starts_[run.segment] + run.offset;
+      const size_t n = run.length != 0 ? run.length : 4 + LoadLe32(from);
+      std::memcpy(out, from, n);
       out += n;
     }
   });

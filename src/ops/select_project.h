@@ -32,7 +32,7 @@ namespace gigascope::ops {
 /// expressions load (the read set) into one reused row. When every
 /// projection is a bare column reference (a rename, or a column subset),
 /// the output tuple is a copy of those fields' packed bytes, written in
-/// place into the output batch: no row, no VM.
+/// place into the output batch as a few runs of bytes: no row, no VM.
 class SelectProjectNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -105,12 +105,22 @@ class SelectProjectNode : public rts::QueryNode {
   rts::ReadSet reads_;
   rts::ReadSet projection_reads_;
   rts::ReadSet predicate_reads_;
-  /// Copy path (empty when some projection is computed): the input
-  /// fields it copies, ascending, where they sit in the current tuple,
-  /// and per output field its index among them.
-  rts::ReadSet copy_reads_;
-  std::vector<const uint8_t*> copy_at_;
-  std::vector<uint32_t> copy_slot_;
+  /// One run of input bytes the copy path writes: `length` bytes from
+  /// `offset` into input segment `segment` (rts::TupleCodec::Slot), or,
+  /// when `length` is 0, one STRING field, whose length is read per tuple.
+  struct CopyRun {
+    uint32_t segment = 0;
+    uint32_t offset = 0;
+    uint32_t length = 0;
+  };
+  /// Copy path (empty when some projection is computed): the output tuple
+  /// as runs, in output order. Adjacent fixed-width fields share a run.
+  std::vector<CopyRun> copy_runs_;
+  /// Output bytes that do not vary: the fixed runs plus every string's
+  /// length word.
+  size_t copy_fixed_bytes_ = 0;
+  /// The current tuple's segment starts, for every segment a run reads.
+  std::vector<size_t> copy_starts_;
   bool copy_whole_ = false;  // the projection is the identity
   rts::StreamBatch batch_;  // input batch, reused across polls
   rts::Row row_;            // read-set decode target, reused per tuple

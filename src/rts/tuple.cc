@@ -205,6 +205,18 @@ Value TupleCodec::ReadField(DataType type, const uint8_t* p) {
   return Value();
 }
 
+void TupleCodec::SegmentStarts(const uint8_t* data, size_t count,
+                               size_t* starts) const {
+  size_t base = 0;
+  for (size_t segment = 0; segment < count; ++segment) {
+    starts[segment] = base;
+    if (segment + 1 < count) {
+      const size_t at = base + slots_[string_fields_[segment]].offset;
+      base = at + 4 + LoadLe32(data + at);
+    }
+  }
+}
+
 void TupleCodec::LocateFields(const uint8_t* data, const ReadSet& fields,
                               const uint8_t** at) const {
   // Fields ascend, so the segment base only ever moves forward.

@@ -102,6 +102,24 @@ class TupleCodec {
 
   // -- Field-level access to packed bytes ------------------------------------
 
+  /// Where one field lives: `offset` bytes past the start of segment
+  /// `segment`, where segment k starts right after the k-th string (segment
+  /// 0 at the tuple start). A string's offset points at its length word.
+  struct Slot {
+    gsql::DataType type = gsql::DataType::kUint;
+    uint32_t width = 0;  // 0 for strings
+    uint32_t segment = 0;
+    uint32_t offset = 0;
+  };
+
+  /// The slot of field `field` (in range), the same in every tuple.
+  const Slot& slot(size_t field) const { return slots_[field]; }
+
+  /// Writes the start of segments 0 .. `count` - 1 of an already Framed()
+  /// tuple to `starts` (`count` at most the number of strings plus one).
+  void SegmentStarts(const uint8_t* framed, size_t count,
+                     size_t* starts) const;
+
   /// Points `at[i]` at the packed bytes of field `fields[i]` (a string's
   /// length word) in an already Framed() tuple; `fields` ascends.
   void LocateFields(const uint8_t* framed, const ReadSet& fields,
@@ -131,16 +149,6 @@ class TupleCodec {
   static void CanonicalizeKeyField(gsql::DataType type, uint8_t* at);
 
  private:
-  /// Where one field lives: `offset` bytes past the start of segment
-  /// `segment`, where segment k starts right after the k-th string (segment
-  /// 0 at the tuple start). A string's offset points at its length word.
-  struct Slot {
-    gsql::DataType type = gsql::DataType::kUint;
-    uint32_t width = 0;  // 0 for strings
-    uint32_t segment = 0;
-    uint32_t offset = 0;
-  };
-
   /// Null when `bytes` is well framed, else why it is not.
   const char* FramingError(ByteSpan bytes) const;
 

@@ -148,6 +148,75 @@ TEST(InterpretPacketTest, UnknownFieldsGetTypeDefaults) {
   EXPECT_EQ(row[2].string_value(), "");
 }
 
+TEST(InterpretPacketTest, StringBetweenFixedFieldsLandsAtCodecOffsets) {
+  // Strings first, between and last: every field after a string sits at
+  // an offset that moves with the string's length.
+  std::vector<gsql::FieldDef> fields;
+  fields.push_back({"payload", DataType::kString, gsql::OrderSpec::None()});
+  fields.push_back({"time", DataType::kUint, gsql::OrderSpec::Increasing()});
+  fields.push_back({"srcIP", DataType::kIp, gsql::OrderSpec::None()});
+  fields.push_back({"ipPayload", DataType::kString, gsql::OrderSpec::None()});
+  fields.push_back({"flag", DataType::kBool, gsql::OrderSpec::None()});
+  fields.push_back({"destPort", DataType::kUint, gsql::OrderSpec::None()});
+  fields.push_back({"note", DataType::kString, gsql::OrderSpec::None()});
+  fields.push_back({"len", DataType::kUint, gsql::OrderSpec::None()});
+  gsql::StreamSchema schema("eth0.MIXED", gsql::StreamKind::kStream, fields);
+  const net::Packet packet = SamplePacket();
+  const std::string ip_payload(
+      packet.bytes.begin() + net::kEthernetHeaderLen + net::kIpv4MinHeaderLen,
+      packet.bytes.end());
+
+  rts::Row row = InterpretPacket(schema, packet);
+  EXPECT_EQ(row[0].string_value(), "TLS-ish bytes");
+  EXPECT_EQ(row[1].uint_value(), 5u);
+  EXPECT_EQ(row[2].ip_value(), 0x0a000001u);
+  EXPECT_EQ(row[3].string_value(), ip_payload);
+  EXPECT_FALSE(row[4].bool_value());
+  EXPECT_EQ(row[5].uint_value(), 443u);
+  EXPECT_EQ(row[6].string_value(), "");
+  EXPECT_EQ(row[7].uint_value(), packet.orig_len);
+
+  // The engine's path: a source packs into its batch under its gates, and
+  // a gate opened between packets takes effect on the next one.
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(schema).ok());
+  auto channel = registry.Subscribe(schema.name(), 64);
+  ASSERT_TRUE(channel.ok());
+  PacketSource::Options options;
+  options.punctuation_interval = 0;
+  PacketSource source(schema, options, /*materialize_all=*/false, &registry);
+  ASSERT_FALSE(source.Inject(packet, PacketSource::Offer{}));
+  source.WantField(3);  // ipPayload
+  ASSERT_FALSE(source.Inject(packet, PacketSource::Offer{}));
+  ASSERT_TRUE(source.FlushBatch());
+  rts::StreamBatch batch;
+  ASSERT_TRUE((*channel)->TryPop(&batch));
+  ASSERT_EQ(batch.size(), 2u);
+
+  const rts::TupleCodec codec(schema);
+  const rts::ReadSet all = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::vector<const uint8_t*> at(all.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const ByteSpan tuple = batch.payload(k);
+    ASSERT_TRUE(codec.Framed(tuple)) << k;
+    codec.LocateFields(tuple.data(), all, at.data());
+    const std::string wanted_ip_payload = k == 0 ? "" : ip_payload;
+    EXPECT_EQ(LoadLe32(at[0]), 0u) << k;  // payload: never wanted
+    EXPECT_EQ(LoadLe64(at[1]), 5u) << k;
+    EXPECT_EQ(LoadLe32(at[2]), 0x0a000001u) << k;
+    ASSERT_EQ(LoadLe32(at[3]), wanted_ip_payload.size()) << k;
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(at[3] + 4),
+                          wanted_ip_payload.size()),
+              wanted_ip_payload)
+        << k;
+    EXPECT_EQ(*at[4], 0) << k;
+    EXPECT_EQ(LoadLe64(at[5]), 443u) << k;
+    EXPECT_EQ(LoadLe32(at[6]), 0u) << k;
+    EXPECT_EQ(LoadLe64(at[7]), packet.orig_len) << k;
+    EXPECT_EQ(at[7] + 8, tuple.data() + tuple.size()) << k;
+  }
+}
+
 // --- PacketSource: batching, punctuation, clamping ---
 
 /// Every punctuation on `channel`, as (time, timestamp) bounds.

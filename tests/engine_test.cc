@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "gsql/catalog.h"
 #include "workload/traffic_gen.h"
 
 namespace gigascope::core {
@@ -898,6 +899,75 @@ TEST(EngineTest, InjectIntoUnknownInterfaceFails) {
   engine.AddInterface("eth0");
   net::Packet packet = MakeTcpPacket(1, 1, 1, "");
   EXPECT_FALSE(engine.InjectPacket("eth9", packet).ok());
+}
+
+TEST(EngineTest, PacketOnUnknownInterfaceCostsNothing) {
+  // A refused packet must not draw a trace sample (nor step the L1
+  // sampling phase): the interface is looked up before anything counts.
+  EngineOptions options;
+  options.trace_sample = 1;
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name tcp; } "
+                            "SELECT time, destIP FROM eth0.PKT "
+                            "WHERE protocol = 6")
+                  .ok());
+  ASSERT_NE(engine.tracer(), nullptr);
+  const net::Packet packet =
+      MakeTcpPacket(kNanosPerSecond, 0x0a000001, 80, "x");
+  EXPECT_EQ(engine.InjectPacket("eth9", packet).code(),
+            Status::Code::kNotFound);
+  EXPECT_EQ(engine.tracer()->sampled(), 0u);
+  ASSERT_TRUE(engine.InjectPacket("eth0", packet).ok());
+  EXPECT_EQ(engine.tracer()->sampled(), 1u);
+}
+
+TEST(EngineTest, RawSubscriberOpensPayloadGatesMidStream) {
+  // A header-only query leaves payload unmaterialized; a raw subscriber
+  // that arrives later must see the payload of every packet after it.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name ports; } "
+                            "SELECT time, destPort FROM eth0.PKT "
+                            "WHERE protocol = 6")
+                  .ok());
+  auto ports = engine.Subscribe("ports");
+  ASSERT_TRUE(ports.ok());
+  ASSERT_TRUE(engine
+                  .InjectPacket("eth0", MakeTcpPacket(kNanosPerSecond,
+                                                      0x0a000001, 80,
+                                                      "before"))
+                  .ok());
+  engine.PumpUntilIdle();
+
+  auto raw = engine.Subscribe("eth0.PKT");
+  ASSERT_TRUE(raw.ok());
+  const net::Packet after =
+      MakeTcpPacket(2 * kNanosPerSecond, 0x0a000001, 81, "after");
+  ASSERT_TRUE(engine.InjectPacket("eth0", after).ok());
+  engine.PumpUntilIdle();
+
+  const gsql::StreamSchema pkt = gsql::Catalog::BuiltinPacketSchema();
+  auto row = (*raw)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[*pkt.FieldIndex("time")].uint_value(), 2u);
+  EXPECT_EQ((*row)[*pkt.FieldIndex("destPort")].uint_value(), 81u);
+  EXPECT_EQ((*row)[*pkt.FieldIndex("payload")].string_value(), "after");
+  const size_t ip_payload_at =
+      net::kEthernetHeaderLen + net::kIpv4MinHeaderLen;
+  EXPECT_EQ((*row)[*pkt.FieldIndex("ipPayload")].string_value(),
+            std::string(after.bytes.begin() + ip_payload_at,
+                        after.bytes.end()));
+  EXPECT_FALSE((*raw)->NextRow().has_value());
+
+  // The header-only query saw both packets, before and after.
+  std::vector<uint64_t> dest_ports;
+  while (auto port_row = (*ports)->NextRow()) {
+    dest_ports.push_back((*port_row)[1].uint_value());
+  }
+  EXPECT_EQ(dest_ports, (std::vector<uint64_t>{80, 81}));
 }
 
 TEST(EngineTest, PunctuationOnlyChannelTerminates) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "net/headers.h"
 #include "net/packet.h"
@@ -111,6 +114,227 @@ TEST(HeadersTest, FragmentHasNoTransportHeader) {
   ASSERT_TRUE(decoded->is_ipv4());
   EXPECT_EQ(decoded->ip->fragment_offset, 100);
   EXPECT_FALSE(decoded->is_tcp());
+}
+
+// --- DecodePacket against the frame's own bytes ---
+
+/// One hand-built Ethernet frame; the knobs cover every layer rule.
+struct FrameSpec {
+  uint16_t ether_type = kEtherTypeIpv4;
+  uint8_t ip_version = 4;
+  uint8_t ihl = 5;  // 32-bit words, options included
+  uint8_t protocol = kIpProtoTcp;
+  uint16_t frag_field = 0;  // flags (top 3 bits) and offset
+  uint8_t tcp_offset = 5;   // 32-bit words, options included
+  size_t payload = 0;
+};
+
+/// Every header byte is distinct and non-zero, so a field read at the
+/// wrong offset shows.
+ByteBuffer BuildFrame(const FrameSpec& spec) {
+  ByteBuffer bytes;
+  auto fill = [&bytes](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<uint8_t>(0x11 + bytes.size() * 7));
+    }
+  };
+  fill(12);  // MACs
+  bytes.push_back(static_cast<uint8_t>(spec.ether_type >> 8));
+  bytes.push_back(static_cast<uint8_t>(spec.ether_type));
+  // A header field under its minimum still gets the minimum's bytes.
+  const size_t ip = bytes.size();
+  fill(std::max(size_t{spec.ihl} * 4, kIpv4MinHeaderLen));
+  bytes[ip] = static_cast<uint8_t>(spec.ip_version << 4 | spec.ihl);
+  bytes[ip + 6] = static_cast<uint8_t>(spec.frag_field >> 8);
+  bytes[ip + 7] = static_cast<uint8_t>(spec.frag_field);
+  bytes[ip + 9] = spec.protocol;
+  const size_t transport = bytes.size();
+  if (spec.protocol == kIpProtoTcp) {
+    fill(std::max(size_t{spec.tcp_offset} * 4, kTcpMinHeaderLen));
+    bytes[transport + 12] = static_cast<uint8_t>(spec.tcp_offset << 4 | 0x3);
+  } else if (spec.protocol == kIpProtoUdp) {
+    fill(kUdpHeaderLen);
+  } else {
+    fill(8);  // an ICMP header: payload to the decoder
+  }
+  fill(spec.payload);
+  return bytes;
+}
+
+uint16_t Be16(const ByteBuffer& b, size_t at) {
+  return static_cast<uint16_t>(b[at] << 8 | b[at + 1]);
+}
+
+uint32_t Be32(const ByteBuffer& b, size_t at) {
+  return static_cast<uint32_t>(Be16(b, at)) << 16 | Be16(b, at + 2);
+}
+
+/// Decodes `frame` and checks the result against what its bytes say: which
+/// layers decode, every decoded field against the bytes at its offset, and
+/// the payload as exactly the rest of the frame (or empty). Returns the
+/// first mismatch, or "" when there is none.
+std::string CheckDecode(const ByteBuffer& frame) {
+  const size_t n = frame.size();
+  auto decoded = DecodePacket(ByteSpan(frame.data(), n));
+  if (n < kEthernetHeaderLen) {
+    return decoded.ok() ? "short frame decoded" : "";
+  }
+  if (!decoded.ok()) return "frame of " + std::to_string(n) + " rejected";
+  const DecodedPacket& d = *decoded;
+  for (size_t i = 0; i < 6; ++i) {
+    if (d.eth.dst_mac[i] != frame[i] || d.eth.src_mac[i] != frame[6 + i]) {
+      return "MAC";
+    }
+  }
+  if (d.eth.ether_type != Be16(frame, 12)) return "ether_type";
+
+  // What the bytes call for: the layers present and where the payload
+  // starts (npos: empty payload).
+  constexpr size_t kEmpty = std::string::npos;
+  const size_t ip = kEthernetHeaderLen;
+  bool want_ip = false, want_tcp = false, want_udp = false;
+  size_t payload = ip;
+  if (Be16(frame, 12) == kEtherTypeIpv4) {
+    const size_t ihl = n > ip ? size_t{frame[ip] & 0x0fu} * 4 : 0;
+    want_ip = n >= ip + kIpv4MinHeaderLen && frame[ip] >> 4 == 4 &&
+              ihl >= kIpv4MinHeaderLen && n >= ip + ihl;
+    payload = kEmpty;
+    if (want_ip) {
+      const size_t t = ip + ihl;
+      payload = t;
+      if ((Be16(frame, ip + 6) & 0x1fff) != 0) {
+        // Non-first fragment: everything after the IP header.
+      } else if (frame[ip + 9] == kIpProtoTcp) {
+        const size_t offset =
+            n >= t + kTcpMinHeaderLen ? size_t{frame[t + 12]} / 16 * 4 : 0;
+        want_tcp = offset >= kTcpMinHeaderLen && n >= t + offset;
+        payload = want_tcp ? t + offset : kEmpty;
+      } else if (frame[ip + 9] == kIpProtoUdp) {
+        want_udp = n >= t + kUdpHeaderLen;
+        payload = want_udp ? t + kUdpHeaderLen : kEmpty;
+      }
+    }
+  }
+  if (d.is_ipv4() != want_ip) return "IP layer presence";
+  if (d.is_tcp() != want_tcp) return "TCP layer presence";
+  if (d.is_udp() != want_udp) return "UDP layer presence";
+  if (payload == kEmpty) {
+    if (!d.payload.empty()) return "payload should be empty";
+  } else if (d.payload.data() != frame.data() + payload ||
+             d.payload.size() != n - payload) {
+    return "payload is not the rest of the frame";
+  }
+  if (want_ip) {
+    const Ipv4Header& h = *d.ip;
+    if (h.version != frame[ip] >> 4) return "version";
+    if (h.header_len != (frame[ip] & 0x0f) * 4) return "header_len";
+    if (h.tos != frame[ip + 1]) return "tos";
+    if (h.total_len != Be16(frame, ip + 2)) return "total_len";
+    if (h.identification != Be16(frame, ip + 4)) return "identification";
+    if (h.flags != Be16(frame, ip + 6) >> 13) return "flags";
+    if (h.fragment_offset != (Be16(frame, ip + 6) & 0x1fff)) {
+      return "fragment_offset";
+    }
+    if (h.ttl != frame[ip + 8]) return "ttl";
+    if (h.protocol != frame[ip + 9]) return "protocol";
+    if (h.checksum != Be16(frame, ip + 10)) return "ip checksum";
+    if (h.src_addr != Be32(frame, ip + 12)) return "src_addr";
+    if (h.dst_addr != Be32(frame, ip + 16)) return "dst_addr";
+  }
+  const size_t t = want_ip ? ip + d.ip->header_len : 0;
+  if (want_tcp) {
+    const TcpHeader& h = *d.tcp;
+    if (h.src_port != Be16(frame, t)) return "tcp src_port";
+    if (h.dst_port != Be16(frame, t + 2)) return "tcp dst_port";
+    if (h.seq != Be32(frame, t + 4)) return "seq";
+    if (h.ack != Be32(frame, t + 8)) return "ack";
+    if (h.header_len != (frame[t + 12] >> 4) * 4) return "tcp header_len";
+    if (h.flags != frame[t + 13]) return "tcp flags";
+    if (h.window != Be16(frame, t + 14)) return "window";
+    if (h.checksum != Be16(frame, t + 16)) return "tcp checksum";
+    if (h.urgent != Be16(frame, t + 18)) return "urgent";
+  }
+  if (want_udp) {
+    const UdpHeader& h = *d.udp;
+    if (h.src_port != Be16(frame, t)) return "udp src_port";
+    if (h.dst_port != Be16(frame, t + 2)) return "udp dst_port";
+    if (h.length != Be16(frame, t + 4)) return "udp length";
+    if (h.checksum != Be16(frame, t + 6)) return "udp checksum";
+  }
+  return "";
+}
+
+/// Checks `frame` cut at every length, each cut in an allocation of
+/// exactly its size so that a read past the end trips ASan.
+void CheckEveryCut(const ByteBuffer& frame, const std::string& what) {
+  for (size_t len = 0; len <= frame.size(); ++len) {
+    const ByteBuffer cut(frame.begin(),
+                         frame.begin() + static_cast<long>(len));
+    const std::string mismatch = CheckDecode(cut);
+    ASSERT_EQ(mismatch, "") << what << ", cut at " << len << " of "
+                            << frame.size();
+  }
+}
+
+TEST(HeadersPropertyTest, DecodedFieldsAreTheFrameBytes) {
+  std::vector<FrameSpec> specs;
+  for (uint8_t protocol : {kIpProtoTcp, kIpProtoUdp, kIpProtoIcmp}) {
+    for (uint8_t ihl = 5; ihl <= 15; ++ihl) {
+      // First fragment (MF set), whole datagram, non-first fragment.
+      for (uint16_t frag : {0x2000, 0x0000, 0x0019}) {
+        for (uint8_t offset = 5; offset <= 15; ++offset) {
+          if (protocol != kIpProtoTcp && offset > 5) break;
+          FrameSpec spec;
+          spec.protocol = protocol;
+          spec.ihl = ihl;
+          spec.frag_field = frag;
+          spec.tcp_offset = offset;
+          spec.payload = 5;
+          specs.push_back(spec);
+        }
+      }
+    }
+  }
+  // Layers the decoder must refuse: a bad version or IHL, a bad TCP data
+  // offset, and EtherTypes that are not IPv4.
+  for (uint8_t version : {0, 6, 15}) {
+    FrameSpec spec;
+    spec.ip_version = version;
+    specs.push_back(spec);
+  }
+  for (uint8_t ihl = 0; ihl < 5; ++ihl) {
+    FrameSpec spec;
+    spec.ihl = ihl;
+    specs.push_back(spec);
+  }
+  for (uint8_t offset = 0; offset < 5; ++offset) {
+    FrameSpec spec;
+    spec.tcp_offset = offset;
+    specs.push_back(spec);
+  }
+  for (uint16_t ether_type : {0x86dd, 0x0806, 0x0000}) {
+    FrameSpec spec;
+    spec.ether_type = ether_type;
+    specs.push_back(spec);
+  }
+
+  std::mt19937 rng(20031);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const ByteBuffer frame = BuildFrame(specs[i]);
+    const std::string what = "frame " + std::to_string(i);
+    CheckEveryCut(frame, what);
+    if (HasFatalFailure()) return;
+    // Byte flips: one random byte of the headers takes a random value, so
+    // version, IHL, protocol, fragment and data-offset bytes all get hit.
+    const size_t headers = frame.size() - specs[i].payload;
+    for (int flip = 0; flip < 6; ++flip) {
+      ByteBuffer flipped = frame;
+      const size_t at = rng() % headers;
+      flipped[at] = static_cast<uint8_t>(rng());
+      CheckEveryCut(flipped, what + " flipped at " + std::to_string(at));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(PacketTest, SnapLenTruncates) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "channel_reader.h"
 #include "expr/codegen.h"
 #include "ops/select_project.h"
@@ -310,6 +314,100 @@ TEST(SelectProjectCopyTest, ColumnProjectionsCopyPackedFields) {
   }
   EXPECT_EQ(read(*reorder_out, reorder_schema), expected);
   EXPECT_EQ(read(*identity_out, in), rows);
+}
+
+// The copy path as byte runs: fixed-width fields adjacent in both the
+// input and the output share a run, on either side of a string; fields out
+// of input order, repeated, or separated by a string do not. Every output
+// must equal the fields picked from the input row, whatever the strings'
+// lengths.
+TEST(SelectProjectCopyTest, AdjacentFixedFieldsCopyAsOneRun) {
+  std::vector<FieldDef> in_fields;
+  in_fields.push_back({"u0", DataType::kUint, OrderSpec::None()});
+  in_fields.push_back({"ip1", DataType::kIp, OrderSpec::None()});
+  in_fields.push_back({"b2", DataType::kBool, OrderSpec::None()});
+  in_fields.push_back({"s3", DataType::kString, OrderSpec::None()});
+  in_fields.push_back({"u4", DataType::kUint, OrderSpec::None()});
+  in_fields.push_back({"f5", DataType::kFloat, OrderSpec::None()});
+  in_fields.push_back({"s6", DataType::kString, OrderSpec::None()});
+  in_fields.push_back({"i7", DataType::kInt, OrderSpec::None()});
+  const StreamSchema in("rin", StreamKind::kStream, in_fields);
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(in).ok());
+
+  const std::vector<std::vector<uint32_t>> projections = {
+      {0, 1, 2},                    // one run, before the first string
+      {4, 5, 7},                    // one run, then one across a string
+      {1, 2, 0, 5, 4},              // out of order: runs restart
+      {2, 3, 4, 5, 6, 7},           // strings between fixed runs
+      {7, 6, 6, 3, 0, 1, 2, 3, 4},  // strings first and repeated
+  };
+  std::vector<std::unique_ptr<SelectProjectNode>> nodes;
+  std::vector<rts::Subscription> outs;
+  std::vector<StreamSchema> out_schemas;
+  for (size_t p = 0; p < projections.size(); ++p) {
+    SelectProjectNode::Spec spec;
+    spec.name = "runs" + std::to_string(p);
+    spec.input_schema = in;
+    std::vector<FieldDef> out_fields;
+    for (uint32_t f : projections[p]) {
+      out_fields.push_back({"o" + std::to_string(out_fields.size()),
+                            in_fields[f].type, OrderSpec::None()});
+      spec.projections.push_back(MustCompile(expr::MakeFieldRef(
+          0, f, in_fields[f].type, in_fields[f].name)));
+      spec.punctuation_source.push_back(-1);
+    }
+    spec.output_schema =
+        StreamSchema(spec.name, StreamKind::kStream, out_fields);
+    out_schemas.push_back(spec.output_schema);
+    ASSERT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+    auto input = registry.Subscribe("rin", 64);
+    ASSERT_TRUE(input.ok());
+    nodes.push_back(std::make_unique<SelectProjectNode>(
+        std::move(spec), *input, &registry,
+        std::make_shared<std::vector<Value>>()));
+    auto out = registry.Subscribe(out_schemas.back().name(), 64);
+    ASSERT_TRUE(out.ok());
+    outs.push_back(*out);
+  }
+
+  std::vector<rts::Row> rows;
+  for (uint64_t r = 0; r < 4; ++r) {
+    const char letter = static_cast<char>('a' + r);
+    rows.push_back({Value::Uint(0x0102030405060708 + r),
+                    Value::Ip(static_cast<uint32_t>(0xa0b0c0d0 + r)),
+                    Value::Bool(r % 2 == 1),
+                    Value::String(std::string(r * 9, letter)),
+                    Value::Uint(r << 40),
+                    Value::Float(-1.5 * static_cast<double>(r)),
+                    Value::String(std::string(20 - r * 6, 'z')),
+                    Value::Int(-static_cast<int64_t>(r) - 1)});
+  }
+  rts::TupleCodec codec(in);
+  rts::StreamBatch batch;
+  for (const rts::Row& row : rows) batch.AppendTuple(codec, row);
+  registry.PublishBatch("rin", std::move(batch));
+
+  for (size_t p = 0; p < projections.size(); ++p) {
+    nodes[p]->Poll(100);
+    rts::TupleCodec out_codec(out_schemas[p]);
+    std::vector<rts::Row> got;
+    rts::StreamBatch popped;
+    while (outs[p]->TryPop(&popped)) {
+      for (const rts::BatchItem& item : popped.items()) {
+        auto row = out_codec.Decode(popped.payload(item));
+        ASSERT_TRUE(row.ok()) << "projection " << p;
+        got.push_back(*row);
+      }
+    }
+    std::vector<rts::Row> expected;
+    for (const rts::Row& row : rows) {
+      rts::Row picked;
+      for (uint32_t f : projections[p]) picked.push_back(row[f]);
+      expected.push_back(picked);
+    }
+    EXPECT_EQ(got, expected) << "projection " << p;
+  }
 }
 
 TEST_F(SelectProjectTest, ParamChangeTakesEffectImmediately) {
