@@ -56,7 +56,6 @@ std::unique_ptr<Engine> MakeEngine(
     const std::string& query, int packets,
     gigascope::SimTime stats_period = 0, size_t trace_sample = 0,
     size_t batch_size = 0, bool processes = false,
-    gigascope::jit::JitMode jit_mode = gigascope::jit::JitMode::kOff,
     size_t metrics_arena_slots = static_cast<size_t>(-1)) {
   EngineOptions options;
   // Shm-backed inter-node rings must be chosen before queries are added.
@@ -64,7 +63,6 @@ std::unique_ptr<Engine> MakeEngine(
   if (metrics_arena_slots != static_cast<size_t>(-1)) {
     options.process.metrics_arena_slots = metrics_arena_slots;
   }
-  options.jit.mode = jit_mode;
   // Size channels so a full run fits without drops: the comparison should
   // measure operator and handoff cost, not loss policy.
   size_t capacity = 1;
@@ -85,12 +83,10 @@ std::unique_ptr<Engine> MakeEngine(
 
 double MeasurePps(const std::string& query, const std::vector<Packet>& batch,
                   gigascope::SimTime stats_period = 0,
-                  size_t trace_sample = 0, size_t batch_size = 0,
-                  gigascope::jit::JitMode jit_mode =
-                      gigascope::jit::JitMode::kOff) {
+                  size_t trace_sample = 0, size_t batch_size = 0) {
   std::unique_ptr<Engine> owned =
       MakeEngine(query, static_cast<int>(batch.size()), stats_period,
-                 trace_sample, batch_size, /*processes=*/false, jit_mode);
+                 trace_sample, batch_size);
   Engine& engine = *owned;
   auto start = Clock::now();
   for (const Packet& packet : batch) {
@@ -134,7 +130,7 @@ double MeasurePpsProcesses(const std::string& query,
                                static_cast<size_t>(-1)) {
   std::unique_ptr<Engine> owned = MakeEngine(
       query, static_cast<int>(batch.size()), 0, 0, 0, /*processes=*/true,
-      gigascope::jit::JitMode::kOff, metrics_arena_slots);
+      metrics_arena_slots);
   Engine& engine = *owned;
   auto start = Clock::now();
   if (!engine.StartProcesses(workers).ok()) std::exit(1);
@@ -344,43 +340,6 @@ int main(int argc, char** argv) {
       "copy of the batch arena through the shm ring; batching keeps that\n"
       "amortized, so the mode stays within ~15%% of in-process while\n"
       "buying crash containment (see DESIGN.md §14).\n");
-
-  // Native compiled-query tier (DESIGN.md §15): the same headline
-  // workloads with every query's expressions transpiled to C++ and
-  // hot-swapped in (--jit=sync in gsrun). Compile time lands in query
-  // setup, outside the measured window — this prices the steady state.
-  // The end-to-end win is bounded by Amdahl: expression evaluation is one
-  // slice of the per-packet path next to interpretation and ring hops,
-  // and the columnar raw-byte filter pass already bypasses the VM for
-  // simple conjunctive LFTA filters.
-  // The headline workloads are nearly expression-free by construction
-  // (raw-byte filters, bare-field keys), so an expression-bound workload
-  // is added: arithmetic in the predicate (defeats the raw-term matcher),
-  // the group key, and the aggregate argument, all on the per-packet path.
-  const Workload expr_heavy = {
-      "expr-heavy aggregation",
-      "DEFINE { query_name q5; } "
-      "SELECT tb, destIP, count(*), sum(len * 8 + 14) FROM eth0.PKT "
-      "WHERE len * 8 > 2000 AND protocol = 6 "
-      "GROUP BY time/60 AS tb, destIP"};
-  std::printf(
-      "\nnative compiled-query tier (--jit=sync, kernels hot-swapped at "
-      "setup):\n%-22s %16s %16s %8s\n",
-      "workload", "vm pps", "native pps", "ratio");
-  std::vector<Workload> jit_workloads(workloads, workloads + 4);
-  jit_workloads.push_back(expr_heavy);
-  for (const Workload& workload : jit_workloads) {
-    double vm = 0;
-    double native = 0;
-    for (int repetition = 0; repetition < 5; ++repetition) {
-      vm = std::max(vm, MeasurePps(workload.query, batch));
-      native = std::max(
-          native, MeasurePps(workload.query, batch, 0, 0, 0,
-                             gigascope::jit::JitMode::kSync));
-    }
-    std::printf("%-22s %16.0f %16.0f %7.3fx\n", workload.label, vm, native,
-                native / vm);
-  }
 
   // Shm metrics arena overhead (DESIGN.md §16): in process mode every
   // worker-owned counter/histogram cell lives in the shared-memory arena

@@ -1,43 +1,23 @@
 // Microbenchmark: expression evaluation — the per-tuple cost at the heart
-// of every LFTA/HFTA — on both tiers: the bytecode VM and the native
-// compiled kernels (DESIGN.md §15). The *Native variants route the same
-// bytecode through a sync JitEngine and evaluate via the published kernel;
-// they skip when the environment has no C++ toolchain.
+// of every LFTA/HFTA — through the bytecode VM. Each case runs one
+// persistent expr::Evaluator, as every operator does, so the value stack is
+// allocated once rather than per evaluation.
 
 #include <benchmark/benchmark.h>
 
 #include "expr/codegen.h"
-#include "expr/native.h"
 #include "expr/vm.h"
-#include "jit/compiler.h"
-#include "jit/engine.h"
 
 namespace {
 
 using gigascope::expr::CompiledExpr;
 using gigascope::expr::EvalContext;
 using gigascope::expr::EvalOutput;
+using gigascope::expr::Evaluator;
 using gigascope::expr::IrPtr;
 using gigascope::expr::Value;
 using gigascope::gsql::BinaryOp;
 using gigascope::gsql::DataType;
-
-/// Compiles `expr` to a native kernel through a process-wide sync JitEngine
-/// (one module per call; the engine owns every loaded kernel for the life
-/// of the benchmark binary). False when no toolchain is available or the
-/// kernel was not published.
-bool AttachNative(CompiledExpr* expr) {
-  if (!gigascope::jit::JitCompiler::ToolchainAvailable()) return false;
-  static auto* engine = [] {
-    gigascope::jit::JitOptions options;
-    options.mode = gigascope::jit::JitMode::kSync;
-    return new gigascope::jit::JitEngine(options);
-  }();
-  auto batch = engine->BeginQuery();
-  batch->RequestExpr(expr);
-  engine->Submit(std::move(batch));
-  return expr->native != nullptr && expr->native->kernel.load() != nullptr;
-}
 
 IrPtr Field(size_t index, DataType type) {
   return gigascope::expr::MakeFieldRef(0, index, type, "f");
@@ -53,7 +33,7 @@ IrPtr Bin(BinaryOp op, DataType type, IrPtr l, IrPtr r) {
 
 // The paper's canonical LFTA predicate: ipVersion = 4 AND protocol = 6
 // AND destPort = 80 over an unpacked row.
-CompiledExpr LftaPredicate() {
+void BM_LftaPredicate(benchmark::State& state) {
   auto ir = Bin(
       BinaryOp::kAnd, DataType::kBool,
       Bin(BinaryOp::kAnd, DataType::kBool,
@@ -63,16 +43,13 @@ CompiledExpr LftaPredicate() {
               ConstU(6))),
       Bin(BinaryOp::kEq, DataType::kBool, Field(2, DataType::kUint),
           ConstU(80)));
-  return *gigascope::expr::Compile(ir);
-}
-
-void BM_LftaPredicate(benchmark::State& state) {
-  CompiledExpr predicate = LftaPredicate();
+  CompiledExpr predicate = *gigascope::expr::Compile(ir);
   std::vector<Value> row = {Value::Uint(4), Value::Uint(6), Value::Uint(80)};
   EvalContext ctx;
   ctx.row0 = &row;
+  Evaluator evaluator;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gigascope::expr::EvalPredicate(predicate, ctx));
+    benchmark::DoNotOptimize(evaluator.EvalPredicate(predicate, ctx));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -87,8 +64,9 @@ void BM_BucketExpression(benchmark::State& state) {
   EvalContext ctx;
   ctx.row0 = &row;
   EvalOutput out;
+  Evaluator evaluator;
   for (auto _ : state) {
-    gigascope::expr::Eval(compiled, ctx, &out).ok();
+    evaluator.Eval(compiled, ctx, &out).ok();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
@@ -113,126 +91,32 @@ void BM_DeepArithmetic(benchmark::State& state) {
   EvalContext ctx;
   ctx.row0 = &row;
   EvalOutput out;
+  Evaluator evaluator;
   for (auto _ : state) {
-    gigascope::expr::Eval(compiled, ctx, &out).ok();
+    evaluator.Eval(compiled, ctx, &out).ok();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeepArithmetic);
 
-// -- Native-tier series ------------------------------------------------------
-
-void BM_LftaPredicateNative(benchmark::State& state) {
-  CompiledExpr predicate = LftaPredicate();
-  if (!AttachNative(&predicate)) {
-    state.SkipWithError("no C++ toolchain; native tier unavailable");
-    return;
-  }
-  std::vector<Value> row = {Value::Uint(4), Value::Uint(6), Value::Uint(80)};
-  EvalContext ctx;
-  ctx.row0 = &row;
-  gigascope::expr::Evaluator evaluator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.EvalPredicate(predicate, ctx));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LftaPredicateNative);
-
-void BM_BucketExpressionNative(benchmark::State& state) {
-  auto ir = Bin(BinaryOp::kDiv, DataType::kUint, Field(0, DataType::kUint),
-                ConstU(60));
-  CompiledExpr compiled = *gigascope::expr::Compile(ir);
-  if (!AttachNative(&compiled)) {
-    state.SkipWithError("no C++ toolchain; native tier unavailable");
-    return;
-  }
-  std::vector<Value> row = {Value::Uint(123456)};
-  EvalContext ctx;
-  ctx.row0 = &row;
-  EvalOutput out;
-  gigascope::expr::Evaluator evaluator;
-  for (auto _ : state) {
-    evaluator.Eval(compiled, ctx, &out).ok();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BucketExpressionNative);
-
-void BM_DeepArithmeticNative(benchmark::State& state) {
-  auto ir = Bin(
-      BinaryOp::kMod, DataType::kUint,
-      Bin(BinaryOp::kDiv, DataType::kUint,
-          Bin(BinaryOp::kSub, DataType::kUint,
-              Bin(BinaryOp::kMul, DataType::kUint,
-                  Bin(BinaryOp::kAdd, DataType::kUint,
-                      Field(0, DataType::kUint), ConstU(1)),
-                  ConstU(3)),
-              ConstU(2)),
-          ConstU(2)),
-      ConstU(97));
-  CompiledExpr compiled = *gigascope::expr::Compile(ir);
-  if (!AttachNative(&compiled)) {
-    state.SkipWithError("no C++ toolchain; native tier unavailable");
-    return;
-  }
-  std::vector<Value> row = {Value::Uint(9999)};
-  EvalContext ctx;
-  ctx.row0 = &row;
-  EvalOutput out;
-  gigascope::expr::Evaluator evaluator;
-  for (auto _ : state) {
-    evaluator.Eval(compiled, ctx, &out).ok();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DeepArithmeticNative);
-
 // The aggregate update loop: per tuple, the ordered/LFTA aggregates
 // evaluate every group-key expression and every aggregate argument. This
 // models `GROUP BY time/60 ... sum(len*8+14)` — one key + one arg per row.
-void AggUpdateExprs(CompiledExpr* key, CompiledExpr* arg) {
-  *key = *gigascope::expr::Compile(Bin(BinaryOp::kDiv, DataType::kUint,
-                                       Field(0, DataType::kUint), ConstU(60)));
-  *arg = *gigascope::expr::Compile(
+void BM_AggUpdate(benchmark::State& state) {
+  CompiledExpr key = *gigascope::expr::Compile(
+      Bin(BinaryOp::kDiv, DataType::kUint, Field(0, DataType::kUint),
+          ConstU(60)));
+  CompiledExpr arg = *gigascope::expr::Compile(
       Bin(BinaryOp::kAdd, DataType::kUint,
           Bin(BinaryOp::kMul, DataType::kUint, Field(1, DataType::kUint),
               ConstU(8)),
           ConstU(14)));
-}
-
-void BM_AggUpdateVm(benchmark::State& state) {
-  CompiledExpr key, arg;
-  AggUpdateExprs(&key, &arg);
   std::vector<Value> row = {Value::Uint(123456), Value::Uint(1500)};
   EvalContext ctx;
   ctx.row0 = &row;
   EvalOutput out;
-  for (auto _ : state) {
-    gigascope::expr::Eval(key, ctx, &out).ok();
-    benchmark::DoNotOptimize(out);
-    gigascope::expr::Eval(arg, ctx, &out).ok();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AggUpdateVm);
-
-void BM_AggUpdateNative(benchmark::State& state) {
-  CompiledExpr key, arg;
-  AggUpdateExprs(&key, &arg);
-  if (!AttachNative(&key) || !AttachNative(&arg)) {
-    state.SkipWithError("no C++ toolchain; native tier unavailable");
-    return;
-  }
-  std::vector<Value> row = {Value::Uint(123456), Value::Uint(1500)};
-  EvalContext ctx;
-  ctx.row0 = &row;
-  EvalOutput out;
-  gigascope::expr::Evaluator evaluator;
+  Evaluator evaluator;
   for (auto _ : state) {
     evaluator.Eval(key, ctx, &out).ok();
     benchmark::DoNotOptimize(out);
@@ -241,6 +125,6 @@ void BM_AggUpdateNative(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AggUpdateNative);
+BENCHMARK(BM_AggUpdate);
 
 }  // namespace

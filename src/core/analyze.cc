@@ -84,11 +84,6 @@ void Engine::AssembleAnalyze(
         s.ring_size += sample.value;
       }
     }
-    size_t native = 0;
-    size_t total = 0;
-    node->CountJitKernels(&native, &total);
-    s.jit_native = native;
-    s.jit_total = total;
     summary->trace_truncated += node->trace_truncated();
     by_node->emplace(name, std::move(s));
   }

@@ -68,28 +68,9 @@ Engine::Engine(EngineOptions options) : options_(options) {
     shed_controller_->RegisterTelemetry(&telemetry_, "engine");
     telemetry_.Register("engine", metric::kShedTuples, &shed_tuples_);
   }
-  {
-    // Native tier: environment overrides beat the options struct so test
-    // suites and CI can force a mode without plumbing flags everywhere.
-    jit::JitOptions jit_options = options_.jit;
-    if (const char* force = std::getenv("GS_JIT_FORCE")) {
-      std::optional<jit::JitMode> mode = jit::ParseJitMode(force);
-      if (mode.has_value()) {
-        jit_options.mode = *mode;
-      } else {
-        GS_LOG(Warning) << "ignoring GS_JIT_FORCE=" << force
-                        << " (want off|sync|async)";
-      }
-    }
-    if (const char* dir = std::getenv("GS_JIT_CACHE_DIR")) {
-      if (*dir != '\0') jit_options.cache_dir = dir;
-    }
-    jit_ = std::make_unique<jit::JitEngine>(std::move(jit_options));
-    jit_->RegisterTelemetry(&telemetry_);
-  }
-  // Like GS_JIT_FORCE: lets a CI leg run an existing test binary in
-  // process mode (shm-backed rings + StartProcesses eligibility) without
-  // plumbing a flag through every harness.
+  // Lets a CI leg run an existing test binary in process mode (shm-backed
+  // rings + StartProcesses eligibility) without plumbing a flag through
+  // every harness.
   if (const char* force = std::getenv("GS_PROCESS_FORCE")) {
     const std::string_view v(force);
     if (!v.empty() && v != "0" && v != "off") options_.process.enabled = true;
@@ -362,16 +343,6 @@ Result<QueryInfo> Engine::AddQuery(
   // e2e_latency_ns histogram is registered for it.
   for (size_t i = first_new_node; i < nodes_.size(); ++i) {
     if (nodes_[i]->name() == split.name) nodes_[i]->set_terminal(true);
-  }
-  // Native tier: collect this query's kernel requests in one batch and
-  // hand it to the jit engine — compiled inline (sync) or on the worker
-  // with a later hot swap (async). A no-op when the tier is off.
-  if (jit_->enabled()) {
-    std::unique_ptr<jit::QueryJit> batch = jit_->BeginQuery();
-    for (size_t i = first_new_node; i < nodes_.size(); ++i) {
-      nodes_[i]->AttachJit(batch.get());
-    }
-    jit_->Submit(std::move(batch));
   }
   RegisterNewNodeTelemetry();
   return info;
@@ -764,11 +735,6 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
     return Status::InvalidArgument(operation +
                                    " needs at least one worker");
   }
-  // Drain pending async jit compiles before forking: the children inherit
-  // the already-published kernel pointers, and the compile worker thread
-  // (which does not survive fork) must not hold the jit mutex mid-fork.
-  if (processes) jit_->WaitIdle();
-
   node_stages_.resize(nodes_.size(), NodeStage::kHfta);
   std::vector<size_t> hfta;
   for (size_t i = 0; i < nodes_.size(); ++i) {

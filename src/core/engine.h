@@ -13,7 +13,6 @@
 #include "core/supervisor.h"
 #include "core/worker.h"
 #include "gsql/catalog.h"
-#include "jit/engine.h"
 #include "net/packet.h"
 #include "plan/explain.h"
 #include "plan/splitter.h"
@@ -134,12 +133,6 @@ struct EngineOptions {
   /// epochs, L3 bounded LFTA occupancy — stepping back down with
   /// hysteresis once pressure subsides.
   ShedConfig shed;
-  /// Native compiled-query tier (DESIGN.md §15): transpile each query's
-  /// compiled expressions to C++, build a shared object with the system
-  /// toolchain, and hot-swap the kernels into the operators. Off by
-  /// default; the bytecode VM is always the correct fallback. Overridable
-  /// per process with GS_JIT_FORCE=off|sync|async and GS_JIT_CACHE_DIR.
-  jit::JitOptions jit;
   /// Supervised multi-process HFTA mode (StartProcesses).
   ProcessOptions process;
   /// One deterministic injected fault, armed when worker processes start
@@ -339,10 +332,6 @@ class Engine {
   /// WriteJson is safe after FlushAll (and, being mutex-guarded, any time).
   const telemetry::Tracer* tracer() const { return tracer_.get(); }
 
-  /// The native compiled-query tier (never null; mode kOff when disabled).
-  /// Counters and mode are introspectable while queries run.
-  const jit::JitEngine& jit() const { return *jit_; }
-
   /// Per-node statistics: (name, tuples_in, tuples_out, eval_errors).
   /// Safe to call from any thread while workers are pumping: the counters
   /// are single-writer relaxed atomics, so readings are torn-free (though
@@ -357,8 +346,8 @@ class Engine {
 
   /// EXPLAIN ANALYZE (gsrun --analyze): every running query's compiled
   /// plan annotated with live runtime counters — actual tuples in/out,
-  /// poll/tuple timing percentiles, input-ring health, the jit tier
-  /// actually active vs. predicted, process placement with restart counts.
+  /// poll/tuple timing percentiles, input-ring health, process placement
+  /// with restart counts.
   /// Safe while workers pump (counter reads are the same folded-snapshot
   /// path gs_stats uses). `mask_volatile` omits wall-clock and occupancy
   /// fields so the output is run-to-run stable (golden tests).
@@ -467,10 +456,6 @@ class Engine {
   /// registered readers outlive any one pool. Grows lazily in
   /// StartThreads; slot w is reused across start/stop cycles.
   std::vector<std::unique_ptr<telemetry::Histogram>> worker_park_ns_;
-  /// Declared before nodes_: operators read published kernel pointers
-  /// through their expressions' slots until destruction, so the jit engine
-  /// (which owns the kernels and dlopen'd modules) must die after them.
-  std::unique_ptr<jit::JitEngine> jit_;
   rts::StreamRegistry registry_;
   std::unique_ptr<telemetry::StatsSource> stats_source_;
   SimTime last_stats_emit_ = 0;

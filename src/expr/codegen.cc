@@ -96,12 +96,10 @@ class Generator {
       case IrKind::kField:
         Push({ByteOp::kLoadField, static_cast<uint16_t>(ir->input),
               static_cast<uint16_t>(ir->field)});
-        out_.load_types.push_back(ir->type);
         TrackDepth(1);
         return Status::Ok();
       case IrKind::kParam:
         Push({ByteOp::kLoadParam, static_cast<uint16_t>(ir->param_index), 0});
-        out_.load_types.push_back(ir->type);
         TrackDepth(1);
         return Status::Ok();
       case IrKind::kCast: {

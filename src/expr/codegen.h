@@ -1,7 +1,6 @@
 #ifndef GIGASCOPE_EXPR_CODEGEN_H_
 #define GIGASCOPE_EXPR_CODEGEN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,17 +45,6 @@ struct CallSite {
   uint16_t stack_args = 0;
 };
 
-class NativeKernel;  // expr/native.h
-
-/// Lock-free publication slot for a native (transpiled) kernel. The jit
-/// tier attaches one to a CompiledExpr, then hot-swaps the kernel in with a
-/// release store once the shared object is loaded; `Evaluator` picks it up
-/// with an acquire load on the next evaluation. The pointed-to kernel is
-/// owned by the jit engine and outlives every operator that may read it.
-struct KernelSlot {
-  std::atomic<NativeKernel*> kernel{nullptr};
-};
-
 /// A compiled, immediately executable expression.
 struct CompiledExpr {
   DataType result_type = DataType::kInt;
@@ -65,29 +53,9 @@ struct CompiledExpr {
   std::vector<CallSite> calls;
   /// Upper bound of the value stack during evaluation.
   size_t max_stack = 0;
-  /// Static type of each kLoadField / kLoadParam in code order — enough
-  /// type information for the native tier to transpile without re-plumbing
-  /// the schema (the bytecode itself is untyped).
-  std::vector<DataType> load_types;
-  /// Native-tier slot; null until (and unless) the jit tier requests this
-  /// expression. Shared so copies of the expression see the same swap.
-  std::shared_ptr<KernelSlot> native;
 
   std::string Disassemble() const;
 };
-
-/// Counts a compiled expression toward EXPLAIN ANALYZE's actual-tier
-/// numbers: `total` += 1 when the jit tier requested a kernel slot for it,
-/// `native` += 1 when a compiled kernel is currently published into that
-/// slot. Safe from any thread (acquire load on the slot).
-inline void CountKernelSlot(const CompiledExpr& expr, size_t* native,
-                            size_t* total) {
-  if (expr.native == nullptr) return;
-  ++*total;
-  if (expr.native->kernel.load(std::memory_order_acquire) != nullptr) {
-    ++*native;
-  }
-}
 
 /// Compiles typed IR to bytecode. `param_values` supplies instantiation-time
 /// parameter values, needed only to build handles for pass-by-handle

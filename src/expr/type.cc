@@ -142,16 +142,14 @@ Result<DataType> PromoteNumeric(DataType left, DataType right) {
 }
 
 int64_t SaturatingDoubleToInt64(double v) {
-  // `v != v` instead of std::isnan so the native tier can emit the exact
-  // same expression without pulling <cmath> into generated code.
-  if (v != v) return 0;
+  if (v != v) return 0;  // NaN
   if (v >= 9223372036854775808.0) return INT64_MAX;   // 2^63
   if (v < -9223372036854775808.0) return INT64_MIN;   // -2^63 is exact
   return static_cast<int64_t>(v);
 }
 
 uint64_t SaturatingDoubleToUint64(double v) {
-  if (v != v) return 0;
+  if (v != v) return 0;  // NaN
   if (v >= 18446744073709551616.0) return UINT64_MAX;  // 2^64
   if (v < 0) return 0;
   return static_cast<uint64_t>(v);

@@ -74,10 +74,9 @@ Result<DataType> PromoteNumeric(DataType left, DataType right);
 /// (numeric widenings, IP<->UINT). Fails for string<->numeric.
 Result<Value> CastValue(const Value& value, DataType target);
 
-/// Saturating double→integer conversions: NaN maps to 0, values outside the
-/// target range clamp to its limits, everything else truncates toward zero.
-/// Shared contract between CastValue and the native tier's generated code —
-/// both sides must produce bit-identical results (see DESIGN.md §15).
+/// Saturating double→integer conversions (CastValue's FLOAT→INT/UINT): NaN
+/// maps to 0, values outside the target range clamp to its limits,
+/// everything else truncates toward zero.
 int64_t SaturatingDoubleToInt64(double v);
 uint64_t SaturatingDoubleToUint64(double v);
 

@@ -1,7 +1,6 @@
 #include "expr/vm.h"
 
 #include "common/logging.h"
-#include "expr/native.h"
 
 namespace gigascope::expr {
 
@@ -16,9 +15,7 @@ Status ArithmeticOp(ByteOp op, const Value& left, const Value& right,
       int64_t b = right.int_value();
       // Signed add/sub/mul wrap two's-complement (via the uint64 round-trip,
       // defined behavior) and INT64_MIN / -1 is a counted eval error rather
-      // than a SIGFPE. The native tier's generated code mirrors these
-      // semantics instruction for instruction (DESIGN.md §15); change them
-      // only in both places at once.
+      // than a SIGFPE.
       uint64_t ua = static_cast<uint64_t>(a);
       uint64_t ub = static_cast<uint64_t>(b);
       switch (op) {
@@ -238,23 +235,8 @@ Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
   return EvalWithStack(expr, ctx, out, stack);
 }
 
-bool EvalPredicate(const CompiledExpr& expr, const EvalContext& ctx) {
-  EvalOutput out;
-  Status status = Eval(expr, ctx, &out);
-  if (!status.ok() || !out.has_value) return false;
-  return out.value.bool_value();
-}
-
 Status Evaluator::Eval(const CompiledExpr& expr, const EvalContext& ctx,
                        EvalOutput* out) {
-  // Native-tier fast path: the jit engine publishes a kernel into the slot
-  // with a release store; operators observe it here mid-run (async mode
-  // hot-swap). Falls through to the VM until (and unless) a kernel lands.
-  if (expr.native != nullptr) {
-    NativeKernel* kernel =
-        expr.native->kernel.load(std::memory_order_acquire);
-    if (kernel != nullptr) return kernel->Eval(ctx, out);
-  }
   return EvalWithStack(expr, ctx, out, stack_);
 }
 

@@ -29,18 +29,16 @@ struct EvalOutput {
 Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
             EvalOutput* out);
 
-/// Evaluates a BOOL expression as a predicate. A missing value (partial
-/// function miss) and a runtime error both yield `false`.
-bool EvalPredicate(const CompiledExpr& expr, const EvalContext& ctx);
-
 /// A reusable evaluator for the batch hot path: same semantics as the free
-/// functions but the value stack persists across calls, so a batch of N
-/// tuples pays one stack allocation instead of N. Owned by exactly one
-/// operator and called only from its polling thread.
+/// Eval but the value stack persists across calls, so a batch of N tuples
+/// pays one stack allocation instead of N. Owned by exactly one operator
+/// and called only from its polling thread.
 class Evaluator {
  public:
   Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
               EvalOutput* out);
+  /// Evaluates a BOOL expression as a predicate. A missing value (partial
+  /// function miss) and a runtime error both yield `false`.
   bool EvalPredicate(const CompiledExpr& expr, const EvalContext& ctx);
 
  private:

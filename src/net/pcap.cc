@@ -10,6 +10,8 @@ namespace {
 
 constexpr uint16_t kVersionMajor = 2;
 constexpr uint16_t kVersionMinor = 4;
+/// libpcap's largest snaplen: no real record captures more bytes.
+constexpr uint32_t kMaxCaptureLen = 262144;
 
 uint32_t ByteSwap32(uint32_t v) {
   return v >> 24 | (v >> 8 & 0xff00) | (v << 8 & 0xff0000) | v << 24;
@@ -151,10 +153,11 @@ Status PcapReader::Next(Packet* out, bool* eof) {
       !ReadU32(file_, swap_, &orig_len)) {
     return Status::ParseError("truncated pcap record header");
   }
-  // Sanity-check capture length against the declared snap length so a
-  // corrupt length field cannot force a huge allocation.
-  if (snap_len_ != 0 && cap_len > snap_len_ && cap_len > 262144) {
-    return Status::ParseError("pcap record capture length exceeds snaplen");
+  // A corrupt length field must not force a huge allocation. The global
+  // header's snaplen cannot bound it (0 and 0xFFFFFFFF both occur), so the
+  // bound is libpcap's own maximum.
+  if (cap_len > kMaxCaptureLen) {
+    return Status::ParseError("pcap record capture length exceeds 262144");
   }
   SimTime sub_nanos = nanos_ ? subsecs : static_cast<SimTime>(subsecs) * 1000;
   out->timestamp = static_cast<SimTime>(secs) * kNanosPerSecond + sub_nanos;

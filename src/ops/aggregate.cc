@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "expr/vm.h"
-#include "jit/engine.h"
 #include "telemetry/metric_names.h"
 
 namespace gigascope::ops {
@@ -798,29 +797,6 @@ void OrderedAggregateNode::RegisterTelemetry(
   metrics->Register(name(), telemetry::metric::kOpenGroups, &open_groups_);
   metrics->Register(name(), telemetry::metric::kGroupsFlushed,
                     &groups_flushed_);
-}
-
-void OrderedAggregateNode::AttachJit(jit::QueryJit* jit) {
-  RequestAggKernels(&spec_, jit);
-}
-
-void OrderedAggregateNode::CountJitKernels(size_t* native,
-                                           size_t* total) const {
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    expr::CountKernelSlot(key, native, total);
-  }
-  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
-    if (arg.has_value()) expr::CountKernelSlot(*arg, native, total);
-  }
-}
-
-void RequestAggKernels(OrderedAggregateNode::Spec* spec, jit::QueryJit* jit) {
-  for (expr::CompiledExpr& key : spec->keys) {
-    jit->RequestExpr(&key);
-  }
-  for (std::optional<expr::CompiledExpr>& arg : spec->agg_args) {
-    if (arg.has_value()) jit->RequestExpr(&*arg);
-  }
 }
 
 }  // namespace gigascope::ops

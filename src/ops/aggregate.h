@@ -128,9 +128,9 @@ class GroupLayout {
 /// aggregate a pointer to its argument's packed bytes. A bare column
 /// reference (rts::BareField) is located in the input tuple: a key field
 /// is copied and canonicalized, an argument points straight into the
-/// tuple. A computed expression runs once through the VM (native kernels
-/// included) and its result is packed into reused scratch. With only bare
-/// references, nothing is decoded and nothing is allocated per tuple.
+/// tuple. A computed expression runs once through the VM and its result is
+/// packed into reused scratch. With only bare references, nothing is
+/// decoded and nothing is allocated per tuple.
 class GroupInput {
  public:
   /// kMiss: a partial function returned nothing, and the tuple is dropped
@@ -249,8 +249,6 @@ class OrderedAggregateNode : public rts::QueryNode {
   size_t Poll(size_t budget) override;
   void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
-  void AttachJit(jit::QueryJit* jit) override;
-  void CountJitKernels(size_t* native, size_t* total) const override;
 
   size_t open_groups() const { return groups_.size(); }
   uint64_t groups_flushed() const { return groups_flushed_.value(); }
@@ -297,11 +295,6 @@ class OrderedAggregateNode : public rts::QueryNode {
   /// touching the (unsynchronized) group map.
   telemetry::Counter open_groups_;
 };
-
-/// Requests native kernels for an aggregation Spec's group-key and
-/// aggregate-argument expressions — the per-tuple hot loop of both the
-/// ordered (HFTA) and direct-mapped (LFTA) aggregates.
-void RequestAggKernels(OrderedAggregateNode::Spec* spec, jit::QueryJit* jit);
 
 /// The packed group layout of an aggregation Spec: key types from its
 /// output schema, argument types from its compiled arguments.

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "expr/vm.h"
-#include "jit/engine.h"
 
 namespace gigascope::ops {
 
@@ -249,16 +248,6 @@ void WindowJoinNode::Flush() {
   for (const auto& [key, row] : pending_) Publish(row);
   pending_.clear();
   writer_.Flush();  // Flush runs outside any Poll round
-}
-
-void WindowJoinNode::AttachJit(jit::QueryJit* jit) {
-  if (spec_.predicate.has_value()) jit->RequestExpr(&*spec_.predicate);
-}
-
-void WindowJoinNode::CountJitKernels(size_t* native, size_t* total) const {
-  if (spec_.predicate.has_value()) {
-    expr::CountKernelSlot(*spec_.predicate, native, total);
-  }
 }
 
 }  // namespace gigascope::ops

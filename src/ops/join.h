@@ -53,8 +53,6 @@ class WindowJoinNode : public rts::QueryNode {
 
   size_t Poll(size_t budget) override;
   void Flush() override;
-  void AttachJit(jit::QueryJit* jit) override;
-  void CountJitKernels(size_t* native, size_t* total) const override;
 
   size_t buffered_left() const { return left_buffer_.size(); }
   size_t buffered_right() const { return right_buffer_.size(); }

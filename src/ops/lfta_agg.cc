@@ -241,17 +241,4 @@ void LftaAggregateNode::RegisterTelemetry(
                           [this] { return table_.shed_evictions(); });
 }
 
-void LftaAggregateNode::AttachJit(jit::QueryJit* jit) {
-  RequestAggKernels(&spec_, jit);
-}
-
-void LftaAggregateNode::CountJitKernels(size_t* native, size_t* total) const {
-  for (const expr::CompiledExpr& key : spec_.keys) {
-    expr::CountKernelSlot(key, native, total);
-  }
-  for (const std::optional<expr::CompiledExpr>& arg : spec_.agg_args) {
-    if (arg.has_value()) expr::CountKernelSlot(*arg, native, total);
-  }
-}
-
 }  // namespace gigascope::ops

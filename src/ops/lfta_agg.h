@@ -151,8 +151,6 @@ class LftaAggregateNode : public rts::QueryNode {
   size_t Poll(size_t budget) override;
   void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
-  void AttachJit(jit::QueryJit* jit) override;
-  void CountJitKernels(size_t* native, size_t* total) const override;
 
   const DirectMappedAggTable& table() const { return table_; }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "expr/vm.h"
-#include "jit/engine.h"
 
 namespace gigascope::ops {
 
@@ -135,52 +134,8 @@ void SelectProjectNode::BuildRawFilter() {
   raw_terms_ = std::move(raw);
 }
 
-void SelectProjectNode::AttachJit(jit::QueryJit* jit) {
-  if (!raw_terms_.empty()) {
-    // The raw fast path already covers the whole predicate; compile it as
-    // one FilterFn with the offsets and constants baked in.
-    std::vector<jit::RawFilterTerm> terms;
-    terms.reserve(raw_terms_.size());
-    for (const RawTerm& term : raw_terms_) {
-      jit::RawFilterTerm out;
-      out.offset = term.offset;
-      out.type = term.type;
-      out.cmp = term.cmp;
-      out.u = term.u;
-      out.i = term.i;
-      out.f = term.f;
-      terms.push_back(out);
-    }
-    raw_filter_slot_ = jit->RequestFilter(terms);
-  } else if (spec_.predicate.has_value()) {
-    jit->RequestExpr(&*spec_.predicate);
-  }
-  for (expr::CompiledExpr& projection : spec_.projections) {
-    jit->RequestExpr(&projection);
-  }
-}
-
-void SelectProjectNode::CountJitKernels(size_t* native, size_t* total) const {
-  if (raw_filter_slot_ != nullptr) {
-    ++*total;
-    if (raw_filter_slot_->fn.load(std::memory_order_acquire) != nullptr) {
-      ++*native;
-    }
-  } else if (spec_.predicate.has_value()) {
-    expr::CountKernelSlot(*spec_.predicate, native, total);
-  }
-  for (const expr::CompiledExpr& projection : spec_.projections) {
-    expr::CountKernelSlot(projection, native, total);
-  }
-}
-
 bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
   const uint8_t* data = payload.data();
-  if (raw_filter_slot_ != nullptr) {
-    expr::ByteFilterFn fn =
-        raw_filter_slot_->fn.load(std::memory_order_acquire);
-    if (fn != nullptr) return fn(data, payload.size()) != 0;
-  }
   for (const RawTerm& term : raw_terms_) {
     int cmp = 0;
     switch (term.type) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "expr/codegen.h"
-#include "expr/native.h"
 #include "expr/vm.h"
 #include "rts/node.h"
 #include "rts/punctuation.h"
@@ -54,16 +53,9 @@ class SelectProjectNode : public rts::QueryNode {
 
   size_t Poll(size_t budget) override;
 
-  /// Requests native kernels: the raw byte filter as one baked-constant
-  /// FilterFn (or the general predicate when the raw path didn't match),
-  /// plus each projection.
-  void AttachJit(jit::QueryJit* jit) override;
-
   /// Whether the predicate compiled to the raw byte-comparing fast path
   /// (introspection for tests and EXPLAIN).
   bool has_raw_filter() const { return !raw_terms_.empty(); }
-
-  void CountJitKernels(size_t* native, size_t* total) const override;
 
  private:
   /// One predicate conjunct evaluated on packed bytes: the field at a
@@ -125,8 +117,6 @@ class SelectProjectNode : public rts::QueryNode {
   rts::StreamBatch batch_;  // input batch, reused across polls
   rts::Row row_;            // read-set decode target, reused per tuple
   rts::Row out_row_;        // projected output, reused per tuple
-  /// Native byte-filter slot; null until AttachJit ran with the tier on.
-  std::shared_ptr<expr::ByteFilterSlot> raw_filter_slot_;
 };
 
 }  // namespace gigascope::ops

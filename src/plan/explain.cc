@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "expr/cost.h"
-#include "jit/emit.h"
 
 namespace gigascope::plan {
 namespace {
@@ -69,46 +68,6 @@ double NodeCost(const PlanNode& node) {
       break;
   }
   return cost;
-}
-
-/// Whether the native tier would compile at least one of this node's
-/// expressions: emittable C++ (no UDF calls, no string operands) and past
-/// the minimum-size threshold — trivial expressions stay on the VM, whose
-/// dispatch they cannot outrun (the IR-cost cutoff mirrors the runtime's
-/// bytecode-length cutoff QueryJit::kMinInstrs).
-bool NodeTierNative(const PlanNode& node) {
-  auto eligible = [](const expr::IrPtr& ir) {
-    return ir != nullptr && jit::CanEmitIr(ir) && expr::EstimateCost(ir) >= 2;
-  };
-  switch (node.kind) {
-    case PlanKind::kSelectProject:
-      if (eligible(node.predicate)) return true;
-      for (const expr::IrPtr& p : node.projections) {
-        if (eligible(p)) return true;
-      }
-      return false;
-    case PlanKind::kAggregate:
-      for (const expr::IrPtr& k : node.group_keys) {
-        if (eligible(k)) return true;
-      }
-      for (const expr::AggregateSpec& agg : node.aggregates) {
-        if (eligible(agg.arg)) return true;
-      }
-      return false;
-    case PlanKind::kJoin:
-      return eligible(node.join_predicate);
-    case PlanKind::kSource:
-    case PlanKind::kMerge:
-      return false;
-  }
-  return false;
-}
-
-/// Expression-bearing operators get a tier line; sources and merges
-/// evaluate nothing, so the annotation would be noise.
-bool NodeHasExprs(const PlanNode& node) {
-  return node.kind == PlanKind::kSelectProject ||
-         node.kind == PlanKind::kAggregate || node.kind == PlanKind::kJoin;
 }
 
 std::string PlacementName(const SplitQuery& split) {
@@ -193,14 +152,6 @@ void AnalyzeNodeText(const AnalyzeContext& analyze,
     *out += " (restarts " + std::to_string(stats->restarts) + ")";
   }
   *out += "\n";
-  *out += pad2 + "jit-active: ";
-  if (stats->jit_total == 0) {
-    *out += "none";
-  } else {
-    *out += std::to_string(stats->jit_native) + "/" +
-            std::to_string(stats->jit_total) + " native";
-  }
-  *out += "\n";
   *out += pad2 + "ring: pushed=" + std::to_string(stats->ring_pushed) +
           " popped=" + std::to_string(stats->ring_popped) +
           " dropped=" + std::to_string(stats->ring_dropped);
@@ -218,8 +169,7 @@ void AnalyzeNodeText(const AnalyzeContext& analyze,
 }
 
 void ExplainNodeText(const PlanNode& node, const char* placement,
-                     bool lfta_table, const ExplainOptions& opts,
-                     const std::string& runtime_name,
+                     bool lfta_table, const std::string& runtime_name,
                      const AnalyzeContext* analyze, int indent,
                      std::string* out) {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
@@ -297,11 +247,6 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
     *out += pad2 + "cost: " + FormatCost(NodeCost(node)) + " (lfta budget " +
             FormatCost(expr::kLftaCostBudget) + ")\n";
   }
-  if (opts.jit && NodeHasExprs(node)) {
-    *out += pad2 + "tier: ";
-    *out += NodeTierNative(node) ? "native" : "vm";
-    *out += "\n";
-  }
   const std::vector<const char*> shed =
       ShedEligible(node, placement, lfta_table);
   if (!shed.empty()) {
@@ -322,7 +267,7 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
         child->kind == PlanKind::kSource
             ? SourceRuntimeName(*child)
             : runtime_name + "#" + std::to_string(i);
-    ExplainNodeText(*child, placement, lfta_table, opts, child_name, analyze,
+    ExplainNodeText(*child, placement, lfta_table, child_name, analyze,
                     indent + 1, out);
   }
 }
@@ -337,8 +282,6 @@ void AnalyzeNodeJson(const AnalyzeContext& analyze,
   *out += ",\"tuples_in\":" + std::to_string(stats->tuples_in);
   *out += ",\"tuples_out\":" + std::to_string(stats->tuples_out);
   *out += ",\"eval_errors\":" + std::to_string(stats->eval_errors);
-  *out += ",\"jit_native\":" + std::to_string(stats->jit_native);
-  *out += ",\"jit_total\":" + std::to_string(stats->jit_total);
   *out += ",\"ring\":{\"pushed\":" + std::to_string(stats->ring_pushed) +
           ",\"popped\":" + std::to_string(stats->ring_popped) +
           ",\"dropped\":" + std::to_string(stats->ring_dropped);
@@ -358,8 +301,7 @@ void AnalyzeNodeJson(const AnalyzeContext& analyze,
 }
 
 void ExplainNodeJson(const PlanNode& node, const char* placement,
-                     bool lfta_table, const ExplainOptions& opts,
-                     const std::string& runtime_name,
+                     bool lfta_table, const std::string& runtime_name,
                      const AnalyzeContext* analyze, std::string* out) {
   *out += "{\"op\":";
   *out += JsonEscape(PlanKindName(node.kind));
@@ -418,10 +360,6 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
       break;
   }
   *out += ",\"cost\":" + FormatCost(NodeCost(node));
-  if (opts.jit && NodeHasExprs(node)) {
-    *out += ",\"tier\":";
-    *out += NodeTierNative(node) ? "\"native\"" : "\"vm\"";
-  }
   const std::vector<const char*> shed =
       ShedEligible(node, placement, lfta_table);
   if (!shed.empty()) {
@@ -452,8 +390,7 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
         child->kind == PlanKind::kSource
             ? SourceRuntimeName(*child)
             : runtime_name + "#" + std::to_string(i);
-    ExplainNodeJson(*child, placement, lfta_table, opts, child_name, analyze,
-                    out);
+    ExplainNodeJson(*child, placement, lfta_table, child_name, analyze, out);
   }
   *out += "]}";
 }
@@ -466,7 +403,6 @@ std::string LftaRootName(const SplitQuery& split) {
 
 std::string ExplainTextImpl(const PlannedQuery& planned,
                             const SplitQuery& split,
-                            const ExplainOptions& opts,
                             const AnalyzeContext* analyze,
                             const AnalyzeSummary* summary) {
   std::string out;
@@ -493,8 +429,7 @@ std::string ExplainTextImpl(const PlannedQuery& planned,
   }
   if (split.hfta != nullptr) {
     out += "hfta:\n";
-    ExplainNodeText(*split.hfta, "hfta", false, opts, split.name, analyze, 1,
-                    &out);
+    ExplainNodeText(*split.hfta, "hfta", false, split.name, analyze, 1, &out);
   }
   if (split.lfta != nullptr) {
     if (split.hfta != nullptr) {
@@ -502,7 +437,7 @@ std::string ExplainTextImpl(const PlannedQuery& planned,
     } else {
       out += "lfta:\n";
     }
-    ExplainNodeText(*split.lfta, "lfta", split.split_aggregation, opts,
+    ExplainNodeText(*split.lfta, "lfta", split.split_aggregation,
                     LftaRootName(split), analyze, 1, &out);
   }
   return out;
@@ -510,7 +445,6 @@ std::string ExplainTextImpl(const PlannedQuery& planned,
 
 std::string ExplainJsonImpl(const PlannedQuery& planned,
                             const SplitQuery& split,
-                            const ExplainOptions& opts,
                             const AnalyzeContext* analyze,
                             const AnalyzeSummary* summary) {
   std::string out = "{\"query\":" + JsonEscape(split.name);
@@ -538,8 +472,7 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
   }
   if (split.hfta != nullptr) {
     out += ",\"hfta\":";
-    ExplainNodeJson(*split.hfta, "hfta", false, opts, split.name, analyze,
-                    &out);
+    ExplainNodeJson(*split.hfta, "hfta", false, split.name, analyze, &out);
   } else {
     out += ",\"hfta\":null";
   }
@@ -547,7 +480,7 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
     out += ",\"lfta_stream\":" +
            JsonEscape(split.hfta != nullptr ? split.lfta_name : split.name);
     out += ",\"lfta\":";
-    ExplainNodeJson(*split.lfta, "lfta", split.split_aggregation, opts,
+    ExplainNodeJson(*split.lfta, "lfta", split.split_aggregation,
                     LftaRootName(split), analyze, &out);
   } else {
     out += ",\"lfta\":null";
@@ -558,14 +491,12 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
 
 }  // namespace
 
-std::string ExplainText(const PlannedQuery& planned, const SplitQuery& split,
-                        const ExplainOptions& opts) {
-  return ExplainTextImpl(planned, split, opts, nullptr, nullptr);
+std::string ExplainText(const PlannedQuery& planned, const SplitQuery& split) {
+  return ExplainTextImpl(planned, split, nullptr, nullptr);
 }
 
-std::string ExplainJson(const PlannedQuery& planned, const SplitQuery& split,
-                        const ExplainOptions& opts) {
-  return ExplainJsonImpl(planned, split, opts, nullptr, nullptr);
+std::string ExplainJson(const PlannedQuery& planned, const SplitQuery& split) {
+  return ExplainJsonImpl(planned, split, nullptr, nullptr);
 }
 
 std::string ExplainAnalyzeText(const PlannedQuery& planned,
@@ -573,10 +504,8 @@ std::string ExplainAnalyzeText(const PlannedQuery& planned,
                                const AnalyzeLookup& lookup,
                                const AnalyzeSummary& summary,
                                const AnalyzeOptions& opts) {
-  ExplainOptions explain_opts;
-  explain_opts.jit = true;  // render predicted tier next to jit-active
   AnalyzeContext analyze{&lookup, &opts};
-  return ExplainTextImpl(planned, split, explain_opts, &analyze, &summary);
+  return ExplainTextImpl(planned, split, &analyze, &summary);
 }
 
 std::string ExplainAnalyzeJson(const PlannedQuery& planned,
@@ -584,10 +513,8 @@ std::string ExplainAnalyzeJson(const PlannedQuery& planned,
                                const AnalyzeLookup& lookup,
                                const AnalyzeSummary& summary,
                                const AnalyzeOptions& opts) {
-  ExplainOptions explain_opts;
-  explain_opts.jit = true;
   AnalyzeContext analyze{&lookup, &opts};
-  return ExplainJsonImpl(planned, split, explain_opts, &analyze, &summary);
+  return ExplainJsonImpl(planned, split, &analyze, &summary);
 }
 
 }  // namespace gigascope::plan

@@ -21,22 +21,11 @@ namespace gigascope::plan {
 /// splitter: a split regression shows up as a placement diff, a lost
 /// ordering property as an `order:` diff.
 
-struct ExplainOptions {
-  /// Annotates each expression-bearing operator with the evaluation tier
-  /// the native compiled-query layer would choose for it (`tier: native`
-  /// when at least one of its expressions is emittable as C++ and clears
-  /// the minimum-size threshold, else `tier: vm`; DESIGN.md §15). Off by
-  /// default so the pre-existing golden surfaces are byte-identical.
-  bool jit = false;
-};
-
 /// Human-readable form, used by `gsqlc --explain`.
-std::string ExplainText(const PlannedQuery& planned, const SplitQuery& split,
-                        const ExplainOptions& opts = {});
+std::string ExplainText(const PlannedQuery& planned, const SplitQuery& split);
 
 /// Machine-readable form (one JSON object), used by `gsqlc --explain=json`.
-std::string ExplainJson(const PlannedQuery& planned, const SplitQuery& split,
-                        const ExplainOptions& opts = {});
+std::string ExplainJson(const PlannedQuery& planned, const SplitQuery& split);
 
 // -- EXPLAIN ANALYZE (gsrun --analyze) ---------------------------------------
 //
@@ -68,11 +57,6 @@ struct AnalyzeNodeStats {
   uint64_t ring_dropped = 0;
   uint64_t ring_size = 0;        // volatile
   uint64_t ring_high_water = 0;  // volatile
-  /// JIT tier actually active right now: expression slots holding a
-  /// hot-swapped native kernel vs. total compilable slots (compare with the
-  /// predicted `tier:` annotation).
-  uint64_t jit_native = 0;
-  uint64_t jit_total = 0;
 };
 
 /// Engine-level header values for one ANALYZE rendering.
@@ -98,9 +82,9 @@ struct AnalyzeOptions {
 using AnalyzeLookup =
     std::function<const AnalyzeNodeStats*(const std::string& runtime_name)>;
 
-/// Human-readable EXPLAIN ANALYZE (`gsrun --analyze`): plain EXPLAIN with
-/// the jit tier prediction on, plus an `analyze:` header line and
-/// actual/proc/jit-active/ring/timing lines per resolved operator.
+/// Human-readable EXPLAIN ANALYZE (`gsrun --analyze`): plain EXPLAIN plus
+/// an `analyze:` header line and actual/proc/ring/timing lines per resolved
+/// operator.
 std::string ExplainAnalyzeText(const PlannedQuery& planned,
                                const SplitQuery& split,
                                const AnalyzeLookup& lookup,

@@ -12,10 +12,6 @@
 #include "telemetry/registry.h"
 #include "telemetry/tracer.h"
 
-namespace gigascope::jit {
-class QueryJit;  // jit/engine.h
-}
-
 namespace gigascope::rts {
 
 /// The mutable query-parameter block shared between the engine (which
@@ -74,22 +70,6 @@ class QueryNode {
   /// Counters stay readable from any thread while the node is polled; the
   /// registry entries must not outlive the node.
   virtual void RegisterTelemetry(telemetry::Registry* metrics) const;
-
-  /// Lets the node request native-tier kernels for its compiled
-  /// expressions (one QueryJit batch per query; see jit/engine.h). Called
-  /// on the control plane right after instantiation — requests are
-  /// collected here, compiled once per query, and hot-swapped into the
-  /// expressions' kernel slots later. Default: nothing to compile.
-  virtual void AttachJit(jit::QueryJit* jit) { (void)jit; }
-
-  /// Reports the JIT tier actually active right now (for EXPLAIN ANALYZE,
-  /// vs the predicted `tier:`): `native` += kernel slots holding a
-  /// hot-swapped native kernel, `total` += compilable expression slots.
-  /// Default: no expressions. Safe from any thread (atomic slot loads).
-  virtual void CountJitKernels(size_t* native, size_t* total) const {
-    (void)native;
-    (void)total;
-  }
 
   /// The input channels this node consumes (registered by subclasses at
   /// construction). The threaded engine uses these to wire consumer

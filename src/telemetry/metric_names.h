@@ -83,19 +83,6 @@ inline constexpr char kResyncDropped[] = "resync_dropped";
 /// Messages too large for one shm ring slot, dropped at the producer.
 inline constexpr char kOversizeDropped[] = "oversize_dropped";
 
-// -- Native compiled-query tier (entity "jit"; writers: see jit/engine.h) ----
-/// Generated modules actually run through the toolchain (cache misses).
-inline constexpr char kJitCompiles[] = "jit_compiles";
-/// Cumulative toolchain wall time in ns (divide by jit_compiles for mean).
-inline constexpr char kJitCompileNs[] = "jit_compile_ns";
-/// Modules dlopen'd straight from the on-disk content-hash cache.
-inline constexpr char kJitCacheHits[] = "jit_cache_hits";
-/// Kernel requests that stayed on the VM: emission gaps (UDF call sites,
-/// string operands), compile failures, or no usable toolchain.
-inline constexpr char kJitFallbacks[] = "jit_fallbacks";
-/// Kernels currently published into operator slots.
-inline constexpr char kJitActiveKernels[] = "jit_active_kernels";
-
 // -- Engine-level ------------------------------------------------------------
 inline constexpr char kHeartbeats[] = "heartbeats";
 inline constexpr char kStatsSnapshots[] = "stats_snapshots";

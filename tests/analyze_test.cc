@@ -1,8 +1,8 @@
 // Golden-file tests for EXPLAIN ANALYZE: a deterministic workload runs
 // through the engine, and the annotated plan rendering (actual tuple
-// counts, ring health, jit-active tier, process placement) is compared
-// byte-for-byte against checked-in goldens with volatile fields (ring
-// occupancy, timings) masked. The JSON rendering is checked structurally.
+// counts, ring health, process placement) is compared byte-for-byte
+// against checked-in goldens with volatile fields (ring occupancy,
+// timings) masked. The JSON rendering is checked structurally.
 //
 // Regenerate after an intentional change:
 //   GS_UPDATE_GOLDENS=1 ./build/tests/analyze_test
@@ -57,11 +57,6 @@ net::Packet MakeUdpPacket(SimTime timestamp, uint16_t dst_port) {
 
 class AnalyzeTest : public ::testing::Test {
  protected:
-  // The goldens record the default tier's `jit-active` line, so the
-  // process-wide override a --jit=sync run exports must not leak in (as in
-  // jit_test's EngineJitTest).
-  void SetUp() override { unsetenv("GS_JIT_FORCE"); }
-
   // Runs `query` over 5 TCP + 3 UDP packets (one per second) through a
   // fresh single-process engine; the counts in the golden follow from
   // this fixed workload.

@@ -188,9 +188,8 @@ std::vector<Value> RowWithInt(int64_t i) {
   return row;
 }
 
-// Evaluation semantics the native tier's generated C++ must mirror exactly
-// (DESIGN.md §15): division edge cases are counted runtime errors, never
-// UB, and signed overflow wraps two's-complement.
+// Division edge cases are counted runtime errors, never UB, and signed
+// overflow wraps two's-complement.
 
 TEST(EvalTest, ModuloByZeroIsRuntimeError) {
   ExprHarness harness;

@@ -531,5 +531,40 @@ TEST_F(PcapTest, MicrosecondMagicScalesTimestamps) {
   EXPECT_EQ(packet.timestamp, kNanosPerSecond + 250 * kNanosPerMicro);
 }
 
+TEST_F(PcapTest, OversizedCaptureLengthIsRefusedBeforeAllocation) {
+  // A record claiming 256 MiB over 16 bytes of body. Neither snaplen bounds
+  // it, so only the reader's own maximum stops the allocation.
+  for (uint32_t snap_len : {0u, 0xFFFFFFFFu}) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    auto put32 = [f](uint32_t v) { std::fwrite(&v, 4, 1, f); };
+    auto put16 = [f](uint16_t v) { std::fwrite(&v, 2, 1, f); };
+    put32(kPcapMagic);
+    put16(2);
+    put16(4);
+    put32(0);
+    put32(0);
+    put32(snap_len);
+    put32(kLinkTypeEthernet);
+    put32(1);
+    put32(0);
+    put32(0x10000000);  // cap_len
+    put32(0x10000000);  // orig_len
+    const uint8_t body[16] = {};
+    std::fwrite(body, 1, sizeof(body), f);
+    std::fclose(f);
+
+    PcapReader reader;
+    ASSERT_TRUE(reader.Open(path_).ok());
+    Packet packet;
+    bool eof = false;
+    Status status = reader.Next(&packet, &eof);
+    EXPECT_EQ(status.code(), Status::Code::kParseError) << snap_len;
+    EXPECT_EQ(status.message(), "pcap record capture length exceeds 262144")
+        << snap_len;
+    EXPECT_EQ(packet.bytes.capacity(), 0u) << snap_len;
+  }
+}
+
 }  // namespace
 }  // namespace gigascope::net

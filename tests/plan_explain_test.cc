@@ -63,13 +63,12 @@ class ExplainTest : public ::testing::Test {
   }
 
   // Renders the query and compares against (or regenerates) the golden.
-  void CheckGolden(const std::string& golden_name, std::string_view query,
-                   const ExplainOptions& opts = {}) {
+  void CheckGolden(const std::string& golden_name, std::string_view query) {
     auto planned = Plan(query);
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
     auto split = SplitPlan(*planned);
     ASSERT_TRUE(split.ok()) << split.status().ToString();
-    std::string text = ExplainText(*planned, *split, opts);
+    std::string text = ExplainText(*planned, *split);
 
     const std::string path =
         std::string(GS_GOLDEN_DIR) + "/" + golden_name + ".txt";
@@ -88,7 +87,7 @@ class ExplainTest : public ::testing::Test {
 
     // The JSON rendering must at least stay balanced and carry the same
     // placement verdict; its full shape is covered by the text golden.
-    std::string json = ExplainJson(*planned, *split, opts);
+    std::string json = ExplainJson(*planned, *split);
     int depth = 0;
     bool in_string = false;
     for (size_t i = 0; i < json.size(); ++i) {
@@ -135,29 +134,19 @@ TEST_F(ExplainTest, Join) {
               "WHERE l.ts = r.ts AND l.v > r.v");
 }
 
-// --jit EXPLAIN annotation (DESIGN.md §15): every expression-bearing
-// operator gets a `tier:` line predicting the evaluation tier. Arithmetic
-// filters and aggregates compile natively; a UDF call-site is an emission
-// gap that pins its node to the VM.
-TEST_F(ExplainTest, JitTierNative) {
-  ExplainOptions opts;
-  opts.jit = true;
-  CheckGolden("explain_jit_native",
+TEST_F(ExplainTest, FilteredSplitAggregate) {
+  CheckGolden("explain_filtered_aggregate",
               "DEFINE { query_name shaped; } "
               "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
               "WHERE protocol = 6 AND destPort > 1024 "
-              "GROUP BY time/60 AS tb, destIP",
-              opts);
+              "GROUP BY time/60 AS tb, destIP");
 }
 
-TEST_F(ExplainTest, JitTierVmFallbackOnUdf) {
-  ExplainOptions opts;
-  opts.jit = true;
-  CheckGolden("explain_jit_udf_vm",
+TEST_F(ExplainTest, UdfCalls) {
+  CheckGolden("explain_udf",
               "DEFINE { query_name hashed; } "
               "SELECT time, hash64(len) FROM eth0.PKT "
-              "WHERE hash64(destPort) > 100",
-              opts);
+              "WHERE hash64(destPort) > 100");
 }
 
 TEST_F(ExplainTest, Merge) {

@@ -9,16 +9,13 @@
 // NIC.
 //
 // Usage:
-//   gsqlc [--explain[=json]] [--jit] [file.gsql]  # stdin when no file given
+//   gsqlc [--explain[=json]] [file.gsql]  # stdin when no file given
 //   echo "SELECT ..." | gsqlc --explain
 //
 // --explain switches to the stable EXPLAIN rendering (plan/explain.h):
 // per-operator LFTA/HFTA placement, imputed ordering properties, window
 // bounds, and expression cost against the LFTA budget. --explain=json
-// emits one JSON object per statement instead, for tooling. --jit adds a
-// `tier: native|vm` annotation per expression-bearing operator — the
-// evaluation tier the native compiled-query layer would pick (DESIGN.md
-// §15).
+// emits one JSON object per statement instead, for tooling.
 
 #include <cstdio>
 #include <fstream>
@@ -49,8 +46,7 @@ void PrintSchema(const gigascope::gsql::StreamSchema& schema) {
 
 enum class ExplainMode { kOff, kText, kJson };
 
-int CompileProgram(const std::string& source, ExplainMode explain,
-                   const gigascope::plan::ExplainOptions& explain_opts) {
+int CompileProgram(const std::string& source, ExplainMode explain) {
   auto program = gigascope::gsql::Parse(source);
   if (!program.ok()) return Fail(program.status());
 
@@ -111,13 +107,11 @@ int CompileProgram(const std::string& source, ExplainMode explain,
       auto split = gigascope::plan::SplitPlan(planned);
       if (!split.ok()) return Fail(split.status());
       if (explain == ExplainMode::kJson) {
-        std::printf("%s\n", gigascope::plan::ExplainJson(planned, *split,
-                                                         explain_opts)
-                                .c_str());
+        std::printf("%s\n",
+                    gigascope::plan::ExplainJson(planned, *split).c_str());
       } else {
-        std::printf("%s\n", gigascope::plan::ExplainText(planned, *split,
-                                                         explain_opts)
-                                .c_str());
+        std::printf("%s\n",
+                    gigascope::plan::ExplainText(planned, *split).c_str());
       }
       catalog.PutStreamSchema(planned.output_schema);
       continue;
@@ -164,7 +158,6 @@ int CompileProgram(const std::string& source, ExplainMode explain,
 
 int main(int argc, char** argv) {
   ExplainMode explain = ExplainMode::kOff;
-  gigascope::plan::ExplainOptions explain_opts;
   const char* path = nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -174,8 +167,6 @@ int main(int argc, char** argv) {
       explain = ExplainMode::kJson;
     } else if (arg == "--explain=text") {
       explain = ExplainMode::kText;
-    } else if (arg == "--jit") {
-      explain_opts.jit = true;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "gsqlc: unknown flag %s\n", arg.c_str());
       return 2;
@@ -201,5 +192,5 @@ int main(int argc, char** argv) {
     buffer << std::cin.rdbuf();
     source = buffer.str();
   }
-  return CompileProgram(source, explain, explain_opts);
+  return CompileProgram(source, explain);
 }
