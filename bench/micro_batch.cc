@@ -7,7 +7,9 @@
 //
 // Two more cases price a pump round (one Engine::PumpUntilIdle call): a
 // closed-loop sweep of the perfbench agg_paced query at k packets per
-// round, and one window close of N groups in the HFTA aggregate.
+// round, and one window close of N groups in the HFTA aggregate. A last
+// one prices the subscriber edge: rows read out through
+// TupleSubscription::NextRow.
 
 #include <benchmark/benchmark.h>
 
@@ -174,8 +176,9 @@ BENCHMARK(BM_AggPacedRound)->Arg(1)->Arg(3)->Arg(8)->Arg(64)->Arg(256);
 /// them, and compacting the map. `key` picks the group keys: 0 is
 /// (UINT, IP); 1 is (UINT, STRING) with random 36-44 byte strings; 2 is
 /// the same with one 1,500-byte string among them, a skewed set whose
-/// longest key is far longer than the rest. `cpu_per_group` is the close's
-/// CPU time per group.
+/// longest key is far longer than the rest; 3 is (UINT, IP) with IPs that
+/// share their top 16 bits, as the hosts of one monitored /16 do.
+/// `cpu_per_group` is the close's CPU time per group.
 void BM_WindowClose(benchmark::State& state) {
   namespace gs = gigascope;
   using gs::gsql::DataType;
@@ -185,7 +188,7 @@ void BM_WindowClose(benchmark::State& state) {
   using gs::gsql::StreamSchema;
   const size_t groups = static_cast<size_t>(state.range(0));
   const int64_t key_kind = state.range(1);
-  const bool string_key = key_kind != 0;
+  const bool string_key = key_kind == 1 || key_kind == 2;
   const DataType key_type = string_key ? DataType::kString : DataType::kIp;
 
   StreamSchema input("win", StreamKind::kStream,
@@ -242,7 +245,11 @@ void BM_WindowClose(benchmark::State& state) {
       for (char& c : s) c = static_cast<char>('a' + rng.NextBelow(26));
       keys.push_back(gs::expr::Value::String(std::move(s)));
     } else {
-      keys.push_back(gs::expr::Value::Ip(static_cast<uint32_t>(g) * 2654435761u));
+      // An odd multiplier permutes the low 16 bits, so the /16 keys stay
+      // distinct.
+      const uint32_t ip = static_cast<uint32_t>(g) * 2654435761u;
+      keys.push_back(gs::expr::Value::Ip(
+          key_kind == 3 ? 0x0a0b0000u | (ip & 0xffffu) : ip));
     }
   }
   gs::rts::TupleCodec codec(input);
@@ -285,6 +292,92 @@ BENCHMARK(BM_WindowClose)
     ->Args({2000, 1})
     ->Args({16000, 1})
     ->Args({2000, 2})
-    ->Args({16000, 2});
+    ->Args({16000, 2})
+    ->Args({2000, 3})
+    ->Args({16000, 3});
+
+/// The subscriber edge: each iteration publishes 16 batches of 64 tuples
+/// (untimed), then drains them through TupleSubscription::NextRow, which
+/// builds one Row per tuple. `schema` 0 is filter_replay's output (time,
+/// timestamp, destIP, destPort, len); 1 carries a 24-40 byte STRING among
+/// fixed-width fields. `cpu_per_row` is the drain's CPU time per row.
+void BM_SubscriberNextRow(benchmark::State& state) {
+  namespace gs = gigascope;
+  using gs::expr::Value;
+  using gs::gsql::DataType;
+  using gs::gsql::FieldDef;
+  using gs::gsql::OrderSpec;
+  using gs::gsql::StreamKind;
+  using gs::gsql::StreamSchema;
+  constexpr size_t kBatches = 16;
+  constexpr size_t kBatchRows = 64;
+  const bool with_string = state.range(0) != 0;
+  const StreamSchema schema =
+      with_string
+          ? StreamSchema(
+                "rows", StreamKind::kStream,
+                {FieldDef{"time", DataType::kUint, OrderSpec::Increasing()},
+                 FieldDef{"srcIP", DataType::kIp, OrderSpec::None()},
+                 FieldDef{"host", DataType::kString, OrderSpec::None()},
+                 FieldDef{"len", DataType::kUint, OrderSpec::None()}})
+          : StreamSchema(
+                "rows", StreamKind::kStream,
+                {FieldDef{"time", DataType::kUint, OrderSpec::Increasing()},
+                 FieldDef{"timestamp", DataType::kUint,
+                          OrderSpec::Increasing()},
+                 FieldDef{"destIP", DataType::kIp, OrderSpec::None()},
+                 FieldDef{"destPort", DataType::kUint, OrderSpec::None()},
+                 FieldDef{"len", DataType::kUint, OrderSpec::None()}});
+
+  gs::rts::StreamRegistry registry;
+  if (!registry.DeclareStream(schema).ok()) {
+    state.SkipWithError("DeclareStream failed");
+    return;
+  }
+  auto channel = registry.Subscribe("rows", 2 * kBatches);
+  if (!channel.ok()) {
+    state.SkipWithError("Subscribe failed");
+    return;
+  }
+  gs::core::TupleSubscription sub(*channel, schema);
+
+  gs::Rng rng(1);
+  gs::rts::TupleCodec codec(schema);
+  StreamBatch batch;
+  for (uint64_t r = 0; r < kBatchRows; ++r) {
+    const uint64_t ts = 1'000'000'000 + r * 1000;
+    if (with_string) {
+      std::string host(24 + rng.NextBelow(17), 'a');
+      for (char& c : host) c = static_cast<char>('a' + rng.NextBelow(26));
+      batch.AppendTuple(codec, {Value::Uint(ts / 1'000'000'000),
+                                Value::Ip(static_cast<uint32_t>(rng.Next())),
+                                Value::String(std::move(host)),
+                                Value::Uint(40 + rng.NextBelow(1460))});
+    } else {
+      batch.AppendTuple(codec, {Value::Uint(ts / 1'000'000'000),
+                                Value::Uint(ts),
+                                Value::Ip(static_cast<uint32_t>(rng.Next())),
+                                Value::Uint(rng.NextBelow(65536)),
+                                Value::Uint(40 + rng.NextBelow(1460))});
+    }
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t b = 0; b < kBatches; ++b) {
+      registry.PublishBatch("rows", StreamBatch(batch));
+    }
+    state.ResumeTiming();
+    while (auto row = sub.NextRow()) {
+      benchmark::DoNotOptimize(row->data());
+      ++rows;
+    }
+  }
+  if (rows != state.iterations() * kBatches * kBatchRows) {
+    state.SkipWithError("a published row did not come back");
+  }
+  ReportCpuPerItem(state, "cpu_per_row", kBatches * kBatchRows);
+}
+BENCHMARK(BM_SubscriberNextRow)->ArgName("schema")->Arg(0)->Arg(1);
 
 }  // namespace

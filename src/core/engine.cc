@@ -24,15 +24,18 @@ TupleSubscription::TupleSubscription(rts::Subscription channel,
     : channel_(std::move(channel)), codec_(std::move(schema)) {}
 
 std::optional<rts::Row> TupleSubscription::NextRow() {
+  std::optional<rts::Row> row;  // every return hands back this one object
   for (;;) {
     while (cursor_ < batch_.size()) {
       const rts::BatchItem& item = batch_.item(cursor_++);
       if (item.kind != rts::MessageKind::kTuple) continue;
-      auto row = codec_.Decode(batch_.payload(item));
-      if (row.ok()) return std::move(row).value();
+      const ByteSpan payload = batch_.payload(item);
+      if (!codec_.Framed(payload)) continue;  // a malformed tuple is skipped
+      codec_.DecodeFramed(payload, &row.emplace());
+      return row;
     }
     cursor_ = 0;
-    if (!channel_->TryPop(&batch_)) return std::nullopt;
+    if (!channel_->TryPop(&batch_)) return row;
   }
 }
 

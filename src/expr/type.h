@@ -1,6 +1,7 @@
 #ifndef GIGASCOPE_EXPR_TYPE_H_
 #define GIGASCOPE_EXPR_TYPE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -19,6 +20,20 @@ using gsql::DataType;
 class Value {
  public:
   Value() : type_(DataType::kInt), int_(0) {}
+
+  /// A value of fixed-width `type` from its packed bits: BOOL from zero or
+  /// nonzero, INT, UINT and FLOAT from their 64-bit patterns, IP from the
+  /// low 32 bits. Decoders build rows in place with it.
+  Value(DataType type, uint64_t bits) : type_(type), uint_(bits) {
+    if (type == DataType::kBool) {
+      bool_ = bits != 0;
+    } else if (type == DataType::kFloat) {
+      float_ = std::bit_cast<double>(bits);
+    }
+  }
+  /// A STRING holding a copy of the `size` bytes at `data`.
+  Value(const char* data, size_t size)
+      : type_(DataType::kString), int_(0), string_(data, size) {}
 
   static Value Bool(bool v);
   static Value Int(int64_t v);

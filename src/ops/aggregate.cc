@@ -80,18 +80,26 @@ uint64_t OrderedFloatBits(uint64_t bits) {
 
 /// Orders `order` (indexes of rows of `width` bytes at `rows`) so that the
 /// rows ascend in memcmp order: an LSD radix sort, one counting pass per
-/// byte column from the last, skipping every column on which all rows
-/// agree. Stable. `scratch` is resized to match.
+/// byte column from the last. One pass over the rows first marks each
+/// column where some row differs from row 0 (`varying`, resized to
+/// `width`); only those columns are counted and scattered. Stable.
+/// `scratch` is resized to match `order`.
 void RadixSortRows(const uint8_t* rows, size_t width,
                    std::vector<uint32_t>* order,
-                   std::vector<uint32_t>* scratch) {
+                   std::vector<uint32_t>* scratch, ByteBuffer* varying) {
   const size_t n = order->size();
+  varying->assign(width, 0);
+  uint8_t* differs = varying->data();
+  for (size_t r = 1; r < n; ++r) {
+    const uint8_t* row = rows + r * width;
+    for (size_t c = 0; c < width; ++c) differs[c] |= row[c] ^ rows[c];
+  }
   scratch->resize(n);
   for (size_t c = width; c-- > 0;) {
+    if (differs[c] == 0) continue;  // one byte value in every row
     const uint8_t* column = rows + c;
     uint32_t count[256] = {};
     for (size_t r = 0; r < n; ++r) ++count[column[r * width]];
-    if (count[column[0]] == n) continue;  // one byte value in every row
     uint32_t sum = 0;
     for (uint32_t& k : count) {
       const uint32_t here = k;
@@ -745,7 +753,8 @@ void OrderedAggregateNode::SortClosing() {
     for (size_t r = 0; r < n; ++r) {
       layout_.WriteOrderedKey(key(r), sort_keys_.data() + r * width);
     }
-    RadixSortRows(sort_keys_.data(), width, &sort_order_, &sort_scratch_);
+    RadixSortRows(sort_keys_.data(), width, &sort_order_, &sort_scratch_,
+                  &sort_varying_);
   } else {
     // STRING keys vary in length: padded to one width for a radix sort,
     // every row would pay for the longest key.

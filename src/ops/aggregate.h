@@ -262,10 +262,10 @@ class OrderedAggregateNode : public rts::QueryNode {
   void CloseGroups(const uint8_t* bound);
   /// Puts closing_ in key order. Each closing key is written once in its
   /// order-preserving encoding (GroupLayout::WriteOrderedKey). Fixed-width
-  /// keys are then ordered by one LSD radix sort over those rows, whose
-  /// passes the key layout bounds. Keys with a STRING field keep their
-  /// encodings unpadded and are ordered by memcmp, so one long key costs
-  /// only its own bytes.
+  /// keys are then ordered by one LSD radix sort over those rows, which
+  /// finds the byte columns where the keys differ in one pass and counts
+  /// only those. Keys with a STRING field keep their encodings unpadded
+  /// and are ordered by memcmp, so one long key costs only its own bytes.
   void SortClosing();
   void EmitGroup(const GroupRef& group);
 
@@ -290,6 +290,7 @@ class OrderedAggregateNode : public rts::QueryNode {
   std::vector<size_t> sort_offsets_;  // STRING keys: each start, then end
   std::vector<uint32_t> sort_order_;  // row order, and its radix scratch
   std::vector<uint32_t> sort_scratch_;
+  ByteBuffer sort_varying_;  // per byte column: nonzero where keys differ
   telemetry::Counter groups_flushed_;
   /// Mirrors groups_.size() so other threads can read the gauge without
   /// touching the (unsynchronized) group map.

@@ -321,11 +321,42 @@ Result<SplitQuery> SplitAggregation(const PlannedQuery& planned,
   return split;
 }
 
-}  // namespace
+/// True when `node` is a SelectProject with no predicate whose projections
+/// are its operator child's fields 0..n-1, in order and of the same types:
+/// it would only rename columns and copy every row onto one more ring.
+bool IsIdentityProjection(const PlanNode& node) {
+  if (node.kind != PlanKind::kSelectProject || node.predicate != nullptr) {
+    return false;
+  }
+  const PlanNode& child = *node.children[0];
+  if (child.kind == PlanKind::kSource ||
+      node.projections.size() != child.output_schema.num_fields()) {
+    return false;
+  }
+  for (size_t f = 0; f < node.projections.size(); ++f) {
+    const expr::IrNode& projection = *node.projections[f];
+    if (projection.kind != IrKind::kField || projection.input != 0 ||
+        projection.field != f ||
+        projection.type != child.output_schema.field(f).type) {
+      return false;
+    }
+  }
+  return true;
+}
 
-Result<SplitQuery> SplitPlan(const PlannedQuery& planned) {
+/// Drops an identity projection at the top of the HFTA: its child takes
+/// the projection's output schema (names and ordering properties) and so
+/// publishes the query's answer itself. The child is copied, since the
+/// logical plan may share it.
+void ElideIdentityProjection(PlanPtr* hfta) {
+  if (*hfta == nullptr || !IsIdentityProjection(**hfta)) return;
+  auto child = std::make_shared<PlanNode>(*(*hfta)->children[0]);
+  child->output_schema = (*hfta)->output_schema;
+  *hfta = std::move(child);
+}
+
+Result<SplitQuery> SplitShape(const PlannedQuery& planned) {
   const PlanPtr& root = planned.root;
-  if (root == nullptr) return Status::Internal("cannot split a null plan");
 
   // Scan shape: SelectProject -> Source(protocol).
   if (root->kind == PlanKind::kSelectProject &&
@@ -353,6 +384,17 @@ Result<SplitQuery> SplitPlan(const PlannedQuery& planned) {
 
   // Everything else (joins, merges, Stream scans) runs as an HFTA.
   return NoSplit(planned);
+}
+
+}  // namespace
+
+Result<SplitQuery> SplitPlan(const PlannedQuery& planned) {
+  if (planned.root == nullptr) {
+    return Status::Internal("cannot split a null plan");
+  }
+  GS_ASSIGN_OR_RETURN(SplitQuery split, SplitShape(planned));
+  ElideIdentityProjection(&split.hfta);
+  return split;
 }
 
 bool CompileNicFilter(const expr::IrPtr& predicate,

@@ -185,24 +185,14 @@ bool TupleCodec::Framed(ByteSpan bytes) const {
 Value TupleCodec::ReadField(DataType type, const uint8_t* p) {
   switch (type) {
     case DataType::kBool:
-      return Value::Bool(*p != 0);
-    case DataType::kInt:
-      return Value::Int(static_cast<int64_t>(LoadLe64(p)));
-    case DataType::kUint:
-      return Value::Uint(LoadLe64(p));
-    case DataType::kFloat: {
-      const uint64_t bits = LoadLe64(p);
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value::Float(d);
-    }
+      return Value(type, *p);
     case DataType::kIp:
-      return Value::Ip(LoadLe32(p));
+      return Value(type, LoadLe32(p));
     case DataType::kString:
-      return Value::String(
-          std::string(reinterpret_cast<const char*>(p + 4), LoadLe32(p)));
+      return Value(reinterpret_cast<const char*>(p + 4), LoadLe32(p));
+    default:  // INT, UINT, FLOAT
+      return Value(type, LoadLe64(p));
   }
-  return Value();
 }
 
 void TupleCodec::SegmentStarts(const uint8_t* data, size_t count,
@@ -270,13 +260,35 @@ Result<Row> TupleCodec::Decode(ByteSpan bytes) const {
   if (const char* error = FramingError(bytes)) {
     return Status::ParseError(error);
   }
-  Row row(slots_.size());
-  const uint8_t* p = bytes.data();
-  for (size_t f = 0; f < slots_.size(); ++f) {
-    row[f] = ReadField(slots_[f].type, p);
-    p += slots_[f].width != 0 ? slots_[f].width : 4 + LoadLe32(p);
-  }
+  Row row;
+  DecodeFramed(bytes, &row);
   return row;
+}
+
+void TupleCodec::DecodeFramed(ByteSpan framed, Row* row) const {
+  row->clear();
+  row->reserve(slots_.size());
+  const uint8_t* p = framed.data();
+  for (const Slot& slot : slots_) {
+    switch (slot.type) {
+      case DataType::kBool:
+        row->emplace_back(slot.type, uint64_t{*p});
+        break;
+      case DataType::kIp:
+        row->emplace_back(slot.type, uint64_t{LoadLe32(p)});
+        break;
+      case DataType::kString: {
+        const uint32_t size = LoadLe32(p);
+        row->emplace_back(reinterpret_cast<const char*>(p + 4), size_t{size});
+        p += 4 + size;
+        continue;
+      }
+      default:  // INT, UINT, FLOAT
+        row->emplace_back(slot.type, LoadLe64(p));
+        break;
+    }
+    p += slot.width;
+  }
 }
 
 std::optional<size_t> TupleCodec::FixedTypeWidth(gsql::DataType type) {

@@ -75,6 +75,11 @@ class TupleCodec {
   /// that runs past the end, or trailing bytes.
   Result<Row> Decode(ByteSpan bytes) const;
 
+  /// Materializes every field of an already Framed() tuple into `row`
+  /// (emptied first), each Value built once, in place, from its packed
+  /// bits. Decode and the subscriber edge both decode through it.
+  void DecodeFramed(ByteSpan framed, Row* row) const;
+
   /// Whether `bytes` is exactly one well-framed tuple: the checks Decode
   /// makes, without materializing anything.
   bool Framed(ByteSpan bytes) const;

@@ -13,6 +13,7 @@
 
 #include "core/engine.h"
 #include "net/headers.h"
+#include "telemetry/metric_names.h"
 #include "workload/traffic_gen.h"
 
 namespace gigascope::core {
@@ -32,12 +33,50 @@ std::string RenderMessage(const rts::BatchItem& item, ByteSpan payload) {
 /// Where the HFTAs run.
 enum class Mode { kSingle, kThreads, kProcesses };
 
+/// One run's output trace, and the engine counters that explain a lost or
+/// extra message: supervision, resynchronization and every stream's ring
+/// drops.
+struct WorkloadRun {
+  std::vector<std::string> trace;
+  std::string counters;
+};
+
+std::string EngineCounters(Engine& engine) {
+  std::string out;
+  for (const telemetry::MetricSample& sample : engine.telemetry().Snapshot()) {
+    if (sample.entity == "engine" &&
+        (sample.metric == telemetry::metric::kHeartbeatMisses ||
+         sample.metric == telemetry::metric::kWorkerRestarts ||
+         sample.metric == telemetry::metric::kResyncGaps)) {
+      out += sample.metric + "=" + std::to_string(sample.value) + " ";
+    }
+  }
+  out += std::string(telemetry::metric::kResyncDropped) + "=" +
+         std::to_string(engine.registry().TotalResyncDroppedAll());
+  for (const std::string& stream : engine.registry().StreamNames()) {
+    out += " drops[" + stream +
+           "]=" + std::to_string(engine.registry().TotalDrops(stream));
+  }
+  return out;
+}
+
+/// The index of the first message where `trace` and `baseline` differ (the
+/// shorter length when one is a prefix of the other).
+size_t FirstDifference(const std::vector<std::string>& trace,
+                       const std::vector<std::string>& baseline) {
+  const size_t common = std::min(trace.size(), baseline.size());
+  return static_cast<size_t>(
+      std::mismatch(trace.begin(), trace.begin() + common, baseline.begin())
+          .first -
+      trace.begin());
+}
+
 /// Replays a fixed randomized workload through the engine at the given
 /// batch size and mode (two workers when not single) and returns the full
 /// message trace of the query outputs: a stateless filter, a split
 /// aggregation, and the paper's HTTP regex query, whose LFTA ships payload
 /// strings to the HFTA.
-std::vector<std::string> RunWorkload(size_t batch_size, Mode mode) {
+WorkloadRun RunWorkload(size_t batch_size, Mode mode) {
   workload::TrafficConfig config;
   config.seed = 11;
   config.num_flows = 40;
@@ -92,13 +131,13 @@ std::vector<std::string> RunWorkload(size_t batch_size, Mode mode) {
   }
   engine.FlushAll();
 
-  std::vector<std::string> trace;
+  WorkloadRun run;
   rts::StreamBatch batch;
   for (size_t q = 0; q < outputs.size(); ++q) {
     while (outputs[q]->TryPop(&batch)) {
       for (const rts::BatchItem& item : batch.items()) {
-        trace.push_back(std::string(kOutputs[q]) + "/" +
-                        RenderMessage(item, batch.payload(item)));
+        run.trace.push_back(std::string(kOutputs[q]) + "/" +
+                            RenderMessage(item, batch.payload(item)));
       }
     }
   }
@@ -109,12 +148,14 @@ std::vector<std::string> RunWorkload(size_t batch_size, Mode mode) {
     EXPECT_EQ(engine.registry().TotalDrops(name), 0u) << name;
   }
   EXPECT_EQ(engine.registry().TotalOversizeDroppedAll(), 0u);
-  return trace;
+  run.counters = EngineCounters(engine);
+  return run;
 }
 
 TEST(BatchEquivalenceTest, RowsAndPunctuationsMatchAcrossBatchSizes) {
   // Baseline: per-tuple flow, single-threaded.
-  std::vector<std::string> baseline = RunWorkload(1, Mode::kSingle);
+  const std::vector<std::string> baseline =
+      RunWorkload(1, Mode::kSingle).trace;
   ASSERT_FALSE(baseline.empty());
   // The regex query really matched some payloads (and rejected others).
   const auto http_rows = std::count_if(
@@ -126,9 +167,12 @@ TEST(BatchEquivalenceTest, RowsAndPunctuationsMatchAcrossBatchSizes) {
   for (size_t batch_size : kBatchSizes) {
     for (Mode mode : {Mode::kSingle, Mode::kThreads, Mode::kProcesses}) {
       if (batch_size == 1 && mode == Mode::kSingle) continue;  // baseline
-      std::vector<std::string> trace = RunWorkload(batch_size, mode);
-      EXPECT_EQ(trace, baseline) << "batch_size=" << batch_size
-                                 << " mode=" << static_cast<int>(mode);
+      const WorkloadRun run = RunWorkload(batch_size, mode);
+      EXPECT_EQ(run.trace, baseline)
+          << "batch_size=" << batch_size << " mode=" << static_cast<int>(mode)
+          << ": " << run.trace.size() << " messages against "
+          << baseline.size() << ", first difference at index "
+          << FirstDifference(run.trace, baseline) << "; " << run.counters;
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include "core/engine.h"
 #include "gsql/catalog.h"
+#include "telemetry/metric_names.h"
 #include "workload/traffic_gen.h"
 
 namespace gigascope::core {
@@ -697,6 +698,96 @@ TEST(EngineTest, NodeStatsExposed) {
   EXPECT_EQ(stats[0].name, "q");
   EXPECT_EQ(stats[0].tuples_in, 1u);
   EXPECT_EQ(stats[0].tuples_out, 1u);
+}
+
+// A GROUP BY whose SELECT list is its keys and then its aggregates has no
+// renaming projection: the HFTA superaggregate publishes under the query's
+// name with the query's schema, as its terminal node. A HAVING that passes
+// every group keeps the projection's node, so the second query is the plan
+// with the node, over the same packets.
+TEST(EngineTest, IdentityProjectionIsNotAnOperator) {
+  EngineOptions options;
+  options.trace_sample = 1;  // terminal nodes record e2e latency
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  const std::string body =
+      "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+      "GROUP BY time AS tb, destIP";
+  ASSERT_TRUE(
+      engine.AddQuery("DEFINE { query_name plain; } " + body).ok());
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name kept; } " + body +
+                            " HAVING count(*) > 0")
+                  .ok());
+  auto plain = engine.Subscribe("plain");
+  auto kept = engine.Subscribe("kept");
+  ASSERT_TRUE(plain.ok() && kept.ok());
+  auto plain_raw = engine.registry().Subscribe("plain", 1 << 12);
+  auto kept_raw = engine.registry().Subscribe("kept", 1 << 12);
+  ASSERT_TRUE(plain_raw.ok() && kept_raw.ok());
+
+  const gsql::StreamSchema& schema = (*plain)->schema();
+  ASSERT_EQ(schema.num_fields(), 4u);
+  const char* kNames[] = {"tb", "destIP", "count", "sum_len"};
+  for (size_t f = 0; f < 4; ++f) {
+    const gsql::FieldDef& field = schema.field(f);
+    const gsql::FieldDef& want = (*kept)->schema().field(f);
+    EXPECT_EQ(field.name, kNames[f]);
+    EXPECT_EQ(field.name, want.name);
+    EXPECT_EQ(field.type, want.type);
+    EXPECT_EQ(field.order.ToString(), want.order.ToString()) << field.name;
+  }
+  EXPECT_TRUE(schema.field(0).order.IsIncreasingLike());
+
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0", MakeTcpPacket(
+                                              (1 + i / 12) * kNanosPerSecond,
+                                              0x0a000000 + (i % 5), 80,
+                                              std::string(i % 7, 'x')))
+                    .ok());
+  }
+  engine.PumpUntilIdle();
+  engine.FlushAll();
+
+  auto drain = [](const rts::Subscription& channel) {
+    std::vector<std::string> tuples;
+    rts::StreamBatch batch;
+    while (channel->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        if (item.kind != rts::MessageKind::kTuple) continue;
+        const ByteSpan bytes = batch.payload(item);
+        tuples.emplace_back(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size());
+      }
+    }
+    return tuples;
+  };
+  const std::vector<std::string> rows = drain(*plain_raw);
+  EXPECT_EQ(rows.size(), 25u);  // 5 seconds x 5 destinations
+  EXPECT_EQ(rows, drain(*kept_raw));
+
+  // One node fewer: the superaggregate is the node named "plain", and it
+  // reads the LFTA partials.
+  std::map<std::string, Engine::NodeStats> nodes;
+  for (const Engine::NodeStats& node : engine.GetNodeStats()) {
+    nodes.emplace(node.name, node);
+  }
+  EXPECT_EQ(nodes.count("plain#0"), 0u);
+  EXPECT_EQ(nodes.count("kept#0"), 1u);
+  ASSERT_EQ(nodes.count("plain"), 1u);
+  EXPECT_EQ(nodes.at("plain").tuples_in, nodes.at("plain_lfta").tuples_out);
+  EXPECT_EQ(nodes.at("plain").tuples_out, 25u);
+
+  uint64_t e2e_count = 0;
+  for (const telemetry::MetricSample& sample : engine.telemetry().Snapshot()) {
+    if (sample.entity == "plain" &&
+        sample.metric == std::string(telemetry::metric::kE2eLatencyNs) +
+                             "_count") {
+      e2e_count = sample.value;
+    }
+  }
+  EXPECT_GT(e2e_count, 0u);
 }
 
 TEST(EngineTest, AvgDecomposedEndToEnd) {

@@ -5,7 +5,9 @@
 // (scripts/check_asan.sh) — the `robustness` ctest label.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -279,6 +281,114 @@ TEST_F(HostileDefragTest, OverlappingHostileFragmentsStayWithinSpan) {
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ((*row)[4].string_value().size(), 48u);
   EXPECT_EQ(node_->parse_errors(), 0u);
+}
+
+/// A value's type and exact contents, a FLOAT by its bit pattern, so -0.0
+/// and every NaN compare by what was decoded rather than by ==.
+std::string ValueBits(const Value& value) {
+  std::string out = std::to_string(static_cast<int>(value.type())) + ":";
+  switch (value.type()) {
+    case DataType::kBool:
+      return out + (value.bool_value() ? "1" : "0");
+    case DataType::kInt:
+      return out + std::to_string(value.int_value());
+    case DataType::kUint:
+      return out + std::to_string(value.uint_value());
+    case DataType::kFloat:
+      return out +
+             std::to_string(std::bit_cast<uint64_t>(value.float_value()));
+    case DataType::kIp:
+      return out + std::to_string(value.ip_value());
+    case DataType::kString:
+      return out + value.string_value();
+  }
+  return out;
+}
+
+// The subscriber edge builds each row in place from the packed bits. Every
+// row NextRow returns must equal TupleCodec::Decode's row of the same bytes,
+// field by field in type and bits, over each type's edge values; a
+// truncated tuple in the middle of a batch is skipped, and the rows after
+// it still come back.
+TEST(SubscriberDecodeTest, NextRowMatchesDecodeForEveryType) {
+  const StreamSchema schema(
+      "edges", StreamKind::kStream,
+      {FieldDef{"b", DataType::kBool, OrderSpec::None()},
+       FieldDef{"s", DataType::kString, OrderSpec::None()},
+       FieldDef{"i", DataType::kInt, OrderSpec::None()},
+       FieldDef{"u", DataType::kUint, OrderSpec::None()},
+       FieldDef{"f", DataType::kFloat, OrderSpec::None()},
+       FieldDef{"ip", DataType::kIp, OrderSpec::None()}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Value>> columns = {
+      {Value::Bool(false), Value::Bool(true)},
+      {Value::String(""), Value::String(std::string("a\0b", 3)),
+       Value::String(std::string(1500, 'p'))},
+      {Value::Int(std::numeric_limits<int64_t>::min()), Value::Int(-1),
+       Value::Int(0), Value::Int(std::numeric_limits<int64_t>::max())},
+      {Value::Uint(std::numeric_limits<uint64_t>::max()), Value::Uint(0),
+       Value::Uint(1)},
+      {Value::Float(-0.0),
+       Value::Float(std::numeric_limits<double>::quiet_NaN()),
+       Value::Float(inf), Value::Float(-inf), Value::Float(0.5)},
+      {Value::Ip(0), Value::Ip(0xffffffff), Value::Ip(0x0a000001)},
+  };
+  // Row r takes value r mod n of each column, so every value appears.
+  std::vector<rts::Row> rows;
+  for (size_t r = 0; r < 12; ++r) {
+    rts::Row row;
+    for (const std::vector<Value>& column : columns) {
+      row.push_back(column[r % column.size()]);
+    }
+    rows.push_back(std::move(row));
+  }
+
+  rts::StreamRegistry registry;
+  ASSERT_TRUE(registry.DeclareStream(schema).ok());
+  auto channel = registry.Subscribe("edges", 64);
+  ASSERT_TRUE(channel.ok());
+  core::TupleSubscription sub(*channel, schema);
+  const rts::TupleCodec codec(schema);
+
+  // Every third row is preceded by its own bytes cut one short, in the
+  // middle of a batch; a punctuation closes each batch of four or more.
+  std::vector<ByteBuffer> sent;
+  rts::StreamBatch batch;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ByteBuffer bytes;
+    codec.Encode(rows[r], &bytes);
+    if (r % 3 == 1) {
+      batch.Append(rts::MessageMeta{},
+                   ByteSpan(bytes.data(), bytes.size() - 1));
+      ASSERT_FALSE(codec.Decode(batch.payload(batch.size() - 1)).ok());
+    }
+    batch.Append(rts::MessageMeta{}, ByteSpan(bytes.data(), bytes.size()));
+    sent.push_back(std::move(bytes));
+    if (batch.size() >= 4 || r + 1 == rows.size()) {
+      rts::MessageMeta punctuation;
+      punctuation.kind = rts::MessageKind::kPunctuation;
+      batch.Append(punctuation, ByteSpan());
+      registry.PublishBatch("edges", std::move(batch));
+      batch = rts::StreamBatch();
+    }
+  }
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    auto row = sub.NextRow();
+    ASSERT_TRUE(row.has_value()) << "row " << r;
+    auto decoded = codec.Decode(ByteSpan(sent[r].data(), sent[r].size()));
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(row->size(), schema.num_fields());
+    ASSERT_EQ(decoded->size(), schema.num_fields());
+    for (size_t f = 0; f < schema.num_fields(); ++f) {
+      EXPECT_EQ(ValueBits((*row)[f]), ValueBits((*decoded)[f]))
+          << "row " << r << " field " << f;
+      EXPECT_EQ(ValueBits((*row)[f]), ValueBits(rows[r][f]))
+          << "row " << r << " field " << f;
+    }
+  }
+  EXPECT_FALSE(sub.NextRow().has_value());
+  EXPECT_EQ(sub.pending(), 0u);
 }
 
 }  // namespace

@@ -860,6 +860,57 @@ OrderedAggregateNode::Spec KeyOrderSpec(const std::vector<DataType>& types) {
   return spec;
 }
 
+/// Folds one tuple of each of `arrival` (distinct packed keys of `types`,
+/// in that order, so arrival[0] is row 0 of the close's sort) into an
+/// unordered aggregate, flushes it, and checks that the groups come out in
+/// std::sort's order by ComparePacked, field by field.
+void ExpectCloseInKeyOrder(const std::vector<DataType>& types,
+                           const std::vector<ByteBuffer>& arrival,
+                           const std::string& what) {
+  rts::StreamRegistry registry;
+  OrderedAggregateNode::Spec spec = KeyOrderSpec(types);
+  const StreamSchema input_schema = spec.input_schema;
+  ASSERT_TRUE(registry.DeclareStream(input_schema).ok());
+  ASSERT_TRUE(registry.DeclareStream(spec.output_schema).ok());
+  auto input = registry.Subscribe("kin", 16);
+  ASSERT_TRUE(input.ok());
+  OrderedAggregateNode node(std::move(spec), *input, &registry,
+                            std::make_shared<std::vector<Value>>());
+  auto output = registry.Subscribe("korder", 1 << 16);
+  ASSERT_TRUE(output.ok());
+
+  // Packed keys are packed tuples of the input schema.
+  rts::StreamBatch batch;
+  for (const ByteBuffer& key : arrival) {
+    batch.Append(rts::MessageMeta{}, ByteSpan(key.data(), key.size()));
+  }
+  registry.PublishBatch("kin", std::move(batch));
+  node.Poll(1 << 20);
+  ASSERT_EQ(node.open_groups(), arrival.size()) << what;
+  node.Flush();
+
+  std::vector<ByteBuffer> keys = arrival;
+  std::sort(keys.begin(), keys.end(),
+            [&](const ByteBuffer& a, const ByteBuffer& b) {
+              return CompareKeysByField(types, a.data(), b.data()) < 0;
+            });
+  testing_util::ChannelReader reader(output->get());
+  rts::BatchItem item;
+  ByteSpan payload;
+  size_t emitted = 0;
+  while (reader.Next(&item, &payload)) {
+    if (item.kind != rts::MessageKind::kTuple) continue;
+    ASSERT_LT(emitted, keys.size()) << what;
+    const ByteBuffer& want = keys[emitted++];
+    // An output tuple starts with its group's packed key.
+    ASSERT_GE(payload.size(), want.size());
+    ASSERT_EQ(ByteSpan(payload.data(), want.size()),
+              ByteSpan(want.data(), want.size()))
+        << what << ", row " << emitted - 1;
+  }
+  EXPECT_EQ(emitted, keys.size()) << what;
+}
+
 TEST(OrderedKeyTest, CloseEmitsGroupsInKeyOrder) {
   size_t closes = 0;
   for (const std::vector<DataType>& types : KeyLayouts()) {
@@ -867,57 +918,79 @@ TEST(OrderedKeyTest, CloseEmitsGroupsInKeyOrder) {
       std::vector<ByteBuffer> keys = KeysOf(types, n, 11 + n);
       if (keys.size() < n) continue;  // BOOL alone has two keys
       ++closes;
-      rts::StreamRegistry registry;
-      OrderedAggregateNode::Spec spec = KeyOrderSpec(types);
-      const StreamSchema input_schema = spec.input_schema;
-      ASSERT_TRUE(registry.DeclareStream(input_schema).ok());
-      ASSERT_TRUE(registry.DeclareStream(spec.output_schema).ok());
-      auto input = registry.Subscribe("kin", 16);
-      ASSERT_TRUE(input.ok());
-      OrderedAggregateNode node(std::move(spec), *input, &registry,
-                                std::make_shared<std::vector<Value>>());
-      auto output = registry.Subscribe("korder", 1 << 16);
-      ASSERT_TRUE(output.ok());
-
-      // Packed keys are packed tuples of the input schema: arrive in a
-      // scrambled order, each group once.
+      // Arrive in a scrambled order, each group once.
       Rng rng(n);
-      std::vector<ByteBuffer> arrival = keys;
-      for (size_t i = arrival.size(); i > 1; --i) {
-        std::swap(arrival[i - 1], arrival[rng.NextBelow(i)]);
+      for (size_t i = keys.size(); i > 1; --i) {
+        std::swap(keys[i - 1], keys[rng.NextBelow(i)]);
       }
-      rts::StreamBatch batch;
-      for (const ByteBuffer& key : arrival) {
-        batch.Append(rts::MessageMeta{}, ByteSpan(key.data(), key.size()));
-      }
-      registry.PublishBatch("kin", std::move(batch));
-      node.Poll(1 << 20);
-      ASSERT_EQ(node.open_groups(), keys.size());
-      node.Flush();
-
-      std::sort(keys.begin(), keys.end(),
-                [&](const ByteBuffer& a, const ByteBuffer& b) {
-                  return CompareKeysByField(types, a.data(), b.data()) < 0;
-                });
-      testing_util::ChannelReader reader(output->get());
-      rts::BatchItem item;
-      ByteSpan payload;
-      size_t emitted = 0;
-      while (reader.Next(&item, &payload)) {
-        if (item.kind != rts::MessageKind::kTuple) continue;
-        ASSERT_LT(emitted, keys.size());
-        const ByteBuffer& want = keys[emitted++];
-        // An output tuple starts with its group's packed key.
-        ASSERT_GE(payload.size(), want.size());
-        ASSERT_EQ(ByteSpan(payload.data(), want.size()),
-                  ByteSpan(want.data(), want.size()))
-            << "layout of " << types.size() << " fields, n " << n
-            << ", row " << emitted - 1;
-      }
-      EXPECT_EQ(emitted, keys.size());
+      ExpectCloseInKeyOrder(types, keys,
+                            "layout of " + std::to_string(types.size()) +
+                                " fields, n " + std::to_string(n));
     }
   }
   EXPECT_EQ(closes, 3 * KeyLayouts().size() - 1);
+}
+
+// Key sets built to exercise the radix close's pass that finds the byte
+// columns where some key differs from row 0 (the first group to arrive).
+TEST(OrderedKeyTest, CloseSortsStructuredKeySets) {
+  using T = DataType;
+  const std::vector<DataType> tb_ip = {T::kUint, T::kIp};
+  auto key = [](std::vector<Value> values) { return PackKey(values); };
+
+  // Only row 0 differs in a byte column: the top byte of its IP, then the
+  // last byte of its tb. Row 0 must sort last, though its other bytes put
+  // it first.
+  for (bool in_tb : {false, true}) {
+    std::vector<ByteBuffer> keys;
+    keys.push_back(key({Value::Uint(in_tb ? 9 : 5),
+                        Value::Ip(in_tb ? 0x0a000000 : 0x0b000000)}));
+    for (uint32_t i = 1; i < 300; ++i) {
+      keys.push_back(key({Value::Uint(5), Value::Ip(0x0a000000 + i)}));
+    }
+    ExpectCloseInKeyOrder(tb_ip, keys,
+                          in_tb ? "row 0 alone differs in tb"
+                                : "row 0 alone differs in IP");
+  }
+
+  // Keys that differ in one middle byte only: byte 4 of an 8-byte UINT.
+  {
+    std::vector<ByteBuffer> keys;
+    for (uint64_t i = 0; i < 256; ++i) {
+      keys.push_back(key({Value::Uint(0x1100000022 | ((i * 151 % 256) << 24)),
+                          Value::Ip(0x0a000001)}));
+    }
+    ExpectCloseInKeyOrder(tb_ip, keys, "one middle byte");
+  }
+
+  // One Flush closes two tb values together.
+  {
+    Rng rng(5);
+    std::vector<ByteBuffer> keys;
+    std::set<ByteBuffer> seen;
+    while (keys.size() < 1000) {
+      ByteBuffer k = key({Value::Uint(7 + rng.NextBelow(2)),
+                          Value::Ip(static_cast<uint32_t>(rng.Next()))});
+      if (seen.insert(k).second) keys.push_back(std::move(k));
+    }
+    ExpectCloseInKeyOrder(tb_ip, keys, "two tb values");
+  }
+
+  // INT and FLOAT keys that cross zero, alone and together.
+  {
+    std::vector<ByteBuffer> ints;
+    std::vector<ByteBuffer> floats;
+    std::vector<ByteBuffer> both;
+    for (int64_t i = -300; i < 300; i += 2) {
+      ints.push_back(key({Value::Int(i * 7)}));
+      floats.push_back(key({Value::Float(static_cast<double>(i) / 64)}));
+      both.push_back(key({Value::Int(i % 3), Value::Float(-i * 0.25)}));
+    }
+    ExpectCloseInKeyOrder({T::kInt}, ints, "INT across zero");
+    ExpectCloseInKeyOrder({T::kFloat}, floats, "FLOAT across zero");
+    ExpectCloseInKeyOrder({T::kInt, T::kFloat}, both,
+                          "INT and FLOAT across zero");
+  }
 }
 
 }  // namespace

@@ -149,6 +149,64 @@ TEST_F(ExplainTest, UdfCalls) {
               "WHERE hash64(destPort) > 100");
 }
 
+// The first operator line under "hfta:", e.g. "SelectProject @hfta".
+std::string HftaRoot(const std::string& text) {
+  const size_t hfta = text.find("hfta:\n");
+  if (hfta == std::string::npos) return "";
+  const size_t begin = text.find_first_not_of(' ', hfta + 6);
+  return text.substr(begin, text.find('\n', begin) - begin);
+}
+
+// An identity projection over an operator is not planned (the split
+// aggregate goldens); every other final projection keeps its node.
+TEST_F(ExplainTest, ProjectionKeepsItsNodeUnlessItIsTheIdentity) {
+  AddDerivedStream("A");
+  const char* kept[] = {
+      // reordered keys
+      "SELECT destIP, tb, count(*) FROM eth0.PKT "
+      "GROUP BY time/60 AS tb, destIP",
+      // a column subset
+      "SELECT tb, count(*) FROM eth0.PKT GROUP BY time/60 AS tb, destIP",
+      // a computed column
+      "SELECT tb, destIP, count(*) * 8 FROM eth0.PKT "
+      "GROUP BY time/60 AS tb, destIP",
+      // a HAVING
+      "SELECT tb, destIP, count(*) FROM eth0.PKT "
+      "GROUP BY time/60 AS tb, destIP HAVING count(*) > 1",
+      // every column of a Source
+      "SELECT ts, v FROM A",
+  };
+  for (const char* query : kept) {
+    auto planned = Plan(query);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    auto split = SplitPlan(*planned);
+    ASSERT_TRUE(split.ok()) << split.status().ToString();
+    EXPECT_EQ(HftaRoot(ExplainText(*planned, *split)), "SelectProject @hfta")
+        << query;
+  }
+}
+
+// An unsplit GROUP BY over a stream loses its identity projection too, and
+// the elision leaves the logical plan, which shares the aggregate, as it
+// was.
+TEST_F(ExplainTest, IdentityProjectionOverUnsplitAggregate) {
+  AddDerivedStream("A");
+  auto planned = Plan(
+      "DEFINE { query_name per_ts; } "
+      "SELECT ts, count(*) FROM A GROUP BY ts");
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto split = SplitPlan(*planned);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  const std::string text = ExplainText(*planned, *split);
+  EXPECT_EQ(HftaRoot(text), "Aggregate @hfta") << text;
+  EXPECT_EQ(text.find("SelectProject"), std::string::npos) << text;
+  ASSERT_EQ(split->hfta->kind, PlanKind::kAggregate);
+  EXPECT_EQ(split->hfta->output_schema.field(1).name, "count");
+  EXPECT_TRUE(split->hfta->output_schema.field(0).order.IsIncreasingLike());
+  ASSERT_EQ(planned->root->kind, PlanKind::kSelectProject);
+  EXPECT_NE(planned->root->children[0]->output_schema.field(1).name, "count");
+}
+
 TEST_F(ExplainTest, Merge) {
   AddDerivedStream("t0");
   AddDerivedStream("t1");
