@@ -7,9 +7,11 @@
 //
 // Two more cases price a pump round (one Engine::PumpUntilIdle call): a
 // closed-loop sweep of the perfbench agg_paced query at k packets per
-// round, and one window close of N groups in the HFTA aggregate. A last
-// one prices the subscriber edge: rows read out through
-// TupleSubscription::NextRow.
+// round (and of the same traffic under computed group keys), and one
+// window close of N groups in the HFTA aggregate. One prices the
+// subscriber edge: rows read out through TupleSubscription::NextRow. A
+// last one prices a window join whose residual predicate compares
+// strings: the VM loading fields from two packed tuples.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +23,9 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "expr/codegen.h"
 #include "ops/aggregate.h"
+#include "ops/join.h"
 #include "rts/punctuation.h"
 #include "rts/ring.h"
 #include "workload/traffic_gen.h"
@@ -124,7 +128,7 @@ void ReportCpuPerItem(benchmark::State& state, const char* name,
 /// shows the fixed cost of a round. The packets replay from a pool with
 /// their timestamps moved one pool span on per lap, so time keeps
 /// advancing and windows keep closing (about 5.5k packets per window).
-void BM_AggPacedRound(benchmark::State& state) {
+void AggPacedRound(benchmark::State& state, const char* query) {
   const size_t k = static_cast<size_t>(state.range(0));
   gigascope::workload::TrafficConfig traffic;
   traffic.num_flows = 20000;
@@ -137,11 +141,7 @@ void BM_AggPacedRound(benchmark::State& state) {
 
   gigascope::core::Engine engine;
   engine.AddInterface("eth0");
-  if (!engine
-           .AddQuery("DEFINE { query_name dest_agg; } "
-                     "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
-                     "GROUP BY time AS tb, destIP")
-           .ok()) {
+  if (!engine.AddQuery(query).ok()) {
     state.SkipWithError("AddQuery failed");
     return;
   }
@@ -168,7 +168,25 @@ void BM_AggPacedRound(benchmark::State& state) {
   benchmark::DoNotOptimize(rows);
   ReportCpuPerItem(state, "cpu_per_pkt", k);
 }
+
+void BM_AggPacedRound(benchmark::State& state) {
+  AggPacedRound(state,
+                "DEFINE { query_name dest_agg; } "
+                "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+                "GROUP BY time AS tb, destIP");
+}
 BENCHMARK(BM_AggPacedRound)->Arg(1)->Arg(3)->Arg(8)->Arg(64)->Arg(256);
+
+/// The same rounds under computed group keys and a computed argument: the
+/// LFTA and HFTA aggregates run every key and argument through the VM,
+/// which loads its fields from the packed tuple.
+void BM_AggPacedRoundComputedKey(benchmark::State& state) {
+  AggPacedRound(state,
+                "DEFINE { query_name dest_agg; } "
+                "SELECT tb, sp, count(*), sum(len*8) FROM eth0.PKT "
+                "GROUP BY time/60 AS tb, srcPort/1024 AS sp");
+}
+BENCHMARK(BM_AggPacedRoundComputedKey)->Arg(1)->Arg(64)->Arg(256);
 
 /// One window close in the HFTA aggregate: N groups of one time bucket
 /// are folded in (untimed), then a punctuation past the bucket closes them
@@ -379,5 +397,87 @@ void BM_SubscriberNextRow(benchmark::State& state) {
   ReportCpuPerItem(state, "cpu_per_row", kBatches * kBatchRows);
 }
 BENCHMARK(BM_SubscriberNextRow)->ArgName("schema")->Arg(0)->Arg(1);
+
+/// A window join over e9's traffic (both sides on one clock: the base
+/// advances 4-11 ticks per tuple pair, the right side 0-3 ticks after
+/// it; window |l.ts - r.ts| <= 16) whose sides also carry a STRING tag,
+/// one of four of about 12 bytes, and whose residual predicate is
+/// `l.tag = r.tag`. Each iteration publishes 32 tuples per side and polls
+/// the join once. Arg 0 is the eager algorithm, 1 the order-preserving
+/// one. `cpu_per_tuple` is CPU time per input tuple.
+void BM_WindowJoin(benchmark::State& state) {
+  using gigascope::expr::Value;
+  using gigascope::gsql::DataType;
+  using gigascope::gsql::FieldDef;
+  using gigascope::gsql::OrderSpec;
+  using gigascope::gsql::StreamKind;
+  using gigascope::gsql::StreamSchema;
+  const auto side = [](const std::string& name) {
+    return StreamSchema(
+        name, StreamKind::kStream,
+        {FieldDef{"ts", DataType::kUint, OrderSpec::Increasing()},
+         FieldDef{"tag", DataType::kString, OrderSpec::None()}});
+  };
+  gigascope::rts::StreamRegistry registry;
+  gigascope::ops::WindowJoinNode::Spec spec;
+  spec.name = "j";
+  spec.left_schema = side("l");
+  spec.right_schema = side("r");
+  spec.output_schema = StreamSchema(
+      "j", StreamKind::kStream,
+      {FieldDef{"ts", DataType::kUint, OrderSpec::Increasing()},
+       FieldDef{"tag", DataType::kString, OrderSpec::None()},
+       FieldDef{"r_ts", DataType::kUint, OrderSpec::None()},
+       FieldDef{"r_tag", DataType::kString, OrderSpec::None()}});
+  spec.lo = -16;
+  spec.hi = 16;
+  spec.order_preserving = state.range(0) != 0;
+  auto predicate = gigascope::expr::Compile(gigascope::expr::MakeBinaryIr(
+      gigascope::gsql::BinaryOp::kEq, DataType::kBool,
+      gigascope::expr::MakeFieldRef(0, 1, DataType::kString, "tag"),
+      gigascope::expr::MakeFieldRef(1, 1, DataType::kString, "tag")));
+  if (!predicate.ok() || !registry.DeclareStream(side("l")).ok() ||
+      !registry.DeclareStream(side("r")).ok() ||
+      !registry.DeclareStream(spec.output_schema).ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  spec.predicate = std::move(predicate).value();
+  auto left = registry.Subscribe("l", 1 << 12);
+  auto right = registry.Subscribe("r", 1 << 12);
+  auto out = registry.Subscribe("j", 1 << 12);
+  if (!left.ok() || !right.ok() || !out.ok()) {
+    state.SkipWithError("Subscribe failed");
+    return;
+  }
+  gigascope::ops::WindowJoinNode node(
+      std::move(spec), *left, *right, &registry,
+      std::make_shared<std::vector<Value>>());
+  const gigascope::rts::TupleCodec codec(side("l"));
+  const std::string tags[] = {"GET /index.h", "GET /style.c", "POST /form.p",
+                              "HEAD /ping.h"};
+  gigascope::Rng rng(9);
+  uint64_t base = 0;
+  size_t matches = 0;
+  for (auto _ : state) {
+    StreamBatch lefts;
+    StreamBatch rights;
+    for (int i = 0; i < 32; ++i) {
+      base += 4 + rng.NextBelow(8);
+      lefts.AppendTuple(codec, {Value::Uint(base),
+                                Value::String(tags[rng.NextBelow(4)])});
+      rights.AppendTuple(codec, {Value::Uint(base + rng.NextBelow(4)),
+                                 Value::String(tags[rng.NextBelow(4)])});
+    }
+    registry.PublishBatch("l", std::move(lefts));
+    registry.PublishBatch("r", std::move(rights));
+    node.Poll(1 << 20);
+    StreamBatch joined;
+    while ((*out)->TryPop(&joined)) matches += joined.size();
+  }
+  benchmark::DoNotOptimize(matches);
+  ReportCpuPerItem(state, "cpu_per_tuple", 64);
+}
+BENCHMARK(BM_WindowJoin)->ArgName("order_preserving")->Arg(0)->Arg(1);
 
 }  // namespace

@@ -30,7 +30,10 @@ std::optional<rts::Row> TupleSubscription::NextRow() {
       const rts::BatchItem& item = batch_.item(cursor_++);
       if (item.kind != rts::MessageKind::kTuple) continue;
       const ByteSpan payload = batch_.payload(item);
-      if (!codec_.Framed(payload)) continue;  // a malformed tuple is skipped
+      if (!codec_.Framed(payload)) {  // a malformed tuple is skipped
+        ++malformed_;
+        continue;
+      }
       codec_.DecodeFramed(payload, &row.emplace());
       return row;
     }

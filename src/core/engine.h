@@ -37,7 +37,8 @@ class TupleSubscription {
  public:
   TupleSubscription(rts::Subscription channel, gsql::StreamSchema schema);
 
-  /// Next decoded tuple, skipping punctuations; nullopt when drained.
+  /// Next decoded tuple, skipping punctuations and malformed tuples;
+  /// nullopt when drained.
   /// Pops a whole batch at a time and keeps a cursor into it.
   std::optional<rts::Row> NextRow();
 
@@ -52,6 +53,8 @@ class TupleSubscription {
            static_cast<size_t>(pushed > popped ? pushed - popped : 0);
   }
   uint64_t dropped() const { return channel_->dropped(); }
+  /// Tuples NextRow skipped because they were not well framed.
+  uint64_t malformed() const { return malformed_; }
 
   const gsql::StreamSchema& schema() const { return codec_.schema(); }
 
@@ -60,6 +63,7 @@ class TupleSubscription {
   rts::TupleCodec codec_;
   rts::StreamBatch batch_;  // the batch being read
   size_t cursor_ = 0;       // next item of batch_
+  uint64_t malformed_ = 0;
 };
 
 /// Multi-process HFTA execution (the paper's §4 model: HFTAs are

@@ -311,10 +311,6 @@ PacketSource::PacketSource(gsql::StreamSchema schema, const Options& options,
     if (field.order.IsIncreasingLike() &&
         field.type != gsql::DataType::kString) {
       ordered_fields_.push_back(f);
-      if (interpret_.fields[f] != Extract::kTime &&
-          interpret_.fields[f] != Extract::kTimestamp) {
-        tuple_bounded_.push_back(static_cast<uint32_t>(f));
-      }
     }
   }
   stores_ = BuildStoreTable(interpret_);
@@ -347,9 +343,6 @@ bool PacketSource::PunctuationDue() const {
 
 bool PacketSource::AppendPunctuation(SimTime t, const ByteSpan* tuple,
                                      const Offer& offer) {
-  if (tuple != nullptr && !tuple_bounded_.empty()) {
-    interpret_.codec.ReadFields(*tuple, tuple_bounded_, &bound_row_);
-  }
   rts::Punctuation punctuation;
   for (size_t f : ordered_fields_) {
     switch (interpret_.fields[f]) {
@@ -363,9 +356,11 @@ bool PacketSource::AppendPunctuation(SimTime t, const ByteSpan* tuple,
         punctuation.bounds.emplace_back(f,
                                         Value::Uint(static_cast<uint64_t>(t)));
         break;
-      default:
+      default:  // bounded at the tuple's value, read in place
         if (tuple != nullptr) {
-          punctuation.bounds.emplace_back(f, bound_row_[f]);
+          punctuation.bounds.emplace_back(
+              f, expr::ReadField(schema_.field(f).type,
+                                 interpret_.codec.Locate(tuple->data(), f)));
         }
         break;
     }

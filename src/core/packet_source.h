@@ -178,10 +178,6 @@ class PacketSource {
   std::vector<FieldStore> stores_;
   /// Increasing-like, non-string fields: the ones a punctuation bounds.
   std::vector<size_t> ordered_fields_;
-  /// The ordered fields not derived from time, which a punctuation bounds
-  /// at the triggering tuple's value, and the row they are read into.
-  rts::ReadSet tuple_bounded_;
-  rts::Row bound_row_;
 
   telemetry::Counter packets_;
   /// Seconds bound of the last punctuation published; `gs_stats`

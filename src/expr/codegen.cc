@@ -71,8 +71,9 @@ class Generator {
   }
 
  private:
-  void Push(Instr instr) {
-    out_.code.push_back(instr);
+  void Push(ByteOp op, uint16_t a = 0, uint16_t b = 0,
+            DataType type = DataType::kInt) {
+    out_.code.push_back({op, type, a, b});
   }
 
   void TrackDepth(int delta) {
@@ -89,34 +90,33 @@ class Generator {
     switch (ir->kind) {
       case IrKind::kConst: {
         uint16_t index = AddConstant(ir->constant);
-        Push({ByteOp::kPushConst, index, 0});
+        Push(ByteOp::kPushConst, index);
         TrackDepth(1);
         return Status::Ok();
       }
       case IrKind::kField:
-        Push({ByteOp::kLoadField, static_cast<uint16_t>(ir->input),
-              static_cast<uint16_t>(ir->field)});
+        Push(ByteOp::kLoadField, static_cast<uint16_t>(ir->input),
+             static_cast<uint16_t>(ir->field), ir->type);
         TrackDepth(1);
         return Status::Ok();
       case IrKind::kParam:
-        Push({ByteOp::kLoadParam, static_cast<uint16_t>(ir->param_index), 0});
+        Push(ByteOp::kLoadParam, static_cast<uint16_t>(ir->param_index));
         TrackDepth(1);
         return Status::Ok();
       case IrKind::kCast: {
         GS_RETURN_IF_ERROR(Emit(ir->children[0]));
-        Push({ByteOp::kCast, static_cast<uint16_t>(ir->type), 0});
+        Push(ByteOp::kCast, static_cast<uint16_t>(ir->type));
         return Status::Ok();
       }
       case IrKind::kUnary: {
         GS_RETURN_IF_ERROR(Emit(ir->children[0]));
-        Push({ir->unary_op == UnaryOp::kNeg ? ByteOp::kNeg : ByteOp::kNot, 0,
-              0});
+        Push(ir->unary_op == UnaryOp::kNeg ? ByteOp::kNeg : ByteOp::kNot);
         return Status::Ok();
       }
       case IrKind::kBinary: {
         GS_RETURN_IF_ERROR(Emit(ir->children[0]));
         GS_RETURN_IF_ERROR(Emit(ir->children[1]));
-        Push({BinaryToByteOp(ir->binary_op), 0, 0});
+        Push(BinaryToByteOp(ir->binary_op));
         TrackDepth(-1);
         return Status::Ok();
       }
@@ -150,7 +150,7 @@ class Generator {
     }
     site.stack_args = stack_args;
     out_.calls.push_back(std::move(site));
-    Push({ByteOp::kCall, static_cast<uint16_t>(out_.calls.size() - 1), 0});
+    Push(ByteOp::kCall, static_cast<uint16_t>(out_.calls.size() - 1));
     TrackDepth(1 - static_cast<int>(stack_args));
     return Status::Ok();
   }

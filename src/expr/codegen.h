@@ -18,7 +18,7 @@ namespace gigascope::expr {
 /// artifact with resolved constants, call sites, and pre-built handles.
 enum class ByteOp : uint8_t {
   kPushConst,  // a: constant-pool index
-  kLoadField,  // a: input (0/1), b: field index
+  kLoadField,  // a: input (0/1), b: field index, type: the field's type
   kLoadParam,  // a: parameter slot
   kCall,       // a: call-site index
   kAdd, kSub, kMul, kDiv, kMod, kBitAnd, kBitOr,
@@ -30,9 +30,12 @@ enum class ByteOp : uint8_t {
 
 struct Instr {
   ByteOp op;
+  /// kLoadField: the type the field's packed bytes are read as.
+  DataType type = DataType::kInt;
   uint16_t a = 0;
   uint16_t b = 0;
 };
+static_assert(sizeof(Instr) == 6, "the type takes Instr's spare byte");
 
 /// One resolved function call: descriptor plus pre-processed handles for
 /// pass-by-handle arguments (built once at compile time — the paper's

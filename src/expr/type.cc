@@ -1,6 +1,7 @@
 #include "expr/type.h"
 
-#include "common/bytes.h"
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace gigascope::expr {
@@ -118,6 +119,64 @@ std::string Value::ToString() const {
       return Ipv4ToString(static_cast<uint32_t>(uint_));
   }
   return "?";
+}
+
+Value ReadField(DataType type, const uint8_t* at) {
+  switch (type) {
+    case DataType::kBool:
+      return Value(type, *at);
+    case DataType::kIp:
+      return Value(type, LoadLe32(at));
+    case DataType::kString:
+      return Value(reinterpret_cast<const char*>(at + 4), LoadLe32(at));
+    default:  // INT, UINT, FLOAT
+      return Value(type, LoadLe64(at));
+  }
+}
+
+size_t ValueSize(const Value& value) {
+  return value.type() == DataType::kString ? 4 + value.string_value().size()
+                                           : FixedWidth(value.type());
+}
+
+uint8_t* WriteValue(const Value& value, uint8_t* out) {
+  switch (value.type()) {
+    case DataType::kBool:
+      *out = value.bool_value() ? 1 : 0;
+      return out + 1;
+    case DataType::kInt:
+      StoreLe64(out, static_cast<uint64_t>(value.int_value()));
+      return out + 8;
+    case DataType::kUint:
+      StoreLe64(out, value.uint_value());
+      return out + 8;
+    case DataType::kFloat:
+      StoreLe64(out, std::bit_cast<uint64_t>(value.float_value()));
+      return out + 8;
+    case DataType::kIp:
+      StoreLe32(out, value.ip_value());
+      return out + 4;
+    case DataType::kString: {
+      const std::string& s = value.string_value();
+      StoreLe32(out, static_cast<uint32_t>(s.size()));
+      if (!s.empty()) std::memcpy(out + 4, s.data(), s.size());
+      return out + 4 + s.size();
+    }
+  }
+  return out;
+}
+
+void PackValues(const std::vector<Value>& values, ByteBuffer* bytes,
+                std::vector<const uint8_t*>* at) {
+  size_t size = 0;
+  for (const Value& value : values) size += ValueSize(value);
+  bytes->resize(size);
+  at->resize(values.size());
+  uint8_t* out = bytes->data();
+  for (size_t f = 0; f < values.size(); ++f) {
+    (*at)[f] = out;
+    out = WriteValue(values[f], out);
+  }
 }
 
 bool IsNumericType(DataType type) {

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "gsql/schema.h"
 
@@ -77,6 +79,39 @@ class Value {
   };
   std::string string_;
 };
+
+// One packed field (§2.2's "standard fashion"): BOOL 1 byte; INT, UINT and
+// FLOAT 8 bytes and IP 4 bytes, little-endian; STRING a u32 length, then
+// the bytes. A tuple (rts::TupleCodec) is its fields back to back.
+
+/// Packed width of a field of fixed-width `type`; 0 for STRING.
+inline size_t FixedWidth(DataType type) {
+  switch (type) {
+    case DataType::kBool: return 1;
+    case DataType::kIp: return 4;
+    case DataType::kString: return 0;
+    default: return 8;  // INT, UINT, FLOAT
+  }
+}
+
+/// Packed size of the field of `type` whose bytes start at `at`.
+inline size_t FieldSize(DataType type, const uint8_t* at) {
+  return type == DataType::kString ? 4 + LoadLe32(at) : FixedWidth(type);
+}
+
+/// The packed field of `type` at `at`, as a Value.
+Value ReadField(DataType type, const uint8_t* at);
+
+/// Packed size of `value`, and its packed bytes written at `out` (returns
+/// the end).
+size_t ValueSize(const Value& value);
+uint8_t* WriteValue(const Value& value, uint8_t* out);
+
+/// Packs `values` back to back into `bytes` (a tuple in rts::TupleCodec's
+/// layout) and points `at[f]` at value f's bytes: an evaluation context
+/// built from values.
+void PackValues(const std::vector<Value>& values, ByteBuffer* bytes,
+                std::vector<const uint8_t*>* at);
 
 /// True when `type` is numeric (arithmetic is defined on it).
 bool IsNumericType(DataType type);

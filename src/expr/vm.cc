@@ -93,20 +93,6 @@ Status ArithmeticOp(ByteOp op, const Value& left, const Value& right,
   return Status::Internal("arithmetic on unsupported type");
 }
 
-bool CompareOp(ByteOp op, const Value& left, const Value& right) {
-  int cmp = left.Compare(right);
-  switch (op) {
-    case ByteOp::kCmpEq: return cmp == 0;
-    case ByteOp::kCmpNe: return cmp != 0;
-    case ByteOp::kCmpLt: return cmp < 0;
-    case ByteOp::kCmpLe: return cmp <= 0;
-    case ByteOp::kCmpGt: return cmp > 0;
-    case ByteOp::kCmpGe: return cmp >= 0;
-    default:
-      return false;
-  }
-}
-
 /// Shared evaluation core: `stack` is caller-provided scratch (cleared
 /// here), so a reusable Evaluator can amortize its allocation across a
 /// batch while the free functions keep a per-call stack.
@@ -122,11 +108,11 @@ Status EvalWithStack(const CompiledExpr& expr, const EvalContext& ctx,
         stack.push_back(expr.constants[instr.a]);
         break;
       case ByteOp::kLoadField: {
-        const std::vector<Value>* row = instr.a == 0 ? ctx.row0 : ctx.row1;
-        if (row == nullptr || instr.b >= row->size()) {
+        const PackedFields row = instr.a == 0 ? ctx.row0 : ctx.row1;
+        if (instr.b >= row.size() || row[instr.b] == nullptr) {
           return Status::Internal("field load outside the input row");
         }
-        stack.push_back((*row)[instr.b]);
+        stack.push_back(ReadField(instr.type, row[instr.b]));
         break;
       }
       case ByteOp::kLoadParam:
@@ -206,7 +192,7 @@ Status EvalWithStack(const CompiledExpr& expr, const EvalContext& ctx,
         Value right = std::move(stack.back());
         stack.pop_back();
         Value& left = stack.back();
-        left = Value::Bool(CompareOp(instr.op, left, right));
+        left = Value::Bool(CompareHolds(instr.op, left.Compare(right)));
         break;
       }
       default: {

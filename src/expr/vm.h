@@ -2,17 +2,23 @@
 #define GIGASCOPE_EXPR_VM_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "expr/codegen.h"
 
 namespace gigascope::expr {
 
-/// Inputs to one expression evaluation: up to two tuples (as unpacked value
-/// rows) and the current query-parameter block.
+/// Where an input tuple's fields are: element f points at field f's packed
+/// bytes (see ReadField). Only the fields an expression loads must be set.
+using PackedFields = std::span<const uint8_t* const>;
+
+/// Inputs to one expression evaluation: up to two packed tuples and the
+/// current query-parameter block. kLoadField reads its field straight from
+/// the packed bytes; a load past a span's end is an evaluation error.
 struct EvalContext {
-  const std::vector<Value>* row0 = nullptr;
-  const std::vector<Value>* row1 = nullptr;
+  PackedFields row0;
+  PackedFields row1;
   const std::vector<Value>* params = nullptr;
 };
 
@@ -44,6 +50,20 @@ class Evaluator {
  private:
   std::vector<Value> stack_;
 };
+
+/// Whether comparison `op` holds for a three-way result `cmp` (negative,
+/// zero or positive).
+inline bool CompareHolds(ByteOp op, int cmp) {
+  switch (op) {
+    case ByteOp::kCmpEq: return cmp == 0;
+    case ByteOp::kCmpNe: return cmp != 0;
+    case ByteOp::kCmpLt: return cmp < 0;
+    case ByteOp::kCmpLe: return cmp <= 0;
+    case ByteOp::kCmpGt: return cmp > 0;
+    case ByteOp::kCmpGe: return cmp >= 0;
+    default: return false;
+  }
+}
 
 /// One conjunct of a filter in `field <cmp> constant` form (the field is
 /// always from row0).

@@ -46,18 +46,6 @@ void StoreDouble(uint8_t* p, double d) {
   StoreLe64(p, bits);
 }
 
-/// The input field `expr` reads, when it is a bare reference to a field of
-/// `input` of the expression's own type; a computed expression otherwise.
-std::optional<uint32_t> InputField(const expr::CompiledExpr& expr,
-                                   const gsql::StreamSchema& input) {
-  std::optional<uint32_t> field = rts::BareField(expr);
-  if (!field.has_value() || *field >= input.num_fields() ||
-      input.field(*field).type != expr.result_type) {
-    return std::nullopt;
-  }
-  return field;
-}
-
 /// Lexicographic order of a packed STRING against a held one, as
 /// std::string::compare orders them.
 int CompareString(const uint8_t* packed, const std::string& held) {
@@ -126,14 +114,11 @@ GroupLayout::GroupLayout(std::vector<DataType> key_types,
   int offset = 0;
   for (DataType type : key_types_) {
     key_offsets_.push_back(offset);
-    std::optional<size_t> width = rts::TupleCodec::FixedTypeWidth(type);
-    offset = offset < 0 || !width.has_value()
-                 ? -1
-                 : offset + static_cast<int>(*width);
+    const auto width = static_cast<int>(expr::FixedWidth(type));
+    offset = offset < 0 || width == 0 ? -1 : offset + width;
     // A fixed-width field encodes in its own width.
-    ordered_key_size_ = ordered_key_size_ < 0 || !width.has_value()
-                            ? -1
-                            : ordered_key_size_ + static_cast<int>(*width);
+    ordered_key_size_ =
+        ordered_key_size_ < 0 || width == 0 ? -1 : ordered_key_size_ + width;
   }
   for (size_t i = 0; i < specs.size(); ++i) {
     Cell cell;
@@ -154,8 +139,7 @@ GroupLayout::GroupLayout(std::vector<DataType> key_types,
       cell.string_index = static_cast<int>(num_strings_++);
     } else {
       cell.offset = static_cast<uint32_t>(cells_size_);
-      cell.width =
-          static_cast<uint32_t>(*rts::TupleCodec::FixedTypeWidth(cell.type));
+      cell.width = static_cast<uint32_t>(expr::FixedWidth(cell.type));
       cells_size_ += cell.width;
     }
     cells_.push_back(cell);
@@ -266,7 +250,7 @@ size_t GroupLayout::OrderedKeySize(const uint8_t* key) const {
   if (ordered_key_size_ >= 0) return static_cast<size_t>(ordered_key_size_);
   size_t size = 0;
   for (DataType type : key_types_) {
-    const size_t field = rts::TupleCodec::FieldSize(type, key);
+    const size_t field = expr::FieldSize(type, key);
     if (type == DataType::kString) {
       // Each zero byte grows by one, and the terminator adds two.
       size += field - 4 +
@@ -321,7 +305,7 @@ uint8_t* GroupLayout::WriteOrderedKey(const uint8_t* key, uint8_t* out) const {
         break;
       }
     }
-    key += rts::TupleCodec::FieldSize(type, key);
+    key += expr::FieldSize(type, key);
   }
   return out;
 }
@@ -329,7 +313,7 @@ uint8_t* GroupLayout::WriteOrderedKey(const uint8_t* key, uint8_t* out) const {
 const uint8_t* GroupLayout::KeyField(const uint8_t* key, size_t k) const {
   if (key_offsets_[k] >= 0) return key + key_offsets_[k];
   for (size_t i = 0; i < k; ++i) {
-    key += rts::TupleCodec::FieldSize(key_types_[i], key);
+    key += expr::FieldSize(key_types_[i], key);
   }
   return key;
 }
@@ -360,8 +344,8 @@ uint64_t GroupLayout::Hash(ByteSpan key) {
 
 void PackKeyValue(DataType type, const Value& value, ByteBuffer* out) {
   GS_CHECK(value.type() == type);
-  out->resize(rts::TupleCodec::ValueSize(value));
-  rts::TupleCodec::WriteValue(value, out->data());
+  out->resize(expr::ValueSize(value));
+  expr::WriteValue(value, out->data());
   rts::TupleCodec::CanonicalizeKeyField(type, out->data());
 }
 
@@ -369,20 +353,8 @@ GroupInput::GroupInput(
     const std::vector<expr::CompiledExpr>& keys,
     const std::vector<std::optional<expr::CompiledExpr>>& args,
     const GroupLayout& layout, const rts::TupleCodec& input_codec)
-    : input_codec_(&input_codec) {
-  // Collect the bare fields first so `at` indexes the ascending located_.
-  const gsql::StreamSchema& input = input_codec.schema();
-  for (const expr::CompiledExpr& key : keys) {
-    if (auto field = InputField(key, input)) located_.push_back(*field);
-  }
-  for (const std::optional<expr::CompiledExpr>& arg : args) {
-    if (!arg.has_value()) continue;
-    if (auto field = InputField(*arg, input)) located_.push_back(*field);
-  }
-  std::sort(located_.begin(), located_.end());
-  located_.erase(std::unique(located_.begin(), located_.end()),
-                 located_.end());
-  at_.resize(located_.size());
+    : input_codec_(&input_codec),
+      at_(input_codec.schema().num_fields(), nullptr) {
   for (size_t k = 0; k < keys.size(); ++k) {
     keys_.push_back(MakeSource(keys[k]));
     GS_CHECK(keys_.back().type == layout.key_type(k));
@@ -397,13 +369,12 @@ GroupInput::GroupInput(
 GroupInput::Source GroupInput::MakeSource(const expr::CompiledExpr& expr) {
   Source source;
   source.type = expr.result_type;
-  if (auto field = InputField(expr, input_codec_->schema())) {
-    source.at = static_cast<int>(
-        std::lower_bound(located_.begin(), located_.end(), *field) -
-        located_.begin());
+  rts::AddLoadedFields(expr, 0, input_codec_->schema(), &reads_);
+  std::optional<uint32_t> field = rts::BareField(expr);
+  if (field.has_value() && *field < at_.size()) {
+    source.at = static_cast<int>(*field);
   } else {
     source.expr = &expr;
-    rts::AddLoadedFields(expr, &computed_reads_);
   }
   return source;
 }
@@ -412,7 +383,7 @@ GroupInput::Outcome GroupInput::Evaluate(
     const Source& source, expr::Evaluator* vm,
     const std::vector<Value>* params, Value* value) {
   expr::EvalContext ctx;
-  ctx.row0 = &row_;
+  ctx.row0 = at_;
   ctx.params = params;
   expr::EvalOutput out;
   if (!vm->Eval(*source.expr, ctx, &out).ok()) return Outcome::kError;
@@ -423,20 +394,17 @@ GroupInput::Outcome GroupInput::Evaluate(
 
 GroupInput::Outcome GroupInput::PackKey(ByteSpan framed, expr::Evaluator* vm,
                                         const std::vector<Value>* params) {
-  input_codec_->LocateFields(framed.data(), located_, at_.data());
-  if (!computed_reads_.empty()) {
-    input_codec_->ReadFields(framed, computed_reads_, &row_);
-  }
+  input_codec_->LocateFields(framed.data(), reads_, at_.data());
   size_t size = 0;
   for (size_t k = 0; k < keys_.size(); ++k) {
     const Source& key = keys_[k];
     if (key.expr == nullptr) {
-      size += rts::TupleCodec::FieldSize(key.type, at_[key.at]);
+      size += expr::FieldSize(key.type, at_[key.at]);
       continue;
     }
     const Outcome outcome = Evaluate(key, vm, params, &values_[k]);
     if (outcome != Outcome::kOk) return outcome;
-    size += rts::TupleCodec::ValueSize(values_[k]);
+    size += expr::ValueSize(values_[k]);
   }
   key_.resize(size);
   uint8_t* out = key_.data();
@@ -444,11 +412,11 @@ GroupInput::Outcome GroupInput::PackKey(ByteSpan framed, expr::Evaluator* vm,
     const Source& key = keys_[k];
     uint8_t* field = out;
     if (key.expr == nullptr) {
-      const size_t n = rts::TupleCodec::FieldSize(key.type, at_[key.at]);
+      const size_t n = expr::FieldSize(key.type, at_[key.at]);
       std::memcpy(out, at_[key.at], n);
       out += n;
     } else {
-      out = rts::TupleCodec::WriteValue(values_[k], out);
+      out = expr::WriteValue(values_[k], out);
     }
     rts::TupleCodec::CanonicalizeKeyField(key.type, field);
   }
@@ -466,7 +434,7 @@ GroupInput::Outcome GroupInput::PackArgs(expr::Evaluator* vm,
     Value& value = values_[keys_.size() + i];
     const Outcome outcome = Evaluate(arg, vm, params, &value);
     if (outcome != Outcome::kOk) return outcome;
-    size += rts::TupleCodec::ValueSize(value);
+    size += expr::ValueSize(value);
   }
   scratch_.resize(size);
   uint8_t* out = scratch_.data();
@@ -474,7 +442,7 @@ GroupInput::Outcome GroupInput::PackArgs(expr::Evaluator* vm,
     const Source& arg = args_in_[i];
     if (arg.expr != nullptr) {
       args_[i] = out;
-      out = rts::TupleCodec::WriteValue(values_[keys_.size() + i], out);
+      out = expr::WriteValue(values_[keys_.size() + i], out);
     } else {
       args_[i] = arg.at >= 0 ? at_[arg.at] : nullptr;
     }
@@ -605,6 +573,7 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
       grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
+      bounds_(spec_.input_schema),
       groups_(&layout_) {
   RegisterInput(input_);
 }
@@ -657,7 +626,7 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
         const uint8_t* bound = ordered;
         if (spec_.ordered_key_band > 0) {
           PackKeyValue(type,
-                       ReduceByBand(rts::TupleCodec::ReadField(type, ordered),
+                       ReduceByBand(expr::ReadField(type, ordered),
                                     spec_.ordered_key_band),
                        &bound_);
           bound = bound_.data();
@@ -665,7 +634,7 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
         CloseGroups(bound);
       }
       epoch_.assign(ordered,
-                    ordered + rts::TupleCodec::FieldSize(type, ordered));
+                    ordered + expr::FieldSize(type, ordered));
     }
   }
 
@@ -692,23 +661,12 @@ void OrderedAggregateNode::ProcessPunctuation(ByteSpan payload) {
   if (!bound.has_value()) return;
 
   // Translate the input-field bound through the key expression.
-  rts::Row synthetic;
-  synthetic.reserve(spec_.input_schema.num_fields());
-  for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-    synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
-  }
-  synthetic[static_cast<size_t>(source)] = *bound;
-  expr::EvalContext ctx;
-  ctx.row0 = &synthetic;
-  ctx.params = params_.get();
-  expr::EvalOutput out;
-  if (!vm_.Eval(spec_.keys[static_cast<size_t>(spec_.ordered_key)], ctx,
-                &out).ok() ||
-      !out.has_value) {
-    return;
-  }
-  PackKeyValue(layout_.key_type(static_cast<size_t>(spec_.ordered_key)),
-               out.value, &bound_);
+  const auto k = static_cast<size_t>(spec_.ordered_key);
+  std::optional<Value> key = bounds_.Translate(
+      spec_.keys[k], static_cast<size_t>(source), *bound, &vm_,
+      params_.get());
+  if (!key.has_value()) return;
+  PackKeyValue(layout_.key_type(k), *key, &bound_);
   CloseGroups(bound_.data());
 }
 
@@ -732,7 +690,7 @@ void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {
 
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(
-      k, rts::TupleCodec::ReadField(layout_.key_type(k), bound));
+      k, expr::ReadField(layout_.key_type(k), bound));
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);

@@ -125,12 +125,13 @@ class GroupLayout {
 };
 
 /// What one input tuple brings to its group: its packed key, and per
-/// aggregate a pointer to its argument's packed bytes. A bare column
-/// reference (rts::BareField) is located in the input tuple: a key field
-/// is copied and canonicalized, an argument points straight into the
-/// tuple. A computed expression runs once through the VM and its result is
-/// packed into reused scratch. With only bare references, nothing is
-/// decoded and nothing is allocated per tuple.
+/// aggregate a pointer to its argument's packed bytes. Every field a key
+/// or argument loads (the read set) is located in the input tuple. A bare
+/// column reference (rts::BareField) is read from there: a key field is
+/// copied and canonicalized, an argument points straight into the tuple. A
+/// computed expression runs once through the VM over the same located
+/// fields, and its result is packed into reused scratch. With only bare
+/// references, nothing is allocated per tuple.
 class GroupInput {
  public:
   /// kMiss: a partial function returned nothing, and the tuple is dropped
@@ -152,8 +153,8 @@ class GroupInput {
   const uint8_t* const* args() const { return args_.data(); }
 
  private:
-  /// Where one key or argument comes from: input field `at` of located_
-  /// when bare, else the computed expression.
+  /// Where one key or argument comes from: input field `at` when bare,
+  /// else the computed expression.
   struct Source {
     int at = -1;
     const expr::CompiledExpr* expr = nullptr;
@@ -168,10 +169,8 @@ class GroupInput {
   const rts::TupleCodec* input_codec_;
   std::vector<Source> keys_;
   std::vector<Source> args_in_;  // expr null and at -1: COUNT(*)
-  rts::ReadSet located_;         // bare fields, ascending
-  std::vector<const uint8_t*> at_;
-  rts::ReadSet computed_reads_;  // fields the computed expressions load
-  rts::Row row_;                 // read-set decode target for those
+  rts::ReadSet reads_;           // fields the keys and arguments load
+  std::vector<const uint8_t*> at_;   // where they are, one per input field
   std::vector<expr::Value> values_;  // computed results, reused
   ByteBuffer key_;
   ByteBuffer scratch_;  // packed computed arguments
@@ -278,6 +277,7 @@ class OrderedAggregateNode : public rts::QueryNode {
   expr::Evaluator vm_;
   GroupLayout layout_;
   GroupInput grouping_;
+  rts::BoundTranslator bounds_;
   rts::StreamBatch batch_;  // input batch, reused across polls
   GroupMap groups_;
   ByteBuffer epoch_;  // packed max ordered-key value seen; empty: none yet

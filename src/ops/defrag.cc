@@ -80,27 +80,31 @@ size_t IpDefragNode::Poll(size_t budget) {
 
 void IpDefragNode::ProcessTuple(ByteSpan payload) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(payload);
-  if (!row.ok()) {
+  if (!input_codec_.Framed(payload)) {
     ++eval_errors_;
     return;
   }
-  const rts::Row& tuple = *row;
-  uint64_t time_now = tuple[slots_.time].uint_value();
-  uint64_t frag_offset = tuple[slots_.frag_offset].uint_value();
-  uint64_t more_frags = tuple[slots_.more_frags].uint_value();
+  // The named fields, read in place from the framed tuple.
+  const auto read = [&](size_t field) {
+    return expr::ReadField(input_codec_.slot(field).type,
+                           input_codec_.Locate(payload.data(), field));
+  };
+  uint64_t time_now = read(slots_.time).uint_value();
+  uint64_t frag_offset = read(slots_.frag_offset).uint_value();
+  uint64_t more_frags = read(slots_.more_frags).uint_value();
 
   ExpireOld(time_now);
 
   AssemblyKey key;
-  key.src = tuple[slots_.src].ip_value();
-  key.dst = tuple[slots_.dst].ip_value();
-  key.proto = tuple[slots_.proto].uint_value();
-  key.ip_id = tuple[slots_.ip_id].uint_value();
+  key.src = read(slots_.src).ip_value();
+  key.dst = read(slots_.dst).ip_value();
+  key.proto = read(slots_.proto).uint_value();
+  key.ip_id = read(slots_.ip_id).uint_value();
+  const Value ip_payload = read(slots_.payload);
 
   if (frag_offset == 0 && more_frags == 0) {
     // Unfragmented: pass straight through.
-    Emit(time_now, key, tuple[slots_.payload].string_value());
+    Emit(time_now, key, ip_payload.string_value());
     return;
   }
 
@@ -114,7 +118,7 @@ void IpDefragNode::ProcessTuple(ByteSpan payload) {
     return;
   }
   const uint64_t byte_offset = frag_offset * 8;
-  const std::string& frag_bytes = tuple[slots_.payload].string_value();
+  const std::string& frag_bytes = ip_payload.string_value();
   if (byte_offset + frag_bytes.size() > kMaxDatagramLen) {
     ++parse_errors_;
     return;

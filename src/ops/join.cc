@@ -1,6 +1,8 @@
 #include "ops/join.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/logging.h"
 #include "expr/vm.h"
@@ -8,6 +10,27 @@
 namespace gigascope::ops {
 
 using expr::Value;
+using gsql::DataType;
+
+namespace {
+
+/// The window key of the packed field of `type` at `at`: INT as is, UINT
+/// and IP reinterpreted as int64_t, FLOAT truncated, anything else 0.
+int64_t WindowKey(DataType type, const uint8_t* at) {
+  switch (type) {
+    case DataType::kInt:
+    case DataType::kUint:
+      return static_cast<int64_t>(LoadLe64(at));
+    case DataType::kIp:
+      return LoadLe32(at);
+    case DataType::kFloat:
+      return static_cast<int64_t>(std::bit_cast<double>(LoadLe64(at)));
+    default:
+      return 0;
+  }
+}
+
+}  // namespace
 
 WindowJoinNode::WindowJoinNode(Spec spec, rts::Subscription left,
                                rts::Subscription right,
@@ -21,26 +44,31 @@ WindowJoinNode::WindowJoinNode(Spec spec, rts::Subscription left,
       params_(std::move(params)),
       left_codec_(spec_.left_schema),
       right_codec_(spec_.right_schema),
-      output_codec_(spec_.output_schema),
-      writer_(registry, spec_.name, spec_.output_batch) {
+      writer_(registry, spec_.name, spec_.output_batch),
+      left_reads_{static_cast<uint32_t>(spec_.left_field)},
+      right_reads_{static_cast<uint32_t>(spec_.right_field)},
+      left_at_(spec_.left_schema.num_fields(), nullptr),
+      right_at_(spec_.right_schema.num_fields(), nullptr) {
+  // A match is the left tuple's bytes followed by the right tuple's, so
+  // the output must be the left fields then the right fields.
+  const size_t left_fields = left_at_.size();
+  GS_CHECK(spec_.left_field < left_fields &&
+           spec_.right_field < right_at_.size() &&
+           spec_.output_schema.num_fields() == left_fields + right_at_.size());
+  for (size_t f = 0; f < spec_.output_schema.num_fields(); ++f) {
+    GS_CHECK(spec_.output_schema.field(f).type ==
+             (f < left_fields ? spec_.left_schema.field(f)
+                              : spec_.right_schema.field(f - left_fields))
+                 .type);
+  }
+  if (spec_.predicate.has_value()) {
+    rts::AddLoadedFields(*spec_.predicate, 0, spec_.left_schema,
+                         &left_reads_);
+    rts::AddLoadedFields(*spec_.predicate, 1, spec_.right_schema,
+                         &right_reads_);
+  }
   RegisterInput(left_);
   RegisterInput(right_);
-}
-
-int64_t WindowJoinNode::KeyOf(const rts::Row& row, bool is_left) const {
-  const Value& value =
-      row[is_left ? spec_.left_field : spec_.right_field];
-  switch (value.type()) {
-    case gsql::DataType::kInt:
-      return value.int_value();
-    case gsql::DataType::kUint:
-    case gsql::DataType::kIp:
-      return static_cast<int64_t>(value.uint_value());
-    case gsql::DataType::kFloat:
-      return static_cast<int64_t>(value.float_value());
-    default:
-      return 0;
-  }
 }
 
 size_t WindowJoinNode::Poll(size_t budget) {
@@ -111,52 +139,58 @@ void WindowJoinNode::ProcessSide(bool is_left, const rts::BatchItem& item,
   }
 
   ++tuples_in_;
-  auto row = codec.Decode(payload);
-  if (!row.ok()) {
+  if (!codec.Framed(payload)) {
     ++eval_errors_;
     return;
   }
-  int64_t key = KeyOf(row.value(), is_left);
+  const size_t window = is_left ? spec_.left_field : spec_.right_field;
+  std::vector<const uint8_t*>& at = is_left ? left_at_ : right_at_;
+  codec.LocateFields(payload.data(), is_left ? left_reads_ : right_reads_,
+                     at.data());
+  const int64_t key = WindowKey(schema.field(window).type, at[window]);
   int64_t guarantee = key - static_cast<int64_t>(band);
   if (!watermark.has_value() || guarantee > *watermark) {
     watermark = guarantee;
   }
 
-  ProbeAndEmit(is_left, row.value());
+  ProbeAndEmit(is_left, key, payload);
 
   // Buffer for future partners, kept sorted on the window key so purging
   // can pop from the front.
-  std::deque<rts::Row>& buffer = is_left ? left_buffer_ : right_buffer_;
-  if (!buffer.empty() && KeyOf(buffer.back(), is_left) > key) {
+  std::deque<Buffered>& buffer = is_left ? left_buffer_ : right_buffer_;
+  Buffered buffered{key, ByteBuffer(payload.begin(), payload.end())};
+  if (!buffer.empty() && buffer.back().key > key) {
     auto pos = std::upper_bound(
         buffer.begin(), buffer.end(), key,
-        [this, is_left](int64_t k, const rts::Row& r) {
-          return k < KeyOf(r, is_left);
-        });
-    buffer.insert(pos, std::move(row).value());
+        [](int64_t k, const Buffered& b) { return k < b.key; });
+    buffer.insert(pos, std::move(buffered));
   } else {
-    buffer.push_back(std::move(row).value());
+    buffer.push_back(std::move(buffered));
   }
 }
 
-void WindowJoinNode::ProbeAndEmit(bool from_left, const rts::Row& row) {
-  const std::deque<rts::Row>& other =
-      from_left ? right_buffer_ : left_buffer_;
-  int64_t key = KeyOf(row, from_left);
-  for (const rts::Row& partner : other) {
-    int64_t partner_key = KeyOf(partner, !from_left);
-    int64_t delta = from_left ? key - partner_key : partner_key - key;
+void WindowJoinNode::ProbeAndEmit(bool from_left, int64_t key,
+                                  ByteSpan bytes) {
+  const std::deque<Buffered>& other = from_left ? right_buffer_ : left_buffer_;
+  const rts::TupleCodec& other_codec = from_left ? right_codec_ : left_codec_;
+  const rts::ReadSet& other_reads = from_left ? right_reads_ : left_reads_;
+  std::vector<const uint8_t*>& other_at = from_left ? right_at_ : left_at_;
+  for (const Buffered& partner : other) {
+    int64_t delta = from_left ? key - partner.key : partner.key - key;
     if (delta < spec_.lo || delta > spec_.hi) continue;
-    const rts::Row& left_row = from_left ? row : partner;
-    const rts::Row& right_row = from_left ? partner : row;
+    const ByteSpan partner_bytes(partner.bytes.data(), partner.bytes.size());
     if (spec_.predicate.has_value()) {
+      other_codec.LocateFields(partner_bytes.data(), other_reads,
+                               other_at.data());
       expr::EvalContext ctx;
-      ctx.row0 = &left_row;
-      ctx.row1 = &right_row;
+      ctx.row0 = left_at_;
+      ctx.row1 = right_at_;
       ctx.params = params_.get();
       if (!vm_.EvalPredicate(*spec_.predicate, ctx)) continue;
     }
-    EmitJoined(left_row, right_row);
+    EmitJoined(from_left ? key : partner.key,
+               from_left ? bytes : partner_bytes,
+               from_left ? partner_bytes : bytes);
   }
 }
 
@@ -165,8 +199,7 @@ void WindowJoinNode::Purge() {
   // left_watermark - r.key <= hi, i.e. r.key >= left_watermark - hi.
   if (left_watermark_.has_value()) {
     int64_t cutoff = *left_watermark_ - spec_.hi;
-    while (!right_buffer_.empty() &&
-           KeyOf(right_buffer_.front(), false) < cutoff) {
+    while (!right_buffer_.empty() && right_buffer_.front().key < cutoff) {
       right_buffer_.pop_front();
     }
   }
@@ -174,8 +207,7 @@ void WindowJoinNode::Purge() {
   // l.key - right_watermark >= lo, i.e. l.key >= right_watermark + lo.
   if (right_watermark_.has_value()) {
     int64_t cutoff = *right_watermark_ + spec_.lo;
-    while (!left_buffer_.empty() &&
-           KeyOf(left_buffer_.front(), true) < cutoff) {
+    while (!left_buffer_.empty() && left_buffer_.front().key < cutoff) {
       left_buffer_.pop_front();
     }
   }
@@ -207,34 +239,39 @@ void WindowJoinNode::Purge() {
   }
 }
 
-void WindowJoinNode::EmitJoined(const rts::Row& left, const rts::Row& right) {
-  rts::Row out = left;
-  out.insert(out.end(), right.begin(), right.end());
+void WindowJoinNode::EmitJoined(int64_t left_key, ByteSpan left,
+                                ByteSpan right) {
   if (spec_.order_preserving) {
     // Hold the match until the output bound proves nothing earlier can
     // still be produced ("monotonically increasing requires more buffer
     // space", §2.1).
-    int64_t key = KeyOf(out, /*is_left=*/true);
-    pending_.emplace(key, std::move(out));
+    ByteBuffer match(left.begin(), left.end());
+    match.insert(match.end(), right.begin(), right.end());
+    pending_.emplace(left_key, std::move(match));
     return;
   }
-  Publish(out);
+  Publish(left, right);
 }
 
-void WindowJoinNode::Publish(const rts::Row& out) {
+void WindowJoinNode::Publish(ByteSpan first, ByteSpan second) {
   // A match against buffered state inherits the trace of the probing
   // message; order-preserving holds released later lose it (no active
   // message), which is fine for sampled tracing.
   rts::MessageMeta meta;
   StampOutput(&meta);
-  writer_.WriteTuple(output_codec_, out, meta);
+  writer_.WriteTuple(meta, first.size() + second.size(), [&](uint8_t* out) {
+    std::memcpy(out, first.data(), first.size());
+    if (!second.empty()) {
+      std::memcpy(out + first.size(), second.data(), second.size());
+    }
+  });
   ++tuples_out_;
 }
 
 void WindowJoinNode::ReleasePending(int64_t bound) {
   auto end = pending_.upper_bound(bound);
   for (auto it = pending_.begin(); it != end; ++it) {
-    Publish(it->second);
+    Publish(ByteSpan(it->second.data(), it->second.size()));
   }
   pending_.erase(pending_.begin(), end);
 }
@@ -245,7 +282,9 @@ void WindowJoinNode::Flush() {
   // remain to be released.
   left_buffer_.clear();
   right_buffer_.clear();
-  for (const auto& [key, row] : pending_) Publish(row);
+  for (const auto& [key, match] : pending_) {
+    Publish(ByteSpan(match.data(), match.size()));
+  }
   pending_.clear();
   writer_.Flush();  // Flush runs outside any Poll round
 }

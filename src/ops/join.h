@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "expr/codegen.h"
 #include "expr/vm.h"
@@ -19,6 +20,11 @@ namespace gigascope::ops {
 /// streams". The window `left_ts - right_ts ∈ [lo, hi]` bounds the state:
 /// a buffered tuple is purged once the opposite stream's watermark proves
 /// no future partner can exist.
+///
+/// Tuples stay packed. Each side buffers a tuple's bytes with its window
+/// key; the residual predicate loads its fields in place from both tuples
+/// (located through each side's read set), and a match is the left bytes
+/// followed by the right bytes, which is the packed output tuple.
 class WindowJoinNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -61,16 +67,24 @@ class WindowJoinNode : public rts::QueryNode {
   size_t pending_matches() const { return pending_.size(); }
 
  private:
+  /// A buffered input tuple: its window key and its packed bytes.
+  struct Buffered {
+    int64_t key = 0;
+    ByteBuffer bytes;
+  };
+
   void ProcessSide(bool is_left, const rts::BatchItem& item,
                    ByteSpan payload);
-  void ProbeAndEmit(bool from_left, const rts::Row& row);
+  /// Joins the tuple `bytes`, whose window key is `key` and whose fields
+  /// are located, with every buffered partner on the other side.
+  void ProbeAndEmit(bool from_left, int64_t key, ByteSpan bytes);
   void Purge();
-  void EmitJoined(const rts::Row& left, const rts::Row& right);
-  /// Publishes one joined row downstream.
-  void Publish(const rts::Row& out);
+  /// `left_key` is the match's window key (its left tuple's).
+  void EmitJoined(int64_t left_key, ByteSpan left, ByteSpan right);
+  /// Publishes one joined tuple downstream: `first` then `second`.
+  void Publish(ByteSpan first, ByteSpan second = {});
   /// Releases buffered matches whose key has passed `bound`, in order.
   void ReleasePending(int64_t bound);
-  int64_t KeyOf(const rts::Row& row, bool is_left) const;
 
   Spec spec_;
   rts::Subscription left_;
@@ -79,19 +93,26 @@ class WindowJoinNode : public rts::QueryNode {
   rts::ParamBlock params_;
   rts::TupleCodec left_codec_;
   rts::TupleCodec right_codec_;
-  rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   rts::StreamBatch batch_;  // input batch, reused across polls
   expr::Evaluator vm_;
+  /// Per side: the window field and the fields the predicate loads, and
+  /// where the tuple being probed or joined holds them (one entry per
+  /// field of that side's schema).
+  rts::ReadSet left_reads_;
+  rts::ReadSet right_reads_;
+  std::vector<const uint8_t*> left_at_;
+  std::vector<const uint8_t*> right_at_;
 
-  std::deque<rts::Row> left_buffer_;
-  std::deque<rts::Row> right_buffer_;
+  std::deque<Buffered> left_buffer_;
+  std::deque<Buffered> right_buffer_;
   std::optional<int64_t> left_watermark_;   // no future left key below this
   std::optional<int64_t> right_watermark_;
   std::optional<int64_t> last_published_bound_;
-  /// Order-preserving mode: completed matches keyed by the output's left
-  /// window attribute, released once the output bound passes them.
-  std::multimap<int64_t, rts::Row> pending_;
+  /// Order-preserving mode: completed matches (packed) keyed by the
+  /// output's left window attribute, released once the output bound
+  /// passes them.
+  std::multimap<int64_t, ByteBuffer> pending_;
   size_t buffer_high_water_ = 0;
 };
 

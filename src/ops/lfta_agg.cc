@@ -78,6 +78,7 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
       grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
+      bounds_(spec_.input_schema),
       table_(log2_slots, &layout_),
       shed_(shed) {
   RegisterInput(input_);
@@ -143,23 +144,12 @@ void LftaAggregateNode::ProcessPunctuation(ByteSpan payload) {
   auto bound = punctuation->BoundFor(static_cast<size_t>(source));
   if (!bound.has_value()) return;
 
-  rts::Row synthetic;
-  synthetic.reserve(spec_.input_schema.num_fields());
-  for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-    synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
-  }
-  synthetic[static_cast<size_t>(source)] = *bound;
-  expr::EvalContext ctx;
-  ctx.row0 = &synthetic;
-  ctx.params = params_.get();
-  expr::EvalOutput out;
-  if (!vm_.Eval(spec_.keys[static_cast<size_t>(spec_.ordered_key)], ctx,
-                &out).ok() ||
-      !out.has_value) {
-    return;
-  }
-  PackKeyValue(layout_.key_type(static_cast<size_t>(spec_.ordered_key)),
-               out.value, &bound_);
+  const auto k = static_cast<size_t>(spec_.ordered_key);
+  std::optional<Value> key = bounds_.Translate(
+      spec_.keys[k], static_cast<size_t>(source), *bound, &vm_,
+      params_.get());
+  if (!key.has_value()) return;
+  PackKeyValue(layout_.key_type(k), *key, &bound_);
   AdvanceEpoch(bound_.data(), /*drain_first=*/true);
 }
 
@@ -180,7 +170,7 @@ void LftaAggregateNode::AdvanceEpoch(const uint8_t* ordered,
       DrainEpoch(ordered);
     }
   }
-  epoch_.assign(ordered, ordered + rts::TupleCodec::FieldSize(type, ordered));
+  epoch_.assign(ordered, ordered + expr::FieldSize(type, ordered));
 }
 
 void LftaAggregateNode::EnforceTableCap() {
@@ -213,7 +203,7 @@ void LftaAggregateNode::DrainEpoch(const uint8_t* new_epoch) {
   const auto k = static_cast<size_t>(spec_.ordered_key);
   rts::Punctuation punctuation;
   punctuation.bounds.emplace_back(
-      k, ReduceByBand(rts::TupleCodec::ReadField(layout_.key_type(k),
+      k, ReduceByBand(expr::ReadField(layout_.key_type(k),
                                                  new_epoch),
                       spec_.ordered_key_band));
   rts::MessageMeta meta;

@@ -177,6 +177,7 @@ class LftaAggregateNode : public rts::QueryNode {
   expr::Evaluator vm_;
   GroupLayout layout_;
   GroupInput grouping_;
+  rts::BoundTranslator bounds_;
   rts::StreamBatch batch_;  // input batch, reused across polls
   DirectMappedAggTable table_;
   ByteBuffer epoch_;    // packed ordered-key epoch; empty: none yet

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "ops/aggregate.h"
 
 namespace gigascope::ops {
 
@@ -14,8 +15,7 @@ MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
       spec_(std::move(spec)),
       registry_(registry),
       codec_(spec_.schema),
-      writer_(registry, spec_.name, spec_.output_batch),
-      reads_{static_cast<uint32_t>(spec_.merge_field)} {
+      writer_(registry, spec_.name, spec_.output_batch) {
   GS_CHECK(inputs.size() >= 2);
   for (rts::Subscription& input : inputs) {
     InputState state;
@@ -50,35 +50,18 @@ void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
                        ByteSpan payload) {
   if (item.kind == rts::MessageKind::kTuple) {
     ++tuples_in_;
-    if (!codec_.DecodeFields(payload, reads_, &row_)) {
+    if (!codec_.Framed(payload)) {
       ++eval_errors_;
       return;
     }
-    const Value& key = row_[spec_.merge_field];
+    const size_t field = spec_.merge_field;
+    const Value key = expr::ReadField(spec_.schema.field(field).type,
+                                      codec_.Locate(payload.data(), field));
     // A tuple also carries ordering information: on a
     // (banded-)increasing stream no future tuple can fall more than
     // `band` below it, so it advances the watermark like a punctuation
     // would (slackened by the band).
-    Value guarantee = key;
-    if (spec_.band > 0) {
-      switch (key.type()) {
-        case gsql::DataType::kUint:
-          guarantee = Value::Uint(key.uint_value() >= spec_.band
-                                      ? key.uint_value() - spec_.band
-                                      : 0);
-          break;
-        case gsql::DataType::kInt:
-          guarantee =
-              Value::Int(key.int_value() - static_cast<int64_t>(spec_.band));
-          break;
-        case gsql::DataType::kFloat:
-          guarantee = Value::Float(key.float_value() -
-                                   static_cast<double>(spec_.band));
-          break;
-        default:
-          break;
-      }
-    }
+    Value guarantee = ReduceByBand(key, spec_.band);
     if (!input.watermark.has_value() ||
         guarantee.Compare(*input.watermark) > 0) {
       input.watermark = guarantee;
@@ -98,7 +81,6 @@ void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
     } else {
       input.buffer.push_back(std::move(buffered));
     }
-    input.saw_any = true;
   } else {
     auto punctuation = rts::DecodePunctuation(payload, spec_.schema);
     // Undecodable punctuations fall through to the caller's EndMessage: an
@@ -114,21 +96,24 @@ void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
   }
 }
 
+int MergeNode::SmallestHead() const {
+  int best = -1;
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    if (inputs_[i].buffer.empty()) continue;
+    if (best < 0 ||
+        inputs_[i].buffer.front().key.Compare(
+            inputs_[static_cast<size_t>(best)].buffer.front().key) < 0) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
 void MergeNode::EmitReady() {
   while (true) {
-    // Find the input whose head tuple has the smallest merge key; emission
-    // is safe only if every *other* input guarantees (via watermark) that
-    // it will never produce a smaller key.
-    int best = -1;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      if (inputs_[i].buffer.empty()) continue;
-      const Value& key = inputs_[i].buffer.front().key;
-      if (best < 0 ||
-          key.Compare(inputs_[static_cast<size_t>(best)].buffer.front().key) <
-              0) {
-        best = static_cast<int>(i);
-      }
-    }
+    // Emitting the smallest head is safe only if every *other* input
+    // guarantees (via watermark) that it will never produce a smaller key.
+    const int best = SmallestHead();
     if (best < 0) return;
     const Value& candidate =
         inputs_[static_cast<size_t>(best)].buffer.front().key;
@@ -172,17 +157,7 @@ void MergeNode::EmitTuple(const BufferedTuple& buffered) {
 
 void MergeNode::Flush() {
   // End of all streams: emit everything in merge order.
-  while (true) {
-    int best = -1;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      if (inputs_[i].buffer.empty()) continue;
-      if (best < 0 ||
-          inputs_[i].buffer.front().key.Compare(
-              inputs_[static_cast<size_t>(best)].buffer.front().key) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
+  for (int best = SmallestHead(); best >= 0; best = SmallestHead()) {
     EmitTuple(inputs_[static_cast<size_t>(best)].buffer.front());
     inputs_[static_cast<size_t>(best)].buffer.pop_front();
   }

@@ -61,12 +61,14 @@ class MergeNode : public rts::QueryNode {
     rts::Subscription channel;
     std::deque<BufferedTuple> buffer;
     std::optional<expr::Value> watermark;  // all future tuples >= this
-    bool saw_any = false;
   };
 
   /// Folds one input message into the input's buffer and watermark.
   void Absorb(InputState& input, const rts::BatchItem& item,
               ByteSpan payload);
+  /// The input whose head tuple has the smallest merge key; -1 when every
+  /// buffer is empty.
+  int SmallestHead() const;
   /// Drains ready tuples to the output in merge order.
   void EmitReady();
   void EmitTuple(const BufferedTuple& buffered);
@@ -75,9 +77,7 @@ class MergeNode : public rts::QueryNode {
   rts::StreamRegistry* registry_;
   rts::TupleCodec codec_;
   rts::BatchWriter writer_;
-  const rts::ReadSet reads_;  // just the merge field
-  rts::StreamBatch batch_;    // input batch, reused across polls
-  rts::Row row_;              // read-set decode target
+  rts::StreamBatch batch_;  // input batch, reused across polls
   std::vector<InputState> inputs_;
   size_t buffer_high_water_ = 0;
 };

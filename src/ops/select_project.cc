@@ -1,6 +1,7 @@
 #include "ops/select_project.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "expr/vm.h"
@@ -11,31 +12,6 @@ using expr::Value;
 using gsql::DataType;
 
 namespace {
-
-uint64_t ReadU64Le(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint32_t ReadU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-/// Mirrors CompareOp over Value::Compare's three-way result.
-bool ApplyCompare(expr::ByteOp op, int cmp) {
-  switch (op) {
-    case expr::ByteOp::kCmpEq: return cmp == 0;
-    case expr::ByteOp::kCmpNe: return cmp != 0;
-    case expr::ByteOp::kCmpLt: return cmp < 0;
-    case expr::ByteOp::kCmpLe: return cmp <= 0;
-    case expr::ByteOp::kCmpGt: return cmp > 0;
-    case expr::ByteOp::kCmpGe: return cmp >= 0;
-    default: return false;
-  }
-}
 
 template <typename T>
 int ThreeWay(T a, T b) {
@@ -55,17 +31,17 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       output_codec_(spec_.output_schema),
-      writer_(registry, spec_.name, spec_.output_batch) {
+      writer_(registry, spec_.name, spec_.output_batch),
+      at_(spec_.input_schema.num_fields(), nullptr),
+      bounds_(spec_.input_schema) {
   RegisterInput(input_);
   BuildRawFilter();
   BuildCopyProjection();
   for (const expr::CompiledExpr& projection : spec_.projections) {
-    rts::AddLoadedFields(projection, &projection_reads_);
+    rts::AddLoadedFields(projection, 0, spec_.input_schema, &reads_);
   }
-  reads_ = projection_reads_;
   if (spec_.predicate.has_value()) {
-    rts::AddLoadedFields(*spec_.predicate, &reads_);
-    rts::AddLoadedFields(*spec_.predicate, &predicate_reads_);
+    rts::AddLoadedFields(*spec_.predicate, 0, spec_.input_schema, &reads_);
   }
 }
 
@@ -114,11 +90,11 @@ void SelectProjectNode::BuildRawFilter() {
     // Same-type comparison only: that is what the VM executes (compiled
     // predicates insert casts otherwise, and those bytecodes don't match).
     if (term.constant.type() != type) return;
-    std::optional<size_t> offset = input_codec_.FixedFieldOffset(term.field);
-    std::optional<size_t> width = rts::TupleCodec::FixedTypeWidth(type);
-    if (!offset.has_value() || !width.has_value()) return;
+    // A fixed-width field no string precedes: at one offset in every tuple.
+    const rts::TupleCodec::Slot& slot = input_codec_.slot(term.field);
+    if (slot.segment != 0 || slot.width == 0) return;
     RawTerm rt;
-    rt.offset = *offset;
+    rt.offset = slot.offset;
     rt.type = type;
     rt.cmp = term.cmp;
     switch (type) {
@@ -140,29 +116,27 @@ bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
     int cmp = 0;
     switch (term.type) {
       case DataType::kUint:
-        cmp = ThreeWay(ReadU64Le(data + term.offset), term.u);
+        cmp = ThreeWay(LoadLe64(data + term.offset), term.u);
         break;
       case DataType::kIp:
-        cmp = ThreeWay<uint64_t>(ReadU32Le(data + term.offset), term.u);
+        cmp = ThreeWay<uint64_t>(LoadLe32(data + term.offset), term.u);
         break;
       case DataType::kBool:
         cmp = ThreeWay<uint64_t>(data[term.offset] != 0 ? 1 : 0, term.u);
         break;
       case DataType::kInt:
-        cmp = ThreeWay(static_cast<int64_t>(ReadU64Le(data + term.offset)),
+        cmp = ThreeWay(static_cast<int64_t>(LoadLe64(data + term.offset)),
                        term.i);
         break;
       case DataType::kFloat: {
-        uint64_t bits = ReadU64Le(data + term.offset);
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        cmp = ThreeWay(v, term.f);
+        cmp = ThreeWay(std::bit_cast<double>(LoadLe64(data + term.offset)),
+                       term.f);
         break;
       }
       case DataType::kString:
         return false;  // never built
     }
-    if (!ApplyCompare(term.cmp, cmp)) return false;
+    if (!expr::CompareHolds(term.cmp, cmp)) return false;
   }
   return true;
 }
@@ -200,7 +174,7 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
   const bool raw = !raw_terms_.empty();
   // Columnar fast path: the whole predicate runs on packed bytes (framing
   // guarantees every fixed-offset field is present); rejected tuples are
-  // never decoded.
+  // never read further.
   if (raw && !RawFilterPass(payload)) {
     if (item.trace_id != 0) {
       BeginMessage(item);
@@ -209,13 +183,17 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
     return;
   }
   BeginMessage(item);
-  if (copy_runs_.empty()) {
-    input_codec_.ReadFields(payload, raw ? projection_reads_ : reads_, &row_);
-    if (raw || PredicateHolds()) EvaluateProjections();
-  } else {
-    // Copy path: only a predicate the raw filter could not take decodes.
-    if (!raw) input_codec_.ReadFields(payload, predicate_reads_, &row_);
-    if (raw || PredicateHolds()) CopyProjection(payload);
+  // The copy path reads its fields itself: only a predicate the raw filter
+  // could not take needs them located.
+  if (!raw || copy_runs_.empty()) {
+    input_codec_.LocateFields(payload.data(), reads_, at_.data());
+  }
+  if (raw || PredicateHolds()) {
+    if (copy_runs_.empty()) {
+      EvaluateProjections();
+    } else {
+      CopyProjection(payload);
+    }
   }
   EndMessage();
 }
@@ -223,7 +201,7 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
 bool SelectProjectNode::PredicateHolds() {
   if (!spec_.predicate.has_value()) return true;
   expr::EvalContext ctx;
-  ctx.row0 = &row_;
+  ctx.row0 = at_;
   ctx.params = params_.get();
   expr::EvalOutput predicate_result;
   Status status = vm_.Eval(*spec_.predicate, ctx, &predicate_result);
@@ -237,7 +215,7 @@ bool SelectProjectNode::PredicateHolds() {
 
 void SelectProjectNode::EvaluateProjections() {
   expr::EvalContext ctx;
-  ctx.row0 = &row_;
+  ctx.row0 = at_;
   ctx.params = params_.get();
   out_row_.clear();
   for (const expr::CompiledExpr& projection : spec_.projections) {
@@ -299,23 +277,12 @@ void SelectProjectNode::ProcessPunctuation(ByteSpan payload) {
     if (source < 0) continue;
     auto bound = punctuation->BoundFor(static_cast<size_t>(source));
     if (!bound.has_value()) continue;
-    // Evaluate the projection on a synthetic row whose only meaningful
-    // field is the bounded one; the projection provably depends on it
-    // alone and preserves order, so the result bounds the output field.
-    rts::Row synthetic;
-    synthetic.reserve(spec_.input_schema.num_fields());
-    for (size_t f = 0; f < spec_.input_schema.num_fields(); ++f) {
-      synthetic.push_back(Value::Default(spec_.input_schema.field(f).type));
-    }
-    synthetic[static_cast<size_t>(source)] = *bound;
-    expr::EvalContext ctx;
-    ctx.row0 = &synthetic;
-    ctx.params = params_.get();
-    expr::EvalOutput result;
-    if (vm_.Eval(spec_.projections[i], ctx, &result).ok() &&
-        result.has_value) {
-      out.bounds.emplace_back(i, std::move(result.value));
-    }
+    // The projection depends on the bounded field alone and preserves its
+    // order, so its value at the bound bounds the output field.
+    std::optional<Value> mapped =
+        bounds_.Translate(spec_.projections[i], static_cast<size_t>(source),
+                          *bound, &vm_, params_.get());
+    if (mapped.has_value()) out.bounds.emplace_back(i, std::move(*mapped));
   }
   if (out.bounds.empty()) return;
   // Forwarded punctuation keeps the trace context so downstream

@@ -26,12 +26,12 @@ namespace gigascope::ops {
 /// eval error). When the predicate is a conjunction of `field <cmp>
 /// constant` terms over fixed-offset fields (the dominant LFTA filter
 /// shape), it is evaluated columnar-style straight off the packed tuple
-/// bytes: rejected tuples — the vast majority on a selective filter — never
-/// get decoded. Surviving tuples materialize only the fields the
-/// expressions load (the read set) into one reused row. When every
-/// projection is a bare column reference (a rename, or a column subset),
-/// the output tuple is a copy of those fields' packed bytes, written in
-/// place into the output batch as a few runs of bytes: no row, no VM.
+/// bytes: rejected tuples — the vast majority on a selective filter — are
+/// read no further. Otherwise the VM loads the fields it reads (the read
+/// set) in place. When every projection is a bare column reference (a
+/// rename, or a column subset), the output tuple is a copy of those fields'
+/// packed bytes, written in place into the output batch as a few runs of
+/// bytes: no row, no VM.
 class SelectProjectNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -74,9 +74,9 @@ class SelectProjectNode : public rts::QueryNode {
   void BuildCopyProjection();
   bool RawFilterPass(ByteSpan payload) const;
   void ProcessTuple(const rts::BatchItem& item, ByteSpan payload);
-  /// Evaluates the predicate over `row_`; false drops the tuple.
+  /// Evaluates the predicate over `at_`; false drops the tuple.
   bool PredicateHolds();
-  /// Evaluates the projections over `row_`, emitting the output tuple.
+  /// Evaluates the projections over `at_`, emitting the output tuple.
   void EvaluateProjections();
   /// Emits the copy path's output: the projected fields' packed bytes.
   void CopyProjection(ByteSpan payload);
@@ -91,12 +91,11 @@ class SelectProjectNode : public rts::QueryNode {
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
   std::vector<RawTerm> raw_terms_;  // empty: use the general VM
-  /// Input fields the predicate and projections load, the projections
-  /// alone (enough once the raw filter has checked the predicate), and the
-  /// predicate alone (all the copy path decodes).
+  /// Input fields the predicate and projections load, and where the
+  /// current tuple holds them (one entry per input field).
   rts::ReadSet reads_;
-  rts::ReadSet projection_reads_;
-  rts::ReadSet predicate_reads_;
+  std::vector<const uint8_t*> at_;
+  rts::BoundTranslator bounds_;
   /// One run of input bytes the copy path writes: `length` bytes from
   /// `offset` into input segment `segment` (rts::TupleCodec::Slot), or,
   /// when `length` is 0, one STRING field, whose length is read per tuple.
@@ -115,7 +114,6 @@ class SelectProjectNode : public rts::QueryNode {
   std::vector<size_t> copy_starts_;
   bool copy_whole_ = false;  // the projection is the identity
   rts::StreamBatch batch_;  // input batch, reused across polls
-  rts::Row row_;            // read-set decode target, reused per tuple
   rts::Row out_row_;        // projected output, reused per tuple
 };
 

@@ -82,23 +82,26 @@ size_t TcpSessionNode::Poll(size_t budget) {
 
 void TcpSessionNode::ProcessTuple(ByteSpan payload) {
   ++tuples_in_;
-  auto row = input_codec_.Decode(payload);
-  if (!row.ok()) {
+  if (!input_codec_.Framed(payload)) {
     ++eval_errors_;
     return;
   }
-  const rts::Row& tuple = *row;
-  if (tuple[slots_.proto].uint_value() != net::kIpProtoTcp) return;
+  // The named fields, read in place from the framed tuple.
+  const auto read = [&](size_t field) {
+    return expr::ReadField(input_codec_.slot(field).type,
+                           input_codec_.Locate(payload.data(), field));
+  };
+  if (read(slots_.proto).uint_value() != net::kIpProtoTcp) return;
 
-  uint64_t now = tuple[slots_.time].uint_value();
+  uint64_t now = read(slots_.time).uint_value();
   ExpireOld(now);
 
-  uint32_t src = tuple[slots_.src].ip_value();
-  uint32_t dst = tuple[slots_.dst].ip_value();
-  uint16_t sport = static_cast<uint16_t>(tuple[slots_.sport].uint_value());
-  uint16_t dport = static_cast<uint16_t>(tuple[slots_.dport].uint_value());
-  uint64_t flags = tuple[slots_.flags].uint_value();
-  uint64_t len = tuple[slots_.len].uint_value();
+  uint32_t src = read(slots_.src).ip_value();
+  uint32_t dst = read(slots_.dst).ip_value();
+  uint16_t sport = static_cast<uint16_t>(read(slots_.sport).uint_value());
+  uint16_t dport = static_cast<uint16_t>(read(slots_.dport).uint_value());
+  uint64_t flags = read(slots_.flags).uint_value();
+  uint64_t len = read(slots_.len).uint_value();
 
   SessionKey key;
   // Normalize so both directions map to the same session.

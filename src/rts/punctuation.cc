@@ -125,4 +125,33 @@ StreamBatch MakePunctuationBatch(const Punctuation& punctuation,
   return batch;
 }
 
+BoundTranslator::BoundTranslator(const gsql::StreamSchema& input) {
+  std::vector<Value> defaults;
+  for (size_t f = 0; f < input.num_fields(); ++f) {
+    defaults.push_back(Value::Default(input.field(f).type));
+    types_.push_back(input.field(f).type);
+  }
+  expr::PackValues(defaults, &defaults_, &at_);
+}
+
+std::optional<Value> BoundTranslator::Translate(
+    const expr::CompiledExpr& expr, size_t field, const Value& bound,
+    expr::Evaluator* vm, const std::vector<Value>* params) {
+  if (field >= types_.size() || bound.type() != types_[field]) {
+    return std::nullopt;
+  }
+  bound_.resize(expr::ValueSize(bound));
+  expr::WriteValue(bound, bound_.data());
+  const uint8_t* held = at_[field];
+  at_[field] = bound_.data();
+  expr::EvalContext ctx;
+  ctx.row0 = at_;
+  ctx.params = params;
+  expr::EvalOutput out;
+  const Status status = vm->Eval(expr, ctx, &out);
+  at_[field] = held;
+  if (!status.ok() || !out.has_value) return std::nullopt;
+  return std::move(out.value);
+}
+
 }  // namespace gigascope::rts

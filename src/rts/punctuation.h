@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "expr/vm.h"
 #include "rts/tuple.h"
 
 namespace gigascope::rts {
@@ -43,6 +44,29 @@ void AppendPunctuation(const Punctuation& punctuation,
 /// A batch holding just `punctuation`.
 StreamBatch MakePunctuationBatch(const Punctuation& punctuation,
                                  const gsql::StreamSchema& schema);
+
+/// Maps a punctuation bound on one input field through an expression that
+/// depends on that field alone and preserves its order (`time/60`): the
+/// result bounds the expression's value. The expression runs over a packed
+/// tuple of the input schema's default values, built once, with the
+/// bounded field pointing at the bound's bytes.
+class BoundTranslator {
+ public:
+  explicit BoundTranslator(const gsql::StreamSchema& input);
+
+  /// `expr` evaluated with input field `field` at `bound`; nullopt when
+  /// `bound` is not of the field's type, or the evaluation fails or
+  /// misses.
+  std::optional<expr::Value> Translate(
+      const expr::CompiledExpr& expr, size_t field, const expr::Value& bound,
+      expr::Evaluator* vm, const std::vector<expr::Value>* params);
+
+ private:
+  std::vector<gsql::DataType> types_;  // the input's field types
+  ByteBuffer defaults_;                // the packed default tuple
+  std::vector<const uint8_t*> at_;     // each field's bytes in defaults_
+  ByteBuffer bound_;                   // the bound's packed bytes
+};
 
 }  // namespace gigascope::rts
 

@@ -11,9 +11,14 @@ namespace gigascope::rts {
 using expr::Value;
 using gsql::DataType;
 
-void AddLoadedFields(const expr::CompiledExpr& expr, ReadSet* set) {
+void AddLoadedFields(const expr::CompiledExpr& expr, size_t input,
+                     const gsql::StreamSchema& schema, ReadSet* set) {
   for (const expr::Instr& instr : expr.code) {
-    if (instr.op != expr::ByteOp::kLoadField || instr.a != 0) continue;
+    if (instr.op != expr::ByteOp::kLoadField || instr.a != input ||
+        instr.b >= schema.num_fields()) {
+      continue;
+    }
+    GS_CHECK(instr.type == schema.field(instr.b).type);
     auto it = std::lower_bound(set->begin(), set->end(), instr.b);
     if (it == set->end() || *it != instr.b) set->insert(it, instr.b);
   }
@@ -82,11 +87,10 @@ TupleCodec::TupleCodec(const gsql::StreamSchema& schema) : schema_(schema) {
     slot.type = schema_.field(f).type;
     slot.segment = segment;
     slot.offset = offset;
-    std::optional<size_t> width = FixedTypeWidth(slot.type);
-    if (width.has_value()) {
-      slot.width = static_cast<uint32_t>(*width);
+    slot.width = static_cast<uint32_t>(expr::FixedWidth(slot.type));
+    if (slot.width != 0) {
       offset += slot.width;
-      fixed_size_ += *width;
+      fixed_size_ += slot.width;
     } else {
       // The next segment starts after this string's length word and bytes.
       string_fields_.push_back(static_cast<uint32_t>(f));
@@ -102,45 +106,8 @@ TupleCodec::TupleCodec(const gsql::StreamSchema& schema) : schema_(schema) {
 void TupleCodec::EncodeTo(const Row& row, uint8_t* p) const {
   for (size_t f = 0; f < slots_.size(); ++f) {
     GS_CHECK(row[f].type() == slots_[f].type);
-    p = WriteValue(row[f], p);
+    p = expr::WriteValue(row[f], p);
   }
-}
-
-size_t TupleCodec::ValueSize(const Value& value) {
-  return value.type() == DataType::kString
-             ? 4 + value.string_value().size()
-             : *FixedTypeWidth(value.type());
-}
-
-uint8_t* TupleCodec::WriteValue(const Value& value, uint8_t* p) {
-  switch (value.type()) {
-    case DataType::kBool:
-      *p = value.bool_value() ? 1 : 0;
-      return p + 1;
-    case DataType::kInt:
-      StoreLe64(p, static_cast<uint64_t>(value.int_value()));
-      return p + 8;
-    case DataType::kUint:
-      StoreLe64(p, value.uint_value());
-      return p + 8;
-    case DataType::kFloat: {
-      uint64_t bits;
-      const double d = value.float_value();
-      std::memcpy(&bits, &d, sizeof(bits));
-      StoreLe64(p, bits);
-      return p + 8;
-    }
-    case DataType::kIp:
-      StoreLe32(p, value.ip_value());
-      return p + 4;
-    case DataType::kString: {
-      const std::string& s = value.string_value();
-      StoreLe32(p, static_cast<uint32_t>(s.size()));
-      if (!s.empty()) std::memcpy(p + 4, s.data(), s.size());
-      return p + 4 + s.size();
-    }
-  }
-  return p;
 }
 
 void TupleCodec::Encode(const Row& row, ByteBuffer* out) const {
@@ -182,19 +149,6 @@ bool TupleCodec::Framed(ByteSpan bytes) const {
   return FramingError(bytes) == nullptr;
 }
 
-Value TupleCodec::ReadField(DataType type, const uint8_t* p) {
-  switch (type) {
-    case DataType::kBool:
-      return Value(type, *p);
-    case DataType::kIp:
-      return Value(type, LoadLe32(p));
-    case DataType::kString:
-      return Value(reinterpret_cast<const char*>(p + 4), LoadLe32(p));
-    default:  // INT, UINT, FLOAT
-      return Value(type, LoadLe64(p));
-  }
-}
-
 void TupleCodec::SegmentStarts(const uint8_t* data, size_t count,
                                size_t* starts) const {
   size_t base = 0;
@@ -219,8 +173,18 @@ void TupleCodec::LocateFields(const uint8_t* data, const ReadSet& fields,
       base = string_at + 4 + LoadLe32(data + string_at);
       ++segment;
     }
-    *at++ = data + base + slot.offset;
+    at[f] = data + base + slot.offset;
   }
+}
+
+const uint8_t* TupleCodec::Locate(const uint8_t* data, size_t field) const {
+  const Slot& slot = slots_[field];
+  size_t base = 0;
+  for (uint32_t segment = 0; segment < slot.segment; ++segment) {
+    const size_t at = base + slots_[string_fields_[segment]].offset;
+    base = at + 4 + LoadLe32(data + at);
+  }
+  return data + base + slot.offset;
 }
 
 void TupleCodec::CanonicalizeKeyField(DataType type, uint8_t* at) {
@@ -229,31 +193,6 @@ void TupleCodec::CanonicalizeKeyField(DataType type, uint8_t* at) {
   } else if (type == DataType::kBool) {
     *at = *at != 0 ? 1 : 0;
   }
-}
-
-void TupleCodec::ReadFields(ByteSpan framed, const ReadSet& fields,
-                            Row* row) const {
-  if (row->size() != slots_.size()) row->resize(slots_.size());
-  // Fields ascend, so the segment base only ever moves forward.
-  const uint8_t* data = framed.data();
-  uint32_t segment = 0;
-  size_t base = 0;
-  for (uint32_t f : fields) {
-    const Slot& slot = slots_[f];
-    while (segment < slot.segment) {
-      const size_t at = base + slots_[string_fields_[segment]].offset;
-      base = at + 4 + LoadLe32(data + at);
-      ++segment;
-    }
-    (*row)[f] = ReadField(slot.type, data + base + slot.offset);
-  }
-}
-
-bool TupleCodec::DecodeFields(ByteSpan bytes, const ReadSet& fields,
-                              Row* row) const {
-  if (!Framed(bytes)) return false;
-  ReadFields(bytes, fields, row);
-  return true;
 }
 
 Result<Row> TupleCodec::Decode(ByteSpan bytes) const {
@@ -289,25 +228,6 @@ void TupleCodec::DecodeFramed(ByteSpan framed, Row* row) const {
     }
     p += slot.width;
   }
-}
-
-std::optional<size_t> TupleCodec::FixedTypeWidth(gsql::DataType type) {
-  switch (type) {
-    case DataType::kBool: return 1;
-    case DataType::kInt:
-    case DataType::kUint:
-    case DataType::kFloat: return 8;
-    case DataType::kIp: return 4;
-    case DataType::kString: return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-std::optional<size_t> TupleCodec::FixedFieldOffset(size_t field) const {
-  if (field >= slots_.size() || slots_[field].segment != 0) {
-    return std::nullopt;  // out of range, or behind a variable-width string
-  }
-  return slots_[field].offset;
 }
 
 const std::vector<BatchItem> StreamBatch::kNoItems;

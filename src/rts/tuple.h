@@ -17,13 +17,16 @@ namespace gigascope::rts {
 using Row = std::vector<expr::Value>;
 
 /// The fields an operator reads from its input tuples: ascending field
-/// indexes, no duplicates. Only these are materialized by
-/// TupleCodec::DecodeFields.
+/// indexes, no duplicates. TupleCodec::LocateFields points at exactly
+/// these.
 using ReadSet = std::vector<uint32_t>;
 
-/// Adds every field of input row 0 that `expr` loads (kLoadField) to
-/// `set`, keeping it sorted and unique.
-void AddLoadedFields(const expr::CompiledExpr& expr, ReadSet* set);
+/// Adds every field of input `input` (0 or 1) that `expr` loads to `set`,
+/// keeping it sorted and unique. Each load's type must be the field's type
+/// in `schema` (checked); a field outside `schema` is left out, and the VM
+/// fails its load.
+void AddLoadedFields(const expr::CompiledExpr& expr, size_t input,
+                     const gsql::StreamSchema& schema, ReadSet* set);
 
 /// The input field `expr` is a bare reference to (its whole program is one
 /// kLoadField of row 0), or nullopt for a computed expression. Operators
@@ -45,11 +48,12 @@ int ComparePacked(gsql::DataType type, const uint8_t* a, const uint8_t* b);
 /// packed in a standard fashion", §2.2). The packed form is what crosses
 /// the shared-memory channels between query nodes.
 ///
-/// Layout: fields in schema order. BOOL = 1 byte; INT/UINT/FLOAT = 8 bytes
-/// little-endian; IP = 4 bytes; STRING = u32 length + bytes. The layout is
-/// computed once per schema: every field sits at a fixed distance from the
-/// end of the string before it (or from the tuple start), so locating a
-/// field costs one length read per preceding string and nothing else.
+/// Layout: fields in schema order, each packed as expr::WriteValue writes
+/// it (BOOL = 1 byte; INT/UINT/FLOAT = 8 bytes little-endian; IP = 4
+/// bytes; STRING = u32 length + bytes). The layout is computed once per
+/// schema: every field sits at a fixed distance from the end of the string
+/// before it (or from the tuple start), so locating a field costs one
+/// length read per preceding string and nothing else.
 class TupleCodec {
  public:
   explicit TupleCodec(const gsql::StreamSchema& schema);
@@ -84,27 +88,6 @@ class TupleCodec {
   /// makes, without materializing anything.
   bool Framed(ByteSpan bytes) const;
 
-  /// Read-set decode: validates `bytes` exactly as Decode does, then
-  /// materializes only the fields in `fields` into `row`, which is resized
-  /// to the schema arity if needed and otherwise reused (fields outside
-  /// the read set keep whatever they held). Returns false — touching
-  /// nothing the caller may rely on — when Decode would fail.
-  bool DecodeFields(ByteSpan bytes, const ReadSet& fields, Row* row) const;
-
-  /// Materializes `fields` of an already Framed() tuple into `row` (sized
-  /// to the schema arity).
-  void ReadFields(ByteSpan framed, const ReadSet& fields, Row* row) const;
-
-  /// Byte offset of field `field` in every encoded tuple of this schema,
-  /// when all preceding fields are fixed-width (no strings); nullopt when
-  /// the offset varies per row or `field` is out of range. Lets a filter
-  /// read one field straight out of the packed bytes without decoding the
-  /// whole row (the columnar fast path in ops/select_project).
-  std::optional<size_t> FixedFieldOffset(size_t field) const;
-
-  /// Encoded width in bytes of a fixed-width type; nullopt for strings.
-  static std::optional<size_t> FixedTypeWidth(gsql::DataType type);
-
   // -- Field-level access to packed bytes ------------------------------------
 
   /// Where one field lives: `offset` bytes past the start of segment
@@ -125,28 +108,14 @@ class TupleCodec {
   void SegmentStarts(const uint8_t* framed, size_t count,
                      size_t* starts) const;
 
-  /// Points `at[i]` at the packed bytes of field `fields[i]` (a string's
-  /// length word) in an already Framed() tuple; `fields` ascends.
+  /// Points `at[f]` (one entry per schema field) at the packed bytes of
+  /// each field `f` of `fields` in an already Framed() tuple, a string at
+  /// its length word; other entries are left as they are.
   void LocateFields(const uint8_t* framed, const ReadSet& fields,
                     const uint8_t** at) const;
 
-  /// Packed size of the field of `type` whose bytes start at `at`.
-  static size_t FieldSize(gsql::DataType type, const uint8_t* at) {
-    switch (type) {
-      case gsql::DataType::kBool: return 1;
-      case gsql::DataType::kIp: return 4;
-      case gsql::DataType::kString: return 4 + LoadLe32(at);
-      default: return 8;  // INT, UINT, FLOAT
-    }
-  }
-
-  /// Reads the packed field of `type` at `at`.
-  static expr::Value ReadField(gsql::DataType type, const uint8_t* at);
-
-  /// Packed size of `value`, and its packed bytes written at `out`
-  /// (returns the end).
-  static size_t ValueSize(const expr::Value& value);
-  static uint8_t* WriteValue(const expr::Value& value, uint8_t* out);
+  /// The packed bytes of field `field` in an already Framed() tuple.
+  const uint8_t* Locate(const uint8_t* framed, size_t field) const;
 
   /// Rewrites the packed field of `type` at `at` in group-key form: a FLOAT
   /// to CanonicalFloatBits, a BOOL to 0 or 1; other types are already

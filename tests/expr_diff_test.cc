@@ -369,8 +369,11 @@ TEST(EvalDifferentialTest, RandomExpressionsMatchReference) {
       const std::vector<Value> row = {Value::Uint(ref_row.t),
                                       Value::Int(ref_row.i),
                                       Value::Float(ref_row.f)};
+      std::vector<uint8_t> packed;
+      std::vector<const uint8_t*> at;
+      PackValues(row, &packed, &at);
       EvalContext ctx;
-      ctx.row0 = &row;
+      ctx.row0 = at;
       EvalOutput out;
       const Status status = evaluator.Eval(*compiled, ctx, &out);
       const Result<RefValue> want = RefEval(*gen, ref_row, &nan_compares);

@@ -58,8 +58,11 @@ class ExprHarness {
     GS_ASSIGN_OR_RETURN(IrPtr ir, ToIr(expression));
     ir = FoldConstants(ir);
     GS_ASSIGN_OR_RETURN(CompiledExpr compiled, Compile(ir, param_values));
+    std::vector<uint8_t> packed;
+    std::vector<const uint8_t*> at;
+    PackValues(row, &packed, &at);
     EvalContext ctx;
-    ctx.row0 = &row;
+    ctx.row0 = at;
     ctx.params = &param_values;
     EvalOutput out;
     GS_RETURN_IF_ERROR(Eval(compiled, ctx, &out));

@@ -389,6 +389,9 @@ TEST(SubscriberDecodeTest, NextRowMatchesDecodeForEveryType) {
   }
   EXPECT_FALSE(sub.NextRow().has_value());
   EXPECT_EQ(sub.pending(), 0u);
+  // The four truncated tuples are counted, not lost without a trace.
+  EXPECT_EQ(sub.malformed(), 4u);
+  EXPECT_EQ(sub.dropped(), 0u);
 }
 
 }  // namespace

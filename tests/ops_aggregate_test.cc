@@ -735,8 +735,8 @@ int CompareKeysByField(const std::vector<DataType>& types, const uint8_t* a,
   for (DataType type : types) {
     const int cmp = rts::ComparePacked(type, a, b);
     if (cmp != 0) return cmp < 0 ? -1 : 1;
-    a += rts::TupleCodec::FieldSize(type, a);
-    b += rts::TupleCodec::FieldSize(type, b);
+    a += expr::FieldSize(type, a);
+    b += expr::FieldSize(type, b);
   }
   return 0;
 }

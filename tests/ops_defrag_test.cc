@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "channel_reader.h"
 #include "core/engine.h"
 #include "net/headers.h"
 #include "ops/defrag.h"
@@ -229,6 +230,56 @@ TEST_F(DefragTest, QueryComposesOverDefragOutput) {
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ((*row)[2].uint_value(), 900u + net::kUdpHeaderLen);
   EXPECT_FALSE((*sub)->NextRow().has_value());  // the tiny one is filtered
+}
+
+TEST_F(DefragTest, MalformedTuplesAreCountedAndSkipped) {
+  auto fragments =
+      net::FragmentIpv4Packet(BigUdpDatagram(std::string(600, 'm'), 50),
+                              256);
+  ASSERT_TRUE(fragments.ok());
+  ASSERT_EQ(fragments->size(), 3u);
+  Inject(kNanosPerSecond, (*fragments)[0]);
+  engine_.PumpUntilIdle();
+  ASSERT_EQ(node_->open_assemblies(), 1u);
+
+  // The missing fragments, packed as the protocol stream carries them,
+  // then damaged: cut one byte short, and with the ipPayload string's
+  // length running past the end.
+  auto schema = engine_.registry().GetSchema("eth0.PKT");
+  ASSERT_TRUE(schema.ok());
+  const rts::TupleCodec codec(*schema);
+  const size_t ip_payload = *schema->FieldIndex("ipPayload");
+  for (size_t i = 1; i < fragments->size(); ++i) {
+    ByteBuffer cut;
+    codec.Encode(core::InterpretPacket(
+                     *schema, MakePacket(kNanosPerSecond, (*fragments)[i])),
+                 &cut);
+    ByteBuffer long_string = cut;
+    cut.pop_back();
+    StoreLe32(const_cast<uint8_t*>(
+                  codec.Locate(long_string.data(), ip_payload)),
+              0xfffffff0u);
+    for (const ByteBuffer* bad : {&cut, &long_string}) {
+      const uint64_t errors = node_->eval_errors();
+      engine_.registry().PublishBatch("eth0.PKT",
+                                      testing_util::RawBatch(*bad));
+      engine_.PumpUntilIdle();
+      EXPECT_EQ(node_->eval_errors(), errors + 1) << i;
+      EXPECT_EQ(node_->open_assemblies(), 1u) << i;
+      EXPECT_EQ(node_->parse_errors(), 0u) << i;
+      EXPECT_FALSE(sub_->NextRow().has_value()) << i;
+    }
+  }
+  // The good fragments still complete the datagram.
+  Inject(kNanosPerSecond, (*fragments)[1]);
+  Inject(kNanosPerSecond, (*fragments)[2]);
+  engine_.PumpUntilIdle();
+  auto row = sub_->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[4].string_value().substr(net::kUdpHeaderLen),
+            std::string(600, 'm'));
+  EXPECT_EQ(node_->open_assemblies(), 0u);
+  EXPECT_EQ(node_->eval_errors(), 4u);
 }
 
 TEST(DefragCreateTest, RejectsSchemaWithoutFragmentFields) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "channel_reader.h"
 #include "expr/codegen.h"
 #include "ops/join.h"
@@ -315,6 +317,213 @@ TEST_F(JoinTest, OrderPreservingOutputSortedUnderBandedCompletion) {
     EXPECT_LE(pairs[i - 1].first, pairs[i].first)
         << "order-preserving output out of order at " << i;
   }
+}
+
+/// Sides that carry a STRING between fixed-width fields, joined on an INT
+/// window key: (ts INT, name STRING, v UINT) and (ts INT, tag STRING,
+/// w FLOAT).
+StreamSchema StringSide(const std::string& name, bool left) {
+  std::vector<FieldDef> fields;
+  fields.push_back({"ts", DataType::kInt, OrderSpec::Increasing()});
+  fields.push_back({left ? "name" : "tag", DataType::kString,
+                    OrderSpec::None()});
+  fields.push_back(left ? FieldDef{"v", DataType::kUint, OrderSpec::None()}
+                        : FieldDef{"w", DataType::kFloat, OrderSpec::None()});
+  return StreamSchema(name, StreamKind::kStream, fields);
+}
+
+StreamSchema StringJoined() {
+  std::vector<FieldDef> fields = StringSide("l", true).fields();
+  const StreamSchema right = StringSide("r", false);
+  for (const FieldDef& field : right.fields()) {
+    fields.push_back({"r_" + field.name, field.type, OrderSpec::None()});
+  }
+  return StreamSchema("joined", StreamKind::kStream, fields);
+}
+
+/// A window join over the STRING sides whose residual predicate compares a
+/// STRING from each side (`l.name = r.tag`), window l.ts - r.ts in [-1, 1].
+class StringJoinTest : public ::testing::Test {
+ protected:
+  void Init(bool order_preserving) {
+    ASSERT_TRUE(registry_.DeclareStream(StringSide("l", true)).ok());
+    ASSERT_TRUE(registry_.DeclareStream(StringSide("r", false)).ok());
+    ASSERT_TRUE(registry_.DeclareStream(StringJoined()).ok());
+    WindowJoinNode::Spec spec;
+    spec.name = "joined";
+    spec.left_schema = StringSide("l", true);
+    spec.right_schema = StringSide("r", false);
+    spec.output_schema = StringJoined();
+    spec.lo = -1;
+    spec.hi = 1;
+    spec.order_preserving = order_preserving;
+    auto compiled = expr::Compile(expr::MakeBinaryIr(
+        BinaryOp::kEq, DataType::kBool,
+        expr::MakeFieldRef(0, 1, DataType::kString, "name"),
+        expr::MakeFieldRef(1, 1, DataType::kString, "tag")));
+    ASSERT_TRUE(compiled.ok());
+    spec.predicate = std::move(compiled).value();
+    auto in_l = registry_.Subscribe("l", 4096);
+    auto in_r = registry_.Subscribe("r", 4096);
+    ASSERT_TRUE(in_l.ok() && in_r.ok());
+    node_ = std::make_unique<WindowJoinNode>(
+        std::move(spec), *in_l, *in_r, &registry_,
+        std::make_shared<std::vector<Value>>());
+    auto output = registry_.Subscribe("joined", 8192);
+    ASSERT_TRUE(output.ok());
+    output_ = *output;
+  }
+
+  static rts::Row Left(int64_t ts, const std::string& name, uint64_t v) {
+    return {Value::Int(ts), Value::String(name), Value::Uint(v)};
+  }
+  static rts::Row Right(int64_t ts, const std::string& tag, double w) {
+    return {Value::Int(ts), Value::String(tag), Value::Float(w)};
+  }
+
+  void Send(bool left, const rts::Row& row) {
+    const rts::TupleCodec codec(StringSide(left ? "l" : "r", left));
+    registry_.PublishBatch(left ? "l" : "r",
+                           testing_util::TupleBatch(codec, row));
+    (left ? lefts_ : rights_).push_back(row);
+  }
+
+  void SendRaw(bool left, const ByteBuffer& bytes) {
+    registry_.PublishBatch(left ? "l" : "r", testing_util::RawBatch(bytes));
+  }
+
+  /// Every output tuple's bytes, in arrival order.
+  std::vector<ByteBuffer> Received() {
+    std::vector<ByteBuffer> out;
+    rts::StreamBatch batch;
+    while (output_->TryPop(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (batch.item(i).kind != rts::MessageKind::kTuple) continue;
+        const ByteSpan bytes = batch.payload(i);
+        out.emplace_back(bytes.begin(), bytes.end());
+      }
+    }
+    return out;
+  }
+
+  /// Encode(left ++ right) of every pair the window and predicate admit.
+  std::vector<ByteBuffer> Expected() const {
+    const rts::TupleCodec codec(StringJoined());
+    std::vector<ByteBuffer> out;
+    for (const rts::Row& l : lefts_) {
+      for (const rts::Row& r : rights_) {
+        const int64_t delta = l[0].int_value() - r[0].int_value();
+        if (delta < -1 || delta > 1 || !(l[1] == r[1])) continue;
+        rts::Row joined = l;
+        joined.insert(joined.end(), r.begin(), r.end());
+        out.emplace_back();
+        codec.Encode(joined, &out.back());
+      }
+    }
+    return out;
+  }
+
+  /// Both sides step their INT key from -4 to 4, across zero, with names
+  /// that match, differ, are empty, long, or hold a zero byte.
+  void SendCrossingZero(bool poll_often) {
+    const std::string names[] = {"", "a", std::string("a\0b", 3),
+                                 std::string(300, 'x')};
+    for (int64_t ts = -4; ts <= 4; ++ts) {
+      const auto i = static_cast<size_t>(ts + 4);
+      Send(true, Left(ts, names[i % 4], i));
+      Send(false,
+           Right(ts, names[(i + 1) % 4], -0.5 * static_cast<double>(ts)));
+      Send(false, Right(ts, names[i % 4], 1.5));
+      if (poll_often) node_->Poll(1 << 20);
+    }
+    node_->Poll(1 << 20);
+  }
+
+  /// Feeds each side a tuple cut one byte short and one whose string
+  /// length runs past its end: each is one eval error and changes nothing,
+  /// and the next good tuple is still joined.
+  void CheckMalformed(bool order_preserving) {
+    Init(order_preserving);
+    Send(true, Left(0, "k", 1));
+    Send(false, Right(5, "k", 2.0));
+    node_->Poll(1 << 20);
+    ASSERT_TRUE(Received().empty());
+    const size_t left_buffered = node_->buffered_left();
+    const size_t right_buffered = node_->buffered_right();
+    uint64_t errors = node_->eval_errors();
+    for (const bool left : {true, false}) {
+      // Each would match the buffered tuple on the other side if read.
+      const rts::TupleCodec codec(StringSide(left ? "l" : "r", left));
+      ByteBuffer cut;
+      codec.Encode(left ? Left(5, "k", 3) : Right(0, "k", 4.0), &cut);
+      ByteBuffer long_string = cut;
+      cut.pop_back();
+      StoreLe32(long_string.data() + 8, 0xfffffff0u);  // the string's length
+      for (const ByteBuffer* bad : {&cut, &long_string}) {
+        SendRaw(left, *bad);
+        node_->Poll(1 << 20);
+        EXPECT_EQ(node_->eval_errors(), ++errors) << left;
+        EXPECT_TRUE(Received().empty()) << left;
+        EXPECT_EQ(node_->buffered_left(), left_buffered) << left;
+        EXPECT_EQ(node_->buffered_right(), right_buffered) << left;
+        EXPECT_EQ(node_->pending_matches(), 0u) << left;
+      }
+    }
+    Send(true, Left(5, "k", 6));
+    node_->Poll(1 << 20);
+    node_->Flush();
+    const std::vector<ByteBuffer> want = Expected();
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(Received(), want);
+    EXPECT_EQ(node_->eval_errors(), errors);
+  }
+
+  rts::StreamRegistry registry_;
+  std::unique_ptr<WindowJoinNode> node_;
+  rts::Subscription output_;
+  std::vector<rts::Row> lefts_;
+  std::vector<rts::Row> rights_;
+};
+
+TEST_F(StringJoinTest, EagerMatchesAreLeftBytesThenRightBytes) {
+  Init(/*order_preserving=*/false);
+  SendCrossingZero(/*poll_often=*/true);
+  node_->Flush();
+  std::vector<ByteBuffer> got = Received();
+  std::vector<ByteBuffer> want = Expected();
+  ASSERT_GE(want.size(), 9u);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(node_->eval_errors(), 0u);
+}
+
+TEST_F(StringJoinTest, OrderPreservingMatchesAreLeftBytesThenRightBytes) {
+  Init(/*order_preserving=*/true);
+  SendCrossingZero(/*poll_often=*/false);
+  node_->Flush();
+  std::vector<ByteBuffer> got = Received();
+  // Released in left-key order.
+  const rts::TupleCodec codec(StringJoined());
+  for (size_t i = 1; i < got.size(); ++i) {
+    auto before = codec.Decode(ByteSpan(got[i - 1].data(), got[i - 1].size()));
+    auto after = codec.Decode(ByteSpan(got[i].data(), got[i].size()));
+    ASSERT_TRUE(before.ok() && after.ok());
+    EXPECT_LE((*before)[0].int_value(), (*after)[0].int_value()) << i;
+  }
+  std::vector<ByteBuffer> want = Expected();
+  ASSERT_GE(want.size(), 9u);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(StringJoinTest, EagerSkipsMalformedTuplesOnEitherSide) {
+  CheckMalformed(/*order_preserving=*/false);
+}
+
+TEST_F(StringJoinTest, OrderPreservingSkipsMalformedTuplesOnEitherSide) {
+  CheckMalformed(/*order_preserving=*/true);
 }
 
 TEST(JoinAblationTest, OrderPreservingCostsMoreBuffer) {

@@ -230,5 +230,72 @@ TEST_F(MergeTest, SkewedBandedInputSortsViaBinaryInsert) {
   EXPECT_EQ(node_->buffer_high_water(), sent.size());
 }
 
+/// Merge on a field that follows a STRING: (tag STRING, time UINT).
+StreamSchema TaggedSchema(const std::string& name) {
+  return StreamSchema(
+      name, StreamKind::kStream,
+      {FieldDef{"tag", DataType::kString, OrderSpec::None()},
+       FieldDef{"time", DataType::kUint, OrderSpec::Increasing()}});
+}
+
+TEST(MergeMalformedTest, MalformedTuplesAreCountedAndSkipped) {
+  rts::StreamRegistry registry;
+  for (const char* name : {"a", "b", "merged"}) {
+    ASSERT_TRUE(registry.DeclareStream(TaggedSchema(name)).ok());
+  }
+  MergeNode::Spec spec;
+  spec.name = "merged";
+  spec.schema = TaggedSchema("merged");
+  spec.merge_field = 1;
+  auto in_a = registry.Subscribe("a", 64);
+  auto in_b = registry.Subscribe("b", 64);
+  auto output = registry.Subscribe("merged", 64);
+  ASSERT_TRUE(in_a.ok() && in_b.ok() && output.ok());
+  MergeNode node(std::move(spec), {*in_a, *in_b}, &registry);
+  const rts::TupleCodec codec(TaggedSchema("merged"));
+  auto send = [&](const char* stream, const std::string& tag, uint64_t time) {
+    registry.PublishBatch(stream, testing_util::TupleBatch(
+                                      codec, {Value::String(tag),
+                                              Value::Uint(time)}));
+  };
+
+  send("a", "first", 1);
+  node.Poll(100);
+  ASSERT_EQ(node.buffered(), 1u);
+  ByteBuffer cut;
+  codec.Encode({Value::String("bad"), Value::Uint(2)}, &cut);
+  ByteBuffer long_string = cut;
+  cut.pop_back();
+  StoreLe32(long_string.data(), 0xfffffff0u);  // the tag's length
+  uint64_t errors = 0;
+  for (const char* stream : {"a", "b"}) {
+    for (const ByteBuffer* bad : {&cut, &long_string}) {
+      registry.PublishBatch(stream, testing_util::RawBatch(*bad));
+      node.Poll(100);
+      EXPECT_EQ(node.eval_errors(), ++errors) << stream;
+      EXPECT_EQ(node.buffered(), 1u) << stream;
+      EXPECT_EQ(node.tuples_out(), 0u) << stream;
+    }
+  }
+  // The next good tuple is still merged: b's 3 releases a's 1.
+  send("b", "second", 3);
+  node.Poll(100);
+  EXPECT_EQ(node.tuples_out(), 1u);
+  node.Flush();
+  EXPECT_EQ(node.tuples_out(), 2u);
+  EXPECT_EQ(node.eval_errors(), errors);
+  std::vector<uint64_t> times;
+  rts::StreamBatch batch;
+  while ((*output)->TryPop(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (batch.item(i).kind != rts::MessageKind::kTuple) continue;
+      auto row = codec.Decode(batch.payload(i));
+      ASSERT_TRUE(row.ok());
+      times.push_back((*row)[1].uint_value());
+    }
+  }
+  EXPECT_EQ(times, (std::vector<uint64_t>{1, 3}));
+}
+
 }  // namespace
 }  // namespace gigascope::ops

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "channel_reader.h"
 #include "core/engine.h"
 #include "net/headers.h"
 #include "ops/tcp_session.h"
@@ -188,6 +189,51 @@ TEST_F(TcpSessionTest, GsqlComposesOverSessions) {
     qualifying += static_cast<int>((*row)[1].uint_value());
   }
   EXPECT_EQ(qualifying, 1);
+}
+
+TEST_F(TcpSessionTest, MalformedTuplesAreCountedAndSkipped) {
+  Packet(1, true, net::kTcpFlagSyn);
+  engine_.PumpUntilIdle();
+  ASSERT_EQ(node_->open_sessions(), 1u);
+
+  // A SYN that would open a second session, packed as the protocol stream
+  // carries it, then damaged: cut one byte short, and with the payload
+  // string's length running past the end.
+  auto schema = engine_.registry().GetSchema("eth0.PKT");
+  ASSERT_TRUE(schema.ok());
+  const rts::TupleCodec codec(*schema);
+  net::TcpPacketSpec spec;
+  spec.src_addr = 0x0a000003;
+  spec.dst_addr = 0x0a000002;
+  spec.src_port = 45000;
+  spec.dst_port = 80;
+  spec.flags = net::kTcpFlagSyn;
+  spec.payload = "syn";
+  net::Packet packet;
+  packet.bytes = net::BuildTcpPacket(spec);
+  packet.orig_len = static_cast<uint32_t>(packet.bytes.size());
+  packet.timestamp = 2 * kNanosPerSecond;
+  ByteBuffer cut;
+  codec.Encode(core::InterpretPacket(*schema, packet), &cut);
+  ByteBuffer long_string = cut;
+  cut.pop_back();
+  StoreLe32(const_cast<uint8_t*>(codec.Locate(
+                long_string.data(), *schema->FieldIndex("payload"))),
+            0xfffffff0u);
+  for (const ByteBuffer* bad : {&cut, &long_string}) {
+    const uint64_t errors = node_->eval_errors();
+    engine_.registry().PublishBatch("eth0.PKT", testing_util::RawBatch(*bad));
+    EXPECT_TRUE(Sessions().empty());
+    EXPECT_EQ(node_->eval_errors(), errors + 1);
+    EXPECT_EQ(node_->open_sessions(), 1u);
+  }
+  // The next good tuple is still tracked, and closes the first session.
+  Packet(3, true, net::kTcpFlagRst);
+  auto sessions = Sessions();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0][8].string_value(), "reset");
+  EXPECT_EQ(node_->open_sessions(), 0u);
+  EXPECT_EQ(node_->eval_errors(), 2u);
 }
 
 TEST(TcpSessionCreateTest, RejectsSchemaWithoutTcpFields) {

@@ -448,8 +448,11 @@ int Order(const Value& a, const Value& b) {
 Value Evaluate(const IrPtr& ir, const rts::Row& row, bool* has_value) {
   auto compiled = expr::Compile(ir);
   EXPECT_TRUE(compiled.ok());
+  std::vector<uint8_t> packed;
+  std::vector<const uint8_t*> at;
+  expr::PackValues(row, &packed, &at);
   expr::EvalContext ctx;
-  ctx.row0 = &row;
+  ctx.row0 = at;
   expr::EvalOutput out;
   EXPECT_TRUE(expr::Eval(*compiled, ctx, &out).ok());
   *has_value = out.has_value;
