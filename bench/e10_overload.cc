@@ -139,7 +139,8 @@ CellResult RunCell(const std::vector<Packet>& traffic, int load_mult,
   while (auto row = (*sub)->NextRow()) {
     result.accounted += (*row)[1].uint_value();
   }
-  result.drops = engine.registry().TotalDropsAll();
+  result.drops =
+      engine.registry().Total(&gigascope::rts::RingChannel::dropped);
   result.shed =
       Metric(engine, "engine", gigascope::telemetry::metric::kShedTuples);
   return result;

@@ -57,9 +57,11 @@ void BM_LftaPredicate(benchmark::State& state) {
   const Packed row({Value::Uint(4), Value::Uint(6), Value::Uint(80)});
   EvalContext ctx;
   ctx.row0 = row.at;
+  EvalOutput out;
   Evaluator evaluator;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.EvalPredicate(predicate, ctx));
+    evaluator.Eval(predicate, ctx, &out).ok();
+    benchmark::DoNotOptimize(out.value.bool_value());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -19,6 +19,18 @@ using expr::Value;
 using gsql::DataType;
 namespace metric = telemetry::metric;
 
+namespace {
+
+/// Messages a worker (or the inject thread's share of the worker-mode
+/// pump) takes from one node per poll.
+constexpr size_t kWorkerPollBudget = 1024;
+
+/// Seed of the tracer's sampling RNG: the same injection sequence traces
+/// the same packets.
+constexpr uint64_t kTraceSeed = 42;
+
+}  // namespace
+
 TupleSubscription::TupleSubscription(rts::Subscription channel,
                                      gsql::StreamSchema schema)
     : channel_(std::move(channel)), codec_(std::move(schema)) {}
@@ -61,7 +73,7 @@ Engine::Engine(EngineOptions options) : options_(options) {
                       stats_source_->snapshots_counter());
   if (options_.trace_sample > 0) {
     tracer_ = std::make_unique<telemetry::Tracer>(options_.trace_sample,
-                                                  options_.trace_seed);
+                                                  kTraceSeed);
     tracer_->SetTrackName(0, "inject");
     telemetry_.Register("engine", metric::kTraceSampled,
                         tracer_->sampled_counter());
@@ -86,19 +98,18 @@ Engine::Engine(EngineOptions options) : options_(options) {
     // the rings forked worker processes inherit are shared, not copied.
     rts::ShmRingOptions shm;
     shm.enabled = true;
-    shm.max_slots = options_.process.shm_max_slots;
-    shm.slot_bytes = options_.process.shm_slot_bytes;
     registry_.SetChannelOptions(shm);
     // Ring-health counters live in the shm control blocks, so the parent's
     // aggregate readers see child-side progress.
+    const auto total = [this](rts::StreamRegistry::RingCounter counter) {
+      return [this, counter] { return registry_.Total(counter); };
+    };
     telemetry_.RegisterReader("engine", metric::kTornSlots,
-                              [this] { return registry_.TotalTornAll(); });
-    telemetry_.RegisterReader("engine", metric::kResyncDropped, [this] {
-      return registry_.TotalResyncDroppedAll();
-    });
-    telemetry_.RegisterReader("engine", metric::kOversizeDropped, [this] {
-      return registry_.TotalOversizeDroppedAll();
-    });
+                              total(&rts::RingChannel::torn));
+    telemetry_.RegisterReader("engine", metric::kResyncDropped,
+                              total(&rts::RingChannel::resync_dropped));
+    telemetry_.RegisterReader("engine", metric::kOversizeDropped,
+                              total(&rts::RingChannel::oversize_dropped));
   }
 }
 
@@ -544,7 +555,7 @@ void Engine::MaybeRunShedCheck(SimTime now) {
   last_shed_check_ = now;
   PressureSignals signals;
   signals.max_ring_occupancy = registry_.MaxOccupancyFraction();
-  signals.total_drops = registry_.TotalDropsAll();
+  signals.total_drops = registry_.Total(&rts::RingChannel::dropped);
   for (const auto& [name, source] : sources_) {
     const SimTime last = source->last_punct_time();
     if (last > 0 && now > last) {
@@ -618,7 +629,7 @@ size_t Engine::PumpInjectNodes(size_t budget_per_node) {
 
 void Engine::PumpAfterInput() {
   if (mode_ != PumpMode::kSingle) {
-    PumpInjectNodes(options_.worker_poll_budget);
+    PumpInjectNodes(kWorkerPollBudget);
   }
 }
 
@@ -803,7 +814,7 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
       park_ns.push_back(worker_park_ns_[w].get());
     }
     threads_ = std::make_unique<ThreadPool>(std::move(groups), &registry_,
-                                            options_.worker_poll_budget,
+                                            kWorkerPollBudget,
                                             std::move(park_ns));
     pool_ = threads_.get();
   }
@@ -896,7 +907,7 @@ void Engine::RunProcessWorker(const WorkerGroup& group, size_t worker,
   }
   FaultInjector faults(options_.fault, worker, &control->fault_fired);
   // Cross-process pushes cannot wake a sleeping child; it polls instead.
-  RunWorkerLoop(control, group, &registry_, options_.worker_poll_budget,
+  RunWorkerLoop(control, group, &registry_, kWorkerPollBudget,
                 &faults, [] { usleep(200); });
 }
 

@@ -72,19 +72,13 @@ class TupleSubscription {
 /// is shm-backed and fork-shareable.
 struct ProcessOptions {
   bool enabled = false;
-  /// Shm ring geometry: slot count per ring (subscription capacities are
-  /// clamped to this) and payload bytes per slot (larger batches split
-  /// across slots; a single message over this limit is dropped and
-  /// counted).
-  size_t shm_max_slots = 32768;
-  size_t shm_slot_bytes = 16 * 1024;
   /// Shm metrics arena capacity, in metric slots (16 bytes each). Worker
   /// node counters and histograms bind into the arena before the fork, so
   /// the parent's registry folds live child-side values (monotone across
   /// restarts) instead of reading its own stale copy-on-write copies.
   /// 0 disables the arena: worker metrics degrade to parent-stale values.
   size_t metrics_arena_slots = 16384;
-  /// Heartbeat cadence, restart budget/backoff, command timeouts.
+  /// Heartbeat cadence and hang window, restart budget/backoff.
   SupervisorOptions supervisor;
 };
 
@@ -100,8 +94,6 @@ struct EngineOptions {
   int lfta_hash_log2 = 12;
   /// Packet sources emit a punctuation every this many packets.
   size_t punctuation_interval = 256;
-  /// Per-node poll budget for worker threads in the threaded pump mode.
-  size_t worker_poll_budget = 1024;
   /// Batched data plane: source tuples accumulate into a StreamBatch that
   /// is published as one ring message once it holds this many tuples.
   /// Operators reuse the same bound for their output batches. 1 restores
@@ -124,11 +116,10 @@ struct EngineOptions {
   /// the HFTA operators (gsrun --trace-sample). 0 disables the tracer
   /// entirely — no clock reads, no per-message work beyond a null check.
   /// The resulting trace exports as Chrome trace-event JSON
-  /// (Engine::tracer()->WriteJson), loadable in Perfetto.
+  /// (Engine::tracer()->WriteJson), loadable in Perfetto. The sampling
+  /// RNG has a fixed seed: the same injection sequence traces the same
+  /// packets.
   size_t trace_sample = 0;
-  /// Seed of the tracer's sampling RNG; same seed + same injection
-  /// sequence = same packets traced.
-  uint64_t trace_seed = 42;
   /// Closed-loop overload management (§3 graceful degradation): with
   /// shed.enabled the engine periodically evaluates its own telemetry
   /// (ring occupancy, drops, punctuation lag, LFTA table occupancy)

@@ -16,6 +16,11 @@ namespace {
 
 constexpr int64_t kMilli = 1000 * 1000;
 
+/// How long SendCommand waits for a worker's ack before giving up. The
+/// monitor usually declares the worker dead or hung well before this
+/// expires, and the wait also aborts as soon as the worker degrades.
+constexpr int64_t kCommandTimeoutMs = 10000;
+
 /// Reaps `pid` without blocking. Returns true when the child is gone
 /// (exited, signalled, or already reaped elsewhere — ECHILD).
 bool TryReap(pid_t pid) {
@@ -159,8 +164,7 @@ bool Supervisor::SendCommand(size_t worker, WorkerCommand command,
   WorkerControl* ctrl = &controls_[worker];
   const uint64_t seq = ctrl->Post(command, arg);
   const int64_t deadline =
-      telemetry::MonotonicNowNs() +
-      static_cast<int64_t>(options_.command_timeout_ms) * kMilli;
+      telemetry::MonotonicNowNs() + kCommandTimeoutMs * kMilli;
   for (int spins = 0;; ++spins) {
     if (ctrl->Acked(seq, ack_value)) return true;
     const WorkerState st = state(worker);

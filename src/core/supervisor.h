@@ -22,8 +22,11 @@ struct SupervisorOptions {
   /// Monitor tick period and expected heartbeat cadence, wall-clock ms.
   uint64_t heartbeat_period_ms = 20;
   /// Consecutive stale monitor ticks before a live-but-silent worker is
-  /// declared hung and SIGKILLed (then restarted like a crash).
-  uint32_t miss_threshold = 5;
+  /// declared hung and SIGKILLed (then restarted like a crash). The
+  /// default window is 2 s (100 x 20 ms): a worker that is descheduled on
+  /// a loaded host, or busy in one long seal, is slow, not hung, and
+  /// killing it loses its rows to the resync gap.
+  uint32_t miss_threshold = 100;
   /// Restarts allowed per worker before it is declared degraded and its
   /// nodes are adopted by the parent. 0 = never restart.
   uint32_t restart_budget = 3;
@@ -31,10 +34,6 @@ struct SupervisorOptions {
   /// x2 per consecutive restart, capped at backoff_max_ms.
   uint64_t backoff_initial_ms = 10;
   uint64_t backoff_max_ms = 1000;
-  /// How long SendCommand waits for a worker's ack before giving up (the
-  /// worker is usually declared dead/hung by the monitor well before this
-  /// expires — the wait also aborts as soon as the worker degrades).
-  uint64_t command_timeout_ms = 10000;
 };
 
 /// Forks and babysits the HFTA worker processes (the paper's §4 model: each

@@ -28,9 +28,8 @@ IrPtr FoldConstants(const IrPtr& ir) {
 
   auto compiled = Compile(folded);
   if (!compiled.ok()) return folded;
-  EvalContext ctx;
   EvalOutput out;
-  Status status = Eval(*compiled, ctx, &out);
+  Status status = Evaluator().Eval(*compiled, EvalContext{}, &out);
   // On evaluation failure (e.g. literal division by zero) keep the subtree
   // so the error surfaces per tuple at runtime.
   if (!status.ok() || !out.has_value) return folded;

@@ -93,11 +93,11 @@ Status ArithmeticOp(ByteOp op, const Value& left, const Value& right,
   return Status::Internal("arithmetic on unsupported type");
 }
 
-/// Shared evaluation core: `stack` is caller-provided scratch (cleared
-/// here), so a reusable Evaluator can amortize its allocation across a
-/// batch while the free functions keep a per-call stack.
-Status EvalWithStack(const CompiledExpr& expr, const EvalContext& ctx,
-                     EvalOutput* out, std::vector<Value>& stack) {
+}  // namespace
+
+Status Evaluator::Eval(const CompiledExpr& expr, const EvalContext& ctx,
+                       EvalOutput* out) {
+  std::vector<Value>& stack = stack_;
   stack.clear();
   stack.reserve(expr.max_stack);
   out->has_value = true;
@@ -211,27 +211,6 @@ Status EvalWithStack(const CompiledExpr& expr, const EvalContext& ctx,
   }
   out->value = std::move(stack.back());
   return Status::Ok();
-}
-
-}  // namespace
-
-Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
-            EvalOutput* out) {
-  std::vector<Value> stack;
-  return EvalWithStack(expr, ctx, out, stack);
-}
-
-Status Evaluator::Eval(const CompiledExpr& expr, const EvalContext& ctx,
-                       EvalOutput* out) {
-  return EvalWithStack(expr, ctx, out, stack_);
-}
-
-bool Evaluator::EvalPredicate(const CompiledExpr& expr,
-                              const EvalContext& ctx) {
-  EvalOutput out;
-  Status status = Eval(expr, ctx, &out);
-  if (!status.ok() || !out.has_value) return false;
-  return out.value.bool_value();
 }
 
 std::optional<std::vector<FilterTerm>> MatchFilterTerms(

@@ -29,23 +29,16 @@ struct EvalOutput {
   Value value;
 };
 
-/// Evaluates a compiled expression. Runtime failures (division by zero,
-/// missing field row, function error) return a non-OK status; operators
-/// treat such tuples as malformed and drop them.
-Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
-            EvalOutput* out);
-
-/// A reusable evaluator for the batch hot path: same semantics as the free
-/// Eval but the value stack persists across calls, so a batch of N tuples
-/// pays one stack allocation instead of N. Owned by exactly one operator
-/// and called only from its polling thread.
+/// Evaluates compiled expressions. The value stack persists across calls,
+/// so a batch of N tuples pays one stack allocation instead of N. Owned by
+/// exactly one operator and called only from its polling thread.
 class Evaluator {
  public:
+  /// Runtime failures (division by zero, missing field row, function
+  /// error) return a non-OK status; operators count such tuples in
+  /// `eval_errors` and drop them.
   Status Eval(const CompiledExpr& expr, const EvalContext& ctx,
               EvalOutput* out);
-  /// Evaluates a BOOL expression as a predicate. A missing value (partial
-  /// function miss) and a runtime error both yield `false`.
-  bool EvalPredicate(const CompiledExpr& expr, const EvalContext& ctx);
 
  private:
   std::vector<Value> stack_;

@@ -186,7 +186,13 @@ void WindowJoinNode::ProbeAndEmit(bool from_left, int64_t key,
       ctx.row0 = left_at_;
       ctx.row1 = right_at_;
       ctx.params = params_.get();
-      if (!vm_.EvalPredicate(*spec_.predicate, ctx)) continue;
+      expr::EvalOutput matched;
+      if (!vm_.Eval(*spec_.predicate, ctx, &matched).ok()) {
+        ++eval_errors_;  // e.g. a division by zero: the pair joins nothing
+        continue;
+      }
+      // Partial-function miss or false: no match (§2.2).
+      if (!matched.has_value || !matched.value.bool_value()) continue;
     }
     EmitJoined(from_left ? key : partner.key,
                from_left ? bytes : partner_bytes,

@@ -1,7 +1,5 @@
 #include "rts/punctuation.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace gigascope::rts {
@@ -14,22 +12,6 @@ std::optional<Value> Punctuation::BoundFor(size_t field) const {
     if (bound_field == field) return value;
   }
   return std::nullopt;
-}
-
-void Punctuation::CombineMax(const Punctuation& other) {
-  for (const auto& [field, value] : other.bounds) {
-    bool found = false;
-    for (auto& [existing_field, existing] : bounds) {
-      if (existing_field == field) {
-        if (existing.Compare(value) < 0) existing = value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) bounds.emplace_back(field, value);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 namespace {

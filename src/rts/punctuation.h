@@ -21,10 +21,6 @@ struct Punctuation {
 
   /// Bound for `field`, if present.
   std::optional<expr::Value> BoundFor(size_t field) const;
-
-  /// Merges another punctuation in, keeping the larger (later) bound per
-  /// field.
-  void CombineMax(const Punctuation& other);
 };
 
 /// Serializes a punctuation: u32 count, then (u32 field, u64 raw bits) per

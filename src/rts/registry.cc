@@ -91,54 +91,16 @@ std::vector<std::string> StreamRegistry::StreamNames() const {
   return names;
 }
 
-uint64_t StreamRegistry::TotalDrops(const std::string& name) const {
-  auto it = streams_.find(name);
-  if (it == streams_.end()) return 0;
-  uint64_t drops = 0;
-  for (const Subscription& subscriber : it->second.subscribers) {
-    drops += subscriber->dropped();
-  }
-  return drops;
-}
-
-uint64_t StreamRegistry::TotalDropsAll() const {
-  uint64_t drops = 0;
+uint64_t StreamRegistry::Total(RingCounter counter,
+                               const std::string& stream) const {
+  uint64_t total = 0;
   for (const auto& [name, entry] : streams_) {
+    if (!stream.empty() && name != stream) continue;
     for (const Subscription& subscriber : entry.subscribers) {
-      drops += subscriber->dropped();
+      total += (subscriber.get()->*counter)();
     }
   }
-  return drops;
-}
-
-uint64_t StreamRegistry::TotalTornAll() const {
-  uint64_t torn = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      torn += subscriber->torn();
-    }
-  }
-  return torn;
-}
-
-uint64_t StreamRegistry::TotalResyncDroppedAll() const {
-  uint64_t dropped = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      dropped += subscriber->resync_dropped();
-    }
-  }
-  return dropped;
-}
-
-uint64_t StreamRegistry::TotalOversizeDroppedAll() const {
-  uint64_t dropped = 0;
-  for (const auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      dropped += subscriber->oversize_dropped();
-    }
-  }
-  return dropped;
+  return total;
 }
 
 double StreamRegistry::MaxOccupancyFraction() const {

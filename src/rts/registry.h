@@ -32,7 +32,6 @@ class StreamRegistry {
   void SetChannelOptions(const ShmRingOptions& options) {
     channel_options_ = options;
   }
-  const ShmRingOptions& channel_options() const { return channel_options_; }
 
   /// Declares (or re-declares) a stream and its schema.
   Status DeclareStream(const gsql::StreamSchema& schema);
@@ -77,24 +76,18 @@ class StreamRegistry {
 
   std::vector<std::string> StreamNames() const;
 
-  /// Total drops across all subscriber channels of `name`.
-  uint64_t TotalDrops(const std::string& name) const;
+  /// A ring counter, such as &RingChannel::dropped.
+  using RingCounter = uint64_t (RingChannel::*)() const;
 
-  /// Total drops across every subscriber channel of every stream. Safe to
-  /// call concurrently with publishes (reads atomic ring counters; streams
-  /// themselves are only added during setup).
-  uint64_t TotalDropsAll() const;
+  /// `counter` summed over the subscriber channels of `stream`, or of
+  /// every stream when `stream` is empty. Safe to call concurrently with
+  /// publishes: it reads atomic ring counters, and streams themselves are
+  /// only added during setup.
+  uint64_t Total(RingCounter counter, const std::string& stream = {}) const;
 
   /// Occupancy (size/capacity) of the fullest subscriber channel across all
   /// streams, in [0, 1]. The overload controller's ring-pressure signal.
   double MaxOccupancyFraction() const;
-
-  /// Shm-ring health counters summed across every subscriber channel
-  /// (all zero for heap rings). Safe concurrent with pushes, like
-  /// TotalDropsAll.
-  uint64_t TotalTornAll() const;
-  uint64_t TotalResyncDroppedAll() const;
-  uint64_t TotalOversizeDroppedAll() const;
 
  private:
   struct StreamEntry {

@@ -48,9 +48,8 @@ size_t ClampedCapacity(size_t capacity, const ShmRingOptions& shm) {
 /// always fit in a single slot (punctuations are never dropped).
 constexpr size_t kMinSlotBytes = 512;
 
-/// Single-writer increment for a cross-process counter (the shm analogue
-/// of telemetry::Counter::Add — no RMW needed, each counter has exactly
-/// one writing process).
+/// Single-writer increment (the analogue of telemetry::Counter::Add — no
+/// RMW needed, each counter has exactly one writer, thread or process).
 inline void CounterAdd(std::atomic<uint64_t>* counter, uint64_t n) {
   counter->store(counter->load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
@@ -67,56 +66,46 @@ RingChannel::RingChannel(size_t capacity, const ShmRingOptions& shm)
   shm_slot_bytes_ =
       shm.slot_bytes < kMinSlotBytes ? kMinSlotBytes : shm.slot_bytes;
   const size_t slot_count = mask_ + 1;
-  arena_base_ = sizeof(ShmRingControl) + slot_count * sizeof(ShmSlot);
+  arena_base_ = sizeof(RingControl) + slot_count * sizeof(ShmSlot);
   shm_ = ShmSegment::Create(arena_base_ + slot_count * shm_slot_bytes_);
-  ctrl_ = new (shm_->data()) ShmRingControl();
-  ctrl_->slot_count = slot_count;
-  ctrl_->slot_bytes = shm_slot_bytes_;
-  shm_slots_ = shm_->As<ShmSlot>(sizeof(ShmRingControl));
+  ctrl_ = new (shm_->data()) RingControl();
+  shm_slots_ = shm_->As<ShmSlot>(sizeof(RingControl));
   for (size_t s = 0; s < slot_count; ++s) new (&shm_slots_[s]) ShmSlot();
 }
 
-void RingChannel::RecordPush(size_t messages, size_t occupancy) {
-  if (ctrl_ != nullptr) {
-    CounterAdd(&ctrl_->pushed, messages);
-    if (occupancy > ctrl_->high_water.load(std::memory_order_relaxed)) {
-      ctrl_->high_water.store(occupancy, std::memory_order_relaxed);
-    }
-  } else {
-    pushed_.Add(messages);
-    high_water_.Max(occupancy);
+bool RingChannel::HasRoom(uint64_t head, size_t slots) {
+  if (head - cached_tail_ + slots > capacity_) {
+    // Refresh the cached tail; acquire pairs with the consumer's release
+    // store so the slots we are about to overwrite are truly vacated.
+    cached_tail_ = ctrl_->tail.load(std::memory_order_acquire);
+    if (head - cached_tail_ + slots > capacity_) return false;
+  }
+  return true;
+}
+
+void RingChannel::Publish(uint64_t head, size_t messages) {
+  ctrl_->head.store(head, std::memory_order_release);
+  CounterAdd(&ctrl_->pushed, messages);
+  const uint64_t occupancy =
+      head - ctrl_->tail.load(std::memory_order_relaxed);
+  if (occupancy > ctrl_->high_water.load(std::memory_order_relaxed)) {
+    ctrl_->high_water.store(occupancy, std::memory_order_relaxed);
   }
   batch_size_.Record(messages);
   occupancy_.Record(occupancy);
   if (ConsumerWaker* waker = waker_.get()) waker->Wake();
 }
 
-void RingChannel::CountDropped(size_t messages) {
-  if (messages == 0) return;
-  if (ctrl_ != nullptr) {
-    CounterAdd(&ctrl_->dropped, messages);
-  } else {
-    dropped_.Add(messages);
-  }
-}
-
 bool RingChannel::TryPush(StreamBatch&& batch) {
   if (batch.empty()) return true;  // nothing to enqueue
-  if (ctrl_ != nullptr) return ShmTryPush(std::move(batch));
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  if (head - cached_tail_ >= capacity_) {
-    // Refresh the cached tail; acquire pairs with the consumer's release
-    // store so the slot we are about to overwrite is truly vacated.
-    cached_tail_ = tail_.load(std::memory_order_acquire);
-    // The batch has not been touched: the caller keeps ownership and can
-    // retry with the very same object.
-    if (head - cached_tail_ >= capacity_) return false;
-  }
+  if (shm_ != nullptr) return ShmTryPush(std::move(batch));
+  const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
+  // On failure the batch has not been touched: the caller keeps ownership
+  // and can retry with the very same object.
+  if (!HasRoom(head, 1)) return false;
   const size_t messages = batch.size();
   slots_[head & mask_] = std::move(batch);  // leaves `batch` empty
-  head_.store(head + 1, std::memory_order_release);
-  RecordPush(messages, static_cast<size_t>(
-                           head + 1 - tail_.load(std::memory_order_relaxed)));
+  Publish(head + 1, messages);
   return true;
 }
 
@@ -161,10 +150,7 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
     return true;
   }
   const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
-  if (head - cached_tail_ + chunks.size() > capacity_) {
-    cached_tail_ = ctrl_->tail.load(std::memory_order_acquire);
-    if (head - cached_tail_ + chunks.size() > capacity_) return false;
-  }
+  if (!HasRoom(head, chunks.size())) return false;
   size_t delivered = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const uint64_t index = head + c;
@@ -186,13 +172,10 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
     slot.seq.store(seq, std::memory_order_release);
     delivered += count;
   }
-  ctrl_->head.store(head + chunks.size(), std::memory_order_release);
   if (oversize_count > 0) {
     CounterAdd(&ctrl_->oversize_dropped, oversize_count);
   }
-  RecordPush(delivered,
-             static_cast<size_t>(head + chunks.size() -
-                                 ctrl_->tail.load(std::memory_order_relaxed)));
+  Publish(head + chunks.size(), delivered);
   batch.clear();
   return true;
 }
@@ -224,7 +207,7 @@ bool RingChannel::PushOrDrop(StreamBatch&& batch) {
     --tuples;
     parked_.AppendFrom(batch, batch.size() - 1);
   }
-  CountDropped(tuples);
+  CounterAdd(&ctrl_->dropped, tuples);
   batch.clear();
   return false;
 }
@@ -235,44 +218,43 @@ bool RingChannel::FlushParked() {
   return TryPush(std::move(parked_));
 }
 
-bool RingChannel::HeapPopSlotRaw(StreamBatch* out) {
-  const uint64_t tail = tail_.load(std::memory_order_relaxed);
-  if (tail == cached_head_) {
-    // Acquire pairs with the producer's release store: the slot contents
-    // written before head_ advanced are visible here.
-    cached_head_ = head_.load(std::memory_order_acquire);
-    if (tail == cached_head_) return false;
+bool RingChannel::ShmReadSlot(uint64_t tail, StreamBatch* out) {
+  ShmSlot& slot = shm_slots_[tail & mask_];
+  // Validate before touching the payload: the stamp proves the producer
+  // finished writing this lap's bytes, and the bounds prove the header
+  // itself is sane. A producer that died mid-write (or fault injection)
+  // fails here; the slot is torn — skipped, never delivered as garbage.
+  const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+  if (seq != tail + 1 || slot.offset != ArenaOffset(tail & mask_) ||
+      slot.len > shm_slot_bytes_) {
+    return false;
   }
-  *out = std::move(slots_[tail & mask_]);
-  tail_.store(tail + 1, std::memory_order_release);
-  popped_.Add(out->size());
-  return true;
+  ByteSpan bytes(shm_->As<uint8_t>(slot.offset), slot.len);
+  return ShmReadChunk(bytes, slot.msg_count, out);
 }
 
-bool RingChannel::ShmPopSlotRaw(StreamBatch* out) {
+bool RingChannel::TryPop(StreamBatch* out) {
   for (;;) {
+    out->clear();
     const uint64_t tail = ctrl_->tail.load(std::memory_order_relaxed);
-    // The head cache is process-local while tail is shared: after a fork
-    // handoff (adoption, or a restarted child) this process's cache can
-    // lag the tail another process advanced. Trust it only when it is
-    // strictly ahead of the tail; `<=` (not `==`) is what makes the
-    // emptiness check safe across the handoff — otherwise a stale cache
-    // reads unpublished slots and walks the tail past the head forever.
+    // The head cache is process-local while the tail lives in the control
+    // block: after a fork handoff (adoption, or a restarted child) this
+    // process's cache can lag the tail another process advanced. Trust it
+    // only when it is strictly ahead of the tail; `<=` (not `==`) is what
+    // makes the emptiness check safe across the handoff — otherwise a
+    // stale cache reads unpublished slots and walks the tail past the head
+    // forever.
     if (cached_head_ <= tail) {
+      // Acquire pairs with the producer's release store: the slot contents
+      // written before head advanced are visible here.
       cached_head_ = ctrl_->head.load(std::memory_order_acquire);
       if (cached_head_ <= tail) return false;
     }
-    ShmSlot& slot = shm_slots_[tail & mask_];
-    // Validate before touching the payload: the stamp proves the producer
-    // finished writing this lap's bytes, and the bounds prove the header
-    // itself is sane. A producer that died mid-write (or fault injection)
-    // fails here; the slot is torn — skipped, never delivered as garbage.
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    bool ok = seq == tail + 1 && slot.offset == ArenaOffset(tail & mask_) &&
-              slot.len <= shm_slot_bytes_;
-    if (ok) {
-      ByteSpan bytes(shm_->As<uint8_t>(slot.offset), slot.len);
-      ok = ShmReadChunk(bytes, slot.msg_count, out);
+    bool ok = true;
+    if (shm_ != nullptr) {
+      ok = ShmReadSlot(tail, out);
+    } else {
+      *out = std::move(slots_[tail & mask_]);
     }
     ctrl_->tail.store(tail + 1, std::memory_order_release);
     if (!ok) {
@@ -280,23 +262,10 @@ bool RingChannel::ShmPopSlotRaw(StreamBatch* out) {
       continue;  // torn slot skipped; try the next one
     }
     CounterAdd(&ctrl_->popped, out->size());
-    return true;
-  }
-}
-
-bool RingChannel::TryPop(StreamBatch* out) {
-  for (;;) {
-    out->clear();
-    const uint64_t pos = ctrl_ != nullptr
-                             ? ctrl_->tail.load(std::memory_order_relaxed)
-                             : tail_.load(std::memory_order_relaxed);
-    const bool got =
-        ctrl_ != nullptr ? ShmPopSlotRaw(out) : HeapPopSlotRaw(out);
-    if (!got) return false;
     // Past the arming position: this slot was pushed after the handoff,
     // so the lost prefix cannot extend into it — the gap ends here even
     // without a punctuation (see BeginResync).
-    if (resync_ && pos >= resync_end_) resync_ = false;
+    if (resync_ && tail >= resync_end_) resync_ = false;
     if (!resync_) return true;
     ApplyResyncGate(out);
     if (!out->empty()) return true;
@@ -313,11 +282,7 @@ void RingChannel::ApplyResyncGate(StreamBatch* out) {
   }
   const bool punctuation = drop < out->size();
   if (drop > 0) {
-    if (ctrl_ != nullptr) {
-      CounterAdd(&ctrl_->resync_dropped, drop);
-    } else {
-      resync_dropped_.Add(drop);
-    }
+    CounterAdd(&ctrl_->resync_dropped, drop);
     out->DropFront(drop);
   }
   // The punctuation re-establishes ordering for everything that follows:
@@ -329,12 +294,11 @@ void RingChannel::BeginResync() {
   resync_ = true;
   // Everything already pushed belongs to the dead incarnation's in-flight
   // span; everything after this head position post-dates the handoff.
-  resync_end_ = ctrl_ != nullptr ? ctrl_->head.load(std::memory_order_acquire)
-                                 : head_.load(std::memory_order_acquire);
+  resync_end_ = ctrl_->head.load(std::memory_order_acquire);
 }
 
 void RingChannel::ArmTornFault(uint64_t nth) {
-  GS_CHECK(ctrl_ != nullptr);  // the heap backend has no serialized form
+  GS_CHECK(is_shm());  // the heap backend has no serialized form
   torn_arm_ = nth == 0 ? 1 : nth;
   slot_pubs_ = 0;
 }
@@ -342,13 +306,8 @@ void RingChannel::ArmTornFault(uint64_t nth) {
 size_t RingChannel::size() const {
   // Load tail first: head can only grow afterwards, so the difference is
   // never negative.
-  if (ctrl_ != nullptr) {
-    const uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
-    const uint64_t head = ctrl_->head.load(std::memory_order_acquire);
-    return static_cast<size_t>(head - tail);
-  }
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  const uint64_t head = head_.load(std::memory_order_acquire);
+  const uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
+  const uint64_t head = ctrl_->head.load(std::memory_order_acquire);
   return static_cast<size_t>(head - tail);
 }
 

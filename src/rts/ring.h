@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,7 +12,6 @@
 
 #include "rts/shm.h"
 #include "rts/tuple.h"
-#include "telemetry/counter.h"
 #include "telemetry/histogram.h"
 
 namespace gigascope::rts {
@@ -36,6 +36,40 @@ class ConsumerWaker {
   std::atomic<bool> signal_{false};  // latched wake-up
   std::atomic<bool> parked_{false};  // consumer is inside Park
 };
+
+/// A ring's free-running indices and its counters (slot index = counter &
+/// mask). Every field has a single writer: the producer writes the first
+/// two cache lines, the consumer the last two, so neither side's hot
+/// writes invalidate a line the other side writes. Counters are relaxed
+/// single-writer increments; head and tail carry the acquire/release
+/// handoff of the slot contents. A heap ring holds its block as a member;
+/// a shm ring places it at the head of its segment, where every process
+/// that maps the segment reads the same values.
+struct RingControl {
+  alignas(64) std::atomic<uint64_t> head{0};  // next slot to fill
+  // Producer-written counters. pushed/dropped/oversize_dropped count
+  // messages; high_water counts slots (batches).
+  alignas(64) std::atomic<uint64_t> pushed{0};
+  std::atomic<uint64_t> dropped{0};
+  /// Messages too large for a shm slot, dropped at push.
+  std::atomic<uint64_t> oversize_dropped{0};
+  std::atomic<uint64_t> high_water{0};
+  alignas(64) std::atomic<uint64_t> tail{0};  // next slot to take
+  // Consumer-written counters.
+  alignas(64) std::atomic<uint64_t> popped{0};
+  /// Slots whose sequence stamp or bounds failed consumer-side validation
+  /// (a producer died mid-write, or fault injection tore one); skipped,
+  /// never delivered.
+  std::atomic<uint64_t> torn{0};
+  /// Tuples discarded by the post-restart resync gate.
+  std::atomic<uint64_t> resync_dropped{0};
+};
+// Fields are laid out in declaration order, producer's first: no cache
+// line holds fields of both sides.
+static_assert(offsetof(RingControl, high_water) / 64 <
+                  offsetof(RingControl, tail) / 64,
+              "producer-written and consumer-written fields share a cache "
+              "line");
 
 /// A bounded channel between query nodes, standing in for the paper's
 /// shared-memory segments. Pushing to a full channel fails; the producer
@@ -64,17 +98,20 @@ class ConsumerWaker {
 /// channel only. pushed/popped/dropped count messages; size(), capacity()
 /// and the high-water mark count slots (batches).
 ///
-/// Two slot backends share the protocol:
+/// The ring's indices and counters live in one RingControl. Two slot
+/// backends share it and the protocol:
 ///
-///  - Heap (default): slots are a std::vector<StreamBatch>; batches move
-///    through without copying. Producer and consumer must share an
-///    address space (threads of one process).
-///  - Shared memory (ShmRingOptions::enabled): head/tail/counters and the
-///    slots live in a fork-inherited ShmSegment; a batch is copied into a
-///    fixed per-slot region of the segment's arena as its item table plus
-///    its arena bytes (offset-based, nothing heap-pointed crosses the
-///    boundary; rts/shm.h). This is the paper's §4 process split: producer
-///    and consumer may be different processes.
+///  - Heap (default): the control block is a member and the slots are a
+///    std::vector<StreamBatch>; batches move through without copying.
+///    Producer and consumer must share an address space (threads of one
+///    process).
+///  - Shared memory (ShmRingOptions::enabled): the control block, the slot
+///    headers and the slots' payload arena live in a fork-inherited
+///    ShmSegment, so a parent-side gs_stats snapshot sees child-side
+///    progress. A batch is copied into a fixed per-slot region of the arena
+///    as its item table plus its arena bytes (offset-based, nothing
+///    heap-pointed crosses the boundary; rts/shm.h). This is the paper's §4
+///    process split: producer and consumer may be different processes.
 ///    Each slot carries a publication sequence stamp that the consumer
 ///    validates before touching the payload, so a slot half-written at
 ///    producer death is detected (counted `torn`) and skipped instead of
@@ -146,45 +183,23 @@ class RingChannel {
   /// estimate while the producer and consumer are running.
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  uint64_t pushed() const {
-    return ctrl_ != nullptr ? ctrl_->pushed.load(std::memory_order_relaxed)
-                            : pushed_.value();
-  }
-  uint64_t popped() const {
-    return ctrl_ != nullptr ? ctrl_->popped.load(std::memory_order_relaxed)
-                            : popped_.value();
-  }
-  uint64_t dropped() const {
-    return ctrl_ != nullptr ? ctrl_->dropped.load(std::memory_order_relaxed)
-                            : dropped_.value();
-  }
+  uint64_t pushed() const { return Read(ctrl_->pushed); }
+  uint64_t popped() const { return Read(ctrl_->popped); }
+  uint64_t dropped() const { return Read(ctrl_->dropped); }
   /// Slots that failed consumer-side validation (half-written at producer
   /// death, or torn by fault injection); skipped, never delivered.
-  uint64_t torn() const {
-    return ctrl_ != nullptr ? ctrl_->torn.load(std::memory_order_relaxed) : 0;
-  }
+  uint64_t torn() const { return Read(ctrl_->torn); }
   /// Tuples discarded by the resync gate since construction.
-  uint64_t resync_dropped() const {
-    return ctrl_ != nullptr
-               ? ctrl_->resync_dropped.load(std::memory_order_relaxed)
-               : resync_dropped_.value();
-  }
+  uint64_t resync_dropped() const { return Read(ctrl_->resync_dropped); }
   /// Messages too large for a shm slot, dropped at push.
-  uint64_t oversize_dropped() const {
-    return ctrl_ != nullptr
-               ? ctrl_->oversize_dropped.load(std::memory_order_relaxed)
-               : 0;
-  }
+  uint64_t oversize_dropped() const { return Read(ctrl_->oversize_dropped); }
 
   /// Whether the slots live in fork-inherited shared memory.
-  bool is_shm() const { return ctrl_ != nullptr; }
+  bool is_shm() const { return shm_ != nullptr; }
 
   /// Highest slot occupancy observed (for the E4 heartbeat experiment).
   size_t high_water_mark() const {
-    return ctrl_ != nullptr
-               ? static_cast<size_t>(
-                     ctrl_->high_water.load(std::memory_order_relaxed))
-               : static_cast<size_t>(high_water_.value());
+    return static_cast<size_t>(Read(ctrl_->high_water));
   }
 
   /// Occupancy distribution, one sample per successful push (so the
@@ -213,35 +228,39 @@ class RingChannel {
   }
 
  private:
-  /// Backend slot pops without the resync gate; `out` must arrive empty.
-  bool HeapPopSlotRaw(StreamBatch* out);
-  bool ShmPopSlotRaw(StreamBatch* out);
+  static uint64_t Read(const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  }
+  /// Producer side: whether `slots` more slots fit behind `head`.
+  bool HasRoom(uint64_t head, size_t slots);
   bool ShmTryPush(StreamBatch&& batch);
+  /// Consumer side: copies the shm slot at position `tail` into `out`
+  /// (which arrives empty); false when the slot fails validation (torn).
+  bool ShmReadSlot(uint64_t tail, StreamBatch* out);
+  /// Publishes the slots before `head` and records the push.
+  void Publish(uint64_t head, size_t messages);
   /// Drops leading tuples until the first punctuation while the resync
   /// gate is armed; disarms on the punctuation.
   void ApplyResyncGate(StreamBatch* out);
-  void CountDropped(size_t messages);
-  /// Producer-side accounting shared by both backends.
-  void RecordPush(size_t messages, size_t occupancy);
   size_t ArenaOffset(size_t slot_index) const {
     return arena_base_ + slot_index * shm_slot_bytes_;
   }
 
   const size_t capacity_;  // logical capacity (exact, any value >= 1)
   const size_t mask_;      // slot_count - 1; slot_count is a power of 2
-  std::vector<StreamBatch> slots_;  // heap backend only
 
-  // Shm backend: the segment holds [ShmRingControl][ShmSlot...][arena].
+  // The ring's indices and counters: `local_` for a heap ring, the head of
+  // the segment for a shm ring.
+  RingControl local_;
+  RingControl* ctrl_ = &local_;
+
+  std::vector<StreamBatch> slots_;  // heap backend only
+  // Shm backend: the segment holds [RingControl][ShmSlot...][arena].
   std::unique_ptr<ShmSegment> shm_;
-  ShmRingControl* ctrl_ = nullptr;
   ShmSlot* shm_slots_ = nullptr;
   size_t shm_slot_bytes_ = 0;
   size_t arena_base_ = 0;
 
-  // Free-running counters; slot index is counter & mask_. The shm backend
-  // uses ctrl_->head/tail instead (shared across processes).
-  alignas(64) std::atomic<uint64_t> head_{0};  // next slot to push
-  alignas(64) std::atomic<uint64_t> tail_{0};  // next slot to pop
   // Producer-local cache of tail (avoids loading the consumer's cache
   // line until the ring looks full); consumer-local cache of head.
   alignas(64) uint64_t cached_tail_ = 0;
@@ -265,16 +284,6 @@ class RingChannel {
   uint64_t torn_arm_ = 0;
   uint64_t slot_pubs_ = 0;
 
-  // Stats: telemetry counters so `micro_ring`, the engine's `gs_stats`
-  // stream, and direct accessors all report from one source of truth.
-  // Each counter has a single writer (producer or consumer). The shm
-  // backend keeps these in ShmRingControl instead, so a parent-side
-  // gs_stats snapshot sees child-side progress; the accessors branch.
-  telemetry::Counter pushed_;
-  telemetry::Counter popped_;
-  telemetry::Counter dropped_;
-  telemetry::Counter high_water_;
-  telemetry::Counter resync_dropped_;
   telemetry::Histogram occupancy_;   // producer-written, see TryPush
   telemetry::Histogram batch_size_;  // producer-written, messages per push
 

@@ -1,11 +1,7 @@
 #include "rts/shm.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <cstdio>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -13,49 +9,11 @@
 
 namespace gigascope::rts {
 
-namespace {
-
-/// Process-wide suffix so two engines in one process never collide on a
-/// segment name (the name only exists for the instant between shm_open
-/// and shm_unlink, but uniqueness keeps even that instant race-free).
-std::atomic<uint64_t> segment_seq{0};
-
-void* MapSharedAnonymousFallback(size_t bytes) {
-  void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  return mem == MAP_FAILED ? nullptr : mem;
-}
-
-}  // namespace
-
 std::unique_ptr<ShmSegment> ShmSegment::Create(size_t bytes) {
   GS_CHECK(bytes > 0);
-  char name[64];
-  std::snprintf(name, sizeof(name), "/gigascope.%d.%llu",
-                static_cast<int>(getpid()),
-                static_cast<unsigned long long>(
-                    segment_seq.fetch_add(1, std::memory_order_relaxed)));
-  void* mem = nullptr;
-  int fd = shm_open(name, O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd >= 0) {
-    // Unlink immediately: the mapping below is the only reference, so the
-    // kernel reclaims the segment when the last process exits — crash
-    // included. Nothing ever lingers in /dev/shm.
-    shm_unlink(name);
-    if (ftruncate(fd, static_cast<off_t>(bytes)) == 0) {
-      void* mapped = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
-                          fd, 0);
-      if (mapped != MAP_FAILED) mem = mapped;
-    }
-    close(fd);
-  }
-  if (mem == nullptr) {
-    // Hosts without a POSIX shm mount: an anonymous MAP_SHARED mapping is
-    // equally fork-inheritable, it just cannot be named (we never need the
-    // name after setup anyway).
-    mem = MapSharedAnonymousFallback(bytes);
-  }
-  GS_CHECK(mem != nullptr);
+  void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  GS_CHECK(mem != MAP_FAILED);
   return std::unique_ptr<ShmSegment>(new ShmSegment(mem, bytes));
 }
 
@@ -121,11 +79,6 @@ bool ShmReadChunk(ByteSpan bytes, uint32_t count, StreamBatch* out) {
   if (next != arena.size()) return false;
   out->AppendPacked(bytes.data(), count, arena);
   return true;
-}
-
-size_t ShmRingSegmentSize(size_t slot_count, size_t slot_bytes) {
-  return sizeof(ShmRingControl) + slot_count * sizeof(ShmSlot) +
-         slot_count * slot_bytes;
 }
 
 }  // namespace gigascope::rts

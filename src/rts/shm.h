@@ -11,22 +11,19 @@
 
 namespace gigascope::rts {
 
-/// An anonymous POSIX shared-memory mapping that survives fork(): the
-/// parent maps it before spawning workers and every child inherits the
-/// same physical pages (MAP_SHARED), so atomics placed inside are the
-/// cross-process synchronization primitive — the paper's §4 shared-memory
-/// ring substrate.
-///
-/// The segment is created with shm_open under a unique private name and
-/// immediately shm_unlink'ed: the mapping keeps it alive, nothing leaks
-/// into /dev/shm past process death (crash included), and no other process
-/// can race on the name. Pages are allocated lazily by the kernel, so a
-/// generously sized segment costs only what is actually touched.
+/// An anonymous shared mapping (mmap MAP_SHARED | MAP_ANONYMOUS) that
+/// survives fork(): the parent maps it before spawning workers and every
+/// child inherits the same physical pages, so atomics placed inside are
+/// the cross-process synchronization primitive — the paper's §4
+/// shared-memory ring substrate. The mapping has no name, so nothing can
+/// leak past process death (crash included) and no other process can
+/// reach it. Pages are allocated lazily by the kernel, so a generously
+/// sized segment costs only what is actually touched.
 class ShmSegment {
  public:
   /// Maps `bytes` of zero-initialized shared memory. Dies (GS_CHECK) when
-  /// the kernel refuses both shm_open and the MAP_ANONYMOUS fallback —
-  /// both failing means the host cannot run multi-process mode at all.
+  /// the kernel refuses the mapping: the host cannot run multi-process
+  /// mode at all.
   static std::unique_ptr<ShmSegment> Create(size_t bytes);
 
   ~ShmSegment();
@@ -47,9 +44,10 @@ class ShmSegment {
   size_t size_;
 };
 
-/// Sizing knobs for shm-backed ring channels (EngineOptions::process maps
-/// onto this). Every channel the registry creates while `enabled` carries
-/// its slots in a ShmSegment instead of a heap vector.
+/// Backend and sizing of ring channels. Every channel the registry creates
+/// while `enabled` (the engine's process mode sets it) carries its control
+/// block and slots in a ShmSegment instead of on the heap; the sizes are
+/// fixed at these defaults there, and tests choose small ones.
 struct ShmRingOptions {
   bool enabled = false;
   /// Upper bound on slot count per shm ring: heap rings accept any
@@ -61,29 +59,6 @@ struct ShmRingOptions {
   /// slots; a single message that cannot fit is dropped and counted
   /// (oversize_dropped) — it could never be delivered.
   size_t slot_bytes = 16 * 1024;
-};
-
-/// Control block at the head of a shm ring segment. All fields are written
-/// through atomics with the same acquire/release protocol as the heap
-/// ring; counters that the heap ring keeps in telemetry::Counter live here
-/// instead so the parent's gs_stats snapshot sees child-side progress.
-struct ShmRingControl {
-  alignas(64) std::atomic<uint64_t> head{0};  // producer: next slot to fill
-  alignas(64) std::atomic<uint64_t> tail{0};  // consumer: next slot to take
-  // Message-granular counters (single writer each, relaxed).
-  alignas(64) std::atomic<uint64_t> pushed{0};   // producer
-  std::atomic<uint64_t> dropped{0};              // producer
-  std::atomic<uint64_t> oversize_dropped{0};     // producer
-  alignas(64) std::atomic<uint64_t> popped{0};   // consumer
-  std::atomic<uint64_t> high_water{0};           // producer, slot-granular
-  /// Slots whose sequence stamp or bounds failed consumer-side validation
-  /// (a producer died mid-write, or fault injection tore one); skipped,
-  /// never delivered.
-  std::atomic<uint64_t> torn{0};                 // consumer
-  /// Tuples discarded by the post-restart resync gate (consumer side).
-  std::atomic<uint64_t> resync_dropped{0};       // consumer
-  uint64_t slot_count = 0;
-  uint64_t slot_bytes = 0;
 };
 
 /// Per-slot header. The payload lives in the segment's arena at
@@ -119,9 +94,6 @@ size_t ShmWriteChunk(const StreamBatch& batch, size_t begin, size_t end,
 /// the table does not tile the bytes exactly, which the ring treats as a
 /// torn slot. Never crashes on garbage.
 bool ShmReadChunk(ByteSpan bytes, uint32_t count, StreamBatch* out);
-
-/// Total segment bytes for a ring of `slot_count` slots.
-size_t ShmRingSegmentSize(size_t slot_count, size_t slot_bytes);
 
 }  // namespace gigascope::rts
 

@@ -203,32 +203,6 @@ void AppendJsonString(const std::string& value, std::string* out) {
 
 }  // namespace
 
-std::string FormatMetricsTable(const std::vector<MetricSample>& samples) {
-  std::vector<const MetricSample*> sorted = SortedByKey(samples);
-  size_t entity_width = 6, metric_width = 6, proc_width = 4;
-  for (const MetricSample* sample : sorted) {
-    entity_width = std::max(entity_width, sample->entity.size());
-    metric_width = std::max(metric_width, sample->metric.size());
-    proc_width = std::max(proc_width, sample->proc.size());
-  }
-  std::string out;
-  char line[512];
-  std::snprintf(line, sizeof(line), "%-*s %-*s %-*s %20s\n",
-                static_cast<int>(entity_width), "entity",
-                static_cast<int>(metric_width), "metric",
-                static_cast<int>(proc_width), "proc", "value");
-  out += line;
-  for (const MetricSample* sample : sorted) {
-    std::snprintf(line, sizeof(line), "%-*s %-*s %-*s %20llu\n",
-                  static_cast<int>(entity_width), sample->entity.c_str(),
-                  static_cast<int>(metric_width), sample->metric.c_str(),
-                  static_cast<int>(proc_width), sample->proc.c_str(),
-                  static_cast<unsigned long long>(sample->value));
-    out += line;
-  }
-  return out;
-}
-
 std::string FormatMetricsNdjson(const std::vector<MetricSample>& samples) {
   std::vector<const MetricSample*> sorted = SortedByKey(samples);
   std::string out;

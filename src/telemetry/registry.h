@@ -142,10 +142,6 @@ class Registry {
   std::vector<HistGroup> hist_groups_;
 };
 
-/// Renders samples as an aligned human-readable table (sorted by entity
-/// then metric).
-std::string FormatMetricsTable(const std::vector<MetricSample>& samples);
-
 /// Renders samples as newline-delimited JSON, one metric per line with
 /// stable key order {"entity","metric","proc","value"}, sorted by entity
 /// then metric then proc — gsrun's --stats-dump format (DESIGN.md §11).

@@ -20,6 +20,7 @@ namespace gigascope::core {
 namespace {
 
 using expr::Value;
+using rts::RingChannel;
 
 /// One output message rendered for diffing: kind marker + raw payload
 /// bytes. Tuple payloads are deterministic encodings, so byte equality is
@@ -51,11 +52,12 @@ std::string EngineCounters(Engine& engine) {
       out += sample.metric + "=" + std::to_string(sample.value) + " ";
     }
   }
+  const rts::StreamRegistry& registry = engine.registry();
   out += std::string(telemetry::metric::kResyncDropped) + "=" +
-         std::to_string(engine.registry().TotalResyncDroppedAll());
-  for (const std::string& stream : engine.registry().StreamNames()) {
-    out += " drops[" + stream +
-           "]=" + std::to_string(engine.registry().TotalDrops(stream));
+         std::to_string(registry.Total(&RingChannel::resync_dropped));
+  for (const std::string& stream : registry.StreamNames()) {
+    out += " drops[" + stream + "]=" +
+           std::to_string(registry.Total(&RingChannel::dropped, stream));
   }
   return out;
 }
@@ -143,11 +145,12 @@ WorkloadRun RunWorkload(size_t batch_size, Mode mode) {
   }
   // No run may have lost anything to backpressure: equivalence is only
   // meaningful when every configuration saw the whole workload.
-  EXPECT_EQ(engine.registry().TotalDrops("eth0.PKT"), 0u);
+  const rts::StreamRegistry& registry = engine.registry();
+  EXPECT_EQ(registry.Total(&RingChannel::dropped, "eth0.PKT"), 0u);
   for (const char* name : kOutputs) {
-    EXPECT_EQ(engine.registry().TotalDrops(name), 0u) << name;
+    EXPECT_EQ(registry.Total(&RingChannel::dropped, name), 0u) << name;
   }
-  EXPECT_EQ(engine.registry().TotalOversizeDroppedAll(), 0u);
+  EXPECT_EQ(registry.Total(&RingChannel::oversize_dropped), 0u);
   run.counters = EngineCounters(engine);
   return run;
 }
@@ -216,7 +219,7 @@ TEST(BatchEquivalenceTest, PunctuationStillClosesWindowWhenRingFills) {
                                               (i + 1) * kNanosPerSecond / 64))
                     .ok());
   }
-  EXPECT_GT(engine.registry().TotalDrops("eth0.PKT"), 0u);
+  EXPECT_GT(engine.registry().Total(&RingChannel::dropped, "eth0.PKT"), 0u);
   // The window-closing heartbeat hits the still-full ring: its tuples'
   // fate (drop) must not befall the punctuation.
   ASSERT_TRUE(engine.InjectHeartbeat("eth0", 2 * kNanosPerSecond).ok());

@@ -950,9 +950,10 @@ TEST(EngineTest, OverloadDropsEarliestInTheChain) {
                                                 80, "x"))
                     .ok());
   }
-  uint64_t raw_drops = engine.registry().TotalDrops("eth0.PKT");
+  const rts::StreamRegistry& registry = engine.registry();
+  uint64_t raw_drops = registry.Total(&rts::RingChannel::dropped, "eth0.PKT");
   EXPECT_GE(raw_drops, 90u);  // ~92 of 100 dropped before any processing
-  EXPECT_EQ(engine.registry().TotalDrops("q"), 0u);
+  EXPECT_EQ(registry.Total(&rts::RingChannel::dropped, "q"), 0u);
 
   engine.PumpUntilIdle();
   int delivered = 0;

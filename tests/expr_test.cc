@@ -65,7 +65,7 @@ class ExprHarness {
     ctx.row0 = at;
     ctx.params = &param_values;
     EvalOutput out;
-    GS_RETURN_IF_ERROR(Eval(compiled, ctx, &out));
+    GS_RETURN_IF_ERROR(Evaluator().Eval(compiled, ctx, &out));
     if (!out.has_value) return Status::NotFound("no value (partial miss)");
     return out.value;
   }

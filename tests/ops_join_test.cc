@@ -35,11 +35,18 @@ StreamSchema JoinedSchema() {
   return StreamSchema("joined", StreamKind::kStream, fields);
 }
 
+/// `l.v <op> r.v`, of type `type`.
+expr::IrPtr SideValues(BinaryOp op, DataType type) {
+  return expr::MakeBinaryIr(op, type,
+                            expr::MakeFieldRef(0, 1, DataType::kUint, "v"),
+                            expr::MakeFieldRef(1, 1, DataType::kUint, "v"));
+}
+
 class JoinTest : public ::testing::Test {
  protected:
   /// Window: left.ts - right.ts in [lo, hi]; no residual predicate by
   /// default.
-  void Init(int64_t lo, int64_t hi, bool with_predicate = false,
+  void Init(int64_t lo, int64_t hi, expr::IrPtr predicate = nullptr,
             bool order_preserving = false) {
     ASSERT_TRUE(registry_.DeclareStream(SideSchema("l")).ok());
     ASSERT_TRUE(registry_.DeclareStream(SideSchema("r")).ok());
@@ -54,13 +61,8 @@ class JoinTest : public ::testing::Test {
     spec.lo = lo;
     spec.hi = hi;
     spec.order_preserving = order_preserving;
-    if (with_predicate) {
-      // l.v = r.v
-      auto ir = expr::MakeBinaryIr(
-          BinaryOp::kEq, DataType::kBool,
-          expr::MakeFieldRef(0, 1, DataType::kUint, "v"),
-          expr::MakeFieldRef(1, 1, DataType::kUint, "v"));
-      auto compiled = expr::Compile(ir);
+    if (predicate != nullptr) {
+      auto compiled = expr::Compile(predicate);
       ASSERT_TRUE(compiled.ok());
       spec.predicate = std::move(compiled).value();
     }
@@ -162,7 +164,7 @@ TEST_F(JoinTest, BandWindowJoinsNearbyTimestamps) {
 }
 
 TEST_F(JoinTest, ResidualPredicateFilters) {
-  Init(0, 0, /*with_predicate=*/true);
+  Init(0, 0, SideValues(BinaryOp::kEq, DataType::kBool));
   Send("l", 1, 10);
   Send("r", 1, 10);  // v matches
   Send("l", 2, 20);
@@ -171,6 +173,25 @@ TEST_F(JoinTest, ResidualPredicateFilters) {
   auto pairs = ReceivePairs();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].first, 1u);
+}
+
+TEST_F(JoinTest, ResidualPredicateErrorsAreCounted) {
+  // l.v / r.v > 0: a zero divisor is an evaluation error, counted in
+  // eval_errors like every other operator counts it; that pair joins
+  // nothing. A non-zero divisor joins.
+  Init(0, 0,
+       expr::MakeBinaryIr(BinaryOp::kGt, DataType::kBool,
+                          SideValues(BinaryOp::kDiv, DataType::kUint),
+                          expr::MakeConst(Value::Uint(0))));
+  Send("l", 1, 10);
+  Send("r", 1, 0);  // 10 / 0
+  Send("l", 2, 10);
+  Send("r", 2, 5);  // 10 / 5 = 2 > 0
+  node_->Poll(100);
+  auto pairs = ReceivePairs();
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0].first, 2u);
+  EXPECT_EQ(node_->eval_errors(), 1u);
 }
 
 TEST_F(JoinTest, BothArrivalOrdersProduceSameMatches) {
@@ -271,7 +292,7 @@ TEST_F(JoinTest, EagerAlgorithmEmitsOutOfOrderWithinBand) {
 }
 
 TEST_F(JoinTest, OrderPreservingAlgorithmSortsOutput) {
-  Init(-3, 3, /*with_predicate=*/false, /*order_preserving=*/true);
+  Init(-3, 3, /*predicate=*/nullptr, /*order_preserving=*/true);
   // Matches complete out of order; releases must come back sorted.
   Send("l", 5, 0);
   Send("r", 5, 0);   // match key 5 completes first
@@ -286,7 +307,7 @@ TEST_F(JoinTest, OrderPreservingAlgorithmSortsOutput) {
 }
 
 TEST_F(JoinTest, OrderPreservingHoldsUntilBoundPasses) {
-  Init(-2, 2, false, /*order_preserving=*/true);
+  Init(-2, 2, nullptr, /*order_preserving=*/true);
   Send("l", 10, 0);
   Send("r", 10, 0);
   node_->Poll(100);
@@ -303,7 +324,7 @@ TEST_F(JoinTest, OrderPreservingHoldsUntilBoundPasses) {
 }
 
 TEST_F(JoinTest, OrderPreservingOutputSortedUnderBandedCompletion) {
-  Init(-4, 4, false, /*order_preserving=*/true);
+  Init(-4, 4, nullptr, /*order_preserving=*/true);
   // Right arrives far ahead; lefts then complete matches newest-first.
   Send("r", 10, 0);
   Send("r", 12, 0);

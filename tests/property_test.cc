@@ -454,7 +454,7 @@ Value Evaluate(const IrPtr& ir, const rts::Row& row, bool* has_value) {
   expr::EvalContext ctx;
   ctx.row0 = at;
   expr::EvalOutput out;
-  EXPECT_TRUE(expr::Eval(*compiled, ctx, &out).ok());
+  EXPECT_TRUE(expr::Evaluator().Eval(*compiled, ctx, &out).ok());
   *has_value = out.has_value;
   return out.value;
 }

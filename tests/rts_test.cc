@@ -384,7 +384,7 @@ TEST(RegistryTest, SlowSubscriberDropsAlone) {
   for (int i = 0; i < 10; ++i) registry.PublishBatch("mixed", One());
   EXPECT_EQ((*slow)->dropped(), 9u);
   EXPECT_EQ((*fast)->dropped(), 0u);
-  EXPECT_EQ(registry.TotalDrops("mixed"), 9u);
+  EXPECT_EQ(registry.Total(&RingChannel::dropped, "mixed"), 9u);
 }
 
 TEST(RegistryTest, SubscribeUnknownStreamFails) {
@@ -415,18 +415,6 @@ TEST(PunctuationTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->BoundFor(0)->uint_value(), 99u);
   EXPECT_DOUBLE_EQ(decoded->BoundFor(2)->float_value(), 1.5);
   EXPECT_FALSE(decoded->BoundFor(1).has_value());
-}
-
-TEST(PunctuationTest, CombineMaxKeepsLaterBounds) {
-  Punctuation a, b;
-  a.bounds.emplace_back(0, Value::Uint(10));
-  a.bounds.emplace_back(1, Value::Int(5));
-  b.bounds.emplace_back(0, Value::Uint(20));
-  b.bounds.emplace_back(2, Value::Int(1));
-  a.CombineMax(b);
-  EXPECT_EQ(a.BoundFor(0)->uint_value(), 20u);
-  EXPECT_EQ(a.BoundFor(1)->int_value(), 5);
-  EXPECT_EQ(a.BoundFor(2)->int_value(), 1);
 }
 
 TEST(PunctuationTest, DecodeRejectsOutOfRangeField) {
@@ -688,7 +676,7 @@ TEST(RegistryTest, FanOutDropChargedToFullChannelOnly) {
   EXPECT_EQ((*tiny)->pushed(), 1u);
   EXPECT_EQ((*roomy)->dropped(), 0u);
   EXPECT_EQ((*roomy)->pushed(), 2u);
-  EXPECT_EQ(registry.TotalDrops("mixed"), 1u);
+  EXPECT_EQ(registry.Total(&RingChannel::dropped, "mixed"), 1u);
 
   // roomy saw both messages, in publish order.
   StreamBatch out;

@@ -254,7 +254,7 @@ TEST(ShedEngineTest, SampledCountsScaleToOfferedLoad) {
   // No ring ever dropped: every offered packet was either folded (with
   // its Horvitz-Thompson weight) or deliberately shed and covered by a
   // surviving packet's weight.
-  EXPECT_EQ(engine.registry().TotalDropsAll(), 0u);
+  EXPECT_EQ(engine.registry().Total(&rts::RingChannel::dropped), 0u);
   EXPECT_EQ(Metric(engine, "engine", telemetry::metric::kShedLevel), 1u);
   const uint64_t shed = Metric(engine, "engine",
                                telemetry::metric::kShedTuples);

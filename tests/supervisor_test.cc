@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -59,39 +60,116 @@ ShmRingOptions SmallShm(size_t max_slots = 64, size_t slot_bytes = 256) {
 
 // -- Shm ring unit tests -----------------------------------------------------
 
-TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
-  // The shm backend must be a drop-in for the heap backend: same messages
-  // in, same messages out, same counters — serialization is invisible.
-  RingChannel heap(16);
-  RingChannel shm(16, SmallShm());
-  ASSERT_TRUE(shm.is_shm());
-  ASSERT_FALSE(heap.is_shm());
+/// A ring's counters at one point of a scripted run.
+struct RingCounters {
+  uint64_t pushed = 0;
+  uint64_t popped = 0;
+  uint64_t dropped = 0;
+  uint64_t resync_dropped = 0;
+  size_t high_water = 0;
+  size_t size = 0;
+  bool operator==(const RingCounters&) const = default;
+};
 
+/// What one scripted run delivered (kind, weight and payload of every
+/// popped message) and the ring's counters at each checkpoint.
+struct RingScript {
+  std::vector<std::string> delivered;
+  std::vector<RingCounters> checkpoints;
+};
+
+/// Drives `ring` as producer and consumer through round trips, a full-ring
+/// drop that parks a punctuation, the parked punctuation's retry and an
+/// armed resync gate.
+RingScript RunRingScript(RingChannel& ring) {
+  RingScript script;
+  const auto pop = [&](size_t slots) {
+    StreamBatch out;
+    for (size_t s = 0; s < slots && ring.TryPop(&out); ++s) {
+      for (size_t i = 0; i < out.size(); ++i) {
+        const ByteSpan payload = out.payload(i);
+        script.delivered.push_back(
+            std::to_string(static_cast<int>(out.item(i).kind)) + "/" +
+            std::to_string(out.item(i).weight) + "/" +
+            std::string(payload.begin(), payload.end()));
+      }
+    }
+  };
+  const auto checkpoint = [&] {
+    script.checkpoints.push_back(
+        {ring.pushed(), ring.popped(), ring.dropped(), ring.resync_dropped(),
+         ring.high_water_mark(), ring.size()});
+  };
+  // Round trips: five tuples and a punctuation per batch.
   for (int round = 0; round < 50; ++round) {
     StreamBatch batch;
     for (int i = 0; i < 5; ++i) {
       Tuple(&batch, static_cast<uint8_t>(round * 5 + i));
     }
     Punct(&batch, static_cast<uint8_t>(round));
-    StreamBatch copy = batch;
-    ASSERT_TRUE(heap.TryPush(std::move(batch)));
-    ASSERT_TRUE(shm.TryPush(std::move(copy)));
-
-    StreamBatch from_heap;
-    StreamBatch from_shm;
-    while (heap.TryPop(&from_heap)) {
-    }
-    while (shm.TryPop(&from_shm)) {
-    }
-    ASSERT_EQ(from_heap.size(), from_shm.size());
-    for (size_t i = 0; i < from_heap.size(); ++i) {
-      EXPECT_EQ(from_heap.item(i).kind, from_shm.item(i).kind);
-      EXPECT_EQ(from_heap.payload(i), from_shm.payload(i));
-      EXPECT_EQ(from_heap.item(i).weight, from_shm.item(i).weight);
-    }
+    EXPECT_TRUE(ring.TryPush(std::move(batch)));
+    pop(SIZE_MAX);
   }
-  EXPECT_EQ(heap.pushed(), shm.pushed());
-  EXPECT_EQ(heap.popped(), shm.popped());
+  checkpoint();
+  // Fill all 16 slots; the next batch's three tuples drop and its
+  // punctuation parks.
+  for (uint8_t i = 0; i < 16; ++i) {
+    StreamBatch batch;
+    Tuple(&batch, i);
+    EXPECT_TRUE(ring.PushOrDrop(std::move(batch)));
+  }
+  StreamBatch overflow;
+  for (uint8_t i = 0; i < 3; ++i) Tuple(&overflow, 100 + i);
+  Punct(&overflow, 99);
+  EXPECT_FALSE(ring.PushOrDrop(std::move(overflow)));
+  EXPECT_TRUE(ring.has_parked());
+  checkpoint();
+  // Two pops make room; the parked punctuation goes out on its own.
+  pop(2);
+  EXPECT_TRUE(ring.FlushParked());
+  checkpoint();
+  // A restarted consumer: the gate discards the 14 queued tuples up to the
+  // punctuation, and the batch pushed after arming is delivered.
+  ring.BeginResync();
+  StreamBatch after;
+  Tuple(&after, 200);
+  Tuple(&after, 201);
+  EXPECT_TRUE(ring.TryPush(std::move(after)));
+  pop(SIZE_MAX);
+  EXPECT_FALSE(ring.resync_pending());
+  checkpoint();
+  return script;
+}
+
+TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
+  // The shm backend must be a drop-in for the heap backend: same messages
+  // in, same messages out, same counters through drops, parked
+  // punctuations and the resync gate — serialization is invisible.
+  RingChannel heap(16);
+  RingChannel shm(16, SmallShm());
+  ASSERT_TRUE(shm.is_shm());
+  ASSERT_FALSE(heap.is_shm());
+  const RingScript from_heap = RunRingScript(heap);
+  const RingScript from_shm = RunRingScript(shm);
+  EXPECT_EQ(from_heap.delivered, from_shm.delivered);
+  ASSERT_EQ(from_heap.checkpoints.size(), 4u);
+  for (size_t c = 0; c < from_heap.checkpoints.size(); ++c) {
+    const RingCounters& h = from_heap.checkpoints[c];
+    const RingCounters& m = from_shm.checkpoints[c];
+    EXPECT_EQ(h.pushed, m.pushed) << "checkpoint " << c;
+    EXPECT_EQ(h.popped, m.popped) << "checkpoint " << c;
+    EXPECT_EQ(h.dropped, m.dropped) << "checkpoint " << c;
+    EXPECT_EQ(h.resync_dropped, m.resync_dropped) << "checkpoint " << c;
+    EXPECT_EQ(h.high_water, m.high_water) << "checkpoint " << c;
+    EXPECT_EQ(h.size, m.size) << "checkpoint " << c;
+  }
+  // The script reached every state it was written for.
+  EXPECT_EQ(from_heap.checkpoints[1],
+            (RingCounters{316, 300, 3, 0, 16, 16}));
+  EXPECT_EQ(from_heap.checkpoints[2],
+            (RingCounters{317, 302, 3, 0, 16, 15}));
+  EXPECT_EQ(from_heap.checkpoints[3],
+            (RingCounters{319, 319, 3, 14, 16, 0}));
   EXPECT_EQ(shm.torn(), 0u);
   EXPECT_EQ(shm.oversize_dropped(), 0u);
 }
@@ -703,6 +781,29 @@ TEST(EngineProcessTest, StalledWorkerDetectedByHeartbeat) {
   int rows = 0;
   while ((*sub)->NextRow()) ++rows;
   EXPECT_GT(rows, 0);
+}
+
+TEST(EngineProcessTest, SlowWorkerIsNotDeclaredHung) {
+  // Scheduling delay is not a fault. A worker that goes silent for 300 ms
+  // (descheduled on a loaded host, or busy in one long seal) stays inside
+  // the default hang window: it is neither killed nor adopted, and the
+  // run stays byte-exact against single-process.
+  std::vector<net::Packet> batch = MakeBatch(4000);
+  std::vector<std::string> reference = RunAgg(batch, 0);
+  ASSERT_FALSE(reference.empty());
+  auto fault = ParseFaultSpec("stall:worker=0,after=40,ms=300");
+  ASSERT_TRUE(fault.ok());
+  Engine* engine = nullptr;
+  std::vector<std::string> rows = RunAgg(batch, 1, *fault, &engine);
+  std::map<std::string, uint64_t> by_metric;
+  for (const auto& sample : engine->telemetry().Snapshot()) {
+    by_metric[sample.metric] += sample.value;
+  }
+  EXPECT_GT(by_metric["heartbeat_misses"], 0u);  // the stall happened
+  EXPECT_EQ(by_metric["worker_restarts"], 0u);
+  EXPECT_EQ(by_metric["workers_degraded"], 0u);
+  EXPECT_EQ(engine->registry().Total(&RingChannel::dropped), 0u);
+  EXPECT_EQ(rows, reference);
 }
 
 TEST(EngineProcessTest, TornSlotFaultSkippedNotDelivered) {

@@ -87,7 +87,7 @@ TEST(CounterTest, Basics) {
   EXPECT_EQ(counter.value(), 200u);
 }
 
-TEST(RegistryTest, SnapshotAndFormat) {
+TEST(RegistryTest, SnapshotReadsLiveCounters) {
   Registry registry;
   Counter a;
   Counter b;
@@ -107,11 +107,6 @@ TEST(RegistryTest, SnapshotAndFormat) {
   // Counters are live: a later snapshot sees later values.
   a.Add(1);
   EXPECT_EQ(FindSample(registry.Snapshot(), "nodeA", "tuples_in"), 4u);
-
-  std::string table = FormatMetricsTable(samples);
-  EXPECT_NE(table.find("nodeA"), std::string::npos);
-  EXPECT_NE(table.find("tuples_out"), std::string::npos);
-  EXPECT_NE(table.find("42"), std::string::npos);
 }
 
 // The --stats-dump wire format (DESIGN.md §11): one metric per line, each
