@@ -55,14 +55,10 @@ std::vector<Packet> MakeBatch(int packets) {
 std::unique_ptr<Engine> MakeEngine(
     const std::string& query, int packets,
     gigascope::SimTime stats_period = 0, size_t trace_sample = 0,
-    size_t batch_size = 0, bool processes = false,
-    size_t metrics_arena_slots = static_cast<size_t>(-1)) {
+    size_t batch_size = 0, bool processes = false) {
   EngineOptions options;
   // Shm-backed inter-node rings must be chosen before queries are added.
   options.process.enabled = processes;
-  if (metrics_arena_slots != static_cast<size_t>(-1)) {
-    options.process.metrics_arena_slots = metrics_arena_slots;
-  }
   // Size channels so a full run fits without drops: the comparison should
   // measure operator and handoff cost, not loss policy.
   size_t capacity = 1;
@@ -125,12 +121,9 @@ double MeasurePpsThreaded(const std::string& query,
 /// split). Same drive pattern as the threaded mode; the parent pumps the
 /// supervisor between injections via FlushAll's drain at the end.
 double MeasurePpsProcesses(const std::string& query,
-                           const std::vector<Packet>& batch, size_t workers,
-                           size_t metrics_arena_slots =
-                               static_cast<size_t>(-1)) {
+                           const std::vector<Packet>& batch, size_t workers) {
   std::unique_ptr<Engine> owned = MakeEngine(
-      query, static_cast<int>(batch.size()), 0, 0, 0, /*processes=*/true,
-      metrics_arena_slots);
+      query, static_cast<int>(batch.size()), 0, 0, 0, /*processes=*/true);
   Engine& engine = *owned;
   auto start = Clock::now();
   if (!engine.StartProcesses(workers).ok()) std::exit(1);
@@ -340,27 +333,6 @@ int main(int argc, char** argv) {
       "copy of the batch arena through the shm ring; batching keeps that\n"
       "amortized, so the mode stays within ~15%% of in-process while\n"
       "buying crash containment (see DESIGN.md §14).\n");
-
-  // Shm metrics arena overhead (DESIGN.md §16): in process mode every
-  // worker-owned counter/histogram cell lives in the shared-memory arena
-  // instead of the child heap — same relaxed atomics, different cache
-  // lines. Ablate with metrics_arena_slots=0 (workers keep private
-  // counters the parent cannot see) to price the aggregation plane.
-  std::printf(
-      "\nshm metrics arena overhead (1 supervised worker; arena off = "
-      "workers\nkeep invisible private counters):\n%-22s %16s %16s %8s\n",
-      "workload", "arena-off pps", "arena-on pps", "ratio");
-  for (size_t i : {size_t{2}, size_t{3}}) {
-    double off = 0;
-    double on = 0;
-    for (int repetition = 0; repetition < 5; ++repetition) {
-      off = std::max(off, MeasurePpsProcesses(workloads[i].query, batch, 1,
-                                              /*metrics_arena_slots=*/0));
-      on = std::max(on, MeasurePpsProcesses(workloads[i].query, batch, 1));
-    }
-    std::printf("%-22s %16.0f %16.0f %7.3fx\n", workloads[i].label, off, on,
-                on / off);
-  }
 
   // Metrics endpoint overhead: the accept thread snapshots the registry
   // and renders Prometheus text per scrape. 50ms is ~100x more aggressive

@@ -82,19 +82,6 @@ bool ByteReader::GetU64Le(uint64_t* v) {
   return true;
 }
 
-bool ByteReader::GetBytes(void* out, size_t len) {
-  if (remaining() < len) return false;
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
-  return true;
-}
-
-bool ByteReader::Skip(size_t len) {
-  if (remaining() < len) return false;
-  pos_ += len;
-  return true;
-}
-
 std::string Ipv4ToString(uint32_t addr) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,

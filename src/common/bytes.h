@@ -56,14 +56,9 @@ class ByteReader {
   bool GetU16Le(uint16_t* v);
   bool GetU32Le(uint32_t* v);
   bool GetU64Le(uint64_t* v);
-  bool GetBytes(void* out, size_t len);
-  bool Skip(size_t len);
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
-
-  /// View of the unread suffix.
-  ByteSpan Rest() const { return data_.substr(pos_); }
 
  private:
   ByteSpan data_;

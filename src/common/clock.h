@@ -20,27 +20,6 @@ constexpr SimTime SecondsToSimTime(double seconds) {
   return static_cast<SimTime>(seconds * static_cast<double>(kNanosPerSecond));
 }
 
-/// A manually-advanced virtual clock.
-///
-/// All of the capture simulator and the RTS take time from a VirtualClock so
-/// experiments are deterministic and decoupled from wall-clock speed.
-class VirtualClock {
- public:
-  VirtualClock() : now_(0) {}
-  explicit VirtualClock(SimTime start) : now_(start) {}
-
-  SimTime now() const { return now_; }
-
-  /// Moves time forward; `delta` must be non-negative.
-  void Advance(SimTime delta);
-
-  /// Jumps to an absolute time not before the current time.
-  void AdvanceTo(SimTime t);
-
- private:
-  SimTime now_;
-};
-
 }  // namespace gigascope
 
 #endif  // GIGASCOPE_COMMON_CLOCK_H_

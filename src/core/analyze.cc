@@ -1,8 +1,9 @@
 // EXPLAIN ANALYZE assembly: resolves each retained query plan's operators
 // to their instantiated nodes and hands plan/explain.h's renderers a lookup
-// over live runtime counters. Counter values come from one registry
-// snapshot — the same folded (restart-monotone, proc-tagged) read path that
-// feeds gs_stats — so ANALYZE never disagrees with the stats stream.
+// over live runtime counters. Node counters come from one registry
+// snapshot — the same (proc-tagged) read path that feeds gs_stats — so
+// ANALYZE never disagrees with the stats stream; ring health is read from
+// the node's input rings, whose counters the ring_* metrics also read.
 
 #include <map>
 #include <string>
@@ -15,28 +16,13 @@ namespace gigascope::core {
 
 namespace metric = telemetry::metric;
 
-namespace {
-
-bool StartsWith(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool EndsWith(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() &&
-         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-}
-
-}  // namespace
-
 void Engine::AssembleAnalyze(
     std::map<std::string, plan::AnalyzeNodeStats>* by_node,
     plan::AnalyzeSummary* summary) const {
   // Snapshot once, index by (entity, metric). There is exactly one row per
   // (entity, metric) — proc is an owner tag, not a second series.
-  const std::vector<telemetry::MetricSample> samples = telemetry_.Snapshot();
   std::map<std::pair<std::string, std::string>, uint64_t> values;
-  for (const telemetry::MetricSample& sample : samples) {
+  for (const telemetry::MetricSample& sample : telemetry_.Snapshot()) {
     values[{sample.entity, sample.metric}] = sample.value;
   }
   auto value_of = [&values](const std::string& entity,
@@ -64,25 +50,14 @@ void Engine::AssembleAnalyze(
         value_of(name, std::string(metric::kTupleNs) + metric::kP50Suffix);
     s.tuple_ns_p99 =
         value_of(name, std::string(metric::kTupleNs) + metric::kP99Suffix);
-    // Ring health, summed over the node's input channels ("ring_*" with
-    // one input, "ring<i>_*" with several). "_size" must not swallow the
-    // ring_batch_size histogram stats ("..._p50" etc. never match, but be
-    // explicit about the one real prefix collision).
-    for (const telemetry::MetricSample& sample : samples) {
-      if (sample.entity != name) continue;
-      if (!StartsWith(sample.metric, metric::kRingPrefix)) continue;
-      if (EndsWith(sample.metric, metric::kRingPushedSuffix)) {
-        s.ring_pushed += sample.value;
-      } else if (EndsWith(sample.metric, metric::kRingPoppedSuffix)) {
-        s.ring_popped += sample.value;
-      } else if (EndsWith(sample.metric, metric::kRingDroppedSuffix)) {
-        s.ring_dropped += sample.value;
-      } else if (EndsWith(sample.metric, metric::kRingHighWaterSuffix)) {
-        s.ring_high_water += sample.value;
-      } else if (EndsWith(sample.metric, metric::kRingSizeSuffix) &&
-                 !EndsWith(sample.metric, metric::kRingBatchSizeSuffix)) {
-        s.ring_size += sample.value;
-      }
+    // Ring health, summed over the node's input channels: the same
+    // control-block counters the ring_* metrics read.
+    for (const rts::Subscription& input : node->inputs()) {
+      s.ring_pushed += input->pushed();
+      s.ring_popped += input->popped();
+      s.ring_dropped += input->dropped();
+      s.ring_size += input->size();
+      s.ring_high_water += input->high_water_mark();
     }
     summary->trace_truncated += node->trace_truncated();
     by_node->emplace(name, std::move(s));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 
 #include "common/logging.h"
 #include "core/compiled_query.h"
@@ -375,6 +376,21 @@ void Engine::RegisterNewNodeTelemetry() {
       tracer_->SetTrackName(track, node->name());
     }
     node->RegisterTelemetry(&telemetry_);
+    // Process mode: the node counts in a shared mapping from the start, so
+    // whichever process polls it (a forked worker, that worker's restarted
+    // incarnations, or the parent after adoption) writes the cells the
+    // parent's registry reads (DESIGN.md §16).
+    const size_t cells =
+        options_.process.enabled ? telemetry_.CellCount(node->name()) : 0;
+    if (cells > 0) {
+      metric_cells_.push_back(
+          rts::ShmSegment::Create(cells * sizeof(std::atomic<uint64_t>)));
+      auto* cell = metric_cells_.back()->As<std::atomic<uint64_t>>();
+      for (size_t i = 0; i < cells; ++i) {
+        new (&cell[i]) std::atomic<uint64_t>(0);
+      }
+      telemetry_.BindCells(node->name(), cell);
+    }
     // Cache LFTA-table nodes so the overload controller's pressure checks
     // can read table occupancy without a scan-and-cast per check.
     if (const auto* lfta = dynamic_cast<const ops::LftaAggregateNode*>(node)) {
@@ -830,31 +846,6 @@ void Engine::PrepareProcessWorkers() {
       for (size_t idx : group) nodes_[idx]->SetTracer(nullptr, 0);
     }
   }
-  // Shm metrics arena: bind every worker-owned node's counters and
-  // histograms into shared fixed slots *before* the fork, so the children
-  // inherit cells the parent's registry can read live. Each worker gets a
-  // contiguous slot range; its restarted incarnations reset that range
-  // under a new epoch and the parent's fold keeps aggregates monotone.
-  worker_arena_ranges_.assign(worker_nodes_.size(), {});
-  if (options_.process.metrics_arena_slots > 0) {
-    if (metrics_arena_ == nullptr) {
-      metrics_shm_ = rts::ShmSegment::Create(telemetry::MetricsArena::
-          BytesForSlots(options_.process.metrics_arena_slots));
-      metrics_arena_ = std::make_unique<telemetry::MetricsArena>(
-          metrics_shm_->data(), metrics_shm_->size());
-      telemetry_.Register("engine", metric::kMetricsArenaExhausted,
-                          metrics_arena_->exhausted_counter());
-    }
-    for (size_t w = 0; w < worker_nodes_.size(); ++w) {
-      const size_t begin = metrics_arena_->allocated();
-      const std::string proc = "w" + std::to_string(w);
-      for (size_t idx : worker_nodes_[w]) {
-        telemetry_.BindEntityToArena(nodes_[idx]->name(),
-                                     metrics_arena_.get(), proc);
-      }
-      worker_arena_ranges_[w] = {begin, metrics_arena_->allocated() - begin};
-    }
-  }
   // Torn-slot fault: arm the producer side of every subscriber ring before
   // forking, so whichever process publishes into the stream inherits the
   // armed flag.
@@ -889,16 +880,10 @@ void Engine::RunProcessWorker(const WorkerGroup& group, size_t worker,
   // A restarted incarnation forked from the parent's pristine operator
   // state: the dead incarnation's partial groups are gone, so discard
   // mid-window input until the next punctuation boundary re-anchors the
-  // stream. The ring's read position itself lives in shm and carries over.
+  // stream. The ring's read position itself lives in shm and carries over,
+  // and so do the nodes' metric cells: this incarnation keeps counting
+  // where the dead one stopped.
   if (generation > 1) {
-    // Re-zero this worker's metric slots under the new generation's epoch:
-    // the fresh incarnation's counters restart from the fork-time heap
-    // values otherwise, and the parent's fold needs the epoch bump to bank
-    // the dead incarnation's progress instead of seeing a regression.
-    const ArenaRange& range = worker_arena_ranges_[worker];
-    if (metrics_arena_ != nullptr && range.count > 0) {
-      metrics_arena_->ResetRange(range.begin, range.count, generation);
-    }
     for (rts::QueryNode* node : group.nodes) {
       for (const rts::Subscription& input : node->inputs()) {
         input->BeginResync();
@@ -930,8 +915,8 @@ void Engine::AdoptWorker(size_t worker, bool resync) {
   for (size_t idx : worker_nodes_[worker]) {
     node_worker_[idx] = kInjectThread;
     // The inject thread polls the node and produces into its output rings
-    // now. Its metrics move under the parent's proc tag; arena-bound
-    // counters stay bound (single writer again, just a different one).
+    // now. Its metrics move under the parent's proc tag; shared cells stay
+    // bound (single writer again, just a different one).
     telemetry_.SetEntityProc(nodes_[idx]->name(), telemetry::kProcRts);
     inject_streams_.push_back(nodes_[idx]->name());
     if (resync) {

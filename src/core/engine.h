@@ -72,12 +72,6 @@ class TupleSubscription {
 /// is shm-backed and fork-shareable.
 struct ProcessOptions {
   bool enabled = false;
-  /// Shm metrics arena capacity, in metric slots (16 bytes each). Worker
-  /// node counters and histograms bind into the arena before the fork, so
-  /// the parent's registry folds live child-side values (monotone across
-  /// restarts) instead of reading its own stale copy-on-write copies.
-  /// 0 disables the arena: worker metrics degrade to parent-stale values.
-  size_t metrics_arena_slots = 16384;
   /// Heartbeat cadence and hang window, restart budget/backoff.
   SupervisorOptions supervisor;
 };
@@ -343,8 +337,8 @@ class Engine {
   /// plan annotated with live runtime counters — actual tuples in/out,
   /// poll/tuple timing percentiles, input-ring health, process placement
   /// with restart counts.
-  /// Safe while workers pump (counter reads are the same folded-snapshot
-  /// path gs_stats uses). `mask_volatile` omits wall-clock and occupancy
+  /// Safe while workers pump (counter reads are the same snapshot path
+  /// gs_stats uses). `mask_volatile` omits wall-clock and occupancy
   /// fields so the output is run-to-run stable (golden tests).
   std::string AnalyzeText(bool mask_volatile = false) const;
   /// Same as one JSON object: {"queries":[<per-query object>, ...]}.
@@ -385,8 +379,8 @@ class Engine {
   /// min(workers, hfta nodes) workers of `mode`'s backend and starts them.
   Status StartWorkers(PumpMode mode, size_t workers);
   /// Process backend set-up before the fork: detaches tracing from worker
-  /// nodes, binds their metrics into the shm arena, arms a torn-slot
-  /// fault, and registers the supervisor's counters.
+  /// nodes, arms a torn-slot fault, and registers the supervisor's
+  /// counters.
   void PrepareProcessWorkers();
   /// A forked worker's main: resync after a restart, then the worker loop.
   void RunProcessWorker(const WorkerGroup& group, size_t worker,
@@ -422,12 +416,14 @@ class Engine {
   void FlushSourceBatches();
 
   /// EXPLAIN ANALYZE assembly (core/analyze.cc): one registry snapshot
-  /// folded into per-node stats plus the engine-level summary header.
+  /// and the nodes' input rings turned into per-node stats, plus the
+  /// engine-level summary header.
   void AssembleAnalyze(std::map<std::string, plan::AnalyzeNodeStats>* by_node,
                        plan::AnalyzeSummary* summary) const;
 
   /// Registers telemetry for nodes added since the last call (watermark
-  /// telemetry_registered_nodes_).
+  /// telemetry_registered_nodes_); in process mode also binds each node's
+  /// counters and histograms into shared cells.
   void RegisterNewNodeTelemetry();
   /// Emits a `gs_stats` snapshot when injected time has advanced past
   /// options_.stats_period since the previous one.
@@ -443,6 +439,10 @@ class Engine {
   // Declared before nodes_/registry_ so registered readers (which point at
   // node- and channel-owned counters) never outlive the registry's users.
   telemetry::Registry telemetry_;
+  /// Process mode: one shared mapping per node, holding the cells its
+  /// counters and histograms count in (RegisterNewNodeTelemetry). Declared
+  /// before nodes_ so the cells outlive every counter bound to them.
+  std::vector<std::unique_ptr<rts::ShmSegment>> metric_cells_;
   // Also before nodes_: nodes keep a raw Tracer pointer (SetTracer).
   std::unique_ptr<telemetry::Tracer> tracer_;
   /// Trace-viewer track ids: 0 is the inject thread, nodes take 1..N.
@@ -522,19 +522,6 @@ class Engine {
   std::atomic<uint64_t> adopted_resync_{0};
   // -- Process backend -------------------------------------------------------
   bool process_telemetry_registered_ = false;
-  /// Shm metrics arena (process mode): created by the parent before any
-  /// fork so children inherit counters bound into shared slots; the
-  /// parent's registry reads fold the live child-side values.
-  std::unique_ptr<rts::ShmSegment> metrics_shm_;
-  std::unique_ptr<telemetry::MetricsArena> metrics_arena_;
-  /// Contiguous arena slot range bound for each worker's node entities; a
-  /// restarted incarnation resets its range (new epoch) so the parent's
-  /// monotone fold never regresses.
-  struct ArenaRange {
-    size_t begin = 0;
-    size_t count = 0;
-  };
-  std::vector<ArenaRange> worker_arena_ranges_;
 
   bool flushed_ = false;
   /// Once a user node exists, sources created later also materialize every

@@ -16,11 +16,6 @@ namespace {
 
 constexpr int64_t kMilli = 1000 * 1000;
 
-/// How long SendCommand waits for a worker's ack before giving up. The
-/// monitor usually declares the worker dead or hung well before this
-/// expires, and the wait also aborts as soon as the worker degrades.
-constexpr int64_t kCommandTimeoutMs = 10000;
-
 /// Reaps `pid` without blocking. Returns true when the child is gone
 /// (exited, signalled, or already reaped elsewhere — ECHILD).
 bool TryReap(pid_t pid) {
@@ -146,6 +141,22 @@ void Supervisor::MonitorLoop() {
   }
 }
 
+void Supervisor::DegradeUnresponsive(size_t w) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Slot& slot = *slots_[w];
+  const WorkerState st = slot.state.load(std::memory_order_relaxed);
+  if (st == WorkerState::kRunning) {
+    const pid_t pid = slot.pid.load(std::memory_order_relaxed);
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+  } else if (st != WorkerState::kBackoff) {
+    return;  // already degraded or stopped
+  }
+  slot.pid.store(-1, std::memory_order_relaxed);
+  slot.state.store(WorkerState::kDegraded, std::memory_order_release);
+  degraded_count_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Supervisor::BeginSeal() {
   sealing_.store(true, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -163,15 +174,22 @@ bool Supervisor::SendCommand(size_t worker, WorkerCommand command,
   GS_CHECK(worker < slots_.size());
   WorkerControl* ctrl = &controls_[worker];
   const uint64_t seq = ctrl->Post(command, arg);
-  const int64_t deadline =
-      telemetry::MonotonicNowNs() + kCommandTimeoutMs * kMilli;
+  // Five hang windows: the monitor usually declares the worker dead or
+  // hung well before this expires, and the wait also aborts as soon as
+  // the worker degrades. 10 s at the defaults.
+  const int64_t timeout_ms = static_cast<int64_t>(
+      5 * options_.heartbeat_period_ms * options_.miss_threshold);
+  const int64_t deadline = telemetry::MonotonicNowNs() + timeout_ms * kMilli;
   for (int spins = 0;; ++spins) {
     if (ctrl->Acked(seq, ack_value)) return true;
     const WorkerState st = state(worker);
     if (st == WorkerState::kDegraded || st == WorkerState::kStopped) {
       return false;
     }
-    if (telemetry::MonotonicNowNs() > deadline) return false;
+    if (telemetry::MonotonicNowNs() > deadline) {
+      DegradeUnresponsive(worker);
+      return false;
+    }
     // A healthy worker acks within one loop iteration; yielding hands it
     // the CPU on single-core boxes, so most round trips resolve in
     // microseconds. Sleep only once the fast path clearly missed (the

@@ -84,7 +84,10 @@ class Supervisor : public WorkerPool {
   /// Posts a command and waits for the ack. Returns false — without
   /// blocking for the full timeout — when the worker is (or becomes)
   /// degraded or stopped, so the caller can fail over to in-process
-  /// execution of that worker's nodes.
+  /// execution of that worker's nodes. A worker that stays unanswering
+  /// for five hang windows (5 x heartbeat_period_ms x miss_threshold) is
+  /// SIGKILLed, reaped and degraded before the false return, so the
+  /// caller never shares the worker's rings with a live child.
   bool SendCommand(size_t worker, WorkerCommand command, uint64_t arg,
                    uint64_t* ack_value);
   bool Call(size_t worker, WorkerCommand command, uint64_t arg,
@@ -128,18 +131,6 @@ class Supervisor : public WorkerPool {
     return degraded_count_.load(std::memory_order_relaxed);
   }
 
-  // -- Child-side mailbox helpers -------------------------------------------
-
-  /// Child side: the pending command, or kNone. On a command, *arg and
-  /// *seq are filled; the child must Ack(seq) exactly once after executing.
-  static WorkerCommand PendingCommand(WorkerControl* control, uint64_t* arg,
-                                      uint64_t* seq) {
-    return control->Pending(arg, seq);
-  }
-  static void Ack(WorkerControl* control, uint64_t seq, uint64_t value) {
-    control->Ack(seq, value);
-  }
-
  private:
   struct Slot {
     std::atomic<pid_t> pid{-1};
@@ -159,6 +150,9 @@ class Supervisor : public WorkerPool {
   /// Books one worker death: schedules a backoff restart, or degrades it
   /// when the budget is spent / the supervisor is sealing (mutex_ held).
   void HandleDeathLocked(size_t w);
+  /// A command timed out: kills and reaps a running worker, and degrades
+  /// it (or one waiting in backoff) so it is never restarted.
+  void DegradeUnresponsive(size_t w);
   void MonitorLoop();
 
   SupervisorOptions options_;

@@ -37,13 +37,6 @@ bool Catalog::HasInterface(const std::string& name) const {
   return interfaces_.count(name) > 0;
 }
 
-std::vector<std::string> Catalog::SchemaNames() const {
-  std::vector<std::string> names;
-  names.reserve(schemas_.size());
-  for (const auto& [name, schema] : schemas_) names.push_back(name);
-  return names;
-}
-
 StreamSchema Catalog::BuiltinPacketSchema() {
   std::vector<FieldDef> fields;
   fields.push_back({"time", DataType::kUint, OrderSpec::Increasing()});

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "gsql/schema.h"
@@ -39,8 +38,6 @@ class Catalog {
   /// added interface becomes the default.
   const std::string& default_interface() const { return default_interface_; }
 
-  std::vector<std::string> SchemaNames() const;
-
   /// Installs the built-in PKT protocol schema (decoded packet fields) and
   /// returns its name. Fields:
   ///   time UINT INCREASING        -- 1-second granularity timer (§2.2)
@@ -63,7 +60,7 @@ class Catalog {
   ///   ts UINT INCREASING     -- snapshot time, nanoseconds
   ///   node STRING            -- owning entity (query node, source, channel)
   ///   metric STRING          -- counter name (tuples_in, ring_dropped, ...)
-  ///   value UINT             -- aggregated (cross-process folded) reading
+  ///   value UINT             -- the reading (worker metrics included)
   ///   proc STRING            -- owning process ("rts", or worker "w0"...)
   static StreamSchema BuiltinStatsSchema();
 

@@ -73,12 +73,6 @@ struct OrderSpec {
            kind == OrderKind::kBandedIncreasing;
   }
 
-  /// True when tuples are globally in non-decreasing order (band 0).
-  bool IsMonotoneIncreasing() const {
-    return kind == OrderKind::kStrictlyIncreasing ||
-           kind == OrderKind::kIncreasing;
-  }
-
   std::string ToString() const;
 
   bool operator==(const OrderSpec& other) const {

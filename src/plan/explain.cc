@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "expr/cost.h"
 
 namespace gigascope::plan {
@@ -15,28 +16,6 @@ std::string FormatCost(double cost) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", cost);
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out += "\"";
-  return out;
 }
 
 /// Per-evaluation expression cost of one operator (arithmetic-op units,
@@ -276,8 +255,8 @@ void AnalyzeNodeJson(const AnalyzeContext& analyze,
                      const std::string& runtime_name, std::string* out) {
   const AnalyzeNodeStats* stats = (*analyze.lookup)(runtime_name);
   if (stats == nullptr) return;
-  *out += ",\"actual\":{\"node\":" + JsonEscape(runtime_name);
-  *out += ",\"proc\":" + JsonEscape(stats->proc);
+  *out += ",\"actual\":{\"node\":" + JsonQuote(runtime_name);
+  *out += ",\"proc\":" + JsonQuote(stats->proc);
   *out += ",\"restarts\":" + std::to_string(stats->restarts);
   *out += ",\"tuples_in\":" + std::to_string(stats->tuples_in);
   *out += ",\"tuples_out\":" + std::to_string(stats->tuples_out);
@@ -304,24 +283,24 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
                      bool lfta_table, const std::string& runtime_name,
                      const AnalyzeContext* analyze, std::string* out) {
   *out += "{\"op\":";
-  *out += JsonEscape(PlanKindName(node.kind));
+  *out += JsonQuote(PlanKindName(node.kind));
   *out += ",\"placement\":";
-  *out += JsonEscape(placement);
+  *out += JsonQuote(placement);
   switch (node.kind) {
     case PlanKind::kSource:
-      *out += ",\"stream\":" + JsonEscape(node.source_stream);
+      *out += ",\"stream\":" + JsonQuote(node.source_stream);
       if (!node.interface_name.empty()) {
-        *out += ",\"interface\":" + JsonEscape(node.interface_name);
+        *out += ",\"interface\":" + JsonQuote(node.interface_name);
       }
       break;
     case PlanKind::kSelectProject: {
       if (node.predicate != nullptr) {
-        *out += ",\"where\":" + JsonEscape(node.predicate->ToString());
+        *out += ",\"where\":" + JsonQuote(node.predicate->ToString());
       }
       *out += ",\"projections\":[";
       for (size_t i = 0; i < node.projections.size(); ++i) {
         if (i > 0) *out += ",";
-        *out += JsonEscape(node.projections[i]->ToString());
+        *out += JsonQuote(node.projections[i]->ToString());
       }
       *out += "]";
       break;
@@ -330,12 +309,12 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
       *out += ",\"group_keys\":[";
       for (size_t i = 0; i < node.group_keys.size(); ++i) {
         if (i > 0) *out += ",";
-        *out += JsonEscape(node.group_keys[i]->ToString());
+        *out += JsonQuote(node.group_keys[i]->ToString());
       }
       *out += "],\"aggregates\":[";
       for (size_t i = 0; i < node.aggregates.size(); ++i) {
         if (i > 0) *out += ",";
-        *out += JsonEscape(node.aggregates[i].ToString());
+        *out += JsonQuote(node.aggregates[i].ToString());
       }
       *out += "],\"ordered_key\":" + std::to_string(node.ordered_key);
       *out += ",\"ordered_key_band\":" +
@@ -349,7 +328,7 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
               std::to_string(node.window_lo) + ",\"hi\":" +
               std::to_string(node.window_hi) + "}";
       if (node.join_predicate != nullptr) {
-        *out += ",\"on\":" + JsonEscape(node.join_predicate->ToString());
+        *out += ",\"on\":" + JsonQuote(node.join_predicate->ToString());
       }
       *out += ",\"algorithm\":";
       *out += node.join_order_preserving ? "\"order-preserving\""
@@ -366,7 +345,7 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
     *out += ",\"shed_eligible\":[";
     for (size_t i = 0; i < shed.size(); ++i) {
       if (i > 0) *out += ",";
-      *out += JsonEscape(shed[i]);
+      *out += JsonQuote(shed[i]);
     }
     *out += "]";
   }
@@ -374,9 +353,9 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
   for (size_t i = 0; i < node.output_schema.num_fields(); ++i) {
     const gsql::FieldDef& field = node.output_schema.field(i);
     if (i > 0) *out += ",";
-    *out += "{\"name\":" + JsonEscape(field.name) + ",\"type\":" +
-            JsonEscape(gsql::DataTypeName(field.type)) + ",\"order\":" +
-            JsonEscape(field.order.ToString()) + "}";
+    *out += "{\"name\":" + JsonQuote(field.name) + ",\"type\":" +
+            JsonQuote(gsql::DataTypeName(field.type)) + ",\"order\":" +
+            JsonQuote(field.order.ToString()) + "}";
   }
   *out += "]";
   if (analyze != nullptr) {
@@ -447,8 +426,8 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
                             const SplitQuery& split,
                             const AnalyzeContext* analyze,
                             const AnalyzeSummary* summary) {
-  std::string out = "{\"query\":" + JsonEscape(split.name);
-  out += ",\"placement\":" + JsonEscape(PlacementName(split));
+  std::string out = "{\"query\":" + JsonQuote(split.name);
+  out += ",\"placement\":" + JsonQuote(PlacementName(split));
   out += ",\"process\":{\"lfta\":";
   out += split.lfta != nullptr ? "\"rts\"" : "null";
   out += ",\"hfta\":";
@@ -462,7 +441,7 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
          (split.has_nic_program ? "true" : "false");
   out += ",\"snap_len\":" + std::to_string(split.snap_len);
   if (summary != nullptr) {
-    out += ",\"analyze\":{\"pump\":" + JsonEscape(summary->pump_mode);
+    out += ",\"analyze\":{\"pump\":" + JsonQuote(summary->pump_mode);
     out += ",\"shed_level\":" + std::to_string(summary->shed_level);
     out += ",\"worker_restarts\":" + std::to_string(summary->worker_restarts);
     out +=
@@ -478,7 +457,7 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
   }
   if (split.lfta != nullptr) {
     out += ",\"lfta_stream\":" +
-           JsonEscape(split.hfta != nullptr ? split.lfta_name : split.name);
+           JsonQuote(split.hfta != nullptr ? split.lfta_name : split.name);
     out += ",\"lfta\":";
     ExplainNodeJson(*split.lfta, "lfta", split.split_aggregation,
                     LftaRootName(split), analyze, &out);

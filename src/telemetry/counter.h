@@ -16,10 +16,10 @@ namespace gigascope::telemetry {
 /// instruction. Readers see a possibly slightly stale but torn-free value.
 ///
 /// The backing cell is indirect: it defaults to the counter's own storage,
-/// but `BindCell` can redirect it — e.g. into a shared-memory metrics
-/// arena slot (telemetry/shm_arena.h), so a forked worker's updates land
-/// where the parent process can read them. Binding is a control-plane
-/// operation: it must happen while no thread is writing the counter.
+/// but `BindCell` can redirect it — e.g. into a shared mapping
+/// (Registry::BindCells), so a forked worker's updates land where the
+/// parent process can read them. Binding is a control-plane operation: it
+/// must happen while no thread is writing the counter.
 class Counter {
  public:
   Counter() = default;

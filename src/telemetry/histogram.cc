@@ -45,18 +45,11 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snapshot;
 }
 
-void Histogram::BindCells(std::atomic<uint64_t>* first_cell,
-                          size_t stride_bytes) const {
-  auto cell_at = [&](size_t i) {
-    return reinterpret_cast<std::atomic<uint64_t>*>(
-        reinterpret_cast<char*>(first_cell) + i * stride_bytes);
-  };
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[i].BindCell(cell_at(static_cast<size_t>(i)));
-  }
-  count_.BindCell(cell_at(kBuckets));
-  sum_.BindCell(cell_at(kBuckets + 1));
-  max_.BindCell(cell_at(kBuckets + 2));
+void Histogram::BindCells(std::atomic<uint64_t>* cells) const {
+  for (int i = 0; i < kBuckets; ++i) buckets_[i].BindCell(&cells[i]);
+  count_.BindCell(&cells[kBuckets]);
+  sum_.BindCell(&cells[kBuckets + 1]);
+  max_.BindCell(&cells[kBuckets + 2]);
 }
 
 uint64_t Histogram::BucketUpperBound(int index) {

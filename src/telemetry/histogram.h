@@ -73,13 +73,10 @@ class Histogram {
   /// Cells a bound histogram occupies: 64 buckets, count, sum, max.
   static constexpr size_t kCells = kBuckets + 3;
 
-  /// Redirects all kCells internal counters into caller-provided atomic
-  /// storage (cell i at `first_cell + i * stride_bytes` — the stride lets
-  /// the cells live inside larger structs, e.g. shm-arena MetricSlots).
+  /// Redirects the kCells internal counters into `cells[0..kCells)`.
   /// Same contract as Counter::BindCell: control plane only, current
   /// values carry over.
-  void BindCells(std::atomic<uint64_t>* first_cell,
-                 size_t stride_bytes) const;
+  void BindCells(std::atomic<uint64_t>* cells) const;
 
   /// Bucket index of `value` (0..63).
   static int BucketIndex(uint64_t value) {

@@ -13,7 +13,6 @@
 #include <map>
 
 #include "telemetry/metric_names.h"
-#include "telemetry/shm_arena.h"
 
 namespace gigascope::telemetry {
 
@@ -54,15 +53,20 @@ bool EndsWith(const std::string& s, const char* suffix) {
 }
 
 /// Counter vs gauge for the `# TYPE` line: histogram-derived stats and
-/// instantaneous readings are gauges, cumulative totals are counters.
+/// instantaneous readings (open_groups, lfta_occupied, shed_level/rate,
+/// last_punct_sec, ring sizes) are gauges, cumulative totals are counters.
 const char* PrometheusType(const std::string& metric) {
   if (EndsWith(metric, metric::kP50Suffix) ||
       EndsWith(metric, metric::kP90Suffix) ||
       EndsWith(metric, metric::kP99Suffix) ||
-      EndsWith(metric, metric::kMaxSuffix)) {
+      EndsWith(metric, metric::kMaxSuffix) ||
+      EndsWith(metric, metric::kRingSizeSuffix) ||
+      metric == metric::kOpenGroups || metric == metric::kLftaOccupied ||
+      metric == metric::kShedLevel || metric == metric::kShedRate ||
+      metric == metric::kLastPunctSec) {
     return "gauge";
   }
-  return FoldKindForMetric(metric) == FoldKind::kGauge ? "gauge" : "counter";
+  return "counter";
 }
 
 void WriteAll(int fd, const std::string& data) {

@@ -95,9 +95,6 @@ inline constexpr char kTraceDroppedEvents[] = "trace_dropped_events";
 /// spans are not recorded, so the trace is explicitly marked truncated
 /// rather than silently thinner.
 inline constexpr char kTraceTruncated[] = "trace_truncated";
-/// Metric-arena allocation requests refused because the fixed-slot shm
-/// arena was full (the metrics stay heap-backed and parent-stale).
-inline constexpr char kMetricsArenaExhausted[] = "metrics_arena_exhausted";
 
 // -- Latency histogram bases (wall-clock ns unless noted) --------------------
 // A histogram named <base> surfaces as <base>_p50/_p90/_p99/_max/_count.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
 #include "telemetry/metric_names.h"
 
 namespace gigascope::telemetry {
@@ -14,8 +15,8 @@ void Registry::Register(const std::string& entity, const std::string& metric,
   entry.entity = entity;
   entry.metric = metric;
   entry.read = [counter] { return counter->value(); };
-  entry.counter = counter;
   entries_.push_back(std::move(entry));
+  storage_.push_back({entity, counter, nullptr});
 }
 
 void Registry::RegisterReader(const std::string& entity,
@@ -30,7 +31,7 @@ void Registry::RegisterReader(const std::string& entity,
 
 void Registry::AddHistogramEntries(const std::string& entity,
                                    const std::string& base,
-                                   HistogramReader read, int hist_group) {
+                                   HistogramReader read) {
   struct Stat {
     const char* suffix;
     uint64_t (*get)(const HistogramSnapshot&);
@@ -53,8 +54,6 @@ void Registry::AddHistogramEntries(const std::string& entity,
     entry.metric = base + kStats[stat].suffix;
     auto get = kStats[stat].get;
     entry.read = [read, get] { return get(read()); };
-    entry.hist_group = hist_group;
-    entry.hist_stat = stat;
     entries_.push_back(std::move(entry));
   }
 }
@@ -62,69 +61,43 @@ void Registry::AddHistogramEntries(const std::string& entity,
 void Registry::RegisterHistogram(const std::string& entity,
                                  const std::string& base,
                                  HistogramReader read) {
-  AddHistogramEntries(entity, base, std::move(read), -1);
+  AddHistogramEntries(entity, base, std::move(read));
 }
 
 void Registry::RegisterHistogram(const std::string& entity,
                                  const std::string& base,
                                  const Histogram* histogram) {
-  int group;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    group = static_cast<int>(hist_groups_.size());
-    hist_groups_.push_back({entity, histogram});
+    storage_.push_back({entity, nullptr, histogram});
   }
   AddHistogramEntries(entity, base,
-                      [histogram] { return histogram->Snapshot(); }, group);
+                      [histogram] { return histogram->Snapshot(); });
 }
 
-size_t Registry::BindEntityToArena(const std::string& entity,
-                                   MetricsArena* arena,
-                                   const std::string& proc) {
+size_t Registry::CellCount(const std::string& entity) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Bind the entity's histograms first: one kHistogramSlots range each, in
-  // group order, so entity slot ranges stay contiguous and restart resets
-  // can zero [begin, end) wholesale.
-  std::vector<size_t> group_base(hist_groups_.size(),
-                                 MetricsArena::kInvalidIndex);
-  size_t bound = 0;
-  for (size_t g = 0; g < hist_groups_.size(); ++g) {
-    if (hist_groups_[g].entity != entity) continue;
-    const size_t base = arena->Allocate(MetricsArena::kHistogramSlots);
-    if (base == MetricsArena::kInvalidIndex) continue;
-    hist_groups_[g].histogram->BindCells(&arena->slot(base)->value,
-                                         sizeof(MetricSlot));
-    group_base[g] = base;
+  size_t cells = 0;
+  for (const Storage& storage : storage_) {
+    if (storage.entity != entity) continue;
+    cells += storage.counter != nullptr ? 1 : Histogram::kCells;
   }
-  for (Entry& entry : entries_) {
-    if (entry.entity != entity) continue;
-    entry.proc = proc;
-    ++bound;
-    if (entry.hist_group >= 0) {
-      const size_t base = group_base[static_cast<size_t>(entry.hist_group)];
-      if (base == MetricsArena::kInvalidIndex) continue;
-      const int stat = entry.hist_stat;
-      entry.read = [arena, base, stat] {
-        const HistogramSnapshot s = arena->FoldHistogram(base);
-        switch (stat) {
-          case 0: return s.Percentile(0.50);
-          case 1: return s.Percentile(0.90);
-          case 2: return s.Percentile(0.99);
-          case 3: return s.max;
-          default: return s.TotalInBuckets();
-        }
-      };
-    } else if (entry.counter != nullptr) {
-      const size_t index = arena->Allocate(1);
-      if (index == MetricsArena::kInvalidIndex) continue;
-      entry.counter->BindCell(&arena->slot(index)->value);
-      const FoldKind kind = FoldKindForMetric(entry.metric);
-      entry.read = [arena, index, kind] {
-        return arena->FoldValue(index, kind);
-      };
+  return cells;
+}
+
+void Registry::BindCells(const std::string& entity,
+                         std::atomic<uint64_t>* cells) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Storage& storage : storage_) {
+    if (storage.entity != entity) continue;
+    if (storage.counter != nullptr) {
+      storage.counter->BindCell(cells);
+      cells += 1;
+    } else {
+      storage.histogram->BindCells(cells);
+      cells += Histogram::kCells;
     }
   }
-  return bound;
 }
 
 size_t Registry::SetEntityProc(const std::string& entity,
@@ -178,29 +151,6 @@ std::vector<const MetricSample*> SortedByKey(
   return sorted;
 }
 
-void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 std::string FormatMetricsNdjson(const std::vector<MetricSample>& samples) {
@@ -209,11 +159,11 @@ std::string FormatMetricsNdjson(const std::vector<MetricSample>& samples) {
   char buf[32];
   for (const MetricSample* sample : sorted) {
     out += "{\"entity\":";
-    AppendJsonString(sample->entity, &out);
+    out += JsonQuote(sample->entity);
     out += ",\"metric\":";
-    AppendJsonString(sample->metric, &out);
+    out += JsonQuote(sample->metric);
     out += ",\"proc\":";
-    AppendJsonString(sample->proc, &out);
+    out += JsonQuote(sample->proc);
     std::snprintf(buf, sizeof(buf), ",\"value\":%llu}\n",
                   static_cast<unsigned long long>(sample->value));
     out += buf;

@@ -1,6 +1,8 @@
 #ifndef GIGASCOPE_TELEMETRY_REGISTRY_H_
 #define GIGASCOPE_TELEMETRY_REGISTRY_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -8,7 +10,6 @@
 
 #include "telemetry/counter.h"
 #include "telemetry/histogram.h"
-#include "telemetry/shm_arena.h"
 
 namespace gigascope::telemetry {
 
@@ -41,12 +42,12 @@ struct MetricSample {
 /// a mutex purely so registration and snapshots from different control
 /// threads cannot race on the vector itself.
 ///
-/// For multi-process mode the registry can rebind an entity's storage into
-/// a shared-memory MetricsArena (BindEntityToArena): counters registered by
-/// pointer move their cells into arena slots the forked worker writes, and
-/// the parent-side readers switch to the arena's restart-monotone folds —
-/// so one registry keeps serving the aggregated view while workers come,
-/// crash, and come back (DESIGN.md §16).
+/// For multi-process mode the registry can move an entity's storage into
+/// caller-provided cells (BindCells): counters and histograms registered by
+/// pointer then count in a shared mapping the forked worker writes and the
+/// parent reads through the same readers, so one registry keeps serving
+/// the whole view while workers come, crash, and come back (DESIGN.md
+/// §16).
 class Registry {
  public:
   /// Reads one metric value; must be callable from any thread (atomic
@@ -59,14 +60,14 @@ class Registry {
 
   /// Registers a counter owned elsewhere; the counter must outlive every
   /// subsequent Snapshot call. Pointer-registered counters are the ones
-  /// BindEntityToArena can move into shared memory.
+  /// BindCells can move into shared memory.
   void Register(const std::string& entity, const std::string& metric,
                 const Counter* counter);
 
   /// Registers a reader-backed gauge. Capture shared ownership (e.g. a
   /// `rts::Subscription`) in the closure when the underlying object can
   /// otherwise die before the registry. Reader-backed entries are never
-  /// arena-bound; shm-ring counters read through such closures are already
+  /// bound; shm-ring counters read through such closures are already
   /// cross-process (their control block lives in the ring's segment).
   void RegisterReader(const std::string& entity, const std::string& metric,
                       Reader reader);
@@ -83,23 +84,21 @@ class Registry {
                          HistogramReader read);
 
   /// Raw-pointer convenience; the histogram must outlive every Snapshot.
-  /// Pointer-registered histograms are arena-bindable.
+  /// Pointer-registered histograms are bindable.
   void RegisterHistogram(const std::string& entity, const std::string& base,
                          const Histogram* histogram);
 
-  /// Moves every bindable metric of `entity` into `arena` slots and tags
-  /// the entity's samples with `proc`: counters get one slot each,
-  /// histograms a kHistogramSlots range; parent-side readers switch to the
-  /// arena's folded (restart-monotone) reads. Control plane only, pre-fork
-  /// — no writer may be running on the entity's counters. Slots are
-  /// allocated contiguously in registration order, so the caller can
-  /// record [arena->allocated() before, after) as the entity range for
-  /// restart resets. When the arena runs out of slots the remaining
-  /// metrics silently stay heap-backed (arena->exhausted() counts it).
-  /// Returns the number of entries retagged (0 when the entity is
-  /// unknown).
-  size_t BindEntityToArena(const std::string& entity, MetricsArena* arena,
-                           const std::string& proc);
+  /// Cells the counters and histograms registered by pointer under
+  /// `entity` occupy: one per counter, Histogram::kCells per histogram.
+  size_t CellCount(const std::string& entity) const;
+
+  /// Moves the storage of every counter and histogram registered by
+  /// pointer under `entity` into `cells`: CellCount(entity) consecutive
+  /// zeroed cells that outlive every write and read of those metrics.
+  /// Readers are unchanged, since Counter::value() and
+  /// Histogram::Snapshot() follow the binding. Control plane only: no
+  /// writer may be running on the entity's metrics.
+  void BindCells(const std::string& entity, std::atomic<uint64_t>* cells);
 
   /// Retags every entry of `entity` with `proc` without rebinding storage
   /// (worker adoption: the parent takes over the writer role but the
@@ -117,29 +116,27 @@ class Registry {
   size_t num_metrics() const;
 
  private:
-  /// A histogram registered by pointer: remembered so BindEntityToArena
-  /// can move its cells and switch its five stat entries to folded reads.
-  struct HistGroup {
-    std::string entity;
-    const Histogram* histogram;
-  };
-
   struct Entry {
     std::string entity;
     std::string metric;
     Reader read;
     std::string proc = kProcRts;
-    const Counter* counter = nullptr;  // set for pointer-registered counters
-    int hist_group = -1;               // index into hist_groups_, -1 if none
-    int hist_stat = 0;                 // 0=p50 1=p90 2=p99 3=max 4=count
+  };
+
+  /// A counter or histogram registered by pointer: storage BindCells can
+  /// move. Exactly one of the two pointers is set.
+  struct Storage {
+    std::string entity;
+    const Counter* counter = nullptr;
+    const Histogram* histogram = nullptr;
   };
 
   void AddHistogramEntries(const std::string& entity, const std::string& base,
-                           HistogramReader read, int hist_group);
+                           HistogramReader read);
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;
-  std::vector<HistGroup> hist_groups_;
+  std::vector<Storage> storage_;  // registration order
 };
 
 /// Renders samples as newline-delimited JSON, one metric per line with

@@ -3,33 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace gigascope::telemetry {
-namespace {
-
-// Chrome trace-event JSON string escaping: names are ASCII identifiers in
-// practice, but quote/backslash/control bytes must not break the file.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 Tracer::Tracer(uint64_t sample_period, uint64_t seed, size_t max_events)
     : sample_period_(sample_period == 0 ? 1 : sample_period),
@@ -104,7 +80,7 @@ void Tracer::WriteJson(std::ostream& out) const {
     std::snprintf(buf, sizeof(buf), "%u", tid);
     line += buf;
     line += ",\"ts\":0,\"args\":{\"name\":";
-    AppendJsonString(&line, name);
+    line += JsonQuote(name);
     line += "}}";
     out << line;
   }
@@ -114,7 +90,7 @@ void Tracer::WriteJson(std::ostream& out) const {
     std::string line = "{\"ph\":\"";
     line.push_back(event.ph);
     line += "\",\"name\":";
-    AppendJsonString(&line, event.name);
+    line += JsonQuote(event.name);
     // The trace-event format counts ts/dur in microseconds; emit fractional
     // µs so nanosecond-scale spans stay distinguishable.
     std::snprintf(buf, sizeof(buf), ",\"pid\":1,\"tid\":%u,\"ts\":%.3f",

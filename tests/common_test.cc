@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -132,13 +133,14 @@ TEST(ZipfSamplerTest, SkewConcentratesOnLowRanks) {
   EXPECT_GT(top10, total / 3);
 }
 
-TEST(ClockTest, AdvanceMovesForward) {
-  VirtualClock clock;
-  EXPECT_EQ(clock.now(), 0);
-  clock.Advance(5 * kNanosPerSecond);
-  EXPECT_EQ(clock.now(), 5 * kNanosPerSecond);
-  clock.AdvanceTo(7 * kNanosPerSecond);
-  EXPECT_EQ(clock.now(), 7 * kNanosPerSecond);
+TEST(JsonTest, QuoteEscapesControlBytesAndPassesHighBytes) {
+  EXPECT_EQ(JsonQuote(""), "\"\"");
+  EXPECT_EQ(JsonQuote("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(JsonQuote("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonQuote("\n\r\t"), "\"\\n\\r\\t\"");
+  EXPECT_EQ(JsonQuote(std::string("\x01\x1f", 2)), "\"\\u0001\\u001f\"");
+  // Bytes >= 0x80 (UTF-8 sequences and stray high bytes) pass through.
+  EXPECT_EQ(JsonQuote("caf\xc3\xa9 \x80"), "\"caf\xc3\xa9 \x80\"");
 }
 
 TEST(ClockTest, Conversions) {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -369,12 +370,12 @@ void ObedientChild(WorkerControl* ctrl) {
     ctrl->heartbeat.fetch_add(1, std::memory_order_relaxed);
     uint64_t arg = 0;
     uint64_t seq = 0;
-    WorkerCommand cmd = Supervisor::PendingCommand(ctrl, &arg, &seq);
+    WorkerCommand cmd = ctrl->Pending(&arg, &seq);
     if (cmd == WorkerCommand::kExit) {
-      Supervisor::Ack(ctrl, seq, 0);
+      ctrl->Ack(seq, 0);
       _exit(0);
     }
-    if (cmd != WorkerCommand::kNone) Supervisor::Ack(ctrl, seq, arg);
+    if (cmd != WorkerCommand::kNone) ctrl->Ack(seq, arg);
     usleep(1000);
   }
 }
@@ -482,6 +483,36 @@ TEST(SupervisorTest, SendCommandRoundTripsAndFailsOverWhenDegraded) {
   EXPECT_FALSE(supervisor.SendCommand(0, WorkerCommand::kDrain, 0, &ack));
   auto waited = std::chrono::steady_clock::now() - before;
   EXPECT_LT(waited, std::chrono::seconds(5));  // no full-timeout stall
+  supervisor.StopAll();
+}
+
+TEST(SupervisorTest, CommandTimeoutLeavesNoLiveWorker) {
+  // A worker that heartbeats but never acks is not hung to the monitor.
+  // When SendCommand gives up on it, the caller adopts the worker's nodes
+  // and drives its rings itself, so the worker must be dead by then: a
+  // live child would be a second producer and consumer on SPSC rings.
+  auto options = FastSupervision();
+  Supervisor* self = nullptr;
+  Supervisor supervisor(options, 1, [&self](size_t w, uint32_t) {
+    WorkerControl* ctrl = self->control(w);
+    while (true) {
+      ctrl->heartbeat.fetch_add(1, std::memory_order_relaxed);
+      usleep(1000);
+    }
+  });
+  self = &supervisor;
+  ASSERT_TRUE(supervisor.Start().ok());
+  const pid_t pid = supervisor.pid(0);
+  ASSERT_GT(pid, 0);
+  uint64_t ack = 0;
+  EXPECT_FALSE(supervisor.SendCommand(0, WorkerCommand::kDrain, 0, &ack));
+  EXPECT_EQ(supervisor.state(0), Supervisor::WorkerState::kDegraded);
+  EXPECT_EQ(supervisor.pid(0), -1);
+  EXPECT_EQ(supervisor.degraded_count(), 1u);
+  EXPECT_EQ(supervisor.restarts(), 0u);
+  errno = 0;
+  EXPECT_EQ(kill(pid, 0), -1) << "the timed-out worker is still alive";
+  EXPECT_EQ(errno, ESRCH);
   supervisor.StopAll();
 }
 
@@ -859,7 +890,7 @@ TEST(EngineProcessTest, StopProcessesWithoutFlushIsSafe) {
   EXPECT_GT(rows, 0);
 }
 
-// Collects the cumulative (sum-folded) metrics from a snapshot keyed by
+// Collects the cumulative metrics from a snapshot keyed by
 // (entity, metric); used to pin monotonicity across worker restarts.
 std::map<std::pair<std::string, std::string>, uint64_t> CumulativeByKey(
     const std::vector<telemetry::MetricSample>& samples) {
@@ -877,10 +908,9 @@ std::map<std::pair<std::string, std::string>, uint64_t> CumulativeByKey(
 }
 
 TEST(EngineProcessTest, StatsMonotoneAcrossWorkerRestart) {
-  // Worker counters live in the shm metrics arena and are zeroed by each
-  // new incarnation; the parent's fold must bank the dead generation's
-  // progress so every aggregated cumulative counter stays monotone across
-  // an abort-fault restart — a reader polling gs_stats through the crash
+  // Worker counters live in shared cells that each new incarnation keeps
+  // counting in, so every cumulative counter stays monotone across an
+  // abort-fault restart — a reader polling gs_stats through the crash
   // must never see a value go backwards.
   std::vector<net::Packet> batch = MakeBatch(6000);
   FaultConfig fault;
@@ -912,9 +942,9 @@ TEST(EngineProcessTest, StatsMonotoneAcrossWorkerRestart) {
   }
   ASSERT_GE(engine.supervisor()->restarts(), 1u) << "no restart observed";
 
-  // Right after the restart: the replacement worker's arena slots were
-  // reset, so an unfolded read would dip below `before` for every
-  // worker-owned entity. The folded snapshot must not.
+  // Right after the restart: the replacement worker forked from the
+  // parent, whose operator state is pristine; its counters must still
+  // read at least what the dead incarnation had counted.
   auto after_restart = CumulativeByKey(engine.telemetry().Snapshot());
   for (const auto& [key, value] : before) {
     auto it = after_restart.find(key);
@@ -960,7 +990,7 @@ TEST(EngineProcessTest, ProcessStatsTotalsMatchSingleProcess) {
   // The acceptance bar for the telemetry plane: under --processes the
   // aggregated per-node tuple counters must equal the single-process
   // run's byte for byte — the process split changes where counters are
-  // written (shm arena vs heap), never what they count. Each (entity,
+  // written (shared cells vs heap), never what they count. Each (entity,
   // metric) also appears exactly once, tagged with its owning process, so
   // the per-proc rows trivially sum to the aggregate.
   std::vector<net::Packet> batch = MakeBatch(4000);
@@ -992,6 +1022,51 @@ TEST(EngineProcessTest, ProcessStatsTotalsMatchSingleProcess) {
     auto it = seen.find(key);
     ASSERT_NE(it, seen.end()) << key.first << "/" << key.second;
     EXPECT_EQ(it->second, value)
+        << key.first << "/" << key.second
+        << " diverged between single-process and --processes runs";
+  }
+}
+
+TEST(EngineProcessTest, ManyWorkerNodesCountInTheParent) {
+  // The parent reads every worker node's counters however many nodes the
+  // workers own: 100 split aggregates put 100 HFTA nodes, each with its
+  // counters and histograms, on two worker processes.
+  const std::vector<net::Packet> batch = MakeBatch(2000);
+  const auto run = [&batch](size_t workers) {
+    EngineOptions options;
+    options.channel_capacity = 64;  // keeps 100 shm rings cheap
+    options.process.enabled = workers > 0;
+    Engine engine(options);
+    engine.AddInterface("eth0");
+    for (int q = 0; q < 100; ++q) {
+      const std::string query =
+          "DEFINE { query_name agg" + std::to_string(q) +
+          "; } SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+          "GROUP BY time AS tb, destIP";
+      EXPECT_TRUE(engine.AddQuery(query).ok()) << query;
+    }
+    if (workers > 0) {
+      EXPECT_TRUE(engine.StartProcesses(workers).ok());
+    }
+    for (const net::Packet& packet : batch) {
+      EXPECT_TRUE(engine.InjectPacket("eth0", packet).ok());
+    }
+    engine.FlushAll();
+    std::map<std::pair<std::string, std::string>, uint64_t> counts;
+    for (const auto& sample : engine.telemetry().Snapshot()) {
+      if (sample.metric == "tuples_in" || sample.metric == "tuples_out") {
+        counts[{sample.entity, sample.metric}] = sample.value;
+      }
+    }
+    return counts;
+  };
+  const auto single = run(0);
+  const auto processes = run(2);
+  EXPECT_GT(single.at({"agg0", "tuples_in"}), 0u);
+  EXPECT_GT(single.at({"agg99", "tuples_in"}), 0u);
+  ASSERT_EQ(processes.size(), single.size());
+  for (const auto& [key, value] : single) {
+    EXPECT_EQ(processes.at(key), value)
         << key.first << "/" << key.second
         << " diverged between single-process and --processes runs";
   }

@@ -335,8 +335,8 @@ TEST(TraceEngineTest, ReproducibleAcrossRuns) {
 // run without a tracer (the parent's event log is not in shared memory),
 // so a tagged message crossing an shm ring into a worker must be counted
 // as truncated — the observability plane reports the blind spot instead
-// of silently losing spans. The counter itself lives in the shm metrics
-// arena, so the parent's snapshot sees it.
+// of silently losing spans. The counter itself counts in a shared cell,
+// so the parent's snapshot sees it.
 TEST(TraceEngineTest, ProcessModeCountsTruncatedTraces) {
   EngineOptions options;
   options.trace_sample = 1;  // tag everything: partials must carry ids
