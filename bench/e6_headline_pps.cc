@@ -55,10 +55,8 @@ std::vector<Packet> MakeBatch(int packets) {
 std::unique_ptr<Engine> MakeEngine(
     const std::string& query, int packets,
     gigascope::SimTime stats_period = 0, size_t trace_sample = 0,
-    size_t batch_size = 0, bool processes = false) {
+    size_t batch_size = 0) {
   EngineOptions options;
-  // Shm-backed inter-node rings must be chosen before queries are added.
-  options.process.enabled = processes;
   // Size channels so a full run fits without drops: the comparison should
   // measure operator and handoff cost, not loss policy.
   size_t capacity = 1;
@@ -122,8 +120,8 @@ double MeasurePpsThreaded(const std::string& query,
 /// supervisor between injections via FlushAll's drain at the end.
 double MeasurePpsProcesses(const std::string& query,
                            const std::vector<Packet>& batch, size_t workers) {
-  std::unique_ptr<Engine> owned = MakeEngine(
-      query, static_cast<int>(batch.size()), 0, 0, 0, /*processes=*/true);
+  std::unique_ptr<Engine> owned =
+      MakeEngine(query, static_cast<int>(batch.size()));
   Engine& engine = *owned;
   auto start = Clock::now();
   if (!engine.StartProcesses(workers).ok()) std::exit(1);

@@ -119,8 +119,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
       }
       GS_ASSIGN_OR_RETURN(rts::Subscription input,
                           ctx->registry->Subscribe(input_names[0],
-                                                   ctx->channel_capacity,
-                                                   ctx->parent_local));
+                                                   ctx->channel_capacity));
       ctx->nodes->push_back(std::make_unique<ops::SelectProjectNode>(
           std::move(spec), std::move(input), ctx->registry, ctx->params));
       return Status::Ok();
@@ -160,8 +159,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
       }
       GS_ASSIGN_OR_RETURN(rts::Subscription input,
                           ctx->registry->Subscribe(input_names[0],
-                                                   ctx->channel_capacity,
-                                                   ctx->parent_local));
+                                                   ctx->channel_capacity));
       if (ctx->use_lfta_table) {
         ctx->nodes->push_back(std::make_unique<ops::LftaAggregateNode>(
             std::move(spec), ctx->lfta_hash_log2, std::move(input),
@@ -198,12 +196,10 @@ Status InstantiatePlan(const plan::PlanPtr& node,
           BandOf(spec.right_schema.field(spec.right_field).order);
       GS_ASSIGN_OR_RETURN(rts::Subscription left,
                           ctx->registry->Subscribe(input_names[0],
-                                                   ctx->channel_capacity,
-                                                   ctx->parent_local));
+                                                   ctx->channel_capacity));
       GS_ASSIGN_OR_RETURN(rts::Subscription right,
                           ctx->registry->Subscribe(input_names[1],
-                                                   ctx->channel_capacity,
-                                                   ctx->parent_local));
+                                                   ctx->channel_capacity));
       ctx->nodes->push_back(std::make_unique<ops::WindowJoinNode>(
           std::move(spec), std::move(left), std::move(right), ctx->registry,
           ctx->params));
@@ -222,8 +218,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
       for (const std::string& input_name : input_names) {
         GS_ASSIGN_OR_RETURN(rts::Subscription input,
                             ctx->registry->Subscribe(input_name,
-                                                     ctx->channel_capacity,
-                                                     ctx->parent_local));
+                                                     ctx->channel_capacity));
         inputs.push_back(std::move(input));
       }
       ctx->nodes->push_back(std::make_unique<ops::MergeNode>(

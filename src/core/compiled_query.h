@@ -24,12 +24,6 @@ struct InstantiationContext {
   size_t output_batch = 64;
   /// Aggregate nodes in this plan use the LFTA direct-mapped table.
   bool use_lfta_table = false;
-  /// This plan's nodes run in the parent process even in multi-process
-  /// mode (the LFTA stage: its inputs are protocol sources and streams
-  /// internal to the same plan, both produced on the inject thread), so
-  /// its input rings stay heap-backed — no shm copy for traffic
-  /// that never crosses a process boundary.
-  bool parent_local = false;
   /// Shared shedding state read by LFTA-stage nodes (nullable = no shedding).
   const rts::ShedState* shed = nullptr;
   /// Receives the created nodes, upstream first.

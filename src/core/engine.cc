@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <new>
 
 #include "common/logging.h"
@@ -86,31 +85,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
         std::make_unique<OverloadController>(options_.shed, &shed_state_);
     shed_controller_->RegisterTelemetry(&telemetry_, "engine");
     telemetry_.Register("engine", metric::kShedTuples, &shed_tuples_);
-  }
-  // Lets a CI leg run an existing test binary in process mode (shm-backed
-  // rings + StartProcesses eligibility) without plumbing a flag through
-  // every harness.
-  if (const char* force = std::getenv("GS_PROCESS_FORCE")) {
-    const std::string_view v(force);
-    if (!v.empty() && v != "0" && v != "off") options_.process.enabled = true;
-  }
-  if (options_.process.enabled) {
-    // Every subscription created from here on gets a shm-backed ring, so
-    // the rings forked worker processes inherit are shared, not copied.
-    rts::ShmRingOptions shm;
-    shm.enabled = true;
-    registry_.SetChannelOptions(shm);
-    // Ring-health counters live in the shm control blocks, so the parent's
-    // aggregate readers see child-side progress.
-    const auto total = [this](rts::StreamRegistry::RingCounter counter) {
-      return [this, counter] { return registry_.Total(counter); };
-    };
-    telemetry_.RegisterReader("engine", metric::kTornSlots,
-                              total(&rts::RingChannel::torn));
-    telemetry_.RegisterReader("engine", metric::kResyncDropped,
-                              total(&rts::RingChannel::resync_dropped));
-    telemetry_.RegisterReader("engine", metric::kOversizeDropped,
-                              total(&rts::RingChannel::oversize_dropped));
   }
 }
 
@@ -325,16 +299,9 @@ Result<QueryInfo> Engine::AddQuery(
     GS_RETURN_IF_ERROR(EnsureSources(split.lfta));
     MarkProtocolFieldUses(split.lfta);
     ctx.use_lfta_table = split.split_aggregation;
-    // LFTA-stage nodes run on the inject thread even in multi-process
-    // mode, and the splitter guarantees their inputs are protocol sources
-    // or streams internal to this same plan — all produced in the parent.
-    // Keep those rings heap-backed: the per-packet source traffic must
-    // not pay a shm copy for a process boundary it never crosses.
-    ctx.parent_local = true;
     std::string lfta_output =
         split.hfta == nullptr ? split.name : split.lfta_name;
     GS_RETURN_IF_ERROR(InstantiatePlan(split.lfta, lfta_output, &ctx));
-    ctx.parent_local = false;
   }
   // Nodes instantiated so far belong to the LFTA plan and stay on the
   // inject thread in threaded mode; everything after runs on workers.
@@ -376,21 +343,6 @@ void Engine::RegisterNewNodeTelemetry() {
       tracer_->SetTrackName(track, node->name());
     }
     node->RegisterTelemetry(&telemetry_);
-    // Process mode: the node counts in a shared mapping from the start, so
-    // whichever process polls it (a forked worker, that worker's restarted
-    // incarnations, or the parent after adoption) writes the cells the
-    // parent's registry reads (DESIGN.md §16).
-    const size_t cells =
-        options_.process.enabled ? telemetry_.CellCount(node->name()) : 0;
-    if (cells > 0) {
-      metric_cells_.push_back(
-          rts::ShmSegment::Create(cells * sizeof(std::atomic<uint64_t>)));
-      auto* cell = metric_cells_.back()->As<std::atomic<uint64_t>>();
-      for (size_t i = 0; i < cells; ++i) {
-        new (&cell[i]) std::atomic<uint64_t>(0);
-      }
-      telemetry_.BindCells(node->name(), cell);
-    }
     // Cache LFTA-table nodes so the overload controller's pressure checks
     // can read table occupancy without a scan-and-cast per check.
     if (const auto* lfta = dynamic_cast<const ops::LftaAggregateNode*>(node)) {
@@ -758,12 +710,6 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
         " are already running; the two backends are exclusive");
   }
   GS_RETURN_IF_ERROR(CheckAcceptingInput(operation.c_str()));
-  if (processes && !options_.process.enabled) {
-    return Status::FailedPrecondition(
-        "StartProcesses needs EngineOptions::process.enabled at "
-        "construction — inter-node rings must be shm-backed before queries "
-        "are added");
-  }
   if (workers == 0) {
     return Status::InvalidArgument(operation +
                                    " needs at least one worker");
@@ -774,10 +720,12 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
     if (node_stages_[i] == NodeStage::kHfta) hfta.push_back(i);
   }
   const size_t pool = std::min(workers, hfta.size());
-  worker_nodes_.assign(pool, {});
+  std::vector<std::vector<size_t>> partition(pool);
   for (size_t i = 0; i < hfta.size(); ++i) {
-    worker_nodes_[i % pool].push_back(hfta[i]);
+    partition[i % pool].push_back(hfta[i]);
   }
+  if (processes) GS_RETURN_IF_ERROR(PrepareProcessWorkers(partition));
+  worker_nodes_ = std::move(partition);
   worker_adopted_.assign(pool, 0);
   worker_drained_.assign(pool, 0);
   node_worker_.assign(nodes_.size(), kInjectThread);
@@ -809,9 +757,8 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
     }
   }
   if (processes) {
-    PrepareProcessWorkers();
     supervisor_ = std::make_unique<Supervisor>(
-        options_.process.supervisor, pool,
+        options_.supervisor, pool,
         [this, groups](size_t w, uint32_t generation) {
           RunProcessWorker(groups[w], w, generation);
         });
@@ -837,26 +784,73 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
   return pool_->Start();
 }
 
-void Engine::PrepareProcessWorkers() {
-  // Tracer spans recorded in a child would die with its heap (and the
-  // tracer's mutex must not be shared across fork); worker nodes run
-  // untraced in process mode.
-  if (tracer_ != nullptr) {
-    for (const std::vector<size_t>& group : worker_nodes_) {
-      for (size_t idx : group) nodes_[idx]->SetTracer(nullptr, 0);
+Status Engine::PrepareProcessWorkers(
+    const std::vector<std::vector<size_t>>& worker_nodes) {
+  // The rings that cross the process boundary: those a worker node reads
+  // (QueryNode::inputs) or publishes into. The rest stay on the heap.
+  std::vector<rts::Subscription> crossing;
+  for (const std::vector<size_t>& group : worker_nodes) {
+    for (size_t idx : group) {
+      const rts::QueryNode& node = *nodes_[idx];
+      crossing.insert(crossing.end(), node.inputs().begin(),
+                      node.inputs().end());
+      for (rts::Subscription& output : registry_.Subscribers(node.name())) {
+        crossing.push_back(std::move(output));
+      }
     }
   }
-  // Torn-slot fault: arm the producer side of every subscriber ring before
-  // forking, so whichever process publishes into the stream inherits the
-  // armed flag.
+  // Torn-slot fault: only a shared ring has slots to tear. Arm the
+  // producer side of the stream's shared rings before forking, so
+  // whichever process publishes into the stream inherits the armed flag.
+  std::vector<rts::Subscription> torn;
   if (options_.fault.kind == FaultConfig::Kind::kTorn) {
-    for (const rts::Subscription& channel :
-         registry_.Subscribers(options_.fault.stream)) {
-      channel->ArmTornFault(options_.fault.nth);
+    torn = registry_.Subscribers(options_.fault.stream);
+    std::erase_if(torn, [&crossing](const rts::Subscription& channel) {
+      return std::find(crossing.begin(), crossing.end(), channel) ==
+             crossing.end();
+    });
+    if (torn.empty()) {
+      return Status::InvalidArgument(
+          "torn fault: no worker process reads or publishes stream '" +
+          options_.fault.stream + "', so it has no shared ring to tear");
     }
   }
-  if (process_telemetry_registered_) return;
+  for (const rts::Subscription& channel : crossing) channel->Share();
+  for (const rts::Subscription& channel : torn) {
+    channel->ArmTornFault(options_.fault.nth);
+  }
+  metric_cells_.resize(nodes_.size());
+  for (const std::vector<size_t>& group : worker_nodes) {
+    for (size_t idx : group) {
+      // Tracer spans recorded in a child would die with its heap (and the
+      // tracer's mutex must not be shared across fork); worker nodes run
+      // untraced in process mode.
+      nodes_[idx]->SetTracer(nullptr, 0);
+      // From here on the node counts in shared cells, bound once, which
+      // whichever process polls it writes and the parent reads (§16).
+      const std::string& name = nodes_[idx]->name();
+      const size_t cells = telemetry_.CellCount(name);
+      if (metric_cells_[idx] != nullptr || cells == 0) continue;
+      using Cell = std::atomic<uint64_t>;
+      metric_cells_[idx] = rts::ShmSegment::Create(cells * sizeof(Cell));
+      auto* cell = metric_cells_[idx]->As<Cell>();
+      for (size_t i = 0; i < cells; ++i) new (&cell[i]) Cell(0);
+      telemetry_.BindCells(name, cell);
+    }
+  }
+  if (process_telemetry_registered_) return Status::Ok();
   process_telemetry_registered_ = true;
+  // Ring-health counters live in the shared control blocks, so the
+  // parent's aggregate readers see child-side progress.
+  const auto total = [this](rts::StreamRegistry::RingCounter counter) {
+    return [this, counter] { return registry_.Total(counter); };
+  };
+  telemetry_.RegisterReader("engine", metric::kTornSlots,
+                            total(&rts::RingChannel::torn));
+  telemetry_.RegisterReader("engine", metric::kResyncDropped,
+                            total(&rts::RingChannel::resync_dropped));
+  telemetry_.RegisterReader("engine", metric::kOversizeDropped,
+                            total(&rts::RingChannel::oversize_dropped));
   telemetry_.RegisterReader("engine", metric::kWorkerRestarts, [this] {
     return supervisor_ != nullptr ? supervisor_->restarts() : 0;
   });
@@ -872,6 +866,7 @@ void Engine::PrepareProcessWorkers() {
     return (supervisor_ != nullptr ? supervisor_->restarts() : 0) +
            adopted_resync_.load(std::memory_order_relaxed);
   });
+  return Status::Ok();
 }
 
 void Engine::RunProcessWorker(const WorkerGroup& group, size_t worker,

@@ -66,16 +66,6 @@ class TupleSubscription {
   uint64_t malformed_ = 0;
 };
 
-/// Multi-process HFTA execution (the paper's §4 model: HFTAs are
-/// application processes fed through shared memory). Enabled at engine
-/// construction so every inter-node ring created while queries are added
-/// is shm-backed and fork-shareable.
-struct ProcessOptions {
-  bool enabled = false;
-  /// Heartbeat cadence and hang window, restart budget/backoff.
-  SupervisorOptions supervisor;
-};
-
 /// Engine construction knobs.
 struct EngineOptions {
   /// UDF registry (defaults to the built-in function library).
@@ -122,8 +112,9 @@ struct EngineOptions {
   /// epochs, L3 bounded LFTA occupancy — stepping back down with
   /// hysteresis once pressure subsides.
   ShedConfig shed;
-  /// Supervised multi-process HFTA mode (StartProcesses).
-  ProcessOptions process;
+  /// Supervised multi-process HFTA mode (StartProcesses): heartbeat
+  /// cadence and hang window, restart budget and backoff.
+  SupervisorOptions supervisor;
   /// One deterministic injected fault, armed when worker processes start
   /// (gsrun --fault=SPEC; see core/fault.h for the grammar). Testing only.
   FaultConfig fault;
@@ -289,13 +280,16 @@ class Engine {
 
   bool threads_running() const { return mode_ == PumpMode::kThreads; }
 
-  /// Starts supervised HFTA worker processes (requires
-  /// EngineOptions::process.enabled at construction, so inter-node rings
-  /// are shm-backed), partitioned like StartThreads. Each worker heartbeats
+  /// Starts supervised HFTA worker processes, partitioned like
+  /// StartThreads. Before forking it moves every ring a worker node reads
+  /// or publishes into, and the node's counters and histograms, into
+  /// shared memory; other rings stay on the heap. Each worker heartbeats
   /// through shared memory; the supervisor restarts crashed or hung
   /// workers under exponential backoff, and a worker that exhausts its
   /// restart budget degrades — the inject thread adopts its nodes,
   /// resynchronizing their inputs at the next punctuation boundary.
+  /// InvalidArgument, starting nothing, when a torn fault's stream has no
+  /// ring a worker touches.
   Status StartProcesses(size_t workers);
 
   /// Kills the worker processes without draining (FlushAll does both, in
@@ -378,10 +372,13 @@ class Engine {
   /// StartThreads/StartProcesses: partitions the HFTA stage over
   /// min(workers, hfta nodes) workers of `mode`'s backend and starts them.
   Status StartWorkers(PumpMode mode, size_t workers);
-  /// Process backend set-up before the fork: detaches tracing from worker
-  /// nodes, arms a torn-slot fault, and registers the supervisor's
-  /// counters.
-  void PrepareProcessWorkers();
+  /// Process backend set-up before the fork, for the nodes_ indices each
+  /// worker will own: shares the rings they read or publish into, binds
+  /// their metrics to shared cells, detaches their tracing, arms a torn
+  /// fault and registers the process-mode counters. InvalidArgument,
+  /// changing nothing, when the torn fault's stream has no shared ring.
+  Status PrepareProcessWorkers(
+      const std::vector<std::vector<size_t>>& worker_nodes);
   /// A forked worker's main: resync after a restart, then the worker loop.
   void RunProcessWorker(const WorkerGroup& group, size_t worker,
                         uint32_t generation);
@@ -422,8 +419,7 @@ class Engine {
                        plan::AnalyzeSummary* summary) const;
 
   /// Registers telemetry for nodes added since the last call (watermark
-  /// telemetry_registered_nodes_); in process mode also binds each node's
-  /// counters and histograms into shared cells.
+  /// telemetry_registered_nodes_).
   void RegisterNewNodeTelemetry();
   /// Emits a `gs_stats` snapshot when injected time has advanced past
   /// options_.stats_period since the previous one.
@@ -439,9 +435,9 @@ class Engine {
   // Declared before nodes_/registry_ so registered readers (which point at
   // node- and channel-owned counters) never outlive the registry's users.
   telemetry::Registry telemetry_;
-  /// Process mode: one shared mapping per node, holding the cells its
-  /// counters and histograms count in (RegisterNewNodeTelemetry). Declared
-  /// before nodes_ so the cells outlive every counter bound to them.
+  /// Parallel to nodes_ (null: not bound): the shared cells a worker node's
+  /// counters and histograms count in since its first StartProcesses.
+  /// Declared before nodes_ so the cells outlive every counter bound to them.
   std::vector<std::unique_ptr<rts::ShmSegment>> metric_cells_;
   // Also before nodes_: nodes keep a raw Tracer pointer (SetTracer).
   std::unique_ptr<telemetry::Tracer> tracer_;

@@ -117,9 +117,14 @@ void Supervisor::MonitorLoop() {
             slot.stale_ticks = 0;
             continue;
           }
-          slot.stale_ticks++;
           heartbeat_misses_.fetch_add(1, std::memory_order_relaxed);
-          if (slot.stale_ticks >= options_.miss_threshold) {
+          // A worker serving a command may be in one long node Flush():
+          // busy, not hung. SendCommand's deadline bounds that wait.
+          const bool serving =
+              controls_[w].cmd_seq.load(std::memory_order_relaxed) !=
+              controls_[w].ack_seq.load(std::memory_order_relaxed);
+          slot.stale_ticks = serving ? 0 : slot.stale_ticks + 1;
+          if (!serving && slot.stale_ticks >= options_.miss_threshold) {
             // Alive but silent: hung, stalled, or spinning uselessly. Kill
             // it and take the crash path — restart is the same recovery.
             kill(pid, SIGKILL);

@@ -24,8 +24,10 @@ struct SupervisorOptions {
   /// Consecutive stale monitor ticks before a live-but-silent worker is
   /// declared hung and SIGKILLed (then restarted like a crash). The
   /// default window is 2 s (100 x 20 ms): a worker that is descheduled on
-  /// a loaded host, or busy in one long seal, is slow, not hung, and
-  /// killing it loses its rows to the resync gap.
+  /// a loaded host is slow, not hung, and killing it loses its rows to the
+  /// resync gap. Ticks while a command is in flight count as misses but
+  /// never toward this threshold: a worker busy in one long seal is bound
+  /// by SendCommand's deadline instead.
   uint32_t miss_threshold = 100;
   /// Restarts allowed per worker before it is declared degraded and its
   /// nodes are adopted by the parent. 0 = never restart.

@@ -74,7 +74,9 @@ class QueryNode {
   /// The input channels this node consumes (registered by subclasses at
   /// construction). The threaded engine uses these to wire consumer
   /// wake-ups and to honor the single-consumer rule: a node — and thus
-  /// every channel listed here — is polled by exactly one thread.
+  /// every channel listed here — is polled by exactly one thread. Process
+  /// mode relies on every channel the node reads being listed: only these
+  /// are shared with the node's worker process (Engine::StartProcesses).
   const std::vector<Subscription>& inputs() const { return inputs_; }
 
   /// Attaches the engine's tracer and this node's viewer track. Setup only

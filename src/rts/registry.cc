@@ -30,14 +30,13 @@ Result<gsql::StreamSchema> StreamRegistry::GetSchema(
 }
 
 Result<Subscription> StreamRegistry::Subscribe(const std::string& name,
-                                               size_t capacity, bool local) {
+                                               size_t capacity) {
   auto it = streams_.find(name);
   if (it == streams_.end()) {
     return Status::NotFound("cannot subscribe: no stream named '" + name +
                             "'");
   }
-  auto channel = std::make_shared<RingChannel>(
-      capacity, local ? ShmRingOptions{} : channel_options_);
+  auto channel = std::make_shared<RingChannel>(capacity);
   it->second.subscribers.push_back(channel);
   return channel;
 }

@@ -24,15 +24,6 @@ class StreamRegistry {
  public:
   StreamRegistry() = default;
 
-  /// Channel backend for every subscription created after this call: with
-  /// options.enabled, Subscribe hands out shm-backed rings whose slots
-  /// live in fork-inherited shared memory (multi-process HFTA mode). Set
-  /// once, before queries are added — rings created earlier keep their
-  /// backend.
-  void SetChannelOptions(const ShmRingOptions& options) {
-    channel_options_ = options;
-  }
-
   /// Declares (or re-declares) a stream and its schema.
   Status DeclareStream(const gsql::StreamSchema& schema);
 
@@ -42,12 +33,9 @@ class StreamRegistry {
 
   /// Subscribes to a stream; the returned channel receives every message
   /// published after this call. `capacity` bounds the subscriber's buffer.
-  /// `local` forces a heap-backed ring even when SetChannelOptions chose
-  /// shm — for subscriptions whose producer and consumer provably share
-  /// the parent process (e.g. source→LFTA rings in multi-process mode),
-  /// which would otherwise pay a copy for a boundary never crossed.
-  Result<Subscription> Subscribe(const std::string& name, size_t capacity,
-                                 bool local = false);
+  /// The channel is a heap ring until something shares it
+  /// (RingChannel::Share; the engine does at StartProcesses).
+  Result<Subscription> Subscribe(const std::string& name, size_t capacity);
 
   /// Publishes a whole batch to all subscribers (copied per subscriber,
   /// moved to the last). Returns the number of subscribers that accepted
@@ -95,7 +83,6 @@ class StreamRegistry {
     std::vector<Subscription> subscribers;
   };
   std::map<std::string, StreamEntry> streams_;
-  ShmRingOptions channel_options_;
 };
 
 /// Producer-side accumulator for a node's output stream: operators append

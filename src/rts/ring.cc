@@ -35,15 +35,6 @@ size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
-size_t ClampedCapacity(size_t capacity, const ShmRingOptions& shm) {
-  if (!shm.enabled) return capacity;
-  // Shm slots carry a fixed payload region each, so unbounded capacities
-  // (tests subscribe with 1<<20) clamp to the configured ceiling. Lazy
-  // page allocation makes even the ceiling cheap until slots are used.
-  const size_t ceiling = shm.max_slots == 0 ? 1 : shm.max_slots;
-  return capacity < ceiling ? capacity : ceiling;
-}
-
 /// Minimum per-slot payload region: headers plus any punctuation must
 /// always fit in a single slot (punctuations are never dropped).
 constexpr size_t kMinSlotBytes = 512;
@@ -57,39 +48,64 @@ inline void CounterAdd(std::atomic<uint64_t>* counter, uint64_t n) {
 
 }  // namespace
 
-RingChannel::RingChannel(size_t capacity, const ShmRingOptions& shm)
-    : capacity_(ClampedCapacity(capacity, shm)),
-      mask_(NextPowerOfTwo(capacity_ == 0 ? 1 : capacity_) - 1),
-      slots_(shm.enabled ? 0 : mask_ + 1) {
+RingChannel::RingChannel(size_t capacity)
+    : capacity_(capacity),
+      mask_(NextPowerOfTwo(capacity) - 1),
+      slots_(mask_ + 1) {
   GS_CHECK(capacity > 0);
-  if (!shm.enabled) return;
-  shm_slot_bytes_ =
-      shm.slot_bytes < kMinSlotBytes ? kMinSlotBytes : shm.slot_bytes;
-  const size_t slot_count = mask_ + 1;
-  arena_base_ = sizeof(RingControl) + slot_count * sizeof(ShmSlot);
+}
+
+void RingChannel::Share(const ShmRingOptions& options) {
+  if (is_shm()) return;
+  // Shm slots carry a fixed payload region each, so unbounded capacities
+  // (tests subscribe with 1<<20) clamp to the configured ceiling. Lazy
+  // page allocation makes even the ceiling cheap until slots are used.
+  const size_t ceiling = options.max_slots == 0 ? 1 : options.max_slots;
+  if (capacity_ > ceiling) capacity_ = ceiling;
+  shm_mask_ = NextPowerOfTwo(capacity_) - 1;
+  shm_slot_bytes_ = options.slot_bytes < kMinSlotBytes ? kMinSlotBytes
+                                                       : options.slot_bytes;
+  using Cell = std::atomic<uint64_t>;
+  constexpr size_t kCells = 2 * telemetry::Histogram::kCells;
+  const size_t slots_base = sizeof(RingControl) + kCells * sizeof(Cell);
+  const size_t slot_count = shm_mask_ + 1;
+  arena_base_ = slots_base + slot_count * sizeof(ShmSlot);
   shm_ = ShmSegment::Create(arena_base_ + slot_count * shm_slot_bytes_);
-  ctrl_ = new (shm_->data()) RingControl();
-  shm_slots_ = shm_->As<ShmSlot>(sizeof(RingControl));
+  RingControl* shared = new (shm_->data()) RingControl();
+  for (Cell RingControl::*field :
+       {&RingControl::head, &RingControl::pushed, &RingControl::dropped,
+        &RingControl::oversize_dropped, &RingControl::high_water,
+        &RingControl::tail, &RingControl::popped, &RingControl::torn,
+        &RingControl::resync_dropped}) {
+    (shared->*field).store(Read(ctrl().*field), std::memory_order_relaxed);
+  }
+  heap_end_ = Read(shared->head);
+  Cell* cells = shm_->As<Cell>(sizeof(RingControl));
+  for (size_t c = 0; c < kCells; ++c) new (&cells[c]) Cell(0);
+  occupancy_.BindCells(cells);
+  batch_size_.BindCells(cells + telemetry::Histogram::kCells);
+  shm_slots_ = shm_->As<ShmSlot>(slots_base);
   for (size_t s = 0; s < slot_count; ++s) new (&shm_slots_[s]) ShmSlot();
+  ctrl_.store(shared, std::memory_order_release);
 }
 
 bool RingChannel::HasRoom(uint64_t head, size_t slots) {
   if (head - cached_tail_ + slots > capacity_) {
     // Refresh the cached tail; acquire pairs with the consumer's release
     // store so the slots we are about to overwrite are truly vacated.
-    cached_tail_ = ctrl_->tail.load(std::memory_order_acquire);
+    cached_tail_ = ctrl().tail.load(std::memory_order_acquire);
     if (head - cached_tail_ + slots > capacity_) return false;
   }
   return true;
 }
 
 void RingChannel::Publish(uint64_t head, size_t messages) {
-  ctrl_->head.store(head, std::memory_order_release);
-  CounterAdd(&ctrl_->pushed, messages);
+  ctrl().head.store(head, std::memory_order_release);
+  CounterAdd(&ctrl().pushed, messages);
   const uint64_t occupancy =
-      head - ctrl_->tail.load(std::memory_order_relaxed);
-  if (occupancy > ctrl_->high_water.load(std::memory_order_relaxed)) {
-    ctrl_->high_water.store(occupancy, std::memory_order_relaxed);
+      head - ctrl().tail.load(std::memory_order_relaxed);
+  if (occupancy > ctrl().high_water.load(std::memory_order_relaxed)) {
+    ctrl().high_water.store(occupancy, std::memory_order_relaxed);
   }
   batch_size_.Record(messages);
   occupancy_.Record(occupancy);
@@ -99,7 +115,7 @@ void RingChannel::Publish(uint64_t head, size_t messages) {
 bool RingChannel::TryPush(StreamBatch&& batch) {
   if (batch.empty()) return true;  // nothing to enqueue
   if (shm_ != nullptr) return ShmTryPush(std::move(batch));
-  const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
+  const uint64_t head = ctrl().head.load(std::memory_order_relaxed);
   // On failure the batch has not been touched: the caller keeps ownership
   // and can retry with the very same object.
   if (!HasRoom(head, 1)) return false;
@@ -145,16 +161,16 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
   if (run_begin != none) chunks.push_back({run_begin, none});
   if (chunks.empty()) {
     // Every message was oversize; nothing deliverable remains.
-    CounterAdd(&ctrl_->oversize_dropped, oversize_count);
+    CounterAdd(&ctrl().oversize_dropped, oversize_count);
     batch.clear();
     return true;
   }
-  const uint64_t head = ctrl_->head.load(std::memory_order_relaxed);
+  const uint64_t head = ctrl().head.load(std::memory_order_relaxed);
   if (!HasRoom(head, chunks.size())) return false;
   size_t delivered = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const uint64_t index = head + c;
-    const size_t s = index & mask_;
+    const size_t s = index & shm_mask_;
     ShmSlot& slot = shm_slots_[s];
     slot.offset = ArenaOffset(s);
     uint32_t count = 0;
@@ -173,7 +189,7 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
     delivered += count;
   }
   if (oversize_count > 0) {
-    CounterAdd(&ctrl_->oversize_dropped, oversize_count);
+    CounterAdd(&ctrl().oversize_dropped, oversize_count);
   }
   Publish(head + chunks.size(), delivered);
   batch.clear();
@@ -207,7 +223,7 @@ bool RingChannel::PushOrDrop(StreamBatch&& batch) {
     --tuples;
     parked_.AppendFrom(batch, batch.size() - 1);
   }
-  CounterAdd(&ctrl_->dropped, tuples);
+  CounterAdd(&ctrl().dropped, tuples);
   batch.clear();
   return false;
 }
@@ -219,13 +235,13 @@ bool RingChannel::FlushParked() {
 }
 
 bool RingChannel::ShmReadSlot(uint64_t tail, StreamBatch* out) {
-  ShmSlot& slot = shm_slots_[tail & mask_];
+  ShmSlot& slot = shm_slots_[tail & shm_mask_];
   // Validate before touching the payload: the stamp proves the producer
   // finished writing this lap's bytes, and the bounds prove the header
   // itself is sane. A producer that died mid-write (or fault injection)
   // fails here; the slot is torn — skipped, never delivered as garbage.
   const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-  if (seq != tail + 1 || slot.offset != ArenaOffset(tail & mask_) ||
+  if (seq != tail + 1 || slot.offset != ArenaOffset(tail & shm_mask_) ||
       slot.len > shm_slot_bytes_) {
     return false;
   }
@@ -236,7 +252,7 @@ bool RingChannel::ShmReadSlot(uint64_t tail, StreamBatch* out) {
 bool RingChannel::TryPop(StreamBatch* out) {
   for (;;) {
     out->clear();
-    const uint64_t tail = ctrl_->tail.load(std::memory_order_relaxed);
+    const uint64_t tail = ctrl().tail.load(std::memory_order_relaxed);
     // The head cache is process-local while the tail lives in the control
     // block: after a fork handoff (adoption, or a restarted child) this
     // process's cache can lag the tail another process advanced. Trust it
@@ -247,21 +263,21 @@ bool RingChannel::TryPop(StreamBatch* out) {
     if (cached_head_ <= tail) {
       // Acquire pairs with the producer's release store: the slot contents
       // written before head advanced are visible here.
-      cached_head_ = ctrl_->head.load(std::memory_order_acquire);
+      cached_head_ = ctrl().head.load(std::memory_order_acquire);
       if (cached_head_ <= tail) return false;
     }
     bool ok = true;
-    if (shm_ != nullptr) {
-      ok = ShmReadSlot(tail, out);
-    } else {
+    if (tail < heap_end_) {
       *out = std::move(slots_[tail & mask_]);
+    } else {
+      ok = ShmReadSlot(tail, out);
     }
-    ctrl_->tail.store(tail + 1, std::memory_order_release);
+    ctrl().tail.store(tail + 1, std::memory_order_release);
     if (!ok) {
-      CounterAdd(&ctrl_->torn, 1);
+      CounterAdd(&ctrl().torn, 1);
       continue;  // torn slot skipped; try the next one
     }
-    CounterAdd(&ctrl_->popped, out->size());
+    CounterAdd(&ctrl().popped, out->size());
     // Past the arming position: this slot was pushed after the handoff,
     // so the lost prefix cannot extend into it — the gap ends here even
     // without a punctuation (see BeginResync).
@@ -282,7 +298,7 @@ void RingChannel::ApplyResyncGate(StreamBatch* out) {
   }
   const bool punctuation = drop < out->size();
   if (drop > 0) {
-    CounterAdd(&ctrl_->resync_dropped, drop);
+    CounterAdd(&ctrl().resync_dropped, drop);
     out->DropFront(drop);
   }
   // The punctuation re-establishes ordering for everything that follows:
@@ -294,7 +310,7 @@ void RingChannel::BeginResync() {
   resync_ = true;
   // Everything already pushed belongs to the dead incarnation's in-flight
   // span; everything after this head position post-dates the handoff.
-  resync_end_ = ctrl_->head.load(std::memory_order_acquire);
+  resync_end_ = ctrl().head.load(std::memory_order_acquire);
 }
 
 void RingChannel::ArmTornFault(uint64_t nth) {
@@ -306,8 +322,8 @@ void RingChannel::ArmTornFault(uint64_t nth) {
 size_t RingChannel::size() const {
   // Load tail first: head can only grow afterwards, so the difference is
   // never negative.
-  const uint64_t tail = ctrl_->tail.load(std::memory_order_acquire);
-  const uint64_t head = ctrl_->head.load(std::memory_order_acquire);
+  const uint64_t tail = ctrl().tail.load(std::memory_order_acquire);
+  const uint64_t head = ctrl().head.load(std::memory_order_acquire);
   return static_cast<size_t>(head - tail);
 }
 

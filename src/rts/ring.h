@@ -105,7 +105,7 @@ static_assert(offsetof(RingControl, high_water) / 64 <
 ///    std::vector<StreamBatch>; batches move through without copying.
 ///    Producer and consumer must share an address space (threads of one
 ///    process).
-///  - Shared memory (ShmRingOptions::enabled): the control block, the slot
+///  - Shared memory (after Share): the control block, the slot
 ///    headers and the slots' payload arena live in a fork-inherited
 ///    ShmSegment, so a parent-side gs_stats snapshot sees child-side
 ///    progress. A batch is copied into a fixed per-slot region of the arena
@@ -127,11 +127,17 @@ static_assert(offsetof(RingControl, high_water) / 64 <
 /// ends, by construction, at a punctuation boundary.
 class RingChannel {
  public:
-  explicit RingChannel(size_t capacity)
-      : RingChannel(capacity, ShmRingOptions{}) {}
-  RingChannel(size_t capacity, const ShmRingOptions& shm);
+  explicit RingChannel(size_t capacity);
   RingChannel(const RingChannel&) = delete;
   RingChannel& operator=(const RingChannel&) = delete;
+
+  /// Moves the ring into a new ShmSegment, so producer and consumer may be
+  /// processes forked after this call. Positions and counters carry over,
+  /// both histograms count in the segment, and the capacity clamps to
+  /// `options.max_slots`. Batches already queued stay in their heap slots
+  /// and pop first (a forked consumer reads its copy of them). A no-op on
+  /// a shared ring. Control plane only: no thread may use the ring.
+  void Share(const ShmRingOptions& options = {});
 
   /// Enqueues a batch; false when full. Producer-side only. On failure the
   /// batch is NOT consumed — the caller still owns its contents and may
@@ -183,30 +189,30 @@ class RingChannel {
   /// estimate while the producer and consumer are running.
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  uint64_t pushed() const { return Read(ctrl_->pushed); }
-  uint64_t popped() const { return Read(ctrl_->popped); }
-  uint64_t dropped() const { return Read(ctrl_->dropped); }
+  uint64_t pushed() const { return Read(ctrl().pushed); }
+  uint64_t popped() const { return Read(ctrl().popped); }
+  uint64_t dropped() const { return Read(ctrl().dropped); }
   /// Slots that failed consumer-side validation (half-written at producer
   /// death, or torn by fault injection); skipped, never delivered.
-  uint64_t torn() const { return Read(ctrl_->torn); }
+  uint64_t torn() const { return Read(ctrl().torn); }
   /// Tuples discarded by the resync gate since construction.
-  uint64_t resync_dropped() const { return Read(ctrl_->resync_dropped); }
+  uint64_t resync_dropped() const { return Read(ctrl().resync_dropped); }
   /// Messages too large for a shm slot, dropped at push.
-  uint64_t oversize_dropped() const { return Read(ctrl_->oversize_dropped); }
+  uint64_t oversize_dropped() const { return Read(ctrl().oversize_dropped); }
 
   /// Whether the slots live in fork-inherited shared memory.
   bool is_shm() const { return shm_ != nullptr; }
 
   /// Highest slot occupancy observed (for the E4 heartbeat experiment).
   size_t high_water_mark() const {
-    return static_cast<size_t>(Read(ctrl_->high_water));
+    return static_cast<size_t>(Read(ctrl().high_water));
   }
 
   /// Occupancy distribution, one sample per successful push (so the
   /// histogram shows how deep the queue usually runs, not just the
   /// high-water spike). Producer is the single writer; snapshot from any
-  /// thread. (Histograms are per-process heap state: with a child-process
-  /// producer they reflect only this process's pushes.)
+  /// thread (a shared ring keeps it in its segment, so a child-process
+  /// producer's pushes show in the parent).
   const telemetry::Histogram& occupancy_histogram() const {
     return occupancy_;
   }
@@ -246,16 +252,19 @@ class RingChannel {
     return arena_base_ + slot_index * shm_slot_bytes_;
   }
 
-  const size_t capacity_;  // logical capacity (exact, any value >= 1)
-  const size_t mask_;      // slot_count - 1; slot_count is a power of 2
+  size_t capacity_;     // logical capacity (exact, any value >= 1)
+  const size_t mask_;   // heap slot_count - 1; slot_count is a power of 2
+  size_t shm_mask_ = 0;  // the same for the shm slots (Share)
 
   // The ring's indices and counters: `local_` for a heap ring, the head of
-  // the segment for a shm ring.
+  // the segment for a shm ring. Atomic because Share moves it while a
+  // metrics reader on another thread may follow it.
   RingControl local_;
-  RingControl* ctrl_ = &local_;
+  std::atomic<RingControl*> ctrl_{&local_};
+  RingControl& ctrl() const { return *ctrl_.load(std::memory_order_acquire); }
 
-  std::vector<StreamBatch> slots_;  // heap backend only
-  // Shm backend: the segment holds [RingControl][ShmSlot...][arena].
+  std::vector<StreamBatch> slots_;  // heap slots
+  // Shm backend: [RingControl][histogram cells][ShmSlot...][arena].
   std::unique_ptr<ShmSegment> shm_;
   ShmSlot* shm_slots_ = nullptr;
   size_t shm_slot_bytes_ = 0;
@@ -265,6 +274,9 @@ class RingChannel {
   // line until the ring looks full); consumer-local cache of head.
   alignas(64) uint64_t cached_tail_ = 0;
   alignas(64) uint64_t cached_head_ = 0;
+  // Consumer side, on cached_head_'s line: positions below it pop from the
+  // heap slots. The head at Share; no position reaches it on a heap ring.
+  uint64_t heap_end_ = UINT64_MAX;
 
   // Producer-side only: a punctuation whose batch could not be pushed,
   // waiting to ride the next successful push (never dropped). Heap state:

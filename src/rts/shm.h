@@ -44,16 +44,13 @@ class ShmSegment {
   size_t size_;
 };
 
-/// Backend and sizing of ring channels. Every channel the registry creates
-/// while `enabled` (the engine's process mode sets it) carries its control
-/// block and slots in a ShmSegment instead of on the heap; the sizes are
-/// fixed at these defaults there, and tests choose small ones.
+/// Sizing of a ring moved into a ShmSegment (RingChannel::Share). The
+/// engine shares rings at these defaults; tests choose small ones.
 struct ShmRingOptions {
-  bool enabled = false;
   /// Upper bound on slot count per shm ring: heap rings accept any
   /// capacity (tests subscribe with 1<<20), but shm slots carry a fixed
-  /// payload region each, so the registry clamps. Lazily allocated pages
-  /// keep even this bound cheap until slots are actually used.
+  /// payload region each, so Share clamps. Lazily allocated pages keep
+  /// even this bound cheap until slots are actually used.
   size_t max_slots = 32768;
   /// Fixed payload bytes per slot. Batches larger than this split across
   /// slots; a single message that cannot fit is dropped and counted

@@ -88,7 +88,6 @@ WorkloadRun RunWorkload(size_t batch_size, Mode mode) {
 
   EngineOptions options;
   options.batch_max_size = batch_size;
-  options.process.enabled = mode == Mode::kProcesses;
   Engine engine(options);
   engine.AddInterface("eth0");
   EXPECT_TRUE(engine

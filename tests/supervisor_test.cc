@@ -53,7 +53,6 @@ void Punct(StreamBatch* batch, uint8_t tag) {
 
 ShmRingOptions SmallShm(size_t max_slots = 64, size_t slot_bytes = 256) {
   ShmRingOptions shm;
-  shm.enabled = true;
   shm.max_slots = max_slots;
   shm.slot_bytes = slot_bytes;
   return shm;
@@ -147,7 +146,8 @@ TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
   // in, same messages out, same counters through drops, parked
   // punctuations and the resync gate — serialization is invisible.
   RingChannel heap(16);
-  RingChannel shm(16, SmallShm());
+  RingChannel shm(16);
+  shm.Share(SmallShm());
   ASSERT_TRUE(shm.is_shm());
   ASSERT_FALSE(heap.is_shm());
   const RingScript from_heap = RunRingScript(heap);
@@ -176,7 +176,8 @@ TEST(ShmRingTest, MatchesHeapRingMessageForMessage) {
 }
 
 TEST(ShmRingTest, TraceContextAndWeightSurviveSerialization) {
-  RingChannel ring(8, SmallShm());
+  RingChannel ring(8);
+  ring.Share(SmallShm());
   MessageMeta meta;
   meta.trace_id = 0xdeadbeefcafe;
   meta.trace_ns = 123456789;
@@ -195,7 +196,8 @@ TEST(ShmRingTest, OversizeMessageDroppedAndCounted) {
   // A single message that cannot fit one slot's payload region can never
   // be delivered; it is dropped at the producer and counted, and the rest
   // of its batch still flows.
-  RingChannel ring(8, SmallShm(8, 64));
+  RingChannel ring(8);
+  ring.Share(SmallShm(8, 64));
   StreamBatch batch;
   Tuple(&batch, 1, 8);
   Tuple(&batch, 2, 4096);  // > 64-byte slot region
@@ -212,7 +214,8 @@ TEST(ShmRingTest, OversizeMessageDroppedAndCounted) {
 TEST(ShmRingTest, LargeBatchSplitsAcrossSlots) {
   // A batch bigger than one slot's region splits; order is preserved and
   // nothing is lost when enough slots are free.
-  RingChannel ring(32, SmallShm(32, 128));
+  RingChannel ring(32);
+  ring.Share(SmallShm(32, 128));
   StreamBatch batch;
   for (int i = 0; i < 40; ++i) {
     Tuple(&batch, static_cast<uint8_t>(i), 32);
@@ -239,7 +242,8 @@ TEST(ShmRingTest, TornSlotSkippedAndCounted) {
   // ArmTornFault corrupts the Nth published slot's sequence stamp — as a
   // producer dying mid-publish would. The consumer must detect, count,
   // and skip it without delivering garbage or stalling the ring.
-  RingChannel ring(16, SmallShm());
+  RingChannel ring(16);
+  ring.Share(SmallShm());
   ring.ArmTornFault(2);  // tear the second slot published
   for (uint8_t i = 0; i < 4; ++i) {
     StreamBatch batch;
@@ -260,7 +264,8 @@ TEST(ShmRingTest, ResyncGateDropsUntilPunctuation) {
   // After a consumer restart, tuples from the interrupted window must not
   // reach the new incarnation: the gate discards until the first
   // punctuation, delivers it (its bound is still valid), and disarms.
-  RingChannel ring(16, SmallShm());
+  RingChannel ring(16);
+  ring.Share(SmallShm());
   StreamBatch pre;
   Tuple(&pre, 1);
   Tuple(&pre, 2);
@@ -291,7 +296,8 @@ TEST(ShmRingTest, ResyncGateEndsAtArmingPositionWithoutPunctuation) {
   // A punctuation-free residue must not gate out data pushed after the
   // handoff: the head position at arming bounds the gap, so post-adoption
   // pushes (a seal-time upstream flush, new live data) always deliver.
-  RingChannel ring(16, SmallShm());
+  RingChannel ring(16);
+  ring.Share(SmallShm());
   StreamBatch residue;
   Tuple(&residue, 1);
   Tuple(&residue, 2);
@@ -315,7 +321,8 @@ TEST(ShmRingTest, ResyncGateEndsAtArmingPositionWithoutPunctuation) {
 TEST(ShmRingTest, CrossForkDelivery) {
   // The whole point of the shm backend: a child-process producer, a
   // parent-process consumer, nothing shared but the segment.
-  auto ring = std::make_unique<RingChannel>(64, SmallShm());
+  auto ring = std::make_unique<RingChannel>(64);
+  ring->Share(SmallShm());
   constexpr int kMessages = 200;
   pid_t child = fork();
   ASSERT_GE(child, 0);
@@ -349,6 +356,103 @@ TEST(ShmRingTest, CrossForkDelivery) {
   ASSERT_EQ(waitpid(child, &status, 0), child);
   EXPECT_EQ(received, kMessages);
   EXPECT_EQ(ring->torn(), 0u);
+}
+
+RingCounters Counters(const RingChannel& ring) {
+  return {ring.pushed(),          ring.popped(), ring.dropped(),
+          ring.resync_dropped(), ring.high_water_mark(), ring.size()};
+}
+
+/// Pushes one batch of two tuples, both tagged `tag`.
+void PushPair(RingChannel* ring, uint8_t tag) {
+  StreamBatch batch;
+  Tuple(&batch, tag);
+  Tuple(&batch, tag);
+  EXPECT_TRUE(ring->TryPush(std::move(batch)));
+}
+
+TEST(ShmRingTest, ShareKeepsQueuedBatchesAndCounters) {
+  // Sharing moves the ring, it does not reset it: batches queued on the
+  // heap pop first and in order, positions and counters carry over, and
+  // the histograms keep their samples.
+  RingChannel ring(16);
+  for (uint8_t tag = 0; tag < 3; ++tag) PushPair(&ring, tag);
+  const RingCounters queued = Counters(ring);
+  EXPECT_EQ(queued, (RingCounters{6, 0, 0, 0, 3, 3}));
+  ring.Share(SmallShm());
+  ASSERT_TRUE(ring.is_shm());
+  EXPECT_EQ(Counters(ring), queued);
+  ring.Share(SmallShm());  // a no-op on a shared ring
+  for (uint8_t tag = 3; tag < 5; ++tag) PushPair(&ring, tag);
+  EXPECT_EQ(Counters(ring), (RingCounters{10, 0, 0, 0, 5, 5}));
+  std::vector<uint8_t> seen;
+  StreamBatch out;
+  while (ring.TryPop(&out)) {
+    for (size_t i = 0; i < out.size(); ++i) seen.push_back(out.payload(i)[0]);
+  }
+  EXPECT_EQ(seen, (std::vector<uint8_t>{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}));
+  EXPECT_EQ(Counters(ring), (RingCounters{10, 10, 0, 0, 5, 0}));
+  const telemetry::HistogramSnapshot sizes =
+      ring.batch_size_histogram().Snapshot();
+  EXPECT_EQ(sizes.count, 5u);
+  EXPECT_EQ(sizes.sum, 10u);
+  EXPECT_EQ(ring.occupancy_histogram().Snapshot().count, 5u);
+}
+
+TEST(ShmRingTest, ShareClampsCapacityBehindAHeapBacklog) {
+  // A heap ring deeper than the shm ceiling keeps its whole backlog: the
+  // clamp only bounds what the producer may add once it has drained.
+  RingChannel ring(256);
+  for (uint8_t tag = 0; tag < 100; ++tag) PushPair(&ring, tag);
+  ring.Share(SmallShm(16));
+  EXPECT_EQ(ring.capacity(), 16u);
+  StreamBatch extra;
+  Tuple(&extra, 200);
+  EXPECT_FALSE(ring.TryPush(std::move(extra)));  // 100 queued, 16 allowed
+  std::vector<uint8_t> seen;
+  StreamBatch out;
+  for (int i = 0; i < 90; ++i) {
+    ASSERT_TRUE(ring.TryPop(&out));
+    seen.push_back(out.payload(0)[0]);
+  }
+  for (uint8_t tag = 100; tag < 106; ++tag) PushPair(&ring, tag);
+  while (ring.TryPop(&out)) seen.push_back(out.payload(0)[0]);
+  std::vector<uint8_t> expected(106);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(ring.popped(), ring.pushed());
+}
+
+TEST(ShmRingTest, ForkedConsumerPopsBatchesQueuedBeforeShare) {
+  // A consumer forked after Share reads the heap backlog from its copy of
+  // the parent's memory, then the segment; the tail it advances is the
+  // parent's too.
+  RingChannel ring(64);
+  for (uint8_t tag = 0; tag < 3; ++tag) PushPair(&ring, tag);
+  ring.Share(SmallShm());
+  for (uint8_t tag = 3; tag < 5; ++tag) PushPair(&ring, tag);
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // No gtest assertions in the child: its exit code is the verdict.
+    std::vector<uint8_t> seen;
+    StreamBatch out;
+    while (ring.TryPop(&out)) {
+      for (size_t i = 0; i < out.size(); ++i) {
+        seen.push_back(out.payload(i)[0]);
+      }
+    }
+    const std::vector<uint8_t> expected{0, 0, 1, 1, 2, 2, 3, 3, 4, 4};
+    _exit(seen == expected ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(ring.popped(), 10u);
+  EXPECT_EQ(ring.size(), 0u);
 }
 
 // -- Supervisor unit tests ---------------------------------------------------
@@ -545,7 +649,6 @@ std::vector<std::string> RunAgg(const std::vector<net::Packet>& batch,
                                 const FaultConfig& fault = FaultConfig{},
                                 Engine** keep = nullptr) {
   EngineOptions options;
-  options.process.enabled = workers > 0;
   options.fault = fault;
   static std::unique_ptr<Engine> engine_keeper;
   engine_keeper = std::make_unique<Engine>(options);
@@ -637,8 +740,7 @@ TEST(EngineProcessTest, WorkerCrashRecoversWithBoundedLoss) {
   fault.after_msgs = 10;
   EngineOptions options;
   options.punctuation_interval = 32;
-  options.process.enabled = true;
-  options.process.supervisor.heartbeat_period_ms = 5;
+  options.supervisor.heartbeat_period_ms = 5;
   options.fault = fault;
   Engine engine(options);
   engine.AddInterface("eth0");
@@ -706,10 +808,9 @@ TEST(EngineProcessTest, RestartBudgetExhaustionDegradesButCompletes) {
   fault.every_incarnation = true;
   EngineOptions options;
   options.punctuation_interval = 32;
-  options.process.enabled = true;
-  options.process.supervisor.heartbeat_period_ms = 5;
-  options.process.supervisor.restart_budget = 2;
-  options.process.supervisor.backoff_initial_ms = 5;
+  options.supervisor.heartbeat_period_ms = 5;
+  options.supervisor.restart_budget = 2;
+  options.supervisor.backoff_initial_ms = 5;
   options.fault = fault;
   Engine engine(options);
   engine.AddInterface("eth0");
@@ -773,9 +874,8 @@ TEST(EngineProcessTest, StalledWorkerDetectedByHeartbeat) {
   fault.stall_ms = 0;  // forever: recovery requires the kill path
   EngineOptions options;
   options.punctuation_interval = 32;
-  options.process.enabled = true;
-  options.process.supervisor.heartbeat_period_ms = 5;
-  options.process.supervisor.miss_threshold = 4;
+  options.supervisor.heartbeat_period_ms = 5;
+  options.supervisor.miss_threshold = 4;
   options.fault = fault;
   Engine engine(options);
   engine.AddInterface("eth0");
@@ -870,7 +970,6 @@ TEST(EngineProcessTest, StopProcessesWithoutFlushIsSafe) {
   // leave the engine in a state where single-process pumping still works.
   std::vector<net::Packet> batch = MakeBatch(2000);
   EngineOptions options;
-  options.process.enabled = true;
   Engine engine(options);
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine.AddQuery(kAggQuery).ok());
@@ -919,8 +1018,7 @@ TEST(EngineProcessTest, StatsMonotoneAcrossWorkerRestart) {
   fault.after_msgs = 10;
   EngineOptions options;
   options.punctuation_interval = 32;
-  options.process.enabled = true;
-  options.process.supervisor.heartbeat_period_ms = 5;
+  options.supervisor.heartbeat_period_ms = 5;
   options.fault = fault;
   Engine engine(options);
   engine.AddInterface("eth0");
@@ -1035,7 +1133,6 @@ TEST(EngineProcessTest, ManyWorkerNodesCountInTheParent) {
   const auto run = [&batch](size_t workers) {
     EngineOptions options;
     options.channel_capacity = 64;  // keeps 100 shm rings cheap
-    options.process.enabled = workers > 0;
     Engine engine(options);
     engine.AddInterface("eth0");
     for (int q = 0; q < 100; ++q) {
@@ -1072,9 +1169,219 @@ TEST(EngineProcessTest, ManyWorkerNodesCountInTheParent) {
   }
 }
 
+/// Drains `sub` into sorted rows formatted as RunAgg formats them.
+std::vector<std::string> SortedRows(TupleSubscription* sub) {
+  std::vector<std::string> rows;
+  while (auto row = sub->NextRow()) {
+    std::string text;
+    for (const Value& value : *row) text += value.ToString() + "\t";
+    rows.push_back(text);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+constexpr char kTcpQuery[] =
+    "DEFINE { query_name tcp; } "
+    "SELECT time, len FROM eth0.PKT WHERE protocol = 6";
+
+TEST(EngineProcessTest, SharesExactlyTheRingsWorkersTouch) {
+  // StartProcesses shares the rings a worker node reads or publishes
+  // into: the split aggregate's LFTA->HFTA ring and its output ring.
+  // Every other ring keeps both ends in the parent and stays on the heap:
+  // the raw packet stream, an LFTA-only query's output, gs_stats.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine.AddQuery(kTcpQuery).ok());
+  ASSERT_TRUE(engine.AddQuery(kAggQuery).ok());
+  std::vector<std::unique_ptr<TupleSubscription>> subs;
+  for (const char* stream : {"tcp", "agg", "gs_stats"}) {
+    auto sub = engine.Subscribe(stream, 8192);
+    ASSERT_TRUE(sub.ok()) << stream;
+    subs.push_back(std::move(sub).value());
+  }
+  ASSERT_TRUE(engine.StartProcesses(1).ok());
+  for (const char* stream : {"agg_lfta", "agg", "tcp", "gs_stats",
+                             "eth0.PKT"}) {
+    EXPECT_FALSE(engine.registry().Subscribers(stream).empty()) << stream;
+  }
+  for (const std::string& stream : engine.registry().StreamNames()) {
+    const bool crosses = stream == "agg_lfta" || stream == "agg";
+    for (const rts::Subscription& ring :
+         engine.registry().Subscribers(stream)) {
+      EXPECT_EQ(ring->is_shm(), crosses) << stream;
+    }
+  }
+  engine.StopProcesses();
+}
+
+TEST(EngineProcessTest, OutputQueuedBeforeStartIsDelivered) {
+  // Rows already waiting in a ring when StartProcesses shares it stay in
+  // its heap slots and are read before the ones the worker publishes.
+  const std::vector<net::Packet> batch = MakeBatch(4000);
+  const std::vector<std::string> reference = RunAgg(batch, 0);
+  ASSERT_FALSE(reference.empty());
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine.AddQuery(kAggQuery).ok());
+  auto sub = engine.Subscribe("agg", 8192);
+  ASSERT_TRUE(sub.ok());
+  const size_t half = batch.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", batch[i]).ok());
+  }
+  engine.PumpUntilIdle();
+  ASSERT_GT((*sub)->pending(), 0u);  // output queued on the heap
+  ASSERT_TRUE(engine.StartProcesses(1).ok());
+  for (size_t i = half; i < batch.size(); ++i) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", batch[i]).ok());
+  }
+  engine.FlushAll();
+  EXPECT_EQ(engine.supervisor()->degraded_count(), 0u);
+  EXPECT_EQ(SortedRows(sub->get()), reference);
+}
+
+TEST(EngineProcessTest, WorkerRingsShowHistogramsInTheParent) {
+  // A shared ring keeps its producer-written histograms in its segment,
+  // so the parent sees the pushes a worker made: on every ring the
+  // batch-size samples sum to the messages pushed, with one occupancy
+  // sample per batch.
+  Engine* engine = nullptr;
+  ASSERT_FALSE(RunAgg(MakeBatch(2000), 1, FaultConfig{}, &engine).empty());
+  EXPECT_GT(engine->registry().Total(&RingChannel::pushed, "agg"), 0u);
+  for (const std::string& stream : engine->registry().StreamNames()) {
+    for (const rts::Subscription& ring :
+         engine->registry().Subscribers(stream)) {
+      const telemetry::HistogramSnapshot sizes =
+          ring->batch_size_histogram().Snapshot();
+      EXPECT_EQ(sizes.sum, ring->pushed()) << stream;
+      EXPECT_EQ(ring->occupancy_histogram().Snapshot().count, sizes.count)
+          << stream;
+    }
+  }
+}
+
+TEST(EngineProcessTest, TornFaultOnAStreamNoWorkerTouchesIsRefused) {
+  // Only a shared ring has slots to tear. eth0.PKT feeds the LFTA on the
+  // inject thread, so its rings stay on the heap: StartProcesses refuses
+  // the fault before any worker starts, and the engine runs on in single
+  // mode. A stream that does not exist is refused the same way.
+  const std::vector<net::Packet> batch = MakeBatch(2000);
+  const std::vector<std::string> reference = RunAgg(batch, 0);
+  ASSERT_FALSE(reference.empty());
+  for (const char* stream : {"nosuchstream", "eth0.PKT"}) {
+    EngineOptions options;
+    options.fault.kind = FaultConfig::Kind::kTorn;
+    options.fault.stream = stream;
+    Engine engine(options);
+    engine.AddInterface("eth0");
+    ASSERT_TRUE(engine.AddQuery(kAggQuery).ok());
+    auto sub = engine.Subscribe("agg", 8192);
+    ASSERT_TRUE(sub.ok());
+    const Status started = engine.StartProcesses(1);
+    EXPECT_EQ(started.code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(started.message().find(stream), std::string::npos)
+        << started.ToString();
+    EXPECT_FALSE(engine.processes_running());
+    EXPECT_EQ(engine.supervisor(), nullptr);
+    for (const net::Packet& packet : batch) {
+      ASSERT_TRUE(engine.InjectPacket("eth0", packet).ok());
+    }
+    engine.FlushAll();
+    EXPECT_EQ(SortedRows(sub->get()), reference) << stream;
+  }
+}
+
+/// Counts the tuples of its input and emits the count as its one row at
+/// Flush, after a sleep longer than the hang window of the test below:
+/// one long call, silent throughout, inside a kFlushNode command.
+class SlowSealCounter : public rts::QueryNode {
+ public:
+  static gsql::StreamSchema Schema() {
+    return gsql::StreamSchema(
+        "tcp_count", gsql::StreamKind::kStream,
+        {{"count", gsql::DataType::kUint, gsql::OrderSpec::None()}});
+  }
+
+  SlowSealCounter(rts::Subscription input, rts::StreamRegistry* registry)
+      : QueryNode("tcp_count"), input_(std::move(input)), registry_(registry) {
+    RegisterInput(input_);
+  }
+
+  size_t Poll(size_t budget) override {
+    size_t processed = 0;
+    while (processed < budget && input_->TryPop(&batch_)) {
+      for (const rts::BatchItem& item : batch_.items()) {
+        ++processed;
+        if (item.kind == MessageKind::kTuple) ++count_;
+      }
+    }
+    return processed;
+  }
+
+  void Flush() override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    StreamBatch out;
+    out.AppendTuple(rts::TupleCodec(Schema()), {Value::Uint(count_)});
+    registry_->PublishBatch(name(), std::move(out));
+  }
+
+ private:
+  rts::Subscription input_;
+  rts::StreamRegistry* registry_;
+  StreamBatch batch_;
+  uint64_t count_ = 0;
+};
+
+TEST(EngineProcessTest, LongSealIsNotAHang) {
+  // A worker serving a command is busy, not hung: its node's Flush()
+  // stays silent for three hang windows, and the worker must be neither
+  // killed nor adopted (that would flush a pristine copy of the node and
+  // lose the count). The miss is still counted.
+  const std::vector<net::Packet> batch = MakeBatch(2000);
+  const auto run = [&batch](size_t workers, uint64_t* misses,
+                            uint64_t* degraded) {
+    EngineOptions options;
+    options.supervisor.heartbeat_period_ms = 5;
+    options.supervisor.miss_threshold = 4;  // a 20 ms hang window
+    Engine engine(options);
+    engine.AddInterface("eth0");
+    EXPECT_TRUE(engine.AddQuery(kTcpQuery).ok());
+    EXPECT_TRUE(
+        engine.registry().DeclareStream(SlowSealCounter::Schema()).ok());
+    auto input = engine.registry().Subscribe("tcp", 8192);
+    EXPECT_TRUE(input.ok());
+    EXPECT_TRUE(engine
+                    .AddNode(std::make_unique<SlowSealCounter>(
+                        *input, &engine.registry()))
+                    .ok());
+    auto sub = engine.Subscribe("tcp_count", 16);
+    EXPECT_TRUE(sub.ok());
+    if (workers > 0) {
+      EXPECT_TRUE(engine.StartProcesses(workers).ok());
+    }
+    for (const net::Packet& packet : batch) {
+      EXPECT_TRUE(engine.InjectPacket("eth0", packet).ok());
+    }
+    engine.FlushAll();
+    if (workers > 0) {
+      *misses = engine.supervisor()->heartbeat_misses();
+      *degraded = engine.supervisor()->degraded_count();
+    }
+    const std::optional<rts::Row> row = (*sub)->NextRow();
+    return row.has_value() ? (*row)[0].uint_value() : uint64_t{0};
+  };
+  uint64_t misses = 0;
+  uint64_t degraded = 0;
+  const uint64_t single = run(0, &misses, &degraded);
+  ASSERT_GT(single, 0u);
+  EXPECT_EQ(run(1, &misses, &degraded), single);
+  EXPECT_GT(misses, 0u);  // the seal was silent
+  EXPECT_EQ(degraded, 0u);
+}
+
 TEST(EngineProcessTest, ThreadsAndProcessesAreExclusive) {
   EngineOptions options;
-  options.process.enabled = true;
   Engine engine(options);
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine.AddQuery(kAggQuery).ok());

@@ -341,7 +341,6 @@ TEST(TraceEngineTest, ProcessModeCountsTruncatedTraces) {
   EngineOptions options;
   options.trace_sample = 1;  // tag everything: partials must carry ids
   options.punctuation_interval = 32;
-  options.process.enabled = true;
   Engine engine(options);
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine

@@ -285,7 +285,6 @@ int main(int argc, char** argv) {
                  "modes\n");
     return 1;
   }
-  options.process.enabled = processes > 0;
   if (!fault_spec.empty()) {
     auto fault = gigascope::core::ParseFaultSpec(fault_spec);
     if (!fault.ok()) {
