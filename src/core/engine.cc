@@ -390,7 +390,7 @@ Result<std::unique_ptr<TupleSubscription>> Engine::Subscribe(
                                              std::move(schema));
 }
 
-Status Engine::InjectPacket(const std::string& interface_name,
+Status Engine::InjectPacket(std::string_view interface_name,
                             const net::Packet& packet) {
   GS_RETURN_IF_ERROR(CheckAcceptingInput("InjectPacket"));
   // A packet on an interface with no sources is refused before anything
@@ -398,7 +398,8 @@ Status Engine::InjectPacket(const std::string& interface_name,
   auto it = interface_sources_.find(interface_name);
   if (it == interface_sources_.end()) {
     return Status::NotFound("no protocol sources on interface '" +
-                            interface_name + "' (add a query first)");
+                            std::string(interface_name) +
+                            "' (add a query first)");
   }
   // One decision per offered packet, shared by every protocol stream of
   // the interface: a traced packet carries the same trace id on each, and
@@ -432,13 +433,13 @@ Status Engine::InjectPacket(const std::string& interface_name,
   return Status::Ok();
 }
 
-Status Engine::InjectHeartbeat(const std::string& interface_name,
+Status Engine::InjectHeartbeat(std::string_view interface_name,
                                SimTime now) {
   GS_RETURN_IF_ERROR(CheckAcceptingInput("InjectHeartbeat"));
   auto it = interface_sources_.find(interface_name);
   if (it == interface_sources_.end()) {
     return Status::NotFound("no protocol sources on interface '" +
-                            interface_name + "'");
+                            std::string(interface_name) + "'");
   }
   for (PacketSource* source : it->second) source->Heartbeat(now);
   ++heartbeats_;

@@ -2,9 +2,11 @@
 #define GIGASCOPE_CORE_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fault.h"
@@ -212,13 +214,16 @@ class Engine {
   // -- Data input -----------------------------------------------------------
 
   /// Feeds one captured packet to all Protocols bound to `interface_name`.
-  Status InjectPacket(const std::string& interface_name,
+  /// The name is only looked up (no string is built per packet), so a
+  /// literal such as "eth0" costs nothing to pass.
+  Status InjectPacket(std::string_view interface_name,
                       const net::Packet& packet);
 
   /// Injects a time-only heartbeat: a punctuation advancing the ordered
   /// time attributes of every protocol stream on the interface without any
-  /// tuple (§3's ordering-update tokens for slow streams).
-  Status InjectHeartbeat(const std::string& interface_name, SimTime now);
+  /// tuple (§3's ordering-update tokens for slow streams). `interface_name`
+  /// is looked up as InjectPacket's is.
+  Status InjectHeartbeat(std::string_view interface_name, SimTime now);
 
   /// Feeds one tuple into a caller-declared stream. InvalidArgument (and
   /// nothing published) when `row` does not match the stream's arity and
@@ -478,7 +483,9 @@ class Engine {
   std::map<std::string, QueryParams> query_params_;
   /// Packet sources by stream name, and per interface.
   std::map<std::string, std::unique_ptr<PacketSource>> sources_;
-  std::map<std::string, std::vector<PacketSource*>> interface_sources_;
+  /// Transparent comparator: the inject paths find by std::string_view.
+  std::map<std::string, std::vector<PacketSource*>, std::less<>>
+      interface_sources_;
   /// Compiled plans retained per query (parallel to query_infos_) so
   /// EXPLAIN ANALYZE can re-render them against live runtime counters.
   struct AnalyzePlan {

@@ -51,27 +51,42 @@ gsql::DataType ExtractorType(Extract extract) {
   }
 }
 
-/// The store table of `plan` under its current `wanted` gates.
-std::vector<FieldStore> BuildStoreTable(const InterpretPlan& plan) {
-  std::vector<FieldStore> stores(plan.fields.size());
-  for (size_t f = 0; f < stores.size(); ++f) {
-    switch (plan.types[f]) {
-      case gsql::DataType::kString:
-        stores[f].width = FieldStore::Width::kString;
+/// The store program of `plan` under its current `wanted` gates.
+StoreProgram CompileStoreProgram(const InterpretPlan& plan) {
+  StoreProgram program;
+  program.fixed_size = plan.codec.fixed_size();
+  StoreProgram::Run run;
+  uint32_t offset = 0;
+  for (size_t f = 0; f < plan.fields.size(); ++f) {
+    const Extract extract = plan.wanted[f] ? plan.fields[f] : Extract::kDefault;
+    const uint32_t width = plan.codec.slot(f).width;
+    if (width == 0 && extract != Extract::kDefault) {
+      // A wanted STRING ends the run: what follows moves with its length.
+      run.string = extract;
+      run.string_at = offset;
+      program.runs.push_back(std::move(run));
+      run = StoreProgram::Run();
+      offset = 0;
+      continue;
+    }
+    const StoreProgram::Store store{offset, extract};
+    switch (width) {
+      case 8:
+        run.u64.push_back(store);
+        offset += 8;
         break;
-      case gsql::DataType::kIp:
-        stores[f].width = FieldStore::Width::kIp;
+      case 1:
+        run.u8.push_back(store);
+        offset += 1;
         break;
-      case gsql::DataType::kBool:
-        stores[f].width = FieldStore::Width::kBool;
-        break;
-      default:  // INT, UINT, FLOAT: 8 bytes
-        stores[f].width = FieldStore::Width::kU64;
+      default:  // IP, or a STRING that packs empty: a zero length word
+        run.u32.push_back(store);
+        offset += 4;
         break;
     }
-    if (plan.wanted[f]) stores[f].extract = plan.fields[f];
   }
-  return stores;
+  program.runs.push_back(std::move(run));
+  return program;
 }
 
 constexpr size_t Index(Extract extract) {
@@ -79,10 +94,11 @@ constexpr size_t Index(Extract extract) {
 }
 
 /// One packet as interpretation sees it: every fixed-width extractor's
-/// value and the bytes of the variable-length ones, computed once from the
-/// decoded headers and the sim time its time fields carry (clamped by the
-/// source). A layer the frame does not carry — every layer, when the frame
-/// fails to decode — reads as zero or empty, the type default.
+/// value and the bytes of the variable-length ones, loaded once from the
+/// walked frame (net::WalkHeaders) and the sim time its time fields carry
+/// (clamped by the source). A layer the walk does not find — every layer,
+/// when the frame is shorter than an Ethernet header — reads as zero or
+/// empty, the type default.
 class PacketFields {
  public:
   PacketFields(const net::Packet& packet, SimTime t) {
@@ -90,15 +106,16 @@ class PacketFields {
         static_cast<uint64_t>(SimTimeToSeconds(t));
     value_[Index(Extract::kTimestamp)] = static_cast<uint64_t>(t);
     value_[Index(Extract::kLen)] = packet.orig_len;
-    const Result<net::DecodedPacket> decoded =
-        net::DecodePacket(packet.view());
-    if (!decoded.ok()) {
+    const ByteSpan frame = packet.view();
+    net::HeaderWalk walk;
+    if (!net::WalkHeaders(frame, &walk)) {
       malformed_ = true;
       return;
     }
-    payload_ = decoded->payload;
-    if (!decoded->ip.has_value()) return;
-    const net::Ipv4Header& ip = *decoded->ip;
+    payload_ = walk.payload;
+    if (!walk.ip) return;
+    const net::Ipv4Header ip =
+        net::LoadIpv4Header(frame.data() + net::kEthernetHeaderLen);
     value_[Index(Extract::kSrcIp)] = ip.src_addr;
     value_[Index(Extract::kDestIp)] = ip.dst_addr;
     value_[Index(Extract::kProtocol)] = ip.protocol;
@@ -108,62 +125,53 @@ class PacketFields {
     value_[Index(Extract::kMoreFrags)] = ip.more_fragments() ? 1 : 0;
     // The IP payload including any transport header — what an IP
     // defragmenter reassembles.
-    const size_t start = net::kEthernetHeaderLen + ip.header_len;
-    if (packet.bytes.size() > start) {
-      ip_payload_ = ByteSpan(packet.bytes.data() + start,
-                             packet.bytes.size() - start);
-    }
-    if (decoded->tcp.has_value()) {
-      value_[Index(Extract::kSrcPort)] = decoded->tcp->src_port;
-      value_[Index(Extract::kDestPort)] = decoded->tcp->dst_port;
-      value_[Index(Extract::kTcpFlags)] = decoded->tcp->flags;
-      value_[Index(Extract::kTcpSeq)] = decoded->tcp->seq;
-    } else if (decoded->udp.has_value()) {
-      value_[Index(Extract::kSrcPort)] = decoded->udp->src_port;
-      value_[Index(Extract::kDestPort)] = decoded->udp->dst_port;
+    ip_payload_ = frame.substr(walk.transport);
+    const uint8_t* transport = frame.data() + walk.transport;
+    if (walk.tcp) {
+      const net::TcpHeader tcp = net::LoadTcpHeader(transport);
+      value_[Index(Extract::kSrcPort)] = tcp.src_port;
+      value_[Index(Extract::kDestPort)] = tcp.dst_port;
+      value_[Index(Extract::kTcpFlags)] = tcp.flags;
+      value_[Index(Extract::kTcpSeq)] = tcp.seq;
+    } else if (walk.udp) {
+      const net::UdpHeader udp = net::LoadUdpHeader(transport);
+      value_[Index(Extract::kSrcPort)] = udp.src_port;
+      value_[Index(Extract::kDestPort)] = udp.dst_port;
     }
   }
 
   bool malformed() const { return malformed_; }
 
-  /// Packed size of this packet's tuple under `stores`, for a codec whose
-  /// tuples with empty strings take `fixed_size` bytes.
-  size_t PackedSize(const std::vector<FieldStore>& stores,
-                    size_t fixed_size) const {
-    size_t size = fixed_size;
-    for (const FieldStore& store : stores) {
-      if (store.width == FieldStore::Width::kString) {
-        size += Bytes(store.extract).size();
-      }
+  /// Packed size of this packet's tuple under `program`: constant unless
+  /// a string is wanted.
+  size_t PackedSize(const StoreProgram& program) const {
+    size_t size = program.fixed_size;
+    for (size_t r = 0; r + 1 < program.runs.size(); ++r) {
+      size += Bytes(program.runs[r].string).size();
     }
     return size;
   }
 
-  /// Writes the tuple at `out` (exactly PackedSize bytes) by walking
-  /// `stores`: one store per field, in the codec's layout.
-  void Pack(const std::vector<FieldStore>& stores, uint8_t* out) const {
-    for (const FieldStore& store : stores) {
-      const uint64_t value = value_[Index(store.extract)];
-      switch (store.width) {
-        case FieldStore::Width::kU64:
-          StoreLe64(out, value);
-          out += 8;
-          break;
-        case FieldStore::Width::kIp:
-          StoreLe32(out, static_cast<uint32_t>(value));
-          out += 4;
-          break;
-        case FieldStore::Width::kBool:
-          *out++ = static_cast<uint8_t>(value);
-          break;
-        case FieldStore::Width::kString: {
-          const ByteSpan bytes = Bytes(store.extract);
-          StoreLe32(out, static_cast<uint32_t>(bytes.size()));
-          if (!bytes.empty()) std::memcpy(out + 4, bytes.data(), bytes.size());
-          out += 4 + bytes.size();
-          break;
-        }
+  /// Writes the tuple at `out` (exactly PackedSize bytes) by running
+  /// `program`, in the codec's layout.
+  void Pack(const StoreProgram& program, uint8_t* out) const {
+    for (const StoreProgram::Run& run : program.runs) {
+      for (const StoreProgram::Store& store : run.u64) {
+        StoreLe64(out + store.offset, value_[Index(store.extract)]);
       }
+      for (const StoreProgram::Store& store : run.u32) {
+        StoreLe32(out + store.offset,
+                  static_cast<uint32_t>(value_[Index(store.extract)]));
+      }
+      for (const StoreProgram::Store& store : run.u8) {
+        out[store.offset] = static_cast<uint8_t>(value_[Index(store.extract)]);
+      }
+      if (run.string == Extract::kDefault) return;  // the last run
+      const ByteSpan bytes = Bytes(run.string);
+      uint8_t* at = out + run.string_at;
+      StoreLe32(at, static_cast<uint32_t>(bytes.size()));
+      if (!bytes.empty()) std::memcpy(at + 4, bytes.data(), bytes.size());
+      out = at + 4 + bytes.size();
     }
   }
 
@@ -193,7 +201,6 @@ InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema) {
       extract = Extract::kDefault;
     }
     plan.fields.push_back(extract);
-    plan.types.push_back(field.type);
     plan.wanted.push_back(true);
   }
   return plan;
@@ -218,10 +225,10 @@ Status CheckProtocolSchema(const gsql::StreamSchema& schema) {
 
 rts::Row InterpretPacket(const InterpretPlan& plan,
                          const net::Packet& packet) {
-  const std::vector<FieldStore> stores = BuildStoreTable(plan);
+  const StoreProgram program = CompileStoreProgram(plan);
   const PacketFields fields(packet, packet.timestamp);
-  ByteBuffer packed(fields.PackedSize(stores, plan.codec.fixed_size()));
-  fields.Pack(stores, packed.data());
+  ByteBuffer packed(fields.PackedSize(program));
+  fields.Pack(program, packed.data());
   auto row = plan.codec.Decode(ByteSpan(packed.data(), packed.size()));
   GS_CHECK(row.ok());  // the packer writes exactly the codec's layout
   return std::move(row).value();
@@ -313,7 +320,8 @@ PacketSource::PacketSource(gsql::StreamSchema schema, const Options& options,
       ordered_fields_.push_back(f);
     }
   }
-  stores_ = BuildStoreTable(interpret_);
+  program_ = CompileStoreProgram(interpret_);
+  punct_countdown_ = options_.punctuation_interval;
 }
 
 void PacketSource::RegisterTelemetry(telemetry::Registry* metrics) {
@@ -328,17 +336,18 @@ void PacketSource::RegisterTelemetry(telemetry::Registry* metrics) {
 void PacketSource::WantField(size_t field) {
   if (field >= interpret_.wanted.size() || interpret_.wanted[field]) return;
   interpret_.wanted[field] = true;
-  stores_ = BuildStoreTable(interpret_);
+  program_ = CompileStoreProgram(interpret_);
 }
 
 void PacketSource::WantAllFields() {
   interpret_.wanted.assign(interpret_.wanted.size(), true);
-  stores_ = BuildStoreTable(interpret_);
+  program_ = CompileStoreProgram(interpret_);
 }
 
-bool PacketSource::PunctuationDue() const {
-  return options_.punctuation_interval > 0 &&
-         packets_.value() % options_.punctuation_interval == 0;
+bool PacketSource::CountDownPunctuation() {
+  if (punct_countdown_ == 0 || --punct_countdown_ > 0) return false;
+  punct_countdown_ = options_.punctuation_interval;
+  return true;
 }
 
 bool PacketSource::AppendPunctuation(SimTime t, const ByteSpan* tuple,
@@ -400,11 +409,12 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
     ++time_regressions_;
   }
   ++packets_;
+  const bool punctuate = CountDownPunctuation();
   if (offer.shed) {
     // A shed packet still counts toward the punctuation interval and, on
     // its boundary, punctuates (like a heartbeat) so windows keep closing
     // under heavy shed.
-    return PunctuationDue() && AppendPunctuation(t, nullptr, Offer{}) &&
+    return punctuate && AppendPunctuation(t, nullptr, Offer{}) &&
            FlushBatch();
   }
   const PacketFields fields(packet, t);
@@ -417,11 +427,10 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // around it.
   meta.weight = offer.weight;
   if (open_batch_.empty()) batch_open_time_ = t;
-  // The fields go straight from the decoded headers into the arena.
-  const size_t size =
-      fields.PackedSize(stores_, interpret_.codec.fixed_size());
+  // The fields go straight from the walked frame into the arena.
+  const size_t size = fields.PackedSize(program_);
   uint8_t* tuple = open_batch_.Append(meta, size);
-  fields.Pack(stores_, tuple);
+  fields.Pack(program_, tuple);
   if (last_punct_time_ > 0) {
     punct_lag_.Record(static_cast<uint64_t>(t - last_punct_time_));
   }
@@ -430,7 +439,7 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // out.
   bool flush = open_batch_.size() >= options_.batch_max_size;
   const ByteSpan packed(tuple, size);
-  if (PunctuationDue() && AppendPunctuation(t, &packed, offer)) flush = true;
+  if (punctuate && AppendPunctuation(t, &packed, offer)) flush = true;
   if (!flush && options_.batch_max_delay > 0 &&
       t - batch_open_time_ >= options_.batch_max_delay) {
     flush = true;

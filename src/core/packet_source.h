@@ -26,12 +26,12 @@ namespace gigascope::core {
 /// haul-only-what-queries-need idea as the NIC snap length (§4), applied
 /// at the interpretation layer.
 ///
-/// Interpretation writes each field straight from the decoded headers into
-/// `codec`'s packed layout, by walking a store table built from the plan
-/// (FieldStore): no Row, no Value. A field named like a
-/// built-in extractor resolves to it only when its type is the one the
-/// extractor produces (ExecuteDdl rejects the other case, see
-/// CheckProtocolSchema); otherwise it interprets as its type default.
+/// Interpretation loads each field straight from the walked frame
+/// (net::WalkHeaders) into `codec`'s packed layout, by running a store
+/// program compiled from the plan (StoreProgram): no Row, no Value. A
+/// field named like a built-in extractor resolves to it only when its type
+/// is the one the extractor produces (ExecuteDdl rejects the other case,
+/// see CheckProtocolSchema); otherwise it interprets as its type default.
 struct InterpretPlan {
   explicit InterpretPlan(const gsql::StreamSchema& schema) : codec(schema) {}
 
@@ -44,7 +44,6 @@ struct InterpretPlan {
     kDefault,  // last: interpretation sizes a per-extractor array by it
   };
   std::vector<Extract> fields;
-  std::vector<gsql::DataType> types;
   /// Unwanted fields interpret as their type default. Only kPayload and
   /// kIpPayload are ever gated off; fixed-width fields are always cheap
   /// enough to materialize.
@@ -57,15 +56,34 @@ struct InterpretPlan {
 /// library (§2.2). All fields start wanted.
 InterpretPlan BuildInterpretPlan(const gsql::StreamSchema& schema);
 
-/// How interpretation writes one field of the packed tuple: the field's
-/// packed width and the extractor whose value it stores. A store table
-/// has one entry per field, in schema order, and is derived from a plan
-/// under its `wanted` gates at the moment it is built.
-struct FieldStore {
-  enum class Width : uint8_t { kU64, kIp, kBool, kString };
-  Width width = Width::kU64;
-  /// kDefault for an unwanted field: it stores its type default.
-  InterpretPlan::Extract extract = InterpretPlan::Extract::kDefault;
+/// How interpretation packs a tuple under a plan's gates, compiled from
+/// the plan wherever its gates may have changed. The tuple is cut into
+/// runs. A run is fixed-width fields at constant offsets from its start,
+/// grouped by packed width, and ends at a wanted STRING (whose length
+/// varies per packet) or at the end of the tuple. A STRING that always
+/// packs empty (unwanted, or no extractor) is a constant zero length word
+/// inside its run, so while no STRING is wanted the tuple is one run of
+/// constant size. Packing has no per-field switch.
+struct StoreProgram {
+  /// One fixed-width field: its offset from the run's start and the
+  /// extractor whose value it stores (kDefault: its type default, zero).
+  struct Store {
+    uint32_t offset = 0;
+    InterpretPlan::Extract extract = InterpretPlan::Extract::kDefault;
+  };
+  struct Run {
+    std::vector<Store> u64;  // INT, UINT, FLOAT: 8 bytes
+    std::vector<Store> u32;  // IP, and a STRING's constant length word
+    std::vector<Store> u8;   // BOOL
+    /// The wanted STRING that ends the run, its length word at offset
+    /// `string_at`; kDefault in the last run, which ends the tuple.
+    InterpretPlan::Extract string = InterpretPlan::Extract::kDefault;
+    uint32_t string_at = 0;
+  };
+  /// At least one; only the last ends without a string.
+  std::vector<Run> runs;
+  /// Packed size with every string empty (TupleCodec::fixed_size).
+  size_t fixed_size = 0;
 };
 
 /// InvalidArgument when a field of protocol schema `schema` is named like a
@@ -76,8 +94,8 @@ Status CheckProtocolSchema(const gsql::StreamSchema& schema);
 /// Interprets a raw packet into a row under a precompiled plan and its
 /// gates as they stand: the packed tuple the engine's sources publish,
 /// decoded with TupleCodec::Decode — one interpretation implementation,
-/// whose Row form is for tests and measurements. Builds the plan's store
-/// table on every call.
+/// whose Row form is for tests and measurements. Compiles the plan's
+/// store program on every call.
 rts::Row InterpretPacket(const InterpretPlan& plan,
                          const net::Packet& packet);
 
@@ -141,7 +159,7 @@ class PacketSource {
   void RegisterTelemetry(telemetry::Registry* metrics);
 
   /// Materialization gates: a consumer reads `field` / every field. A
-  /// gate that opens rebuilds the store table.
+  /// gate that opens recompiles the store program.
   void WantField(size_t field);
   void WantAllFields();
 
@@ -167,15 +185,16 @@ class PacketSource {
   /// bounded.
   bool AppendPunctuation(SimTime t, const ByteSpan* tuple,
                          const Offer& offer);
-  /// Whether packet number `packets_` closes a punctuation interval.
-  bool PunctuationDue() const;
+  /// Counts one offered packet down the punctuation interval: true when it
+  /// closes the interval (packet k * interval, k = 1, 2, ...).
+  bool CountDownPunctuation();
 
   gsql::StreamSchema schema_;
   Options options_;
   rts::StreamRegistry* registry_;
   InterpretPlan interpret_;
   /// `interpret_` under its current gates: what Inject packs by.
-  std::vector<FieldStore> stores_;
+  StoreProgram program_;
   /// Increasing-like, non-string fields: the ones a punctuation bounds.
   std::vector<size_t> ordered_fields_;
 
@@ -192,6 +211,9 @@ class PacketSource {
   telemetry::Counter time_regressions_;
 
   SimTime last_punct_time_ = 0;
+  /// Packets left until the next interval punctuation; stays 0 when the
+  /// interval is 0.
+  size_t punct_countdown_ = 0;
   /// Batch under construction; publishes on size, age, or punctuation.
   rts::StreamBatch open_batch_;
   SimTime batch_open_time_ = 0;

@@ -12,69 +12,10 @@ namespace {
 constexpr std::array<uint8_t, 6> kDefaultSrcMac = {2, 0, 0, 0, 0, 1};
 constexpr std::array<uint8_t, 6> kDefaultDstMac = {2, 0, 0, 0, 0, 2};
 
-// Each parser reads every field with a direct load at its fixed offset,
-// after one check that the header is whole (for Ethernet, DecodePacket
-// makes it).
-
 void ParseEthernet(const uint8_t* p, EthernetHeader* out) {
   std::memcpy(out->dst_mac.data(), p, 6);
   std::memcpy(out->src_mac.data(), p + 6, 6);
   out->ether_type = LoadBe16(p + 12);
-}
-
-/// False when `bytes` does not start with a whole IPv4 header: a version
-/// other than 4, an IHL under 5, or a header (options included) cut short.
-bool ParseIpv4(ByteSpan bytes, Ipv4Header* out) {
-  if (bytes.size() < kIpv4MinHeaderLen) return false;
-  const uint8_t* p = bytes.data();
-  out->version = p[0] >> 4;
-  out->header_len = static_cast<uint8_t>((p[0] & 0x0f) * 4);
-  if (out->version != 4 || out->header_len < kIpv4MinHeaderLen ||
-      bytes.size() < out->header_len) {
-    return false;
-  }
-  out->tos = p[1];
-  out->total_len = LoadBe16(p + 2);
-  out->identification = LoadBe16(p + 4);
-  const uint16_t flags_frag = LoadBe16(p + 6);
-  out->flags = static_cast<uint8_t>(flags_frag >> 13);
-  out->fragment_offset = static_cast<uint16_t>(flags_frag & 0x1fff);
-  out->ttl = p[8];
-  out->protocol = p[9];
-  out->checksum = LoadBe16(p + 10);
-  out->src_addr = LoadBe32(p + 12);
-  out->dst_addr = LoadBe32(p + 16);
-  return true;
-}
-
-/// False when `bytes` does not start with a whole TCP header: a data
-/// offset under 5, or a header (options included) cut short.
-bool ParseTcp(ByteSpan bytes, TcpHeader* out) {
-  if (bytes.size() < kTcpMinHeaderLen) return false;
-  const uint8_t* p = bytes.data();
-  out->header_len = static_cast<uint8_t>((p[12] >> 4) * 4);
-  if (out->header_len < kTcpMinHeaderLen || bytes.size() < out->header_len) {
-    return false;
-  }
-  out->src_port = LoadBe16(p);
-  out->dst_port = LoadBe16(p + 2);
-  out->seq = LoadBe32(p + 4);
-  out->ack = LoadBe32(p + 8);
-  out->flags = p[13];
-  out->window = LoadBe16(p + 14);
-  out->checksum = LoadBe16(p + 16);
-  out->urgent = LoadBe16(p + 18);
-  return true;
-}
-
-bool ParseUdp(ByteSpan bytes, UdpHeader* out) {
-  if (bytes.size() < kUdpHeaderLen) return false;
-  const uint8_t* p = bytes.data();
-  out->src_port = LoadBe16(p);
-  out->dst_port = LoadBe16(p + 2);
-  out->length = LoadBe16(p + 4);
-  out->checksum = LoadBe16(p + 6);
-  return true;
 }
 
 void WriteIpv4Header(ByteWriter& writer, const Ipv4Header& ip) {
@@ -118,46 +59,64 @@ uint16_t InternetChecksum(ByteSpan data) {
   return static_cast<uint16_t>(~sum);
 }
 
+bool WalkHeaders(ByteSpan bytes, HeaderWalk* walk) {
+  if (bytes.size() < kEthernetHeaderLen) return false;
+  *walk = HeaderWalk();
+  const uint8_t* p = bytes.data();
+  if (LoadBe16(p + 12) != kEtherTypeIpv4) {
+    walk->payload = bytes.substr(kEthernetHeaderLen);
+    return true;
+  }
+  // A truncated or malformed IPv4 header stops the walk at Ethernet.
+  const ByteSpan ip = bytes.substr(kEthernetHeaderLen);
+  if (ip.size() < kIpv4MinHeaderLen) return true;
+  const size_t ihl = size_t{ip[0] & 0x0fu} * 4;
+  if (ip[0] >> 4 != 4 || ihl < kIpv4MinHeaderLen || ip.size() < ihl) {
+    return true;
+  }
+  walk->ip = true;
+  walk->transport = kEthernetHeaderLen + ihl;
+  const ByteSpan rest = ip.substr(ihl);
+  // Non-first fragments have no transport header.
+  if ((LoadBe16(ip.data() + 6) & 0x1fff) != 0) {
+    walk->payload = rest;
+    return true;
+  }
+  // A transport header that fails leaves the payload empty.
+  switch (ip[9]) {
+    case kIpProtoTcp: {
+      if (rest.size() < kTcpMinHeaderLen) return true;
+      const size_t offset = static_cast<size_t>(rest[12] >> 4) * 4;
+      if (offset < kTcpMinHeaderLen || rest.size() < offset) return true;
+      walk->tcp = true;
+      walk->payload = rest.substr(offset);
+      return true;
+    }
+    case kIpProtoUdp:
+      if (rest.size() < kUdpHeaderLen) return true;
+      walk->udp = true;
+      walk->payload = rest.substr(kUdpHeaderLen);
+      return true;
+    default:
+      walk->payload = rest;
+      return true;
+  }
+}
+
 Result<DecodedPacket> DecodePacket(ByteSpan bytes) {
-  if (bytes.size() < kEthernetHeaderLen) {
+  HeaderWalk walk;
+  if (!WalkHeaders(bytes, &walk)) {
     return Status::InvalidArgument("packet shorter than Ethernet header");
   }
   // Decoded in place, so returning it copies no header.
   Result<DecodedPacket> result = DecodedPacket();
   DecodedPacket& decoded = *result;
-  ParseEthernet(bytes.data(), &decoded.eth);
-  ByteSpan rest = bytes.substr(kEthernetHeaderLen);
-  if (decoded.eth.ether_type != kEtherTypeIpv4) {
-    decoded.payload = rest;
-    return result;
-  }
-  if (!ParseIpv4(rest, &decoded.ip.emplace())) {
-    // Truncated or malformed below Ethernet: stop at the Ethernet layer.
-    decoded.ip.reset();
-    return result;
-  }
-  rest = rest.substr(decoded.ip->header_len);
-  // Non-first fragments have no transport header.
-  if (decoded.ip->fragment_offset != 0) {
-    decoded.payload = rest;
-    return result;
-  }
-  // A transport header that fails leaves the payload empty.
-  if (decoded.ip->protocol == kIpProtoTcp) {
-    if (ParseTcp(rest, &decoded.tcp.emplace())) {
-      decoded.payload = rest.substr(decoded.tcp->header_len);
-    } else {
-      decoded.tcp.reset();
-    }
-  } else if (decoded.ip->protocol == kIpProtoUdp) {
-    if (ParseUdp(rest, &decoded.udp.emplace())) {
-      decoded.payload = rest.substr(kUdpHeaderLen);
-    } else {
-      decoded.udp.reset();
-    }
-  } else {
-    decoded.payload = rest;
-  }
+  const uint8_t* p = bytes.data();
+  ParseEthernet(p, &decoded.eth);
+  if (walk.ip) decoded.ip = LoadIpv4Header(p + kEthernetHeaderLen);
+  if (walk.tcp) decoded.tcp = LoadTcpHeader(p + walk.transport);
+  if (walk.udp) decoded.udp = LoadUdpHeader(p + walk.transport);
+  decoded.payload = walk.payload;
   return result;
 }
 

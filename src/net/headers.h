@@ -92,14 +92,33 @@ struct DecodedPacket {
   bool is_udp() const { return udp.has_value(); }
 };
 
+/// Where the layers of one frame sit: what `WalkHeaders` finds. A layer is
+/// marked present only when its whole header is in the frame, so its
+/// fields can then be loaded at their fixed offsets unchecked.
+struct HeaderWalk {
+  /// A whole IPv4 header starts at kEthernetHeaderLen.
+  bool ip = false;
+  /// A whole TCP, or UDP, header starts at `transport`.
+  bool tcp = false;
+  bool udp = false;
+  /// Just past the IPv4 header and its options, where the IP payload
+  /// (transport header included) starts; 0 without an IP layer.
+  size_t transport = 0;
+  /// Application payload, after the deepest layer walked.
+  ByteSpan payload;
+};
+
 /// Computes the standard Internet checksum (RFC 1071) over `data`.
 uint16_t InternetChecksum(ByteSpan data);
 
-/// Decodes Ethernet/IPv4/TCP-or-UDP layers from raw packet bytes.
+/// Walks the Ethernet/IPv4/TCP-or-UDP layers of raw packet bytes: the one
+/// implementation of the layer rules. `DecodePacket` builds its headers
+/// from a walk, and packet interpretation (core/packet_source.h) loads its
+/// fields straight from the walked frame.
 ///
-/// Returns an error only for a frame shorter than an Ethernet header.
-/// Deeper, a layer decodes only when its whole header is there, mirroring
-/// what a capture stack does with snap-length-truncated packets:
+/// Returns false, for a frame shorter than an Ethernet header, and walks
+/// nothing. Deeper, a layer is walked only when its whole header is there,
+/// mirroring what a capture stack does with snap-length-truncated packets:
 /// - a non-IPv4 EtherType stops at Ethernet, the rest being the payload;
 /// - an IPv4 header with a version other than 4, an IHL under 5, or its
 ///   options cut short is dropped, and the payload is empty;
@@ -108,8 +127,56 @@ uint16_t InternetChecksum(ByteSpan data);
 /// - TCP needs a data offset of at least 5 and its options present, UDP
 ///   8 bytes; a transport header that fails is dropped, and the payload is
 ///   empty.
-/// Each header's length is checked once; its fields are then direct loads
-/// at fixed offsets.
+/// Each header's length is checked once, here.
+bool WalkHeaders(ByteSpan bytes, HeaderWalk* walk);
+
+/// The fields of a whole header at `p` (a walk found it there), each a
+/// direct big-endian load at its fixed offset. Inline, so a caller that
+/// reads a few fields pays for only their loads.
+inline Ipv4Header LoadIpv4Header(const uint8_t* p) {
+  Ipv4Header h;
+  h.version = p[0] >> 4;
+  h.header_len = static_cast<uint8_t>((p[0] & 0x0f) * 4);
+  h.tos = p[1];
+  h.total_len = LoadBe16(p + 2);
+  h.identification = LoadBe16(p + 4);
+  const uint16_t flags_frag = LoadBe16(p + 6);
+  h.flags = static_cast<uint8_t>(flags_frag >> 13);
+  h.fragment_offset = static_cast<uint16_t>(flags_frag & 0x1fff);
+  h.ttl = p[8];
+  h.protocol = p[9];
+  h.checksum = LoadBe16(p + 10);
+  h.src_addr = LoadBe32(p + 12);
+  h.dst_addr = LoadBe32(p + 16);
+  return h;
+}
+
+inline TcpHeader LoadTcpHeader(const uint8_t* p) {
+  TcpHeader h;
+  h.src_port = LoadBe16(p);
+  h.dst_port = LoadBe16(p + 2);
+  h.seq = LoadBe32(p + 4);
+  h.ack = LoadBe32(p + 8);
+  h.header_len = static_cast<uint8_t>((p[12] >> 4) * 4);
+  h.flags = p[13];
+  h.window = LoadBe16(p + 14);
+  h.checksum = LoadBe16(p + 16);
+  h.urgent = LoadBe16(p + 18);
+  return h;
+}
+
+inline UdpHeader LoadUdpHeader(const uint8_t* p) {
+  UdpHeader h;
+  h.src_port = LoadBe16(p);
+  h.dst_port = LoadBe16(p + 2);
+  h.length = LoadBe16(p + 4);
+  h.checksum = LoadBe16(p + 6);
+  return h;
+}
+
+/// Decodes the headers `WalkHeaders` finds in raw packet bytes. Returns an
+/// error only for a frame shorter than an Ethernet header; a layer the
+/// walk drops is absent.
 Result<DecodedPacket> DecodePacket(ByteSpan bytes);
 
 /// Builds raw packet bytes for a TCP segment.

@@ -240,7 +240,13 @@ uint8_t* StreamBatch::Append(const MessageMeta& meta, size_t length) {
   item.length = static_cast<uint32_t>(length);
   d.items.push_back(item);
   d.arena.resize(d.arena.size() + length);
-  return d.arena.data() + item.offset;
+  uint8_t* out = d.arena.data() + item.offset;
+#if defined(__SANITIZE_ADDRESS__)
+  // Not zero: a byte the writer leaves unwritten must not pass for a
+  // written zero.
+  if (length > 0) std::memset(out, 0xa5, length);
+#endif
+  return out;
 }
 
 void StreamBatch::Append(const MessageMeta& meta, ByteSpan bytes) {

@@ -180,6 +180,11 @@ struct BatchItem : MessageMeta {
 /// shared-memory ring moves it with a copy of each (rts/shm.h). The object
 /// itself is one pointer, allocated on first append: a ring's slot array
 /// of idle batches stays small.
+///
+/// The arena hands out bytes unwritten: a writer fills exactly the bytes
+/// it reserves with Append(meta, length), every one of them, and nothing
+/// zeroes them first. In AddressSanitizer builds Append fills them with a
+/// non-zero pattern, so a byte a writer skips shows in its output.
 class StreamBatch {
  public:
   StreamBatch() = default;
@@ -222,7 +227,8 @@ class StreamBatch {
   }
 
   /// Appends a message of `length` bytes and returns where to write them
-  /// (valid until the next append).
+  /// (valid until the next append). The bytes are unwritten: the caller
+  /// writes all `length` of them.
   uint8_t* Append(const MessageMeta& meta, size_t length);
 
   /// Appends a message holding a copy of `bytes`.
@@ -258,9 +264,22 @@ class StreamBatch {
   void Reserve(size_t items, size_t bytes);
 
  private:
+  /// std::allocator whose value-less construct default-initializes: a
+  /// vector of bytes grows without zeroing what it adds. Construction with
+  /// a value (a copy) falls back to std::allocator_traits' default.
+  template <typename T>
+  struct UnzeroedAllocator : std::allocator<T> {
+    UnzeroedAllocator() = default;
+    template <typename U>
+    UnzeroedAllocator(const UnzeroedAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
   struct Data {
     std::vector<BatchItem> items;
-    ByteBuffer arena;
+    std::vector<uint8_t, UnzeroedAllocator<uint8_t>> arena;
   };
   static const std::vector<BatchItem> kNoItems;
 

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "frame_corpus.h"
 #include "gsql/catalog.h"
 #include "net/headers.h"
 #include "rts/punctuation.h"
+#include "workload/traffic_gen.h"
 
 namespace gigascope::core {
 namespace {
@@ -68,6 +70,99 @@ TEST(InterpretPacketTest, AllPktFieldsExtracted) {
   // ipPayload = TCP header + payload.
   EXPECT_EQ(get("ipPayload").string_value().size(),
             net::kTcpMinHeaderLen + 13);
+}
+
+/// The row of `schema`'s PKT fields that `packet` should interpret to at
+/// sim time `t`: each header field as net::DecodePacket reads it in the
+/// frame (HeadersPropertyTest pins that against the bytes), `payload` as
+/// its payload and `ipPayload` as the frame after the IP header, each of
+/// the two empty unless wanted. A layer DecodePacket does not find reads
+/// as zero.
+rts::Row ExpectedRow(const gsql::StreamSchema& schema,
+                     const net::Packet& packet, SimTime t, bool payload,
+                     bool ip_payload) {
+  std::map<std::string, Value> by_name = {
+      {"time", Value::Uint(static_cast<uint64_t>(SimTimeToSeconds(t)))},
+      {"timestamp", Value::Uint(static_cast<uint64_t>(t))},
+      {"len", Value::Uint(packet.orig_len)},
+      {"srcIP", Value::Ip(0)}, {"destIP", Value::Ip(0)},
+      {"srcPort", Value::Uint(0)}, {"destPort", Value::Uint(0)},
+      {"protocol", Value::Uint(0)}, {"ipVersion", Value::Uint(0)},
+      {"tcpFlags", Value::Uint(0)}, {"tcpSeq", Value::Uint(0)},
+      {"ipId", Value::Uint(0)}, {"fragOffset", Value::Uint(0)},
+      {"moreFrags", Value::Uint(0)},
+      {"payload", Value::String("")}, {"ipPayload", Value::String("")}};
+  auto text = [](const uint8_t* data, size_t size) {
+    return Value::String(std::string(reinterpret_cast<const char*>(data),
+                                     size));
+  };
+  const auto decoded = net::DecodePacket(packet.view());
+  if (decoded.ok()) {
+    if (payload) {
+      by_name["payload"] =
+          text(decoded->payload.data(), decoded->payload.size());
+    }
+    if (decoded->ip.has_value()) {
+      const net::Ipv4Header& ip = *decoded->ip;
+      by_name["srcIP"] = Value::Ip(ip.src_addr);
+      by_name["destIP"] = Value::Ip(ip.dst_addr);
+      by_name["protocol"] = Value::Uint(ip.protocol);
+      by_name["ipVersion"] = Value::Uint(ip.version);
+      by_name["ipId"] = Value::Uint(ip.identification);
+      by_name["fragOffset"] = Value::Uint(ip.fragment_offset);
+      by_name["moreFrags"] = Value::Uint(ip.more_fragments() ? 1 : 0);
+      const size_t start = net::kEthernetHeaderLen + ip.header_len;
+      if (ip_payload) {
+        by_name["ipPayload"] =
+            text(packet.bytes.data() + start, packet.bytes.size() - start);
+      }
+    }
+    if (decoded->tcp.has_value()) {
+      by_name["srcPort"] = Value::Uint(decoded->tcp->src_port);
+      by_name["destPort"] = Value::Uint(decoded->tcp->dst_port);
+      by_name["tcpFlags"] = Value::Uint(decoded->tcp->flags);
+      by_name["tcpSeq"] = Value::Uint(decoded->tcp->seq);
+    } else if (decoded->udp.has_value()) {
+      by_name["srcPort"] = Value::Uint(decoded->udp->src_port);
+      by_name["destPort"] = Value::Uint(decoded->udp->dst_port);
+    }
+  }
+  rts::Row row;
+  for (const gsql::FieldDef& field : schema.fields()) {
+    row.push_back(by_name.at(field.name));
+  }
+  return row;
+}
+
+TEST(InterpretPacketTest, HeaderCorpusInterpretsToWhatTheFrameHolds) {
+  // DecodePacket and interpretation share one header walk, so every frame
+  // of the decoder's property corpus — each spec cut at every length, and
+  // the byte flips — must interpret to the fields and payloads the
+  // decoder reads in it.
+  const gsql::StreamSchema schema = gsql::Catalog::BuiltinPacketSchema();
+  size_t frames = 0;
+  net::corpus::ForEachCorpusFrame(
+      [&](const ByteBuffer& cut, const std::string& what) {
+        net::Packet packet;
+        packet.bytes = cut;
+        packet.orig_len = static_cast<uint32_t>(cut.size());
+        packet.timestamp =
+            3 * kNanosPerSecond + static_cast<SimTime>(frames++);
+        const rts::Row expected =
+            ExpectedRow(schema, packet, packet.timestamp, true, true);
+        const rts::Row row = InterpretPacket(schema, packet);
+        for (size_t f = 0; f < schema.num_fields(); ++f) {
+          if (!(row[f] == expected[f])) {
+            ADD_FAILURE() << what << ", cut at " << cut.size() << ": "
+                          << schema.field(f).name << " is "
+                          << row[f].ToString() << ", want "
+                          << expected[f].ToString();
+            return false;
+          }
+        }
+        return true;
+      });
+  EXPECT_GT(frames, 100000u);
 }
 
 TEST(InterpretPacketTest, FragmentFieldsReflectFragmentation) {
@@ -289,6 +384,88 @@ TEST(PacketSourceTest, OnePunctuationRuleForTuplesShedPacketsAndHeartbeats) {
   EXPECT_EQ(counters["packets"], 6u);
   EXPECT_EQ(counters["time_regressions"], 1u);
   EXPECT_EQ(counters["last_punct_sec"], 7u);
+}
+
+TEST(PacketSourceTest, PunctuatesAtIntervalMultiplesAndPacksAtCodecOffsets) {
+  // Every offered packet counts toward the punctuation interval, shed or
+  // kept, so the source punctuates at exactly packet k * interval. A
+  // payload gate opened mid-stream recompiles the store program: every
+  // tuple, before and after, is exactly the codec's packing of its row.
+  const gsql::StreamSchema schema(
+      "eth0.PKT", gsql::StreamKind::kStream,
+      gsql::Catalog::BuiltinPacketSchema().fields());
+  const size_t payload_field = *schema.FieldIndex("payload");
+  const size_t timestamp_field = *schema.FieldIndex("timestamp");
+  const rts::TupleCodec codec(schema);
+  constexpr size_t kPackets = 1000;
+  constexpr size_t kGateOpensAt = 400;
+  workload::TrafficConfig traffic;
+  traffic.mean_payload = 60;
+  workload::TrafficGenerator generator(traffic);
+  std::vector<net::Packet> packets;
+  for (size_t i = 0; i < kPackets; ++i) packets.push_back(generator.Next());
+
+  for (size_t interval : {1, 3, 256}) {
+    for (uint32_t weight : {1, 2, 5}) {  // L1 shedding off, 1 in 2, 1 in 5
+      SCOPED_TRACE("interval " + std::to_string(interval) + ", weight " +
+                   std::to_string(weight));
+      rts::StreamRegistry registry;
+      ASSERT_TRUE(registry.DeclareStream(schema).ok());
+      auto channel = registry.Subscribe(schema.name(), 4096);
+      ASSERT_TRUE(channel.ok());
+      PacketSource::Options options;
+      options.punctuation_interval = interval;
+      PacketSource source(schema, options, /*materialize_all=*/false,
+                          &registry);
+      std::vector<size_t> kept;  // packet index of each tuple
+      for (size_t i = 0; i < kPackets; ++i) {
+        if (i == kGateOpensAt) source.WantField(payload_field);
+        // The engine's deterministic 1-in-k phase: offered packet i + 1.
+        PacketSource::Offer offer;
+        offer.weight = weight;
+        offer.shed = weight > 1 && (i + 1) % weight != 0;
+        if (!offer.shed) kept.push_back(i);
+        source.Inject(packets[i], offer);
+      }
+      source.FlushBatch();
+
+      std::vector<size_t> punctuated;  // 1-based packet numbers
+      size_t tuples = 0;
+      rts::StreamBatch batch;
+      while ((*channel)->TryPop(&batch)) {
+        for (const rts::BatchItem& item : batch.items()) {
+          const ByteSpan bytes = batch.payload(item);
+          if (item.kind == rts::MessageKind::kPunctuation) {
+            auto punctuation = rts::DecodePunctuation(bytes, schema);
+            ASSERT_TRUE(punctuation.ok());
+            const auto bound = punctuation->BoundFor(timestamp_field);
+            ASSERT_TRUE(bound.has_value());
+            for (size_t i = 0; i < kPackets; ++i) {
+              if (static_cast<uint64_t>(packets[i].timestamp) ==
+                  bound->uint_value()) {
+                punctuated.push_back(i + 1);
+              }
+            }
+            continue;
+          }
+          ASSERT_LT(tuples, kept.size());
+          const net::Packet& packet = packets[kept[tuples++]];
+          ByteBuffer want;
+          codec.Encode(ExpectedRow(schema, packet, packet.timestamp,
+                                   kept[tuples - 1] >= kGateOpensAt, false),
+                       &want);
+          ASSERT_EQ(ByteBuffer(bytes.begin(), bytes.end()), want)
+              << "tuple of packet " << kept[tuples - 1];
+        }
+      }
+      EXPECT_EQ(tuples, kept.size());
+      std::vector<size_t> expected;
+      for (size_t k = interval; k <= kPackets; k += interval) {
+        expected.push_back(k);
+      }
+      EXPECT_EQ(punctuated, expected);
+    }
+  }
 }
 
 // --- sample(): §5's analyst-controlled sampling, deterministically ---

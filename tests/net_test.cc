@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "frame_corpus.h"
 #include "net/headers.h"
 #include "net/packet.h"
 #include "net/pcap.h"
@@ -118,48 +119,8 @@ TEST(HeadersTest, FragmentHasNoTransportHeader) {
 
 // --- DecodePacket against the frame's own bytes ---
 
-/// One hand-built Ethernet frame; the knobs cover every layer rule.
-struct FrameSpec {
-  uint16_t ether_type = kEtherTypeIpv4;
-  uint8_t ip_version = 4;
-  uint8_t ihl = 5;  // 32-bit words, options included
-  uint8_t protocol = kIpProtoTcp;
-  uint16_t frag_field = 0;  // flags (top 3 bits) and offset
-  uint8_t tcp_offset = 5;   // 32-bit words, options included
-  size_t payload = 0;
-};
-
-/// Every header byte is distinct and non-zero, so a field read at the
-/// wrong offset shows.
-ByteBuffer BuildFrame(const FrameSpec& spec) {
-  ByteBuffer bytes;
-  auto fill = [&bytes](size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      bytes.push_back(static_cast<uint8_t>(0x11 + bytes.size() * 7));
-    }
-  };
-  fill(12);  // MACs
-  bytes.push_back(static_cast<uint8_t>(spec.ether_type >> 8));
-  bytes.push_back(static_cast<uint8_t>(spec.ether_type));
-  // A header field under its minimum still gets the minimum's bytes.
-  const size_t ip = bytes.size();
-  fill(std::max(size_t{spec.ihl} * 4, kIpv4MinHeaderLen));
-  bytes[ip] = static_cast<uint8_t>(spec.ip_version << 4 | spec.ihl);
-  bytes[ip + 6] = static_cast<uint8_t>(spec.frag_field >> 8);
-  bytes[ip + 7] = static_cast<uint8_t>(spec.frag_field);
-  bytes[ip + 9] = spec.protocol;
-  const size_t transport = bytes.size();
-  if (spec.protocol == kIpProtoTcp) {
-    fill(std::max(size_t{spec.tcp_offset} * 4, kTcpMinHeaderLen));
-    bytes[transport + 12] = static_cast<uint8_t>(spec.tcp_offset << 4 | 0x3);
-  } else if (spec.protocol == kIpProtoUdp) {
-    fill(kUdpHeaderLen);
-  } else {
-    fill(8);  // an ICMP header: payload to the decoder
-  }
-  fill(spec.payload);
-  return bytes;
-}
+using corpus::BuildFrame;
+using corpus::FrameSpec;
 
 uint16_t Be16(const ByteBuffer& b, size_t at) {
   return static_cast<uint16_t>(b[at] << 8 | b[at + 1]);

@@ -277,6 +277,34 @@ TEST(StreamBatchTest, ItemsShareOneArenaInOrder) {
   EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
 }
 
+TEST(StreamBatchTest, ReusedArenaReadsBackExactlyWhatTheWriterWrote) {
+  // The arena does not zero the bytes Append hands out (AddressSanitizer
+  // builds fill them with a non-zero pattern), so what a reused batch
+  // reads back is exactly what its writers wrote, never a stale byte.
+  StreamBatch batch;
+  const ByteBuffer stale(40, 0xee);
+  Add(&batch, stale);
+  Add(&batch, stale, MessageKind::kPunctuation);
+  batch.clear();
+  ASSERT_TRUE(batch.empty());
+  EXPECT_EQ(batch.arena().size(), 0u);
+
+  const std::vector<ByteBuffer> written = {
+      {0, 1, 2, 3, 4, 5, 6}, {}, ByteBuffer(3, 0), ByteBuffer(90, 0x5a)};
+  for (const ByteBuffer& bytes : written) {
+    uint8_t* out = batch.Append(MessageMeta{}, bytes.size());
+    for (size_t i = 0; i < bytes.size(); ++i) out[i] = bytes[i];
+  }
+  ASSERT_EQ(batch.size(), written.size());
+  size_t offset = 0;
+  for (size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(batch.item(i).offset, offset) << i;
+    EXPECT_EQ(Payload(batch, i), written[i]) << i;
+    offset += written[i].size();
+  }
+  EXPECT_EQ(batch.arena().size(), offset);
+}
+
 TEST(RingTest, FifoOrder) {
   RingChannel channel(8);
   for (int i = 0; i < 5; ++i) {
