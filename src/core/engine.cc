@@ -55,9 +55,6 @@ std::optional<rts::Row> TupleSubscription::NextRow() {
 }
 
 Engine::Engine(EngineOptions options) : options_(options) {
-  if (options_.functions == nullptr) {
-    options_.functions = udf::FunctionRegistry::Default();
-  }
   // Built-in protocols.
   GS_CHECK(catalog_.AddSchema(gsql::Catalog::BuiltinPacketSchema()).ok());
   GS_CHECK(catalog_.AddSchema(gsql::Catalog::BuiltinNetflowSchema()).ok());
@@ -155,7 +152,6 @@ Status Engine::EnsureProtocolSource(const std::string& interface_name,
   GS_RETURN_IF_ERROR(registry_.DeclareStream(stream));
   PacketSource::Options source_options;
   source_options.batch_max_size = options_.batch_max_size;
-  source_options.batch_max_delay = options_.batch_max_delay;
   source_options.punctuation_interval = options_.punctuation_interval;
   // With user nodes around, any stream may be read through registry(), so
   // every field materializes from the start.
@@ -212,7 +208,7 @@ Result<QueryInfo> Engine::AddQuery(
 
   // Resolve declared parameters to slots and instantiation-time values.
   plan::PlannerOptions planner_options;
-  planner_options.resolver = options_.functions;
+  planner_options.resolver = udf::FunctionRegistry::Default();
   std::vector<Value> param_values;
   std::vector<std::string> param_names;
   for (const auto& decl : define->params) {

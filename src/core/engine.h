@@ -70,8 +70,6 @@ class TupleSubscription {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// UDF registry (defaults to the built-in function library).
-  const expr::FunctionResolver* functions = nullptr;
   /// Capacity of inter-node channels, in ring slots. Each slot carries one
   /// StreamBatch (up to batch_max_size messages), so the message capacity
   /// is channel_capacity * batch_max_size when sources batch fully.
@@ -85,11 +83,6 @@ struct EngineOptions {
   /// Operators reuse the same bound for their output batches. 1 restores
   /// per-tuple message flow (each message rides alone).
   size_t batch_max_size = 64;
-  /// Maximum sim-time an open source batch may age before a newly injected
-  /// packet forces a flush: bounds the latency a tuple can sit unflushed
-  /// while the stream is slow. 0 disables the age check (batches flush on
-  /// size, punctuations, and every Pump).
-  SimTime batch_max_delay = 0;
   /// Period, in sim-time nanoseconds, of the built-in `gs_stats` telemetry
   /// stream: the engine snapshots its metric registry and emits one tuple
   /// per counter whenever injected time (packet timestamps, heartbeats)

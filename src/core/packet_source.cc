@@ -305,8 +305,8 @@ PacketSource::PacketSource(gsql::StreamSchema schema, const Options& options,
                            bool materialize_all, rts::StreamRegistry* registry)
     : schema_(std::move(schema)),
       options_(options),
-      registry_(registry),
-      interpret_(BuildInterpretPlan(schema_)) {
+      interpret_(BuildInterpretPlan(schema_)),
+      writer_(registry, schema_.name(), options_.batch_max_size) {
   for (size_t f = 0; f < interpret_.fields.size(); ++f) {
     // Payload fields heap-copy packet bytes per interpretation; they stay
     // off until a consumer that reads them shows up.
@@ -350,8 +350,8 @@ bool PacketSource::CountDownPunctuation() {
   return true;
 }
 
-bool PacketSource::AppendPunctuation(SimTime t, const ByteSpan* tuple,
-                                     const Offer& offer) {
+bool PacketSource::WritePunctuation(SimTime t, const ByteSpan* tuple,
+                                    const Offer& offer) {
   rts::Punctuation punctuation;
   for (size_t f : ordered_fields_) {
     switch (interpret_.fields[f]) {
@@ -381,22 +381,12 @@ bool PacketSource::AppendPunctuation(SimTime t, const ByteSpan* tuple,
   rts::MessageMeta meta;
   meta.trace_id = offer.trace_id;
   meta.trace_ns = offer.trace_ns;
-  rts::AppendPunctuation(punctuation, schema_, meta, &open_batch_);
+  writer_.WritePunctuation(punctuation, schema_, meta);
   last_punct_time_ = t;
   return true;
 }
 
-bool PacketSource::FlushBatch() {
-  if (open_batch_.empty()) return false;
-  // The next batch is sized like this one: one allocation each for its
-  // arena and item table, however many tuples it will hold.
-  const size_t items = open_batch_.size();
-  const size_t bytes = open_batch_.arena().size();
-  registry_->PublishBatch(stream_name(), std::move(open_batch_));
-  open_batch_.clear();
-  open_batch_.Reserve(items, bytes);
-  return true;
-}
+bool PacketSource::FlushBatch() { return writer_.Flush(); }
 
 bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // A packet stamped behind the last punctuation would violate the
@@ -414,8 +404,7 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
     // A shed packet still counts toward the punctuation interval and, on
     // its boundary, punctuates (like a heartbeat) so windows keep closing
     // under heavy shed.
-    return punctuate && AppendPunctuation(t, nullptr, Offer{}) &&
-           FlushBatch();
+    return punctuate && WritePunctuation(t, nullptr, Offer{});
   }
   const PacketFields fields(packet, t);
   if (fields.malformed()) ++parse_errors_;
@@ -426,25 +415,19 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // survivor stands for itself plus the packets the L1 sampler sheds
   // around it.
   meta.weight = offer.weight;
-  if (open_batch_.empty()) batch_open_time_ = t;
   // The fields go straight from the walked frame into the arena.
   const size_t size = fields.PackedSize(program_);
-  uint8_t* tuple = open_batch_.Append(meta, size);
+  uint8_t* tuple = writer_.AppendTuple(meta, size);
   fields.Pack(program_, tuple);
   if (last_punct_time_ > 0) {
     punct_lag_.Record(static_cast<uint64_t>(t - last_punct_time_));
   }
-  // The batch publishes as one ring message when it fills, a punctuation
-  // closes it (a punctuation is always a batch's last item), or it ages
-  // out.
-  bool flush = open_batch_.size() >= options_.batch_max_size;
+  // The batch publishes as one ring message when a punctuation closes it
+  // (a punctuation rides in the batch of the packet that triggered it, as
+  // its last item) or when it fills.
   const ByteSpan packed(tuple, size);
-  if (punctuate && AppendPunctuation(t, &packed, offer)) flush = true;
-  if (!flush && options_.batch_max_delay > 0 &&
-      t - batch_open_time_ >= options_.batch_max_delay) {
-    flush = true;
-  }
-  return flush && FlushBatch();
+  if (punctuate && WritePunctuation(t, &packed, offer)) return true;
+  return writer_.FlushIfFull();
 }
 
 bool PacketSource::Heartbeat(SimTime now) {
@@ -452,8 +435,7 @@ bool PacketSource::Heartbeat(SimTime now) {
   // after every tuple injected before the heartbeat. A heartbeat behind
   // the last punctuation re-states that bound.
   const SimTime t = std::max(now, last_punct_time_);
-  if (!AppendPunctuation(t, nullptr, Offer{})) return false;
-  return FlushBatch();
+  return WritePunctuation(t, nullptr, Offer{});
 }
 
 }  // namespace gigascope::core

@@ -127,8 +127,6 @@ class PacketSource {
   struct Options {
     /// Tuples per published batch (EngineOptions::batch_max_size).
     size_t batch_max_size = 64;
-    /// Sim-time age at which an open batch publishes (0: never by age).
-    SimTime batch_max_delay = 0;
     /// Packets between punctuations (0: only heartbeats punctuate).
     size_t punctuation_interval = 256;
   };
@@ -177,21 +175,20 @@ class PacketSource {
   SimTime last_punct_time() const { return last_punct_time_; }
 
  private:
-  /// The one punctuation builder: appends a punctuation bounding every
-  /// increasing field at sim time `t` to the open batch. Time-derived
-  /// fields bound at `t`; other increasing fields take their value from
-  /// `tuple` (the packed tuple just interpreted), and are left out when
-  /// there is none. Returns false (appending nothing) if no field is
-  /// bounded.
-  bool AppendPunctuation(SimTime t, const ByteSpan* tuple,
-                         const Offer& offer);
+  /// The one punctuation builder: writes a punctuation bounding every
+  /// increasing field at sim time `t`, which closes and publishes the open
+  /// batch. Time-derived fields bound at `t`; other increasing fields take
+  /// their value from `tuple` (the packed tuple just interpreted), and are
+  /// left out when there is none. Returns false (writing nothing) if no
+  /// field is bounded.
+  bool WritePunctuation(SimTime t, const ByteSpan* tuple,
+                        const Offer& offer);
   /// Counts one offered packet down the punctuation interval: true when it
   /// closes the interval (packet k * interval, k = 1, 2, ...).
   bool CountDownPunctuation();
 
   gsql::StreamSchema schema_;
   Options options_;
-  rts::StreamRegistry* registry_;
   InterpretPlan interpret_;
   /// `interpret_` under its current gates: what Inject packs by.
   StoreProgram program_;
@@ -214,9 +211,9 @@ class PacketSource {
   /// Packets left until the next interval punctuation; stays 0 when the
   /// interval is 0.
   size_t punct_countdown_ = 0;
-  /// Batch under construction; publishes on size, age, or punctuation.
-  rts::StreamBatch open_batch_;
-  SimTime batch_open_time_ = 0;
+  /// Batches the stream's tuples; publishes on size or punctuation. Last,
+  /// beside the other fields every Inject touches.
+  rts::BatchWriter writer_;
 };
 
 }  // namespace gigascope::core

@@ -43,7 +43,7 @@ uint32_t OverloadController::Check(const PressureSignals& signals) {
   if (OverThreshold(signals, 1.0)) {
     calm_streak_ = 0;
     if (level < config_.max_level) Actuate(level + 1);
-  } else if (!OverThreshold(signals, config_.recover_fraction)) {
+  } else if (!OverThreshold(signals, kRecoverFraction)) {
     // Step down one rung only after hold_checks consecutive calm reads, so
     // a burst that briefly subsides does not oscillate the ladder.
     if (++calm_streak_ >= config_.hold_checks && level > 0) {
@@ -59,11 +59,11 @@ uint32_t OverloadController::Check(const PressureSignals& signals) {
 
 void OverloadController::Actuate(uint32_t level) {
   state_->level.store(level, std::memory_order_relaxed);
-  state_->sample_k.store(level >= 1 ? config_.sample_k : 1,
+  state_->sample_k.store(level >= 1 ? kSampleK : 1,
                          std::memory_order_relaxed);
-  state_->epoch_coarsen.store(level >= 2 ? config_.epoch_coarsen : 1,
+  state_->epoch_coarsen.store(level >= 2 ? kEpochCoarsen : 1,
                               std::memory_order_relaxed);
-  state_->table_cap_pct.store(level >= 3 ? config_.table_cap_pct : 100,
+  state_->table_cap_pct.store(level >= 3 ? kTableCapPct : 100,
                               std::memory_order_relaxed);
 }
 

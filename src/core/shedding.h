@@ -10,13 +10,25 @@
 
 namespace gigascope::core {
 
+// -- The shedding ladder's constants ----------------------------------------
+/// A check counts as calm only when every signal sits below its threshold
+/// scaled by this fraction (and no new drops happened).
+inline constexpr double kRecoverFraction = 0.5;
+/// L1: keep 1 packet in kSampleK at the source; COUNT/SUM scale by k.
+inline constexpr uint32_t kSampleK = 4;
+/// L2: drain LFTA epochs only every kEpochCoarsen ordered-key advances.
+inline constexpr uint32_t kEpochCoarsen = 4;
+/// L3: LFTA occupancy cap, percent of slots; coldest groups beyond it are
+/// force-evicted as partials.
+inline constexpr uint32_t kTableCapPct = 50;
+
 /// Thresholds and ladder parameters of the overload controller.
 ///
 /// The controller compares the engine's own telemetry against these
 /// thresholds once per `check_period` of injected time and walks the
 /// shedding ladder one rung at a time: escalate immediately on pressure,
 /// step down only after `hold_checks` consecutive calm readings (all
-/// signals below threshold * recover_fraction) — the hysteresis that keeps
+/// signals below threshold * kRecoverFraction) — the hysteresis that keeps
 /// a transient burst from flapping the fidelity knobs.
 struct ShedConfig {
   /// Master switch; when false the engine never runs pressure checks and
@@ -37,21 +49,11 @@ struct ShedConfig {
   double lfta_occupancy = 0.9;
 
   // -- Hysteresis -----------------------------------------------------------
-  /// A check counts as calm only when every signal sits below its
-  /// threshold scaled by this fraction (and no new drops happened).
-  double recover_fraction = 0.5;
   /// Consecutive calm checks required before stepping down one level.
   uint32_t hold_checks = 3;
 
   // -- Ladder actuation -----------------------------------------------------
   uint32_t max_level = 3;
-  /// L1: keep 1 packet in `sample_k` at the source; COUNT/SUM scale by k.
-  uint32_t sample_k = 4;
-  /// L2: drain LFTA epochs only every this many ordered-key advances.
-  uint32_t epoch_coarsen = 4;
-  /// L3: LFTA occupancy cap, percent of slots; coldest groups beyond it
-  /// are force-evicted as partials.
-  uint32_t table_cap_pct = 50;
 };
 
 /// One pressure reading, assembled by the engine from its telemetry.
@@ -89,7 +91,7 @@ class OverloadController {
 
  private:
   /// Whether `signals` breach any threshold at scale 1.0 (escalate) or sit
-  /// fully below scale `recover_fraction` (calm).
+  /// fully below scale kRecoverFraction (calm).
   bool OverThreshold(const PressureSignals& signals, double scale) const;
   void Actuate(uint32_t level);
 

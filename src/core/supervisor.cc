@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 
@@ -96,53 +97,54 @@ void Supervisor::HandleDeathLocked(size_t w) {
 }
 
 void Supervisor::MonitorLoop() {
-  while (!stop_monitor_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const int64_t now = telemetry::MonotonicNowNs();
-      for (size_t w = 0; w < slots_.size(); ++w) {
-        Slot& slot = *slots_[w];
-        const WorkerState state =
-            slot.state.load(std::memory_order_relaxed);
-        if (state == WorkerState::kRunning) {
-          const pid_t pid = slot.pid.load(std::memory_order_relaxed);
-          if (TryReap(pid)) {
-            HandleDeathLocked(w);
-            continue;
-          }
-          const uint64_t beat =
-              controls_[w].heartbeat.load(std::memory_order_relaxed);
-          if (beat != slot.last_beat) {
-            slot.last_beat = beat;
-            slot.stale_ticks = 0;
-            continue;
-          }
-          heartbeat_misses_.fetch_add(1, std::memory_order_relaxed);
-          // A worker serving a command may be in one long node Flush():
-          // busy, not hung. SendCommand's deadline bounds that wait.
-          const bool serving =
-              controls_[w].cmd_seq.load(std::memory_order_relaxed) !=
-              controls_[w].ack_seq.load(std::memory_order_relaxed);
-          slot.stale_ticks = serving ? 0 : slot.stale_ticks + 1;
-          if (!serving && slot.stale_ticks >= options_.miss_threshold) {
-            // Alive but silent: hung, stalled, or spinning uselessly. Kill
-            // it and take the crash path — restart is the same recovery.
-            kill(pid, SIGKILL);
-            waitpid(pid, nullptr, 0);
-            HandleDeathLocked(w);
-          }
-        } else if (state == WorkerState::kBackoff) {
-          if (sealing_.load(std::memory_order_relaxed)) {
-            slot.state.store(WorkerState::kDegraded,
-                             std::memory_order_release);
-            degraded_count_.fetch_add(1, std::memory_order_relaxed);
-          } else if (now >= slot.restart_at_ns) {
-            SpawnLocked(w);
-          }
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!stop_monitor_) {
+    const int64_t now = telemetry::MonotonicNowNs();
+    for (size_t w = 0; w < slots_.size(); ++w) {
+      Slot& slot = *slots_[w];
+      const WorkerState state =
+          slot.state.load(std::memory_order_relaxed);
+      if (state == WorkerState::kRunning) {
+        const pid_t pid = slot.pid.load(std::memory_order_relaxed);
+        if (TryReap(pid)) {
+          HandleDeathLocked(w);
+          continue;
+        }
+        const uint64_t beat =
+            controls_[w].heartbeat.load(std::memory_order_relaxed);
+        if (beat != slot.last_beat) {
+          slot.last_beat = beat;
+          slot.stale_ticks = 0;
+          continue;
+        }
+        heartbeat_misses_.fetch_add(1, std::memory_order_relaxed);
+        // A worker serving a command may be in one long node Flush():
+        // busy, not hung. SendCommand's deadline bounds that wait.
+        const bool serving =
+            controls_[w].cmd_seq.load(std::memory_order_relaxed) !=
+            controls_[w].ack_seq.load(std::memory_order_relaxed);
+        slot.stale_ticks = serving ? 0 : slot.stale_ticks + 1;
+        if (!serving && slot.stale_ticks >= options_.miss_threshold) {
+          // Alive but silent: hung, stalled, or spinning uselessly. Kill
+          // it and take the crash path — restart is the same recovery.
+          kill(pid, SIGKILL);
+          waitpid(pid, nullptr, 0);
+          HandleDeathLocked(w);
+        }
+      } else if (state == WorkerState::kBackoff) {
+        if (sealing_.load(std::memory_order_relaxed)) {
+          slot.state.store(WorkerState::kDegraded,
+                           std::memory_order_release);
+          degraded_count_.fetch_add(1, std::memory_order_relaxed);
+        } else if (now >= slot.restart_at_ns) {
+          SpawnLocked(w);
         }
       }
     }
-    usleep(static_cast<useconds_t>(options_.heartbeat_period_ms * 1000));
+    // The tick's wait releases mutex_ and ends early when StopAll asks.
+    monitor_wake_.wait_for(
+        lock, std::chrono::milliseconds(options_.heartbeat_period_ms),
+        [this] { return stop_monitor_; });
   }
 }
 
@@ -210,7 +212,11 @@ bool Supervisor::SendCommand(size_t worker, WorkerCommand command,
 void Supervisor::StopAll() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  stop_monitor_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_monitor_ = true;
+  }
+  monitor_wake_.notify_all();
   if (monitor_.joinable()) monitor_.join();
   // Fire-and-forget exit commands; a healthy worker acks and _exits within
   // one loop iteration.

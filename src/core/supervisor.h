@@ -4,6 +4,7 @@
 #include <sys/types.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -165,7 +166,9 @@ class Supervisor : public WorkerPool {
 
   std::mutex mutex_;  // guards state transitions + spawn/reap
   std::thread monitor_;
-  std::atomic<bool> stop_monitor_{false};
+  /// Set under mutex_ by StopAll, which wakes the monitor's tick wait.
+  bool stop_monitor_ = false;
+  std::condition_variable monitor_wake_;
   std::atomic<bool> sealing_{false};
   bool started_ = false;
   bool stopped_ = false;

@@ -352,12 +352,20 @@ void PackKeyValue(DataType type, const Value& value, ByteBuffer* out) {
 GroupInput::GroupInput(
     const std::vector<expr::CompiledExpr>& keys,
     const std::vector<std::optional<expr::CompiledExpr>>& args,
+    int ordered_key, const std::vector<int>& key_sources,
     const GroupLayout& layout, const rts::TupleCodec& input_codec)
     : input_codec_(&input_codec),
-      at_(input_codec.schema().num_fields(), nullptr) {
+      at_(input_codec.schema().num_fields(), nullptr),
+      bounds_(input_codec.schema()) {
   for (size_t k = 0; k < keys.size(); ++k) {
     keys_.push_back(MakeSource(keys[k]));
     GS_CHECK(keys_.back().type == layout.key_type(k));
+  }
+  if (ordered_key >= 0) {
+    const auto k = static_cast<size_t>(ordered_key);
+    ordered_ = &keys[k];
+    ordered_type_ = layout.key_type(k);
+    if (k < key_sources.size()) ordered_source_ = key_sources[k];
   }
   for (const std::optional<expr::CompiledExpr>& arg : args) {
     args_in_.push_back(arg.has_value() ? MakeSource(*arg) : Source{});
@@ -448,6 +456,22 @@ GroupInput::Outcome GroupInput::PackArgs(expr::Evaluator* vm,
     }
   }
   return Outcome::kOk;
+}
+
+bool GroupInput::PunctuationBound(ByteSpan payload, expr::Evaluator* vm,
+                                  const std::vector<Value>* params,
+                                  ByteBuffer* bound) {
+  if (ordered_ == nullptr || ordered_source_ < 0) return false;
+  auto punctuation = rts::DecodePunctuation(payload, input_codec_->schema());
+  if (!punctuation.ok()) return false;
+  const auto source = static_cast<size_t>(ordered_source_);
+  auto field_bound = punctuation->BoundFor(source);
+  if (!field_bound.has_value()) return false;
+  std::optional<Value> key =
+      bounds_.Translate(*ordered_, source, *field_bound, vm, params);
+  if (!key.has_value()) return false;
+  PackKeyValue(ordered_type_, *key, bound);
+  return true;
 }
 
 GroupRef GroupMap::group(size_t g) const {
@@ -567,43 +591,33 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
     : QueryNode(spec.name),
       spec_(std::move(spec)),
       input_(std::move(input)),
-      registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
-      grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
-      bounds_(spec_.input_schema),
+      grouping_(spec_.keys, spec_.agg_args, spec_.ordered_key,
+                spec_.key_punctuation_source, layout_, input_codec_),
       groups_(&layout_) {
   RegisterInput(input_);
 }
 
 size_t OrderedAggregateNode::Poll(size_t budget) {
-  size_t processed = 0;
-  // Batch-at-a-time: one pop per ring slot, then a tight loop over its
-  // messages (the budget may overshoot by at most one batch).
-  while (processed < budget && input_->TryPop(&batch_)) {
-    for (const rts::BatchItem& item : batch_.items()) {
-      ++processed;
-      BeginMessage(item);
-      if (item.kind == rts::MessageKind::kTuple) {
-        ProcessTuple(batch_.payload(item), item.weight);
-      } else {
-        ProcessPunctuation(batch_.payload(item));
-      }
-      EndMessage();
-    }
-  }
+  const size_t processed = ReadInput(
+      input_, input_codec_, budget,
+      [this](const rts::BatchItem& item, ByteSpan payload) {
+        ProcessTuple(payload, item.weight);
+      },
+      [this](ByteSpan payload) {
+        if (grouping_.PunctuationBound(payload, &vm_, params_.get(),
+                                       &bound_)) {
+          CloseGroups(bound_.data());
+        }
+      });
   writer_.Flush();
   return processed;
 }
 
 void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
-  ++tuples_in_;
-  if (!input_codec_.Framed(payload)) {
-    ++eval_errors_;
-    return;
-  }
   GroupInput::Outcome outcome =
       grouping_.PackKey(payload, &vm_, params_.get());
   if (outcome != GroupInput::Outcome::kOk) {
@@ -648,26 +662,6 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   // non-split aggregate must scale by it just like the LFTA table does.
   groups_.Upsert(grouping_.key(), grouping_.args(), weight);
   open_groups_.Set(groups_.size());
-}
-
-void OrderedAggregateNode::ProcessPunctuation(ByteSpan payload) {
-  if (spec_.ordered_key < 0) return;
-  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
-  if (!punctuation.ok()) return;
-  int source = spec_.key_punctuation_source[
-      static_cast<size_t>(spec_.ordered_key)];
-  if (source < 0) return;
-  auto bound = punctuation->BoundFor(static_cast<size_t>(source));
-  if (!bound.has_value()) return;
-
-  // Translate the input-field bound through the key expression.
-  const auto k = static_cast<size_t>(spec_.ordered_key);
-  std::optional<Value> key = bounds_.Translate(
-      spec_.keys[k], static_cast<size_t>(source), *bound, &vm_,
-      params_.get());
-  if (!key.has_value()) return;
-  PackKeyValue(layout_.key_type(k), *key, &bound_);
-  CloseGroups(bound_.data());
 }
 
 void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {

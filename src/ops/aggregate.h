@@ -138,8 +138,11 @@ class GroupInput {
   /// (§2.2). kError: evaluation failed (counted as an eval error).
   enum class Outcome { kOk, kMiss, kError };
 
+  /// `ordered_key` is the key whose advance closes windows (-1: none) and
+  /// `key_sources[k]` the one input field key k depends on (-1: none).
   GroupInput(const std::vector<expr::CompiledExpr>& keys,
              const std::vector<std::optional<expr::CompiledExpr>>& args,
+             int ordered_key, const std::vector<int>& key_sources,
              const GroupLayout& layout, const rts::TupleCodec& input_codec);
 
   /// Locates the fields of `framed` (already Framed()) and packs its key.
@@ -151,6 +154,14 @@ class GroupInput {
 
   ByteSpan key() const { return ByteSpan(key_.data(), key_.size()); }
   const uint8_t* const* args() const { return args_.data(); }
+
+  /// Packs into `*bound` the bound that punctuation `payload` puts on the
+  /// ordered key, as that key's packed field: the punctuation's bound on
+  /// the key's input field, translated through the key expression. False
+  /// when it implies none.
+  bool PunctuationBound(ByteSpan payload, expr::Evaluator* vm,
+                        const std::vector<expr::Value>* params,
+                        ByteBuffer* bound);
 
  private:
   /// Where one key or argument comes from: input field `at` when bare,
@@ -175,6 +186,12 @@ class GroupInput {
   ByteBuffer key_;
   ByteBuffer scratch_;  // packed computed arguments
   std::vector<const uint8_t*> args_;
+  /// The ordered key's expression and type (null: no ordered key), and
+  /// the input field a punctuation must bound to bound it (-1: none).
+  const expr::CompiledExpr* ordered_ = nullptr;
+  gsql::DataType ordered_type_ = gsql::DataType::kUint;
+  int ordered_source_ = -1;
+  rts::BoundTranslator bounds_;
 };
 
 /// The HFTA's open groups: packed keys back to back in one arena, cells in
@@ -254,7 +271,6 @@ class OrderedAggregateNode : public rts::QueryNode {
 
  private:
   void ProcessTuple(ByteSpan payload, uint32_t weight);
-  void ProcessPunctuation(ByteSpan payload);
   /// Closes the groups whose ordered key is strictly below the packed
   /// `bound` (all groups when null) in key order, then punctuates the
   /// output with `bound`.
@@ -270,15 +286,12 @@ class OrderedAggregateNode : public rts::QueryNode {
 
   Spec spec_;
   rts::Subscription input_;
-  rts::StreamRegistry* registry_;
   rts::ParamBlock params_;
   rts::TupleCodec input_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
   GroupLayout layout_;
   GroupInput grouping_;
-  rts::BoundTranslator bounds_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
   GroupMap groups_;
   ByteBuffer epoch_;  // packed max ordered-key value seen; empty: none yet
   ByteBuffer bound_;  // packed close bound, reused

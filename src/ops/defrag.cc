@@ -58,32 +58,26 @@ IpDefragNode::IpDefragNode(Spec spec, FieldSlots slots,
       spec_(std::move(spec)),
       slots_(slots),
       input_(std::move(input)),
-      registry_(registry),
       input_codec_(spec_.input_schema),
-      output_codec_(OutputSchema(spec_.name)) {
+      output_codec_(OutputSchema(spec_.name)),
+      writer_(registry, spec_.name, rts::BatchWriter::kDefaultMaxBatch) {
   RegisterInput(input_);
 }
 
 size_t IpDefragNode::Poll(size_t budget) {
-  size_t processed = 0;
-  while (processed < budget && input_->TryPop(&batch_)) {
-    for (const rts::BatchItem& item : batch_.items()) {
-      ++processed;
-      // Punctuations carry no fragment data; reassembly state is bounded by
-      // the timeout instead.
-      if (item.kind != rts::MessageKind::kTuple) continue;
-      ProcessTuple(batch_.payload(item));
-    }
-  }
+  // Punctuations carry no fragment data; reassembly state is bounded by
+  // the timeout instead.
+  const size_t processed = ReadInput(
+      input_, input_codec_, budget,
+      [this](const rts::BatchItem&, ByteSpan payload) {
+        ProcessTuple(payload);
+      },
+      [](ByteSpan) {});
+  writer_.Flush();
   return processed;
 }
 
 void IpDefragNode::ProcessTuple(ByteSpan payload) {
-  ++tuples_in_;
-  if (!input_codec_.Framed(payload)) {
-    ++eval_errors_;
-    return;
-  }
   // The named fields, read in place from the framed tuple.
   const auto read = [&](size_t field) {
     return expr::ReadField(input_codec_.slot(field).type,
@@ -195,9 +189,9 @@ void IpDefragNode::Emit(uint64_t time_now, const AssemblyKey& key,
   out.push_back(Value::Ip(key.dst));
   out.push_back(Value::Uint(key.proto));
   out.push_back(Value::String(datagram));
-  rts::StreamBatch batch;
-  batch.AppendTuple(output_codec_, out);
-  registry_->PublishBatch(name(), std::move(batch));
+  rts::MessageMeta meta;
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out, meta);
   ++tuples_out_;
 }
 
@@ -217,6 +211,7 @@ void IpDefragNode::Flush() {
   // Incomplete assemblies cannot produce correct datagrams; drop them.
   timeouts_ += assemblies_.size();
   assemblies_.clear();
+  writer_.Flush();  // Flush runs outside any Poll round
 }
 
 void IpDefragNode::RegisterTelemetry(telemetry::Registry* metrics) const {

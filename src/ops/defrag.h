@@ -108,10 +108,9 @@ class IpDefragNode : public rts::QueryNode {
   Spec spec_;
   FieldSlots slots_;
   rts::Subscription input_;
-  rts::StreamRegistry* registry_;
   rts::TupleCodec input_codec_;
   rts::TupleCodec output_codec_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
+  rts::BatchWriter writer_;
   std::map<AssemblyKey, Assembly> assemblies_;
   uint64_t timeouts_ = 0;
   telemetry::Counter parse_errors_;

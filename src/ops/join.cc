@@ -40,7 +40,6 @@ WindowJoinNode::WindowJoinNode(Spec spec, rts::Subscription left,
       spec_(std::move(spec)),
       left_(std::move(left)),
       right_(std::move(right)),
-      registry_(registry),
       params_(std::move(params)),
       left_codec_(spec_.left_schema),
       right_codec_(spec_.right_schema),
@@ -72,30 +71,25 @@ WindowJoinNode::WindowJoinNode(Spec spec, rts::Subscription left,
 }
 
 size_t WindowJoinNode::Poll(size_t budget) {
+  const auto read_side = [this](bool is_left) {
+    return ReadBatch(
+        is_left ? left_ : right_, is_left ? left_codec_ : right_codec_,
+        [this, is_left](const rts::BatchItem&, ByteSpan payload) {
+          ProcessTuple(is_left, payload);
+        },
+        [this, is_left](ByteSpan payload) {
+          ProcessPunctuation(is_left, payload);
+        });
+  };
   size_t processed = 0;
   // Alternate whole batches between the sides so neither input starves;
   // the budget may overshoot by at most one batch per side.
   while (processed < budget) {
-    bool any = false;
-    if (left_->TryPop(&batch_)) {
-      for (const rts::BatchItem& item : batch_.items()) {
-        BeginMessage(item);
-        ProcessSide(/*is_left=*/true, item, batch_.payload(item));
-        EndMessage();
-        ++processed;
-      }
-      any = true;
-    }
-    if (processed < budget && right_->TryPop(&batch_)) {
-      for (const rts::BatchItem& item : batch_.items()) {
-        BeginMessage(item);
-        ProcessSide(/*is_left=*/false, item, batch_.payload(item));
-        EndMessage();
-        ++processed;
-      }
-      any = true;
-    }
-    if (!any) break;
+    const size_t left = read_side(/*is_left=*/true);
+    const size_t right =
+        processed + left < budget ? read_side(/*is_left=*/false) : 0;
+    processed += left + right;
+    if (left + right == 0) break;
   }
   Purge();
   // Measured after purging: the state the window genuinely requires, not
@@ -107,42 +101,37 @@ size_t WindowJoinNode::Poll(size_t budget) {
   return processed;
 }
 
-void WindowJoinNode::ProcessSide(bool is_left, const rts::BatchItem& item,
-                                 ByteSpan payload) {
+void WindowJoinNode::ProcessPunctuation(bool is_left, ByteSpan payload) {
+  auto punctuation = rts::DecodePunctuation(
+      payload, is_left ? spec_.left_schema : spec_.right_schema);
+  if (!punctuation.ok()) return;
+  auto bound =
+      punctuation->BoundFor(is_left ? spec_.left_field : spec_.right_field);
+  if (!bound.has_value()) return;
+  int64_t key;
+  switch (bound->type()) {
+    case gsql::DataType::kInt: key = bound->int_value(); break;
+    case gsql::DataType::kUint:
+      key = static_cast<int64_t>(bound->uint_value());
+      break;
+    case gsql::DataType::kFloat:
+      key = static_cast<int64_t>(bound->float_value());
+      break;
+    default:
+      return;
+  }
+  std::optional<int64_t>& watermark =
+      is_left ? left_watermark_ : right_watermark_;
+  if (!watermark.has_value() || key > *watermark) watermark = key;
+}
+
+void WindowJoinNode::ProcessTuple(bool is_left, ByteSpan payload) {
   const gsql::StreamSchema& schema =
       is_left ? spec_.left_schema : spec_.right_schema;
   rts::TupleCodec& codec = is_left ? left_codec_ : right_codec_;
   std::optional<int64_t>& watermark =
       is_left ? left_watermark_ : right_watermark_;
   uint64_t band = is_left ? spec_.left_band : spec_.right_band;
-
-  if (item.kind == rts::MessageKind::kPunctuation) {
-    auto punctuation = rts::DecodePunctuation(payload, schema);
-    if (!punctuation.ok()) return;
-    auto bound = punctuation->BoundFor(
-        is_left ? spec_.left_field : spec_.right_field);
-    if (!bound.has_value()) return;
-    int64_t key;
-    switch (bound->type()) {
-      case gsql::DataType::kInt: key = bound->int_value(); break;
-      case gsql::DataType::kUint:
-        key = static_cast<int64_t>(bound->uint_value());
-        break;
-      case gsql::DataType::kFloat:
-        key = static_cast<int64_t>(bound->float_value());
-        break;
-      default:
-        return;
-    }
-    if (!watermark.has_value() || key > *watermark) watermark = key;
-    return;
-  }
-
-  ++tuples_in_;
-  if (!codec.Framed(payload)) {
-    ++eval_errors_;
-    return;
-  }
   const size_t window = is_left ? spec_.left_field : spec_.right_field;
   std::vector<const uint8_t*>& at = is_left ? left_at_ : right_at_;
   codec.LocateFields(payload.data(), is_left ? left_reads_ : right_reads_,

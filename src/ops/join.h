@@ -73,8 +73,8 @@ class WindowJoinNode : public rts::QueryNode {
     ByteBuffer bytes;
   };
 
-  void ProcessSide(bool is_left, const rts::BatchItem& item,
-                   ByteSpan payload);
+  void ProcessTuple(bool is_left, ByteSpan payload);
+  void ProcessPunctuation(bool is_left, ByteSpan payload);
   /// Joins the tuple `bytes`, whose window key is `key` and whose fields
   /// are located, with every buffered partner on the other side.
   void ProbeAndEmit(bool from_left, int64_t key, ByteSpan bytes);
@@ -89,12 +89,10 @@ class WindowJoinNode : public rts::QueryNode {
   Spec spec_;
   rts::Subscription left_;
   rts::Subscription right_;
-  rts::StreamRegistry* registry_;
   rts::ParamBlock params_;
   rts::TupleCodec left_codec_;
   rts::TupleCodec right_codec_;
   rts::BatchWriter writer_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
   expr::Evaluator vm_;
   /// Per side: the window field and the fields the predicate loads, and
   /// where the tuple being probed or joined holds them (one entry per

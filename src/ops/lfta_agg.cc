@@ -8,7 +8,6 @@
 
 namespace gigascope::ops {
 
-using expr::Value;
 using gsql::DataType;
 
 DirectMappedAggTable::DirectMappedAggTable(int log2_slots,
@@ -72,44 +71,34 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
     : QueryNode(spec.name),
       spec_(std::move(spec)),
       input_(std::move(input)),
-      registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
-      grouping_(spec_.keys, spec_.agg_args, layout_, input_codec_),
-      bounds_(spec_.input_schema),
+      grouping_(spec_.keys, spec_.agg_args, spec_.ordered_key,
+                spec_.key_punctuation_source, layout_, input_codec_),
       table_(log2_slots, &layout_),
       shed_(shed) {
   RegisterInput(input_);
 }
 
 size_t LftaAggregateNode::Poll(size_t budget) {
-  size_t processed = 0;
-  // Batch-at-a-time: one pop per ring slot, then a tight loop over its
-  // messages (the budget may overshoot by at most one batch).
-  while (processed < budget && input_->TryPop(&batch_)) {
-    for (const rts::BatchItem& item : batch_.items()) {
-      ++processed;
-      BeginMessage(item);
-      if (item.kind == rts::MessageKind::kTuple) {
-        ProcessTuple(batch_.payload(item), item.weight);
-      } else {
-        ProcessPunctuation(batch_.payload(item));
-      }
-      EndMessage();
-    }
-  }
+  const size_t processed = ReadInput(
+      input_, input_codec_, budget,
+      [this](const rts::BatchItem& item, ByteSpan payload) {
+        ProcessTuple(payload, item.weight);
+      },
+      [this](ByteSpan payload) {
+        if (grouping_.PunctuationBound(payload, &vm_, params_.get(),
+                                       &bound_)) {
+          AdvanceEpoch(bound_.data(), /*drain_first=*/true);
+        }
+      });
   writer_.Flush();
   return processed;
 }
 
 void LftaAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
-  ++tuples_in_;
-  if (!input_codec_.Framed(payload)) {
-    ++eval_errors_;
-    return;
-  }
   GroupInput::Outcome outcome =
       grouping_.PackKey(payload, &vm_, params_.get());
   if (outcome != GroupInput::Outcome::kOk) {
@@ -132,25 +121,6 @@ void LftaAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   table_.Upsert(grouping_.key(), grouping_.args(), weight,
                 [this](const GroupRef& group) { EmitPartial(group); });
   EnforceTableCap();
-}
-
-void LftaAggregateNode::ProcessPunctuation(ByteSpan payload) {
-  if (spec_.ordered_key < 0) return;
-  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
-  if (!punctuation.ok()) return;
-  int source = spec_.key_punctuation_source[
-      static_cast<size_t>(spec_.ordered_key)];
-  if (source < 0) return;
-  auto bound = punctuation->BoundFor(static_cast<size_t>(source));
-  if (!bound.has_value()) return;
-
-  const auto k = static_cast<size_t>(spec_.ordered_key);
-  std::optional<Value> key = bounds_.Translate(
-      spec_.keys[k], static_cast<size_t>(source), *bound, &vm_,
-      params_.get());
-  if (!key.has_value()) return;
-  PackKeyValue(layout_.key_type(k), *key, &bound_);
-  AdvanceEpoch(bound_.data(), /*drain_first=*/true);
 }
 
 void LftaAggregateNode::AdvanceEpoch(const uint8_t* ordered,

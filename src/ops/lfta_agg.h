@@ -156,7 +156,6 @@ class LftaAggregateNode : public rts::QueryNode {
 
  private:
   void ProcessTuple(ByteSpan payload, uint32_t weight);
-  void ProcessPunctuation(ByteSpan payload);
   void EmitPartial(const GroupRef& group);
   /// Moves the epoch to the packed ordered-key value `ordered` when it
   /// exceeds the current one. `drain_first` also drains when no epoch was
@@ -170,15 +169,12 @@ class LftaAggregateNode : public rts::QueryNode {
 
   Spec spec_;
   rts::Subscription input_;
-  rts::StreamRegistry* registry_;
   rts::ParamBlock params_;
   rts::TupleCodec input_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
   GroupLayout layout_;
   GroupInput grouping_;
-  rts::BoundTranslator bounds_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
   DirectMappedAggTable table_;
   ByteBuffer epoch_;    // packed ordered-key epoch; empty: none yet
   ByteBuffer bound_;    // a punctuation's packed bound, reused

@@ -13,7 +13,6 @@ MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
                      rts::StreamRegistry* registry)
     : QueryNode(spec.name),
       spec_(std::move(spec)),
-      registry_(registry),
       codec_(spec_.schema),
       writer_(registry, spec_.name, spec_.output_batch) {
   GS_CHECK(inputs.size() >= 2);
@@ -27,17 +26,15 @@ MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
 
 size_t MergeNode::Poll(size_t budget) {
   size_t processed = 0;
-  // Batch-at-a-time: drain whole ring slots per input; the budget may
-  // overshoot by at most one batch (a batch is never split across polls).
+  // Each input in turn; the budget may overshoot by at most one batch.
   for (InputState& input : inputs_) {
-    while (processed < budget && input.channel->TryPop(&batch_)) {
-      for (const rts::BatchItem& item : batch_.items()) {
-        ++processed;
-        BeginMessage(item);
-        Absorb(input, item, batch_.payload(item));
-        EndMessage();
-      }
-    }
+    if (processed >= budget) break;
+    processed += ReadInput(
+        input.channel, codec_, budget - processed,
+        [&](const rts::BatchItem& item, ByteSpan payload) {
+          Absorb(input, item, payload);
+        },
+        [&](ByteSpan payload) { AbsorbPunctuation(input, payload); });
   }
   size_t total = buffered();
   buffer_high_water_ = std::max(buffer_high_water_, total);
@@ -48,51 +45,43 @@ size_t MergeNode::Poll(size_t budget) {
 
 void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
                        ByteSpan payload) {
-  if (item.kind == rts::MessageKind::kTuple) {
-    ++tuples_in_;
-    if (!codec_.Framed(payload)) {
-      ++eval_errors_;
-      return;
-    }
-    const size_t field = spec_.merge_field;
-    const Value key = expr::ReadField(spec_.schema.field(field).type,
-                                      codec_.Locate(payload.data(), field));
-    // A tuple also carries ordering information: on a
-    // (banded-)increasing stream no future tuple can fall more than
-    // `band` below it, so it advances the watermark like a punctuation
-    // would (slackened by the band).
-    Value guarantee = ReduceByBand(key, spec_.band);
-    if (!input.watermark.has_value() ||
-        guarantee.Compare(*input.watermark) > 0) {
-      input.watermark = guarantee;
-    }
-    // Banded inputs arrive slightly out of order; keep the buffer
-    // sorted on the merge key so the head is always the minimum.
-    BufferedTuple buffered{key, ByteBuffer(payload.begin(), payload.end()),
-                           item.trace_id, item.trace_ns, item.weight};
-    if (spec_.band > 0 && !input.buffer.empty() &&
-        input.buffer.back().key.Compare(buffered.key) > 0) {
-      auto pos = std::upper_bound(
-          input.buffer.begin(), input.buffer.end(), buffered,
-          [](const BufferedTuple& a, const BufferedTuple& b) {
-            return a.key.Compare(b.key) < 0;
-          });
-      input.buffer.insert(pos, std::move(buffered));
-    } else {
-      input.buffer.push_back(std::move(buffered));
-    }
+  const size_t field = spec_.merge_field;
+  const Value key = expr::ReadField(spec_.schema.field(field).type,
+                                    codec_.Locate(payload.data(), field));
+  // A tuple also carries ordering information: on a (banded-)increasing
+  // stream no future tuple can fall more than `band` below it, so it
+  // advances the watermark like a punctuation would (slackened by the
+  // band).
+  Value guarantee = ReduceByBand(key, spec_.band);
+  if (!input.watermark.has_value() ||
+      guarantee.Compare(*input.watermark) > 0) {
+    input.watermark = guarantee;
+  }
+  // Banded inputs arrive slightly out of order; keep the buffer sorted on
+  // the merge key so the head is always the minimum.
+  BufferedTuple buffered{key, ByteBuffer(payload.begin(), payload.end()),
+                         item.trace_id, item.trace_ns, item.weight};
+  if (spec_.band > 0 && !input.buffer.empty() &&
+      input.buffer.back().key.Compare(buffered.key) > 0) {
+    auto pos = std::upper_bound(
+        input.buffer.begin(), input.buffer.end(), buffered,
+        [](const BufferedTuple& a, const BufferedTuple& b) {
+          return a.key.Compare(b.key) < 0;
+        });
+    input.buffer.insert(pos, std::move(buffered));
   } else {
-    auto punctuation = rts::DecodePunctuation(payload, spec_.schema);
-    // Undecodable punctuations fall through to the caller's EndMessage: an
-    // early return that skipped it used to leak the message's trace
-    // context into whatever the node processed next.
-    if (!punctuation.ok()) return;
-    auto bound = punctuation->BoundFor(spec_.merge_field);
-    if (bound.has_value() &&
-        (!input.watermark.has_value() ||
-         bound->Compare(*input.watermark) > 0)) {
-      input.watermark = *bound;
-    }
+    input.buffer.push_back(std::move(buffered));
+  }
+}
+
+void MergeNode::AbsorbPunctuation(InputState& input, ByteSpan payload) {
+  auto punctuation = rts::DecodePunctuation(payload, spec_.schema);
+  if (!punctuation.ok()) return;
+  auto bound = punctuation->BoundFor(spec_.merge_field);
+  if (bound.has_value() &&
+      (!input.watermark.has_value() ||
+       bound->Compare(*input.watermark) > 0)) {
+    input.watermark = *bound;
   }
 }
 

@@ -17,11 +17,10 @@ namespace gigascope::ops {
 ///
 /// Each input buffers tuples until the merge attribute's global low
 /// watermark passes them. A buffered tuple keeps its packed bytes and is
-/// forwarded as is: merge validates framing and reads only the merge
-/// field. A slow (or silent) input would block the merge forever;
-/// punctuations (ordering-update tokens) advance that input's watermark
-/// without tuples — the §3 unblocking mechanism, ablated by
-/// bench/e4_heartbeats.
+/// forwarded as is: merge reads only the merge field. A slow (or silent)
+/// input would block the merge forever; punctuations (ordering-update
+/// tokens) advance that input's watermark without tuples — the §3
+/// unblocking mechanism, ablated by bench/e4_heartbeats.
 class MergeNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -63,9 +62,11 @@ class MergeNode : public rts::QueryNode {
     std::optional<expr::Value> watermark;  // all future tuples >= this
   };
 
-  /// Folds one input message into the input's buffer and watermark.
+  /// Folds one framed input tuple into the input's buffer and watermark.
   void Absorb(InputState& input, const rts::BatchItem& item,
               ByteSpan payload);
+  /// Advances the input's watermark to a punctuation's bound.
+  void AbsorbPunctuation(InputState& input, ByteSpan payload);
   /// The input whose head tuple has the smallest merge key; -1 when every
   /// buffer is empty.
   int SmallestHead() const;
@@ -74,10 +75,8 @@ class MergeNode : public rts::QueryNode {
   void EmitTuple(const BufferedTuple& buffered);
 
   Spec spec_;
-  rts::StreamRegistry* registry_;
   rts::TupleCodec codec_;
   rts::BatchWriter writer_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
   std::vector<InputState> inputs_;
   size_t buffer_high_water_ = 0;
 };

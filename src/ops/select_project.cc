@@ -27,7 +27,6 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
     : QueryNode(spec.name),
       spec_(std::move(spec)),
       input_(std::move(input)),
-      registry_(registry),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       output_codec_(spec_.output_schema),
@@ -142,47 +141,22 @@ bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
 }
 
 size_t SelectProjectNode::Poll(size_t budget) {
-  size_t processed = 0;
-  // Batch-at-a-time: one pop per ring slot, then a tight loop over its
-  // messages. The budget may overshoot by at most one batch (a batch is
-  // never split across polls).
-  while (processed < budget && input_->TryPop(&batch_)) {
-    for (const rts::BatchItem& item : batch_.items()) {
-      ++processed;
-      if (item.kind == rts::MessageKind::kTuple) {
-        ProcessTuple(item, batch_.payload(item));
-      } else {
-        BeginMessage(item);
-        ProcessPunctuation(batch_.payload(item));
-        EndMessage();
-      }
-    }
-  }
+  const size_t processed = ReadInput(
+      input_, input_codec_, budget,
+      [this](const rts::BatchItem&, ByteSpan payload) {
+        ProcessTuple(payload);
+      },
+      [this](ByteSpan payload) { ProcessPunctuation(payload); });
   writer_.Flush();
   return processed;
 }
 
-void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
-                                     ByteSpan payload) {
-  ++tuples_in_;
-  if (!input_codec_.Framed(payload)) {
-    BeginMessage(item);
-    ++eval_errors_;
-    EndMessage();
-    return;
-  }
+void SelectProjectNode::ProcessTuple(ByteSpan payload) {
   const bool raw = !raw_terms_.empty();
   // Columnar fast path: the whole predicate runs on packed bytes (framing
   // guarantees every fixed-offset field is present); rejected tuples are
   // never read further.
-  if (raw && !RawFilterPass(payload)) {
-    if (item.trace_id != 0) {
-      BeginMessage(item);
-      EndMessage();
-    }
-    return;
-  }
-  BeginMessage(item);
+  if (raw && !RawFilterPass(payload)) return;
   // The copy path reads its fields itself: only a predicate the raw filter
   // could not take needs them located.
   if (!raw || copy_runs_.empty()) {
@@ -195,7 +169,6 @@ void SelectProjectNode::ProcessTuple(const rts::BatchItem& item,
       CopyProjection(payload);
     }
   }
-  EndMessage();
 }
 
 bool SelectProjectNode::PredicateHolds() {

@@ -21,9 +21,8 @@ namespace gigascope::ops {
 /// a bound on every output field whose projection is an order-preserving
 /// function of exactly that field (e.g. `time/60`).
 ///
-/// Polls a whole StreamBatch at a time and emits through a BatchWriter.
-/// Every input tuple's framing is validated first (a malformed tuple is one
-/// eval error). When the predicate is a conjunction of `field <cmp>
+/// Reads whole StreamBatches through QueryNode's input loop and emits
+/// through a BatchWriter. When the predicate is a conjunction of `field <cmp>
 /// constant` terms over fixed-offset fields (the dominant LFTA filter
 /// shape), it is evaluated columnar-style straight off the packed tuple
 /// bytes: rejected tuples — the vast majority on a selective filter — are
@@ -73,7 +72,7 @@ class SelectProjectNode : public rts::QueryNode {
   /// Sets up the copy path when every projection is a bare column.
   void BuildCopyProjection();
   bool RawFilterPass(ByteSpan payload) const;
-  void ProcessTuple(const rts::BatchItem& item, ByteSpan payload);
+  void ProcessTuple(ByteSpan payload);
   /// Evaluates the predicate over `at_`; false drops the tuple.
   bool PredicateHolds();
   /// Evaluates the projections over `at_`, emitting the output tuple.
@@ -84,7 +83,6 @@ class SelectProjectNode : public rts::QueryNode {
 
   Spec spec_;
   rts::Subscription input_;
-  rts::StreamRegistry* registry_;
   rts::ParamBlock params_;
   rts::TupleCodec input_codec_;
   rts::TupleCodec output_codec_;
@@ -113,8 +111,7 @@ class SelectProjectNode : public rts::QueryNode {
   /// The current tuple's segment starts, for every segment a run reads.
   std::vector<size_t> copy_starts_;
   bool copy_whole_ = false;  // the projection is the identity
-  rts::StreamBatch batch_;  // input batch, reused across polls
-  rts::Row out_row_;        // projected output, reused per tuple
+  rts::Row out_row_;         // projected output, reused per tuple
 };
 
 }  // namespace gigascope::ops

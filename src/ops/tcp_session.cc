@@ -62,30 +62,24 @@ TcpSessionNode::TcpSessionNode(Spec spec, FieldSlots slots,
       spec_(std::move(spec)),
       slots_(slots),
       input_(std::move(input)),
-      registry_(registry),
       input_codec_(spec_.input_schema),
-      output_codec_(OutputSchema(spec_.name)) {
+      output_codec_(OutputSchema(spec_.name)),
+      writer_(registry, spec_.name, rts::BatchWriter::kDefaultMaxBatch) {
   RegisterInput(input_);
 }
 
 size_t TcpSessionNode::Poll(size_t budget) {
-  size_t processed = 0;
-  while (processed < budget && input_->TryPop(&batch_)) {
-    for (const rts::BatchItem& item : batch_.items()) {
-      ++processed;
-      if (item.kind != rts::MessageKind::kTuple) continue;
-      ProcessTuple(batch_.payload(item));
-    }
-  }
+  const size_t processed = ReadInput(
+      input_, input_codec_, budget,
+      [this](const rts::BatchItem&, ByteSpan payload) {
+        ProcessTuple(payload);
+      },
+      [](ByteSpan) {});
+  writer_.Flush();
   return processed;
 }
 
 void TcpSessionNode::ProcessTuple(ByteSpan payload) {
-  ++tuples_in_;
-  if (!input_codec_.Framed(payload)) {
-    ++eval_errors_;
-    return;
-  }
   // The named fields, read in place from the framed tuple.
   const auto read = [&](size_t field) {
     return expr::ReadField(input_codec_.slot(field).type,
@@ -187,9 +181,9 @@ void TcpSessionNode::Emit(uint64_t end_time, const Session& session,
                                 ? end_time - session.start_time
                                 : 0));
   out.push_back(Value::String(state));
-  rts::StreamBatch batch;
-  batch.AppendTuple(output_codec_, out);
-  registry_->PublishBatch(name(), std::move(batch));
+  rts::MessageMeta meta;
+  StampOutput(&meta);
+  writer_.WriteTuple(output_codec_, out, meta);
   ++tuples_out_;
 }
 
@@ -212,6 +206,7 @@ void TcpSessionNode::Flush() {
     ++timed_out_;
   }
   sessions_.clear();
+  writer_.Flush();  // Flush runs outside any Poll round
 }
 
 }  // namespace gigascope::ops

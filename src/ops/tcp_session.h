@@ -88,10 +88,9 @@ class TcpSessionNode : public rts::QueryNode {
   Spec spec_;
   FieldSlots slots_;
   rts::Subscription input_;
-  rts::StreamRegistry* registry_;
   rts::TupleCodec input_codec_;
   rts::TupleCodec output_codec_;
-  rts::StreamBatch batch_;  // input batch, reused across polls
+  rts::BatchWriter writer_;
   std::map<SessionKey, Session> sessions_;
   uint64_t closed_ = 0;
   uint64_t reset_ = 0;

@@ -25,6 +25,9 @@ using ParamBlock = std::shared_ptr<std::vector<expr::Value>>;
 /// the engine's pump loop (or by caller-owned threads). Each node reads
 /// from its input subscriptions and publishes to its output stream via the
 /// registry.
+///
+/// Every node reads its input through one loop (ReadInput or ReadBatch,
+/// below) and publishes through a BatchWriter.
 class QueryNode {
  public:
   explicit QueryNode(std::string name) : name_(std::move(name)) {}
@@ -52,7 +55,8 @@ class QueryNode {
   uint64_t tuples_out() const { return tuples_out_.value(); }
   /// Tuples this node has consumed.
   uint64_t tuples_in() const { return tuples_in_.value(); }
-  /// Input tuples that failed evaluation (runtime errors) and were dropped.
+  /// Input tuples that failed framing or evaluation (runtime errors) and
+  /// were dropped.
   uint64_t eval_errors() const { return eval_errors_.value(); }
   /// Polls that consumed at least one message (busy-time proxy).
   uint64_t busy_polls() const { return busy_polls_.value(); }
@@ -105,38 +109,64 @@ class QueryNode {
     inputs_.push_back(std::move(input));
   }
 
+  // -- The input loop, called from Poll on the polling thread. -------------
+  // Both templates are inlined into the operator's Poll: no virtual call
+  // and no std::function per message. Every message read is bracketed for
+  // the tracer (a span when traced, trace_truncated with no tracer
+  // attached). A tuple counts in tuples_in; one that `codec` does not frame
+  // counts in eval_errors and goes no further. `on_tuple(const BatchItem&,
+  // ByteSpan)` receives each framed tuple and `on_punctuation(ByteSpan)`
+  // each punctuation while the message is the active one, so outputs
+  // stamped with StampOutput inherit its trace context.
+
+  /// Pops one batch from `input` and reads every message of it. Returns
+  /// how many it read (0: the ring was empty).
+  template <typename OnTuple, typename OnPunctuation>
+  size_t ReadBatch(const Subscription& input, const TupleCodec& codec,
+                   OnTuple&& on_tuple, OnPunctuation&& on_punctuation) {
+    if (!input->TryPop(&batch_)) return 0;
+    for (const BatchItem& item : batch_.items()) {
+      BeginMessage(item);
+      const ByteSpan payload = batch_.payload(item);
+      if (item.kind != MessageKind::kTuple) {
+        on_punctuation(payload);
+      } else {
+        ++tuples_in_;
+        if (codec.Framed(payload)) {
+          on_tuple(item, payload);
+        } else {
+          ++eval_errors_;  // a malformed tuple goes no further
+        }
+      }
+      EndMessage();
+    }
+    return batch_.size();
+  }
+
+  /// Reads whole batches from `input` until `budget` messages are read;
+  /// the last batch may overshoot it (a batch is never split across
+  /// polls). Returns how many it read.
+  template <typename OnTuple, typename OnPunctuation>
+  size_t ReadInput(const Subscription& input, const TupleCodec& codec,
+                   size_t budget, OnTuple&& on_tuple,
+                   OnPunctuation&& on_punctuation) {
+    size_t read = 0;
+    while (read < budget) {
+      const size_t batch = ReadBatch(input, codec, on_tuple, on_punctuation);
+      if (batch == 0) break;
+      read += batch;
+    }
+    return read;
+  }
+
   // -- Trace hooks, called from the polling thread only. -------------------
-  // Operators bracket each dequeued message with BeginMessage/EndMessage
-  // (a span per traced message on this node's track) and stamp every
-  // output derived from it with StampOutput, which propagates the trace
-  // context downstream. Outputs emitted while a traced message is active
-  // inherit its context even when triggered indirectly (a group close, a
-  // join match against buffered state) — that convention is what makes the
-  // terminal e2e histogram measure inject→group-close latency. All three
-  // are no-ops (two predictable branches) when untraced.
-
-  /// Starts the span for a dequeued message, if it carries a trace.
-  void BeginMessage(const MessageMeta& message) {
-    active_trace_id_ = message.trace_id;
-    active_weight_ = message.weight;
-    if (tracer_ == nullptr) {
-      if (message.trace_id != 0) ++trace_truncated_;
-      return;
-    }
-    if (message.trace_id == 0) return;
-    active_trace_ns_ = message.trace_ns;
-    span_start_ns_ = tracer_->NowNs();
-  }
-
-  /// Ends the active span (records it) and clears the trace context.
-  void EndMessage() {
-    if (tracer_ != nullptr && active_trace_id_ != 0) {
-      tracer_->RecordSpan(name_, track_id_, active_trace_id_, span_start_ns_,
-                          tracer_->NowNs());
-    }
-    active_trace_id_ = 0;
-    active_weight_ = 1;
-  }
+  // Operators stamp every output derived from the active message with
+  // StampOutput, which propagates the trace context downstream. Outputs
+  // emitted while a traced message is active inherit its context even when
+  // triggered indirectly (a group close, a join match against buffered
+  // state) — that convention is what makes the terminal e2e histogram
+  // measure inject→group-close latency. No-ops (two predictable branches)
+  // when untraced.
 
   /// Horvitz-Thompson weight of the message being processed. Row-passthrough
   /// operators (select/project, merge) copy it onto each output derived 1:1
@@ -178,8 +208,32 @@ class QueryNode {
   telemetry::Counter trace_truncated_;
 
  private:
+  /// Starts the span for a dequeued message, if it carries a trace.
+  void BeginMessage(const MessageMeta& message) {
+    active_trace_id_ = message.trace_id;
+    active_weight_ = message.weight;
+    if (tracer_ == nullptr) {
+      if (message.trace_id != 0) ++trace_truncated_;
+      return;
+    }
+    if (message.trace_id == 0) return;
+    active_trace_ns_ = message.trace_ns;
+    span_start_ns_ = tracer_->NowNs();
+  }
+
+  /// Ends the active span (records it) and clears the trace context.
+  void EndMessage() {
+    if (tracer_ != nullptr && active_trace_id_ != 0) {
+      tracer_->RecordSpan(name_, track_id_, active_trace_id_, span_start_ns_,
+                          tracer_->NowNs());
+    }
+    active_trace_id_ = 0;
+    active_weight_ = 1;
+  }
+
   std::string name_;
   std::vector<Subscription> inputs_;
+  StreamBatch batch_;  // the input batch being read, reused across polls
 
   // Latency histograms, single-writer like the counters above.
   telemetry::Histogram poll_ns_;

@@ -85,14 +85,17 @@ class StreamRegistry {
   std::map<std::string, StreamEntry> streams_;
 };
 
-/// Producer-side accumulator for a node's output stream: operators append
-/// messages straight into the open batch's arena and the writer publishes
-/// them as batches. A batch flushes when it reaches `max_batch` messages or
-/// when a punctuation closes it (the batch invariant: punctuation only at
-/// the tail); the owning operator calls Flush() at the end of every Poll so
-/// no output outlives the poll round that produced it.
+/// Producer-side accumulator for a stream: operators and packet sources
+/// append messages straight into the open batch's arena and the writer
+/// publishes them as batches. A batch flushes when it reaches `max_batch`
+/// messages or when a punctuation closes it (the batch invariant:
+/// punctuation only at the tail); the owner calls Flush() at the end of
+/// every Poll so no output outlives the poll round that produced it.
 class BatchWriter {
  public:
+  /// Messages per output batch of a node whose spec sets none.
+  static constexpr size_t kDefaultMaxBatch = 64;
+
   BatchWriter(StreamRegistry* registry, std::string stream, size_t max_batch)
       : registry_(registry),
         stream_(std::move(stream)),
@@ -102,15 +105,23 @@ class BatchWriter {
   void WriteTuple(const TupleCodec& codec, const Row& row,
                   const MessageMeta& meta) {
     open_.AppendTuple(codec, row, meta);
-    if (open_.size() >= max_batch_) Flush();
+    FlushIfFull();
   }
 
   /// Appends a tuple of `length` bytes carrying `meta`; `fill(uint8_t*
   /// out)` writes its packed bytes in place, straight into the arena.
   template <typename Fill>
   void WriteTuple(const MessageMeta& meta, size_t length, Fill&& fill) {
-    fill(open_.Append(meta, length));
-    if (open_.size() >= max_batch_) Flush();
+    fill(AppendTuple(meta, length));
+    FlushIfFull();
+  }
+
+  /// Appends a tuple of `length` bytes carrying `meta` and returns where
+  /// its packed bytes go (valid until the next append), publishing
+  /// nothing: a packet source appends its tuple, may close the batch with
+  /// a punctuation read from that tuple, and only then calls FlushIfFull.
+  uint8_t* AppendTuple(const MessageMeta& meta, size_t length) {
+    return open_.Append(meta, length);
   }
 
   /// Appends an already packed message (a forwarded tuple).
@@ -131,8 +142,13 @@ class BatchWriter {
     Flush();
   }
 
-  void Flush() {
-    if (open_.empty()) return;
+  /// Publishes the open batch once it holds `max_batch` messages. Returns
+  /// whether it published.
+  bool FlushIfFull() { return open_.size() >= max_batch_ && Flush(); }
+
+  /// Publishes the open batch, if any. Returns whether it did.
+  bool Flush() {
+    if (open_.empty()) return false;
     // The next batch is sized like this one: one allocation each for its
     // arena and item table, however many messages it will hold.
     const size_t items = open_.size();
@@ -140,6 +156,7 @@ class BatchWriter {
     registry_->PublishBatch(stream_, std::move(open_));
     open_.clear();
     open_.Reserve(items, bytes);
+    return true;
   }
 
  private:

@@ -60,16 +60,16 @@ TEST(OverloadControllerTest, LadderEscalatesOneRungPerPressuredCheck) {
   hot.max_ring_occupancy = 0.9;  // over the 0.5 default
 
   EXPECT_EQ(controller.Check(hot), 1u);
-  EXPECT_EQ(state.SampleK(), config.sample_k);
+  EXPECT_EQ(state.SampleK(), kSampleK);
   EXPECT_EQ(state.EpochCoarsen(), 1u);  // L2 knob not yet engaged
   EXPECT_EQ(controller.shed_rate_pct(), 75u);  // 1-in-4 kept
 
   EXPECT_EQ(controller.Check(hot), 2u);
-  EXPECT_EQ(state.EpochCoarsen(), config.epoch_coarsen);
+  EXPECT_EQ(state.EpochCoarsen(), kEpochCoarsen);
   EXPECT_EQ(state.TableCapPct(), 100u);
 
   EXPECT_EQ(controller.Check(hot), 3u);
-  EXPECT_EQ(state.TableCapPct(), config.table_cap_pct);
+  EXPECT_EQ(state.TableCapPct(), kTableCapPct);
 
   // max_level caps the ladder.
   EXPECT_EQ(controller.Check(hot), 3u);
@@ -122,7 +122,7 @@ TEST(OverloadControllerTest, StepsDownOnlyAfterHoldChecksCalm) {
   EXPECT_EQ(controller.Check(calm), 2u);  // calm 1
   EXPECT_EQ(controller.Check(calm), 2u);  // calm 2
   EXPECT_EQ(controller.Check(calm), 1u);  // calm 3: step down one rung
-  EXPECT_EQ(state.SampleK(), config.sample_k);  // still L1
+  EXPECT_EQ(state.SampleK(), kSampleK);  // still L1
 
   // A pressured check resets the calm streak.
   EXPECT_EQ(controller.Check(calm), 1u);
@@ -131,7 +131,7 @@ TEST(OverloadControllerTest, StepsDownOnlyAfterHoldChecksCalm) {
   EXPECT_EQ(controller.Check(calm), 2u);
   EXPECT_EQ(controller.Check(calm), 1u);
 
-  // Middle band (over recover_fraction, under threshold) holds the level
+  // Middle band (over kRecoverFraction, under threshold) holds the level
   // without descending.
   PressureSignals middling;
   middling.max_ring_occupancy = config.ring_occupancy * 0.8;

@@ -16,7 +16,15 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "expr/codegen.h"
 #include "net/headers.h"
+#include "ops/aggregate.h"
+#include "ops/defrag.h"
+#include "ops/join.h"
+#include "ops/lfta_agg.h"
+#include "ops/merge.h"
+#include "ops/select_project.h"
+#include "ops/tcp_session.h"
 #include "telemetry/histogram.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/registry.h"
@@ -391,6 +399,174 @@ TEST(TraceEngineTest, ProcessModeCountsTruncatedTraces) {
   int rows = 0;
   while ((*sub)->NextRow()) ++rows;
   EXPECT_GT(rows, 0);
+}
+
+// --------------------------------------------------------------- input loop
+
+/// The built-in PKT schema as stream `name`, with `prefix` before every
+/// field name.
+gsql::StreamSchema PacketStream(const std::string& name,
+                                const std::string& prefix = "") {
+  std::vector<gsql::FieldDef> fields =
+      gsql::Catalog::BuiltinPacketSchema().fields();
+  for (gsql::FieldDef& field : fields) field.name = prefix + field.name;
+  return gsql::StreamSchema(name, gsql::StreamKind::kStream, fields);
+}
+
+/// Field `name` of `schema`, as a compiled column reference.
+expr::CompiledExpr Column(const gsql::StreamSchema& schema,
+                          const std::string& name) {
+  const size_t field = *schema.FieldIndex(name);
+  auto compiled = expr::Compile(
+      expr::MakeFieldRef(0, field, schema.field(field).type, name));
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return std::move(compiled).value();
+}
+
+/// GROUP BY time, destIP with count(*), ordered on time.
+ops::OrderedAggregateNode::Spec CountSpec(const std::string& name,
+                                          const gsql::StreamSchema& input) {
+  ops::OrderedAggregateNode::Spec spec;
+  spec.name = name;
+  spec.input_schema = input;
+  spec.output_schema = gsql::StreamSchema(
+      name, gsql::StreamKind::kStream,
+      {{"time", gsql::DataType::kUint, gsql::OrderSpec::Increasing()},
+       {"destIP", gsql::DataType::kIp, gsql::OrderSpec::None()},
+       {"cnt", gsql::DataType::kUint, gsql::OrderSpec::None()}});
+  spec.keys.push_back(Column(input, "time"));
+  spec.keys.push_back(Column(input, "destIP"));
+  expr::AggregateSpec count;
+  count.fn = expr::AggFn::kCount;
+  count.result_type = gsql::DataType::kUint;
+  spec.agg_specs.push_back(count);
+  spec.agg_args.emplace_back();
+  spec.ordered_key = 0;
+  spec.key_punctuation_source = {static_cast<int>(*input.FieldIndex("time")),
+                                 -1};
+  return spec;
+}
+
+// Every operator reads its input through QueryNode's one loop. With no
+// tracer attached, as on a worker process's nodes, each traced message is
+// counted as truncated; a tuple that fails framing counts in tuples_in and
+// eval_errors and goes no further.
+TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
+  rts::StreamRegistry registry;
+  const gsql::StreamSchema pkt = PacketStream("in");
+  const size_t time = *pkt.FieldIndex("time");
+  const auto ring = [] { return std::make_shared<rts::RingChannel>(16); };
+
+  struct Case {
+    std::unique_ptr<rts::QueryNode> node;
+    rts::Subscription input;  // the ring the messages go to
+    uint64_t outputs;         // tuples the framed tuple yields
+  };
+  std::vector<Case> cases;
+
+  ops::SelectProjectNode::Spec select;
+  select.name = "select";
+  select.input_schema = pkt;
+  select.output_schema = gsql::StreamSchema(
+      "select", gsql::StreamKind::kStream,
+      {{"time", gsql::DataType::kUint, gsql::OrderSpec::Increasing()},
+       {"destIP", gsql::DataType::kIp, gsql::OrderSpec::None()}});
+  select.projections.push_back(Column(pkt, "time"));
+  select.projections.push_back(Column(pkt, "destIP"));
+  select.punctuation_source = {static_cast<int>(time), -1};
+  rts::Subscription input = ring();
+  cases.push_back({std::make_unique<ops::SelectProjectNode>(
+                       select, input, &registry, nullptr),
+                   input, 1});
+
+  ops::MergeNode::Spec merge;
+  merge.name = "merge";
+  merge.schema = pkt;
+  merge.merge_field = time;
+  input = ring();
+  cases.push_back(
+      {std::make_unique<ops::MergeNode>(
+           merge, std::vector<rts::Subscription>{input, ring()}, &registry),
+       input, 1});
+
+  ops::WindowJoinNode::Spec join;
+  join.name = "join";
+  join.left_schema = pkt;
+  join.right_schema = pkt;
+  std::vector<gsql::FieldDef> joined = PacketStream("", "l_").fields();
+  const gsql::StreamSchema right = PacketStream("", "r_");
+  joined.insert(joined.end(), right.fields().begin(), right.fields().end());
+  join.output_schema =
+      gsql::StreamSchema("join", gsql::StreamKind::kStream, joined);
+  join.left_field = time;
+  join.right_field = time;
+  input = ring();
+  // No right tuple arrives, so nothing joins.
+  cases.push_back({std::make_unique<ops::WindowJoinNode>(
+                       join, input, ring(), &registry, nullptr),
+                   input, 0});
+
+  input = ring();
+  cases.push_back({std::make_unique<ops::LftaAggregateNode>(
+                       CountSpec("lfta", pkt), 4, input, &registry, nullptr),
+                   input, 1});
+  input = ring();
+  cases.push_back({std::make_unique<ops::OrderedAggregateNode>(
+                       CountSpec("hfta", pkt), input, &registry, nullptr),
+                   input, 1});
+
+  ops::IpDefragNode::Spec defrag;
+  defrag.name = "defrag";
+  defrag.input_schema = pkt;
+  input = ring();
+  auto defrag_node = ops::IpDefragNode::Create(defrag, input, &registry);
+  ASSERT_TRUE(defrag_node.ok()) << defrag_node.status().ToString();
+  cases.push_back({std::move(defrag_node).value(), input, 1});
+
+  ops::TcpSessionNode::Spec session;
+  session.name = "session";
+  session.input_schema = pkt;
+  input = ring();
+  auto session_node = ops::TcpSessionNode::Create(session, input, &registry);
+  ASSERT_TRUE(session_node.ok()) << session_node.status().ToString();
+  // The SYN opens a session, which Flush closes as a timeout.
+  cases.push_back({std::move(session_node).value(), input, 1});
+
+  // One batch: a traced framed tuple (an unfragmented TCP SYN), the same
+  // tuple cut one byte short, and a traced punctuation past its time.
+  net::TcpPacketSpec syn;
+  syn.src_addr = 0xac100001;
+  syn.dst_addr = 0x0a000001;
+  syn.src_port = 40000;
+  syn.dst_port = 80;
+  syn.flags = net::kTcpFlagSyn;
+  syn.payload = "x";
+  net::Packet packet;
+  packet.bytes = net::BuildTcpPacket(syn);
+  packet.orig_len = static_cast<uint32_t>(packet.bytes.size());
+  packet.timestamp = 5 * kNanosPerSecond;
+  ByteBuffer tuple;
+  rts::TupleCodec(pkt).Encode(core::InterpretPacket(pkt, packet), &tuple);
+  rts::MessageMeta traced;
+  traced.trace_id = 7;
+  traced.trace_ns = 1;
+  rts::StreamBatch batch;
+  batch.Append(traced, ByteSpan(tuple.data(), tuple.size()));
+  batch.Append(traced, ByteSpan(tuple.data(), tuple.size() - 1));
+  rts::Punctuation punctuation;
+  punctuation.bounds.emplace_back(time, expr::Value::Uint(6));
+  rts::AppendPunctuation(punctuation, pkt, traced, &batch);
+
+  for (Case& c : cases) {
+    const std::string& name = c.node->name();
+    ASSERT_TRUE(c.input->TryPush(rts::StreamBatch(batch))) << name;
+    EXPECT_EQ(c.node->Poll(64), 3u) << name;
+    c.node->Flush();
+    EXPECT_EQ(c.node->tuples_in(), 2u) << name;
+    EXPECT_EQ(c.node->eval_errors(), 1u) << name;
+    EXPECT_EQ(c.node->trace_truncated(), 3u) << name;
+    EXPECT_EQ(c.node->tuples_out(), c.outputs) << name;
+  }
 }
 
 // ------------------------------------------------------------- concurrency

@@ -94,9 +94,6 @@ int Usage() {
       "  --batch-size=N    accumulate up to N tuples per source batch\n"
       "                    before publishing into the data plane; 1\n"
       "                    restores per-tuple flow (default: 64)\n"
-      "  --batch-delay=S   flush an open source batch once it is S seconds\n"
-      "                    of capture time old, bounding batching latency\n"
-      "                    (S may be fractional; default: 0, no age flush)\n"
       "  --trace-sample=N  tag 1-in-N injected packets and trace them\n"
       "                    through every operator (default: off)\n"
       "  --trace-out=FILE  write the collected trace as Chrome trace-event\n"
@@ -180,7 +177,6 @@ int main(int argc, char** argv) {
   std::string fault_spec;
   double stats_period_seconds = 0;
   size_t batch_size = 64;
-  double batch_delay_seconds = 0;
   bool stats_dump = false;
   bool analyze = false;
   std::string analyze_out;
@@ -212,8 +208,6 @@ int main(int argc, char** argv) {
       } else if (ParseNumericFlag(argv[i], "--batch-size=", &parsed) &&
                  parsed == static_cast<size_t>(parsed) && parsed >= 1) {
         batch_size = static_cast<size_t>(parsed);
-      } else if (ParseNumericFlag(argv[i], "--batch-delay=", &parsed)) {
-        batch_delay_seconds = parsed;
       } else if (ParseNumericFlag(argv[i], "--trace-sample=", &parsed) &&
                  parsed == static_cast<size_t>(parsed) && parsed >= 1) {
         trace_sample = static_cast<size_t>(parsed);
@@ -266,9 +260,6 @@ int main(int argc, char** argv) {
     options.stats_period = gigascope::SecondsToSimTime(stats_period_seconds);
   }
   options.batch_max_size = batch_size;
-  if (batch_delay_seconds > 0) {
-    options.batch_max_delay = gigascope::SecondsToSimTime(batch_delay_seconds);
-  }
   // Asking for a trace file without a sampling rate still traces: pick a
   // rate light enough to leave the hot path alone on real captures.
   if (!trace_out.empty() && trace_sample == 0) trace_sample = 128;
