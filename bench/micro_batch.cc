@@ -285,10 +285,12 @@ void BM_WindowClose(benchmark::State& state) {
         node.Poll(1 << 20);
       }
     }
-    gs::rts::Punctuation punctuation;
-    punctuation.bounds.emplace_back(0, gs::expr::Value::Uint(tb + 1));
-    registry.PublishBatch("win",
-                          gs::rts::MakePunctuationBatch(punctuation, input));
+    uint8_t close[8];
+    gs::StoreLe64(close, tb + 1);
+    const gs::rts::Bound bound[] = {{0, close}};
+    gs::rts::AppendPunctuation(bound, input, {}, &batch);
+    registry.PublishBatch("win", std::move(batch));
+    batch.clear();
     state.ResumeTiming();
     node.Poll(1 << 20);  // the close
     state.PauseTiming();

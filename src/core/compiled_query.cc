@@ -18,13 +18,11 @@ using plan::PlanPtr;
 
 /// The single input field an expression depends on, when its output order
 /// was imputed as increasing-like — used for punctuation mapping.
-int PunctuationSource(const IrPtr& ir, const gsql::StreamSchema& input,
-                      const gsql::OrderSpec& output_order) {
+int PunctuationSource(const IrPtr& ir, const gsql::OrderSpec& output_order) {
   if (!output_order.IsIncreasingLike()) return -1;
   std::vector<std::pair<size_t, size_t>> refs;
   expr::CollectFieldRefs(ir, &refs);
   if (refs.size() != 1 || refs[0].first != 0) return -1;
-  (void)input;
   return static_cast<int>(refs[0].second);
 }
 
@@ -114,8 +112,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
                                           ctx->param_values));
         spec.projections.push_back(std::move(compiled));
         spec.punctuation_source.push_back(PunctuationSource(
-            node->projections[i], spec.input_schema,
-            node->output_schema.field(i).order));
+            node->projections[i], node->output_schema.field(i).order));
       }
       GS_ASSIGN_OR_RETURN(rts::Subscription input,
                           ctx->registry->Subscribe(input_names[0],
@@ -144,7 +141,7 @@ Status InstantiatePlan(const plan::PlanPtr& node,
                                           ctx->param_values));
         spec.keys.push_back(std::move(compiled));
         spec.key_punctuation_source.push_back(PunctuationSource(
-            node->group_keys[k], spec.input_schema,
+            node->group_keys[k],
             plan::ImputeExprOrder(node->group_keys[k], spec.input_schema)));
       }
       spec.agg_specs = node->aggregates;

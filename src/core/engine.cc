@@ -487,10 +487,12 @@ Status Engine::InjectPunctuation(const std::string& stream_name, size_t field,
         "' (" + gsql::DataTypeName(type) + ") must be a numeric value of "
         "that type, got " + gsql::DataTypeName(bound.type()));
   }
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(field, bound);
-  registry_.PublishBatch(stream_name,
-                         rts::MakePunctuationBatch(punctuation, schema));
+  rts::PackedBound packed{};
+  expr::WriteValue(bound, packed.data());
+  const rts::Bound bounds[] = {{field, packed.data()}};
+  rts::StreamBatch batch;
+  rts::AppendPunctuation(bounds, schema, rts::MessageMeta{}, &batch);
+  registry_.PublishBatch(stream_name, std::move(batch));
   PumpAfterInput();
   return Status::Ok();
 }

@@ -10,7 +10,6 @@
 
 namespace gigascope::core {
 
-using expr::Value;
 using Extract = InterpretPlan::Extract;
 namespace metric = telemetry::metric;
 
@@ -352,36 +351,37 @@ bool PacketSource::CountDownPunctuation() {
 
 bool PacketSource::WritePunctuation(SimTime t, const ByteSpan* tuple,
                                     const Offer& offer) {
-  rts::Punctuation punctuation;
+  // Time fields are packed as a packet at `t` packs them.
+  const auto sec = static_cast<uint64_t>(SimTimeToSeconds(t));
+  uint8_t time[8];
+  uint8_t timestamp[8];
+  StoreLe64(time, sec);
+  StoreLe64(timestamp, static_cast<uint64_t>(t));
+  std::vector<rts::Bound> bounds;
   for (size_t f : ordered_fields_) {
     switch (interpret_.fields[f]) {
-      case Extract::kTime: {
-        const auto sec = static_cast<uint64_t>(SimTimeToSeconds(t));
-        punctuation.bounds.emplace_back(f, Value::Uint(sec));
+      case Extract::kTime:
+        bounds.push_back({f, time});
         last_punct_sec_.Set(sec);
         break;
-      }
       case Extract::kTimestamp:
-        punctuation.bounds.emplace_back(f,
-                                        Value::Uint(static_cast<uint64_t>(t)));
+        bounds.push_back({f, timestamp});
         break;
       default:  // bounded at the tuple's value, read in place
         if (tuple != nullptr) {
-          punctuation.bounds.emplace_back(
-              f, expr::ReadField(schema_.field(f).type,
-                                 interpret_.codec.Locate(tuple->data(), f)));
+          bounds.push_back({f, interpret_.codec.Locate(tuple->data(), f)});
         }
         break;
     }
   }
-  if (punctuation.bounds.empty()) return false;
+  if (bounds.empty()) return false;
   // A punctuation triggered by a traced packet carries its context:
   // aggregate groups it closes downstream inherit the trace, so e2e latency
   // covers inject -> group close even when the close is punctuation-driven.
   rts::MessageMeta meta;
   meta.trace_id = offer.trace_id;
   meta.trace_ns = offer.trace_ns;
-  writer_.WritePunctuation(punctuation, schema_, meta);
+  writer_.WritePunctuation(bounds, schema_, meta);
   last_punct_time_ = t;
   return true;
 }

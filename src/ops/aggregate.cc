@@ -15,22 +15,6 @@ using expr::AggregateSpec;
 using expr::Value;
 using gsql::DataType;
 
-expr::Value ReduceByBand(const expr::Value& value, uint64_t band) {
-  if (band == 0) return value;
-  switch (value.type()) {
-    case DataType::kUint:
-      return Value::Uint(value.uint_value() >= band
-                             ? value.uint_value() - band
-                             : 0);
-    case DataType::kInt:
-      return Value::Int(value.int_value() - static_cast<int64_t>(band));
-    case DataType::kFloat:
-      return Value::Float(value.float_value() - static_cast<double>(band));
-    default:
-      return value;
-  }
-}
-
 namespace {
 
 double LoadDouble(const uint8_t* p) {
@@ -363,8 +347,7 @@ GroupInput::GroupInput(
   }
   if (ordered_key >= 0) {
     const auto k = static_cast<size_t>(ordered_key);
-    ordered_ = &keys[k];
-    ordered_type_ = layout.key_type(k);
+    ordered_ = ordered_key;
     if (k < key_sources.size()) ordered_source_ = key_sources[k];
   }
   for (const std::optional<expr::CompiledExpr>& arg : args) {
@@ -458,20 +441,19 @@ GroupInput::Outcome GroupInput::PackArgs(expr::Evaluator* vm,
   return Outcome::kOk;
 }
 
-bool GroupInput::PunctuationBound(ByteSpan payload, expr::Evaluator* vm,
-                                  const std::vector<Value>* params,
-                                  ByteBuffer* bound) {
-  if (ordered_ == nullptr || ordered_source_ < 0) return false;
-  auto punctuation = rts::DecodePunctuation(payload, input_codec_->schema());
-  if (!punctuation.ok()) return false;
+const uint8_t* GroupInput::PunctuationBound(
+    ByteSpan payload, expr::Evaluator* vm, const std::vector<Value>* params) {
+  if (ordered_ < 0 || ordered_source_ < 0) return nullptr;
   const auto source = static_cast<size_t>(ordered_source_);
-  auto field_bound = punctuation->BoundFor(source);
-  if (!field_bound.has_value()) return false;
-  std::optional<Value> key =
-      bounds_.Translate(*ordered_, source, *field_bound, vm, params);
-  if (!key.has_value()) return false;
-  PackKeyValue(ordered_type_, *key, bound);
-  return true;
+  const uint8_t* bound =
+      rts::FindBound(payload, input_codec_->schema(), source);
+  const Source& key = keys_[static_cast<size_t>(ordered_)];
+  if (bound == nullptr || key.expr == nullptr) return bound;
+  std::optional<Value> value =
+      bounds_.Translate(*key.expr, source, bound, vm, params);
+  if (!value.has_value()) return nullptr;
+  PackKeyValue(key.type, *value, &bound_);
+  return bound_.data();
 }
 
 GroupRef GroupMap::group(size_t g) const {
@@ -608,10 +590,9 @@ size_t OrderedAggregateNode::Poll(size_t budget) {
         ProcessTuple(payload, item.weight);
       },
       [this](ByteSpan payload) {
-        if (grouping_.PunctuationBound(payload, &vm_, params_.get(),
-                                       &bound_)) {
-          CloseGroups(bound_.data());
-        }
+        const uint8_t* bound =
+            grouping_.PunctuationBound(payload, &vm_, params_.get());
+        if (bound != nullptr) CloseGroups(bound);
       });
   writer_.Flush();
   return processed;
@@ -634,21 +615,15 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
     const auto k = static_cast<size_t>(spec_.ordered_key);
     const DataType type = layout_.key_type(k);
     const uint8_t* ordered = layout_.KeyField(grouping_.key().data(), k);
-    const bool first = epoch_.empty();
-    if (first || rts::ComparePacked(type, ordered, epoch_.data()) > 0) {
+    if (!epoch_.has_value() ||
+        rts::ComparePacked(type, ordered, epoch_->data()) > 0) {
+      const bool first = !epoch_.has_value();
+      epoch_ = rts::ToBound(type, ordered);
       if (!first) {
-        const uint8_t* bound = ordered;
-        if (spec_.ordered_key_band > 0) {
-          PackKeyValue(type,
-                       ReduceByBand(expr::ReadField(type, ordered),
-                                    spec_.ordered_key_band),
-                       &bound_);
-          bound = bound_.data();
-        }
-        CloseGroups(bound);
+        bound_ = *epoch_;
+        rts::LowerByBand(type, spec_.ordered_key_band, &bound_);
+        CloseGroups(bound_.data());
       }
-      epoch_.assign(ordered,
-                    ordered + expr::FieldSize(type, ordered));
     }
   }
 
@@ -682,13 +657,11 @@ void OrderedAggregateNode::CloseGroups(const uint8_t* bound) {
   open_groups_.Set(groups_.size());
   if (bound == nullptr) return;
 
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(
-      k, expr::ReadField(layout_.key_type(k), bound));
+  const rts::Bound bounds[] = {{k, bound}};
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
-  writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
+  writer_.WritePunctuation(bounds, spec_.output_schema, meta);
 }
 
 void OrderedAggregateNode::SortClosing() {

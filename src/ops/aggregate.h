@@ -13,11 +13,6 @@
 
 namespace gigascope::ops {
 
-/// Lowers a numeric bound by `band` (saturating for unsigned types):
-/// on a banded-increasing stream, a value v only guarantees that no future
-/// value falls below v - band.
-expr::Value ReduceByBand(const expr::Value& value, uint64_t band);
-
 /// One group as stored: its packed key and its accumulator cells.
 struct GroupRef {
   ByteSpan key;
@@ -155,13 +150,12 @@ class GroupInput {
   ByteSpan key() const { return ByteSpan(key_.data(), key_.size()); }
   const uint8_t* const* args() const { return args_.data(); }
 
-  /// Packs into `*bound` the bound that punctuation `payload` puts on the
-  /// ordered key, as that key's packed field: the punctuation's bound on
-  /// the key's input field, translated through the key expression. False
-  /// when it implies none.
-  bool PunctuationBound(ByteSpan payload, expr::Evaluator* vm,
-                        const std::vector<expr::Value>* params,
-                        ByteBuffer* bound);
+  /// The bound that punctuation `payload` puts on the ordered key, as
+  /// that key's packed field: a bare key's bound is its input field's, read
+  /// in place from `payload`; a computed key's is that bound translated
+  /// through the key expression. Null when it implies none.
+  const uint8_t* PunctuationBound(ByteSpan payload, expr::Evaluator* vm,
+                                  const std::vector<expr::Value>* params);
 
  private:
   /// Where one key or argument comes from: input field `at` when bare,
@@ -186,12 +180,12 @@ class GroupInput {
   ByteBuffer key_;
   ByteBuffer scratch_;  // packed computed arguments
   std::vector<const uint8_t*> args_;
-  /// The ordered key's expression and type (null: no ordered key), and
-  /// the input field a punctuation must bound to bound it (-1: none).
-  const expr::CompiledExpr* ordered_ = nullptr;
-  gsql::DataType ordered_type_ = gsql::DataType::kUint;
+  /// The ordered key (-1: none), and the input field a punctuation must
+  /// bound to bound it (-1: none).
+  int ordered_ = -1;
   int ordered_source_ = -1;
   rts::BoundTranslator bounds_;
+  ByteBuffer bound_;  // a computed key's bound, packed
 };
 
 /// The HFTA's open groups: packed keys back to back in one arena, cells in
@@ -293,8 +287,10 @@ class OrderedAggregateNode : public rts::QueryNode {
   GroupLayout layout_;
   GroupInput grouping_;
   GroupMap groups_;
-  ByteBuffer epoch_;  // packed max ordered-key value seen; empty: none yet
-  ByteBuffer bound_;  // packed close bound, reused
+  /// The ordered key's largest value so far (none yet: empty), and the
+  /// bound that closes groups below it, band-lowered.
+  std::optional<rts::PackedBound> epoch_;
+  rts::PackedBound bound_{};
   std::vector<uint32_t> closing_;  // groups being closed, reused
   // SortClosing's scratch, kept at the largest close seen. sort_keys_
   // holds the closing keys' encodings, at most twice the packed key bytes

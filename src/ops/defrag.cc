@@ -119,7 +119,10 @@ void IpDefragNode::ProcessTuple(ByteSpan payload) {
   }
 
   Assembly& assembly = assemblies_[key];
-  if (assembly.fragments.empty()) assembly.first_seen_time = time_now;
+  if (assembly.fragments.empty()) {
+    assembly.first_seen_time = time_now;
+    least_first_seen_ = std::min(least_first_seen_, time_now);
+  }
   if (assembly.fragments.size() >= kMaxFragmentsPerAssembly) {
     // Fragment flood on one key: abandon the assembly rather than grow it.
     ++parse_errors_;
@@ -196,12 +199,18 @@ void IpDefragNode::Emit(uint64_t time_now, const AssemblyKey& key,
 }
 
 void IpDefragNode::ExpireOld(uint64_t time_now) {
+  // No assembly outlives the timeout before the least first_seen_time does.
+  const uint64_t age = time_now - std::min(time_now, least_first_seen_);
+  if (age <= spec_.timeout_seconds) return;
+  least_first_seen_ = UINT64_MAX;
   for (auto it = assemblies_.begin(); it != assemblies_.end();) {
     if (time_now >= it->second.first_seen_time &&
         time_now - it->second.first_seen_time > spec_.timeout_seconds) {
       it = assemblies_.erase(it);
       ++timeouts_;
     } else {
+      least_first_seen_ =
+          std::min(least_first_seen_, it->second.first_seen_time);
       ++it;
     }
   }

@@ -112,6 +112,9 @@ class IpDefragNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   std::map<AssemblyKey, Assembly> assemblies_;
+  /// At most every assembly's first_seen_time (UINT64_MAX: none).
+  /// ExpireOld scans once it is past the timeout, and makes it exact.
+  uint64_t least_first_seen_ = UINT64_MAX;
   uint64_t timeouts_ = 0;
   telemetry::Counter parse_errors_;
 };

@@ -9,13 +9,13 @@
 
 namespace gigascope::ops {
 
-using expr::Value;
 using gsql::DataType;
 
 namespace {
 
 /// The window key of the packed field of `type` at `at`: INT as is, UINT
-/// and IP reinterpreted as int64_t, FLOAT truncated, anything else 0.
+/// and IP reinterpreted as int64_t, FLOAT truncated (saturating, NaN 0),
+/// anything else 0.
 int64_t WindowKey(DataType type, const uint8_t* at) {
   switch (type) {
     case DataType::kInt:
@@ -24,10 +24,27 @@ int64_t WindowKey(DataType type, const uint8_t* at) {
     case DataType::kIp:
       return LoadLe32(at);
     case DataType::kFloat:
-      return static_cast<int64_t>(std::bit_cast<double>(LoadLe64(at)));
+      return expr::SaturatingDoubleToInt64(
+          std::bit_cast<double>(LoadLe64(at)));
     default:
       return 0;
   }
+}
+
+/// A bound on a field of ordered type `type` from a bound `key` on its
+/// window keys: the least value whose key can be `key` or more.
+rts::PackedBound FieldBound(DataType type, int64_t key) {
+  uint64_t bits = static_cast<uint64_t>(key);  // INT
+  if (type == DataType::kFloat) {
+    // A key truncates toward zero: key - 1 < x, and key <= x once positive.
+    bits = std::bit_cast<uint64_t>(static_cast<double>(key) -
+                                   (key > 0 ? 0.0 : 1.0));
+  } else if (type != DataType::kInt && key < 0) {
+    bits = 0;  // UINT and IP keys are never negative, and IP's fit 32 bits
+  }
+  rts::PackedBound bound;
+  StoreLe64(bound.data(), bits);
+  return bound;
 }
 
 }  // namespace
@@ -102,24 +119,12 @@ size_t WindowJoinNode::Poll(size_t budget) {
 }
 
 void WindowJoinNode::ProcessPunctuation(bool is_left, ByteSpan payload) {
-  auto punctuation = rts::DecodePunctuation(
-      payload, is_left ? spec_.left_schema : spec_.right_schema);
-  if (!punctuation.ok()) return;
-  auto bound =
-      punctuation->BoundFor(is_left ? spec_.left_field : spec_.right_field);
-  if (!bound.has_value()) return;
-  int64_t key;
-  switch (bound->type()) {
-    case gsql::DataType::kInt: key = bound->int_value(); break;
-    case gsql::DataType::kUint:
-      key = static_cast<int64_t>(bound->uint_value());
-      break;
-    case gsql::DataType::kFloat:
-      key = static_cast<int64_t>(bound->float_value());
-      break;
-    default:
-      return;
-  }
+  const gsql::StreamSchema& schema =
+      is_left ? spec_.left_schema : spec_.right_schema;
+  const size_t window = is_left ? spec_.left_field : spec_.right_field;
+  const uint8_t* bound = rts::FindBound(payload, schema, window);
+  if (bound == nullptr) return;
+  const int64_t key = WindowKey(schema.field(window).type, bound);
   std::optional<int64_t>& watermark =
       is_left ? left_watermark_ : right_watermark_;
   if (!watermark.has_value() || key > *watermark) watermark = key;
@@ -221,15 +226,10 @@ void WindowJoinNode::Purge() {
     }
     last_published_bound_ = bound;
     if (spec_.order_preserving) ReleasePending(bound);
-    rts::Punctuation punctuation;
-    const gsql::DataType type =
-        spec_.output_schema.field(spec_.left_field).type;
-    Value value = type == gsql::DataType::kInt
-                      ? Value::Int(bound)
-                      : Value::Uint(bound < 0 ? 0
-                                              : static_cast<uint64_t>(bound));
-    punctuation.bounds.emplace_back(spec_.left_field, std::move(value));
-    writer_.WritePunctuation(punctuation, spec_.output_schema,
+    const rts::PackedBound packed = FieldBound(
+        spec_.output_schema.field(spec_.left_field).type, bound);
+    const rts::Bound bounds[] = {{spec_.left_field, packed.data()}};
+    writer_.WritePunctuation(bounds, spec_.output_schema,
                              rts::MessageMeta{});
   }
 }

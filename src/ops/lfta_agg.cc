@@ -89,10 +89,9 @@ size_t LftaAggregateNode::Poll(size_t budget) {
         ProcessTuple(payload, item.weight);
       },
       [this](ByteSpan payload) {
-        if (grouping_.PunctuationBound(payload, &vm_, params_.get(),
-                                       &bound_)) {
-          AdvanceEpoch(bound_.data(), /*drain_first=*/true);
-        }
+        const uint8_t* bound =
+            grouping_.PunctuationBound(payload, &vm_, params_.get());
+        if (bound != nullptr) AdvanceEpoch(bound, /*drain_first=*/true);
       });
   writer_.Flush();
   return processed;
@@ -127,8 +126,8 @@ void LftaAggregateNode::AdvanceEpoch(const uint8_t* ordered,
                                      bool drain_first) {
   const DataType type =
       layout_.key_type(static_cast<size_t>(spec_.ordered_key));
-  const bool first = epoch_.empty();
-  if (!first && rts::ComparePacked(type, ordered, epoch_.data()) <= 0) return;
+  const bool first = !epoch_.has_value();
+  if (!first && rts::ComparePacked(type, ordered, epoch_->data()) <= 0) return;
   // L2 shedding: batch several ordered-key advances into one drain, cutting
   // per-epoch drain + punctuation cost. Coarsening delays window closes but
   // never loses them — every coarsen-th advance still drains everything and
@@ -140,7 +139,7 @@ void LftaAggregateNode::AdvanceEpoch(const uint8_t* ordered,
       DrainEpoch(ordered);
     }
   }
-  epoch_.assign(ordered, ordered + expr::FieldSize(type, ordered));
+  epoch_ = rts::ToBound(type, ordered);
 }
 
 void LftaAggregateNode::EnforceTableCap() {
@@ -171,15 +170,14 @@ void LftaAggregateNode::DrainEpoch(const uint8_t* new_epoch) {
   // the band: late arrivals within it will re-open groups below new_epoch.
   table_.DrainAll([this](const GroupRef& group) { EmitPartial(group); });
   const auto k = static_cast<size_t>(spec_.ordered_key);
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(
-      k, ReduceByBand(expr::ReadField(layout_.key_type(k),
-                                                 new_epoch),
-                      spec_.ordered_key_band));
+  const DataType type = layout_.key_type(k);
+  rts::PackedBound bound = rts::ToBound(type, new_epoch);
+  rts::LowerByBand(type, spec_.ordered_key_band, &bound);
+  const rts::Bound bounds[] = {{k, bound.data()}};
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
-  writer_.WritePunctuation(punctuation, spec_.output_schema, meta);
+  writer_.WritePunctuation(bounds, spec_.output_schema, meta);
 }
 
 void LftaAggregateNode::Flush() {

@@ -176,8 +176,7 @@ class LftaAggregateNode : public rts::QueryNode {
   GroupLayout layout_;
   GroupInput grouping_;
   DirectMappedAggTable table_;
-  ByteBuffer epoch_;    // packed ordered-key epoch; empty: none yet
-  ByteBuffer bound_;    // a punctuation's packed bound, reused
+  std::optional<rts::PackedBound> epoch_;  // empty: none yet
   const rts::ShedState* shed_;
   uint32_t epoch_advances_ = 0;  // ordered-key advances since last drain
 };

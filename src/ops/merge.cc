@@ -3,16 +3,14 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "ops/aggregate.h"
 
 namespace gigascope::ops {
-
-using expr::Value;
 
 MergeNode::MergeNode(Spec spec, std::vector<rts::Subscription> inputs,
                      rts::StreamRegistry* registry)
     : QueryNode(spec.name),
       spec_(std::move(spec)),
+      type_(spec_.schema.field(spec_.merge_field).type),
       codec_(spec_.schema),
       writer_(registry, spec_.name, spec_.output_batch) {
   GS_CHECK(inputs.size() >= 2);
@@ -39,34 +37,32 @@ size_t MergeNode::Poll(size_t budget) {
   size_t total = buffered();
   buffer_high_water_ = std::max(buffer_high_water_, total);
   EmitReady();
+  PublishBound();
   writer_.Flush();
   return processed;
 }
 
 void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
                        ByteSpan payload) {
-  const size_t field = spec_.merge_field;
-  const Value key = expr::ReadField(spec_.schema.field(field).type,
-                                    codec_.Locate(payload.data(), field));
+  BufferedTuple buffered{
+      rts::ToBound(type_, codec_.Locate(payload.data(), spec_.merge_field)),
+      ByteBuffer(payload.begin(), payload.end()), item.trace_id,
+      item.trace_ns, item.weight};
   // A tuple also carries ordering information: on a (banded-)increasing
   // stream no future tuple can fall more than `band` below it, so it
   // advances the watermark like a punctuation would (slackened by the
   // band).
-  Value guarantee = ReduceByBand(key, spec_.band);
-  if (!input.watermark.has_value() ||
-      guarantee.Compare(*input.watermark) > 0) {
-    input.watermark = guarantee;
-  }
+  rts::PackedBound guarantee = buffered.key;
+  rts::LowerByBand(type_, spec_.band, &guarantee);
+  Raise(input.watermark, guarantee);
   // Banded inputs arrive slightly out of order; keep the buffer sorted on
   // the merge key so the head is always the minimum.
-  BufferedTuple buffered{key, ByteBuffer(payload.begin(), payload.end()),
-                         item.trace_id, item.trace_ns, item.weight};
   if (spec_.band > 0 && !input.buffer.empty() &&
-      input.buffer.back().key.Compare(buffered.key) > 0) {
+      Compare(input.buffer.back().key, buffered.key) > 0) {
     auto pos = std::upper_bound(
         input.buffer.begin(), input.buffer.end(), buffered,
-        [](const BufferedTuple& a, const BufferedTuple& b) {
-          return a.key.Compare(b.key) < 0;
+        [this](const BufferedTuple& a, const BufferedTuple& b) {
+          return Compare(a.key, b.key) < 0;
         });
     input.buffer.insert(pos, std::move(buffered));
   } else {
@@ -75,14 +71,9 @@ void MergeNode::Absorb(InputState& input, const rts::BatchItem& item,
 }
 
 void MergeNode::AbsorbPunctuation(InputState& input, ByteSpan payload) {
-  auto punctuation = rts::DecodePunctuation(payload, spec_.schema);
-  if (!punctuation.ok()) return;
-  auto bound = punctuation->BoundFor(spec_.merge_field);
-  if (bound.has_value() &&
-      (!input.watermark.has_value() ||
-       bound->Compare(*input.watermark) > 0)) {
-    input.watermark = *bound;
-  }
+  const uint8_t* bound =
+      rts::FindBound(payload, spec_.schema, spec_.merge_field);
+  if (bound != nullptr) Raise(input.watermark, rts::ToBound(type_, bound));
 }
 
 int MergeNode::SmallestHead() const {
@@ -90,8 +81,8 @@ int MergeNode::SmallestHead() const {
   for (size_t i = 0; i < inputs_.size(); ++i) {
     if (inputs_[i].buffer.empty()) continue;
     if (best < 0 ||
-        inputs_[i].buffer.front().key.Compare(
-            inputs_[static_cast<size_t>(best)].buffer.front().key) < 0) {
+        Compare(inputs_[i].buffer.front().key,
+                inputs_[static_cast<size_t>(best)].buffer.front().key) < 0) {
       best = static_cast<int>(i);
     }
   }
@@ -104,13 +95,13 @@ void MergeNode::EmitReady() {
     // guarantees (via watermark) that it will never produce a smaller key.
     const int best = SmallestHead();
     if (best < 0) return;
-    const Value& candidate =
+    const rts::PackedBound& candidate =
         inputs_[static_cast<size_t>(best)].buffer.front().key;
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (static_cast<int>(i) == best) continue;
       if (!inputs_[i].buffer.empty()) continue;  // its head already compared
       if (!inputs_[i].watermark.has_value() ||
-          inputs_[i].watermark->Compare(candidate) < 0) {
+          Compare(*inputs_[i].watermark, candidate) < 0) {
         return;  // input i might still produce something smaller: blocked
       }
     }
@@ -128,20 +119,25 @@ void MergeNode::EmitTuple(const BufferedTuple& buffered) {
   StampOutputWithContext(&meta, buffered.trace_id, buffered.trace_ns);
   writer_.Write(meta, ByteSpan(buffered.bytes.data(), buffered.bytes.size()));
   ++tuples_out_;
+}
 
-  // Downstream watermark: the smallest guarantee across inputs.
-  std::optional<Value> low;
+void MergeNode::PublishBound() {
+  // A tuple still to come is either buffered (at or above its input's
+  // head) or not yet arrived (at or above its input's watermark).
+  const rts::PackedBound* low = nullptr;
   for (const InputState& input : inputs_) {
     if (!input.watermark.has_value()) return;
-    if (!low.has_value() || input.watermark->Compare(*low) < 0) {
-      low = input.watermark;
+    const rts::PackedBound* bound = &*input.watermark;
+    if (!input.buffer.empty() &&
+        Compare(input.buffer.front().key, *bound) < 0) {
+      bound = &input.buffer.front().key;
     }
+    if (low == nullptr || Compare(*bound, *low) < 0) low = bound;
   }
-  if (low.has_value()) {
-    rts::Punctuation punctuation;
-    punctuation.bounds.emplace_back(spec_.merge_field, *low);
-    writer_.WritePunctuation(punctuation, spec_.schema, rts::MessageMeta{});
-  }
+  if (published_.has_value() && Compare(*low, *published_) <= 0) return;
+  published_ = *low;
+  const rts::Bound bound[] = {{spec_.merge_field, published_->data()}};
+  writer_.WritePunctuation(bound, spec_.schema, rts::MessageMeta{});
 }
 
 void MergeNode::Flush() {
@@ -150,6 +146,7 @@ void MergeNode::Flush() {
     EmitTuple(inputs_[static_cast<size_t>(best)].buffer.front());
     inputs_[static_cast<size_t>(best)].buffer.pop_front();
   }
+  PublishBound();
   writer_.Flush();  // Flush runs outside any Poll round
 }
 

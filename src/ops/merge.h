@@ -17,10 +17,16 @@ namespace gigascope::ops {
 ///
 /// Each input buffers tuples until the merge attribute's global low
 /// watermark passes them. A buffered tuple keeps its packed bytes and is
-/// forwarded as is: merge reads only the merge field. A slow (or silent)
-/// input would block the merge forever; punctuations (ordering-update
-/// tokens) advance that input's watermark without tuples — the §3
-/// unblocking mechanism, ablated by bench/e4_heartbeats.
+/// forwarded as is: merge reads only the merge field, and keeps each
+/// input's watermark and each buffered tuple's key as that field's packed
+/// bound (rts::PackedBound). A slow (or silent) input would block the
+/// merge forever; punctuations (ordering-update tokens) advance that
+/// input's watermark without tuples — the §3 unblocking mechanism, ablated
+/// by bench/e4_heartbeats.
+///
+/// After each round the output is punctuated with the least of every
+/// input's watermark and buffered head, whenever that has advanced: no
+/// tuple still to come, buffered or not, falls below it.
 class MergeNode : public rts::QueryNode {
  public:
   struct Spec {
@@ -49,7 +55,7 @@ class MergeNode : public rts::QueryNode {
   /// A packed tuple parked until the watermark passes it, keeping its
   /// trace context so sampled traces survive the buffering delay.
   struct BufferedTuple {
-    expr::Value key;  // the merge field
+    rts::PackedBound key;  // the merge field
     ByteBuffer bytes;
     uint64_t trace_id = 0;
     int64_t trace_ns = 0;
@@ -59,7 +65,7 @@ class MergeNode : public rts::QueryNode {
   struct InputState {
     rts::Subscription channel;
     std::deque<BufferedTuple> buffer;
-    std::optional<expr::Value> watermark;  // all future tuples >= this
+    std::optional<rts::PackedBound> watermark;  // all future tuples >= this
   };
 
   /// Folds one framed input tuple into the input's buffer and watermark.
@@ -67,17 +73,33 @@ class MergeNode : public rts::QueryNode {
               ByteSpan payload);
   /// Advances the input's watermark to a punctuation's bound.
   void AbsorbPunctuation(InputState& input, ByteSpan payload);
+  /// Three-way comparison of two merge-field values.
+  int Compare(const rts::PackedBound& a, const rts::PackedBound& b) const {
+    return rts::ComparePacked(type_, a.data(), b.data());
+  }
+  /// Raises `watermark` to `bound` when it is higher.
+  void Raise(std::optional<rts::PackedBound>& watermark,
+             const rts::PackedBound& bound) const {
+    if (!watermark.has_value() || Compare(bound, *watermark) > 0) {
+      watermark = bound;
+    }
+  }
   /// The input whose head tuple has the smallest merge key; -1 when every
   /// buffer is empty.
   int SmallestHead() const;
   /// Drains ready tuples to the output in merge order.
   void EmitReady();
   void EmitTuple(const BufferedTuple& buffered);
+  /// Punctuates the output with the least watermark or buffered head over
+  /// the inputs, when it is past the last bound published.
+  void PublishBound();
 
   Spec spec_;
+  gsql::DataType type_;  // the merge field's
   rts::TupleCodec codec_;
   rts::BatchWriter writer_;
   std::vector<InputState> inputs_;
+  std::optional<rts::PackedBound> published_;  // the last output bound
   size_t buffer_high_water_ = 0;
 };
 

@@ -32,7 +32,8 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       output_codec_(spec_.output_schema),
       writer_(registry, spec_.name, spec_.output_batch),
       at_(spec_.input_schema.num_fields(), nullptr),
-      bounds_(spec_.input_schema) {
+      bounds_(spec_.input_schema),
+      mapped_(spec_.projections.size()) {
   RegisterInput(input_);
   BuildRawFilter();
   BuildCopyProjection();
@@ -241,29 +242,33 @@ void SelectProjectNode::CopyProjection(ByteSpan payload) {
 }
 
 void SelectProjectNode::ProcessPunctuation(ByteSpan payload) {
-  auto punctuation = rts::DecodePunctuation(payload, spec_.input_schema);
-  if (!punctuation.ok()) return;
-
-  rts::Punctuation out;
+  out_bounds_.clear();
   for (size_t i = 0; i < spec_.projections.size(); ++i) {
-    int source = spec_.punctuation_source[i];
+    const int source = spec_.punctuation_source[i];
     if (source < 0) continue;
-    auto bound = punctuation->BoundFor(static_cast<size_t>(source));
-    if (!bound.has_value()) continue;
+    const auto field = static_cast<size_t>(source);
+    const uint8_t* bound = rts::FindBound(payload, spec_.input_schema, field);
+    if (bound == nullptr) continue;
     // The projection depends on the bounded field alone and preserves its
-    // order, so its value at the bound bounds the output field.
-    std::optional<Value> mapped =
-        bounds_.Translate(spec_.projections[i], static_cast<size_t>(source),
-                          *bound, &vm_, params_.get());
-    if (mapped.has_value()) out.bounds.emplace_back(i, std::move(*mapped));
+    // order, so its value at the bound bounds the output field: a bare
+    // column's is the bound itself.
+    if (!rts::BareField(spec_.projections[i]).has_value()) {
+      std::optional<Value> mapped = bounds_.Translate(
+          spec_.projections[i], field, bound, &vm_, params_.get());
+      if (!mapped.has_value()) continue;
+      mapped_[i] = {};
+      expr::WriteValue(*mapped, mapped_[i].data());
+      bound = mapped_[i].data();
+    }
+    out_bounds_.push_back({i, bound});
   }
-  if (out.bounds.empty()) return;
+  if (out_bounds_.empty()) return;
   // Forwarded punctuation keeps the trace context so downstream
   // punctuation-driven group closes stay attributed to the traced packet.
   rts::MessageMeta meta;
   meta.kind = rts::MessageKind::kPunctuation;
   StampOutput(&meta);
-  writer_.WritePunctuation(out, spec_.output_schema, meta);
+  writer_.WritePunctuation(out_bounds_, spec_.output_schema, meta);
 }
 
 }  // namespace gigascope::ops

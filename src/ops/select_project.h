@@ -112,6 +112,10 @@ class SelectProjectNode : public rts::QueryNode {
   std::vector<size_t> copy_starts_;
   bool copy_whole_ = false;  // the projection is the identity
   rts::Row out_row_;         // projected output, reused per tuple
+  /// A punctuation's bounds on the output, and the computed projections'
+  /// values at their bounds (one per projection), reused.
+  std::vector<rts::Bound> out_bounds_;
+  std::vector<rts::PackedBound> mapped_;
 };
 
 }  // namespace gigascope::ops

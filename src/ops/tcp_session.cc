@@ -119,6 +119,7 @@ void TcpSessionNode::ProcessTuple(ByteSpan payload) {
     session.responder_port = dport;
     session.start_time = now;
     session.last_time = now;
+    least_last_time_ = std::min(least_last_time_, now);
     session.packets = 1;
     session.bytes = len;
     sessions_.emplace(key, session);
@@ -137,6 +138,7 @@ void TcpSessionNode::ProcessTuple(ByteSpan payload) {
 
   Session& session = it->second;
   session.last_time = now;
+  least_last_time_ = std::min(least_last_time_, now);
   session.packets += 1;
   session.bytes += len;
 
@@ -188,6 +190,10 @@ void TcpSessionNode::Emit(uint64_t end_time, const Session& session,
 }
 
 void TcpSessionNode::ExpireOld(uint64_t time_now) {
+  // No session idles past the timeout before the least last_time does.
+  const uint64_t idle = time_now - std::min(time_now, least_last_time_);
+  if (idle <= spec_.timeout_seconds) return;
+  least_last_time_ = UINT64_MAX;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (time_now >= it->second.last_time &&
         time_now - it->second.last_time > spec_.timeout_seconds) {
@@ -195,6 +201,7 @@ void TcpSessionNode::ExpireOld(uint64_t time_now) {
       ++timed_out_;
       it = sessions_.erase(it);
     } else {
+      least_last_time_ = std::min(least_last_time_, it->second.last_time);
       ++it;
     }
   }

@@ -92,6 +92,9 @@ class TcpSessionNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   std::map<SessionKey, Session> sessions_;
+  /// At most every session's last_time (UINT64_MAX: none). ExpireOld
+  /// scans once it has idled past the timeout, and makes it exact.
+  uint64_t least_last_time_ = UINT64_MAX;
   uint64_t closed_ = 0;
   uint64_t reset_ = 0;
   uint64_t timed_out_ = 0;

@@ -1,5 +1,8 @@
 #include "rts/punctuation.h"
 
+#include <bit>
+#include <limits>
+
 #include "common/logging.h"
 
 namespace gigascope::rts {
@@ -7,132 +10,94 @@ namespace gigascope::rts {
 using expr::Value;
 using gsql::DataType;
 
-std::optional<Value> Punctuation::BoundFor(size_t field) const {
-  for (const auto& [bound_field, value] : bounds) {
-    if (bound_field == field) return value;
+constexpr size_t kEntryBytes = 4 + sizeof(PackedBound);  // field, bound
+
+const uint8_t* FindBound(ByteSpan payload, const gsql::StreamSchema& schema,
+                         size_t field) {
+  if (payload.size() < 4 ||
+      payload.size() - 4 != LoadLe32(payload.data()) * kEntryBytes) {
+    return nullptr;
   }
-  return std::nullopt;
-}
-
-namespace {
-
-uint64_t ValueToRaw(const Value& value) {
-  switch (value.type()) {
-    case DataType::kInt:
-      return static_cast<uint64_t>(value.int_value());
-    case DataType::kUint:
-      return value.uint_value();
-    case DataType::kIp:
-      return value.ip_value();
-    case DataType::kFloat: {
-      uint64_t bits;
-      double d = value.float_value();
-      std::memcpy(&bits, &d, sizeof(bits));
-      return bits;
+  const uint8_t* found = nullptr;
+  for (size_t at = 4; at < payload.size(); at += kEntryBytes) {
+    const uint32_t bounded = LoadLe32(payload.data() + at);
+    if (bounded >= schema.num_fields() ||
+        !expr::IsNumericType(schema.field(bounded).type)) {
+      return nullptr;
     }
-    default:
-      GS_CHECK(false && "punctuation bound must be numeric");
-      return 0;
+    if (bounded == field && found == nullptr) found = payload.data() + at + 4;
   }
+  return found;
 }
 
-Value RawToValue(uint64_t raw, DataType type) {
-  switch (type) {
-    case DataType::kInt:
-      return Value::Int(static_cast<int64_t>(raw));
-    case DataType::kUint:
-      return Value::Uint(raw);
-    case DataType::kIp:
-      return Value::Ip(static_cast<uint32_t>(raw));
-    case DataType::kFloat: {
-      double d;
-      std::memcpy(&d, &raw, sizeof(d));
-      return Value::Float(d);
-    }
-    default:
-      return Value::Uint(raw);
-  }
-}
-
-}  // namespace
-
-void EncodePunctuation(const Punctuation& punctuation,
-                       const gsql::StreamSchema& schema, ByteBuffer* out) {
-  ByteWriter writer(out);
-  writer.PutU32Le(static_cast<uint32_t>(punctuation.bounds.size()));
-  for (const auto& [field, value] : punctuation.bounds) {
-    GS_CHECK(field < schema.num_fields());
-    GS_CHECK(value.type() == schema.field(field).type);
-    writer.PutU32Le(static_cast<uint32_t>(field));
-    writer.PutU64Le(ValueToRaw(value));
-  }
-}
-
-Result<Punctuation> DecodePunctuation(ByteSpan bytes,
-                                      const gsql::StreamSchema& schema) {
-  ByteReader reader(bytes);
-  uint32_t count;
-  if (!reader.GetU32Le(&count)) {
-    return Status::ParseError("truncated punctuation header");
-  }
-  Punctuation punctuation;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t field;
-    uint64_t raw;
-    if (!reader.GetU32Le(&field) || !reader.GetU64Le(&raw)) {
-      return Status::ParseError("truncated punctuation bound");
-    }
-    if (field >= schema.num_fields()) {
-      return Status::ParseError("punctuation bound field out of range");
-    }
-    punctuation.bounds.emplace_back(
-        field, RawToValue(raw, schema.field(field).type));
-  }
-  return punctuation;
-}
-
-void AppendPunctuation(const Punctuation& punctuation,
+void AppendPunctuation(std::span<const Bound> bounds,
                        const gsql::StreamSchema& schema, MessageMeta meta,
                        StreamBatch* batch) {
-  ByteBuffer bytes;
-  EncodePunctuation(punctuation, schema, &bytes);
+  // Encoded aside first, zeroed: a bound may be read from a tuple in
+  // `batch`, whose arena the append can move.
+  ByteBuffer bytes(4 + bounds.size() * kEntryBytes);
+  StoreLe32(bytes.data(), static_cast<uint32_t>(bounds.size()));
+  uint8_t* out = bytes.data() + 4;
+  for (const Bound& bound : bounds) {
+    GS_CHECK(bound.field < schema.num_fields());
+    const DataType type = schema.field(bound.field).type;
+    GS_CHECK(expr::IsNumericType(type));
+    StoreLe32(out, static_cast<uint32_t>(bound.field));
+    std::memcpy(out + 4, bound.value, expr::FixedWidth(type));
+    out += kEntryBytes;
+  }
   meta.kind = MessageKind::kPunctuation;
   batch->Append(meta, ByteSpan(bytes.data(), bytes.size()));
 }
 
-StreamBatch MakePunctuationBatch(const Punctuation& punctuation,
-                                 const gsql::StreamSchema& schema) {
-  StreamBatch batch;
-  AppendPunctuation(punctuation, schema, MessageMeta{}, &batch);
-  return batch;
+void LowerByBand(DataType type, uint64_t band, PackedBound* bound) {
+  uint8_t* at = bound->data();
+  const uint64_t v = LoadLe64(at);
+  // In two's complement, v - INT64_MIN is v's distance above the minimum,
+  // and unsigned subtraction is the signed one.
+  constexpr auto kMin =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::min());
+  switch (type) {
+    case DataType::kUint:
+    case DataType::kIp:  // zero above its low 4 bytes
+      StoreLe64(at, v > band ? v - band : 0);
+      break;
+    case DataType::kInt:
+      StoreLe64(at, v - kMin > band ? v - band : kMin);
+      break;
+    case DataType::kFloat:
+      StoreLe64(at, std::bit_cast<uint64_t>(std::bit_cast<double>(v) -
+                                            static_cast<double>(band)));
+      break;
+    default:  // not an ordered type
+      break;
+  }
 }
 
 BoundTranslator::BoundTranslator(const gsql::StreamSchema& input) {
   std::vector<Value> defaults;
   for (size_t f = 0; f < input.num_fields(); ++f) {
     defaults.push_back(Value::Default(input.field(f).type));
-    types_.push_back(input.field(f).type);
   }
   expr::PackValues(defaults, &defaults_, &at_);
 }
 
 std::optional<Value> BoundTranslator::Translate(
-    const expr::CompiledExpr& expr, size_t field, const Value& bound,
+    const expr::CompiledExpr& expr, size_t field, const uint8_t* bound,
     expr::Evaluator* vm, const std::vector<Value>* params) {
-  if (field >= types_.size() || bound.type() != types_[field]) {
-    return std::nullopt;
-  }
-  bound_.resize(expr::ValueSize(bound));
-  expr::WriteValue(bound, bound_.data());
+  if (field >= at_.size()) return std::nullopt;
   const uint8_t* held = at_[field];
-  at_[field] = bound_.data();
+  at_[field] = bound;
   expr::EvalContext ctx;
   ctx.row0 = at_;
   ctx.params = params;
   expr::EvalOutput out;
   const Status status = vm->Eval(expr, ctx, &out);
   at_[field] = held;
-  if (!status.ok() || !out.has_value) return std::nullopt;
+  if (!status.ok() || !out.has_value ||
+      !expr::IsNumericType(out.value.type())) {
+    return std::nullopt;
+  }
   return std::move(out.value);
 }
 

@@ -133,12 +133,12 @@ class BatchWriter {
     }
   }
 
-  /// Appends a punctuation carrying `meta`'s trace context; it closes the
-  /// batch.
-  void WritePunctuation(const Punctuation& punctuation,
+  /// Appends a punctuation carrying `bounds` (fields of `schema`) and
+  /// `meta`'s trace context; it closes the batch.
+  void WritePunctuation(std::span<const Bound> bounds,
                         const gsql::StreamSchema& schema,
                         const MessageMeta& meta) {
-    AppendPunctuation(punctuation, schema, meta, &open_);
+    AppendPunctuation(bounds, schema, meta, &open_);
     Flush();
   }
 

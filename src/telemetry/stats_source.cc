@@ -36,10 +36,11 @@ void StatsSource::EmitSnapshot(SimTime now) {
 
   // No tuple of a later snapshot will carry smaller time attributes, so
   // downstream ordered aggregations can close groups up to this bound.
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(seconds));
-  punctuation.bounds.emplace_back(1, Value::Uint(nanos));
-  rts::AppendPunctuation(punctuation, schema_, rts::MessageMeta{}, &batch);
+  uint8_t packed[2][8];
+  StoreLe64(packed[0], seconds);
+  StoreLe64(packed[1], nanos);
+  const rts::Bound bounds[] = {{0, packed[0]}, {1, packed[1]}};
+  rts::AppendPunctuation(bounds, schema_, rts::MessageMeta{}, &batch);
   streams_->PublishBatch(stream, std::move(batch));
   ++snapshots_;
 }

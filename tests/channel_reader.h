@@ -1,6 +1,7 @@
 #ifndef GIGASCOPE_TESTS_CHANNEL_READER_H_
 #define GIGASCOPE_TESTS_CHANNEL_READER_H_
 
+#include "rts/punctuation.h"
 #include "rts/ring.h"
 #include "rts/tuple.h"
 
@@ -48,6 +49,19 @@ inline rts::StreamBatch RawBatch(
   meta.kind = kind;
   rts::StreamBatch batch;
   batch.Append(meta, ByteSpan(bytes.data(), bytes.size()));
+  return batch;
+}
+
+/// A batch holding one punctuation: `bound`, a value of the field's type,
+/// on field `field` of `schema`.
+inline rts::StreamBatch PunctuationBatch(const gsql::StreamSchema& schema,
+                                         size_t field,
+                                         const expr::Value& bound) {
+  rts::PackedBound packed{};
+  expr::WriteValue(bound, packed.data());
+  const rts::Bound bounds[] = {{field, packed.data()}};
+  rts::StreamBatch batch;
+  rts::AppendPunctuation(bounds, schema, {}, &batch);
   return batch;
 }
 

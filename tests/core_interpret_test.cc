@@ -322,13 +322,13 @@ std::vector<std::pair<uint64_t, uint64_t>> DrainPunctuations(
   while (channel->TryPop(&message_batch)) {
     for (const rts::BatchItem& message : message_batch.items()) {
       if (message.kind != rts::MessageKind::kPunctuation) continue;
-      auto punctuation = rts::DecodePunctuation(
-          message_batch.payload(message), schema);
-      EXPECT_TRUE(punctuation.ok());
-      auto time = punctuation->BoundFor(*schema.FieldIndex("time"));
-      auto timestamp = punctuation->BoundFor(*schema.FieldIndex("timestamp"));
-      EXPECT_TRUE(time.has_value() && timestamp.has_value());
-      bounds.emplace_back(time->uint_value(), timestamp->uint_value());
+      const ByteSpan payload = message_batch.payload(message);
+      const uint8_t* time =
+          rts::FindBound(payload, schema, *schema.FieldIndex("time"));
+      const uint8_t* timestamp =
+          rts::FindBound(payload, schema, *schema.FieldIndex("timestamp"));
+      EXPECT_TRUE(time != nullptr && timestamp != nullptr);
+      bounds.emplace_back(LoadLe64(time), LoadLe64(timestamp));
     }
   }
   return bounds;
@@ -436,13 +436,12 @@ TEST(PacketSourceTest, PunctuatesAtIntervalMultiplesAndPacksAtCodecOffsets) {
         for (const rts::BatchItem& item : batch.items()) {
           const ByteSpan bytes = batch.payload(item);
           if (item.kind == rts::MessageKind::kPunctuation) {
-            auto punctuation = rts::DecodePunctuation(bytes, schema);
-            ASSERT_TRUE(punctuation.ok());
-            const auto bound = punctuation->BoundFor(timestamp_field);
-            ASSERT_TRUE(bound.has_value());
+            const uint8_t* bound =
+                rts::FindBound(bytes, schema, timestamp_field);
+            ASSERT_NE(bound, nullptr);
             for (size_t i = 0; i < kPackets; ++i) {
               if (static_cast<uint64_t>(packets[i].timestamp) ==
-                  bound->uint_value()) {
+                  LoadLe64(bound)) {
                 punctuated.push_back(i + 1);
               }
             }

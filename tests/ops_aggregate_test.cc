@@ -165,10 +165,8 @@ TEST_F(AggregateTest, PunctuationClosesGroups) {
   ASSERT_TRUE(ReceiveAll().empty());
 
   // Punctuation: t >= 50, so bucket 5 is the floor; buckets < 5 close.
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(50));
-  registry_.PublishBatch("in", rts::MakePunctuationBatch(punctuation,
-                                                      InputSchema()));
+  registry_.PublishBatch("in", testing_util::PunctuationBatch(
+                                   InputSchema(), 0, Value::Uint(50)));
   node_->Poll(100);
   auto rows = ReceiveAll();
   EXPECT_EQ(rows.size(), 2u);
@@ -189,13 +187,10 @@ TEST_F(AggregateTest, EmitsPunctuationDownstreamOnEpochAdvance) {
   while ((*sub)->TryPop(&message_batch)) {
     for (const rts::BatchItem& message : message_batch.items()) {
       if (message.kind == rts::MessageKind::kPunctuation) {
-        auto punctuation = rts::DecodePunctuation(
-            message_batch.payload(message),
-            AggOutputSchema("agg"));
-        ASSERT_TRUE(punctuation.ok());
-        auto bound = punctuation->BoundFor(0);
-        ASSERT_TRUE(bound.has_value());
-        EXPECT_EQ(bound->uint_value(), 2u);  // 25/10
+        const uint8_t* bound = rts::FindBound(
+            message_batch.payload(message), AggOutputSchema("agg"), 0);
+        ASSERT_NE(bound, nullptr);
+        EXPECT_EQ(LoadLe64(bound), 2u);  // 25/10
         saw_punctuation = true;
       }
     }
@@ -643,10 +638,9 @@ TEST_F(BandedAggregateTest, PunctuationIsAuthoritativeDespiteBand) {
   Send(105);
   node_->Poll(100);
   // An upstream punctuation is a hard guarantee (not band-relative).
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(200));
-  registry_.PublishBatch("bin", rts::MakePunctuationBatch(
-                               punctuation, BandedInputSchema()));
+  registry_.PublishBatch("bin", testing_util::PunctuationBatch(
+                                    BandedInputSchema(), 0,
+                                    Value::Uint(200)));
   node_->Poll(100);
   EXPECT_EQ(ReceiveGroups().size(), 2u);
   EXPECT_EQ(node_->open_groups(), 0u);

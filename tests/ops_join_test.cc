@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "channel_reader.h"
+#include "core/engine.h"
 #include "expr/codegen.h"
 #include "ops/join.h"
 #include "rts/punctuation.h"
@@ -258,10 +259,8 @@ TEST_F(JoinTest, PunctuationAdvancesWatermark) {
   EXPECT_EQ(node_->buffered_left(), 2u);
   // The right stream is silent; a punctuation r.ts >= 10 proves tuples 1-2
   // can never match and purges them.
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(10));
-  registry_.PublishBatch("r", rts::MakePunctuationBatch(punctuation,
-                                                     SideSchema("r")));
+  registry_.PublishBatch("r", testing_util::PunctuationBatch(
+                                  SideSchema("r"), 0, Value::Uint(10)));
   node_->Poll(100);
   EXPECT_EQ(node_->buffered_left(), 0u);
 }
@@ -552,6 +551,73 @@ TEST(JoinAblationTest, OrderPreservingCostsMoreBuffer) {
   size_t preserving = JoinScenarioHighWater(true);
   EXPECT_GT(preserving, eager);  // "requires more buffer space" (§2.1)
 }
+
+/// A window join on an ordered FLOAT or IP attribute, end to end through
+/// the engine: every row joins, and the join's output bounds are bounds of
+/// the attribute's own type that no later row falls below.
+class TypedWindowJoinTest : public ::testing::TestWithParam<DataType> {};
+
+TEST_P(TypedWindowJoinTest, JoinsAndBoundsInTheAttributesType) {
+  const DataType type = GetParam();
+  core::Engine engine;
+  for (const char* name : {"l", "r"}) {
+    ASSERT_TRUE(engine
+                    .DeclareStream(StreamSchema(
+                        name, StreamKind::kStream,
+                        {FieldDef{"ts", type, OrderSpec::Increasing()},
+                         FieldDef{"v", DataType::kUint, OrderSpec::None()}}))
+                    .ok());
+  }
+  auto info = engine.AddQuery(
+      "DEFINE { query_name joined; } "
+      "SELECT l.ts AS ts, l.v AS lv, r.v AS rv FROM l, r "
+      "WHERE l.ts = r.ts");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  auto output = engine.registry().Subscribe("joined", 64);
+  ASSERT_TRUE(output.ok());
+  const auto key = [type](uint64_t i) {
+    return type == DataType::kFloat
+               ? Value::Float(static_cast<double>(i) + 0.5)
+               : Value::Ip(0x0a000000u + static_cast<uint32_t>(i));
+  };
+  for (uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(engine.InjectRow("l", {key(i), Value::Uint(i)}).ok());
+    ASSERT_TRUE(engine.InjectRow("r", {key(i), Value::Uint(10 * i)}).ok());
+  }
+  engine.PumpUntilIdle();
+  engine.FlushAll();
+
+  const StreamSchema schema = engine.registry().GetSchema("joined").value();
+  ASSERT_EQ(schema.field(0).type, type);
+  const rts::TupleCodec codec(schema);
+  std::vector<uint64_t> joined;  // lv
+  std::optional<Value> bound;    // the latest output bound
+  size_t bounds = 0;
+  rts::StreamBatch batch;
+  while ((*output)->TryPop(&batch)) {
+    for (size_t m = 0; m < batch.size(); ++m) {
+      if (batch.item(m).kind == rts::MessageKind::kPunctuation) {
+        const uint8_t* at = rts::FindBound(batch.payload(m), schema, 0);
+        ASSERT_NE(at, nullptr);
+        bound = expr::ReadField(type, at);
+        ++bounds;
+        continue;
+      }
+      auto row = codec.Decode(batch.payload(m));
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ((*row)[2].uint_value(), 10 * (*row)[1].uint_value());
+      if (bound.has_value()) {
+        EXPECT_GE((*row)[0].Compare(*bound), 0) << bound->ToString();
+      }
+      joined.push_back((*row)[1].uint_value());
+    }
+  }
+  EXPECT_EQ(joined, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_GT(bounds, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(OrderedTypes, TypedWindowJoinTest,
+                         ::testing::Values(DataType::kFloat, DataType::kIp));
 
 }  // namespace
 }  // namespace gigascope::ops

@@ -58,10 +58,9 @@ class MergeTest : public ::testing::Test {
   }
 
   void SendHeartbeat(const std::string& stream, uint64_t time) {
-    rts::Punctuation punctuation;
-    punctuation.bounds.emplace_back(0, Value::Uint(time));
-    registry_.PublishBatch(stream, rts::MakePunctuationBatch(
-                                  punctuation, MergeSchema(stream)));
+    registry_.PublishBatch(stream, testing_util::PunctuationBatch(
+                                       MergeSchema(stream), 0,
+                                       Value::Uint(time)));
   }
 
   std::vector<uint64_t> ReceiveTimes() {
@@ -75,6 +74,29 @@ class MergeTest : public ::testing::Test {
       }
     }
     return times;
+  }
+
+  /// Every output message in order, "t<time>" for a tuple and "p<bound>"
+  /// for a punctuation; `batches` counts the batches they came in.
+  std::vector<std::string> ReceiveMessages(size_t* batches = nullptr) {
+    std::vector<std::string> messages;
+    rts::StreamBatch batch;
+    while (output_->TryPop(&batch)) {
+      if (batches != nullptr) ++*batches;
+      for (size_t m = 0; m < batch.size(); ++m) {
+        if (batch.item(m).kind == rts::MessageKind::kTuple) {
+          auto row = codec_->Decode(batch.payload(m));
+          messages.push_back(
+              row.ok() ? "t" + std::to_string((*row)[0].uint_value()) : "t?");
+          continue;
+        }
+        const uint8_t* bound =
+            rts::FindBound(batch.payload(m), codec_->schema(), 0);
+        messages.push_back(
+            bound != nullptr ? "p" + std::to_string(LoadLe64(bound)) : "p?");
+      }
+    }
+    return messages;
   }
 
   rts::StreamRegistry registry_;
@@ -190,6 +212,46 @@ TEST_F(MergeTest, EmitsDownstreamPunctuation) {
     }
   }
   EXPECT_TRUE(saw_punctuation);
+}
+
+TEST_F(MergeTest, NoTupleFollowsAHigherBound) {
+  Init();
+  Send("a", 5, 0);
+  Send("a", 8, 0);
+  Send("b", 3, 0);
+  Send("b", 6, 0);
+  node_->Poll(100);
+  // 8 waits for b to pass it. The bound is the least of a's head (8) and
+  // b's watermark (6), published after every tuple below it.
+  EXPECT_EQ(ReceiveMessages(),
+            (std::vector<std::string>{"t3", "t5", "t6", "p6"}));
+}
+
+TEST_F(MergeTest, HeartbeatsOnEveryInputReachTheOutput) {
+  Init();
+  for (uint64_t t = 10; t <= 30; t += 10) {
+    SendHeartbeat("a", t);
+    SendHeartbeat("b", t + 5);
+    node_->Poll(100);
+  }
+  // Without a tuple the output still advances, to the slower input's bound.
+  EXPECT_EQ(ReceiveMessages(),
+            (std::vector<std::string>{"p10", "p20", "p30"}));
+}
+
+TEST_F(MergeTest, MergedTuplesShareOutputBatches) {
+  Init();
+  for (uint64_t t = 1; t <= 200; ++t) Send(t % 2 == 1 ? "a" : "b", t, 0);
+  SendHeartbeat("a", 1000);
+  SendHeartbeat("b", 1000);
+  node_->Poll(1000);
+  size_t batches = 0;
+  const std::vector<std::string> messages = ReceiveMessages(&batches);
+  ASSERT_EQ(messages.size(), 201u);
+  EXPECT_EQ(messages.front(), "t1");
+  EXPECT_EQ(messages.back(), "p1000");
+  // 200 tuples in batches of at most 64, the last closed by the bound.
+  EXPECT_EQ(batches, 4u);
 }
 
 TEST_F(MergeTest, BufferHighWaterTracked) {

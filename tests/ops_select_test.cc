@@ -97,13 +97,12 @@ class SelectProjectTest : public ::testing::Test {
     return std::nullopt;
   }
 
-  std::optional<rts::Punctuation> ReceivePunctuation() {
+  std::optional<ByteBuffer> ReceivePunctuation() {
     rts::BatchItem item;
     ByteSpan payload;
     while (reader_->Next(&item, &payload)) {
       if (item.kind != rts::MessageKind::kPunctuation) continue;
-      auto punctuation = rts::DecodePunctuation(payload, OutputSchema());
-      if (punctuation.ok()) return std::move(punctuation).value();
+      return ByteBuffer(payload.begin(), payload.end());
     }
     return std::nullopt;
   }
@@ -142,17 +141,17 @@ TEST_F(SelectProjectTest, PollRespectsBudget) {
 }
 
 TEST_F(SelectProjectTest, PunctuationMapsThroughProjection) {
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(600));
-  registry_.PublishBatch("in", rts::MakePunctuationBatch(punctuation,
-                                                          InputSchema()));
+  registry_.PublishBatch("in", testing_util::PunctuationBatch(
+                                   InputSchema(), 0, Value::Uint(600)));
   node_->Poll(10);
   auto out = ReceivePunctuation();
   ASSERT_TRUE(out.has_value());
+  const ByteSpan payload(out->data(), out->size());
   // Bound on t=600 becomes bound tb = 600/60 = 10 on output field 0.
-  ASSERT_TRUE(out->BoundFor(0).has_value());
-  EXPECT_EQ(out->BoundFor(0)->uint_value(), 10u);
-  EXPECT_FALSE(out->BoundFor(1).has_value());
+  const uint8_t* bound = rts::FindBound(payload, OutputSchema(), 0);
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(LoadLe64(bound), 10u);
+  EXPECT_EQ(rts::FindBound(payload, OutputSchema(), 1), nullptr);
 }
 
 TEST_F(SelectProjectTest, MalformedTupleCountsEvalError) {

@@ -658,9 +658,10 @@ std::vector<std::string> RunPlan(const Plan& plan, const Query& query,
       max_t = std::max(max_t, input[n].row[kT].uint_value());
     }
     if (rng.NextBool(0.1) && max_t >= kBand) {
-      rts::Punctuation punctuation;
-      punctuation.bounds.emplace_back(kT, Value::Uint(max_t - kBand));
-      rts::AppendPunctuation(punctuation, InputSchema(), {}, &batch);
+      uint8_t packed[8];
+      StoreLe64(packed, max_t - kBand);
+      const rts::Bound bound[] = {{kT, packed}};
+      rts::AppendPunctuation(bound, InputSchema(), {}, &batch);
     }
     registry.PublishBatch("gin", std::move(batch));
     drain();

@@ -110,18 +110,22 @@ TEST_P(RandomInputs, TupleDecoderNeverFaults) {
   }
 }
 
-TEST_P(RandomInputs, PunctuationDecoderNeverFaults) {
+TEST_P(RandomInputs, PunctuationReaderNeverFaults) {
   Rng rng(GetParam());
   std::vector<gsql::FieldDef> fields;
   fields.push_back({"t", gsql::DataType::kUint, gsql::OrderSpec::Increasing()});
   gsql::StreamSchema schema("p", gsql::StreamKind::kStream, fields);
   for (int i = 0; i < 3000; ++i) {
     std::string bytes = RandomBytes(rng, 64);
-    rts::DecodePunctuation(
-        ByteSpan(reinterpret_cast<const uint8_t*>(bytes.data()),
-                 bytes.size()),
-        schema)
-        .ok();
+    const ByteSpan payload(reinterpret_cast<const uint8_t*>(bytes.data()),
+                           bytes.size());
+    const uint8_t* bound = rts::FindBound(payload, schema, 0);
+    if (bound != nullptr) {
+      // A bound found lies wholly inside the payload.
+      EXPECT_GE(bound, payload.data());
+      EXPECT_LE(bound + sizeof(rts::PackedBound),
+                payload.data() + payload.size());
+    }
   }
 }
 

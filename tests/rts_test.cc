@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "common/rng.h"
@@ -429,42 +431,126 @@ TEST(RegistryTest, RedeclareKeepsSubscribers) {
   EXPECT_EQ(registry.PublishBatch("mixed", One()), 1u);
 }
 
-TEST(PunctuationTest, EncodeDecodeRoundTrip) {
-  StreamSchema schema = MixedSchema();
-  Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(99));
-  punctuation.bounds.emplace_back(2, Value::Float(1.5));
-  ByteBuffer buffer;
-  EncodePunctuation(punctuation, schema, &buffer);
-  auto decoded = DecodePunctuation(ByteSpan(buffer.data(), buffer.size()),
-                                   schema);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->bounds.size(), 2u);
-  EXPECT_EQ(decoded->BoundFor(0)->uint_value(), 99u);
-  EXPECT_DOUBLE_EQ(decoded->BoundFor(2)->float_value(), 1.5);
-  EXPECT_FALSE(decoded->BoundFor(1).has_value());
+/// `bytes` in hex, two digits per byte.
+std::string Hex(ByteSpan bytes) {
+  std::string hex;
+  for (uint8_t byte : bytes) {
+    hex += "0123456789abcdef"[byte >> 4];
+    hex += "0123456789abcdef"[byte & 15];
+  }
+  return hex;
 }
 
-TEST(PunctuationTest, DecodeRejectsOutOfRangeField) {
-  StreamSchema schema = MixedSchema();
-  ByteBuffer buffer;
-  ByteWriter writer(&buffer);
-  writer.PutU32Le(1);
-  writer.PutU32Le(1000);  // bad field index
-  writer.PutU64Le(5);
-  EXPECT_FALSE(
-      DecodePunctuation(ByteSpan(buffer.data(), buffer.size()), schema).ok());
+/// The payload of a punctuation carrying `bounds` on MixedSchema().
+ByteBuffer PunctuationPayload(std::span<const Bound> bounds) {
+  StreamBatch batch;
+  AppendPunctuation(bounds, MixedSchema(), {}, &batch);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.item(0).kind, MessageKind::kPunctuation);
+  const ByteSpan payload = batch.payload(0);
+  return ByteBuffer(payload.begin(), payload.end());
 }
 
-TEST(PunctuationTest, DecodeRejectsTruncation) {
+TEST(PunctuationTest, WireFormatIsPinned) {
   StreamSchema schema = MixedSchema();
-  Punctuation punctuation;
-  punctuation.bounds.emplace_back(0, Value::Uint(1));
-  ByteBuffer buffer;
-  EncodePunctuation(punctuation, schema, &buffer);
-  buffer.resize(buffer.size() - 3);
-  EXPECT_FALSE(
-      DecodePunctuation(ByteSpan(buffer.data(), buffer.size()), schema).ok());
+  uint8_t t[8];
+  uint8_t f[8];
+  StoreLe64(t, 99);
+  StoreLe64(f, std::bit_cast<uint64_t>(1.5));
+  const Bound bounds[] = {{0, t}, {2, f}};
+  const ByteBuffer bytes = PunctuationPayload(bounds);
+  const ByteSpan payload(bytes.data(), bytes.size());
+  EXPECT_EQ(Hex(payload),
+            "02000000"
+            "00000000" "6300000000000000"
+            "02000000" "000000000000f83f");
+  ASSERT_NE(FindBound(payload, schema, 0), nullptr);
+  EXPECT_EQ(LoadLe64(FindBound(payload, schema, 0)), 99u);
+  ASSERT_NE(FindBound(payload, schema, 2), nullptr);
+  EXPECT_EQ(expr::ReadField(DataType::kFloat, FindBound(payload, schema, 2))
+                .float_value(),
+            1.5);
+  EXPECT_EQ(FindBound(payload, schema, 1), nullptr);
+}
+
+TEST(PunctuationTest, IpBoundSitsInTheLowFourBytes) {
+  StreamSchema schema = MixedSchema();
+  // A tuple's IP field is 4 bytes; the bound zero-fills the other 4.
+  const uint8_t addr[4] = {0x01, 0x00, 0x00, 0x0a};
+  const Bound bounds[] = {{3, addr}};
+  const ByteBuffer bytes = PunctuationPayload(bounds);
+  const ByteSpan payload(bytes.data(), bytes.size());
+  EXPECT_EQ(Hex(payload), "01000000" "03000000" "0100000a00000000");
+  ASSERT_NE(FindBound(payload, schema, 3), nullptr);
+  EXPECT_EQ(expr::ReadField(DataType::kIp, FindBound(payload, schema, 3))
+                .ip_value(),
+            0x0a000001u);
+}
+
+TEST(PunctuationTest, MalformedPayloadBoundsNothing) {
+  StreamSchema schema = MixedSchema();
+  const auto payload = [](uint32_t count,
+                          std::vector<std::pair<uint32_t, uint64_t>> bounds) {
+    ByteBuffer buffer;
+    ByteWriter writer(&buffer);
+    writer.PutU32Le(count);
+    for (const auto& [field, raw] : bounds) {
+      writer.PutU32Le(field);
+      writer.PutU64Le(raw);
+    }
+    return buffer;
+  };
+  const auto has_bound = [&](const ByteBuffer& buffer, size_t field = 0) {
+    return FindBound(ByteSpan(buffer.data(), buffer.size()), schema,
+                     field) != nullptr;
+  };
+  EXPECT_TRUE(has_bound(payload(1, {{0, 5}})));
+  EXPECT_FALSE(has_bound(payload(1, {{4, 5}}), 4));          // STRING field
+  EXPECT_FALSE(has_bound(payload(2, {{0, 5}, {1000, 5}})));  // out of range
+  EXPECT_FALSE(has_bound(payload(2, {{0, 5}, {4, 5}})));     // STRING field
+  EXPECT_FALSE(has_bound(payload(2, {{0, 5}, {5, 5}})));     // BOOL field
+  EXPECT_FALSE(has_bound(payload(2, {{0, 5}})));             // count too high
+  EXPECT_FALSE(has_bound(payload(0, {{0, 5}})));             // count too low
+  ByteBuffer cut = payload(1, {{0, 5}});
+  cut.pop_back();
+  EXPECT_FALSE(has_bound(cut));
+  ByteBuffer trailing = payload(1, {{0, 5}});
+  trailing.push_back(0);
+  EXPECT_FALSE(has_bound(trailing));
+  EXPECT_FALSE(has_bound(ByteBuffer{1, 0}));
+}
+
+/// `value` lowered by `band` as a packed bound of its type.
+Value Lowered(const Value& value, uint64_t band) {
+  PackedBound bound{};
+  expr::WriteValue(value, bound.data());
+  LowerByBand(value.type(), band, &bound);
+  if (value.type() == DataType::kIp) {
+    EXPECT_EQ(LoadLe32(bound.data() + 4), 0u);  // the high bytes stay zero
+  }
+  return expr::ReadField(value.type(), bound.data());
+}
+
+TEST(PunctuationTest, LowerByBandPerOrderedType) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr uint64_t kAll = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(Lowered(Value::Uint(100), 0).uint_value(), 100u);
+  EXPECT_EQ(Lowered(Value::Uint(100), 10).uint_value(), 90u);
+  EXPECT_EQ(Lowered(Value::Uint(10), 10).uint_value(), 0u);
+  EXPECT_EQ(Lowered(Value::Uint(5), 10).uint_value(), 0u);  // saturates
+  EXPECT_EQ(Lowered(Value::Ip(0x0a000005), 4).ip_value(), 0x0a000001u);
+  EXPECT_EQ(Lowered(Value::Ip(3), 10).ip_value(), 0u);
+  EXPECT_EQ(Lowered(Value::Ip(0xffffffffu), uint64_t{1} << 40).ip_value(),
+            0u);
+  EXPECT_EQ(Lowered(Value::Int(-5), 10).int_value(), -15);
+  EXPECT_EQ(Lowered(Value::Int(kMin + 10), 10).int_value(), kMin);
+  EXPECT_EQ(Lowered(Value::Int(kMin + 3), 10).int_value(), kMin);
+  EXPECT_EQ(Lowered(Value::Int(kMin), 1).int_value(), kMin);
+  EXPECT_EQ(Lowered(Value::Int(kMax), kAll).int_value(), kMin);
+  EXPECT_EQ(Lowered(Value::Int(kMax), uint64_t{1} << 63).int_value(), -1);
+  EXPECT_EQ(Lowered(Value::Float(2.5), 1).float_value(), 1.5);
+  EXPECT_EQ(Lowered(Value::Float(-2.5), 3).float_value(), -5.5);
 }
 
 TEST(RingConcurrencyTest, ProducerConsumerLosesNothing) {

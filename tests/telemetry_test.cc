@@ -287,11 +287,9 @@ TEST(TelemetryEngineTest, SnapshotOrderingAndPunctuation) {
         last_ts = ts;
         ++tuples;
       } else {
-        auto punctuation = rts::DecodePunctuation(bytes, schema);
-        ASSERT_TRUE(punctuation.ok());
-        auto bound = punctuation->BoundFor(1);
-        ASSERT_TRUE(bound.has_value());
-        EXPECT_GE(bound->uint_value(), last_ts);
+        const uint8_t* bound = rts::FindBound(bytes, schema, 1);
+        ASSERT_NE(bound, nullptr);
+        EXPECT_GE(LoadLe64(bound), last_ts);
         ++punctuations;
       }
     }

@@ -553,9 +553,10 @@ TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
   rts::StreamBatch batch;
   batch.Append(traced, ByteSpan(tuple.data(), tuple.size()));
   batch.Append(traced, ByteSpan(tuple.data(), tuple.size() - 1));
-  rts::Punctuation punctuation;
-  punctuation.bounds.emplace_back(time, expr::Value::Uint(6));
-  rts::AppendPunctuation(punctuation, pkt, traced, &batch);
+  uint8_t six[8];
+  StoreLe64(six, 6);
+  const rts::Bound bound[] = {{time, six}};
+  rts::AppendPunctuation(bound, pkt, traced, &batch);
 
   for (Case& c : cases) {
     const std::string& name = c.node->name();
