@@ -34,54 +34,6 @@ void ByteWriter::PutBytes(const void* data, size_t len) {
   out_->insert(out_->end(), p, p + len);
 }
 
-bool ByteReader::GetU8(uint8_t* v) {
-  if (remaining() < 1) return false;
-  *v = data_[pos_++];
-  return true;
-}
-
-bool ByteReader::GetU16Be(uint16_t* v) {
-  if (remaining() < 2) return false;
-  *v = LoadBe16(data_.data() + pos_);
-  pos_ += 2;
-  return true;
-}
-
-bool ByteReader::GetU32Be(uint32_t* v) {
-  if (remaining() < 4) return false;
-  *v = LoadBe32(data_.data() + pos_);
-  pos_ += 4;
-  return true;
-}
-
-bool ByteReader::GetU16Le(uint16_t* v) {
-  if (remaining() < 2) return false;
-  *v = static_cast<uint16_t>(data_[pos_] | data_[pos_ + 1] << 8);
-  pos_ += 2;
-  return true;
-}
-
-bool ByteReader::GetU32Le(uint32_t* v) {
-  if (remaining() < 4) return false;
-  *v = static_cast<uint32_t>(data_[pos_]) |
-       static_cast<uint32_t>(data_[pos_ + 1]) << 8 |
-       static_cast<uint32_t>(data_[pos_ + 2]) << 16 |
-       static_cast<uint32_t>(data_[pos_ + 3]) << 24;
-  pos_ += 4;
-  return true;
-}
-
-bool ByteReader::GetU64Le(uint64_t* v) {
-  uint32_t lo, hi;
-  size_t saved = pos_;
-  if (!GetU32Le(&lo) || !GetU32Le(&hi)) {
-    pos_ = saved;
-    return false;
-  }
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
 std::string Ipv4ToString(uint32_t addr) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (addr >> 24) & 0xff,

@@ -42,29 +42,6 @@ class ByteWriter {
   ByteBuffer* out_;
 };
 
-/// Deserializes fixed-width integers from a byte view, with bounds checks.
-///
-/// All getters return false (leaving the output untouched) when fewer bytes
-/// remain than requested; callers treat that as a truncated packet.
-class ByteReader {
- public:
-  explicit ByteReader(ByteSpan data) : data_(data), pos_(0) {}
-
-  bool GetU8(uint8_t* v);
-  bool GetU16Be(uint16_t* v);
-  bool GetU32Be(uint32_t* v);
-  bool GetU16Le(uint16_t* v);
-  bool GetU32Le(uint32_t* v);
-  bool GetU64Le(uint64_t* v);
-
-  size_t remaining() const { return data_.size() - pos_; }
-  size_t position() const { return pos_; }
-
- private:
-  ByteSpan data_;
-  size_t pos_;
-};
-
 /// Little-endian stores and loads at any alignment: memcpy on
 /// little-endian hosts (one unaligned move), byte shifts elsewhere. The
 /// packed-tuple layout (rts/tuple.h) is built on these.

@@ -465,9 +465,8 @@ Status Engine::InjectRow(const std::string& stream_name,
           ", the row holds " + gsql::DataTypeName(row[f].type()));
     }
   }
-  rts::StreamBatch batch;
-  batch.AppendTuple(rts::TupleCodec(schema), row);
-  registry_.PublishBatch(stream_name, std::move(batch));
+  InjectWriter(stream_name)
+      .WriteTuple(rts::TupleCodec(schema), row, rts::MessageMeta{});
   PumpAfterInput();
   return Status::Ok();
 }
@@ -490,11 +489,17 @@ Status Engine::InjectPunctuation(const std::string& stream_name, size_t field,
   rts::PackedBound packed{};
   expr::WriteValue(bound, packed.data());
   const rts::Bound bounds[] = {{field, packed.data()}};
-  rts::StreamBatch batch;
-  rts::AppendPunctuation(bounds, schema, rts::MessageMeta{}, &batch);
-  registry_.PublishBatch(stream_name, std::move(batch));
+  InjectWriter(stream_name)
+      .WritePunctuation(bounds, schema, rts::MessageMeta{});
   PumpAfterInput();
   return Status::Ok();
+}
+
+rts::BatchWriter& Engine::InjectWriter(const std::string& stream_name) {
+  // Batches of one: every call publishes what it injects before it
+  // returns, so a codec built for the call outlives its use.
+  return injected_.try_emplace(stream_name, &registry_, stream_name, 1)
+      .first->second;
 }
 
 Status Engine::EmitStatsSnapshot(SimTime now) {
@@ -565,16 +570,19 @@ Status Engine::AddNode(std::unique_ptr<rts::QueryNode> node) {
   return Status::Ok();
 }
 
-void Engine::FlushSourceBatches() {
+void Engine::FlushInjectWriters() {
+  stats_source_->Flush();
   for (auto& [name, source] : sources_) source->FlushBatch();
+  for (auto& [name, writer] : injected_) writer.Flush();
 }
 
 size_t Engine::Pump(size_t budget_per_node) {
   // A Pump is a request to make progress: injected tuples still sitting in
   // open source batches publish now rather than waiting for the batch-size
   // threshold (keeps inject→pump→read sequences working at any batch
-  // size).
-  FlushSourceBatches();
+  // size), and the inject thread's writers retry their parked
+  // punctuations.
+  FlushInjectWriters();
   return PumpInjectNodes(budget_per_node);
 }
 
@@ -600,19 +608,12 @@ void Engine::PumpAfterInput() {
   }
 }
 
-size_t Engine::RetryParkedPunctuations() {
-  if (mode_ == PumpMode::kSingle) return registry_.FlushParkedPunctuations();
-  size_t placed = 0;
-  for (const std::string& stream : inject_streams_) {
-    placed += registry_.FlushParkedPunctuations(stream);
-  }
-  return placed;
-}
-
 void Engine::PumpUntilIdle() {
-  // Idle with space freed: retry punctuations parked on once-full rings so
-  // windows close without waiting for the seal.
-  while (Pump() > 0 || RetryParkedPunctuations() > 0) {
+  // Every writer retries its own parked punctuations when flushed. A retry
+  // can only succeed once the consumer has read from the full ring, and
+  // that read is progress, so the next round still runs and the consumer
+  // reads what the retry delivered, wherever the two sit in node order.
+  while (Pump() > 0) {
   }
 }
 
@@ -733,13 +734,6 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
     for (size_t idx : worker_nodes_[w]) {
       node_worker_[idx] = static_cast<int>(w);
       groups[w].nodes.push_back(nodes_[idx].get());
-      groups[w].outputs.push_back(nodes_[idx]->name());
-    }
-  }
-  inject_streams_ = registry_.StreamNames();
-  for (const WorkerGroup& group : groups) {
-    for (const std::string& output : group.outputs) {
-      std::erase(inject_streams_, output);
     }
   }
   adopted_resync_.store(0, std::memory_order_relaxed);
@@ -775,9 +769,8 @@ Status Engine::StartWorkers(PumpMode mode, size_t workers) {
       }
       park_ns.push_back(worker_park_ns_[w].get());
     }
-    threads_ = std::make_unique<ThreadPool>(std::move(groups), &registry_,
-                                            kWorkerPollBudget,
-                                            std::move(park_ns));
+    threads_ = std::make_unique<ThreadPool>(
+        std::move(groups), kWorkerPollBudget, std::move(park_ns));
     pool_ = threads_.get();
   }
   return pool_->Start();
@@ -886,8 +879,8 @@ void Engine::RunProcessWorker(const WorkerGroup& group, size_t worker,
   }
   FaultInjector faults(options_.fault, worker, &control->fault_fired);
   // Cross-process pushes cannot wake a sleeping child; it polls instead.
-  RunWorkerLoop(control, group, &registry_, kWorkerPollBudget,
-                &faults, [] { usleep(200); });
+  RunWorkerLoop(control, group, kWorkerPollBudget, &faults,
+                [] { usleep(200); });
 }
 
 void Engine::StopWorkers(bool resync) {
@@ -912,7 +905,6 @@ void Engine::AdoptWorker(size_t worker, bool resync) {
     // now. Its metrics move under the parent's proc tag; shared cells stay
     // bound (single writer again, just a different one).
     telemetry_.SetEntityProc(nodes_[idx]->name(), telemetry::kProcRts);
-    inject_streams_.push_back(nodes_[idx]->name());
     if (resync) {
       for (const rts::Subscription& input : nodes_[idx]->inputs()) {
         input->BeginResync();

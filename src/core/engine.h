@@ -154,9 +154,10 @@ struct QueryInfo {
 /// or, once StartThreads/StartProcesses runs, partitioned round-robin over
 /// a pool of workers (threads or supervised processes) connected through
 /// the SPSC ring channels, so every channel keeps a single producer and a
-/// single consumer. Both backends run the same worker loop and answer the
-/// same mailbox commands; a worker that stops or fails hands its nodes back
-/// to the inject thread (adoption). FlushAll is the drain barrier: it
+/// single consumer. Both backends run the same worker loop (only process
+/// workers are sent commands: thread workers stop before a seal needs
+/// one); a worker that stops or fails hands its nodes back to the inject
+/// thread (adoption). FlushAll is the drain barrier: it
 /// drains and flushes every node inside its owner, upstream first (thread
 /// workers hand their nodes back first; process workers seal in place),
 /// stops the pool, and seals the engine — after FlushAll, injection calls
@@ -249,7 +250,7 @@ class Engine {
   /// stage plus any nodes adopted from failed workers.
   size_t Pump(size_t budget_per_node = 1024);
 
-  /// Pumps until no inject-thread node makes progress.
+  /// Pumps until a round moves nothing.
   void PumpUntilIdle();
 
   /// End-of-stream barrier: drains every channel, flushes buffered operator
@@ -394,10 +395,6 @@ class Engine {
   /// the LFTA stage moving so its output feeds them (§4: LFTAs run next to
   /// the capture loop). Single-threaded callers pump explicitly.
   void PumpAfterInput();
-  /// Retries punctuations parked on once-full rings the inject thread
-  /// produces into (parked state belongs to the producer; workers retry
-  /// their own). Returns how many were delivered.
-  size_t RetryParkedPunctuations();
   /// Runs one kDrain in every live worker, adopting any that fail; returns
   /// the messages the workers processed since the previous drain.
   size_t DrainWorkers();
@@ -405,10 +402,15 @@ class Engine {
   /// which no worker made progress.
   void DrainUntilIdle();
 
-  /// Publishes every source's open batch (Pump calls this so no injected
+  /// Flushes every writer the inject thread owns (packet sources,
+  /// `gs_stats`, injected streams): publishes open batches, so no injected
   /// tuple waits on the batch-size threshold once the engine is asked to
-  /// make progress).
-  void FlushSourceBatches();
+  /// make progress, and retries parked punctuations.
+  void FlushInjectWriters();
+
+  /// The writer InjectRow and InjectPunctuation publish into
+  /// `stream_name` through, made at the first injection into it.
+  rts::BatchWriter& InjectWriter(const std::string& stream_name);
 
   /// EXPLAIN ANALYZE assembly (core/analyze.cc): one registry snapshot
   /// and the nodes' input rings turned into per-node stats, plus the
@@ -479,6 +481,8 @@ class Engine {
   /// Transparent comparator: the inject paths find by std::string_view.
   std::map<std::string, std::vector<PacketSource*>, std::less<>>
       interface_sources_;
+  /// InjectWriter's writers by stream name.
+  std::map<std::string, rts::BatchWriter> injected_;
   /// Compiled plans retained per query (parallel to query_infos_) so
   /// EXPLAIN ANALYZE can re-render them against live runtime counters.
   struct AnalyzePlan {
@@ -509,9 +513,6 @@ class Engine {
   /// Parallel to nodes_ (missing entries: the inject thread): the worker
   /// that polls each node, or kInjectThread.
   std::vector<int> node_worker_;
-  /// While a pool runs: the streams the inject thread produces into
-  /// (sources, LFTA outputs, gs_stats, adopted nodes' outputs).
-  std::vector<std::string> inject_streams_;
   /// Worker adoptions with a resync (each opens a resync gap, like a
   /// restart does); atomic because the gs_stats reader may run while the
   /// engine thread adopts.

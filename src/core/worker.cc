@@ -4,6 +4,7 @@
 
 #include <chrono>
 
+#include "common/logging.h"
 #include "telemetry/histogram.h"
 
 namespace gigascope::core {
@@ -48,15 +49,12 @@ namespace {
 /// Pumps the group until a round makes no progress (kFlushNode/kDrain),
 /// beating throughout so a long drain never reads as a hang.
 size_t DrainGroup(WorkerControl* control, const WorkerGroup& group,
-                  rts::StreamRegistry* registry, size_t poll_budget) {
+                  size_t poll_budget) {
   size_t total = 0;
   for (;;) {
     size_t round = 0;
     for (rts::QueryNode* node : group.nodes) {
       round += node->PollCounted(poll_budget);
-    }
-    for (const std::string& output : group.outputs) {
-      round += registry->FlushParkedPunctuations(output);
     }
     control->Beat();
     if (round == 0) return total;
@@ -67,8 +65,7 @@ size_t DrainGroup(WorkerControl* control, const WorkerGroup& group,
 }  // namespace
 
 void RunWorkerLoop(WorkerControl* control, const WorkerGroup& group,
-                   rts::StreamRegistry* registry, size_t poll_budget,
-                   FaultInjector* faults,
+                   size_t poll_budget, FaultInjector* faults,
                    const std::function<void()>& idle_wait) {
   // Spin briefly on idle before the backend's longer wait.
   constexpr int kSpinRounds = 64;
@@ -98,7 +95,7 @@ void RunWorkerLoop(WorkerControl* control, const WorkerGroup& group,
       if (command == WorkerCommand::kFlushNode && arg < group.nodes.size()) {
         group.nodes[arg]->Flush();
       }
-      count(DrainGroup(control, group, registry, poll_budget));
+      count(DrainGroup(control, group, poll_budget));
       control->Ack(seq, processed_total);
       continue;
     }
@@ -111,10 +108,6 @@ void RunWorkerLoop(WorkerControl* control, const WorkerGroup& group,
       idle_rounds = 0;
       continue;
     }
-    // Idle: retry punctuations parked on rings this worker produces into.
-    for (const std::string& output : group.outputs) {
-      registry->FlushParkedPunctuations(output);
-    }
     if (++idle_rounds < kSpinRounds) {
       std::this_thread::yield();
     } else {
@@ -124,10 +117,9 @@ void RunWorkerLoop(WorkerControl* control, const WorkerGroup& group,
   }
 }
 
-ThreadPool::ThreadPool(std::vector<WorkerGroup> groups,
-                       rts::StreamRegistry* registry, size_t poll_budget,
+ThreadPool::ThreadPool(std::vector<WorkerGroup> groups, size_t poll_budget,
                        std::vector<telemetry::Histogram*> park_ns)
-    : registry_(registry), poll_budget_(poll_budget) {
+    : poll_budget_(poll_budget) {
   for (size_t w = 0; w < groups.size(); ++w) {
     auto worker = std::make_unique<Worker>();
     worker->group = std::move(groups[w]);
@@ -156,7 +148,7 @@ Status ThreadPool::Start() {
       // A push into any owned ring wakes the park; the timeout bounds any
       // lost-wakeup window.
       constexpr std::chrono::microseconds kParkTimeout{200};
-      RunWorkerLoop(&self->control, self->group, registry_, poll_budget_,
+      RunWorkerLoop(&self->control, self->group, poll_budget_,
                     /*faults=*/nullptr, [self] {
                       const int64_t start = telemetry::MonotonicNowNs();
                       self->waker->Park(kParkTimeout);
@@ -168,13 +160,9 @@ Status ThreadPool::Start() {
   return Status::Ok();
 }
 
-bool ThreadPool::Call(size_t worker, WorkerCommand command, uint64_t arg,
-                      uint64_t* ack) {
-  Worker& w = *workers_[worker];
-  const uint64_t seq = w.control.Post(command, arg);
-  w.waker->Wake();
-  while (!w.control.Acked(seq, ack)) std::this_thread::yield();
-  return true;
+bool ThreadPool::Call(size_t, WorkerCommand, uint64_t, uint64_t*) {
+  GS_CHECK(stopped_);
+  return false;
 }
 
 void ThreadPool::StopAll() {

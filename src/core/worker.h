@@ -5,14 +5,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "core/fault.h"
 #include "rts/node.h"
-#include "rts/registry.h"
 #include "telemetry/histogram.h"
 
 namespace gigascope::core {
@@ -74,22 +72,19 @@ struct WorkerControl {
 
 /// The share of the node network one worker owns: only that worker polls
 /// these nodes (the rings' single-consumer rule) and publishes into their
-/// output streams, until the parent adopts them.
+/// output streams, until the parent adopts them. Each node's writer
+/// retries its own parked punctuations when its poll flushes it.
 struct WorkerGroup {
   std::vector<rts::QueryNode*> nodes;
-  /// The nodes' output stream names: the only rings on which the worker
-  /// retries parked punctuations (that state belongs to the producer).
-  std::vector<std::string> outputs;
 };
 
 /// The loop every worker runs, on a thread or in a forked process: beat,
-/// serve the mailbox, poll the group's nodes, retry parked punctuations on
-/// its outputs when idle, and after a short spin call `idle_wait` (a
-/// thread parks on its waker, a process sleeps). Returns after acking
-/// kExit. `faults` (nullable) injects the configured abort or stall.
+/// serve the mailbox, poll the group's nodes, and after a short idle spin
+/// call `idle_wait` (a thread parks on its waker, a process sleeps).
+/// Returns after acking kExit. `faults` (nullable) injects the configured
+/// abort or stall.
 void RunWorkerLoop(WorkerControl* control, const WorkerGroup& group,
-                   rts::StreamRegistry* registry, size_t poll_budget,
-                   FaultInjector* faults,
+                   size_t poll_budget, FaultInjector* faults,
                    const std::function<void()>& idle_wait);
 
 /// A set of workers, each pumping one WorkerGroup off the inject thread.
@@ -137,16 +132,19 @@ class WorkerPool {
 
 /// Workers as threads of this process (the threaded pump mode, DESIGN.md
 /// §9). An idle thread parks on a waker wired to its nodes' input rings;
-/// a push or a posted command wakes it. Threads are never restarted.
+/// a push wakes it. Threads are never restarted, and take no commands:
+/// BeginSeal stops them, so every node is adopted before a seal's first
+/// command.
 class ThreadPool : public WorkerPool {
  public:
   /// `park_ns[w]` (non-null, outliving the pool) records worker w's park
   /// times.
-  ThreadPool(std::vector<WorkerGroup> groups, rts::StreamRegistry* registry,
-             size_t poll_budget, std::vector<telemetry::Histogram*> park_ns);
+  ThreadPool(std::vector<WorkerGroup> groups, size_t poll_budget,
+             std::vector<telemetry::Histogram*> park_ns);
   ~ThreadPool() override;
 
   Status Start() override;
+  /// Never serves a command: only a stopped (gone) worker is called.
   bool Call(size_t worker, WorkerCommand command, uint64_t arg,
             uint64_t* ack) override;
   bool Gone(size_t) const override { return stopped_; }
@@ -164,7 +162,6 @@ class ThreadPool : public WorkerPool {
     std::thread thread;
   };
 
-  rts::StreamRegistry* registry_;
   size_t poll_budget_;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;

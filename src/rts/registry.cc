@@ -42,38 +42,38 @@ Result<Subscription> StreamRegistry::Subscribe(const std::string& name,
 }
 
 size_t StreamRegistry::PublishBatch(const std::string& name,
-                                    StreamBatch&& batch) {
+                                    StreamBatch&& batch, bool* parked) {
   auto it = streams_.find(name);
   if (it == streams_.end() || batch.empty()) return 0;
   auto& subscribers = it->second.subscribers;
   if (subscribers.empty()) return 0;
   size_t accepted = 0;
+  bool any_parked = false;
+  const auto push = [&](const Subscription& subscriber, StreamBatch&& b) {
+    if (subscriber->PushOrDrop(std::move(b))) {
+      ++accepted;  // a push that fits leaves nothing parked
+    } else if (subscriber->has_parked()) {
+      any_parked = true;
+    }
+  };
   for (size_t s = 0; s + 1 < subscribers.size(); ++s) {
-    StreamBatch copy = batch;
-    if (subscribers[s]->PushOrDrop(std::move(copy))) ++accepted;
+    push(subscribers[s], StreamBatch(batch));
   }
-  if (subscribers.back()->PushOrDrop(std::move(batch))) ++accepted;
+  push(subscribers.back(), std::move(batch));
+  if (parked != nullptr) *parked = any_parked;
   return accepted;
 }
 
-size_t StreamRegistry::FlushParkedPunctuations() {
-  size_t flushed = 0;
-  for (auto& [name, entry] : streams_) {
-    for (const Subscription& subscriber : entry.subscribers) {
-      if (subscriber->has_parked() && subscriber->FlushParked()) ++flushed;
+bool StreamRegistry::FlushParkedPunctuations(const std::string& name) {
+  auto it = streams_.find(name);
+  if (it == streams_.end()) return false;
+  bool parked = false;
+  for (const Subscription& subscriber : it->second.subscribers) {
+    if (subscriber->has_parked() && !subscriber->FlushParked()) {
+      parked = true;
     }
   }
-  return flushed;
-}
-
-size_t StreamRegistry::FlushParkedPunctuations(const std::string& name) {
-  auto it = streams_.find(name);
-  if (it == streams_.end()) return 0;
-  size_t flushed = 0;
-  for (const Subscription& subscriber : it->second.subscribers) {
-    if (subscriber->has_parked() && subscriber->FlushParked()) ++flushed;
-  }
-  return flushed;
+  return parked;
 }
 
 std::vector<Subscription> StreamRegistry::Subscribers(

@@ -40,22 +40,16 @@ class StreamRegistry {
   /// Publishes a whole batch to all subscribers (copied per subscriber,
   /// moved to the last). Returns the number of subscribers that accepted
   /// it; the ring parks a trailing punctuation instead of dropping it.
-  size_t PublishBatch(const std::string& name, StreamBatch&& batch);
+  /// With `parked` non-null, *parked says whether any subscriber channel
+  /// holds a parked punctuation afterwards.
+  size_t PublishBatch(const std::string& name, StreamBatch&& batch,
+                      bool* parked = nullptr);
 
-  /// Retries every parked punctuation across all subscriber channels.
-  /// Returns how many were delivered by this call — callers loop
-  /// `while (FlushParkedPunctuations() > 0) <drain consumers>;` which
-  /// terminates once no further progress is possible (e.g. a full channel
-  /// nobody is consuming). Must run on the publishing thread (the parked
-  /// message is producer-side state), i.e. single-threaded pump only.
-  size_t FlushParkedPunctuations();
-
-  /// Same, restricted to the subscriber channels of one stream — the
-  /// multi-process engine uses this so each process only retries parked
-  /// punctuations on rings it produces into (parked messages are
-  /// producer-side heap state; touching another process's rings would
-  /// add a second producer).
-  size_t FlushParkedPunctuations(const std::string& name);
+  /// Retries the parked punctuations on the subscriber channels of `name`.
+  /// Returns whether any stays parked (its channel is still full). Parked
+  /// punctuations are producer-side state, so only the stream's producer
+  /// may call it: BatchWriter::Flush.
+  bool FlushParkedPunctuations(const std::string& name);
 
   /// The subscriber channels of `name` (empty when unknown). Setup-time
   /// and fault-injection plumbing; the channels themselves remain
@@ -85,12 +79,17 @@ class StreamRegistry {
   std::map<std::string, StreamEntry> streams_;
 };
 
-/// Producer-side accumulator for a stream: operators and packet sources
-/// append messages straight into the open batch's arena and the writer
-/// publishes them as batches. A batch flushes when it reaches `max_batch`
-/// messages or when a punctuation closes it (the batch invariant:
-/// punctuation only at the tail); the owner calls Flush() at the end of
-/// every Poll so no output outlives the poll round that produced it.
+/// Producer-side accumulator for a stream: operators, packet sources, the
+/// stats source and the engine's row injection append messages straight
+/// into the open batch's arena and the writer publishes them as batches.
+/// A batch flushes when it reaches `max_batch` messages or when a
+/// punctuation closes it (the batch invariant: punctuation only at the
+/// tail); the owner calls Flush() at the end of every Poll so no output
+/// outlives the poll round that produced it.
+///
+/// A punctuation a full channel parked belongs to this writer, the
+/// stream's one producer, and so does its retry: the next batch published
+/// carries it along, and while nothing is open each Flush retries it.
 class BatchWriter {
  public:
   /// Messages per output batch of a node whose spec sets none.
@@ -146,14 +145,21 @@ class BatchWriter {
   /// whether it published.
   bool FlushIfFull() { return open_.size() >= max_batch_ && Flush(); }
 
-  /// Publishes the open batch, if any. Returns whether it did.
+  /// Publishes the open batch, if any, which carries a parked punctuation
+  /// along; with nothing open, retries the parked punctuation while one
+  /// may be parked. Returns whether it published.
   bool Flush() {
-    if (open_.empty()) return false;
+    if (open_.empty()) {
+      if (parked_) [[unlikely]] {
+        parked_ = registry_->FlushParkedPunctuations(stream_);
+      }
+      return false;
+    }
     // The next batch is sized like this one: one allocation each for its
     // arena and item table, however many messages it will hold.
     const size_t items = open_.size();
     const size_t bytes = open_.arena().size();
-    registry_->PublishBatch(stream_, std::move(open_));
+    registry_->PublishBatch(stream_, std::move(open_), &parked_);
     open_.clear();
     open_.Reserve(items, bytes);
     return true;
@@ -164,6 +170,10 @@ class BatchWriter {
   std::string stream_;
   size_t max_batch_;
   StreamBatch open_;
+  /// Whether a punctuation may be parked on one of the stream's channels:
+  /// set by the publish that parked it, cleared by the retry (or publish)
+  /// that leaves nothing parked.
+  bool parked_ = false;
 };
 
 }  // namespace gigascope::rts

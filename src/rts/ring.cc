@@ -29,6 +29,8 @@ void ConsumerWaker::Wake() {
 
 namespace {
 
+using telemetry::SingleWriterAdd;
+
 size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -38,13 +40,6 @@ size_t NextPowerOfTwo(size_t n) {
 /// Minimum per-slot payload region: headers plus any punctuation must
 /// always fit in a single slot (punctuations are never dropped).
 constexpr size_t kMinSlotBytes = 512;
-
-/// Single-writer increment (the analogue of telemetry::Counter::Add — no
-/// RMW needed, each counter has exactly one writer, thread or process).
-inline void CounterAdd(std::atomic<uint64_t>* counter, uint64_t n) {
-  counter->store(counter->load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-}
 
 }  // namespace
 
@@ -101,7 +96,7 @@ bool RingChannel::HasRoom(uint64_t head, size_t slots) {
 
 void RingChannel::Publish(uint64_t head, size_t messages) {
   ctrl().head.store(head, std::memory_order_release);
-  CounterAdd(&ctrl().pushed, messages);
+  SingleWriterAdd(&ctrl().pushed, messages);
   const uint64_t occupancy =
       head - ctrl().tail.load(std::memory_order_relaxed);
   if (occupancy > ctrl().high_water.load(std::memory_order_relaxed)) {
@@ -161,7 +156,7 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
   if (run_begin != none) chunks.push_back({run_begin, none});
   if (chunks.empty()) {
     // Every message was oversize; nothing deliverable remains.
-    CounterAdd(&ctrl().oversize_dropped, oversize_count);
+    SingleWriterAdd(&ctrl().oversize_dropped, oversize_count);
     batch.clear();
     return true;
   }
@@ -189,7 +184,7 @@ bool RingChannel::ShmTryPush(StreamBatch&& batch) {
     delivered += count;
   }
   if (oversize_count > 0) {
-    CounterAdd(&ctrl().oversize_dropped, oversize_count);
+    SingleWriterAdd(&ctrl().oversize_dropped, oversize_count);
   }
   Publish(head + chunks.size(), delivered);
   batch.clear();
@@ -223,7 +218,7 @@ bool RingChannel::PushOrDrop(StreamBatch&& batch) {
     --tuples;
     parked_.AppendFrom(batch, batch.size() - 1);
   }
-  CounterAdd(&ctrl().dropped, tuples);
+  SingleWriterAdd(&ctrl().dropped, tuples);
   batch.clear();
   return false;
 }
@@ -274,10 +269,10 @@ bool RingChannel::TryPop(StreamBatch* out) {
     }
     ctrl().tail.store(tail + 1, std::memory_order_release);
     if (!ok) {
-      CounterAdd(&ctrl().torn, 1);
+      SingleWriterAdd(&ctrl().torn, 1);
       continue;  // torn slot skipped; try the next one
     }
-    CounterAdd(&ctrl().popped, out->size());
+    SingleWriterAdd(&ctrl().popped, out->size());
     // Past the arming position: this slot was pushed after the handoff,
     // so the lost prefix cannot extend into it — the gap ends here even
     // without a punctuation (see BeginResync).
@@ -298,7 +293,7 @@ void RingChannel::ApplyResyncGate(StreamBatch* out) {
   }
   const bool punctuation = drop < out->size();
   if (drop > 0) {
-    CounterAdd(&ctrl().resync_dropped, drop);
+    SingleWriterAdd(&ctrl().resync_dropped, drop);
     out->DropFront(drop);
   }
   // The punctuation re-establishes ordering for everything that follows:

@@ -6,6 +6,14 @@
 
 namespace gigascope::telemetry {
 
+/// Adds `n` to a cell that has one writer: a relaxed load and a relaxed
+/// store, no read-modify-write. Counter (and so Histogram, whose cells are
+/// Counters) and the ring counters all count through it.
+inline void SingleWriterAdd(std::atomic<uint64_t>* cell, uint64_t n) {
+  cell->store(cell->load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+}
+
 /// A single-writer statistics counter (per Prasaad et al.'s shared-memory
 /// scaling argument: per-core statistics want uncontended writes).
 ///
@@ -28,15 +36,10 @@ class Counter {
 
   /// Writer side. Single writer only — concurrent Add calls lose updates.
   void Add(uint64_t n) {
-    std::atomic<uint64_t>* cell = cell_.load(std::memory_order_relaxed);
-    cell->store(cell->load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
+    SingleWriterAdd(cell_.load(std::memory_order_relaxed), n);
   }
-  void Sub(uint64_t n) {
-    std::atomic<uint64_t>* cell = cell_.load(std::memory_order_relaxed);
-    cell->store(cell->load(std::memory_order_relaxed) - n,
-                std::memory_order_relaxed);
-  }
+  /// Subtracts `n` (unsigned wrap-around: adding -n).
+  void Sub(uint64_t n) { Add(-n); }
   /// Writer side: gauge semantics (last value wins).
   void Set(uint64_t v) {
     cell_.load(std::memory_order_relaxed)

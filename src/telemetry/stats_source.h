@@ -21,6 +21,7 @@ namespace gigascope::telemetry {
 /// Like the packet sources, the stats source is driven by the inject
 /// thread (sim-time from packets and heartbeats), never by workers, so the
 /// single-producer contract of every `gs_stats` subscriber channel holds.
+/// It publishes through a BatchWriter, like every other producer.
 class StatsSource {
  public:
   /// `metrics` and `streams` must outlive the source. The `gs_stats`
@@ -32,14 +33,18 @@ class StatsSource {
   /// a punctuation bounding both time attributes.
   void EmitSnapshot(SimTime now);
 
+  /// The end of a pump round: retries a snapshot's parked punctuation
+  /// (BatchWriter::Flush).
+  void Flush() { writer_.Flush(); }
+
   uint64_t snapshots() const { return snapshots_.value(); }
   const Counter* snapshots_counter() const { return &snapshots_; }
 
  private:
   const Registry* metrics_;
-  rts::StreamRegistry* streams_;
   gsql::StreamSchema schema_;
   rts::TupleCodec codec_;
+  rts::BatchWriter writer_;
   Counter snapshots_;
   SimTime last_ts_ = 0;
 };

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/engine.h"
 #include "gsql/catalog.h"
+#include "rts/punctuation.h"
 #include "telemetry/metric_names.h"
 #include "workload/traffic_gen.h"
 
@@ -1420,6 +1425,199 @@ TEST(EngineTest, QueryInfoCarriesNicProgram) {
   EXPECT_TRUE(info->has_nic_program);
   EXPECT_GT(info->nic_program.size(), 0u);
   EXPECT_GT(info->snap_len, 0u);  // header-only query
+}
+
+// -- Parked punctuations are retried by their producer ----------------------
+
+/// Polls `done` every millisecond for up to ten seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A stream of (t UINT INCREASING, v UINT) named `name`.
+gsql::StreamSchema TimedStream(const std::string& name) {
+  return gsql::StreamSchema(
+      name, gsql::StreamKind::kStream,
+      {{"t", DataType::kUint, gsql::OrderSpec::Increasing()},
+       {"v", DataType::kUint, gsql::OrderSpec::None()}});
+}
+
+TEST(EngineThreadedTest, WorkerDeliversItsParkedPunctuationOnceDrained) {
+  // The HFTA's output ring to a one-slot subscriber fills, so the bound of
+  // the next window it closes parks in the worker. Once the subscriber
+  // drains, that bound must arrive with no further input and no FlushAll.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, count(*) FROM eth0.PKT "
+                            "GROUP BY time AS tb")
+                  .ok());
+  auto schema = engine.registry().GetSchema("agg");
+  ASSERT_TRUE(schema.ok());
+  auto ring = engine.registry().Subscribe("agg", /*capacity=*/1);
+  ASSERT_TRUE(ring.ok());
+  ASSERT_TRUE(engine.StartThreads(1).ok());
+  // Second 1's heartbeat closes bucket 0: its row and bound fill the ring.
+  ASSERT_TRUE(engine
+                  .InjectPacket("eth0", MakeTcpPacket(kNanosPerSecond / 2,
+                                                      0x0a000001, 80, "x"))
+                  .ok());
+  ASSERT_TRUE(engine.InjectHeartbeat("eth0", kNanosPerSecond).ok());
+  ASSERT_TRUE(WaitFor([&] { return (*ring)->pushed() == 2; }));
+  // Second 2's closes bucket 1 on the full ring: its row drops, the bound
+  // parks.
+  ASSERT_TRUE(engine
+                  .InjectPacket("eth0", MakeTcpPacket(3 * kNanosPerSecond / 2,
+                                                      0x0a000001, 80, "x"))
+                  .ok());
+  ASSERT_TRUE(engine.InjectHeartbeat("eth0", 2 * kNanosPerSecond).ok());
+  ASSERT_TRUE(WaitFor([&] { return (*ring)->dropped() == 1; }));
+  rts::StreamBatch batch;
+  ASSERT_TRUE((*ring)->TryPop(&batch));
+  EXPECT_EQ(batch.size(), 2u);
+
+  ASSERT_TRUE(WaitFor([&] { return (*ring)->TryPop(&batch); }));
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_EQ(batch.item(0).kind, rts::MessageKind::kPunctuation);
+  const uint8_t* bound = rts::FindBound(batch.payload(0), *schema, 0);
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(LoadLe64(bound), 2u);
+  engine.StopThreads();
+}
+
+TEST(EngineTest, InjectedPunctuationParkedOnAFullRingClosesItsWindow) {
+  // A punctuation injected into a declared stream whose consumer ring is
+  // full parks; PumpUntilIdle delivers it and the aggregate over the stream
+  // closes its window, with no FlushAll.
+  EngineOptions options;
+  options.channel_capacity = 1;
+  Engine engine(options);
+  ASSERT_TRUE(engine.DeclareStream(TimedStream("external")).ok());
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, count(*) FROM external "
+                            "GROUP BY t AS tb")
+                  .ok());
+  auto sub = engine.Subscribe("agg");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(
+      engine.InjectRow("external", {Value::Uint(1), Value::Uint(7)}).ok());
+  ASSERT_TRUE(engine.InjectPunctuation("external", 0, Value::Uint(2)).ok());
+  const auto rings = engine.registry().Subscribers("external");
+  ASSERT_EQ(rings.size(), 1u);
+  EXPECT_TRUE(rings[0]->has_parked());
+  EXPECT_EQ(rings[0]->pushed(), 1u);
+
+  engine.PumpUntilIdle();
+  EXPECT_FALSE(rings[0]->has_parked());
+  auto row = (*sub)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[0].uint_value(), 1u);
+  EXPECT_EQ((*row)[1].uint_value(), 1u);
+  EXPECT_FALSE((*sub)->NextRow().has_value());
+}
+
+TEST(EngineTest, InjectRowFollowsARedeclaredStream) {
+  // InjectRow keeps one writer per injected stream; a re-declaration with
+  // another field type must pack by the new schema.
+  Engine engine;
+  ASSERT_TRUE(engine.DeclareStream(TimedStream("s")).ok());
+  ASSERT_TRUE(engine.InjectRow("s", {Value::Uint(1), Value::Uint(7)}).ok());
+  ASSERT_TRUE(engine
+                  .DeclareStream(gsql::StreamSchema(
+                      "s", gsql::StreamKind::kStream,
+                      {{"t", DataType::kUint, gsql::OrderSpec::Increasing()},
+                       {"v", DataType::kString, gsql::OrderSpec::None()}}))
+                  .ok());
+  auto sub = engine.Subscribe("s");
+  ASSERT_TRUE(sub.ok());
+  EXPECT_EQ(engine.InjectRow("s", {Value::Uint(2), Value::Uint(8)}).code(),
+            Status::Code::kInvalidArgument);
+  ASSERT_TRUE(
+      engine.InjectRow("s", {Value::Uint(2), Value::String("eight")}).ok());
+  auto row = (*sub)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[0].uint_value(), 2u);
+  EXPECT_EQ((*row)[1].string_value(), "eight");
+  EXPECT_FALSE((*sub)->NextRow().has_value());
+}
+
+/// A user-written node that forwards each batch of `input` to its own
+/// stream as one batch, through a BatchWriter.
+class BatchForwarder : public rts::QueryNode {
+ public:
+  BatchForwarder(rts::StreamRegistry* registry, const std::string& input,
+                 const std::string& output)
+      : QueryNode(output),
+        input_(*registry->Subscribe(input, 64)),
+        writer_(registry, output, rts::BatchWriter::kDefaultMaxBatch) {
+    RegisterInput(input_);
+  }
+
+  size_t Poll(size_t budget) override {
+    size_t read = 0;
+    while (read < budget && input_->TryPop(&batch_)) {
+      for (size_t i = 0; i < batch_.size(); ++i) {
+        writer_.Write(batch_.item(i), batch_.payload(i));
+      }
+      writer_.Flush();
+      read += batch_.size();
+    }
+    writer_.Flush();
+    return read;
+  }
+
+ private:
+  rts::Subscription input_;
+  rts::BatchWriter writer_;
+  rts::StreamBatch batch_;
+};
+
+TEST(EngineTest, NodeAfterItsConsumerDeliversItsParkedPunctuation) {
+  // The node producing `mid` is added after the query that reads it, so it
+  // is polled after its consumer in every round. The punctuation it parks
+  // on the consumer's one-slot ring is delivered and consumed within one
+  // PumpUntilIdle.
+  EngineOptions options;
+  options.channel_capacity = 1;
+  Engine engine(options);
+  ASSERT_TRUE(engine.DeclareStream(TimedStream("in")).ok());
+  ASSERT_TRUE(engine.DeclareStream(TimedStream("mid")).ok());
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, count(*) FROM mid GROUP BY t AS tb")
+                  .ok());
+  auto sub = engine.Subscribe("agg");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(engine
+                  .AddNode(std::make_unique<BatchForwarder>(
+                      &engine.registry(), "in", "mid"))
+                  .ok());
+  ASSERT_TRUE(engine.InjectRow("in", {Value::Uint(1), Value::Uint(7)}).ok());
+  ASSERT_TRUE(engine.InjectPunctuation("in", 0, Value::Uint(2)).ok());
+  // One round: the node forwards the row, which fills the ring, and parks
+  // the bound.
+  engine.Pump();
+  const auto rings = engine.registry().Subscribers("mid");
+  ASSERT_EQ(rings.size(), 1u);
+  EXPECT_TRUE(rings[0]->has_parked());
+  EXPECT_FALSE((*sub)->NextRow().has_value());
+
+  engine.PumpUntilIdle();
+  EXPECT_EQ(rings[0]->pushed(), 2u);  // the row, then the parked bound
+  EXPECT_FALSE(rings[0]->has_parked());
+  auto row = (*sub)->NextRow();
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ((*row)[0].uint_value(), 1u);
+  EXPECT_EQ((*row)[1].uint_value(), 1u);
+  EXPECT_FALSE((*sub)->NextRow().has_value());
 }
 
 }  // namespace

@@ -13,14 +13,17 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/engine.h"
 #include "core/fault.h"
 #include "core/supervisor.h"
+#include "rts/punctuation.h"
 #include "rts/ring.h"
 #include "rts/shm.h"
 #include "workload/traffic_gen.h"
@@ -1393,6 +1396,71 @@ TEST(EngineProcessTest, ThreadsAndProcessesAreExclusive) {
                 .status()
                 .code(),
             Status::Code::kFailedPrecondition);
+  engine.StopProcesses();
+}
+
+TEST(EngineProcessTest, WorkerDeliversItsParkedPunctuationOnceDrained) {
+  // The HFTA's output ring to a one-slot subscriber fills, so the bound of
+  // the next window it closes parks in the worker process. Once the parent
+  // drains the ring, that bound must arrive with no further input and no
+  // FlushAll.
+  const auto tcp_packet = [](SimTime timestamp) {
+    net::TcpPacketSpec spec;
+    spec.src_addr = 0xac100001;
+    spec.dst_addr = 0x0a000001;
+    spec.src_port = 40000;
+    spec.dst_port = 80;
+    spec.payload = "x";
+    net::Packet packet;
+    packet.bytes = net::BuildTcpPacket(spec);
+    packet.orig_len = static_cast<uint32_t>(packet.bytes.size());
+    packet.timestamp = timestamp;
+    return packet;
+  };
+  const auto wait_for = [](const std::function<bool()>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name agg; } "
+                            "SELECT tb, count(*) FROM eth0.PKT "
+                            "GROUP BY time AS tb")
+                  .ok());
+  auto schema = engine.registry().GetSchema("agg");
+  ASSERT_TRUE(schema.ok());
+  auto ring = engine.registry().Subscribe("agg", /*capacity=*/1);
+  ASSERT_TRUE(ring.ok());
+  ASSERT_TRUE(engine.StartProcesses(1).ok());
+  ASSERT_TRUE((*ring)->is_shm());
+  // Second 1's heartbeat closes bucket 0: its row and bound fill the ring.
+  ASSERT_TRUE(engine.InjectPacket("eth0", tcp_packet(kNanosPerSecond / 2))
+                  .ok());
+  ASSERT_TRUE(engine.InjectHeartbeat("eth0", kNanosPerSecond).ok());
+  ASSERT_TRUE(wait_for([&] { return (*ring)->pushed() == 2; }));
+  // Second 2's closes bucket 1 on the full ring: its row drops, the bound
+  // parks.
+  ASSERT_TRUE(
+      engine.InjectPacket("eth0", tcp_packet(3 * kNanosPerSecond / 2)).ok());
+  ASSERT_TRUE(engine.InjectHeartbeat("eth0", 2 * kNanosPerSecond).ok());
+  ASSERT_TRUE(wait_for([&] { return (*ring)->dropped() == 1; }));
+  StreamBatch batch;
+  ASSERT_TRUE((*ring)->TryPop(&batch));
+  EXPECT_EQ(batch.size(), 2u);
+
+  ASSERT_TRUE(wait_for([&] { return (*ring)->TryPop(&batch); }));
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_EQ(batch.item(0).kind, MessageKind::kPunctuation);
+  const uint8_t* bound = rts::FindBound(batch.payload(0), *schema, 0);
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(LoadLe64(bound), 2u);
+  EXPECT_EQ(engine.supervisor()->restarts(), 0u);
   engine.StopProcesses();
 }
 
