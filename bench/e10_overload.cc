@@ -5,9 +5,12 @@
 //
 // Models a constrained service capacity: the engine receives a fixed pump
 // budget per block of injected packets, and the offered-load multiple
-// divides it (2x load = half the service per packet). At 1x the engine
-// keeps up; beyond that, rings back up and the run either silently drops
-// tuples (shed off) or walks the shedding ladder (shed on): 1-in-k source
+// divides it (2x load = half the service per packet). The LFTA runs inside
+// InjectPacket on every packet; the budget meters the HFTA, which the
+// query keeps busy per packet (its payload test is not LFTA-safe, so the
+// whole aggregation runs there). At 1x the engine keeps up; beyond that,
+// the LFTA->HFTA ring backs up and the run either silently drops tuples
+// (shed off) or walks the shedding ladder (shed on): 1-in-k source
 // sampling with Horvitz-Thompson-scaled COUNT/SUM, coarser LFTA epochs,
 // and a bounded LFTA table.
 //
@@ -20,6 +23,8 @@
 //               weights, not lost)
 //   max lag     worst observed window-close lag in stream seconds after
 //               warmup — bounded lag means windows kept closing.
+//
+// Exits 1 when the 2x shed-on/shed-off ratio misses its 1.5x acceptance.
 //
 // Usage: e10_overload [--packets=N]
 
@@ -98,7 +103,8 @@ CellResult RunCell(const std::vector<Packet>& traffic, int load_mult,
   engine.AddInterface("eth0");
   auto info = engine.AddQuery(
       "DEFINE { query_name e10; } "
-      "SELECT tb, count(*) FROM eth0.PKT GROUP BY time AS tb");
+      "SELECT tb, count(*), max(str_find(payload, 'GET')) FROM eth0.PKT "
+      "GROUP BY time AS tb");
   if (!info.ok()) {
     std::fprintf(stderr, "%s\n", info.status().ToString().c_str());
     std::exit(1);
@@ -193,12 +199,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  constexpr double kAcceptance = 1.5;
   const double ratio =
       goodput_2x_off > 0 ? goodput_2x_on / goodput_2x_off : 0;
   std::printf(
       "\n2x overload: shed-on accounts for %.2fx the packets shed-off "
-      "does\n(acceptance: >= 1.5x, window-close lag bounded: %.2fs)\n",
-      ratio, lag_2x_on);
+      "does\n(acceptance: >= %.1fx, window-close lag bounded: %.2fs)\n",
+      ratio, kAcceptance, lag_2x_on);
   std::printf(
       "\nexpected shape: at 1x both runs account for ~100%%. Beyond the\n"
       "service capacity the shed-off run silently drops whatever the full\n"
@@ -206,5 +213,10 @@ int main(int argc, char** argv) {
       "first), keeps windows closing, and covers shed packets through the\n"
       "Horvitz-Thompson weights — losing fidelity gracefully instead of\n"
       "arbitrarily.\n");
+  if (ratio < kAcceptance) {
+    std::fprintf(stderr, "e10: 2x ratio %.2fx is below the %.1fx acceptance\n",
+                 ratio, kAcceptance);
+    return 1;
+  }
   return 0;
 }

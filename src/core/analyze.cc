@@ -51,7 +51,8 @@ void Engine::AssembleAnalyze(
     s.tuple_ns_p99 =
         value_of(name, std::string(metric::kTupleNs) + metric::kP99Suffix);
     // Ring health, summed over the node's input channels: the same
-    // control-block counters the ring_* metrics read.
+    // control-block counters the ring_* metrics read. A fed node has none.
+    s.has_ring = !node->inputs().empty();
     for (const rts::Subscription& input : node->inputs()) {
       s.ring_pushed += input->pushed();
       s.ring_popped += input->popped();

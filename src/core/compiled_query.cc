@@ -59,6 +59,27 @@ uint64_t BandOf(const gsql::OrderSpec& order) {
   return order.kind == gsql::OrderKind::kBandedIncreasing ? order.band : 0;
 }
 
+/// The packet source that feeds an LFTA operator reading `child` in place,
+/// or null when the operator reads `child` through a ring.
+PacketSource* FeedingSource(const PlanPtr& child, InstantiationContext* ctx) {
+  if (ctx->sources == nullptr || child->kind != PlanKind::kSource ||
+      !child->source_is_protocol) {
+    return nullptr;
+  }
+  auto it = ctx->sources->find(
+      ProtocolStreamName(child->interface_name, child->source_stream));
+  return it == ctx->sources->end() ? nullptr : it->second.get();
+}
+
+/// The ring an operator reads input `name` through, or null when `feeder`
+/// feeds it in place.
+Result<rts::Subscription> InputRing(const std::string& name,
+                                    const PacketSource* feeder,
+                                    InstantiationContext* ctx) {
+  if (feeder != nullptr) return rts::Subscription();
+  return ctx->registry->Subscribe(name, ctx->channel_capacity);
+}
+
 }  // namespace
 
 std::string ProtocolStreamName(const std::string& interface_name,
@@ -114,11 +135,13 @@ Status InstantiatePlan(const plan::PlanPtr& node,
         spec.punctuation_source.push_back(PunctuationSource(
             node->projections[i], node->output_schema.field(i).order));
       }
+      PacketSource* feeder = FeedingSource(node->children[0], ctx);
       GS_ASSIGN_OR_RETURN(rts::Subscription input,
-                          ctx->registry->Subscribe(input_names[0],
-                                                   ctx->channel_capacity));
-      ctx->nodes->push_back(std::make_unique<ops::SelectProjectNode>(
-          std::move(spec), std::move(input), ctx->registry, ctx->params));
+                          InputRing(input_names[0], feeder, ctx));
+      auto select = std::make_unique<ops::SelectProjectNode>(
+          std::move(spec), std::move(input), ctx->registry, ctx->params);
+      if (feeder != nullptr) feeder->AddFedNode(select.get());
+      ctx->nodes->push_back(std::move(select));
       return Status::Ok();
     }
 
@@ -154,13 +177,17 @@ Status InstantiatePlan(const plan::PlanPtr& node,
           spec.agg_args.emplace_back(std::move(compiled));
         }
       }
+      PacketSource* feeder = ctx->use_lfta_table
+                                 ? FeedingSource(node->children[0], ctx)
+                                 : nullptr;
       GS_ASSIGN_OR_RETURN(rts::Subscription input,
-                          ctx->registry->Subscribe(input_names[0],
-                                                   ctx->channel_capacity));
+                          InputRing(input_names[0], feeder, ctx));
       if (ctx->use_lfta_table) {
-        ctx->nodes->push_back(std::make_unique<ops::LftaAggregateNode>(
+        auto lfta = std::make_unique<ops::LftaAggregateNode>(
             std::move(spec), ctx->lfta_hash_log2, std::move(input),
-            ctx->registry, ctx->params, ctx->shed));
+            ctx->registry, ctx->params, ctx->shed);
+        if (feeder != nullptr) feeder->AddFedNode(lfta.get());
+        ctx->nodes->push_back(std::move(lfta));
       } else {
         ctx->nodes->push_back(std::make_unique<ops::OrderedAggregateNode>(
             std::move(spec), std::move(input), ctx->registry, ctx->params));

@@ -1,10 +1,12 @@
 #ifndef GIGASCOPE_CORE_COMPILED_QUERY_H_
 #define GIGASCOPE_CORE_COMPILED_QUERY_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/packet_source.h"
 #include "plan/splitter.h"
 #include "rts/node.h"
 #include "rts/shed_state.h"
@@ -26,6 +28,12 @@ struct InstantiationContext {
   bool use_lfta_table = false;
   /// Shared shedding state read by LFTA-stage nodes (nullable = no shedding).
   const rts::ShedState* shed = nullptr;
+  /// The packet sources by stream name, set while the LFTA plan is
+  /// instantiated: an LFTA operator directly over a protocol source is fed
+  /// by it in place (PacketSource::AddFedNode) and subscribes to no ring.
+  /// Null: every operator reads its inputs through rings.
+  const std::map<std::string, std::unique_ptr<PacketSource>>* sources =
+      nullptr;
   /// Receives the created nodes, upstream first.
   std::vector<std::unique_ptr<rts::QueryNode>>* nodes = nullptr;
 };
@@ -35,8 +43,10 @@ struct InstantiationContext {
 /// The root operator publishes under `output_name`.
 ///
 /// Source nodes do not create operators: a Protocol source subscribes to
-/// the engine's `interface.Protocol` packet stream, a Stream source to the
-/// named stream — both must already be declared in the registry.
+/// the engine's `interface.Protocol` packet stream (or, under an LFTA
+/// operator, has that operator fed by the stream's source), a Stream
+/// source to the named stream — both must already be declared in the
+/// registry.
 Status InstantiatePlan(const plan::PlanPtr& node,
                        const std::string& output_name,
                        InstantiationContext* ctx);

@@ -295,6 +295,9 @@ Result<QueryInfo> Engine::AddQuery(
     GS_RETURN_IF_ERROR(EnsureSources(split.lfta));
     MarkProtocolFieldUses(split.lfta);
     ctx.use_lfta_table = split.split_aggregation;
+    // The LFTAs over a packet source run inside InjectPacket: the source
+    // feeds them each tuple in place.
+    ctx.sources = &sources_;
     std::string lfta_output =
         split.hfta == nullptr ? split.name : split.lfta_name;
     GS_RETURN_IF_ERROR(InstantiatePlan(split.lfta, lfta_output, &ctx));
@@ -306,6 +309,7 @@ Result<QueryInfo> Engine::AddQuery(
     GS_RETURN_IF_ERROR(EnsureSources(split.hfta));
     MarkProtocolFieldUses(split.hfta);
     ctx.use_lfta_table = false;
+    ctx.sources = nullptr;
     GS_RETURN_IF_ERROR(InstantiatePlan(split.hfta, split.name, &ctx));
   }
   node_stages_.resize(nodes_.size(), NodeStage::kHfta);
@@ -415,9 +419,10 @@ Status Engine::InjectPacket(std::string_view interface_name,
   ++inject_seq_;
   offer.weight = shed_state_.SampleK();
   offer.shed = offer.weight > 1 && (inject_seq_ % offer.weight) != 0;
-  bool published = false;
+  // Each source runs the LFTAs it feeds on the packet right here.
+  bool boundary = false;
   for (PacketSource* source : it->second) {
-    if (source->Inject(packet, offer)) published = true;
+    if (source->Inject(packet, offer)) boundary = true;
     if (offer.shed) ++shed_tuples_;
   }
   if (packet.timestamp > last_input_time_) {
@@ -425,7 +430,7 @@ Status Engine::InjectPacket(std::string_view interface_name,
   }
   MaybeEmitStats(packet.timestamp);
   MaybeRunShedCheck(packet.timestamp);
-  if (published) PumpAfterInput();
+  if (boundary) PumpAfterInput();
   return Status::Ok();
 }
 
@@ -578,10 +583,10 @@ void Engine::FlushInjectWriters() {
 
 size_t Engine::Pump(size_t budget_per_node) {
   // A Pump is a request to make progress: injected tuples still sitting in
-  // open source batches publish now rather than waiting for the batch-size
+  // open batches publish now rather than waiting for the batch-size
   // threshold (keeps inject→pump→read sequences working at any batch
   // size), and the inject thread's writers retry their parked
-  // punctuations.
+  // punctuations. The fed LFTAs' polls flush their output the same way.
   FlushInjectWriters();
   return PumpInjectNodes(budget_per_node);
 }
@@ -603,6 +608,8 @@ size_t Engine::PumpInjectNodes(size_t budget_per_node) {
 }
 
 void Engine::PumpAfterInput() {
+  // At each boundary the inject thread's polls flush the fed LFTAs'
+  // partial output batches to the workers.
   if (mode_ != PumpMode::kSingle) {
     PumpInjectNodes(kWorkerPollBudget);
   }

@@ -78,10 +78,12 @@ struct EngineOptions {
   int lfta_hash_log2 = 12;
   /// Packet sources emit a punctuation every this many packets.
   size_t punctuation_interval = 256;
-  /// Batched data plane: source tuples accumulate into a StreamBatch that
-  /// is published as one ring message once it holds this many tuples.
-  /// Operators reuse the same bound for their output batches. 1 restores
-  /// per-tuple message flow (each message rides alone).
+  /// Batched data plane: tuples accumulate into a StreamBatch that is
+  /// published as one ring message once it holds this many: a packet
+  /// source's for its ring subscribers, and every operator's output. Every
+  /// this many tuples InjectPacket also reaches a boundary, at which worker
+  /// modes flush the fed LFTAs' output. 1 restores per-tuple message flow
+  /// (each message rides alone).
   size_t batch_max_size = 64;
   /// Period, in sim-time nanoseconds, of the built-in `gs_stats` telemetry
   /// stream: the engine snapshots its metric registry and emits one tuple
@@ -142,14 +144,16 @@ struct QueryInfo {
 ///   engine.PumpUntilIdle();
 ///   while (auto row = sub->NextRow()) { ... }
 ///
-/// The engine is single-threaded by default: InjectPacket enqueues work and
-/// Pump drives every operator, which makes runs deterministic.
+/// The engine is single-threaded by default: InjectPacket interprets the
+/// packet and runs the LFTAs directly over its protocol sources on it, and
+/// Pump drives every other operator, which makes runs deterministic.
 ///
 /// One ownership model covers every execution mode, mirroring the paper's
 /// §4 split: every node is polled by exactly one owner. Source
 /// interpretation and LFTA-stage nodes are always owned by the caller's
 /// inject thread (the paper links LFTAs into the RTS next to the capture
-/// loop). HFTA-stage nodes (join, merge, final aggregation, user nodes) are
+/// loop); the LFTAs over a packet source are fed each tuple inside
+/// InjectPacket, in every mode. HFTA-stage nodes (join, merge, final aggregation, user nodes) are
 /// owned by the inject thread too in single-threaded mode — zero workers —
 /// or, once StartThreads/StartProcesses runs, partitioned round-robin over
 /// a pool of workers (threads or supervised processes) connected through
@@ -207,9 +211,10 @@ class Engine {
 
   // -- Data input -----------------------------------------------------------
 
-  /// Feeds one captured packet to all Protocols bound to `interface_name`.
-  /// The name is only looked up (no string is built per packet), so a
-  /// literal such as "eth0" costs nothing to pass.
+  /// Feeds one captured packet to all Protocols bound to `interface_name`
+  /// and runs the LFTAs over them on it before returning. The name is only
+  /// looked up (no string is built per packet), so a literal such as
+  /// "eth0" costs nothing to pass.
   Status InjectPacket(std::string_view interface_name,
                       const net::Packet& packet);
 
@@ -245,9 +250,12 @@ class Engine {
 
   // -- Execution ---------------------------------------------------------------
 
-  /// Runs one round over the nodes the calling (inject) thread owns;
-  /// returns messages processed. While a worker pool runs, that is the LFTA
-  /// stage plus any nodes adopted from failed workers.
+  /// Publishes the inject thread's open batches and runs one round over
+  /// the nodes it owns; returns messages processed. The LFTAs a packet
+  /// source feeds already ran inside InjectPacket: their round only
+  /// flushes their output. While a worker pool runs, the round is the LFTA
+  /// stage plus any nodes adopted from failed workers; otherwise it is
+  /// every node.
   size_t Pump(size_t budget_per_node = 1024);
 
   /// Pumps until a round moves nothing.

@@ -381,12 +381,23 @@ bool PacketSource::WritePunctuation(SimTime t, const ByteSpan* tuple,
   rts::MessageMeta meta;
   meta.trace_id = offer.trace_id;
   meta.trace_ns = offer.trace_ns;
-  writer_.WritePunctuation(bounds, schema_, meta);
+  punctuation_.clear();
+  rts::AppendPunctuation(bounds, schema_, meta, &punctuation_);
+  const rts::BatchItem& item = punctuation_.item(0);
+  const ByteSpan payload = punctuation_.payload(item);
+  for (rts::FedNode* node : fed_) node->Feed(item, payload);
+  // The punctuation rides in the batch of the packet that triggered it,
+  // as its last item, and publishes it.
+  if (writer_.has_subscribers()) writer_.Write(item, payload);
+  since_boundary_ = 0;
   last_punct_time_ = t;
   return true;
 }
 
-bool PacketSource::FlushBatch() { return writer_.Flush(); }
+bool PacketSource::FlushBatch() {
+  since_boundary_ = 0;
+  return writer_.Flush();
+}
 
 bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // A packet stamped behind the last punctuation would violate the
@@ -415,25 +426,34 @@ bool PacketSource::Inject(const net::Packet& packet, const Offer& offer) {
   // survivor stands for itself plus the packets the L1 sampler sheds
   // around it.
   meta.weight = offer.weight;
-  // The fields go straight from the walked frame into the arena.
+  // The fields go straight from the walked frame into the ring batch's
+  // arena, or, with no ring to publish to, into one reused buffer.
   const size_t size = fields.PackedSize(program_);
-  uint8_t* tuple = writer_.AppendTuple(meta, size);
+  uint8_t* tuple;
+  if (writer_.has_subscribers()) {
+    tuple = writer_.AppendTuple(meta, size);
+  } else {
+    if (packed_.size() < size) packed_.resize(size);
+    tuple = packed_.data();
+  }
   fields.Pack(program_, tuple);
   if (last_punct_time_ > 0) {
     punct_lag_.Record(static_cast<uint64_t>(t - last_punct_time_));
   }
-  // The batch publishes as one ring message when a punctuation closes it
-  // (a punctuation rides in the batch of the packet that triggered it, as
-  // its last item) or when it fills.
   const ByteSpan packed(tuple, size);
+  for (rts::FedNode* node : fed_) node->Feed(meta, packed);
+  // A boundary comes at a punctuation or after batch_max_size tuples; the
+  // batch publishes there as one ring message.
   if (punctuate && WritePunctuation(t, &packed, offer)) return true;
-  return writer_.FlushIfFull();
+  if (++since_boundary_ < options_.batch_max_size) return false;
+  FlushBatch();
+  return true;
 }
 
 bool PacketSource::Heartbeat(SimTime now) {
-  // The punctuation closes (and publishes) the open batch, so it arrives
-  // after every tuple injected before the heartbeat. A heartbeat behind
-  // the last punctuation re-states that bound.
+  // The punctuation follows every tuple injected before the heartbeat: fed
+  // nodes read those already, and it closes (and publishes) the open ring
+  // batch. A heartbeat behind the last punctuation re-states that bound.
   const SimTime t = std::max(now, last_punct_time_);
   return WritePunctuation(t, nullptr, Offer{});
 }

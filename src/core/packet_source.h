@@ -9,6 +9,7 @@
 #include "gsql/schema.h"
 #include "net/packet.h"
 #include "plan/logical_plan.h"
+#include "rts/node.h"
 #include "rts/registry.h"
 #include "rts/tuple.h"
 #include "telemetry/counter.h"
@@ -114,18 +115,26 @@ std::vector<std::pair<std::string, size_t>> ProtocolFieldUses(
 
 /// One captured-packet stream, `interface.Protocol` (§2.2): interprets
 /// each packet offered on its interface into a tuple of the protocol
-/// schema, batches the tuples, and punctuates the stream every
-/// `punctuation_interval` packets and on heartbeats. Every ordering token
-/// the source publishes comes from one builder (time fields bounded at a
-/// sim time), and no packet or heartbeat can move the source's bound
-/// backwards: a packet stamped behind it is clamped to it and counted.
+/// schema and punctuates the stream every `punctuation_interval` packets
+/// and on heartbeats. Every ordering token the source emits comes from one
+/// builder (time fields bounded at a sim time), and no packet or heartbeat
+/// can move the source's bound backwards: a packet stamped behind it is
+/// clamped to it and counted.
+///
+/// The LFTAs over the stream run on each tuple as it is interpreted (§4:
+/// they are linked into the run-time system next to the capture loop):
+/// the source hands every tuple and punctuation to its fed nodes in place,
+/// in the order they were added. Only while the stream has ring
+/// subscribers (a raw Subscribe, a user node, an unsplit HFTA over the
+/// stream) does it also batch them and publish the batches.
 ///
 /// Inject-thread only. Not movable: the telemetry registry points at its
 /// counters.
 class PacketSource {
  public:
   struct Options {
-    /// Tuples per published batch (EngineOptions::batch_max_size).
+    /// Tuples per published batch, and between the boundaries Inject
+    /// reports (EngineOptions::batch_max_size).
     size_t batch_max_size = 64;
     /// Packets between punctuations (0: only heartbeats punctuate).
     size_t punctuation_interval = 256;
@@ -161,11 +170,18 @@ class PacketSource {
   void WantField(size_t field);
   void WantAllFields();
 
-  /// Feeds one packet. Returns whether a batch was published.
+  /// Hands `node` every tuple and punctuation from the next packet on,
+  /// after the nodes added before it. Setup only; `node` outlives the
+  /// source's use of it.
+  void AddFedNode(rts::FedNode* node) { fed_.push_back(node); }
+
+  /// Interprets one packet and feeds it on. Returns whether it ended a
+  /// run of `batch_max_size` tuples or punctuated: a boundary, where a
+  /// batch is published when the stream has ring subscribers.
   bool Inject(const net::Packet& packet, const Offer& offer);
 
   /// Heartbeat (§3's ordering-update token for slow streams): punctuates
-  /// at `now` and publishes the open batch ahead of the punctuation.
+  /// at `now`, after every tuple injected before it.
   bool Heartbeat(SimTime now);
 
   /// Publishes the open batch, if any. Returns whether it did.
@@ -175,12 +191,13 @@ class PacketSource {
   SimTime last_punct_time() const { return last_punct_time_; }
 
  private:
-  /// The one punctuation builder: writes a punctuation bounding every
-  /// increasing field at sim time `t`, which closes and publishes the open
-  /// batch. Time-derived fields bound at `t`; other increasing fields take
-  /// their value from `tuple` (the packed tuple just interpreted), and are
-  /// left out when there is none. Returns false (writing nothing) if no
-  /// field is bounded.
+  /// The one punctuation builder: builds a punctuation bounding every
+  /// increasing field at sim time `t`, feeds it, and, with ring
+  /// subscribers, writes it, which closes and publishes the open batch.
+  /// Time-derived fields bound at `t`; other increasing fields take their
+  /// value from `tuple` (the packed tuple just interpreted), and are left
+  /// out when there is none. Returns false (emitting nothing) if no field
+  /// is bounded.
   bool WritePunctuation(SimTime t, const ByteSpan* tuple,
                         const Offer& offer);
   /// Counts one offered packet down the punctuation interval: true when it
@@ -211,8 +228,16 @@ class PacketSource {
   /// Packets left until the next interval punctuation; stays 0 when the
   /// interval is 0.
   size_t punct_countdown_ = 0;
-  /// Batches the stream's tuples; publishes on size or punctuation. Last,
-  /// beside the other fields every Inject touches.
+  /// The punctuation being emitted, built once for every reader.
+  rts::StreamBatch punctuation_;
+  /// Where a tuple is packed while the stream has no ring subscribers.
+  ByteBuffer packed_;
+  /// Tuples since the last boundary Inject reported.
+  size_t since_boundary_ = 0;
+  /// The nodes fed in place, in the order they were added.
+  std::vector<rts::FedNode*> fed_;
+  /// Batches the stream's tuples for ring subscribers; publishes on size
+  /// or punctuation. Last, beside the other fields every Inject touches.
   rts::BatchWriter writer_;
 };
 

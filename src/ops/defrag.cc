@@ -118,15 +118,16 @@ void IpDefragNode::ProcessTuple(ByteSpan payload) {
     return;
   }
 
-  Assembly& assembly = assemblies_[key];
-  if (assembly.fragments.empty()) {
+  auto [at, created] = assemblies_.try_emplace(key);
+  Assembly& assembly = at->second;
+  if (created) {
     assembly.first_seen_time = time_now;
-    least_first_seen_ = std::min(least_first_seen_, time_now);
+    by_first_seen_.emplace(time_now, key);
   }
   if (assembly.fragments.size() >= kMaxFragmentsPerAssembly) {
     // Fragment flood on one key: abandon the assembly rather than grow it.
     ++parse_errors_;
-    assemblies_.erase(key);
+    Erase(at);
     return;
   }
   Fragment fragment;
@@ -139,18 +140,18 @@ void IpDefragNode::ProcessTuple(ByteSpan payload) {
   assembly.fragments.push_back(std::move(fragment));
 
   if (TryComplete(key, assembly, time_now)) {
-    assemblies_.erase(key);
+    Erase(at);
   } else if (assemblies_.size() > spec_.max_assemblies) {
     // Reassembly cache overflow: evict the oldest partial.
-    auto oldest = assemblies_.begin();
-    for (auto it = assemblies_.begin(); it != assemblies_.end(); ++it) {
-      if (it->second.first_seen_time < oldest->second.first_seen_time) {
-        oldest = it;
-      }
-    }
-    assemblies_.erase(oldest);
+    Erase(assemblies_.find(by_first_seen_.begin()->second));
     ++timeouts_;
   }
+}
+
+std::map<IpDefragNode::AssemblyKey, IpDefragNode::Assembly>::iterator
+IpDefragNode::Erase(std::map<AssemblyKey, Assembly>::iterator it) {
+  by_first_seen_.erase({it->second.first_seen_time, it->first});
+  return assemblies_.erase(it);
 }
 
 bool IpDefragNode::TryComplete(const AssemblyKey& key, Assembly& assembly,
@@ -199,18 +200,18 @@ void IpDefragNode::Emit(uint64_t time_now, const AssemblyKey& key,
 }
 
 void IpDefragNode::ExpireOld(uint64_t time_now) {
-  // No assembly outlives the timeout before the least first_seen_time does.
-  const uint64_t age = time_now - std::min(time_now, least_first_seen_);
-  if (age <= spec_.timeout_seconds) return;
-  least_first_seen_ = UINT64_MAX;
+  // No assembly outlives the timeout before the oldest one does.
+  if (by_first_seen_.empty() ||
+      time_now - std::min(time_now, by_first_seen_.begin()->first) <=
+          spec_.timeout_seconds) {
+    return;
+  }
   for (auto it = assemblies_.begin(); it != assemblies_.end();) {
     if (time_now >= it->second.first_seen_time &&
         time_now - it->second.first_seen_time > spec_.timeout_seconds) {
-      it = assemblies_.erase(it);
+      it = Erase(it);
       ++timeouts_;
     } else {
-      least_first_seen_ =
-          std::min(least_first_seen_, it->second.first_seen_time);
       ++it;
     }
   }
@@ -220,6 +221,7 @@ void IpDefragNode::Flush() {
   // Incomplete assemblies cannot produce correct datagrams; drop them.
   timeouts_ += assemblies_.size();
   assemblies_.clear();
+  by_first_seen_.clear();
   writer_.Flush();  // Flush runs outside any Poll round
 }
 

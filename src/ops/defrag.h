@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rts/node.h"
@@ -104,6 +106,10 @@ class IpDefragNode : public rts::QueryNode {
   void Emit(uint64_t time_now, const AssemblyKey& key,
             const std::string& datagram);
   void ExpireOld(uint64_t time_now);
+  /// Erases the assembly at `it` from the table and from
+  /// by_first_seen_.
+  std::map<AssemblyKey, Assembly>::iterator Erase(
+      std::map<AssemblyKey, Assembly>::iterator it);
 
   Spec spec_;
   FieldSlots slots_;
@@ -112,9 +118,10 @@ class IpDefragNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   std::map<AssemblyKey, Assembly> assemblies_;
-  /// At most every assembly's first_seen_time (UINT64_MAX: none).
-  /// ExpireOld scans once it is past the timeout, and makes it exact.
-  uint64_t least_first_seen_ = UINT64_MAX;
+  /// Every assembly as (first_seen_time, key): the oldest first, ties to
+  /// the first key in table order. The eviction victim is begin(), and
+  /// ExpireOld scans only once begin() is past the timeout.
+  std::set<std::pair<uint64_t, AssemblyKey>> by_first_seen_;
   uint64_t timeouts_ = 0;
   telemetry::Counter parse_errors_;
 };

@@ -79,22 +79,37 @@ LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
                 spec_.key_punctuation_source, layout_, input_codec_),
       table_(log2_slots, &layout_),
       shed_(shed) {
-  RegisterInput(input_);
+  if (input_ != nullptr) RegisterInput(input_);
 }
 
 size_t LftaAggregateNode::Poll(size_t budget) {
-  const size_t processed = ReadInput(
-      input_, input_codec_, budget,
-      [this](const rts::BatchItem& item, ByteSpan payload) {
-        ProcessTuple(payload, item.weight);
-      },
-      [this](ByteSpan payload) {
-        const uint8_t* bound =
-            grouping_.PunctuationBound(payload, &vm_, params_.get());
-        if (bound != nullptr) AdvanceEpoch(bound, /*drain_first=*/true);
-      });
+  size_t processed = 0;
+  if (input_ != nullptr) {
+    processed = ReadInput(
+        input_, input_codec_, budget,
+        [this](const rts::BatchItem& item, ByteSpan payload) {
+          ProcessTuple(payload, item.weight);
+        },
+        [this](ByteSpan payload) { ProcessPunctuation(payload); });
+  }
   writer_.Flush();
   return processed;
+}
+
+void LftaAggregateNode::Feed(const rts::MessageMeta& message,
+                             ByteSpan payload) {
+  ReadFed(
+      message, payload, input_codec_,
+      [this](const rts::MessageMeta& tuple_meta, ByteSpan tuple) {
+        ProcessTuple(tuple, tuple_meta.weight);
+      },
+      [this](ByteSpan punctuation) { ProcessPunctuation(punctuation); });
+}
+
+void LftaAggregateNode::ProcessPunctuation(ByteSpan payload) {
+  const uint8_t* bound =
+      grouping_.PunctuationBound(payload, &vm_, params_.get());
+  if (bound != nullptr) AdvanceEpoch(bound, /*drain_first=*/true);
 }
 
 void LftaAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {

@@ -135,20 +135,24 @@ void DirectMappedAggTable::EvictColdest(size_t target, Emit&& emit) {
 /// LFTA-side pre-aggregation node: evaluates group keys and aggregate
 /// arguments, folds into the direct-mapped table, emits ejected partials
 /// immediately, and drains the table when the ordered key advances (epoch
-/// close) — feeding the HFTA superaggregate.
-class LftaAggregateNode : public rts::QueryNode {
+/// close) — feeding the HFTA superaggregate. Directly over a packet
+/// source it is fed each message in place (rts::FedNode); over another
+/// LFTA it reads that one's ring.
+class LftaAggregateNode : public rts::QueryNode, public rts::FedNode {
  public:
   using Spec = OrderedAggregateNode::Spec;
 
   /// `shed` (optional) is the engine's shared shedding state: the node
   /// reads the sampling weight, epoch coarsening factor, and table cap from
   /// it on the fly. Reads are relaxed atomics; the node runs on the same
-  /// thread as the controller that writes them (the inject thread).
+  /// thread as the controller that writes them (the inject thread). A null
+  /// `input` makes a fed node: its producer calls Feed.
   LftaAggregateNode(Spec spec, int log2_slots, rts::Subscription input,
                     rts::StreamRegistry* registry, rts::ParamBlock params,
                     const rts::ShedState* shed = nullptr);
 
   size_t Poll(size_t budget) override;
+  void Feed(const rts::MessageMeta& message, ByteSpan payload) override;
   void Flush() override;
   void RegisterTelemetry(telemetry::Registry* metrics) const override;
 
@@ -156,6 +160,7 @@ class LftaAggregateNode : public rts::QueryNode {
 
  private:
   void ProcessTuple(ByteSpan payload, uint32_t weight);
+  void ProcessPunctuation(ByteSpan payload);
   void EmitPartial(const GroupRef& group);
   /// Moves the epoch to the packed ordered-key value `ordered` when it
   /// exceeds the current one. `drain_first` also drains when no epoch was

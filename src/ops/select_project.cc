@@ -34,7 +34,7 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       at_(spec_.input_schema.num_fields(), nullptr),
       bounds_(spec_.input_schema),
       mapped_(spec_.projections.size()) {
-  RegisterInput(input_);
+  if (input_ != nullptr) RegisterInput(input_);
   BuildRawFilter();
   BuildCopyProjection();
   for (const expr::CompiledExpr& projection : spec_.projections) {
@@ -142,14 +142,25 @@ bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
 }
 
 size_t SelectProjectNode::Poll(size_t budget) {
-  const size_t processed = ReadInput(
-      input_, input_codec_, budget,
-      [this](const rts::BatchItem&, ByteSpan payload) {
-        ProcessTuple(payload);
-      },
-      [this](ByteSpan payload) { ProcessPunctuation(payload); });
+  size_t processed = 0;
+  if (input_ != nullptr) {
+    processed = ReadInput(
+        input_, input_codec_, budget,
+        [this](const rts::BatchItem&, ByteSpan payload) {
+          ProcessTuple(payload);
+        },
+        [this](ByteSpan payload) { ProcessPunctuation(payload); });
+  }
   writer_.Flush();
   return processed;
+}
+
+void SelectProjectNode::Feed(const rts::MessageMeta& message,
+                             ByteSpan payload) {
+  ReadFed(
+      message, payload, input_codec_,
+      [this](const rts::MessageMeta&, ByteSpan tuple) { ProcessTuple(tuple); },
+      [this](ByteSpan punctuation) { ProcessPunctuation(punctuation); });
 }
 
 void SelectProjectNode::ProcessTuple(ByteSpan payload) {

@@ -21,8 +21,9 @@ namespace gigascope::ops {
 /// a bound on every output field whose projection is an order-preserving
 /// function of exactly that field (e.g. `time/60`).
 ///
-/// Reads whole StreamBatches through QueryNode's input loop and emits
-/// through a BatchWriter. When the predicate is a conjunction of `field <cmp>
+/// Reads whole StreamBatches through QueryNode's input loop, or, as an
+/// LFTA directly over a packet source, is fed each message in place
+/// (rts::FedNode), and emits through a BatchWriter. When the predicate is a conjunction of `field <cmp>
 /// constant` terms over fixed-offset fields (the dominant LFTA filter
 /// shape), it is evaluated columnar-style straight off the packed tuple
 /// bytes: rejected tuples — the vast majority on a selective filter — are
@@ -31,7 +32,7 @@ namespace gigascope::ops {
 /// rename, or a column subset), the output tuple is a copy of those fields'
 /// packed bytes, written in place into the output batch as a few runs of
 /// bytes: no row, no VM.
-class SelectProjectNode : public rts::QueryNode {
+class SelectProjectNode : public rts::QueryNode, public rts::FedNode {
  public:
   struct Spec {
     std::string name;                       // node/output stream name
@@ -47,10 +48,12 @@ class SelectProjectNode : public rts::QueryNode {
     size_t output_batch = 64;
   };
 
+  /// A null `input` makes a fed node: its producer calls Feed.
   SelectProjectNode(Spec spec, rts::Subscription input,
                     rts::StreamRegistry* registry, rts::ParamBlock params);
 
   size_t Poll(size_t budget) override;
+  void Feed(const rts::MessageMeta& message, ByteSpan payload) override;
 
   /// Whether the predicate compiled to the raw byte-comparing fast path
   /// (introspection for tests and EXPLAIN).

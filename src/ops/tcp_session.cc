@@ -119,33 +119,33 @@ void TcpSessionNode::ProcessTuple(ByteSpan payload) {
     session.responder_port = dport;
     session.start_time = now;
     session.last_time = now;
-    least_last_time_ = std::min(least_last_time_, now);
     session.packets = 1;
     session.bytes = len;
     sessions_.emplace(key, session);
+    by_last_time_.emplace(now, key);
     if (sessions_.size() > spec_.max_sessions) {
       // Evict the stalest session as a timeout.
-      auto oldest = sessions_.begin();
-      for (auto scan = sessions_.begin(); scan != sessions_.end(); ++scan) {
-        if (scan->second.last_time < oldest->second.last_time) oldest = scan;
-      }
+      auto oldest = sessions_.find(by_last_time_.begin()->second);
       Emit(oldest->second.last_time, oldest->second, "timeout");
       ++timed_out_;
-      sessions_.erase(oldest);
+      Erase(oldest);
     }
     return;
   }
 
   Session& session = it->second;
-  session.last_time = now;
-  least_last_time_ = std::min(least_last_time_, now);
+  if (session.last_time != now) {
+    by_last_time_.erase({session.last_time, key});
+    by_last_time_.emplace(now, key);
+    session.last_time = now;
+  }
   session.packets += 1;
   session.bytes += len;
 
   if (flags & net::kTcpFlagRst) {
     Emit(now, session, "reset");
     ++reset_;
-    sessions_.erase(it);
+    Erase(it);
     return;
   }
   if (flags & net::kTcpFlagFin) {
@@ -159,9 +159,15 @@ void TcpSessionNode::ProcessTuple(ByteSpan payload) {
     if (session.fin_from_initiator && session.fin_from_responder) {
       Emit(now, session, "closed");
       ++closed_;
-      sessions_.erase(it);
+      Erase(it);
     }
   }
+}
+
+std::map<TcpSessionNode::SessionKey, TcpSessionNode::Session>::iterator
+TcpSessionNode::Erase(std::map<SessionKey, Session>::iterator it) {
+  by_last_time_.erase({it->second.last_time, it->first});
+  return sessions_.erase(it);
 }
 
 void TcpSessionNode::Emit(uint64_t end_time, const Session& session,
@@ -190,18 +196,20 @@ void TcpSessionNode::Emit(uint64_t end_time, const Session& session,
 }
 
 void TcpSessionNode::ExpireOld(uint64_t time_now) {
-  // No session idles past the timeout before the least last_time does.
-  const uint64_t idle = time_now - std::min(time_now, least_last_time_);
-  if (idle <= spec_.timeout_seconds) return;
-  least_last_time_ = UINT64_MAX;
+  // No session idles past the timeout before the stalest one does; the
+  // expired ones are emitted in table order.
+  if (by_last_time_.empty() ||
+      time_now - std::min(time_now, by_last_time_.begin()->first) <=
+          spec_.timeout_seconds) {
+    return;
+  }
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (time_now >= it->second.last_time &&
         time_now - it->second.last_time > spec_.timeout_seconds) {
       Emit(it->second.last_time, it->second, "timeout");
       ++timed_out_;
-      it = sessions_.erase(it);
+      it = Erase(it);
     } else {
-      least_last_time_ = std::min(least_last_time_, it->second.last_time);
       ++it;
     }
   }
@@ -213,6 +221,7 @@ void TcpSessionNode::Flush() {
     ++timed_out_;
   }
   sessions_.clear();
+  by_last_time_.clear();
   writer_.Flush();  // Flush runs outside any Poll round
 }
 

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "rts/node.h"
 #include "rts/tuple.h"
@@ -84,6 +86,9 @@ class TcpSessionNode : public rts::QueryNode {
   void ProcessTuple(ByteSpan payload);
   void Emit(uint64_t end_time, const Session& session, const char* state);
   void ExpireOld(uint64_t time_now);
+  /// Erases the session at `it` from the table and from by_last_time_.
+  std::map<SessionKey, Session>::iterator Erase(
+      std::map<SessionKey, Session>::iterator it);
 
   Spec spec_;
   FieldSlots slots_;
@@ -92,9 +97,10 @@ class TcpSessionNode : public rts::QueryNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   std::map<SessionKey, Session> sessions_;
-  /// At most every session's last_time (UINT64_MAX: none). ExpireOld
-  /// scans once it has idled past the timeout, and makes it exact.
-  uint64_t least_last_time_ = UINT64_MAX;
+  /// Every session as (last_time, key): the stalest first, ties to the
+  /// first key in table order. The eviction victim is begin(), and
+  /// ExpireOld scans only once begin() has idled past the timeout.
+  std::set<std::pair<uint64_t, SessionKey>> by_last_time_;
   uint64_t closed_ = 0;
   uint64_t reset_ = 0;
   uint64_t timed_out_ = 0;

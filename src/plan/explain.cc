@@ -131,14 +131,16 @@ void AnalyzeNodeText(const AnalyzeContext& analyze,
     *out += " (restarts " + std::to_string(stats->restarts) + ")";
   }
   *out += "\n";
-  *out += pad2 + "ring: pushed=" + std::to_string(stats->ring_pushed) +
-          " popped=" + std::to_string(stats->ring_popped) +
-          " dropped=" + std::to_string(stats->ring_dropped);
-  if (!analyze.opts->mask_volatile) {
-    *out += " size=" + std::to_string(stats->ring_size) +
-            " high-water=" + std::to_string(stats->ring_high_water);
+  if (stats->has_ring) {
+    *out += pad2 + "ring: pushed=" + std::to_string(stats->ring_pushed) +
+            " popped=" + std::to_string(stats->ring_popped) +
+            " dropped=" + std::to_string(stats->ring_dropped);
+    if (!analyze.opts->mask_volatile) {
+      *out += " size=" + std::to_string(stats->ring_size) +
+              " high-water=" + std::to_string(stats->ring_high_water);
+    }
+    *out += "\n";
   }
-  *out += "\n";
   if (!analyze.opts->mask_volatile) {
     *out += pad2 + "timing: poll p50=" + std::to_string(stats->poll_ns_p50) +
             "ns p99=" + std::to_string(stats->poll_ns_p99) +
@@ -261,14 +263,16 @@ void AnalyzeNodeJson(const AnalyzeContext& analyze,
   *out += ",\"tuples_in\":" + std::to_string(stats->tuples_in);
   *out += ",\"tuples_out\":" + std::to_string(stats->tuples_out);
   *out += ",\"eval_errors\":" + std::to_string(stats->eval_errors);
-  *out += ",\"ring\":{\"pushed\":" + std::to_string(stats->ring_pushed) +
-          ",\"popped\":" + std::to_string(stats->ring_popped) +
-          ",\"dropped\":" + std::to_string(stats->ring_dropped);
-  if (!analyze.opts->mask_volatile) {
-    *out += ",\"size\":" + std::to_string(stats->ring_size) +
-            ",\"high_water\":" + std::to_string(stats->ring_high_water);
+  if (stats->has_ring) {
+    *out += ",\"ring\":{\"pushed\":" + std::to_string(stats->ring_pushed) +
+            ",\"popped\":" + std::to_string(stats->ring_popped) +
+            ",\"dropped\":" + std::to_string(stats->ring_dropped);
+    if (!analyze.opts->mask_volatile) {
+      *out += ",\"size\":" + std::to_string(stats->ring_size) +
+              ",\"high_water\":" + std::to_string(stats->ring_high_water);
+    }
+    *out += "}";
   }
-  *out += "}";
   if (!analyze.opts->mask_volatile) {
     *out += ",\"timing\":{\"poll_ns_p50\":" +
             std::to_string(stats->poll_ns_p50) + ",\"poll_ns_p99\":" +

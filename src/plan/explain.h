@@ -51,6 +51,9 @@ struct AnalyzeNodeStats {
   uint64_t poll_ns_p99 = 0;
   uint64_t tuple_ns_p50 = 0;
   uint64_t tuple_ns_p99 = 0;
+  /// Whether the node reads an input ring. A node its packet source feeds
+  /// in place has none, and renders no ring health.
+  bool has_ring = false;
   /// Input ring health, summed over the node's input channels.
   uint64_t ring_pushed = 0;
   uint64_t ring_popped = 0;

@@ -26,8 +26,10 @@ using ParamBlock = std::shared_ptr<std::vector<expr::Value>>;
 /// from its input subscriptions and publishes to its output stream via the
 /// registry.
 ///
-/// Every node reads its input through one loop (ReadInput or ReadBatch,
-/// below) and publishes through a BatchWriter.
+/// Every node reads each input message through one bracket
+/// (ReadMessage, below), from a ring (ReadInput, ReadBatch) or handed
+/// over in place by its producer (ReadFed), and publishes through a
+/// BatchWriter.
 class QueryNode {
  public:
   explicit QueryNode(std::string name) : name_(std::move(name)) {}
@@ -38,7 +40,8 @@ class QueryNode {
   const std::string& name() const { return name_; }
 
   /// Processes up to `budget` pending input messages; returns how many were
-  /// consumed (0 = idle).
+  /// consumed (0 = idle). A fed node (FedNode) reads its messages as they
+  /// are produced, so its Poll only flushes its output and returns 0.
   virtual size_t Poll(size_t budget) = 0;
 
   /// Poll + busy accounting: counts the polls that did work and feeds the
@@ -58,7 +61,8 @@ class QueryNode {
   /// Input tuples that failed framing or evaluation (runtime errors) and
   /// were dropped.
   uint64_t eval_errors() const { return eval_errors_.value(); }
-  /// Polls that consumed at least one message (busy-time proxy).
+  /// Polls that consumed at least one message (busy-time proxy); 0 on a
+  /// fed node.
   uint64_t busy_polls() const { return busy_polls_.value(); }
   /// Sampled (traced) messages that reached this node with no tracer
   /// attached — their span is lost here. Nonzero on worker-process nodes:
@@ -99,7 +103,9 @@ class QueryNode {
   /// Inject→emit latency of traced tuples; populated only on terminal
   /// nodes while a tracer with sampling is attached.
   const telemetry::Histogram& e2e_histogram() const { return e2e_ns_; }
-  /// Busy-poll duration / per-message latency distributions (wall ns).
+  /// Busy-poll duration / per-message latency distributions (wall ns). A
+  /// fed node has no busy poll; its per-message latency is one fed
+  /// message in every kFedTimingPeriod, timed alone.
   const telemetry::Histogram& poll_histogram() const { return poll_ns_; }
   const telemetry::Histogram& tuple_histogram() const { return tuple_ns_; }
 
@@ -109,15 +115,33 @@ class QueryNode {
     inputs_.push_back(std::move(input));
   }
 
-  // -- The input loop, called from Poll on the polling thread. -------------
-  // Both templates are inlined into the operator's Poll: no virtual call
-  // and no std::function per message. Every message read is bracketed for
-  // the tracer (a span when traced, trace_truncated with no tracer
-  // attached). A tuple counts in tuples_in; one that `codec` does not frame
-  // counts in eval_errors and goes no further. `on_tuple(const BatchItem&,
-  // ByteSpan)` receives each framed tuple and `on_punctuation(ByteSpan)`
-  // each punctuation while the message is the active one, so outputs
-  // stamped with StampOutput inherit its trace context.
+  // -- The input loop, on the node's owning thread. ------------------------
+  // The templates are inlined into the operator's Poll or Feed: no virtual
+  // call and no std::function per message. Each message they read goes
+  // through one bracket, ReadMessage (private, below).
+
+  /// Fed messages per one timed into tuple_ns (ReadFed): two clock reads
+  /// per 64 messages.
+  static constexpr uint32_t kFedTimingPeriod = 64;
+
+  /// Reads one message its producer hands over in place (FedNode::Feed)
+  /// through ReadMessage, and times one in every kFedTimingPeriod into
+  /// tuple_ns: a fed node's Poll reads nothing, so this is where its
+  /// per-message cost shows.
+  template <typename OnTuple, typename OnPunctuation>
+  void ReadFed(const MessageMeta& message, ByteSpan payload,
+               const TupleCodec& codec, OnTuple&& on_tuple,
+               OnPunctuation&& on_punctuation) {
+    if (++fed_ < kFedTimingPeriod) [[likely]] {
+      ReadMessage(message, payload, codec, on_tuple, on_punctuation);
+      return;
+    }
+    fed_ = 0;
+    const int64_t start_ns = telemetry::MonotonicNowNs();
+    ReadMessage(message, payload, codec, on_tuple, on_punctuation);
+    const int64_t dur_ns = telemetry::MonotonicNowNs() - start_ns;
+    tuple_ns_.Record(static_cast<uint64_t>(dur_ns > 0 ? dur_ns : 0));
+  }
 
   /// Pops one batch from `input` and reads every message of it. Returns
   /// how many it read (0: the ring was empty).
@@ -126,19 +150,8 @@ class QueryNode {
                    OnTuple&& on_tuple, OnPunctuation&& on_punctuation) {
     if (!input->TryPop(&batch_)) return 0;
     for (const BatchItem& item : batch_.items()) {
-      BeginMessage(item);
-      const ByteSpan payload = batch_.payload(item);
-      if (item.kind != MessageKind::kTuple) {
-        on_punctuation(payload);
-      } else {
-        ++tuples_in_;
-        if (codec.Framed(payload)) {
-          on_tuple(item, payload);
-        } else {
-          ++eval_errors_;  // a malformed tuple goes no further
-        }
-      }
-      EndMessage();
+      ReadMessage(item, batch_.payload(item), codec, on_tuple,
+                  on_punctuation);
     }
     return batch_.size();
   }
@@ -208,6 +221,31 @@ class QueryNode {
   telemetry::Counter trace_truncated_;
 
  private:
+  /// The one per-message bracket. The message is bracketed for the tracer
+  /// (a span when traced, trace_truncated with no tracer attached). A
+  /// tuple counts in tuples_in; one that `codec` does not frame counts in
+  /// eval_errors and goes no further. `on_tuple(const Message&, ByteSpan)`
+  /// receives a framed tuple and `on_punctuation(ByteSpan)` a punctuation
+  /// while the message is the active one, so outputs stamped with
+  /// StampOutput inherit its trace context and weight.
+  template <typename Message, typename OnTuple, typename OnPunctuation>
+  void ReadMessage(const Message& message, ByteSpan payload,
+                   const TupleCodec& codec, OnTuple&& on_tuple,
+                   OnPunctuation&& on_punctuation) {
+    BeginMessage(message);
+    if (message.kind != MessageKind::kTuple) {
+      on_punctuation(payload);
+    } else {
+      ++tuples_in_;
+      if (codec.Framed(payload)) {
+        on_tuple(message, payload);
+      } else {
+        ++eval_errors_;  // a malformed tuple goes no further
+      }
+    }
+    EndMessage();
+  }
+
   /// Starts the span for a dequeued message, if it carries a trace.
   void BeginMessage(const MessageMeta& message) {
     active_trace_id_ = message.trace_id;
@@ -249,6 +287,22 @@ class QueryNode {
   int64_t span_start_ns_ = 0;
   // Sampling weight of the message currently being processed.
   uint32_t active_weight_ = 1;
+  // Fed messages since the last one ReadFed timed.
+  uint32_t fed_ = 0;
+};
+
+/// A node its producer feeds in place instead of through a ring: a packet
+/// source hands each tuple it interprets, and each punctuation it builds,
+/// to the LFTAs over its stream (core::PacketSource::AddFedNode) on the
+/// inject thread, which owns them. A fed node subscribes to no ring, so it
+/// lists no inputs and registers no ring metrics.
+class FedNode {
+ public:
+  /// Reads one message, tuple or punctuation, with its packed bytes.
+  virtual void Feed(const MessageMeta& message, ByteSpan payload) = 0;
+
+ protected:
+  ~FedNode() = default;
 };
 
 /// Registers one channel's ring metrics under `entity`, named `prefix`

@@ -83,6 +83,12 @@ std::vector<Subscription> StreamRegistry::Subscribers(
   return it->second.subscribers;
 }
 
+const std::vector<Subscription>* StreamRegistry::SubscriberList(
+    const std::string& name) const {
+  auto it = streams_.find(name);
+  return it == streams_.end() ? nullptr : &it->second.subscribers;
+}
+
 std::vector<std::string> StreamRegistry::StreamNames() const {
   std::vector<std::string> names;
   names.reserve(streams_.size());

@@ -56,6 +56,12 @@ class StreamRegistry {
   /// single-producer/single-consumer.
   std::vector<Subscription> Subscribers(const std::string& name) const;
 
+  /// The live subscriber list of `name`, null when unknown. Streams are
+  /// never removed, so the pointer stays valid for the registry's life
+  /// and the list it points at follows every later Subscribe.
+  const std::vector<Subscription>* SubscriberList(
+      const std::string& name) const;
+
   std::vector<std::string> StreamNames() const;
 
   /// A ring counter, such as &RingChannel::dropped.
@@ -118,7 +124,7 @@ class BatchWriter {
   /// Appends a tuple of `length` bytes carrying `meta` and returns where
   /// its packed bytes go (valid until the next append), publishing
   /// nothing: a packet source appends its tuple, may close the batch with
-  /// a punctuation read from that tuple, and only then calls FlushIfFull.
+  /// a punctuation read from that tuple, and flushes only at its boundary.
   uint8_t* AppendTuple(const MessageMeta& meta, size_t length) {
     return open_.Append(meta, length);
   }
@@ -141,9 +147,17 @@ class BatchWriter {
     Flush();
   }
 
-  /// Publishes the open batch once it holds `max_batch` messages. Returns
-  /// whether it published.
-  bool FlushIfFull() { return open_.size() >= max_batch_ && Flush(); }
+  /// Whether the stream has a subscriber channel; what is written while
+  /// it has none reaches no one. The list is resolved once, at the first
+  /// call after the stream is declared, so this is one load per call, and
+  /// it follows a Subscribe from the very next call.
+  bool has_subscribers() {
+    if (subscribers_ == nullptr) [[unlikely]] {
+      subscribers_ = registry_->SubscriberList(stream_);
+      if (subscribers_ == nullptr) return false;
+    }
+    return !subscribers_->empty();
+  }
 
   /// Publishes the open batch, if any, which carries a parked punctuation
   /// along; with nothing open, retries the parked punctuation while one
@@ -166,10 +180,17 @@ class BatchWriter {
   }
 
  private:
+  /// Publishes the open batch once it holds `max_batch` messages.
+  void FlushIfFull() {
+    if (open_.size() >= max_batch_) Flush();
+  }
+
   StreamRegistry* registry_;
   std::string stream_;
   size_t max_batch_;
   StreamBatch open_;
+  /// The stream's subscriber list (has_subscribers), null until resolved.
+  const std::vector<Subscription>* subscribers_ = nullptr;
   /// Whether a punctuation may be parked on one of the stream's channels:
   /// set by the publish that parked it, cleared by the retry (or publish)
   /// that leaves nothing parked.

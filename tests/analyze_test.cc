@@ -122,6 +122,25 @@ TEST_F(AnalyzeTest, SplitAggregateGolden) {
               engine.AnalyzeText(/*mask_volatile=*/true));
 }
 
+// A node its packet source feeds in place reads no ring: its JSON carries
+// no ring object. A node reading a ring carries one, as in the text.
+TEST_F(AnalyzeTest, JsonRingOnlyWhereANodeReadsARing) {
+  Engine filter;
+  RunWorkload(&filter,
+              "DEFINE { query_name tcponly; } "
+              "SELECT time, destIP, destPort FROM eth0.PKT "
+              "WHERE ipVersion = 4 AND protocol = 6");
+  EXPECT_EQ(filter.AnalyzeJson().find("\"ring\""), std::string::npos);
+  Engine split;
+  RunWorkload(&split,
+              "DEFINE { query_name counts; } "
+              "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+              "WHERE protocol = 6 GROUP BY time/60 AS tb, destIP");
+  EXPECT_NE(split.AnalyzeJson(/*mask_volatile=*/true)
+                .find("\"ring\":{\"pushed\":5,\"popped\":5,\"dropped\":0}"),
+            std::string::npos);
+}
+
 // The JSON rendering: balanced, one entry per query, the analyze summary
 // and per-node actuals present, and the actual counts agreeing with the
 // text rendering's fixed workload (8 tuples into the filter, 5 out).

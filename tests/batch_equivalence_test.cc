@@ -198,6 +198,9 @@ TEST(BatchEquivalenceTest, PunctuationStillClosesWindowWhenRingFills) {
   // Overload must cost tuples, never ordering guarantees: a heartbeat that
   // lands on a full ring parks and is delivered once the ring drains, so
   // the aggregation window still closes without waiting for the seal.
+  // The payload test keeps the aggregation in the HFTA, so every packet
+  // crosses the agg_lfta ring after the LFTA, which runs inside
+  // InjectPacket.
   EngineOptions options;
   options.channel_capacity = 4;
   options.batch_max_size = 1;  // slot == tuple: four packets fill the ring
@@ -205,20 +208,20 @@ TEST(BatchEquivalenceTest, PunctuationStillClosesWindowWhenRingFills) {
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine
                   .AddQuery("DEFINE { query_name agg; } "
-                            "SELECT tb, count(*) FROM eth0.PKT "
-                            "GROUP BY time AS tb")
+                            "SELECT tb, count(*), max(str_find(payload, 'x')) "
+                            "FROM eth0.PKT GROUP BY time AS tb")
                   .ok());
   auto sub = engine.Subscribe("agg", 64);
   ASSERT_TRUE(sub.ok());
 
-  // Flood bucket 0 without pumping: the raw ring fills and drops.
+  // Flood bucket 0 without pumping: the agg_lfta ring fills and drops.
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(engine
                     .InjectPacket("eth0", MakeTcpPacket(
                                               (i + 1) * kNanosPerSecond / 64))
                     .ok());
   }
-  EXPECT_GT(engine.registry().Total(&RingChannel::dropped, "eth0.PKT"), 0u);
+  EXPECT_GT(engine.registry().Total(&RingChannel::dropped, "agg_lfta"), 0u);
   // The window-closing heartbeat hits the still-full ring: its tuples'
   // fate (drop) must not befall the punctuation.
   ASSERT_TRUE(engine.InjectHeartbeat("eth0", 2 * kNanosPerSecond).ok());

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -929,8 +930,9 @@ TEST(EngineTest, DiagnosticsNameTheProblem) {
 TEST(EngineTest, OverloadDropsEarliestInTheChain) {
   // §4/§5: "highly processed tuples ... are more valuable than
   // less-processed tuples". With tiny channels and a consumer that never
-  // keeps up, losses land on the raw packet channel, not on the query's
-  // output.
+  // keeps up, losses land on the first ring after the LFTA, which runs
+  // inside InjectPacket, not on the query's output. The payload test
+  // stays in the HFTA, so that ring is the LFTA->HFTA one.
   EngineOptions options;
   options.channel_capacity = 8;
   // Per-tuple flow: ring capacity counts slots, and a slot holds a whole
@@ -942,12 +944,12 @@ TEST(EngineTest, OverloadDropsEarliestInTheChain) {
   ASSERT_TRUE(engine
                   .AddQuery("DEFINE { query_name q; } "
                             "SELECT time, len FROM eth0.PKT "
-                            "WHERE protocol = 6")
+                            "WHERE protocol = 6 AND str_find(payload, 'x')")
                   .ok());
   auto sub = engine.Subscribe("q", 1 << 12);
   ASSERT_TRUE(sub.ok());
 
-  // Flood without pumping: the LFTA cannot drain its input.
+  // Flood without pumping: the HFTA cannot drain its input.
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(engine
                     .InjectPacket("eth0",
@@ -956,8 +958,8 @@ TEST(EngineTest, OverloadDropsEarliestInTheChain) {
                     .ok());
   }
   const rts::StreamRegistry& registry = engine.registry();
-  uint64_t raw_drops = registry.Total(&rts::RingChannel::dropped, "eth0.PKT");
-  EXPECT_GE(raw_drops, 90u);  // ~92 of 100 dropped before any processing
+  uint64_t lfta_drops = registry.Total(&rts::RingChannel::dropped, "q_lfta");
+  EXPECT_GE(lfta_drops, 90u);  // ~92 of 100 dropped after the LFTA alone
   EXPECT_EQ(registry.Total(&rts::RingChannel::dropped, "q"), 0u);
 
   engine.PumpUntilIdle();
@@ -1618,6 +1620,293 @@ TEST(EngineTest, NodeAfterItsConsumerDeliversItsParkedPunctuation) {
   EXPECT_EQ((*row)[0].uint_value(), 1u);
   EXPECT_EQ((*row)[1].uint_value(), 1u);
   EXPECT_FALSE((*sub)->NextRow().has_value());
+}
+
+
+// -- LFTAs run on the packet as it arrives ---------------------------------
+
+/// Telemetry value of (entity, metric), if registered.
+std::optional<uint64_t> Sample(const Engine& engine, const std::string& entity,
+                               const std::string& metric) {
+  for (const telemetry::MetricSample& sample : engine.telemetry().Snapshot()) {
+    if (sample.entity == entity && sample.metric == metric) {
+      return sample.value;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Whether `entity` registered any input-ring metric.
+bool HasRingMetrics(const Engine& engine, const std::string& entity) {
+  for (const telemetry::MetricSample& sample : engine.telemetry().Snapshot()) {
+    if (sample.entity == entity &&
+        sample.metric.rfind(telemetry::metric::kRingPrefix, 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `count` packets, one a second from second 1, alternating TCP to port
+/// 80 + i and UDP, with payloads that differ per packet.
+std::vector<net::Packet> MixedPackets(int count) {
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < count; ++i) {
+    const SimTime t = (i + 1) * kNanosPerSecond;
+    packets.push_back(
+        i % 2 == 0
+            ? MakeTcpPacket(t, 0x0a000001 + static_cast<uint32_t>(i % 5),
+                            static_cast<uint16_t>(80 + i),
+                            "p" + std::to_string(i))
+            : MakeUdpPacket(t, static_cast<uint16_t>(53 + i)));
+  }
+  return packets;
+}
+
+/// Every row `sub` holds, each rendered as tab-separated values.
+std::vector<std::string> Rows(TupleSubscription* sub) {
+  std::vector<std::string> rows;
+  while (auto row = sub->NextRow()) {
+    std::string text;
+    for (const Value& value : *row) text += value.ToString() + "\t";
+    rows.push_back(text);
+  }
+  return rows;
+}
+
+constexpr char kFedFilter[] =
+    "DEFINE { query_name fed; } "
+    "SELECT time, destIP, destPort FROM eth0.PKT WHERE protocol = 6";
+
+TEST(EngineTest, PerfbenchLftasReadNoRing) {
+  // filter_replay's LFTA-only filter and agg_paced's split aggregation:
+  // the packet source feeds both LFTAs in place, so the protocol stream
+  // has no ring and neither LFTA node reads one; the HFTA still does.
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name tcp_filter; } "
+                            "SELECT time, timestamp, destIP, destPort, len "
+                            "FROM eth0.PKT "
+                            "WHERE ipVersion = 4 AND protocol = 6")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name dest_agg; } "
+                            "SELECT tb, destIP, count(*), sum(len) "
+                            "FROM eth0.PKT GROUP BY time AS tb, destIP")
+                  .ok());
+  EXPECT_TRUE(engine.registry().Subscribers("eth0.PKT").empty());
+  EXPECT_FALSE(HasRingMetrics(engine, "tcp_filter"));
+  EXPECT_FALSE(HasRingMetrics(engine, "dest_agg_lfta"));
+  EXPECT_TRUE(HasRingMetrics(engine, "dest_agg"));
+  const std::string analyze = engine.AnalyzeText(/*mask_volatile=*/true);
+  EXPECT_EQ(analyze.find("ring: pushed="), analyze.rfind("ring: pushed="))
+      << "only the HFTA reads a ring:\n"
+      << analyze;
+
+  auto filtered = engine.Subscribe("tcp_filter");
+  auto aggregated = engine.Subscribe("dest_agg");
+  ASSERT_TRUE(filtered.ok());
+  ASSERT_TRUE(aggregated.ok());
+  for (const net::Packet& packet : MixedPackets(10)) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", packet).ok());
+  }
+  engine.FlushAll();
+  EXPECT_EQ(Rows(filtered->get()).size(), 5u);   // the TCP packets
+  EXPECT_EQ(Rows(aggregated->get()).size(), 10u);  // one group a second
+}
+
+TEST(EngineTest, EveryReaderOfAProtocolStreamSeesEveryPacket) {
+  // Three readers of eth0.PKT: a fed LFTA filter, a raw subscriber, and
+  // an unsplit HFTA (a self-join) that reads the stream through two rings.
+  const std::vector<net::Packet> packets = MixedPackets(40);
+  Engine alone;
+  alone.AddInterface("eth0");
+  ASSERT_TRUE(alone.AddQuery(kFedFilter).ok());
+  auto alone_rows = alone.Subscribe("fed");
+  ASSERT_TRUE(alone_rows.ok());
+
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine.AddQuery(kFedFilter).ok());
+  auto fed = engine.Subscribe("fed");
+  ASSERT_TRUE(fed.ok());
+  auto raw = engine.Subscribe("eth0.PKT");
+  ASSERT_TRUE(raw.ok());
+  auto join = engine.AddQuery(
+      "DEFINE { query_name same; } "
+      "SELECT l.time, r.len FROM eth0.PKT l, eth0.PKT r "
+      "WHERE l.time = r.time");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_FALSE(join->has_lfta);
+  auto same = engine.Subscribe("same");
+  ASSERT_TRUE(same.ok());
+  // The raw subscriber's ring and the join's two.
+  EXPECT_EQ(engine.registry().Subscribers("eth0.PKT").size(), 3u);
+  EXPECT_FALSE(HasRingMetrics(engine, "fed"));
+  EXPECT_TRUE(HasRingMetrics(engine, "same"));
+
+  for (const net::Packet& packet : packets) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", packet).ok());
+    ASSERT_TRUE(alone.InjectPacket("eth0", packet).ok());
+  }
+  engine.FlushAll();
+  alone.FlushAll();
+
+  const std::vector<std::string> fed_rows = Rows(fed->get());
+  EXPECT_EQ(fed_rows.size(), 20u);
+  EXPECT_EQ(fed_rows, Rows(alone_rows->get()));
+  EXPECT_EQ(Rows(raw->get()).size(), packets.size());
+  // One packet a second: each joins itself alone.
+  EXPECT_EQ(Rows(same->get()).size(), packets.size());
+  EXPECT_EQ(Sample(engine, "fed", telemetry::metric::kTuplesIn),
+            packets.size());
+}
+
+TEST(EngineTest, QueryAddedMidStreamReadsOnlyLaterPackets) {
+  // A query added after N packets is fed from the next packet on; a query
+  // fed from the start answers as it would alone.
+  const std::vector<net::Packet> packets = MixedPackets(30);
+  constexpr size_t kBefore = 12;
+  Engine alone;
+  alone.AddInterface("eth0");
+  ASSERT_TRUE(alone.AddQuery(kFedFilter).ok());
+  auto alone_rows = alone.Subscribe("fed");
+  ASSERT_TRUE(alone_rows.ok());
+
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine.AddQuery(kFedFilter).ok());
+  auto fed = engine.Subscribe("fed");
+  ASSERT_TRUE(fed.ok());
+  for (size_t i = 0; i < kBefore; ++i) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", packets[i]).ok());
+  }
+  engine.PumpUntilIdle();
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name later; } "
+                            "SELECT timestamp, payload FROM eth0.PKT")
+                  .ok());
+  auto later = engine.Subscribe("later");
+  ASSERT_TRUE(later.ok());
+  for (size_t i = kBefore; i < packets.size(); ++i) {
+    ASSERT_TRUE(engine.InjectPacket("eth0", packets[i]).ok());
+  }
+  for (const net::Packet& packet : packets) {
+    ASSERT_TRUE(alone.InjectPacket("eth0", packet).ok());
+  }
+  engine.FlushAll();
+  alone.FlushAll();
+
+  std::vector<SimTime> seen;
+  while (auto row = (*later)->NextRow()) {
+    seen.push_back(static_cast<SimTime>((*row)[0].uint_value()));
+  }
+  std::vector<SimTime> expected;
+  for (size_t i = kBefore; i < packets.size(); ++i) {
+    expected.push_back(packets[i].timestamp);
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(Rows(fed->get()), Rows(alone_rows->get()));
+}
+
+TEST(EngineTest, SampledWeightsFoldThroughAFedLftaAggregate) {
+  // L1 sampling with the split count's LFTA table fed in place: a second,
+  // HFTA-heavy query on the interface fills its LFTA->HFTA ring between
+  // pumps, which is the pressure; the scaled count still accounts for
+  // every offered packet within 5%.
+  EngineOptions options;
+  options.channel_capacity = 64;
+  options.batch_max_size = 4;
+  options.punctuation_interval = 16;
+  options.shed.enabled = true;
+  options.shed.check_period = kNanosPerSecond / 10;
+  options.shed.ring_occupancy = 0.1;
+  options.shed.max_level = 1;  // L1 sampling only
+  options.shed.drops_per_check = 0;  // occupancy is the only signal
+  options.shed.hold_checks = 1000000;  // never step down during the run
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  auto counted = engine.AddQuery(
+      "DEFINE { query_name counted; } "
+      "SELECT tb, count(*) FROM eth0.PKT GROUP BY time AS tb");
+  ASSERT_TRUE(counted.ok());
+  EXPECT_TRUE(counted->split_aggregation);
+  auto heavy = engine.AddQuery(
+      "DEFINE { query_name heavy; } "
+      "SELECT time, len FROM eth0.PKT WHERE str_find(payload, 'x')");
+  ASSERT_TRUE(heavy.ok());
+  EXPECT_TRUE(heavy->has_hfta);
+  auto sub = engine.Subscribe("counted", 65536);
+  auto heavy_sub = engine.Subscribe("heavy", 65536);
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(heavy_sub.ok());
+
+  const SimTime kMs = kNanosPerSecond / 1000;
+  const int kOffered = 20000;
+  for (int i = 1; i <= kOffered; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0", MakeTcpPacket(i * kMs, 0x0a000001,
+                                                        80, "x"))
+                    .ok());
+    if (i % 100 == 50) {
+      engine.PumpUntilIdle();
+      while ((*heavy_sub)->NextRow()) {
+      }
+    }
+  }
+  engine.FlushAll();
+
+  EXPECT_EQ(engine.registry().Total(&rts::RingChannel::dropped), 0u);
+  EXPECT_EQ(Sample(engine, "engine", telemetry::metric::kShedLevel), 1u);
+  EXPECT_GT(*Sample(engine, "engine", telemetry::metric::kShedTuples),
+            static_cast<uint64_t>(kOffered) / 2);
+  uint64_t total = 0;
+  while (auto row = (*sub)->NextRow()) total += (*row)[1].uint_value();
+  const double error =
+      std::abs(static_cast<double>(total) - kOffered) / kOffered;
+  EXPECT_LT(error, 0.05) << "total=" << total << " offered=" << kOffered;
+}
+
+TEST(EngineThreadedTest, BoundariesFlushFedLftaOutputToWorkers) {
+  // With one slot, every new destIP evicts the LFTA table's group, so the
+  // split aggregate's LFTA emits a partial per packet and no punctuation.
+  // The inject thread flushes that output at each boundary (every
+  // batch_max_size packets), so the worker's HFTA reads every partial with
+  // no Pump call.
+  EngineOptions options;
+  options.batch_max_size = 16;
+  options.lfta_hash_log2 = 0;
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  auto info = engine.AddQuery(
+      "DEFINE { query_name spread; } "
+      "SELECT tb, destIP, count(*) FROM eth0.PKT GROUP BY time AS tb, destIP");
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(info->split_aggregation);
+  ASSERT_TRUE(engine.StartThreads(1).ok());
+  const size_t packets = 2 * options.batch_max_size;
+  for (size_t i = 0; i < packets; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket(kNanosPerSecond,
+                                                0x0a000001 +
+                                                    static_cast<uint32_t>(i),
+                                                80, "x"))
+                    .ok());
+  }
+  // Every packet but the last evicted one group.
+  EXPECT_EQ(Sample(engine, "spread_lfta", telemetry::metric::kTuplesOut),
+            packets - 1);
+  uint64_t hfta_in = 0;
+  EXPECT_TRUE(WaitFor([&] {
+    hfta_in = 0;
+    for (const Engine::NodeStats& stats : engine.GetNodeStats()) {
+      if (stats.name != "spread_lfta") hfta_in += stats.tuples_in;
+    }
+    return hfta_in == packets - 1;
+  })) << "the HFTA read " << hfta_in;
+  engine.StopThreads();
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "channel_reader.h"
 #include "core/engine.h"
@@ -203,6 +205,74 @@ TEST_F(DefragTest, StaleAssembliesTimeOut) {
   engine_.PumpUntilIdle();
   EXPECT_EQ(node_->open_assemblies(), 0u);
   EXPECT_EQ(node_->timeouts(), 1u);
+}
+
+// A full reassembly cache evicts its oldest partial: the lowest
+// first-seen time, ties to the first key in table order (here the lower
+// IP id). With room for two, A (id 40, second 1) goes when C arrives, and
+// of B (id 30) and C (id 20), both first seen at second 2, C goes when D
+// arrives. B and D then complete; A and C were dropped as timeouts.
+TEST(DefragEvictionTest, FullCacheEvictsOldestThenFirstKey) {
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name probe; } "
+                            "SELECT time FROM eth0.PKT")
+                  .ok());
+  auto input = engine.registry().Subscribe("eth0.PKT", 4096);
+  ASSERT_TRUE(input.ok());
+  IpDefragNode::Spec spec;
+  spec.name = "defrag0";
+  spec.input_schema = *engine.registry().GetSchema("eth0.PKT");
+  spec.max_assemblies = 2;
+  auto node =
+      IpDefragNode::Create(std::move(spec), *input, &engine.registry());
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  IpDefragNode* defrag = node->get();
+  ASSERT_TRUE(engine.AddNode(std::move(node).value()).ok());
+  auto sub = engine.Subscribe("defrag0");
+  ASSERT_TRUE(sub.ok());
+
+  struct Datagram {
+    uint16_t ip_id;
+    uint64_t second;
+    char fill;
+  };
+  const Datagram datagrams[] = {
+      {40, 1, 'a'}, {30, 2, 'b'}, {20, 2, 'c'}, {10, 3, 'd'}};
+  std::map<uint16_t, std::vector<ByteBuffer>> fragments;
+  for (const Datagram& d : datagrams) {
+    auto split = net::FragmentIpv4Packet(
+        BigUdpDatagram(std::string(600, d.fill), d.ip_id), 256);
+    ASSERT_TRUE(split.ok());
+    fragments[d.ip_id] = *split;
+    // The first fragment opens the assembly.
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakePacket(static_cast<SimTime>(d.second) *
+                                                 kNanosPerSecond,
+                                             (*split)[0]))
+                    .ok());
+  }
+  engine.PumpUntilIdle();
+  EXPECT_EQ(defrag->open_assemblies(), 2u);
+  EXPECT_EQ(defrag->timeouts(), 2u);
+
+  for (uint16_t ip_id : {30, 10}) {
+    for (size_t f = 1; f < fragments[ip_id].size(); ++f) {
+      ASSERT_TRUE(engine
+                      .InjectPacket("eth0", MakePacket(3 * kNanosPerSecond,
+                                                       fragments[ip_id][f]))
+                      .ok());
+    }
+  }
+  engine.PumpUntilIdle();
+  std::string completed;
+  while (auto row = (*sub)->NextRow()) {
+    completed += (*row)[4].string_value().back();
+  }
+  EXPECT_EQ(completed, "bd");
+  EXPECT_EQ(defrag->open_assemblies(), 0u);
 }
 
 TEST_F(DefragTest, QueryComposesOverDefragOutput) {

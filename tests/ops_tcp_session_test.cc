@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "channel_reader.h"
 #include "core/engine.h"
@@ -234,6 +237,72 @@ TEST_F(TcpSessionTest, MalformedTuplesAreCountedAndSkipped) {
   EXPECT_EQ(sessions[0][8].string_value(), "reset");
   EXPECT_EQ(node_->open_sessions(), 0u);
   EXPECT_EQ(node_->eval_errors(), 2u);
+}
+
+// A full table evicts its stalest session as a timeout: the lowest
+// last_time, ties to the first key in table order. 3 x max_sessions
+// distinct SYNs arrive over four seconds, 48 a second and their ports
+// shuffled within each second; no second brings more than max_sessions,
+// so every eviction finds a session of an earlier second, all of whose
+// sessions have arrived. The timeout rows are then exactly the 2 x
+// max_sessions smallest (time, key) pairs, in (time, key) order.
+TEST(TcpSessionEvictionTest, FullTableEvictsInTimeThenKeyOrder) {
+  constexpr size_t kMaxSessions = 64;
+  constexpr uint16_t kPerSecond = 48;
+  constexpr uint16_t kSyns = 3 * kMaxSessions;
+  Engine engine;
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name probe; } "
+                            "SELECT time FROM eth0.PKT")
+                  .ok());
+  auto input = engine.registry().Subscribe("eth0.PKT", 65536);
+  ASSERT_TRUE(input.ok());
+  TcpSessionNode::Spec spec;
+  spec.name = "sessions";
+  spec.input_schema = *engine.registry().GetSchema("eth0.PKT");
+  spec.max_sessions = kMaxSessions;
+  auto node = TcpSessionNode::Create(std::move(spec), *input,
+                                     &engine.registry());
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  TcpSessionNode* sessions = node->get();
+  ASSERT_TRUE(engine.AddNode(std::move(node).value()).ok());
+  auto sub = engine.Subscribe("sessions");
+  ASSERT_TRUE(sub.ok());
+
+  // Every SYN runs from 10.0.0.1 to 10.0.0.2:80, so the table orders its
+  // sessions by source port.
+  std::vector<std::pair<uint64_t, uint16_t>> offered;
+  for (uint16_t i = 0; i < kSyns; ++i) {
+    const uint64_t second = 1 + i / kPerSecond;
+    const auto port = static_cast<uint16_t>(
+        40000 + (i / kPerSecond) * kPerSecond + (i * 29) % kPerSecond);
+    offered.emplace_back(second, port);
+    net::TcpPacketSpec syn;
+    syn.src_addr = 0x0a000001;
+    syn.dst_addr = 0x0a000002;
+    syn.src_port = port;
+    syn.dst_port = 80;
+    syn.flags = net::kTcpFlagSyn;
+    net::Packet packet;
+    packet.bytes = net::BuildTcpPacket(syn);
+    packet.orig_len = static_cast<uint32_t>(packet.bytes.size());
+    packet.timestamp = static_cast<SimTime>(second) * kNanosPerSecond;
+    ASSERT_TRUE(engine.InjectPacket("eth0", packet).ok());
+  }
+  engine.PumpUntilIdle();
+
+  std::vector<std::pair<uint64_t, uint16_t>> evicted;
+  while (auto row = (*sub)->NextRow()) {
+    EXPECT_EQ((*row)[8].string_value(), "timeout");
+    evicted.emplace_back((*row)[0].uint_value(),
+                         static_cast<uint16_t>((*row)[3].uint_value()));
+  }
+  std::sort(offered.begin(), offered.end());
+  offered.resize(kSyns - kMaxSessions);
+  EXPECT_EQ(evicted, offered);
+  EXPECT_EQ(sessions->open_sessions(), kMaxSessions);
+  EXPECT_EQ(sessions->sessions_timed_out(), kSyns - kMaxSessions);
 }
 
 TEST(TcpSessionCreateTest, RejectsSchemaWithoutTcpFields) {

@@ -149,7 +149,9 @@ TEST(OverloadControllerTest, StepsDownOnlyAfterHoldChecksCalm) {
 
 /// Burst -> overload -> calm: the engine escalates to max level during an
 /// unserviced burst, keeps accounting for shed tuples, then steps all the
-/// way back to exact processing once the load is serviced again.
+/// way back to exact processing once the load is serviced again. The
+/// payload test keeps the aggregation in the HFTA, so the pressure comes
+/// from the ring between it and the LFTA that runs inside InjectPacket.
 TEST(ShedEngineTest, BurstEscalatesThenRecoversToExact) {
   EngineOptions options;
   options.channel_capacity = 16;
@@ -163,7 +165,8 @@ TEST(ShedEngineTest, BurstEscalatesThenRecoversToExact) {
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine
                   .AddQuery("DEFINE { query_name shed0; } "
-                            "SELECT tb, count(*) FROM eth0.PKT "
+                            "SELECT tb, count(*), "
+                            "max(str_find(payload, 'x')) FROM eth0.PKT "
                             "GROUP BY time AS tb")
                   .ok());
   auto sub = engine.Subscribe("shed0", 8192);
@@ -218,7 +221,8 @@ TEST(ShedEngineTest, BurstEscalatesThenRecoversToExact) {
 /// Horvitz-Thompson accounting: with pressure that never loses tuples
 /// (occupancy, not drops), the scaled COUNT over the whole run stays within
 /// a few percent of the offered packet count even though 3 in 4 packets
-/// were shed at the source.
+/// were shed at the source. The payload test keeps the aggregation in the
+/// HFTA, whose input ring supplies the pressure.
 TEST(ShedEngineTest, SampledCountsScaleToOfferedLoad) {
   EngineOptions options;
   options.channel_capacity = 64;
@@ -234,7 +238,8 @@ TEST(ShedEngineTest, SampledCountsScaleToOfferedLoad) {
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine
                   .AddQuery("DEFINE { query_name scaled; } "
-                            "SELECT tb, count(*) FROM eth0.PKT "
+                            "SELECT tb, count(*), "
+                            "max(str_find(payload, 'x')) FROM eth0.PKT "
                             "GROUP BY time AS tb")
                   .ok());
   auto sub = engine.Subscribe("scaled", 65536);

@@ -1192,7 +1192,8 @@ TEST(EngineProcessTest, SharesExactlyTheRingsWorkersTouch) {
   // StartProcesses shares the rings a worker node reads or publishes
   // into: the split aggregate's LFTA->HFTA ring and its output ring.
   // Every other ring keeps both ends in the parent and stays on the heap:
-  // the raw packet stream, an LFTA-only query's output, gs_stats.
+  // an LFTA-only query's output, gs_stats. The raw packet stream has no
+  // ring at all: its source feeds both LFTAs in place.
   Engine engine;
   engine.AddInterface("eth0");
   ASSERT_TRUE(engine.AddQuery(kTcpQuery).ok());
@@ -1204,10 +1205,10 @@ TEST(EngineProcessTest, SharesExactlyTheRingsWorkersTouch) {
     subs.push_back(std::move(sub).value());
   }
   ASSERT_TRUE(engine.StartProcesses(1).ok());
-  for (const char* stream : {"agg_lfta", "agg", "tcp", "gs_stats",
-                             "eth0.PKT"}) {
+  for (const char* stream : {"agg_lfta", "agg", "tcp", "gs_stats"}) {
     EXPECT_FALSE(engine.registry().Subscribers(stream).empty()) << stream;
   }
+  EXPECT_TRUE(engine.registry().Subscribers("eth0.PKT").empty());
   for (const std::string& stream : engine.registry().StreamNames()) {
     const bool crosses = stream == "agg_lfta" || stream == "agg";
     for (const rts::Subscription& ring :

@@ -198,6 +198,8 @@ TEST(TelemetryEngineTest, StatsStreamCarriesProcColumn) {
 // A known workload must produce exact counts: 5 TCP + 3 UDP packets through
 // a TCP filter gives packets=8, tuples_in=8, tuples_out=5, and the
 // subscriber ring — the same counters micro_ring reads — shows 5 pushes.
+// The filter is fed by the packet source inside InjectPacket, so none of
+// its polls reads input: busy_polls is exactly 0.
 TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
   Engine engine;
   engine.AddInterface("eth0");
@@ -228,7 +230,7 @@ TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
   EXPECT_EQ(FindSample(samples, "tcponly", "tuples_in"), 8u);
   EXPECT_EQ(FindSample(samples, "tcponly", "tuples_out"), 5u);
   EXPECT_EQ(FindSample(samples, "tcponly", "eval_errors"), 0u);
-  EXPECT_GE(*FindSample(samples, "tcponly", "busy_polls"), 1u);
+  EXPECT_EQ(FindSample(samples, "tcponly", "busy_polls"), 0u);
   // Ring counters are unified: the subscriber channel's telemetry entries
   // and the TupleSubscription's own accessors read the same counters.
   EXPECT_EQ(FindSample(samples, "tcponly#sub0", "ring_pushed"), 5u);
@@ -244,6 +246,38 @@ TEST(TelemetryEngineTest, CounterAccuracyKnownWorkload) {
     EXPECT_EQ(FindSample(samples, stats.name, "tuples_out"),
               stats.tuples_out);
   }
+}
+
+// A fed LFTA reads its messages inside InjectPacket, so its polls time
+// nothing: one fed message in every 64 is timed alone into tuple_ns, and
+// poll_ns stays empty. 640 packets and no punctuations are 640 fed
+// messages, 10 of them timed.
+TEST(TelemetryEngineTest, FedLftaTimesOneMessageInSixtyFour) {
+  EngineOptions options;
+  options.punctuation_interval = 0;
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name fed; } "
+                            "SELECT time, destIP FROM eth0.PKT "
+                            "WHERE protocol = 6")
+                  .ok());
+  auto sub = engine.Subscribe("fed");
+  ASSERT_TRUE(sub.ok());
+  for (int i = 0; i < 640; ++i) {
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0",
+                                  MakeTcpPacket((i + 1) * kNanosPerSecond,
+                                                0x0a000001, 80, "x"))
+                    .ok());
+    if (i % 100 == 0) engine.PumpUntilIdle();
+  }
+  engine.PumpUntilIdle();
+  const auto samples = engine.telemetry().Snapshot();
+  EXPECT_EQ(FindSample(samples, "fed", "tuples_in"), 640u);
+  EXPECT_EQ(FindSample(samples, "fed", "tuple_ns_count"), 10u);
+  EXPECT_EQ(FindSample(samples, "fed", "poll_ns_count"), 0u);
+  EXPECT_EQ(FindSample(samples, "fed", "busy_polls"), 0u);
 }
 
 // gs_stats snapshots must be usable by the ordering machinery: the schema

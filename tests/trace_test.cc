@@ -10,6 +10,7 @@
 #include <cctype>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -284,6 +285,56 @@ TEST(TraceEngineTest, SplitQueryEndToEnd) {
   ASSERT_TRUE(e2e_p50.has_value());
   EXPECT_GT(*e2e_p50, 0u);
   EXPECT_FALSE(lfta_has_e2e);
+}
+
+// The split aggregate's LFTA table is fed in place by the packet source.
+// The packet that opens a new second drains it: that one traced packet
+// carries the fed LFTA's span, and the HFTA group close its punctuation
+// causes emits under the same trace, recording the terminal's inject->emit
+// latency.
+TEST(TraceEngineTest, FedLftaSpanAndTerminalEmitShareATrace) {
+  EngineOptions options;
+  options.trace_sample = 1;
+  Engine engine(options);
+  engine.AddInterface("eth0");
+  ASSERT_TRUE(engine
+                  .AddQuery("DEFINE { query_name persec; } "
+                            "SELECT tb, destIP, count(*) FROM eth0.PKT "
+                            "GROUP BY time AS tb, destIP")
+                  .ok());
+  auto sub = engine.Subscribe("persec");
+  ASSERT_TRUE(sub.ok());
+  for (int second = 1; second <= 3; ++second) {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(engine
+                      .InjectPacket("eth0",
+                                    MakeTcpPacket(second * kNanosPerSecond,
+                                                  0x0a000000 + (i % 2)))
+                      .ok());
+    }
+  }
+  engine.PumpUntilIdle();
+
+  std::map<uint64_t, std::set<std::string>> names_by_trace;
+  for (const TraceEvent& event : engine.tracer()->events()) {
+    names_by_trace[event.trace_id].insert(event.name);
+  }
+  size_t shared = 0;
+  for (const auto& [trace_id, names] : names_by_trace) {
+    if (names.count("persec_lfta") > 0 && names.count("persec:emit") > 0) {
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  std::optional<uint64_t> e2e_count;
+  for (const MetricSample& sample : engine.telemetry().Snapshot()) {
+    if (sample.entity == "persec" &&
+        sample.metric == std::string(metric::kE2eLatencyNs) + "_count") {
+      e2e_count = sample.value;
+    }
+  }
+  ASSERT_TRUE(e2e_count.has_value());
+  EXPECT_GT(*e2e_count, 0u);
 }
 
 // Tracing off (the default): no tracer, no trace fields on outputs, and no
