@@ -1,7 +1,9 @@
 // E2 — "Early data reduction is critical for performance, and the earlier
 // the better" (§4) / the LFTA's purpose (§3): measure the data volume
 // crossing the LFTA→HFTA channel with and without LFTA pre-processing,
-// across predicate selectivities.
+// across predicate selectivities. Exits 1 unless the expected shape holds:
+// pre-aggregation ships fewer tuples than filter-only at every
+// selectivity, and each reduction factor grows as the selectivity falls.
 
 #include <algorithm>
 #include <cstdio>
@@ -97,25 +99,46 @@ int main() {
   const Point points[] = {
       {"~100%", 65535}, {"~50%", 32768}, {"~10%", 6554}, {"~1%", 655}};
 
+  // The expected shape, checked: the run fails unless it holds.
+  bool shape_holds = true;
+  double last_filter_only = 0;
+  double last_with_agg = 0;
   for (const Point& point : points) {
     Reduction filter_only = Measure(point.max_port, false);
     Reduction with_agg = Measure(point.max_port, true);
+    const double filter_only_factor =
+        static_cast<double>(filter_only.packets_in) /
+        static_cast<double>(std::max<uint64_t>(filter_only.tuples_to_hfta, 1));
+    const double with_agg_factor =
+        static_cast<double>(with_agg.packets_in) /
+        static_cast<double>(std::max<uint64_t>(with_agg.tuples_to_hfta, 1));
     std::printf("%-14s %-12s %14llu %14llu %9.1fx\n", point.label, "no",
                 static_cast<unsigned long long>(filter_only.tuples_to_hfta),
                 static_cast<unsigned long long>(filter_only.bytes_to_hfta),
-                static_cast<double>(filter_only.packets_in) /
-                    static_cast<double>(
-                        std::max<uint64_t>(filter_only.tuples_to_hfta, 1)));
+                filter_only_factor);
     std::printf("%-14s %-12s %14llu %14llu %9.1fx\n", point.label, "yes",
                 static_cast<unsigned long long>(with_agg.tuples_to_hfta),
                 static_cast<unsigned long long>(with_agg.bytes_to_hfta),
-                static_cast<double>(with_agg.packets_in) /
-                    static_cast<double>(
-                        std::max<uint64_t>(with_agg.tuples_to_hfta, 1)));
+                with_agg_factor);
+    if (with_agg.tuples_to_hfta >= filter_only.tuples_to_hfta) {
+      std::fprintf(stderr, "FAIL at %s: pre-aggregation ships %llu tuples, "
+                   "filter-only %llu\n", point.label,
+                   static_cast<unsigned long long>(with_agg.tuples_to_hfta),
+                   static_cast<unsigned long long>(filter_only.tuples_to_hfta));
+      shape_holds = false;
+    }
+    if (filter_only_factor <= last_filter_only ||
+        with_agg_factor <= last_with_agg) {
+      std::fprintf(stderr, "FAIL at %s: a reduction factor did not grow as "
+                   "the selectivity fell\n", point.label);
+      shape_holds = false;
+    }
+    last_filter_only = filter_only_factor;
+    last_with_agg = with_agg_factor;
   }
   std::printf(
       "\nexpected shape: pre-aggregation ships far fewer tuples than\n"
       "filter-only at every selectivity; reduction grows as selectivity "
       "falls.\n");
-  return 0;
+  return shape_holds ? 0 : 1;
 }

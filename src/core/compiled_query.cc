@@ -71,15 +71,6 @@ PacketSource* FeedingSource(const PlanPtr& child, InstantiationContext* ctx) {
   return it == ctx->sources->end() ? nullptr : it->second.get();
 }
 
-/// The ring an operator reads input `name` through, or null when `feeder`
-/// feeds it in place.
-Result<rts::Subscription> InputRing(const std::string& name,
-                                    const PacketSource* feeder,
-                                    InstantiationContext* ctx) {
-  if (feeder != nullptr) return rts::Subscription();
-  return ctx->registry->Subscribe(name, ctx->channel_capacity);
-}
-
 }  // namespace
 
 std::string ProtocolStreamName(const std::string& interface_name,
@@ -136,8 +127,11 @@ Status InstantiatePlan(const plan::PlanPtr& node,
             node->projections[i], node->output_schema.field(i).order));
       }
       PacketSource* feeder = FeedingSource(node->children[0], ctx);
-      GS_ASSIGN_OR_RETURN(rts::Subscription input,
-                          InputRing(input_names[0], feeder, ctx));
+      rts::Subscription input;  // null: `feeder` feeds the node in place
+      if (feeder == nullptr) {
+        GS_ASSIGN_OR_RETURN(input, ctx->registry->Subscribe(
+                                       input_names[0], ctx->channel_capacity));
+      }
       auto select = std::make_unique<ops::SelectProjectNode>(
           std::move(spec), std::move(input), ctx->registry, ctx->params);
       if (feeder != nullptr) feeder->AddFedNode(select.get());
@@ -156,6 +150,9 @@ Status InstantiatePlan(const plan::PlanPtr& node,
       spec.output_schema = gsql::StreamSchema(
           output_name, gsql::StreamKind::kStream,
           node->output_schema.fields());
+      GS_ASSIGN_OR_RETURN(spec.predicate,
+                          CompileOptional(node->predicate,
+                                          ctx->param_values));
       spec.ordered_key = node->ordered_key;
       spec.ordered_key_band = node->ordered_key_band;
       for (size_t k = 0; k < node->group_keys.size(); ++k) {
@@ -177,21 +174,19 @@ Status InstantiatePlan(const plan::PlanPtr& node,
           spec.agg_args.emplace_back(std::move(compiled));
         }
       }
-      PacketSource* feeder = ctx->use_lfta_table
-                                 ? FeedingSource(node->children[0], ctx)
-                                 : nullptr;
-      GS_ASSIGN_OR_RETURN(rts::Subscription input,
-                          InputRing(input_names[0], feeder, ctx));
-      if (ctx->use_lfta_table) {
+      if (PacketSource* feeder = FeedingSource(node->children[0], ctx)) {
         auto lfta = std::make_unique<ops::LftaAggregateNode>(
-            std::move(spec), ctx->lfta_hash_log2, std::move(input),
-            ctx->registry, ctx->params, ctx->shed);
-        if (feeder != nullptr) feeder->AddFedNode(lfta.get());
+            std::move(spec), ctx->lfta_hash_log2, ctx->registry, ctx->params,
+            ctx->shed);
+        feeder->AddFedNode(lfta.get());
         ctx->nodes->push_back(std::move(lfta));
-      } else {
-        ctx->nodes->push_back(std::make_unique<ops::OrderedAggregateNode>(
-            std::move(spec), std::move(input), ctx->registry, ctx->params));
+        return Status::Ok();
       }
+      GS_ASSIGN_OR_RETURN(rts::Subscription input,
+                          ctx->registry->Subscribe(input_names[0],
+                                                   ctx->channel_capacity));
+      ctx->nodes->push_back(std::make_unique<ops::OrderedAggregateNode>(
+          std::move(spec), std::move(input), ctx->registry, ctx->params));
       return Status::Ok();
     }
 

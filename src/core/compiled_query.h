@@ -24,13 +24,12 @@ struct InstantiationContext {
   /// Upper bound on messages per output batch for instantiated operators
   /// (EngineOptions::batch_max_size).
   size_t output_batch = 64;
-  /// Aggregate nodes in this plan use the LFTA direct-mapped table.
-  bool use_lfta_table = false;
   /// Shared shedding state read by LFTA-stage nodes (nullable = no shedding).
   const rts::ShedState* shed = nullptr;
   /// The packet sources by stream name, set while the LFTA plan is
   /// instantiated: an LFTA operator directly over a protocol source is fed
-  /// by it in place (PacketSource::AddFedNode) and subscribes to no ring.
+  /// by it in place (PacketSource::AddFedNode) and subscribes to no ring;
+  /// a fed aggregate is the LFTA aggregate, with its direct-mapped table.
   /// Null: every operator reads its inputs through rings.
   const std::map<std::string, std::unique_ptr<PacketSource>>* sources =
       nullptr;

@@ -294,7 +294,6 @@ Result<QueryInfo> Engine::AddQuery(
   if (split.lfta != nullptr) {
     GS_RETURN_IF_ERROR(EnsureSources(split.lfta));
     MarkProtocolFieldUses(split.lfta);
-    ctx.use_lfta_table = split.split_aggregation;
     // The LFTAs over a packet source run inside InjectPacket: the source
     // feeds them each tuple in place.
     ctx.sources = &sources_;
@@ -308,7 +307,6 @@ Result<QueryInfo> Engine::AddQuery(
   if (split.hfta != nullptr) {
     GS_RETURN_IF_ERROR(EnsureSources(split.hfta));
     MarkProtocolFieldUses(split.hfta);
-    ctx.use_lfta_table = false;
     ctx.sources = nullptr;
     GS_RETURN_IF_ERROR(InstantiatePlan(split.hfta, split.name, &ctx));
   }

@@ -253,9 +253,9 @@ void CollectProtocolFieldUses(
   auto collect = [&refs](const expr::IrPtr& ir) {
     if (ir != nullptr) expr::CollectFieldRefs(ir, &refs);
   };
+  collect(node->predicate);  // a select's or an aggregate's WHERE
   switch (node->kind) {
     case plan::PlanKind::kSelectProject:
-      collect(node->predicate);
       for (const expr::IrPtr& projection : node->projections) {
         collect(projection);
       }

@@ -72,7 +72,7 @@ struct FilterTerm {
 /// 80`). Returns the terms in evaluation order, or nullopt for any other
 /// bytecode; callers fall back to the general VM. Matching terms evaluate
 /// identically to the VM (Value::Compare on same-type operands), which is
-/// what lets ops/select_project compare packed bytes directly without
+/// what lets ops::Filter compare packed bytes directly without
 /// decoding the row.
 std::optional<std::vector<FilterTerm>> MatchFilterTerms(
     const CompiledExpr& expr);

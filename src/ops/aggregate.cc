@@ -334,11 +334,13 @@ void PackKeyValue(DataType type, const Value& value, ByteBuffer* out) {
 }
 
 GroupInput::GroupInput(
+    const std::optional<expr::CompiledExpr>& predicate,
     const std::vector<expr::CompiledExpr>& keys,
     const std::vector<std::optional<expr::CompiledExpr>>& args,
     int ordered_key, const std::vector<int>& key_sources,
     const GroupLayout& layout, const rts::TupleCodec& input_codec)
     : input_codec_(&input_codec),
+      filter_(predicate, input_codec),
       at_(input_codec.schema().num_fields(), nullptr),
       bounds_(input_codec.schema()) {
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -353,6 +355,7 @@ GroupInput::GroupInput(
   for (const std::optional<expr::CompiledExpr>& arg : args) {
     args_in_.push_back(arg.has_value() ? MakeSource(*arg) : Source{});
   }
+  filter_.AddLoadedFields(input_codec.schema(), &reads_);
   args_.resize(args.size(), nullptr);
   values_.resize(keys.size() + args.size());
 }
@@ -385,7 +388,13 @@ GroupInput::Outcome GroupInput::Evaluate(
 
 GroupInput::Outcome GroupInput::PackKey(ByteSpan framed, expr::Evaluator* vm,
                                         const std::vector<Value>* params) {
+  if (!filter_.RawPass(framed)) return Outcome::kMiss;
   input_codec_->LocateFields(framed.data(), reads_, at_.data());
+  switch (filter_.Eval(at_, vm, params)) {
+    case Filter::Outcome::kPass: break;
+    case Filter::Outcome::kReject: return Outcome::kMiss;
+    case Filter::Outcome::kError: return Outcome::kError;
+  }
   size_t size = 0;
   for (size_t k = 0; k < keys_.size(); ++k) {
     const Source& key = keys_[k];
@@ -577,8 +586,9 @@ OrderedAggregateNode::OrderedAggregateNode(Spec spec, rts::Subscription input,
       input_codec_(spec_.input_schema),
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
-      grouping_(spec_.keys, spec_.agg_args, spec_.ordered_key,
-                spec_.key_punctuation_source, layout_, input_codec_),
+      grouping_(spec_.predicate, spec_.keys, spec_.agg_args,
+                spec_.ordered_key, spec_.key_punctuation_source, layout_,
+                input_codec_),
       groups_(&layout_) {
   RegisterInput(input_);
 }
@@ -602,7 +612,8 @@ void OrderedAggregateNode::ProcessTuple(ByteSpan payload, uint32_t weight) {
   GroupInput::Outcome outcome =
       grouping_.PackKey(payload, &vm_, params_.get());
   if (outcome != GroupInput::Outcome::kOk) {
-    // A partial miss discards the tuple; an error also counts.
+    // A WHERE reject or a partial miss discards the tuple; an error also
+    // counts.
     if (outcome == GroupInput::Outcome::kError) ++eval_errors_;
     return;
   }

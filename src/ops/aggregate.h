@@ -7,6 +7,7 @@
 
 #include "expr/codegen.h"
 #include "expr/vm.h"
+#include "ops/filter.h"
 #include "rts/node.h"
 #include "rts/punctuation.h"
 #include "rts/tuple.h"
@@ -120,8 +121,9 @@ class GroupLayout {
 };
 
 /// What one input tuple brings to its group: its packed key, and per
-/// aggregate a pointer to its argument's packed bytes. Every field a key
-/// or argument loads (the read set) is located in the input tuple. A bare
+/// aggregate a pointer to its argument's packed bytes, or nothing when the
+/// aggregation's WHERE rejects it. Every field the WHERE, a key or an
+/// argument loads (the read set) is located in the input tuple. A bare
 /// column reference (rts::BareField) is read from there: a key field is
 /// copied and canonicalized, an argument points straight into the tuple. A
 /// computed expression runs once through the VM over the same located
@@ -129,18 +131,23 @@ class GroupLayout {
 /// references, nothing is allocated per tuple.
 class GroupInput {
  public:
-  /// kMiss: a partial function returned nothing, and the tuple is dropped
-  /// (§2.2). kError: evaluation failed (counted as an eval error).
+  /// kMiss: the WHERE rejected the tuple or a partial function returned
+  /// nothing, and the tuple is dropped (§2.2). kError: evaluation failed
+  /// (counted as an eval error).
   enum class Outcome { kOk, kMiss, kError };
 
-  /// `ordered_key` is the key whose advance closes windows (-1: none) and
-  /// `key_sources[k]` the one input field key k depends on (-1: none).
-  GroupInput(const std::vector<expr::CompiledExpr>& keys,
+  /// `predicate` is the WHERE (none: every tuple passes), `ordered_key`
+  /// the key whose advance closes windows (-1: none) and `key_sources[k]`
+  /// the one input field key k depends on (-1: none).
+  GroupInput(const std::optional<expr::CompiledExpr>& predicate,
+             const std::vector<expr::CompiledExpr>& keys,
              const std::vector<std::optional<expr::CompiledExpr>>& args,
              int ordered_key, const std::vector<int>& key_sources,
              const GroupLayout& layout, const rts::TupleCodec& input_codec);
 
-  /// Locates the fields of `framed` (already Framed()) and packs its key.
+  /// Runs the WHERE over `framed` (already Framed()), locating its fields
+  /// between the raw pass and the VM predicate, and packs the key of a
+  /// tuple that passes: a rejected tuple cannot advance the ordered key.
   Outcome PackKey(ByteSpan framed, expr::Evaluator* vm,
                   const std::vector<expr::Value>* params);
   /// Points args() at the aggregate arguments of the tuple PackKey saw.
@@ -172,9 +179,10 @@ class GroupInput {
                    expr::Value* value);
 
   const rts::TupleCodec* input_codec_;
+  Filter filter_;
   std::vector<Source> keys_;
   std::vector<Source> args_in_;  // expr null and at -1: COUNT(*)
-  rts::ReadSet reads_;           // fields the keys and arguments load
+  rts::ReadSet reads_;  // fields the WHERE, keys and arguments load
   std::vector<const uint8_t*> at_;   // where they are, one per input field
   std::vector<expr::Value> values_;  // computed results, reused
   ByteBuffer key_;
@@ -239,6 +247,7 @@ class OrderedAggregateNode : public rts::QueryNode {
     std::string name;
     gsql::StreamSchema input_schema;
     gsql::StreamSchema output_schema;  // keys then aggregates
+    std::optional<expr::CompiledExpr> predicate;  // the WHERE, if any
     std::vector<expr::CompiledExpr> keys;
     std::vector<expr::AggregateSpec> agg_specs;
     std::vector<std::optional<expr::CompiledExpr>> agg_args;  // per spec

@@ -64,36 +64,24 @@ bool DirectMappedAggTable::FoldIfSame(size_t s, ByteSpan key,
 }
 
 LftaAggregateNode::LftaAggregateNode(Spec spec, int log2_slots,
-                                     rts::Subscription input,
                                      rts::StreamRegistry* registry,
                                      rts::ParamBlock params,
                                      const rts::ShedState* shed)
     : QueryNode(spec.name),
       spec_(std::move(spec)),
-      input_(std::move(input)),
       params_(std::move(params)),
       input_codec_(spec_.input_schema),
       writer_(registry, spec_.name, spec_.output_batch),
       layout_(MakeGroupLayout(spec_)),
-      grouping_(spec_.keys, spec_.agg_args, spec_.ordered_key,
-                spec_.key_punctuation_source, layout_, input_codec_),
+      grouping_(spec_.predicate, spec_.keys, spec_.agg_args,
+                spec_.ordered_key, spec_.key_punctuation_source, layout_,
+                input_codec_),
       table_(log2_slots, &layout_),
-      shed_(shed) {
-  if (input_ != nullptr) RegisterInput(input_);
-}
+      shed_(shed) {}
 
-size_t LftaAggregateNode::Poll(size_t budget) {
-  size_t processed = 0;
-  if (input_ != nullptr) {
-    processed = ReadInput(
-        input_, input_codec_, budget,
-        [this](const rts::BatchItem& item, ByteSpan payload) {
-          ProcessTuple(payload, item.weight);
-        },
-        [this](ByteSpan payload) { ProcessPunctuation(payload); });
-  }
+size_t LftaAggregateNode::Poll(size_t) {
   writer_.Flush();
-  return processed;
+  return 0;
 }
 
 void LftaAggregateNode::Feed(const rts::MessageMeta& message,

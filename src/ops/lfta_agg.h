@@ -132,12 +132,12 @@ void DirectMappedAggTable::EvictColdest(size_t target, Emit&& emit) {
   }
 }
 
-/// LFTA-side pre-aggregation node: evaluates group keys and aggregate
-/// arguments, folds into the direct-mapped table, emits ejected partials
-/// immediately, and drains the table when the ordered key advances (epoch
-/// close) — feeding the HFTA superaggregate. Directly over a packet
-/// source it is fed each message in place (rts::FedNode); over another
-/// LFTA it reads that one's ring.
+/// LFTA-side pre-aggregation node: runs the WHERE, evaluates group keys
+/// and aggregate arguments, folds into the direct-mapped table, emits
+/// ejected partials immediately, and drains the table when the ordered key
+/// advances (epoch close) — feeding the HFTA superaggregate. It sits
+/// directly over a packet source, which feeds it each message in place
+/// (rts::FedNode); it reads no ring.
 class LftaAggregateNode : public rts::QueryNode, public rts::FedNode {
  public:
   using Spec = OrderedAggregateNode::Spec;
@@ -145,10 +145,9 @@ class LftaAggregateNode : public rts::QueryNode, public rts::FedNode {
   /// `shed` (optional) is the engine's shared shedding state: the node
   /// reads the sampling weight, epoch coarsening factor, and table cap from
   /// it on the fly. Reads are relaxed atomics; the node runs on the same
-  /// thread as the controller that writes them (the inject thread). A null
-  /// `input` makes a fed node: its producer calls Feed.
-  LftaAggregateNode(Spec spec, int log2_slots, rts::Subscription input,
-                    rts::StreamRegistry* registry, rts::ParamBlock params,
+  /// thread as the controller that writes them (the inject thread).
+  LftaAggregateNode(Spec spec, int log2_slots, rts::StreamRegistry* registry,
+                    rts::ParamBlock params,
                     const rts::ShedState* shed = nullptr);
 
   size_t Poll(size_t budget) override;
@@ -173,7 +172,6 @@ class LftaAggregateNode : public rts::QueryNode, public rts::FedNode {
   void EnforceTableCap();
 
   Spec spec_;
-  rts::Subscription input_;
   rts::ParamBlock params_;
   rts::TupleCodec input_codec_;
   rts::BatchWriter writer_;

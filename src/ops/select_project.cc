@@ -1,7 +1,6 @@
 #include "ops/select_project.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "expr/vm.h"
@@ -9,17 +8,6 @@
 namespace gigascope::ops {
 
 using expr::Value;
-using gsql::DataType;
-
-namespace {
-
-template <typename T>
-int ThreeWay(T a, T b) {
-  // Identical to Value::Compare's cmp3 (NaN compares "equal" for floats).
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
-}  // namespace
 
 SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
                                      rts::StreamRegistry* registry,
@@ -31,18 +19,16 @@ SelectProjectNode::SelectProjectNode(Spec spec, rts::Subscription input,
       input_codec_(spec_.input_schema),
       output_codec_(spec_.output_schema),
       writer_(registry, spec_.name, spec_.output_batch),
+      filter_(spec_.predicate, input_codec_),
       at_(spec_.input_schema.num_fields(), nullptr),
       bounds_(spec_.input_schema),
       mapped_(spec_.projections.size()) {
   if (input_ != nullptr) RegisterInput(input_);
-  BuildRawFilter();
   BuildCopyProjection();
   for (const expr::CompiledExpr& projection : spec_.projections) {
     rts::AddLoadedFields(projection, 0, spec_.input_schema, &reads_);
   }
-  if (spec_.predicate.has_value()) {
-    rts::AddLoadedFields(*spec_.predicate, 0, spec_.input_schema, &reads_);
-  }
+  filter_.AddLoadedFields(spec_.input_schema, &reads_);
 }
 
 void SelectProjectNode::BuildCopyProjection() {
@@ -73,72 +59,6 @@ void SelectProjectNode::BuildCopyProjection() {
     }
   }
   copy_starts_.assign(segments, 0);
-  copy_whole_ = fields.size() == spec_.input_schema.num_fields();
-  for (size_t i = 0; copy_whole_ && i < fields.size(); ++i) {
-    copy_whole_ = fields[i] == i;
-  }
-}
-
-void SelectProjectNode::BuildRawFilter() {
-  if (!spec_.predicate.has_value()) return;
-  auto terms = expr::MatchFilterTerms(*spec_.predicate);
-  if (!terms.has_value()) return;
-  std::vector<RawTerm> raw;
-  for (const expr::FilterTerm& term : *terms) {
-    if (term.field >= spec_.input_schema.num_fields()) return;
-    const DataType type = spec_.input_schema.field(term.field).type;
-    // Same-type comparison only: that is what the VM executes (compiled
-    // predicates insert casts otherwise, and those bytecodes don't match).
-    if (term.constant.type() != type) return;
-    // A fixed-width field no string precedes: at one offset in every tuple.
-    const rts::TupleCodec::Slot& slot = input_codec_.slot(term.field);
-    if (slot.segment != 0 || slot.width == 0) return;
-    RawTerm rt;
-    rt.offset = slot.offset;
-    rt.type = type;
-    rt.cmp = term.cmp;
-    switch (type) {
-      case DataType::kUint: rt.u = term.constant.uint_value(); break;
-      case DataType::kIp: rt.u = term.constant.ip_value(); break;
-      case DataType::kBool: rt.u = term.constant.bool_value() ? 1 : 0; break;
-      case DataType::kInt: rt.i = term.constant.int_value(); break;
-      case DataType::kFloat: rt.f = term.constant.float_value(); break;
-      case DataType::kString: return;  // unreachable (no fixed width)
-    }
-    raw.push_back(rt);
-  }
-  raw_terms_ = std::move(raw);
-}
-
-bool SelectProjectNode::RawFilterPass(ByteSpan payload) const {
-  const uint8_t* data = payload.data();
-  for (const RawTerm& term : raw_terms_) {
-    int cmp = 0;
-    switch (term.type) {
-      case DataType::kUint:
-        cmp = ThreeWay(LoadLe64(data + term.offset), term.u);
-        break;
-      case DataType::kIp:
-        cmp = ThreeWay<uint64_t>(LoadLe32(data + term.offset), term.u);
-        break;
-      case DataType::kBool:
-        cmp = ThreeWay<uint64_t>(data[term.offset] != 0 ? 1 : 0, term.u);
-        break;
-      case DataType::kInt:
-        cmp = ThreeWay(static_cast<int64_t>(LoadLe64(data + term.offset)),
-                       term.i);
-        break;
-      case DataType::kFloat: {
-        cmp = ThreeWay(std::bit_cast<double>(LoadLe64(data + term.offset)),
-                       term.f);
-        break;
-      }
-      case DataType::kString:
-        return false;  // never built
-    }
-    if (!expr::CompareHolds(term.cmp, cmp)) return false;
-  }
-  return true;
 }
 
 size_t SelectProjectNode::Poll(size_t budget) {
@@ -164,38 +84,28 @@ void SelectProjectNode::Feed(const rts::MessageMeta& message,
 }
 
 void SelectProjectNode::ProcessTuple(ByteSpan payload) {
-  const bool raw = !raw_terms_.empty();
+  const bool raw = filter_.raw();
   // Columnar fast path: the whole predicate runs on packed bytes (framing
   // guarantees every fixed-offset field is present); rejected tuples are
   // never read further.
-  if (raw && !RawFilterPass(payload)) return;
+  if (raw && !filter_.RawPass(payload)) return;
   // The copy path reads its fields itself: only a predicate the raw filter
   // could not take needs them located.
   if (!raw || copy_runs_.empty()) {
     input_codec_.LocateFields(payload.data(), reads_, at_.data());
   }
-  if (raw || PredicateHolds()) {
-    if (copy_runs_.empty()) {
-      EvaluateProjections();
-    } else {
-      CopyProjection(payload);
+  if (!raw) {
+    const Filter::Outcome outcome = filter_.Eval(at_, &vm_, params_.get());
+    if (outcome != Filter::Outcome::kPass) {
+      if (outcome == Filter::Outcome::kError) ++eval_errors_;
+      return;
     }
   }
-}
-
-bool SelectProjectNode::PredicateHolds() {
-  if (!spec_.predicate.has_value()) return true;
-  expr::EvalContext ctx;
-  ctx.row0 = at_;
-  ctx.params = params_.get();
-  expr::EvalOutput predicate_result;
-  Status status = vm_.Eval(*spec_.predicate, ctx, &predicate_result);
-  if (!status.ok()) {
-    ++eval_errors_;
-    return false;
+  if (copy_runs_.empty()) {
+    EvaluateProjections();
+  } else {
+    CopyProjection(payload);
   }
-  // Partial-function miss or false: tuple discarded (§2.2).
-  return predicate_result.has_value && predicate_result.value.bool_value();
 }
 
 void SelectProjectNode::EvaluateProjections() {
@@ -226,10 +136,6 @@ void SelectProjectNode::CopyProjection(ByteSpan payload) {
   meta.weight = active_weight();  // sampling weight rides through
   StampOutput(&meta);
   ++tuples_out_;
-  if (copy_whole_) {
-    writer_.Write(meta, payload);
-    return;
-  }
   // The tuple is Framed(), so every run lies inside it. Segment 0 starts
   // at 0 in every tuple; later ones move with the strings before them.
   const uint8_t* data = payload.data();

@@ -7,6 +7,7 @@
 
 #include "expr/codegen.h"
 #include "expr/vm.h"
+#include "ops/filter.h"
 #include "rts/node.h"
 #include "rts/punctuation.h"
 #include "rts/tuple.h"
@@ -23,15 +24,13 @@ namespace gigascope::ops {
 ///
 /// Reads whole StreamBatches through QueryNode's input loop, or, as an
 /// LFTA directly over a packet source, is fed each message in place
-/// (rts::FedNode), and emits through a BatchWriter. When the predicate is a conjunction of `field <cmp>
-/// constant` terms over fixed-offset fields (the dominant LFTA filter
-/// shape), it is evaluated columnar-style straight off the packed tuple
-/// bytes: rejected tuples — the vast majority on a selective filter — are
-/// read no further. Otherwise the VM loads the fields it reads (the read
-/// set) in place. When every projection is a bare column reference (a
-/// rename, or a column subset), the output tuple is a copy of those fields'
-/// packed bytes, written in place into the output batch as a few runs of
-/// bytes: no row, no VM.
+/// (rts::FedNode), and emits through a BatchWriter. The predicate runs
+/// through a Filter: straight off the packed tuple bytes when it is raw(),
+/// otherwise in the VM over the fields it reads (the read set), located in
+/// place. When every projection is a bare column reference (a rename, or a
+/// column subset), the output tuple is a copy of those fields' packed
+/// bytes, written in place into the output batch as a few runs of bytes:
+/// no row, no VM.
 class SelectProjectNode : public rts::QueryNode, public rts::FedNode {
  public:
   struct Spec {
@@ -57,27 +56,12 @@ class SelectProjectNode : public rts::QueryNode, public rts::FedNode {
 
   /// Whether the predicate compiled to the raw byte-comparing fast path
   /// (introspection for tests and EXPLAIN).
-  bool has_raw_filter() const { return !raw_terms_.empty(); }
+  bool has_raw_filter() const { return filter_.raw(); }
 
  private:
-  /// One predicate conjunct evaluated on packed bytes: the field at a
-  /// fixed offset compared against a pre-extracted constant.
-  struct RawTerm {
-    size_t offset = 0;
-    gsql::DataType type = gsql::DataType::kUint;
-    expr::ByteOp cmp = expr::ByteOp::kCmpEq;
-    uint64_t u = 0;  // kUint/kIp/kBool constant
-    int64_t i = 0;   // kInt constant
-    double f = 0;    // kFloat constant
-  };
-
-  void BuildRawFilter();
   /// Sets up the copy path when every projection is a bare column.
   void BuildCopyProjection();
-  bool RawFilterPass(ByteSpan payload) const;
   void ProcessTuple(ByteSpan payload);
-  /// Evaluates the predicate over `at_`; false drops the tuple.
-  bool PredicateHolds();
   /// Evaluates the projections over `at_`, emitting the output tuple.
   void EvaluateProjections();
   /// Emits the copy path's output: the projected fields' packed bytes.
@@ -91,7 +75,7 @@ class SelectProjectNode : public rts::QueryNode, public rts::FedNode {
   rts::TupleCodec output_codec_;
   rts::BatchWriter writer_;
   expr::Evaluator vm_;
-  std::vector<RawTerm> raw_terms_;  // empty: use the general VM
+  Filter filter_;
   /// Input fields the predicate and projections load, and where the
   /// current tuple holds them (one entry per input field).
   rts::ReadSet reads_;
@@ -113,7 +97,6 @@ class SelectProjectNode : public rts::QueryNode, public rts::FedNode {
   size_t copy_fixed_bytes_ = 0;
   /// The current tuple's segment starts, for every segment a run reads.
   std::vector<size_t> copy_starts_;
-  bool copy_whole_ = false;  // the projection is the identity
   rts::Row out_row_;         // projected output, reused per tuple
   /// A punctuation's bounds on the output, and the computed projections'
   /// values at their bounds (one per projection), reused.

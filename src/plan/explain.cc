@@ -22,9 +22,9 @@ std::string FormatCost(double cost) {
 /// the same scale as expr::kLftaCostBudget).
 double NodeCost(const PlanNode& node) {
   double cost = 0;
+  if (node.predicate != nullptr) cost += expr::EstimateCost(node.predicate);
   switch (node.kind) {
     case PlanKind::kSelectProject:
-      if (node.predicate != nullptr) cost += expr::EstimateCost(node.predicate);
       for (const expr::IrPtr& p : node.projections) {
         cost += expr::EstimateCost(p);
       }
@@ -86,16 +86,15 @@ std::string OrderingLine(const gsql::StreamSchema& schema) {
 
 /// Shedding-ladder knobs that can act on this node when the overload
 /// controller escalates (DESIGN.md §13): packet sources feel L1 1-in-k
-/// sampling; LFTA-table aggregates feel L2 epoch coarsening and the L3
-/// occupancy cap. Empty for HFTA-placed nodes — shedding happens at the
-/// low layer, where data reduction is cheapest.
+/// sampling; LFTA aggregates (the direct-mapped table) feel L2 epoch
+/// coarsening and the L3 occupancy cap. Empty for HFTA-placed nodes —
+/// shedding happens at the low layer, where data reduction is cheapest.
 std::vector<const char*> ShedEligible(const PlanNode& node,
-                                      const char* placement,
-                                      bool lfta_table) {
+                                      const char* placement) {
   std::vector<const char*> knobs;
   if (std::string_view(placement) != "lfta") return knobs;
   if (node.kind == PlanKind::kSource) knobs.push_back("source-sampling");
-  if (node.kind == PlanKind::kAggregate && lfta_table) {
+  if (node.kind == PlanKind::kAggregate) {
     knobs.push_back("epoch-coarsen");
     knobs.push_back("table-cap");
   }
@@ -150,7 +149,7 @@ void AnalyzeNodeText(const AnalyzeContext& analyze,
 }
 
 void ExplainNodeText(const PlanNode& node, const char* placement,
-                     bool lfta_table, const std::string& runtime_name,
+                     const std::string& runtime_name,
                      const AnalyzeContext* analyze, int indent,
                      std::string* out) {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
@@ -160,6 +159,10 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
   *out += " @";
   *out += placement;
   *out += "\n";
+  if (node.predicate != nullptr) {
+    *out += pad2 + "where: " + node.predicate->ToString() + " (cost " +
+            FormatCost(expr::EstimateCost(node.predicate)) + ")\n";
+  }
   switch (node.kind) {
     case PlanKind::kSource:
       *out += pad2 + "stream: " + node.source_stream;
@@ -169,10 +172,6 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
       *out += "\n";
       break;
     case PlanKind::kSelectProject: {
-      if (node.predicate != nullptr) {
-        *out += pad2 + "where: " + node.predicate->ToString() + " (cost " +
-                FormatCost(expr::EstimateCost(node.predicate)) + ")\n";
-      }
       std::string projections;
       for (size_t i = 0; i < node.projections.size(); ++i) {
         if (i > 0) projections += ", ";
@@ -228,8 +227,7 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
     *out += pad2 + "cost: " + FormatCost(NodeCost(node)) + " (lfta budget " +
             FormatCost(expr::kLftaCostBudget) + ")\n";
   }
-  const std::vector<const char*> shed =
-      ShedEligible(node, placement, lfta_table);
+  const std::vector<const char*> shed = ShedEligible(node, placement);
   if (!shed.empty()) {
     *out += pad2 + "shed-eligible: ";
     for (size_t i = 0; i < shed.size(); ++i) {
@@ -248,8 +246,8 @@ void ExplainNodeText(const PlanNode& node, const char* placement,
         child->kind == PlanKind::kSource
             ? SourceRuntimeName(*child)
             : runtime_name + "#" + std::to_string(i);
-    ExplainNodeText(*child, placement, lfta_table, child_name, analyze,
-                    indent + 1, out);
+    ExplainNodeText(*child, placement, child_name, analyze, indent + 1,
+                    out);
   }
 }
 
@@ -284,12 +282,15 @@ void AnalyzeNodeJson(const AnalyzeContext& analyze,
 }
 
 void ExplainNodeJson(const PlanNode& node, const char* placement,
-                     bool lfta_table, const std::string& runtime_name,
+                     const std::string& runtime_name,
                      const AnalyzeContext* analyze, std::string* out) {
   *out += "{\"op\":";
   *out += JsonQuote(PlanKindName(node.kind));
   *out += ",\"placement\":";
   *out += JsonQuote(placement);
+  if (node.predicate != nullptr) {
+    *out += ",\"where\":" + JsonQuote(node.predicate->ToString());
+  }
   switch (node.kind) {
     case PlanKind::kSource:
       *out += ",\"stream\":" + JsonQuote(node.source_stream);
@@ -298,9 +299,6 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
       }
       break;
     case PlanKind::kSelectProject: {
-      if (node.predicate != nullptr) {
-        *out += ",\"where\":" + JsonQuote(node.predicate->ToString());
-      }
       *out += ",\"projections\":[";
       for (size_t i = 0; i < node.projections.size(); ++i) {
         if (i > 0) *out += ",";
@@ -343,8 +341,7 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
       break;
   }
   *out += ",\"cost\":" + FormatCost(NodeCost(node));
-  const std::vector<const char*> shed =
-      ShedEligible(node, placement, lfta_table);
+  const std::vector<const char*> shed = ShedEligible(node, placement);
   if (!shed.empty()) {
     *out += ",\"shed_eligible\":[";
     for (size_t i = 0; i < shed.size(); ++i) {
@@ -373,7 +370,7 @@ void ExplainNodeJson(const PlanNode& node, const char* placement,
         child->kind == PlanKind::kSource
             ? SourceRuntimeName(*child)
             : runtime_name + "#" + std::to_string(i);
-    ExplainNodeJson(*child, placement, lfta_table, child_name, analyze, out);
+    ExplainNodeJson(*child, placement, child_name, analyze, out);
   }
   *out += "]}";
 }
@@ -412,7 +409,7 @@ std::string ExplainTextImpl(const PlannedQuery& planned,
   }
   if (split.hfta != nullptr) {
     out += "hfta:\n";
-    ExplainNodeText(*split.hfta, "hfta", false, split.name, analyze, 1, &out);
+    ExplainNodeText(*split.hfta, "hfta", split.name, analyze, 1, &out);
   }
   if (split.lfta != nullptr) {
     if (split.hfta != nullptr) {
@@ -420,8 +417,8 @@ std::string ExplainTextImpl(const PlannedQuery& planned,
     } else {
       out += "lfta:\n";
     }
-    ExplainNodeText(*split.lfta, "lfta", split.split_aggregation,
-                    LftaRootName(split), analyze, 1, &out);
+    ExplainNodeText(*split.lfta, "lfta", LftaRootName(split), analyze, 1,
+                    &out);
   }
   return out;
 }
@@ -455,7 +452,7 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
   }
   if (split.hfta != nullptr) {
     out += ",\"hfta\":";
-    ExplainNodeJson(*split.hfta, "hfta", false, split.name, analyze, &out);
+    ExplainNodeJson(*split.hfta, "hfta", split.name, analyze, &out);
   } else {
     out += ",\"hfta\":null";
   }
@@ -463,8 +460,8 @@ std::string ExplainJsonImpl(const PlannedQuery& planned,
     out += ",\"lfta_stream\":" +
            JsonQuote(split.hfta != nullptr ? split.lfta_name : split.name);
     out += ",\"lfta\":";
-    ExplainNodeJson(*split.lfta, "lfta", split.split_aggregation,
-                    LftaRootName(split), analyze, &out);
+    ExplainNodeJson(*split.lfta, "lfta", LftaRootName(split), analyze,
+                    &out);
   } else {
     out += ",\"lfta\":null";
   }

@@ -16,13 +16,13 @@ const char* PlanKindName(PlanKind kind) {
 std::string PlanNode::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + PlanKindName(kind);
+  if (predicate != nullptr) out += " where " + predicate->ToString();
   switch (kind) {
     case PlanKind::kSource:
       out += " " + source_stream;
       if (!interface_name.empty()) out += " @" + interface_name;
       break;
     case PlanKind::kSelectProject:
-      if (predicate != nullptr) out += " where " + predicate->ToString();
       out += " -> [";
       for (size_t i = 0; i < projections.size(); ++i) {
         if (i > 0) out += ", ";

@@ -44,8 +44,10 @@ struct PlanNode {
   std::string interface_name;   // non-empty for Protocol sources
   bool source_is_protocol = false;
 
+  // --- kSelectProject and kAggregate ---
+  expr::IrPtr predicate;  // the WHERE, run first; may be null (no filter)
+
   // --- kSelectProject ---
-  expr::IrPtr predicate;                  // may be null (no filter)
   std::vector<expr::IrPtr> projections;   // one per output field
 
   // --- kAggregate ---

@@ -84,8 +84,8 @@ DataType AggResultType(AggFn fn, DataType arg_type) {
   return DataType::kUint;
 }
 
-/// Builds the query's plan above the (possibly filtered) source for an
-/// aggregation query. Shared with the splitter via the plan structure.
+/// Builds the query's plan above the source (or join) for an aggregation
+/// query. Shared with the splitter via the plan structure.
 class AggregationBuilder {
  public:
   AggregationBuilder(const gsql::ResolvedSelect& resolved,
@@ -342,12 +342,6 @@ Result<PlanPtr> AggregationBuilder::Build(PlanPtr input) {
       StreamSchema("", StreamKind::kStream, std::move(out_fields)));
 }
 
-/// Builds Source -> [SelectProject(where)] for one input, evaluating the
-/// WHERE filter as early as possible.
-PlanPtr BuildFilteredSource(const gsql::ResolvedInput& input) {
-  return MakeSourceNode(input.schema, input.interface_name);
-}
-
 }  // namespace
 
 Result<PlannedQuery> PlanSelect(const gsql::ResolvedSelect& resolved,
@@ -381,8 +375,10 @@ Result<PlannedQuery> PlanSelect(const gsql::ResolvedSelect& resolved,
 
     auto join = std::make_shared<PlanNode>();
     join->kind = PlanKind::kJoin;
-    join->children.push_back(BuildFilteredSource(resolved.inputs[0]));
-    join->children.push_back(BuildFilteredSource(resolved.inputs[1]));
+    for (const gsql::ResolvedInput& input : resolved.inputs) {
+      join->children.push_back(
+          MakeSourceNode(input.schema, input.interface_name));
+    }
     // Only the residual conjuncts are re-evaluated per pair; the window
     // constraints themselves are enforced by the join operator in signed
     // arithmetic (unsigned re-evaluation would underflow near zero).
@@ -493,35 +489,22 @@ Result<PlannedQuery> PlanSelect(const gsql::ResolvedSelect& resolved,
     return planned;
   }
 
-  // Single-input queries.
-  PlanPtr source = BuildFilteredSource(resolved.inputs[0]);
+  // Single-input queries: the operator over the source runs the WHERE.
+  PlanPtr source = MakeSourceNode(resolved.inputs[0].schema,
+                                  resolved.inputs[0].interface_name);
+  IrPtr where;
+  if (stmt.where != nullptr) {
+    GS_ASSIGN_OR_RETURN(where, expr::TypeCheckPredicate(stmt.where, ctx));
+    where = expr::FoldConstants(where);
+  }
 
   if (resolved.is_aggregation()) {
-    PlanPtr below = source;
-    if (stmt.where != nullptr) {
-      GS_ASSIGN_OR_RETURN(IrPtr where,
-                          expr::TypeCheckPredicate(stmt.where, ctx));
-      where = expr::FoldConstants(where);
-      // Pass-through filter node keeping the full input schema.
-      std::vector<IrPtr> identity;
-      const StreamSchema& schema = source->output_schema;
-      for (size_t f = 0; f < schema.num_fields(); ++f) {
-        identity.push_back(expr::MakeFieldRef(0, f, schema.field(f).type,
-                                              schema.field(f).name));
-      }
-      below = MakeSelectProjectNode(source, std::move(where),
-                                    std::move(identity), schema);
-    }
     AggregationBuilder builder(resolved, ctx);
-    GS_ASSIGN_OR_RETURN(planned.root, builder.Build(below));
-    const PlanNode& agg = *planned.root->children[0];
+    GS_ASSIGN_OR_RETURN(planned.root, builder.Build(source));
+    PlanNode& agg = *planned.root->children[0];
+    agg.predicate = std::move(where);
     planned.unbounded_aggregation = agg.ordered_key < 0;
   } else {
-    IrPtr where;
-    if (stmt.where != nullptr) {
-      GS_ASSIGN_OR_RETURN(where, expr::TypeCheckPredicate(stmt.where, ctx));
-      where = expr::FoldConstants(where);
-    }
     std::vector<IrPtr> projections;
     std::vector<FieldDef> out_fields;
     for (size_t i = 0; i < stmt.items.size(); ++i) {

@@ -44,10 +44,11 @@ struct PlannedQuery {
 /// GROUP BY over a join (aggregation of the join's flattened output).
 ///
 /// Aggregation plans have the shape
-///   Source -> [SelectProject(where)] -> Aggregate -> SelectProject(final)
-/// with AVG already decomposed into SUM/COUNT and recombined in the final
-/// projection — the normalization that makes every aggregate decomposable
-/// for the LFTA/HFTA split.
+///   Source -> Aggregate(where) -> SelectProject(final)
+/// with the WHERE as the Aggregate's predicate, and AVG already decomposed
+/// into SUM/COUNT and recombined in the final projection — the
+/// normalization that makes every aggregate decomposable for the
+/// LFTA/HFTA split.
 Result<PlannedQuery> PlanSelect(const gsql::ResolvedSelect& resolved,
                                 const PlannerOptions& options);
 

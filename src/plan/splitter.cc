@@ -164,24 +164,21 @@ Result<SplitQuery> SplitScan(const PlannedQuery& planned,
 }
 
 /// Splits an aggregation query:
-///   final(SelectProject) -> Aggregate -> [SelectProject(where)] -> Source.
+///   final(SelectProject) -> Aggregate(where) -> Source.
 Result<SplitQuery> SplitAggregation(const PlannedQuery& planned,
                                     const PlanPtr& final_project,
-                                    const PlanPtr& agg, const PlanPtr& below,
+                                    const PlanPtr& agg,
                                     const PlanPtr& source) {
   SplitQuery split;
   split.name = planned.name;
   split.lfta_name = planned.name + "_lfta";
 
   // Split the WHERE conjuncts.
+  std::vector<IrPtr> conjuncts;
+  SplitConjuncts(agg->predicate, &conjuncts);
   std::vector<IrPtr> cheap, costly;
-  if (below->kind == PlanKind::kSelectProject &&
-      below->predicate != nullptr) {
-    std::vector<IrPtr> conjuncts;
-    SplitConjuncts(below->predicate, &conjuncts);
-    for (const IrPtr& conjunct : conjuncts) {
-      (expr::IsLftaSafe(conjunct) ? cheap : costly).push_back(conjunct);
-    }
+  for (const IrPtr& conjunct : conjuncts) {
+    (expr::IsLftaSafe(conjunct) ? cheap : costly).push_back(conjunct);
   }
 
   bool keys_safe = std::all_of(
@@ -214,23 +211,13 @@ Result<SplitQuery> SplitAggregation(const PlannedQuery& planned,
 
   if (keys_safe && args_safe && costly.empty()) {
     // Full aggregate splitting: LFTA subaggregates, HFTA superaggregates.
+    // The WHERE is all cheap and runs in the LFTA subaggregate.
     split.split_aggregation = true;
-
-    PlanPtr lfta_below = source;
-    if (!cheap.empty()) {
-      std::vector<IrPtr> identity;
-      const StreamSchema& schema = source->output_schema;
-      for (size_t f = 0; f < schema.num_fields(); ++f) {
-        identity.push_back(expr::MakeFieldRef(0, f, schema.field(f).type,
-                                              schema.field(f).name));
-      }
-      lfta_below = MakeSelectProjectNode(source, AndTogether(cheap),
-                                         std::move(identity), schema);
-    }
 
     auto sub = std::make_shared<PlanNode>();
     sub->kind = PlanKind::kAggregate;
-    sub->children.push_back(lfta_below);
+    sub->children.push_back(source);
+    sub->predicate = AndTogether(cheap);
     sub->group_keys = agg->group_keys;
     sub->aggregates = agg->aggregates;
     sub->ordered_key = agg->ordered_key;
@@ -277,7 +264,8 @@ Result<SplitQuery> SplitAggregation(const PlannedQuery& planned,
     return split;
   }
 
-  // Partial split: LFTA filters/projects, HFTA does all aggregation.
+  // Partial split: LFTA filters/projects, HFTA runs the costly WHERE
+  // conjuncts and does all aggregation.
   Passthrough pass =
       BuildPassthrough(source->output_schema, needed, split.lfta_name);
   split.lfta = MakeSelectProjectNode(source, AndTogether(cheap),
@@ -285,23 +273,14 @@ Result<SplitQuery> SplitAggregation(const PlannedQuery& planned,
                                      pass.schema);
   split.lfta_schema = pass.schema;
 
-  PlanPtr hfta_chain = MakeSourceNode(pass.schema, "");
-  if (!costly.empty()) {
-    std::vector<IrPtr> remapped;
-    for (const IrPtr& conjunct : costly) {
-      remapped.push_back(RemapIr(conjunct, pass.position));
-    }
-    std::vector<IrPtr> identity;
-    for (size_t f = 0; f < pass.schema.num_fields(); ++f) {
-      identity.push_back(expr::MakeFieldRef(0, f, pass.schema.field(f).type,
-                                            pass.schema.field(f).name));
-    }
-    hfta_chain = MakeSelectProjectNode(hfta_chain, AndTogether(remapped),
-                                       std::move(identity), pass.schema);
-  }
   auto hfta_agg = std::make_shared<PlanNode>();
   hfta_agg->kind = PlanKind::kAggregate;
-  hfta_agg->children.push_back(hfta_chain);
+  hfta_agg->children.push_back(MakeSourceNode(pass.schema, ""));
+  std::vector<IrPtr> remapped;
+  for (const IrPtr& conjunct : costly) {
+    remapped.push_back(RemapIr(conjunct, pass.position));
+  }
+  hfta_agg->predicate = AndTogether(remapped);
   for (const IrPtr& key : agg->group_keys) {
     hfta_agg->group_keys.push_back(RemapIr(key, pass.position));
   }
@@ -365,20 +344,13 @@ Result<SplitQuery> SplitShape(const PlannedQuery& planned) {
     return SplitScan(planned, root, root->children[0]);
   }
 
-  // Aggregation shape: SelectProject -> Aggregate -> [...] -> Source.
+  // Aggregation shape: SelectProject -> Aggregate -> Source(protocol).
   if (root->kind == PlanKind::kSelectProject &&
       root->children[0]->kind == PlanKind::kAggregate) {
     const PlanPtr& agg = root->children[0];
-    const PlanPtr& below = agg->children[0];
-    PlanPtr source;
-    if (below->kind == PlanKind::kSource) {
-      source = below;
-    } else if (below->kind == PlanKind::kSelectProject &&
-               below->children[0]->kind == PlanKind::kSource) {
-      source = below->children[0];
-    }
-    if (source != nullptr && source->source_is_protocol) {
-      return SplitAggregation(planned, root, agg, below, source);
+    const PlanPtr& source = agg->children[0];
+    if (source->kind == PlanKind::kSource && source->source_is_protocol) {
+      return SplitAggregation(planned, root, agg, source);
     }
   }
 

@@ -19,8 +19,10 @@ struct SplitQuery {
   std::string name;        // the query's public name
   std::string lfta_name;   // mangled LFTA stream name (name + "_lfta")
 
-  /// Low-level plan over the Protocol source; null when the query reads
-  /// only Streams (LFTAs accept only Protocol input).
+  /// Low-level plan: one operator directly over the Protocol source, a
+  /// SelectProject or (under split aggregation) an Aggregate, each with
+  /// the WHERE's cheap conjuncts as its predicate; null when the query
+  /// reads only Streams (LFTAs accept only Protocol input).
   PlanPtr lfta;
 
   /// High-level plan whose Source is the LFTA's output stream; null when

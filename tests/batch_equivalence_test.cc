@@ -76,8 +76,10 @@ size_t FirstDifference(const std::vector<std::string>& trace,
 /// Replays a fixed randomized workload through the engine at the given
 /// batch size and mode (two workers when not single) and returns the full
 /// message trace of the query outputs: a stateless filter, a split
-/// aggregation, and the paper's HTTP regex query, whose LFTA ships payload
-/// strings to the HFTA.
+/// aggregation, the paper's HTTP regex query, whose LFTA ships payload
+/// strings to the HFTA, and two aggregations whose WHERE the aggregate
+/// runs itself: a split one (in the LFTA) and one whose payload test keeps
+/// it, and so its WHERE, in the HFTA's worker.
 WorkloadRun RunWorkload(size_t batch_size, Mode mode) {
   workload::TrafficConfig config;
   config.seed = 11;
@@ -107,7 +109,19 @@ WorkloadRun RunWorkload(size_t batch_size, Mode mode) {
                             "WHERE protocol = 6 AND destPort = 80 "
                             "AND match_regex(payload, '^[^\\n]*HTTP/1.*')")
                   .ok());
-  const char* kOutputs[] = {"filter", "agg", "http80"};
+  EXPECT_TRUE(engine
+                  .AddQuery("DEFINE { query_name fagg; } "
+                            "SELECT tb, destIP, count(*), sum(len) "
+                            "FROM eth0.PKT WHERE protocol = 6 AND len > 100 "
+                            "GROUP BY time AS tb, destIP")
+                  .ok());
+  EXPECT_TRUE(engine
+                  .AddQuery("DEFINE { query_name hagg; } "
+                            "SELECT tb, count(*), sum(len) FROM eth0.PKT "
+                            "WHERE protocol = 6 AND str_find(payload, 'HTTP') "
+                            "GROUP BY time AS tb")
+                  .ok());
+  const char* kOutputs[] = {"filter", "agg", "http80", "fagg", "hagg"};
   std::vector<rts::Subscription> outputs;
   for (const char* name : kOutputs) {
     auto out = engine.registry().Subscribe(name, 1 << 15);
@@ -164,6 +178,13 @@ TEST(BatchEquivalenceTest, RowsAndPunctuationsMatchAcrossBatchSizes) {
       baseline.begin(), baseline.end(),
       [](const std::string& m) { return m.rfind("http80/T:", 0) == 0; });
   EXPECT_GT(http_rows, 0);
+  // So did both folded WHEREs.
+  for (const char* prefix : {"fagg/T:", "hagg/T:"}) {
+    EXPECT_TRUE(std::any_of(
+        baseline.begin(), baseline.end(),
+        [prefix](const std::string& m) { return m.rfind(prefix, 0) == 0; }))
+        << prefix;
+  }
 
   const size_t kBatchSizes[] = {1, 7, 64, 4096};
   for (size_t batch_size : kBatchSizes) {

@@ -1,6 +1,7 @@
 #ifndef GIGASCOPE_TESTS_CHANNEL_READER_H_
 #define GIGASCOPE_TESTS_CHANNEL_READER_H_
 
+#include "rts/node.h"
 #include "rts/punctuation.h"
 #include "rts/ring.h"
 #include "rts/tuple.h"
@@ -32,6 +33,21 @@ class ChannelReader {
   rts::StreamBatch batch_;
   size_t cursor_ = 0;
 };
+
+/// Pops every batch `channel` holds and hands each message, in order, to
+/// `node` through Feed, as a packet source feeds the LFTAs over its
+/// stream. Returns how many messages it fed.
+inline size_t FeedAll(rts::RingChannel* channel, rts::FedNode* node) {
+  size_t fed = 0;
+  rts::StreamBatch batch;
+  while (channel->TryPop(&batch)) {
+    for (const rts::BatchItem& item : batch.items()) {
+      node->Feed(item, batch.payload(item));
+    }
+    fed += batch.size();
+  }
+  return fed;
+}
 
 /// A batch holding one tuple: `row` packed by `codec`.
 inline rts::StreamBatch TupleBatch(const rts::TupleCodec& codec,

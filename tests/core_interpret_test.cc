@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,8 +13,11 @@
 #include "core/engine.h"
 #include "frame_corpus.h"
 #include "gsql/catalog.h"
+#include "gsql/parser.h"
 #include "net/headers.h"
+#include "plan/splitter.h"
 #include "rts/punctuation.h"
+#include "udf/registry.h"
 #include "workload/traffic_gen.h"
 
 namespace gigascope::core {
@@ -468,6 +472,41 @@ TEST(PacketSourceTest, PunctuatesAtIntervalMultiplesAndPacksAtCodecOffsets) {
 }
 
 // --- sample(): §5's analyst-controlled sampling, deterministically ---
+
+// The source materializes only what the LFTA reads. With the WHERE folded
+// into the LFTA aggregate, that is the WHERE's, the keys' and the
+// arguments' fields, and not every PKT field (which an identity
+// projection of the whole packet would read, payload and ipPayload
+// included).
+TEST(ProtocolFieldUsesTest, FoldedWhereReadsOnlyItsFields) {
+  gsql::Catalog catalog;
+  ASSERT_TRUE(catalog.AddSchema(gsql::Catalog::BuiltinPacketSchema()).ok());
+  catalog.AddInterface("eth0");
+  auto stmt = gsql::ParseStatement(
+      "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+      "WHERE protocol = 6 GROUP BY time/60 AS tb, destIP");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto resolved =
+      gsql::AnalyzeSelect(std::get<gsql::SelectStmt>(*stmt), catalog);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  plan::PlannerOptions options;
+  options.resolver = udf::FunctionRegistry::Default();
+  auto planned = plan::PlanSelect(*resolved, options);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto split = plan::SplitPlan(*planned);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  ASSERT_TRUE(split->split_aggregation);
+  EXPECT_EQ(split->snap_len, 134u);
+
+  const gsql::StreamSchema pkt = gsql::Catalog::BuiltinPacketSchema();
+  std::set<std::string> fields;
+  for (const auto& [stream, field] : ProtocolFieldUses(split->lfta)) {
+    EXPECT_EQ(stream, "eth0.PKT");
+    fields.insert(pkt.field(field).name);
+  }
+  EXPECT_EQ(fields,
+            (std::set<std::string>{"protocol", "time", "destIP", "len"}));
+}
 
 TEST(SampleUdfTest, DeterministicAndProportional) {
   Engine engine;

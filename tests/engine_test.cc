@@ -1909,5 +1909,156 @@ TEST(EngineThreadedTest, BoundariesFlushFedLftaOutputToWorkers) {
   engine.StopThreads();
 }
 
+/// A seeded trace of 3,000 packets over about 12 seconds, with a TCP
+/// packet whose payload holds "GET" after every tenth one.
+std::vector<net::Packet> FoldTrace() {
+  workload::TrafficConfig config;
+  config.seed = 23;
+  config.num_flows = 40;
+  config.offered_bits_per_sec = 1e6;
+  workload::TrafficGenerator gen(config);
+  std::vector<net::Packet> trace;
+  for (int i = 0; i < 3000; ++i) {
+    trace.push_back(gen.Next());
+    if (i % 10 == 9) {
+      trace.push_back(MakeTcpPacket(trace.back().timestamp,
+                                    0x0a000002 + static_cast<uint32_t>(i % 3),
+                                    80, "GET /index.html HTTP/1.1"));
+    }
+  }
+  return trace;
+}
+
+/// Adds `queries` to `engine` in order, runs `trace` through it with a
+/// heartbeat after every 200 packets, and returns the sorted rows of the
+/// query named "q".
+std::vector<std::string> SortedRowsOfQ(Engine* engine,
+                                       const std::vector<std::string>& queries,
+                                       const std::vector<net::Packet>& trace) {
+  engine->AddInterface("eth0");
+  for (const std::string& query : queries) {
+    auto info = engine->AddQuery(query);
+    EXPECT_TRUE(info.ok()) << info.status().ToString();
+  }
+  auto sub = engine->Subscribe("q", 1 << 16);
+  EXPECT_TRUE(sub.ok());
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_TRUE(engine->InjectPacket("eth0", trace[i]).ok());
+    if ((i + 1) % 200 == 0) {
+      EXPECT_TRUE(engine->InjectHeartbeat("eth0", trace[i].timestamp).ok());
+      engine->PumpUntilIdle();
+    }
+  }
+  engine->FlushAll();
+  std::vector<std::string> rows = Rows(sub->get());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(EngineTest, FoldedWhereMatchesAFilterThenGroupBy) {
+  // Each GROUP BY runs its WHERE inside the aggregation; its rows equal
+  // those of the same GROUP BY, with no WHERE, over a scan stream that
+  // applies the WHERE first. The source materializes the payload only for
+  // a plan that reads it, so a WHERE on the payload checks that the
+  // aggregate's WHERE counts among the fields its LFTA reads.
+  struct Shape {
+    std::string name;
+    std::vector<std::string> folded;
+    std::vector<std::string> reference;
+  };
+  const std::string kTcp =
+      "DEFINE { query_name tcp; } "
+      "SELECT time, destIP, len FROM eth0.PKT WHERE protocol = 6";
+  const std::vector<Shape> shapes = {
+      {"full split",
+       {"DEFINE { query_name q; } "
+        "SELECT tb, destIP, count(*), sum(len) FROM eth0.PKT "
+        "WHERE protocol = 6 AND len > 100 GROUP BY time AS tb, destIP"},
+       {"DEFINE { query_name s; } SELECT time, destIP, len FROM eth0.PKT "
+        "WHERE protocol = 6 AND len > 100",
+        "DEFINE { query_name q; } "
+        "SELECT tb, destIP, count(*), sum(len) FROM s "
+        "GROUP BY time AS tb, destIP"}},
+      {"partial split",
+       {"DEFINE { query_name q; } "
+        "SELECT tb, count(*), sum(len) FROM eth0.PKT "
+        "WHERE protocol = 6 AND str_find(payload, 'GET') GROUP BY time AS tb"},
+       {"DEFINE { query_name s; } SELECT time, len FROM eth0.PKT "
+        "WHERE protocol = 6 AND str_find(payload, 'GET')",
+        "DEFINE { query_name q; } "
+        "SELECT tb, count(*), sum(len) FROM s GROUP BY time AS tb"}},
+      {"full split reading the payload",
+       {"DEFINE { query_name q; } "
+        "SELECT tb, count(*), sum(len) FROM eth0.PKT "
+        "WHERE payload = 'GET /index.html HTTP/1.1' GROUP BY time AS tb"},
+       {"DEFINE { query_name s; } SELECT time, len FROM eth0.PKT "
+        "WHERE payload = 'GET /index.html HTTP/1.1'",
+        "DEFINE { query_name q; } "
+        "SELECT tb, count(*), sum(len) FROM s GROUP BY time AS tb"}},
+      {"HFTA-only over a derived stream",
+       {kTcp,
+        "DEFINE { query_name q; } "
+        "SELECT tb, destIP, count(*), sum(len) FROM tcp "
+        "WHERE len > 500 GROUP BY time AS tb, destIP"},
+       {kTcp,
+        "DEFINE { query_name s; } SELECT time, destIP, len FROM tcp "
+        "WHERE len > 500",
+        "DEFINE { query_name q; } "
+        "SELECT tb, destIP, count(*), sum(len) FROM s "
+        "GROUP BY time AS tb, destIP"}},
+  };
+  const std::vector<net::Packet> trace = FoldTrace();
+  for (const Shape& shape : shapes) {
+    Engine folded;
+    Engine reference;
+    const std::vector<std::string> rows =
+        SortedRowsOfQ(&folded, shape.folded, trace);
+    EXPECT_GT(rows.size(), 5u) << shape.name;
+    EXPECT_EQ(rows, SortedRowsOfQ(&reference, shape.reference, trace))
+        << shape.name;
+    if (shape.name != "full split") continue;
+    // One LFTA node fed by the source, one HFTA node: no select below
+    // the aggregate, no stream between them, no ring on the packets.
+    std::vector<std::string> nodes;
+    for (const Engine::NodeStats& stats : folded.GetNodeStats()) {
+      nodes.push_back(stats.name);
+    }
+    std::sort(nodes.begin(), nodes.end());
+    EXPECT_EQ(nodes, (std::vector<std::string>{"q", "q_lfta"}));
+    EXPECT_FALSE(folded.registry().HasStream("q_lfta#0"));
+    EXPECT_TRUE(folded.registry().Subscribers("eth0.PKT").empty());
+  }
+}
+
+TEST(EngineTest, FoldedWhereFollowsSetParamFromTheNextPacket) {
+  // `len > $minlen` is not a raw filter: the LFTA aggregate's VM reads
+  // the parameter block on every packet.
+  Engine engine;
+  engine.AddInterface("eth0");
+  auto info = engine.AddQuery(
+      "DEFINE { query_name big; param minlen UINT = 1000; } "
+      "SELECT tb, count(*) FROM eth0.PKT WHERE len > $minlen "
+      "GROUP BY time AS tb");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_TRUE(info->split_aggregation);
+  auto sub = engine.Subscribe("big");
+  ASSERT_TRUE(sub.ok());
+  for (int i = 0; i < 3; ++i) {  // second 1: every packet is too short
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0", MakeTcpPacket(kNanosPerSecond,
+                                                        0x0a000001, 80, "x"))
+                    .ok());
+  }
+  ASSERT_TRUE(engine.SetParam("big", "minlen", Value::Uint(10)).ok());
+  for (int i = 0; i < 2; ++i) {  // second 2: every packet is long enough
+    ASSERT_TRUE(engine
+                    .InjectPacket("eth0", MakeTcpPacket(2 * kNanosPerSecond,
+                                                        0x0a000001, 80, "x"))
+                    .ok());
+  }
+  engine.FlushAll();
+  EXPECT_EQ(Rows(sub->get()), (std::vector<std::string>{"2\t2\t"}));
+}
+
 }  // namespace
 }  // namespace gigascope::core

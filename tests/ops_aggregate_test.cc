@@ -277,8 +277,7 @@ TEST_F(AggregateTest, EmptyKeyIsOneGroup) {
   ASSERT_TRUE(hfta_in.ok() && lfta_in.ok());
   OrderedAggregateNode hfta(std::move(hfta_spec), *hfta_in, &registry_,
                             params_);
-  LftaAggregateNode lfta(std::move(lfta_spec), 0, *lfta_in, &registry_,
-                         params_);
+  LftaAggregateNode lfta(std::move(lfta_spec), 0, &registry_, params_);
   auto hfta_out = registry_.Subscribe("all", 64);
   auto lfta_out = registry_.Subscribe("lall", 64);
   ASSERT_TRUE(hfta_out.ok() && lfta_out.ok());
@@ -287,7 +286,7 @@ TEST_F(AggregateTest, EmptyKeyIsOneGroup) {
   Send(2, 200, 20);
   Send(30, 300, 30);
   hfta.Poll(100);
-  lfta.Poll(100);
+  testing_util::FeedAll(lfta_in->get(), &lfta);
   EXPECT_EQ(hfta.open_groups(), 1u);
   hfta.Flush();
   lfta.Flush();
@@ -344,7 +343,7 @@ TEST(SumWrapTest, IntSumWrapsThroughUint64) {
   auto lfta_in = registry.Subscribe("ints", 64);
   ASSERT_TRUE(hfta_in.ok() && lfta_in.ok());
   OrderedAggregateNode hfta(make_spec("hsum"), *hfta_in, &registry, params);
-  LftaAggregateNode lfta(make_spec("lsum"), 4, *lfta_in, &registry, params);
+  LftaAggregateNode lfta(make_spec("lsum"), 4, &registry, params);
   auto hfta_out = registry.Subscribe("hsum", 64);
   auto lfta_out = registry.Subscribe("lsum", 64);
   ASSERT_TRUE(hfta_out.ok() && lfta_out.ok());
@@ -365,7 +364,7 @@ TEST(SumWrapTest, IntSumWrapsThroughUint64) {
   send(3, INT64_MIN, 2);
   send(3, -1, 1);
   hfta.Poll(100);
-  lfta.Poll(100);
+  testing_util::FeedAll(lfta_in->get(), &lfta);
   hfta.Flush();
   lfta.Flush();
 
@@ -408,7 +407,7 @@ TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
   ASSERT_TRUE(registry_.DeclareStream(narrow.output_schema).ok());
   auto input = registry_.Subscribe("in", 64);
   ASSERT_TRUE(input.ok());
-  LftaAggregateNode lfta(std::move(narrow), 4, *input, &registry_, params_);
+  LftaAggregateNode lfta(std::move(narrow), 4, &registry_, params_);
   auto lfta_out = registry_.Subscribe("lagg", 64);
   ASSERT_TRUE(lfta_out.ok());
 
@@ -424,7 +423,7 @@ TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
     registry_.PublishBatch("in", testing_util::RawBatch(bytes));
   }
   node_->Poll(100);
-  lfta.Poll(100);
+  testing_util::FeedAll(input->get(), &lfta);
   node_->Flush();
   lfta.Flush();
   EXPECT_EQ(node_->eval_errors(), malformed.size());
@@ -433,6 +432,73 @@ TEST_F(AggregateTest, MalformedTuplesCountOneEvalErrorAndEmitNothing) {
   EXPECT_EQ(lfta.tuples_out(), 0u);
   EXPECT_TRUE(ReceiveAll().empty());
   EXPECT_EQ((*lfta_out)->pushed(), 0u);
+}
+
+// A WHERE folded into the aggregation runs before anything else: a tuple
+// it rejects, or on which it fails, neither folds into a group nor
+// advances the ordered key, in the HFTA map and the fed LFTA table alike;
+// only the failures count as eval errors.
+TEST_F(AggregateTest, WhereRejectsAndErrorsBeforeGrouping) {
+  // SELECT t, key, count(*), sum(len) WHERE 100 / len > 5 GROUP BY t, key:
+  // len 10 passes, len 50 is rejected, len 0 fails (division by zero).
+  auto make_spec = [](const std::string& name) {
+    OrderedAggregateNode::Spec spec = MakeSpec(name);
+    spec.keys[0] =
+        MustCompile(expr::MakeFieldRef(0, 0, DataType::kUint, "t"));
+    spec.predicate = MustCompile(expr::MakeBinaryIr(
+        BinaryOp::kGt, DataType::kBool,
+        expr::MakeBinaryIr(BinaryOp::kDiv, DataType::kUint,
+                           expr::MakeConst(Value::Uint(100)),
+                           expr::MakeFieldRef(0, 2, DataType::kUint, "len")),
+        expr::MakeConst(Value::Uint(5))));
+    return spec;
+  };
+  ASSERT_TRUE(registry_.DeclareStream(AggOutputSchema("w")).ok());
+  ASSERT_TRUE(registry_.DeclareStream(AggOutputSchema("lw")).ok());
+  auto hfta_in = registry_.Subscribe("in", 64);
+  auto lfta_in = registry_.Subscribe("in", 64);
+  ASSERT_TRUE(hfta_in.ok() && lfta_in.ok());
+  OrderedAggregateNode hfta(make_spec("w"), *hfta_in, &registry_, params_);
+  LftaAggregateNode lfta(make_spec("lw"), 4, &registry_, params_);
+  auto hfta_out = registry_.Subscribe("w", 64);
+  auto lfta_out = registry_.Subscribe("lw", 64);
+  ASSERT_TRUE(hfta_out.ok() && lfta_out.ok());
+
+  Send(1, 7, 10);  // passes: group (1, 7)
+  Send(1, 7, 50);  // rejected
+  Send(1, 7, 0);   // fails
+  Send(2, 7, 50);  // rejected: t = 2 would close t = 1
+  Send(3, 7, 0);   // fails: so would t = 3
+  hfta.Poll(100);
+  testing_util::FeedAll(lfta_in->get(), &lfta);
+  lfta.Poll(100);  // publishes whatever the LFTA wrote
+  EXPECT_EQ(hfta.eval_errors(), 2u);
+  EXPECT_EQ(lfta.eval_errors(), 2u);
+  EXPECT_EQ(hfta.groups_flushed(), 0u);
+  EXPECT_EQ(hfta.open_groups(), 1u);
+  EXPECT_EQ((*hfta_out)->pushed(), 0u);
+  EXPECT_EQ((*lfta_out)->pushed(), 0u);  // no partial, no punctuation
+
+  hfta.Flush();
+  lfta.Flush();
+  for (rts::Subscription* out : {&*hfta_out, &*lfta_out}) {
+    rts::TupleCodec codec(AggOutputSchema("w"));
+    std::vector<rts::Row> rows;
+    rts::StreamBatch batch;
+    while ((*out)->TryPop(&batch)) {
+      for (const rts::BatchItem& item : batch.items()) {
+        if (item.kind != rts::MessageKind::kTuple) continue;
+        auto row = codec.Decode(batch.payload(item));
+        ASSERT_TRUE(row.ok());
+        rows.push_back(*row);
+      }
+    }
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].uint_value(), 1u);
+    EXPECT_EQ(rows[0][1].uint_value(), 7u);
+    EXPECT_EQ(rows[0][2].uint_value(), 1u);   // one tuple folded
+    EXPECT_EQ(rows[0][3].uint_value(), 10u);  // its len alone
+  }
 }
 
 /// COUNT(*) grouped by one UINT key, packed as the LFTA table keeps it.

@@ -67,7 +67,7 @@ TEST_F(PlannerTest, AggregationPlanShape) {
       "SELECT tb, destIP, count(*), sum(len) FROM PKT "
       "WHERE protocol = 6 GROUP BY time/60 AS tb, destIP");
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  // Shape: SelectProject(final) -> Aggregate -> SelectProject(where) -> Source.
+  // Shape: SelectProject(final) -> Aggregate(where) -> Source.
   const PlanPtr& final_project = planned->root;
   ASSERT_EQ(final_project->kind, PlanKind::kSelectProject);
   const PlanPtr& agg = final_project->children[0];
@@ -76,10 +76,8 @@ TEST_F(PlannerTest, AggregationPlanShape) {
   EXPECT_EQ(agg->aggregates.size(), 2u);
   EXPECT_EQ(agg->ordered_key, 0);  // time/60 is increasing
   EXPECT_FALSE(planned->unbounded_aggregation);
-  const PlanPtr& where = agg->children[0];
-  ASSERT_EQ(where->kind, PlanKind::kSelectProject);
-  EXPECT_NE(where->predicate, nullptr);
-  EXPECT_EQ(where->children[0]->kind, PlanKind::kSource);
+  EXPECT_NE(agg->predicate, nullptr);
+  EXPECT_EQ(agg->children[0]->kind, PlanKind::kSource);
 }
 
 TEST_F(PlannerTest, AvgDecomposesIntoSumAndCount) {

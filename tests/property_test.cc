@@ -606,6 +606,7 @@ std::vector<std::string> RunPlan(const Plan& plan, const Query& query,
   rts::ShedState shed;
   shed.table_cap_pct.store(plan.table_cap_pct);
   std::vector<std::unique_ptr<rts::QueryNode>> nodes;  // upstream first
+  ops::LftaAggregateNode* lfta = nullptr;  // fed from `source`
   auto source = registry.Subscribe("gin", 1 << 14);
   EXPECT_TRUE(source.ok());
   auto spec = MakeSpec(plan.split ? "partials" : "groups", InputSchema(),
@@ -616,8 +617,10 @@ std::vector<std::string> RunPlan(const Plan& plan, const Query& query,
     EXPECT_TRUE(registry.DeclareStream(super.output_schema).ok());
     auto partials = registry.Subscribe("partials", 1 << 14);
     EXPECT_TRUE(partials.ok());
-    nodes.push_back(std::make_unique<ops::LftaAggregateNode>(
-        std::move(spec), plan.log2_slots, *source, &registry, params, &shed));
+    auto fed = std::make_unique<ops::LftaAggregateNode>(
+        std::move(spec), plan.log2_slots, &registry, params, &shed);
+    lfta = fed.get();
+    nodes.push_back(std::move(fed));
     nodes.push_back(std::make_unique<ops::OrderedAggregateNode>(
         std::move(super), *partials, &registry, params));
   } else {
@@ -631,6 +634,7 @@ std::vector<std::string> RunPlan(const Plan& plan, const Query& query,
   std::vector<std::string> rows;
   rts::TupleCodec out_codec(out_schema);
   auto drain = [&] {
+    if (lfta != nullptr) testing_util::FeedAll(source->get(), lfta);
     for (auto& node : nodes) node->Poll(1 << 20);
     rts::StreamBatch batch;
     while ((*out)->TryPop(&batch)) {

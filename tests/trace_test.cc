@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "channel_reader.h"
 #include "core/engine.h"
 #include "expr/codegen.h"
 #include "net/headers.h"
@@ -498,9 +499,10 @@ ops::OrderedAggregateNode::Spec CountSpec(const std::string& name,
   return spec;
 }
 
-// Every operator reads its input through QueryNode's one loop. With no
-// tracer attached, as on a worker process's nodes, each traced message is
-// counted as truncated; a tuple that fails framing counts in tuples_in and
+// Every operator reads its input through QueryNode's one bracket, from a
+// ring or, for the LFTA aggregate, fed in place. With no tracer attached,
+// as on a worker process's nodes, each traced message is counted as
+// truncated; a tuple that fails framing counts in tuples_in and
 // eval_errors and goes no further.
 TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
   rts::StreamRegistry registry;
@@ -512,6 +514,7 @@ TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
     std::unique_ptr<rts::QueryNode> node;
     rts::Subscription input;  // the ring the messages go to
     uint64_t outputs;         // tuples the framed tuple yields
+    rts::FedNode* fed = nullptr;  // set: fed the ring's messages in place
   };
   std::vector<Case> cases;
 
@@ -558,9 +561,10 @@ TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
                    input, 0});
 
   input = ring();
-  cases.push_back({std::make_unique<ops::LftaAggregateNode>(
-                       CountSpec("lfta", pkt), 4, input, &registry, nullptr),
-                   input, 1});
+  auto lfta = std::make_unique<ops::LftaAggregateNode>(
+      CountSpec("lfta", pkt), 4, &registry, nullptr);
+  rts::FedNode* fed_lfta = lfta.get();
+  cases.push_back({std::move(lfta), input, 1, fed_lfta});
   input = ring();
   cases.push_back({std::make_unique<ops::OrderedAggregateNode>(
                        CountSpec("hfta", pkt), input, &registry, nullptr),
@@ -612,7 +616,10 @@ TEST(TraceInputLoopTest, EveryOperatorBracketsCountsAndFramesItsInput) {
   for (Case& c : cases) {
     const std::string& name = c.node->name();
     ASSERT_TRUE(c.input->TryPush(rts::StreamBatch(batch))) << name;
-    EXPECT_EQ(c.node->Poll(64), 3u) << name;
+    const size_t read = c.fed != nullptr
+                            ? testing_util::FeedAll(c.input.get(), c.fed)
+                            : c.node->Poll(64);
+    EXPECT_EQ(read, 3u) << name;
     c.node->Flush();
     EXPECT_EQ(c.node->tuples_in(), 2u) << name;
     EXPECT_EQ(c.node->eval_errors(), 1u) << name;
